@@ -2,20 +2,24 @@
 submodularity checks, the restricted functions induced by an exchange
 context, and exact integer Fenchel-gap certification.
 
-Scalar conjugate evaluation is the single authored route; numpy enters
-only as exact int64 bookkeeping for quadratic pair loops over integer
-grids and for chunked scans of dual boxes (corpus magnitudes keep every
-intermediate far below 2^63).
+``conjugate`` is the scalar route, used for caller-supplied grids and as
+the tests' oracle. Box sweeps, sampled pairs and Fenchel dual scans use
+one batched kernel, ``vals - P @ ind`` over the effective domain, which
+returns every size cap in one pass. It is exact: int64 while
+max|f| + n*max|p| < 2^61 (a slack summing two conjugates cannot wrap),
+Python numbers (``dtype=object``) above that bound.
 """
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .core import (
     NEG_INF,
+    REAL_EPS,
     Falsification,
     PriceVector,
     SetFn,
@@ -89,9 +93,54 @@ def _feasible_caps(f):
 
 
 # ---------------------------------------------------------------------------
-# Grid machinery. Integer boxes are closed under join/meet, so exhaustive
-# checks precompute one conjugate value per grid point and do the pair
-# sweep on int64 index arrays.
+# Batched conjugates and the grid-inequality engine.
+
+_INT64_SAFE = 1 << 61   # |conjugate| bound that keeps int64 slacks exact
+_BLOCK_ROWS = 8         # box rows per join/meet pass
+_SAMPLE_CHUNK = 256     # sampled pairs evaluated at once
+
+
+class _Conjugates:
+    """Batched conjugates of f under every size cap. Called on a
+    (rows, n) integer price array it returns a (rows, caps) table whose
+    column c is max { f(Z) - p(Z) : Z in dom f, |Z| <= s + c }, s the
+    smallest domain size; the last column is the plain conjugate. The
+    domain is sorted by size, so one pass takes the maximum per size and
+    then a running maximum over sizes."""
+
+    def __init__(self, f):
+        dom = sorted(f.dom_masks, key=int.bit_count)
+        sizes = [m.bit_count() for m in dom]
+        self.n = f.n
+        self.starts = [i for i, z in enumerate(sizes) if i == 0 or z != sizes[i - 1]]
+        present = [sizes[i] for i in self.starts]
+        self.cols = np.searchsorted(present, range(sizes[0], f.n + 1), side="right") - 1
+        self.ind = np.array(dom, dtype=np.int64) >> np.arange(f.n)[:, None] & 1
+        self.vals = [f.values[m] for m in dom]
+        self.magnitude = max(abs(v) for v in self.vals)
+        dtype = np.int64 if f.mode == "int" else np.float64
+        self.fast = np.array(self.vals, dtype) if self.magnitude < _INT64_SAFE else None
+
+    def _gains(self, P):
+        if self.fast is not None and \
+                self.magnitude + self.n * int(np.abs(P).max(initial=0)) < _INT64_SAFE:
+            return self.fast - P @ self.ind
+        return np.array(self.vals, dtype=object) - P.astype(object) @ self.ind.astype(object)
+
+    def __call__(self, P):
+        per_size = np.maximum.reduceat(self._gains(P), self.starts, axis=1)
+        return np.maximum.accumulate(per_size, axis=1)[:, self.cols]
+
+    def plain(self, P):
+        """The plain conjugate alone, without the per-size pass."""
+        return self._gains(P).max(axis=1)
+
+
+def _holds(lhs, rhs, mode):
+    """``leq_for(mode)`` elementwise over arrays."""
+    if mode == "int":
+        return lhs <= rhs
+    return lhs <= rhs + REAL_EPS * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
 
 def _box_points(n, lo, hi):
@@ -102,93 +151,104 @@ def _box_points(n, lo, hi):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _grid_conjugates(f, pts):
-    out = np.empty(len(pts), dtype=np.int64)
-    for i, row in enumerate(pts):
-        out[i] = conjugate(f, PriceVector(tuple(int(x) for x in row))).value
-    return out
+_SUBMODULAR, _CROSS, _QUOTIENT = range(3)
 
 
-def _encode(pts, lo, powers):
-    return (pts - lo) @ powers
+@lru_cache(maxsize=1)
+def _box_sweeps(f, lo, hi):
+    """Every grid inequality of f over the integer box [lo, hi]^n, in
+    one pass over blocks of rows of the lexicographically ordered points
+    (the box is closed under join and meet, so both are grid indices).
+
+    Returns (first, checked), indexed [kind][c] for the cap column c of
+    ``_Conjugates``: the first violated pair (p, q) in row order, or
+    None, and the pairs counted up to and including the failing row.
+    Kinds: submodular over pairs j >= i, cross over all ordered pairs
+    (sized at p, plain at q), strong quotient over pairs p_j <= p_i."""
+    pts = _box_points(f.n, lo, hi)
+    npts = len(pts)
+    digits = [(pts[:, c] - lo) * (hi - lo + 1) ** (f.n - 1 - c) for c in range(f.n)]
+    g = np.ascontiguousarray(_Conjugates(f)(pts).T)
+    plain, idx = g[-1], np.arange(npts)
+    excess = g - plain  # sized minus plain: the quotient compares it at p and q
+    first = [[None] * len(g) for _ in range(3)]
+    checked = np.zeros((3, len(g)), dtype=np.int64)
+    for a in range(0, npts, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, npts)
+        zero = np.zeros((b - a, npts), dtype=np.int64)
+        joins = sum((np.maximum(d[a:b, None], d) for d in digits), zero)
+        meets = sum((np.minimum(d[a:b, None], d) for d in digits), zero)
+        upper, below = idx[a:] >= idx[a:b, None], meets == idx
+        through = [np.cumsum(npts - idx[a:b]), npts * np.arange(1, b - a + 1),
+                   np.cumsum(below.sum(axis=1))]
+        plain_joins = plain[joins]
+        for c, gc in enumerate(g):  # one cap column at a time keeps temporaries small
+            gi, gm = gc[a:b, None], gc[meets]
+            for kind, offset, bad in (
+                    (_SUBMODULAR, a, (gc[joins[:, a:]] + gm[:, a:] > gi + gc[a:]) & upper),
+                    (_CROSS, 0, gm + plain_joins > gi + plain),
+                    (_QUOTIENT, 0, (excess[c, a:b, None] < excess[c]) & below)):
+                if first[kind][c] is not None:
+                    continue
+                hit = np.flatnonzero(bad.any(axis=1))
+                r = hit[0] if len(hit) else b - a - 1
+                checked[kind, c] += through[kind][r]
+                if len(hit):
+                    j = offset + int(np.argmax(bad[r]))
+                    first[kind][c] = (pts[a + r].tolist(), pts[j].tolist())
+        if all(x is not None for row in first for x in row):
+            break
+    return first, checked
 
 
-class _GridCheck:
-    """Shared state for one exhaustive box sweep."""
-
-    def __init__(self, f, lo, hi):
-        self.f = f
-        self.lo = lo
-        self.pts = _box_points(f.n, lo, hi)
-        width = hi - lo + 1
-        self.powers = width ** np.arange(f.n - 1, -1, -1, dtype=np.int64)
-        self._cache = {}
-
-    def conjugates(self, k=None):
-        """Grid conjugate values for f (k=None) or its size-k cap."""
-        if k not in self._cache:
-            g = self.f if k is None else restrict_by_size(self.f, k)
-            self._cache[k] = _grid_conjugates(g, self.pts)
-        return self._cache[k]
-
-    def point(self, idx):
-        return [int(x) for x in self.pts[idx]]
+def _box_report(f, lo, hi, checks, instance_id):
+    """Report for ``checks``, (inequality, kind, k) in checking order,
+    read from the shared box sweep; k=None is the plain conjugate."""
+    first, checked = _box_sweeps(f, lo, hi)
+    s, _ = f.dom_size_range()
+    total = 0
+    for inequality, kind, k in checks:
+        c = (f.n if k is None else min(k, f.n)) - s
+        total += int(checked[kind, c])
+        if first[kind][c] is not None:
+            p, q = first[kind][c]  # copied: the sweep result is cached
+            counter = {"inequality": inequality, "p": list(p), "q": list(q)}
+            if k is not None:
+                counter["k"] = k
+            return failed_report("duality_grid", instance_id, counter, triples=total)
+    return passed_report("duality_grid", instance_id, triples=total)
 
 
-def _pair_payload(grid, i, j, k, inequality):
-    payload = {
-        "inequality": inequality,
-        "p": grid.point(i),
-        "q": grid.point(j),
-    }
-    if k is not None:
-        payload["k"] = k
-    return payload
-
-
-def _sweep_submodular(grid, gv, k, inequality):
-    """g(p) + g(q) >= g(p v q) + g(p ^ q) over all grid pairs; returns a
-    counterexample payload or the number of pairs checked."""
-    pts, powers, lo = grid.pts, grid.powers, grid.lo
-    checked = 0
-    for i in range(len(pts)):
-        joins = _encode(np.maximum(pts[i], pts[i:]), lo, powers)
-        meets = _encode(np.minimum(pts[i], pts[i:]), lo, powers)
-        slack = gv[i] + gv[i:] - gv[joins] - gv[meets]
-        checked += len(slack)
-        bad = np.nonzero(slack < 0)[0]
-        if len(bad):
-            return _pair_payload(grid, i, i + int(bad[0]), k, inequality), checked
-    return None, checked
-
-
-def _sweep_cross(grid, tgv, gv, k):
-    """sized(p) + plain(q) >= sized(p ^ q) + plain(p v q), ordered pairs."""
-    pts, powers, lo = grid.pts, grid.powers, grid.lo
-    checked = 0
-    for i in range(len(pts)):
-        joins = _encode(np.maximum(pts[i], pts), lo, powers)
-        meets = _encode(np.minimum(pts[i], pts), lo, powers)
-        slack = tgv[i] + gv - tgv[meets] - gv[joins]
-        checked += len(slack)
-        bad = np.nonzero(slack < 0)[0]
-        if len(bad):
-            return _pair_payload(grid, i, int(bad[0]), k, "cross_submodular"), checked
-    return None, checked
-
-
-def _sweep_quotient(grid, tgv, gv, k):
-    """sized(p) - sized(q) >= g(p) - g(q) over comparable pairs p >= q."""
-    pts = grid.pts
-    checked = 0
-    for i in range(len(pts)):
-        below = np.nonzero((pts <= pts[i]).all(axis=1))[0]
-        slack = (tgv[i] - tgv[below]) - (gv[i] - gv[below])
-        checked += len(slack)
-        bad = np.nonzero(slack < 0)[0]
-        if len(bad):
-            return _pair_payload(grid, i, int(below[bad[0]]), k, "strong_quotient"), checked
-    return None, checked
+def _sampled_report(f, samples, draw, tests, seed, instance_id, per_sample=1):
+    """Report over ``samples`` seeded pairs. ``draw()`` makes one sample
+    (p, q, k) with exactly the rng calls of a scalar loop; chunks of
+    ``_SAMPLE_CHUNK`` samples are evaluated at once. ``tests(plain,
+    sized)`` gets the plain and cap-k conjugates at p, q, p v q, p ^ q
+    (row 0..3, one column per sample) and returns (inequality, uses_k,
+    holds) in checking order; the first failing sample is reported, with
+    ``per_sample`` pairs counted through it."""
+    conj = _Conjugates(f)
+    s, _ = f.dom_size_range()
+    for start in range(0, samples, _SAMPLE_CHUNK):
+        drawn = [draw() for _ in range(min(_SAMPLE_CHUNK, samples - start))]
+        p, q = (np.array([d[i] for d in drawn], dtype=np.int64).reshape(len(drawn), f.n)
+                for i in (0, 1))
+        cols = [min(d[2], f.n) - s for d in drawn]
+        g = conj(np.concatenate([p, q, np.maximum(p, q), np.minimum(p, q)]))
+        g = g.reshape(4, len(drawn), -1)
+        checks = tests(g[:, :, -1], g[:, np.arange(len(drawn)), cols])
+        failures = [(int(np.argmin(ok)), t, inequality, uses_k)
+                    for t, (inequality, uses_k, ok) in enumerate(checks) if not ok.all()]
+        if failures:
+            i, _, inequality, uses_k = min(failures)
+            counter = {"inequality": inequality, "p": drawn[i][0], "q": drawn[i][1]}
+            if uses_k:
+                counter["k"] = drawn[i][2]
+            return failed_report("duality_grid", instance_id, counter,
+                                 triples=per_sample * (start + i + 1),
+                                 regime="sampled", seed=seed)
+    return passed_report("duality_grid", instance_id, triples=per_sample * max(samples, 0),
+                         regime="sampled", seed=seed)
 
 
 def _explicit_pairs_check(f, grid_vectors, checker):
@@ -206,8 +266,8 @@ def _explicit_pairs_check(f, grid_vectors, checker):
 
 
 def _box_or_sample_policy(f, grid, box):
-    # The fast box sweep is exact int64 bookkeeping, so real-mode default
-    # grids fall through to the tolerance-aware sampled path.
+    # The box sweep compares exactly, so real-mode default grids fall
+    # through to the tolerance-aware sampled path.
     lo, hi = box
     if grid is not None:
         return "explicit", None
@@ -244,8 +304,11 @@ def check_conjugate_submodular(f, grid=None, *, box=DEFAULT_BOX, seed=0,
                         checked += 1
                         lhs = g(p.join(q), k) + g(p.meet(q), k)
                         if not leq(lhs, g(p, k) + g(q, k)):
-                            return {"inequality": tag, "k": k,
-                                    "p": list(p.entries), "q": list(q.entries)}
+                            counter = {"inequality": tag, "p": list(p.entries),
+                                       "q": list(q.entries)}
+                            if k is not None:
+                                counter["k"] = k
+                            return counter
                 return None
             counter = _explicit_pairs_check(f, vectors, run)
             if counter:
@@ -255,46 +318,21 @@ def check_conjugate_submodular(f, grid=None, *, box=DEFAULT_BOX, seed=0,
 
     lo, hi = lohi
     if kind == "box":
-        gridc = _GridCheck(f, lo, hi)
-        total = 0
-        counter, checked = _sweep_submodular(gridc, gridc.conjugates(), None, "submodular")
-        total += checked
-        if counter is None:
-            for k in caps:
-                counter, checked = _sweep_submodular(
-                    gridc, gridc.conjugates(k), k, "submodular_sized")
-                total += checked
-                if counter:
-                    break
-        if counter:
-            return failed_report("duality_grid", instance_id, counter, triples=total)
-        return passed_report("duality_grid", instance_id, triples=total)
+        checks = [("submodular", _SUBMODULAR, None)]
+        checks += [("submodular_sized", _SUBMODULAR, k) for k in caps]
+        return _box_report(f, lo, hi, checks, instance_id)
 
-    # Sampled pairs for larger ground sets.
     rng = random.Random(seed)
-    capped = {k: restrict_by_size(f, k) for k in caps}
-    checked = 0
-    for _ in range(samples):
-        p = PriceVector(tuple(rng.randint(lo, hi) for _ in range(f.n)))
-        q = PriceVector(tuple(rng.randint(lo, hi) for _ in range(f.n)))
-        jn, mt = p.join(q), p.meet(q)
-        checked += 2
-        if not leq(conjugate(f, jn).value + conjugate(f, mt).value,
-                   conjugate(f, p).value + conjugate(f, q).value):
-            counter = {"inequality": "submodular", "p": list(p.entries),
-                       "q": list(q.entries)}
-            return failed_report("duality_grid", instance_id, counter,
-                                 triples=checked, regime="sampled", seed=seed)
-        k = caps[rng.randrange(len(caps))]
-        fk = capped[k]
-        if not leq(conjugate(fk, jn).value + conjugate(fk, mt).value,
-                   conjugate(fk, p).value + conjugate(fk, q).value):
-            counter = {"inequality": "submodular_sized", "k": k,
-                       "p": list(p.entries), "q": list(q.entries)}
-            return failed_report("duality_grid", instance_id, counter,
-                                 triples=checked, regime="sampled", seed=seed)
-    return passed_report("duality_grid", instance_id, triples=checked,
-                         regime="sampled", seed=seed)
+
+    def draw():
+        return ([rng.randint(lo, hi) for _ in range(f.n)],
+                [rng.randint(lo, hi) for _ in range(f.n)], caps[rng.randrange(len(caps))])
+
+    def tests(g, gk):
+        return [("submodular", False, _holds(g[2] + g[3], g[0] + g[1], f.mode)),
+                ("submodular_sized", True, _holds(gk[2] + gk[3], gk[0] + gk[1], f.mode))]
+
+    return _sampled_report(f, samples, draw, tests, seed, instance_id, per_sample=2)
 
 
 def check_cross_submodular(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
@@ -329,28 +367,18 @@ def check_cross_submodular(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
 
     lo, hi = lohi
     if kind == "box":
-        gridc = _GridCheck(f, lo, hi)
-        counter, checked = _sweep_cross(gridc, gridc.conjugates(k),
-                                        gridc.conjugates(), k)
-        if counter:
-            return failed_report("duality_grid", instance_id, counter, triples=checked)
-        return passed_report("duality_grid", instance_id, triples=checked)
+        return _box_report(f, lo, hi, [("cross_submodular", _CROSS, k)], instance_id)
 
     rng = random.Random(seed)
-    fk = restrict_by_size(f, k)
-    checked = 0
-    for _ in range(samples):
-        p = PriceVector(tuple(rng.randint(lo, hi) for _ in range(f.n)))
-        q = PriceVector(tuple(rng.randint(lo, hi) for _ in range(f.n)))
-        checked += 1
-        lhs = conjugate(fk, p.meet(q)).value + conjugate(f, p.join(q)).value
-        if not leq(lhs, conjugate(fk, p).value + conjugate(f, q).value):
-            counter = {"inequality": "cross_submodular", "k": k,
-                       "p": list(p.entries), "q": list(q.entries)}
-            return failed_report("duality_grid", instance_id, counter,
-                                 triples=checked, regime="sampled", seed=seed)
-    return passed_report("duality_grid", instance_id, triples=checked,
-                         regime="sampled", seed=seed)
+
+    def draw():
+        return ([rng.randint(lo, hi) for _ in range(f.n)],
+                [rng.randint(lo, hi) for _ in range(f.n)], k)
+
+    def tests(g, gk):
+        return [("cross_submodular", True, _holds(gk[3] + g[2], gk[0] + g[1], f.mode))]
+
+    return _sampled_report(f, samples, draw, tests, seed, instance_id)
 
 
 def check_strong_quotient(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
@@ -384,30 +412,18 @@ def check_strong_quotient(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
 
     lo, hi = lohi
     if kind == "box":
-        gridc = _GridCheck(f, lo, hi)
-        counter, checked = _sweep_quotient(gridc, gridc.conjugates(k),
-                                           gridc.conjugates(), k)
-        if counter:
-            return failed_report("duality_grid", instance_id, counter, triples=checked)
-        return passed_report("duality_grid", instance_id, triples=checked)
+        return _box_report(f, lo, hi, [("strong_quotient", _QUOTIENT, k)], instance_id)
 
     rng = random.Random(seed)
-    fk = restrict_by_size(f, k)
-    checked = 0
-    for _ in range(samples):
+
+    def draw():  # p >= q: the larger of two draws per element goes to p
         pairs = [sorted((rng.randint(lo, hi), rng.randint(lo, hi))) for _ in range(f.n)]
-        q = PriceVector(tuple(a for a, _ in pairs))
-        p = PriceVector(tuple(b for _, b in pairs))
-        checked += 1
-        lhs = conjugate(f, p).value - conjugate(f, q).value
-        rhs = conjugate(fk, p).value - conjugate(fk, q).value
-        if not leq(lhs, rhs):
-            counter = {"inequality": "strong_quotient", "k": k,
-                       "p": list(p.entries), "q": list(q.entries)}
-            return failed_report("duality_grid", instance_id, counter,
-                                 triples=checked, regime="sampled", seed=seed)
-    return passed_report("duality_grid", instance_id, triples=checked,
-                         regime="sampled", seed=seed)
+        return [b for _, b in pairs], [a for a, _ in pairs], k
+
+    def tests(g, gk):
+        return [("strong_quotient", True, _holds(g[0] - g[1], gk[0] - gk[1], f.mode))]
+
+    return _sampled_report(f, samples, draw, tests, seed, instance_id)
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +516,6 @@ def _spread(f):
     return max(finite) - min(finite)
 
 
-def _dom_arrays(f, negate=False):
-    masks = np.array(f.dom_masks, dtype=np.int64)
-    vals = np.array([f.values[m] for m in f.dom_masks],
-                    dtype=np.int64 if f.mode == "int" else np.float64)
-    return masks, -vals if negate else vals
-
-
-def _indicator_matrix(n):
-    masks = np.arange(1 << n, dtype=np.int64)
-    return np.stack([(masks >> j) & 1 for j in range(n)], axis=0)
-
-
 def _shell_points(n, r, cache):
     """Integer points of the box [-r, r]^n with max-norm exactly r, in
     lexicographic order."""
@@ -568,9 +572,7 @@ def fenchel_gap(f1, f2, box=None):
         return FenchelResult(primal, dual, gap, PriceVector(()), box, False,
                              exact and gap == 0, mode)
 
-    masks1, vals1 = _dom_arrays(f1)
-    masks2, vals2 = _dom_arrays(f2)
-    ind = _indicator_matrix(n)
+    conj1, conj2 = _Conjugates(f1), _Conjugates(f2)
     cache = {}
     best = None
     best_q = None
@@ -581,10 +583,7 @@ def fenchel_gap(f1, f2, box=None):
         pts = _shell_points(n, r, cache)
         for start in range(0, len(pts), _CHUNK):
             chunk = pts[start:start + _CHUNK]
-            psum = chunk @ ind  # (rows, 2^n) subset prices
-            g1 = (vals1 - psum[:, masks1]).max(axis=1)
-            g2 = (vals2 + psum[:, masks2]).max(axis=1)
-            d = g1 + g2
+            d = conj1.plain(chunk) + conj2.plain(-chunk)
             if target is not None:
                 hits = np.nonzero(d == target)[0]
                 if len(hits):

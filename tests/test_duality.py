@@ -408,3 +408,20 @@ def test_lemma6_bound_degenerate_context(corpus_by_id):
     ctx = ExchangeContext.make(4, [1, 2], [2], [1])  # Y0 empty
     rep = check_lemma6_bound(f, ctx)
     assert rep.passed and rep.triples_checked == 1
+
+
+# --- exact arithmetic above int64 ----------------------------------------------
+
+
+def test_grid_check_exact_above_int64():
+    f = SetFn(2, [0, 2**63, 1, 2])
+    rep = check_conjugate_submodular(f)
+    oracle = check_conjugate_submodular(f, grid=integer_grid(2, -3, 3))
+    assert rep == oracle
+
+
+def test_fenchel_exact_above_int64():
+    f = SetFn(1, [0, 2**62])
+    res = fenchel_gap(f, f, box=1)
+    assert res.primal == res.dual == 2**63
+    assert res.gap == 0 and res.certified
