@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .core import FormatError, NEG_INF, load, store
+from .core import FormatError, NEG_INF, elements_of, leq_for, load, store
 from .duality import (
     build_restrictions,
     check_conjugate_submodular,
@@ -28,6 +28,7 @@ from .duality import (
     _feasible_caps,
 )
 from .exchange import (
+    DEFAULT_SAMPLES,
     ExchangeContext,
     Falsification,
     _multi_pass_margin,
@@ -68,10 +69,6 @@ ALL_SUITES = (
 
 MASK64 = (1 << 64) - 1
 
-# Instances up to this ground-set size get exhaustive multiple-exchange
-# sweeps; larger ones are sampled (matches the acceptance policy).
-EXHAUSTIVE_N_LIMIT = 7
-
 FENCHEL_PAIR_N_LIMIT = 5
 
 
@@ -81,12 +78,10 @@ class SuiteConfig:
     families: object = "default"  # "default" or a list of family spec dicts
     n_range: tuple = (3, 8)
     trials: int = 1000
-    mode: str = "int"
-    tolerance: float = 1e-9
     suites: tuple = ALL_SUITES
     out: str | None = None
     jobs: int = 1
-    samples: int = 10_000
+    samples: int = DEFAULT_SAMPLES
 
     @classmethod
     def from_dict(cls, d):
@@ -181,29 +176,24 @@ def resolve_instances(cfg):
 # Per-instance suite runners.
 
 
-def _regime_for(f):
-    return "exhaustive" if f.n <= EXHAUSTIVE_N_LIMIT else "sampled"
-
-
 def _suite_exc_single(instance_id, f, cfg, seed):
     return check_exc_single(f, instance_id=instance_id)
 
 
 def _suite_exc_multi(bounded):
     def run(instance_id, f, cfg, seed):
-        return check_exc_multi(f, bounded=bounded, regime=_regime_for(f),
-                               samples=cfg.samples, seed=seed,
-                               instance_id=instance_id)
+        return check_exc_multi(f, bounded=bounded, samples=cfg.samples,
+                               seed=seed, instance_id=instance_id)
     return run
 
 
 def _suite_corollary1(instance_id, f, cfg, seed):
     reports = [
         check_exc_single(f, instance_id=instance_id),
-        check_exc_multi(f, bounded=False, regime=_regime_for(f),
-                        samples=cfg.samples, seed=seed, instance_id=instance_id),
-        check_exc_multi(f, bounded=True, regime=_regime_for(f),
-                        samples=cfg.samples, seed=seed, instance_id=instance_id),
+        check_exc_multi(f, bounded=False, samples=cfg.samples, seed=seed,
+                        instance_id=instance_id),
+        check_exc_multi(f, bounded=True, samples=cfg.samples, seed=seed,
+                        instance_id=instance_id),
     ]
     verdicts = [r.verdict for r in reports]
     agreement = len(set(verdicts)) == 1
@@ -246,8 +236,8 @@ def _suite_lemmas(instance_id, f, cfg, seed):
     for xm in f.dom_masks:
         for ym in f.dom_masks:
             kx, ky = xm.bit_count(), ym.bit_count()
-            X = _els(xm)
-            Y = _els(ym)
+            X = elements_of(xm)
+            Y = elements_of(ym)
             if kx <= ky:
                 d = xm & ~ym
                 while d:
@@ -274,7 +264,7 @@ def _suite_lemmas(instance_id, f, cfg, seed):
                 except Falsification as e:
                     counter = {"fact": "restriction_domains_nonempty",
                                "X": list(X), "Y": list(Y),
-                               "I": list(_els(im)), "detail": str(e)}
+                               "I": list(elements_of(im)), "detail": str(e)}
                     return failed_report("lemmas_2_8", instance_id, counter,
                                          triples=checked)
     return passed_report("lemmas_2_8", instance_id, triples=checked)
@@ -299,10 +289,6 @@ def _suite_duality_grid(instance_id, f, cfg, seed):
                              seed=seed if regime == "sampled" else None)
     return passed_report("duality_grid", instance_id, triples=triples,
                          regime=regime, seed=seed if regime == "sampled" else None)
-
-
-def _els(mask):
-    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 _INSTANCE_SUITES = {
@@ -341,13 +327,14 @@ def run_fenchel_pairs(instances, cfg):
                 # Disjoint effective domains: the dual is unbounded below,
                 # so the boundary hit is the expected diagnostic.
                 ok = res.boundary
-            else:
+            elif res.mode == "int":
                 if res.boundary:
                     res = fenchel_gap(f1, f2, box=2 * res.box)
-                if res.mode == "int":
-                    ok = res.certified and not res.boundary
-                else:
-                    ok = res.gap is not None and abs(res.gap) <= cfg.tolerance
+                ok = res.certified and not res.boundary
+            else:
+                # The dual is scanned on integer prices only, so a real
+                # pair may keep a gap: real mode checks weak duality.
+                ok = leq_for("real")(res.primal, res.dual)
             if ok:
                 reports.append(passed_report("fenchel", pair_id, triples=1))
             else:
@@ -435,8 +422,8 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
         if not check_exc_single(f).passed:
             continue
         out.singles_passed += 1
-        ok, margin = _multi_pass_margin(f, bounded=True)
-        if not ok:
+        failing, _, _, margin = _multi_pass_margin(f, bounded=True)
+        if failing is not None:
             out.counterexamples.append({
                 "trial": t,
                 "kind": kind,
@@ -539,8 +526,6 @@ def _add_common_flags(sp):
     sp.add_argument("--suites", help="comma-separated suite list")
     sp.add_argument("--out", help="output path (reports or corpus dir)")
     sp.add_argument("--jobs", type=int, help="worker processes (env DCA_JOBS)")
-    sp.add_argument("--mode", choices=("int", "real"), help="numeric mode")
-    sp.add_argument("--tol", type=float, help="real-mode tolerance")
 
 
 def _config_from_args(args):
@@ -552,10 +537,6 @@ def _config_from_args(args):
         overrides["suites"] = _parse_suites(args.suites)
     if args.out is not None:
         overrides["out"] = args.out
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.tol is not None:
-        overrides["tolerance"] = args.tol
     jobs = args.jobs
     if jobs is None:
         jobs = int(os.environ.get("DCA_JOBS", "1"))

@@ -11,6 +11,7 @@ absorption can never be confused with a large negative number.
 """
 
 import json
+import math
 from itertools import combinations
 from operator import le as _int_le
 
@@ -81,10 +82,6 @@ def _get_neg_inf():
     return NEG_INF
 
 
-# ExtValue: a finite int/float or the NEG_INF singleton.
-ExtValue = int | float | _NegInf
-
-
 def ext_add(a, b):
     """Extended addition: any NEG_INF operand absorbs the sum."""
     if a is NEG_INF or b is NEG_INF:
@@ -93,7 +90,7 @@ def ext_add(a, b):
 
 
 def max_over(vals):
-    """Maximum of an iterable of ExtValues; empty input yields NEG_INF."""
+    """Maximum of an iterable of extended values; empty input yields NEG_INF."""
     best = NEG_INF
     for v in vals:
         if v is NEG_INF:
@@ -104,7 +101,7 @@ def max_over(vals):
 
 
 def ext_leq(a, b, mode="int"):
-    """a <= b over ExtValues, with magnitude-scaled slack in real mode."""
+    """a <= b over extended values, with magnitude-scaled slack in real mode."""
     if a is NEG_INF:
         return True
     if b is NEG_INF:
@@ -196,11 +193,11 @@ def price_sums(entries, n):
 
 
 class SetFn:
-    """Total set function on {1..n} as a dense 2^n table of ExtValues.
+    """Total set function on {1..n} as a dense 2^n table of extended values.
 
     ``values[m]`` is the value of the subset with bitmask m. ``mode`` is
     "int" (exact integers, the default for every verification suite) or
-    "real" (floats, compared with magnitude-scaled slack). Instances are
+    "real" (finite floats, compared with magnitude-scaled slack). Instances are
     immutable after construction; ``None`` entries are accepted as a
     convenience alias for NEG_INF.
     """
@@ -226,7 +223,12 @@ class SetFn:
                 if not isinstance(v, int):
                     raise ValueError(f"values[{i}]: int mode requires exact ints, got {v!r}")
             elif isinstance(v, (int, float)):
-                vals[i] = float(v)
+                try:
+                    vals[i] = float(v)
+                except OverflowError:  # an int beyond the float range
+                    vals[i] = math.inf
+                if not math.isfinite(vals[i]):
+                    raise ValueError(f"values[{i}]: not a finite number: {v!r}")
             else:
                 raise ValueError(f"values[{i}]: not a number: {v!r}")
         self.n = n
@@ -422,7 +424,10 @@ def loads_setfn(obj, context="<data>"):
             vals.append(v)
         else:
             raise FormatError(f"{context}: values[{i}]: expected number or null")
-    return SetFn(n, vals, mode)
+    try:
+        return SetFn(n, vals, mode)
+    except ValueError as e:
+        raise FormatError(f"{context}: {e}") from e
 
 
 def load(path):

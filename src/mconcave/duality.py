@@ -30,11 +30,10 @@ from .core import (
     price_sums,
     restrict_by_size,
 )
-from .exchange import ExchangeContext
+from .exchange import DEFAULT_SAMPLES, ExchangeContext, _ext_or_none
 from .reporting import failed_report, passed_report
 
 DEFAULT_BOX = (-3, 3)
-DEFAULT_SAMPLES = 10_000
 
 # Grids up to this many points get the exhaustive all-pairs treatment.
 EXHAUSTIVE_GRID_LIMIT = 7**4
@@ -634,7 +633,7 @@ def check_lemma6_bound(f, ctx, *, box=3, samples=DEFAULT_SAMPLES, seed=0,
         checked += 1
         lhs = conjugate(triple.x_side_sized, qv).value + conjugate(triple.y_side, -qv).value
         if not leq(target, lhs):
-            counter = {"q": list(q), "bound": _none_if_neg_inf(target), "value": lhs,
+            counter = {"q": list(q), "bound": _ext_or_none(target), "value": lhs,
                        "X": list(ctx.X), "Y": list(ctx.Y), "I": list(ctx.I)}
             return failed_report("lemma6_bound", instance_id, counter,
                                  triples=checked,
@@ -643,7 +642,3 @@ def check_lemma6_bound(f, ctx, *, box=3, samples=DEFAULT_SAMPLES, seed=0,
     return passed_report("lemma6_bound", instance_id, triples=checked,
                          regime="exhaustive" if exhaustive else "sampled",
                          seed=None if exhaustive else seed)
-
-
-def _none_if_neg_inf(v):
-    return None if v is NEG_INF else v

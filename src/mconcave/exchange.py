@@ -30,9 +30,8 @@ from .core import (
 )
 from .reporting import failed_report, passed_report
 
-# Auto-regime bound: exhaustive multiple-exchange sweeps are allowed up to
-# this many inner evaluations, estimated as 4^n * 2^(max domain size).
-EXHAUSTIVE_EVAL_BUDGET = 10**8
+# check_exc_multi runs exhaustively up to this ground-set size, sampled above.
+EXHAUSTIVE_N_LIMIT = 7
 
 DEFAULT_SAMPLES = 10_000
 
@@ -157,10 +156,10 @@ def find_single_exchange(f, X, Y, i):
     return None
 
 
-def check_exc_single(f, instance_id=""):
-    """Exhaustively test the single-element exchange inequality over all
-    (X, Y, i); FAIL carries the first violating triple in lex order."""
-    _require_nonempty_dom(f)
+def _single_sweep(f, suite, instance_id, drop):
+    """The exhaustive single-exchange loop over (X, Y, i) in lex order:
+    each triple passes on the drop option (when ``drop``) or on the first
+    swap that attains f(X) + f(Y); FAIL carries the first that does not."""
     vals = f.values
     leq = leq_for(f.mode)
     dom = f.dom_masks
@@ -168,48 +167,49 @@ def check_exc_single(f, instance_id=""):
     for xm in dom:
         fx = vals[xm]
         for ym in dom:
-            xonly = xm & ~ym
-            if not xonly:
+            d = xm & ~ym
+            if not d:
                 continue
             lhs = fx + vals[ym]
             yonly = ym & ~xm
-            d = xonly
             while d:
                 ib = d & -d
                 d ^= ib
                 triples += 1
-                ok = False
-                a = vals[xm ^ ib]
-                if a is not NEG_INF:
-                    b = vals[ym | ib]
+                xmi = xm ^ ib
+                ymi = ym | ib
+                if drop:
+                    a = vals[xmi]
+                    if a is not NEG_INF:
+                        b = vals[ymi]
+                        if b is not NEG_INF and leq(lhs, a + b):
+                            continue
+                e = yonly
+                while e:
+                    jb = e & -e
+                    e ^= jb
+                    a = vals[xmi | jb]
+                    if a is NEG_INF:
+                        continue
+                    b = vals[ymi ^ jb]
                     if b is not NEG_INF and leq(lhs, a + b):
-                        ok = True
-                if not ok:
-                    e = yonly
-                    xmi = xm ^ ib
-                    ymi = ym | ib
-                    while e:
-                        jb = e & -e
-                        e ^= jb
-                        a = vals[xmi | jb]
-                        if a is NEG_INF:
-                            continue
-                        b = vals[ymi ^ jb]
-                        if b is NEG_INF:
-                            continue
-                        if leq(lhs, a + b):
-                            ok = True
-                            break
-                if not ok:
+                        break
+                else:
                     counter = {
                         "X": list(elements_of(xm)),
                         "Y": list(elements_of(ym)),
                         "i": ib.bit_length(),
                         "lhs": _ext_or_none(lhs),
                     }
-                    return failed_report("exc_single", instance_id, counter,
-                                         triples=triples)
-    return passed_report("exc_single", instance_id, triples=triples)
+                    return failed_report(suite, instance_id, counter, triples=triples)
+    return passed_report(suite, instance_id, triples=triples)
+
+
+def check_exc_single(f, instance_id=""):
+    """Exhaustively test the single-element exchange inequality over all
+    (X, Y, i); FAIL carries the first violating triple in lex order."""
+    _require_nonempty_dom(f)
+    return _single_sweep(f, "exc_single", instance_id, drop=True)
 
 
 # ---------------------------------------------------------------------------
@@ -264,92 +264,88 @@ def find_multi_exchange(f, X, Y, I, bounded=True):
     return None
 
 
-def multi_exchange_regime(f):
-    """Auto regime: exhaustive while 4^n * 2^(max dom size) stays within
-    the evaluation budget, else sampled."""
-    _require_nonempty_dom(f)
-    r = f.dom_size_range()[1]
-    cost = (4 ** f.n) * (2 ** r)
-    return "exhaustive" if cost <= EXHAUSTIVE_EVAL_BUDGET else "sampled"
-
-
 def check_exc_multi(f, bounded=True, *, regime=None, samples=DEFAULT_SAMPLES,
                     seed=0, instance_id=""):
     """Verify the multiple exchange inequality for all (X, Y, I), either
-    exhaustively or over ``samples`` seeded triples.
+    exhaustively or over ``samples`` seeded triples. The default regime is
+    exhaustive up to n = EXHAUSTIVE_N_LIMIT, sampled above.
 
     The report carries a histogram of witness sizes |J| and, on FAIL, the
     first violating triple encountered.
     """
     _require_nonempty_dom(f)
     if regime is None:
-        regime = multi_exchange_regime(f)
-    if regime not in ("exhaustive", "sampled"):
+        regime = "exhaustive" if f.n <= EXHAUSTIVE_N_LIMIT else "sampled"
+    if regime == "exhaustive":
+        failing, counts, triples, _ = _multi_pass_margin(f, bounded)
+        seed = None
+    elif regime == "sampled":
+        failing, counts, triples = _sampled_multi(f, bounded, samples, seed)
+    else:
         raise ValueError(f"unknown regime {regime!r}")
     suite = "exc_multi_bounded" if bounded else "exc_multi_unbounded"
-    vals = f.values
-    leq = leq_for(f.mode)
-    dom = f.dom_masks
-    hist = {}
-    triples = 0
-
-    def fail(xm, ym, im):
-        counter = {
-            "X": list(elements_of(xm)),
-            "Y": list(elements_of(ym)),
-            "I": list(elements_of(im)),
-            "lhs": _ext_or_none(vals[xm] + vals[ym]),
-        }
-        return failed_report(suite, instance_id, counter, histogram=hist,
-                             triples=triples, regime=regime,
-                             seed=seed if regime == "sampled" else None)
-
-    if regime == "exhaustive":
-        for xm in dom:
-            fx = vals[xm]
-            for ym in dom:
-                lhs = fx + vals[ym]
-                for im in submasks_ascending(xm & ~ym):
-                    triples += 1
-                    best, _, size = _best_multi(vals, xm, ym, im, bounded)
-                    if best is NEG_INF or not leq(lhs, best):
-                        return fail(xm, ym, im)
-                    hist[size] = hist.get(size, 0) + 1
-        return passed_report(suite, instance_id, histogram=hist, triples=triples)
-
-    rng = random.Random(seed)
-    ndom = len(dom)
-    for _ in range(samples):
-        xm = dom[rng.randrange(ndom)]
-        ym = dom[rng.randrange(ndom)]
-        im = (xm & ~ym) & rng.getrandbits(f.n) if f.n else 0
-        triples += 1
-        best, _, size = _best_multi(vals, xm, ym, im, bounded)
-        if best is NEG_INF or not leq(vals[xm] + vals[ym], best):
-            return fail(xm, ym, im)
-        hist[size] = hist.get(size, 0) + 1
-    return passed_report(suite, instance_id, histogram=hist, triples=triples,
-                         regime="sampled", seed=seed)
+    hist = {size: c for size, c in enumerate(counts) if c}
+    if failing is None:
+        return passed_report(suite, instance_id, histogram=hist, triples=triples,
+                             regime=regime, seed=seed)
+    xm, ym, im = failing
+    counter = {
+        "X": list(elements_of(xm)),
+        "Y": list(elements_of(ym)),
+        "I": list(elements_of(im)),
+        "lhs": _ext_or_none(f.values[xm] + f.values[ym]),
+    }
+    return failed_report(suite, instance_id, counter, histogram=hist,
+                         triples=triples, regime=regime, seed=seed)
 
 
 def _multi_pass_margin(f, bounded=True):
-    """Fused pass/margin sweep used by the falsification campaign: returns
-    (passed, min over triples of best - lhs) without building a report."""
+    """The exhaustive multiple-exchange loop over (X, Y, I) in lex order.
+
+    Returns (failing, counts, triples, margin): the first violating
+    (xm, ym, im) or None, the histogram of witness sizes as a list
+    (counts[k] passing triples had |J| = k), the count of triples checked,
+    and the minimum of best - lhs over the passing triples (None when
+    there are none).
+    """
     vals = f.values
     leq = leq_for(f.mode)
+    dom = f.dom_masks
+    counts = [0] * (f.n + 1)
     margin = None
-    for xm in f.dom_masks:
+    for xm in dom:
         fx = vals[xm]
-        for ym in f.dom_masks:
+        for ym in dom:
             lhs = fx + vals[ym]
             for im in submasks_ascending(xm & ~ym):
-                best, _, _ = _best_multi(vals, xm, ym, im, bounded)
+                best, _, size = _best_multi(vals, xm, ym, im, bounded)
                 if best is NEG_INF or not leq(lhs, best):
-                    return False, None
+                    return (xm, ym, im), counts, sum(counts) + 1, margin
+                counts[size] += 1
                 gap = best - lhs
                 if margin is None or gap < margin:
                     margin = gap
-    return True, margin
+    return None, counts, sum(counts), margin
+
+
+def _sampled_multi(f, bounded, samples, seed):
+    """The sampled counterpart over ``samples`` seeded triples: returns
+    (failing, counts, triples) as ``_multi_pass_margin`` does."""
+    vals = f.values
+    leq = leq_for(f.mode)
+    dom = f.dom_masks
+    ndom = len(dom)
+    counts = [0] * (f.n + 1)
+    rng = random.Random(seed)
+    for t in range(samples):
+        xm = dom[rng.randrange(ndom)]
+        ym = dom[rng.randrange(ndom)]
+        im = (xm & ~ym) & rng.getrandbits(f.n) if f.n else 0
+        best, _, size = _best_multi(vals, xm, ym, im, bounded)
+        if best is NEG_INF or not leq(vals[xm] + vals[ym], best):
+            return (xm, ym, im), counts, t + 1
+        counts[size] += 1
+    return None, counts, samples
 
 
 # ---------------------------------------------------------------------------
@@ -362,52 +358,11 @@ def check_m_concave(f, instance_id=""):
     f(X) + f(Y) <= f(X-i+j) + f(Y+i-j)."""
     _require_nonempty_dom(f)
     sizes = {m.bit_count() for m in f.dom_masks}
-    triples = 0
     if len(sizes) > 1:
         counter = {"reason": "domain not equi-cardinal",
                    "sizes": sorted(sizes)}
-        return failed_report("m_concave", instance_id, counter, triples=triples)
-    vals = f.values
-    leq = leq_for(f.mode)
-    dom = f.dom_masks
-    for xm in dom:
-        fx = vals[xm]
-        for ym in dom:
-            d = xm & ~ym
-            if not d:
-                continue
-            lhs = fx + vals[ym]
-            yonly = ym & ~xm
-            while d:
-                ib = d & -d
-                d ^= ib
-                triples += 1
-                ok = False
-                e = yonly
-                xmi = xm ^ ib
-                ymi = ym | ib
-                while e:
-                    jb = e & -e
-                    e ^= jb
-                    a = vals[xmi | jb]
-                    if a is NEG_INF:
-                        continue
-                    b = vals[ymi ^ jb]
-                    if b is NEG_INF:
-                        continue
-                    if leq(lhs, a + b):
-                        ok = True
-                        break
-                if not ok:
-                    counter = {
-                        "X": list(elements_of(xm)),
-                        "Y": list(elements_of(ym)),
-                        "i": ib.bit_length(),
-                        "lhs": _ext_or_none(lhs),
-                    }
-                    return failed_report("m_concave", instance_id, counter,
-                                         triples=triples)
-    return passed_report("m_concave", instance_id, triples=triples)
+        return failed_report("m_concave", instance_id, counter)
+    return _single_sweep(f, "m_concave", instance_id, drop=False)
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +384,7 @@ def exchange_leq(f, X, Y, i):
         raise ValueError("requires |X| <= |Y|")
     if not (im & xm & ~ym):
         raise ValueError(f"i={i} must lie in X \\ Y")
-    vals = f.values
-    leq = leq_for(f.mode)
-    lhs = vals[xm] + vals[ym]
-    rest = ym & ~xm
-    while rest:
-        jb = rest & -rest
-        rest ^= jb
-        a = vals[(xm ^ im) | jb]
-        if a is NEG_INF:
-            continue
-        b = vals[(ym | im) ^ jb]
-        if b is NEG_INF:
-            continue
-        if leq(lhs, a + b):
-            return ExchangeWitness("swap", (jb.bit_length(),), lhs, a + b)
-    return None
+    return _first_swap(f, f.values[xm] + f.values[ym], xm ^ im, ym | im, ym & ~xm)
 
 
 def augment_lt(f, X, Y):
@@ -457,20 +397,22 @@ def augment_lt(f, X, Y):
         raise ValueError("X and Y must lie in the effective domain")
     if xm.bit_count() >= ym.bit_count():
         raise ValueError("requires |X| < |Y|")
+    return _first_swap(f, f.values[xm] + f.values[ym], xm, ym, ym & ~xm)
+
+
+def _first_swap(f, lhs, xb, yb, rest):
+    """The first swap j in ``rest`` (by ascending j) with
+    lhs <= f(xb + j) + f(yb - j), as a witness; None when no j works."""
     vals = f.values
     leq = leq_for(f.mode)
-    lhs = vals[xm] + vals[ym]
-    rest = ym & ~xm
     while rest:
         jb = rest & -rest
         rest ^= jb
-        a = vals[xm | jb]
+        a = vals[xb | jb]
         if a is NEG_INF:
             continue
-        b = vals[ym ^ jb]
-        if b is NEG_INF:
-            continue
-        if leq(lhs, a + b):
+        b = vals[yb ^ jb]
+        if b is not NEG_INF and leq(lhs, a + b):
             return ExchangeWitness("swap", (jb.bit_length(),), lhs, a + b)
     return None
 

@@ -16,10 +16,6 @@ from functools import cached_property
 from .core import NEG_INF, PriceVector, SetFn, elements_of, mask_of
 
 
-def _popcount_table(n):
-    return [m.bit_count() for m in range(1 << n)]
-
-
 class Matroid:
     """Matroid on {1..n} realized as a dense rank table.
 

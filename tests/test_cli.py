@@ -170,6 +170,20 @@ def test_check_gen_dir_input(tmp_path):
     assert suites.count("fenchel") == 3  # two instances + self-pairs
 
 
+def test_check_real_fenchel_is_weak_duality(tmp_path):
+    # Both tables are M-natural-concave; the dual is scanned on integer
+    # prices only, so the pair keeps a gap of 0.3 and must still pass.
+    paths = []
+    for name, values in (("r1", [0.0, 0.5]), ("r2", [0.0, -0.3])):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"n": 1, "mode": "real", "values": values}))
+        paths.append(str(p))
+    out = tmp_path / "r.jsonl"
+    assert main(["check", "--suites", "exc_single,fenchel", "--out", str(out), *paths]) == 0
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["suite"] for r in reports] == ["exc_single"] * 2 + ["fenchel"] * 3
+
+
 def test_check_rejects_unknown_suite(capsys):
     assert main(["check", "--suites", "bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
@@ -208,8 +222,16 @@ def test_config_file_round(tmp_path):
     cfg = SuiteConfig.from_dict({"seed": 4, "suites": "exc_single, fenchel",
                                  "trials": 10})
     assert cfg.seed == 4 and cfg.suites == ("exc_single", "fenchel")
-    with pytest.raises(ValueError, match="unknown config"):
-        SuiteConfig.from_dict({"bogus": 1})
+    for field in ("bogus", "mode", "tolerance"):
+        with pytest.raises(ValueError, match="unknown config"):
+            SuiteConfig.from_dict({field: 1})
+
+
+@pytest.mark.parametrize("flag", [["--mode", "real"], ["--tol", "0.5"]])
+def test_removed_flags_are_refused(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *flag])
+    assert exc.value.code == 2
 
 
 def test_build_instance_unknown_family():

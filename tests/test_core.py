@@ -254,6 +254,9 @@ def test_load_null_is_neg_inf(tmp_path):
     ('{"n": 1, "mode": "int", "values": [true, 0]}', r"values\[0\]"),
     ('{"n": 1, "values": [0, 0]}', "mode"),
     ('[1, 2]', "object"),
+    ('{"n": 2, "mode": "real", "values": [0.0, NaN, 1.0, 2.0]}', r"values\[1\]: not a finite"),
+    ('{"n": 1, "mode": "real", "values": [0.0, Infinity]}', r"values\[1\]: not a finite"),
+    ('{"n": 1, "mode": "real", "values": [-Infinity, 0.0]}', r"values\[0\]: not a finite"),
 ])
 def test_load_rejects_malformed(tmp_path, payload, fragment):
     path = tmp_path / "bad.json"

@@ -253,9 +253,11 @@ def test_check_exc_multi_sampled_deterministic(corpus_by_id):
 
 
 def test_check_exc_multi_auto_regime(corpus_by_id):
-    # small instances stay exhaustive under the evaluation budget
+    # exhaustive up to n = 7, sampled above
     rep = check_exc_multi(corpus_by_id["n3_uniform_r1"].fn)
     assert rep.regime == "exhaustive"
+    rep = check_exc_multi(corpus_by_id["n8_wbasis_partition"].fn, samples=50, seed=3)
+    assert rep.regime == "sampled" and rep.seed == 3 and rep.triples_checked == 50
 
 
 @settings(max_examples=60, deadline=None)
