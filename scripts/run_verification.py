@@ -54,7 +54,7 @@ def main():
 
     print(f"\nfalsification campaign: {args.trials} trials ...")
     t0 = time.monotonic()
-    outcome = falsify_campaign(args.trials, args.seed)
+    outcome = falsify_campaign(args.trials, args.seed, n_range=cfg.n_range)
     print(f"  {outcome.singles_passed} candidates passed the single-exchange "
           f"gate, {len(outcome.counterexamples)} counterexamples "
           f"({time.monotonic() - t0:.1f}s)")

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -251,3 +253,22 @@ def test_console_entry_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["trials"] == 5
+
+
+def test_run_verification_falsifies_the_cli_campaign(tmp_path, monkeypatch, capsys):
+    """The script's campaign is the one ``mconcave falsify`` runs for the
+    same seed and trials (``SuiteConfig.n_range``, not the library
+    default); the corpus sweep is stubbed out."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "cmd_gen", lambda cfg, out: None)
+    monkeypatch.setattr(script, "load_instances", lambda paths: [])
+    monkeypatch.setattr(script, "run_check", lambda instances, cfg: [])
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out", str(tmp_path),
+                                      "--trials", "50"])
+    assert script.main() == 0
+    cli_run = falsify_campaign(50, 0, n_range=SuiteConfig().n_range)
+    assert cli_run.singles_passed != falsify_campaign(50, 0).singles_passed
+    assert f"  {cli_run.singles_passed} candidates passed" in capsys.readouterr().out

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,13 @@ from mconcave import (
     find_multi_exchange,
     integer_grid,
     max_over,
+    mutate,
+    random_table,
     restrict_by_size,
 )
+from mconcave.core import leq_for
+from mconcave.exchange import DEFAULT_SAMPLES, _ext_or_none
+from mconcave.reporting import failed_report, passed_report
 
 # --- oracle: conjugate by plain subset enumeration ---------------------------
 
@@ -367,6 +373,15 @@ def test_fenchel_explicit_box_boundary_flag():
     assert res.certified and res.attaining_q.entries == (5,)
 
 
+def test_fenchel_box_must_be_a_nonnegative_int():
+    f = SetFn.constant(2, 0)
+    for box in (-1, True, False, 2.0, "2"):
+        with pytest.raises(ValueError, match="box"):
+            fenchel_gap(f, f, box=box)
+    res = fenchel_gap(f, f, box=0)
+    assert res.certified and res.box == 0 and res.boundary
+
+
 def test_fenchel_to_dict_roundtrips_json():
     import json
     res = fenchel_gap(SetFn.constant(2, 1), SetFn.constant(2, 0))
@@ -408,6 +423,81 @@ def test_lemma6_bound_degenerate_context(corpus_by_id):
     ctx = ExchangeContext.make(4, [1, 2], [2], [1])  # Y0 empty
     rep = check_lemma6_bound(f, ctx)
     assert rep.passed and rep.triples_checked == 1
+
+
+def _scalar_lemma6(f, ctx, *, box=3, samples=DEFAULT_SAMPLES, seed=0, instance_id=""):
+    """Reference: the scalar loop that ``check_lemma6_bound`` replaced,
+    two ``conjugate`` calls per point."""
+    triple = build_restrictions(f, ctx)
+    target = f.values[ctx.x_mask] + f.values[ctx.y_mask]
+    m = triple.y_side.n
+    leq = leq_for(f.mode)
+    exhaustive = (2 * box + 1) ** m <= 100_000
+    rng = random.Random(seed)
+    regime = {"regime": "exhaustive" if exhaustive else "sampled",
+              "seed": None if exhaustive else seed}
+
+    def qs():
+        if exhaustive:
+            yield from product(range(-box, box + 1), repeat=m)
+        else:
+            for _ in range(samples):
+                yield tuple(rng.randint(-box, box) for _ in range(m))
+
+    checked = 0
+    for q in qs():
+        qv = PriceVector(q)
+        checked += 1
+        lhs = conjugate(triple.x_side_sized, qv).value + conjugate(triple.y_side, -qv).value
+        if not leq(target, lhs):
+            counter = {"q": list(q), "bound": _ext_or_none(target), "value": lhs,
+                       "X": list(ctx.X), "Y": list(ctx.Y), "I": list(ctx.I)}
+            return failed_report("lemma6_bound", instance_id, counter,
+                                 triples=checked, **regime)
+    return passed_report("lemma6_bound", instance_id, triples=checked, **regime)
+
+
+def _lemma6_contexts(f, rng, count):
+    """Seeded contexts with X, Y in the domain and nonempty restrictions."""
+    out = []
+    for _ in range(count):
+        xm, ym = rng.choice(f.dom_masks), rng.choice(f.dom_masks)
+        ctx = ExchangeContext(f.n, xm, ym, rng.randrange(1 << f.n) & xm & ~ym)
+        try:
+            build_restrictions(f, ctx)
+        except Falsification:
+            continue
+        out.append(ctx)
+    return out
+
+
+def test_lemma6_bound_matches_scalar_loop(corpus):
+    """Batched against scalar on corpus contexts, mutated copies and
+    random tables (for FAIL reports) and real-mode copies, in both
+    regimes (box 200 is sampled once |Y \\ X| >= 2)."""
+    rng = random.Random(0)
+    tables = []
+    for inst in corpus:
+        if inst.fn.n <= 5:
+            f = inst.fn
+            tables += [f, mutate(f, rng.randrange(2**32), 2),
+                       SetFn(f.n, [v if v is NEG_INF else v / 3 for v in f.values], "real")]
+    tables += [random_table(n, seed) for n in (3, 4, 5) for seed in range(6)]
+    cases = [(g, ctx, kw) for g in tables for ctx in _lemma6_contexts(g, rng, 3)
+             for kw in ({"box": 3 if g.n <= 4 else 1}, {"box": 200, "samples": 300, "seed": 7})]
+    # |Y \ X| = 6 makes box 3 sampled; seed 5 fails there.
+    wide = ExchangeContext.make(7, [1], [2, 3, 4, 5, 6, 7], [1])
+    cases += [(random_table(7, seed, neg_inf_prob=0), wide, {"samples": 300, "seed": 7})
+              for seed in range(8)]
+    seen = set()
+    for g, ctx, kw in cases:
+        rep = check_lemma6_bound(g, ctx, instance_id="t", **kw)
+        assert rep.to_json_line() == _scalar_lemma6(g, ctx, instance_id="t", **kw).to_json_line()
+        seen.add((g.mode, rep.regime, rep.passed))
+        if not rep.passed:
+            assert type(rep.counterexample["value"]) is (int if g.mode == "int" else float)
+    assert {("int", "exhaustive", False), ("int", "sampled", False),
+            ("real", "sampled", True)} <= seen
 
 
 # --- exact arithmetic above int64 ----------------------------------------------
