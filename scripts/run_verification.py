@@ -27,8 +27,11 @@ def main():
     args = ap.parse_args()
 
     out = Path(args.out)
-    cfg = SuiteConfig(seed=args.seed, jobs=args.jobs,
-                      out=str(out / "reports.jsonl"))
+    try:
+        cfg = SuiteConfig(seed=args.seed, jobs=args.jobs, trials=args.trials,
+                          out=str(out / "reports.jsonl"))
+    except ValueError as e:
+        ap.error(str(e))
 
     print(f"writing corpus to {out} ...")
     cmd_gen(cfg, out)
@@ -52,9 +55,9 @@ def main():
         print(f"  {status}  {suite:22s} {by_suite[suite]:4d} reports, "
               f"{fails.get(suite, 0)} failing")
 
-    print(f"\nfalsification campaign: {args.trials} trials ...")
+    print(f"\nfalsification campaign: {cfg.trials} trials ...")
     t0 = time.monotonic()
-    outcome = falsify_campaign(args.trials, args.seed, n_range=cfg.n_range)
+    outcome = falsify_campaign(cfg.trials, cfg.seed, n_range=cfg.n_range)
     print(f"  {outcome.singles_passed} candidates passed the single-exchange "
           f"gate, {len(outcome.counterexamples)} counterexamples "
           f"({time.monotonic() - t0:.1f}s)")

@@ -20,23 +20,20 @@ from pathlib import Path
 
 from .core import FormatError, NEG_INF, elements_of, leq_for, load, store
 from .duality import (
-    build_restrictions,
     check_conjugate_submodular,
     check_cross_submodular,
     check_strong_quotient,
     fenchel_gap,
+    _empty_restriction,
     _feasible_caps,
 )
 from .exchange import (
     DEFAULT_SAMPLES,
-    ExchangeContext,
-    Falsification,
+    _first_swap,
     _multi_pass_margin,
-    augment_lt,
     check_exc_multi,
     check_exc_single,
     check_m_concave,
-    exchange_leq,
     lift,
     submasks_ascending,
 )
@@ -82,6 +79,13 @@ class SuiteConfig:
     out: str | None = None
     jobs: int = 1
     samples: int = DEFAULT_SAMPLES
+
+    def __post_init__(self):
+        # Counts below these floors would give a verdict without the work.
+        for name, floor in (("samples", 1), ("jobs", 1), ("trials", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+                raise ValueError(f"{name} must be an int >= {floor}, got {value!r}")
 
     @classmethod
     def from_dict(cls, d):
@@ -176,25 +180,41 @@ def resolve_instances(cfg):
 # Per-instance suite runners.
 
 
+# Exchange reports of one table, so that corollary1 and the lemmas_2_8 gate
+# reuse what exc_single and exc_multi_* computed: "fn" holds the table, and
+# (bounded or None, instance id, seed, samples) keys its reports.
+_memo = {}
+
+
+def _exchange_report(instance_id, f, cfg, seed, bounded=None):
+    """check_exc_single (``bounded`` None) or check_exc_multi for ``f``,
+    computed once per instance."""
+    if _memo.get("fn") is not f:
+        _memo.clear()
+        _memo["fn"] = f
+    key = (bounded, instance_id, seed, cfg.samples)
+    if key not in _memo:
+        if bounded is None:
+            _memo[key] = check_exc_single(f, instance_id=instance_id)
+        else:
+            _memo[key] = check_exc_multi(f, bounded=bounded, samples=cfg.samples,
+                                         seed=seed, instance_id=instance_id)
+    return _memo[key]
+
+
 def _suite_exc_single(instance_id, f, cfg, seed):
-    return check_exc_single(f, instance_id=instance_id)
+    return _exchange_report(instance_id, f, cfg, seed)
 
 
 def _suite_exc_multi(bounded):
     def run(instance_id, f, cfg, seed):
-        return check_exc_multi(f, bounded=bounded, samples=cfg.samples,
-                               seed=seed, instance_id=instance_id)
+        return _exchange_report(instance_id, f, cfg, seed, bounded)
     return run
 
 
 def _suite_corollary1(instance_id, f, cfg, seed):
-    reports = [
-        check_exc_single(f, instance_id=instance_id),
-        check_exc_multi(f, bounded=False, samples=cfg.samples, seed=seed,
-                        instance_id=instance_id),
-        check_exc_multi(f, bounded=True, samples=cfg.samples, seed=seed,
-                        instance_id=instance_id),
-    ]
+    reports = [_exchange_report(instance_id, f, cfg, seed, bounded)
+               for bounded in (None, False, True)]
     verdicts = [r.verdict for r in reports]
     agreement = len(set(verdicts)) == 1
     triples = sum(r.triples_checked for r in reports)
@@ -226,45 +246,47 @@ def _suite_m_concave_lift(instance_id, f, cfg, seed):
 
 
 def _suite_lemmas(instance_id, f, cfg, seed):
-    gate = check_exc_single(f, instance_id=instance_id)
+    """The facts the proof uses, on every (X, Y) of an exchange-valid f: a
+    swap for each i in X \\ Y when |X| <= |Y|, an augmenting swap when
+    |X| < |Y|, and nonempty restrictions for each I inside X \\ Y."""
+    gate = _exchange_report(instance_id, f, cfg, seed)
     if not gate.passed:
         counter = {"reason": "single-exchange precondition fails",
                    "detail": gate.counterexample}
         return failed_report("lemmas_2_8", instance_id, counter,
                              triples=gate.triples_checked)
+    vals = f.values
     checked = 0
     for xm in f.dom_masks:
         for ym in f.dom_masks:
             kx, ky = xm.bit_count(), ym.bit_count()
-            X = elements_of(xm)
-            Y = elements_of(ym)
+            lhs = vals[xm] + vals[ym]
+            rest = ym & ~xm
             if kx <= ky:
                 d = xm & ~ym
                 while d:
                     ib = d & -d
                     d ^= ib
                     checked += 1
-                    if exchange_leq(f, X, Y, ib.bit_length()) is None:
-                        counter = {"fact": "swap_at_leq_size", "X": list(X),
-                                   "Y": list(Y), "i": ib.bit_length()}
+                    if _first_swap(f, lhs, xm ^ ib, ym | ib, rest) is None:
+                        counter = {"fact": "swap_at_leq_size", "X": list(elements_of(xm)),
+                                   "Y": list(elements_of(ym)), "i": ib.bit_length()}
                         return failed_report("lemmas_2_8", instance_id, counter,
                                              triples=checked)
             if kx < ky:
                 checked += 1
-                if augment_lt(f, X, Y) is None:
+                if _first_swap(f, lhs, xm, ym, rest) is None:
                     counter = {"fact": "augment_at_lt_size",
-                               "X": list(X), "Y": list(Y)}
+                               "X": list(elements_of(xm)), "Y": list(elements_of(ym))}
                     return failed_report("lemmas_2_8", instance_id, counter,
                                          triples=checked)
             for im in submasks_ascending(xm & ~ym):
                 checked += 1
-                ctx = ExchangeContext(f.n, xm, ym, im)
-                try:
-                    build_restrictions(f, ctx)
-                except Falsification as e:
+                empty = _empty_restriction(f, xm, ym, im)
+                if empty is not None:
                     counter = {"fact": "restriction_domains_nonempty",
-                               "X": list(X), "Y": list(Y),
-                               "I": list(elements_of(im)), "detail": str(e)}
+                               "X": list(elements_of(xm)), "Y": list(elements_of(ym)),
+                               "I": list(elements_of(im)), "detail": empty}
                     return failed_report("lemmas_2_8", instance_id, counter,
                                          triples=checked)
     return passed_report("lemmas_2_8", instance_id, triples=checked)
@@ -510,8 +532,9 @@ def cmd_check(cfg, paths):
 
 
 def cmd_falsify(cfg, trials):
-    trials = cfg.trials if trials is None else trials
-    outcome = falsify_campaign(trials, cfg.seed, n_range=cfg.n_range)
+    if trials is not None:
+        cfg = replace(cfg, trials=trials)
+    outcome = falsify_campaign(cfg.trials, cfg.seed, n_range=cfg.n_range)
     _emit([json.dumps(outcome.to_dict(), sort_keys=True, separators=(",", ":"))],
           cfg.out)
     return 1 if outcome.counterexamples else 0

@@ -40,6 +40,7 @@ from .core import (
     max_over,
     price_sums,
     restrict_by_size,
+    submasks_ascending,
 )
 from .exchange import DEFAULT_SAMPLES, ExchangeContext, _ext_or_none, check_exc_single
 from .reporting import failed_report, passed_report
@@ -465,6 +466,9 @@ def build_restrictions(f, ctx):
     """
     if f.values[ctx.x_mask] is NEG_INF or f.values[ctx.y_mask] is NEG_INF:
         raise ValueError("X and Y must lie in the effective domain")
+    empty = _empty_restriction(f, ctx.x_mask, ctx.y_mask, ctx.i_mask)
+    if empty is not None:
+        raise Falsification(empty)
     y0 = ctx.y0_mask
     bits = [1 << (e - 1) for e in elements_of(y0)]
     m = len(bits)
@@ -477,12 +481,30 @@ def build_restrictions(f, ctx):
     x_side = SetFn(m, [fvals[xbase | g] for g in spread], f.mode)
     y_side = SetFn(m, [fvals[ybase & ~g] for g in spread], f.mode)
     x_sized = restrict_by_size(x_side, ctx.i_mask.bit_count())
-    for name, fn in (("x_side", x_side), ("x_side_sized", x_sized), ("y_side", y_side)):
-        if not fn.dom_masks:
-            raise Falsification(
-                f"{name} restriction has empty domain for X={ctx.X}, Y={ctx.Y}, I={ctx.I}"
-            )
     return RestrictionTriple(x_side, x_sized, y_side, ctx)
+
+
+def _empty_restriction(f, xm, ym, im):
+    """None when the three restrictions of (X, Y, I) all have a nonempty
+    domain, else the message naming the first empty one of x_side,
+    x_side_sized and y_side. Scans J inside Y \\ X and stops as soon as
+    all three are known nonempty."""
+    vals = f.values
+    xbase = xm & ~im
+    ybase = ym | im
+    k = im.bit_count()
+    x_side = x_sized = y_side = False
+    for g in submasks_ascending(ym & ~xm):
+        if not x_sized and vals[xbase | g] is not NEG_INF:
+            x_side = True
+            x_sized = g.bit_count() <= k
+        if not y_side and vals[ybase & ~g] is not NEG_INF:
+            y_side = True
+        if x_sized and y_side:
+            return None
+    name = "x_side" if not x_side else "x_side_sized" if not x_sized else "y_side"
+    return (f"{name} restriction has empty domain for X={elements_of(xm)}, "
+            f"Y={elements_of(ym)}, I={elements_of(im)}")
 
 
 # ---------------------------------------------------------------------------

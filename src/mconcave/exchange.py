@@ -1,7 +1,9 @@
 """Exchange-axiom decision procedures, witness finders, and the lifting
 of a set function with mixed domain sizes to an equi-cardinal one.
 
-All checkers enumerate bitmasks directly and return VerificationReports.
+All checkers enumerate bitmasks directly and return VerificationReports;
+on larger domains the single-exchange sweep runs batched in numpy, with
+the loop's order and results.
 Pairs (X, Y) with X or Y outside the effective domain satisfy every
 exchange inequality vacuously (the left side is NEG_INF), so loops run
 over dom x dom. Enumeration order and tie-breaking are fixed so that
@@ -17,9 +19,12 @@ reports and witnesses are reproducible byte for byte:
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     HARD_CAP,
     NEG_INF,
+    REAL_EPS,
     Falsification,
     SetFn,
     elements_of,
@@ -34,6 +39,17 @@ from .reporting import failed_report, passed_report
 EXHAUSTIVE_N_LIMIT = 7
 
 DEFAULT_SAMPLES = 10_000
+
+# The single-exchange sweep runs batched from this effective-domain size on.
+# Measured crossover: about 32 domain sets on tables that pass, about 100 on
+# mutated tables, which mostly fail within the loop's first rows; below 64
+# the loop is never more than 0.5 ms slower and stops at the first failure.
+_BATCH_MIN_DOM = 64
+# Bytes of the largest temporary in one block of the batched sweep.
+_BATCH_BYTES = 1 << 19
+# Int tables run batched only while every |value| < 2^61, so every
+# difference of two values, and every sentinel, fits in int64.
+_INT64_SAFE = 1 << 61
 
 
 @dataclass(frozen=True)
@@ -157,9 +173,32 @@ def find_single_exchange(f, X, Y, i):
 
 
 def _single_sweep(f, suite, instance_id, drop):
-    """The exhaustive single-exchange loop over (X, Y, i) in lex order:
-    each triple passes on the drop option (when ``drop``) or on the first
-    swap that attains f(X) + f(Y); FAIL carries the first that does not."""
+    """The exhaustive single-exchange sweep over (X, Y, i) in lex order:
+    each triple passes on the drop option (when ``drop``) or on some swap
+    that attains f(X) + f(Y); FAIL carries the first that does not, and
+    ``triples`` counts the triples through it."""
+    if len(f.dom_masks) >= _BATCH_MIN_DOM:
+        batched = _batched_sweep(f, drop)
+        if batched is not None:
+            return _sweep_report(f, suite, instance_id, *batched)
+    return _sweep_report(f, suite, instance_id, *_loop_sweep(f, drop))
+
+
+def _sweep_report(f, suite, instance_id, failing, triples):
+    if failing is None:
+        return passed_report(suite, instance_id, triples=triples)
+    xm, ym, i = failing
+    counter = {
+        "X": list(elements_of(xm)),
+        "Y": list(elements_of(ym)),
+        "i": i,
+        "lhs": _ext_or_none(f.values[xm] + f.values[ym]),
+    }
+    return failed_report(suite, instance_id, counter, triples=triples)
+
+
+def _loop_sweep(f, drop):
+    """The scalar sweep: (first failing (xm, ym, i) or None, triples)."""
     vals = f.values
     leq = leq_for(f.mode)
     dom = f.dom_masks
@@ -195,14 +234,95 @@ def _single_sweep(f, suite, instance_id, drop):
                     if b is not NEG_INF and leq(lhs, a + b):
                         break
                 else:
-                    counter = {
-                        "X": list(elements_of(xm)),
-                        "Y": list(elements_of(ym)),
-                        "i": ib.bit_length(),
-                        "lhs": _ext_or_none(lhs),
-                    }
-                    return failed_report(suite, instance_id, counter, triples=triples)
-    return passed_report(suite, instance_id, triples=triples)
+                    return (xm, ym, ib.bit_length()), triples
+    return None, triples
+
+
+def _batched_sweep(f, drop):
+    """The sweep move-major in numpy, with the loop's result; None when the
+    values do not fit its arithmetic (ints with |v| >= 2^61).
+
+    For a move (i, j), X with i in X, j not in X and Y with i not in Y,
+    j in Y, the inequality f(X) + f(Y) <= f(X-i+j) + f(Y+i-j) depends on
+    X and on Y through one vector each, so it is tested for all such X
+    and Y as one outer comparison; the drop (i, -) likewise. Element i
+    takes the rows X containing i and the columns Y without it; its
+    first failing (X, Y) in row-major order, taken over every i by
+    (X, Y, i), is the loop's first failing triple.
+    """
+    real = f.mode == "real"
+    vals = f.values
+    dom = f.dom_masks
+    fin = [vals[m] for m in dom]
+    if not real and max(map(abs, fin)) >= _INT64_SAFE:
+        return None
+    dm = np.array(dom, dtype=np.int64)
+    fv = np.array(fin, dtype=np.float64 if real else np.int64)
+    n = f.n
+    # Unreachable options: NaN fails every real comparison; in int mode the
+    # test is fx - a <= b - fy, which the sentinels +-2^62 always fail.
+    blank = np.nan if real else _INT64_SAFE << 1
+
+    def lookup(masks, valid):
+        pos = np.minimum(np.searchsorted(dm, masks), len(dm) - 1)
+        return pos, valid & (dm[pos] == masks)
+
+    best = None
+    for i in range(n):
+        bi = 1 << i
+        has_i = (dm & bi) != 0
+        rows = np.flatnonzero(has_i)
+        cols = np.flatnonzero(~has_i)
+        if best is not None:
+            rows = rows[rows <= best[0]]
+        if not len(rows) or not len(cols):
+            continue
+        xr, yc = dm[rows], dm[cols]
+        # One move per row: the swaps i -> j, then the drop as j = nothing.
+        js = np.array([1 << k for k in range(n) if k != i] + [0] * drop, dtype=np.int64)
+        js = js[:, None]
+        xpos, xok = lookup((xr ^ bi) | js, (xr & js) == 0)
+        ypos, yok = lookup((yc | bi) & ~js, (yc & js) == js)
+        fx, fy = fv[rows], fv[cols]
+        if real:
+            a = np.where(xok, fv[xpos], blank)
+            b = np.where(yok, fv[ypos], blank)
+        else:
+            a = np.where(xok, fx - fv[xpos], blank)
+            b = np.where(yok, fv[ypos] - fy, -blank)
+        moves = len(a)
+        step = max(1, _BATCH_BYTES // max(1, moves * len(cols) * (16 if real else 1)))
+        for r0 in range(0, len(rows), step):
+            blk = slice(r0, r0 + step)
+            if real:
+                lhs = fx[blk, None] + fy[None, :]
+                rhs = a[:, blk, None] + b[:, None, :]
+                slack = np.abs(rhs)
+                np.maximum(slack, np.maximum(np.abs(lhs), 1.0), out=slack)
+                slack *= REAL_EPS
+                slack += rhs
+                ok = (lhs <= slack).any(axis=0)
+            else:
+                ok = (a[:, blk, None] <= b[:, None, :]).any(axis=0)
+            if not ok.all():
+                r, c = divmod(int(np.argmin(ok)), len(cols))
+                cand = (int(rows[r0 + r]), int(cols[c]), i)
+                if best is None or cand < best:
+                    best = cand
+                break
+
+    # A row X holds |X \ Y| triples per column Y: the sum over k in X of
+    # the count of domain sets without k.
+    bits = (dm[:, None] >> np.arange(n)) & 1
+    without = len(dom) - bits.sum(axis=0)
+    if best is None:
+        return None, int(bits.sum(axis=0) @ without)
+    x, y, i = best
+    xm, ym = dom[x], dom[y]
+    triples = int(bits[:x].sum(axis=0) @ without)
+    triples += sum((xm & ~t).bit_count() for t in dom[:y])
+    triples += (xm & ~ym & ((1 << i) - 1)).bit_count() + 1
+    return (xm, ym, i + 1), triples
 
 
 def check_exc_single(f, instance_id=""):

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from mconcave import REPORT_SCHEMA, load, store
+from mconcave import REPORT_SCHEMA, check_exc_single, cli, load, mutate, store
 from mconcave.cli import (
     ALL_SUITES,
     SuiteConfig,
@@ -227,6 +227,49 @@ def test_config_file_round(tmp_path):
     for field in ("bogus", "mode", "tolerance"):
         with pytest.raises(ValueError, match="unknown config"):
             SuiteConfig.from_dict({field: 1})
+
+
+def test_counts_that_fake_a_verdict_are_refused(tmp_path, corpus_by_id, capsys):
+    """samples 0 made exc_multi_bounded PASS with no triple checked on a
+    table that fails, samples -3 reported -3 triples, and negative jobs
+    and trials ran silently: every such count now exits 2 without output."""
+    f = mutate(corpus_by_id["n8_wbasis_uniform_r4"].fn, 0, 3)
+    path = tmp_path / "m8.json"
+    store(f, path)
+    check = ["check", "--suites", "exc_multi_bounded", str(path)]
+    assert main(check) == 1
+    assert '"verdict":"FAIL"' in capsys.readouterr().out
+    for fields in ({"samples": 0}, {"samples": -3}, {"samples": True}, {"samples": 2.5},
+                   {"jobs": 0}, {"jobs": -4}, {"jobs": "2"}, {"trials": -5},
+                   {"trials": False}, {"trials": 1.0}):
+        assert main(["check", "--config", write_config(tmp_path, **fields), *check[1:]]) == 2
+        assert main(["falsify", "--config", write_config(tmp_path, **fields)]) == 2
+    assert main([*check, "--jobs", "-4"]) == 2
+    assert main([*check, "--jobs", "0"]) == 2
+    assert main(["falsify", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples must be an int >= 1" in captured.err
+    assert "trials must be an int >= 0" in captured.err
+    with pytest.raises(ValueError, match="jobs"):
+        SuiteConfig(jobs=0)
+
+
+def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
+    """corollary1 and the lemmas_2_8 gate reuse the exchange reports of the
+    instance being run, and never those of another table with the same id
+    and seed."""
+    good = corpus_by_id["n4_laminar"].fn
+    bad = mutate(good, 0, 1)
+    cfg = SuiteConfig()
+    for f in (good, bad, good):
+        want = check_exc_single(f, instance_id="x")
+        assert cli._INSTANCE_SUITES["exc_single"]("x", f, cfg, 0) == want
+        lemmas = cli._INSTANCE_SUITES["lemmas_2_8"]("x", f, cfg, 0)
+        assert lemmas.passed == want.passed
+        corollary = cli._INSTANCE_SUITES["corollary1"]("x", f, cfg, 0)
+        assert corollary.verdict == want.verdict
+    assert len(cli._memo) <= 4
 
 
 @pytest.mark.parametrize("flag", [["--mode", "real"], ["--tol", "0.5"]])

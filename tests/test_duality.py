@@ -28,6 +28,7 @@ from mconcave import (
     restrict_by_size,
 )
 from mconcave.core import leq_for
+from mconcave.duality import _empty_restriction
 from mconcave.exchange import DEFAULT_SAMPLES, _ext_or_none
 from mconcave.reporting import failed_report, passed_report
 
@@ -290,6 +291,49 @@ def test_build_restrictions_flags_empty_domain():
     ctx = ExchangeContext.make(3, [1, 2], [3], [1])
     with pytest.raises(Falsification, match="x_side"):
         build_restrictions(f, ctx)
+
+
+def _materialized_empty(f, ctx):
+    """The emptiness rule on materialized tables: the first of x_side,
+    x_side_sized and y_side with an empty domain, as build_restrictions
+    names it, or None."""
+    spread = [0]
+    for e in elements_of(ctx.y0_mask):
+        spread += [g | 1 << (e - 1) for g in spread]
+    xbase, ybase = ctx.x_mask & ~ctx.i_mask, ctx.y_mask | ctx.i_mask
+    m = ctx.y0_mask.bit_count()
+    x_side = SetFn(m, [f.values[xbase | g] for g in spread])
+    y_side = SetFn(m, [f.values[ybase & ~g] for g in spread])
+    sides = (("x_side", x_side), ("x_side_sized", restrict_by_size(x_side, len(ctx.I))),
+             ("y_side", y_side))
+    for name, fn in sides:
+        if not fn.dom_masks:
+            return f"{name} restriction has empty domain for X={ctx.X}, Y={ctx.Y}, I={ctx.I}"
+    return None
+
+
+def test_empty_restriction_matches_materialized_tables():
+    """The helper the lemmas_2_8 suite runs names the same side, with the
+    same message, as the materialized tables and build_restrictions."""
+    named = set()
+    for seed in range(120):
+        f = random_table(3 + seed % 3, seed, neg_inf_prob=0.4 + 0.1 * (seed % 4))
+        for xm in f.dom_masks:
+            for ym in f.dom_masks:
+                for im in range(1 << f.n):
+                    if im & ~(xm & ~ym):
+                        continue
+                    ctx = ExchangeContext(f.n, xm, ym, im)
+                    want = _materialized_empty(f, ctx)
+                    assert _empty_restriction(f, xm, ym, im) == want
+                    if want is None:
+                        build_restrictions(f, ctx)
+                        continue
+                    named.add(want.split()[0])
+                    with pytest.raises(Falsification) as exc:
+                        build_restrictions(f, ctx)
+                    assert str(exc.value) == want
+    assert named == {"x_side", "x_side_sized", "y_side"}
 
 
 def test_restriction_route_matches_bounded_search(corpus_by_id):
