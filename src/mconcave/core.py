@@ -15,6 +15,8 @@ import math
 from itertools import combinations
 from operator import le as _int_le
 
+import numpy as np
+
 HARD_CAP = 24
 
 # Comparison slack in real mode, scaled by magnitude (exact in int mode).
@@ -187,6 +189,119 @@ def price_sums(entries, n):
         for m in range(bit):
             sums[bit | m] = sums[m] + pj
     return sums
+
+
+# ---------------------------------------------------------------------------
+# Seeded draws replayed in bulk.
+
+
+def _mt_twist(mt):
+    """The next 624 state words of the Mersenne Twister MT19937
+    (Matsumoto and Nishimura, ACM TOMACS 8, 1998) after ``mt``, as the
+    reference code's in-place loop makes them: word i mixes the top bit of
+    word i with the rest of word i + 1 and adds word i + 397, where a word
+    that wraps around is already the new one."""
+    y = (mt[:-1] & 0x80000000) | (mt[1:] & 0x7FFFFFFF)
+    mix = (y >> 1) ^ (y & 1) * 0x9908B0DF
+    new = np.empty_like(mt)
+    new[:227] = mt[397:] ^ mix[:227]
+    new[227:454] = new[:227] ^ mix[227:454]
+    new[454:623] = new[227:396] ^ mix[454:]
+    last = (mt[623] & 0x80000000) | (new[0] & 0x7FFFFFFF)
+    new[623] = new[396] ^ (last >> 1) ^ (last & 1) * 0x9908B0DF
+    return new
+
+
+def _mt_temper(y):
+    """MT19937's output words for the state words ``y``."""
+    y = y ^ (y >> 11)
+    y = y ^ ((y << 7) & 0x9D2C5680)
+    y = y ^ ((y << 15) & 0xEFC60000)
+    return y ^ (y >> 18)
+
+
+class _Replay:
+    """The draws a seeded ``random.Random`` would make, decoded in bulk.
+
+    CPython's ``random.Random`` is MT19937: ``rng.getstate()`` holds its 624
+    state words and the position of the next one, and every call takes
+    whole 32-bit output words. Here the words are made 624 at a time in
+    numpy (``numpy.random`` is not used: importing it costs about 6 MiB of
+    resident memory). ``randrange(m)`` (and ``randint``) for m < 2^32
+    takes the top ``m.bit_length()`` bits of one word per try and rejects
+    while the value is >= m; ``getrandbits(k)`` for k <= 32 is the top k
+    bits of one word. ``rng`` itself is not advanced.
+    """
+
+    def __init__(self, rng):
+        state = rng.getstate()[1]
+        self._mt = np.array(state[:-1], dtype=np.int64)
+        self._words = _mt_temper(self._mt[state[-1]:])  # made, not yet consumed
+
+    def take(self, samples, runs):
+        """The next ``samples`` samples, each made of ``runs`` in stream
+        order. A run (count, bound, bits) is ``count`` draws: ``randrange(m)``
+        is (count, m, m.bit_length()), ``getrandbits(k)`` is (count, 2**k, k).
+        Runs of no draws, or of ``getrandbits(0)``, take no word and yield
+        zeros. Returns one int64 array of shape (samples, count) per run."""
+        for count, bound, bits in runs:
+            if not (count >= 0 and 0 <= bits <= 32 and 1 <= bound <= 1 << bits):
+                raise ValueError(f"cannot replay {count} draws below {bound} from {bits} bits")
+        live = [run for run in runs if run[0] and run[2]]
+        need = int(samples * sum(c * (1 << k) / m for c, m, k in live) * 1.25) + 64
+        out = [] if not live else None
+        while out is None:
+            short = need - len(self._words)
+            if short > 0:
+                blocks = []
+                for _ in range(-(-short // 624)):
+                    self._mt = _mt_twist(self._mt)
+                    blocks.append(self._mt)
+                self._words = np.concatenate([self._words, _mt_temper(np.concatenate(blocks))])
+            out = self._decode(samples, live)
+            need *= 2
+        out = iter(out)
+        return [next(out) if count and bits else np.zeros((samples, count), dtype=np.int64)
+                for count, _, bits in runs]
+
+    def _decode(self, samples, runs):
+        """``take`` from the words at hand; None when they run out. Runs of
+        different widths reject different words, so a sample's end depends
+        on where it starts: a table of it for every start is chased once per
+        sample, then each run's draws are gathered at once."""
+        words = self._words
+        end = len(words)
+        kinds = {}  # (bound, bits) -> top bits of every word, accepted positions, and
+        for _, bound, bits in runs:  # rank[i], the accepted words before position i
+            if (bound, bits) not in kinds:
+                top = words >> (32 - bits)
+                ok = top < bound
+                rank = np.concatenate([[0], np.cumsum(ok), [end + 1]])
+                kinds[bound, bits] = top, np.flatnonzero(ok), rank
+        # Position end + 1 stands for "the words ran out" and maps to itself.
+        after = np.arange(end + 2)
+        for count, bound, bits in runs:
+            _, acc, rank = kinds[bound, bits]
+            r = rank[after] + count
+            after = np.where(r <= len(acc), np.append(acc, end)[np.minimum(r, len(acc)) - 1] + 1,
+                             end + 1)
+        after = after.tolist()
+        starts = [0] * samples
+        stop = 0
+        for s in range(samples):
+            starts[s] = stop
+            stop = after[stop]
+        if stop > end:
+            return None
+        at = np.array(starts, dtype=np.int64)
+        out = []
+        for count, bound, bits in runs:
+            top, acc, rank = kinds[bound, bits]
+            picked = acc[rank[at][:, None] + np.arange(count)]
+            out.append(top[picked])
+            at = picked[:, -1] + 1
+        self._words = words[stop:]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,15 @@ move lowers is then a global minimum (Murota, Discrete Convex Analysis,
 Shioura, Discrete Optimization 6, 2009). A point where phi equals the
 primal certifies on any input by weak duality. Other inputs, and real
 mode, scan the whole box shell by shell.
+
+The sampled grid regime draws its pairs from ``random.Random(seed)``
+without calling it per value: ``core._Replay`` regenerates the Mersenne
+Twister words from ``rng.getstate()`` in numpy and decodes them with
+CPython's rules (top ``m.bit_length()`` bits of a word, rejected while
+>= m), a chunk of samples at a time. The submodular draw mixes two widths
+(2n prices, then the cap index), so its rejections are resolved in
+stream order. The samples, and so the reports, are those of the scalar
+``randint``/``randrange`` loops, which the tests keep as the oracle.
 """
 
 import random
@@ -34,6 +43,7 @@ from .core import (
     Falsification,
     PriceVector,
     SetFn,
+    _Replay,
     elements_of,
     ext_add,
     leq_for,
@@ -42,7 +52,13 @@ from .core import (
     restrict_by_size,
     submasks_ascending,
 )
-from .exchange import DEFAULT_SAMPLES, ExchangeContext, _ext_or_none, check_exc_single
+from .exchange import (
+    DEFAULT_SAMPLES,
+    ExchangeContext,
+    _ext_or_none,
+    _require_samples,
+    check_exc_single,
+)
 from .reporting import failed_report, passed_report
 
 DEFAULT_BOX = (-3, 3)
@@ -230,36 +246,43 @@ def _box_report(f, lo, hi, checks, instance_id):
     return passed_report("duality_grid", instance_id, triples=total)
 
 
-def _sampled_report(f, samples, draw, tests, seed, instance_id, per_sample=1):
-    """Report over ``samples`` seeded pairs. ``draw()`` makes one sample
-    (p, q, k) with exactly the rng calls of a scalar loop; chunks of
-    ``_SAMPLE_CHUNK`` samples are evaluated at once. ``tests(plain,
-    sized)`` gets the plain and cap-k conjugates at p, q, p v q, p ^ q
-    (row 0..3, one column per sample) and returns (inequality, uses_k,
-    holds) in checking order; the first failing sample is reported, with
-    ``per_sample`` pairs counted through it."""
+def _sampled_report(f, samples, caps, draw, tests, seed, instance_id, per_sample=1):
+    """Report over ``samples`` seeded pairs, drawn and evaluated in chunks
+    of ``_SAMPLE_CHUNK``. ``draw(count)`` returns the next ``count``
+    samples as arrays: p and q, (count, n), and the index into ``caps`` of
+    each sample's size cap. ``tests(plain, sized)`` gets the plain and
+    capped conjugates at p, q, p v q, p ^ q (row 0..3, one column per
+    sample) and returns (inequality, uses_k, holds) in checking order; the
+    first failing sample is reported, with ``per_sample`` pairs counted
+    through it."""
     conj = _Conjugates(f)
     s, _ = f.dom_size_range()
+    cap_cols = np.array([min(k, f.n) - s for k in caps])
     for start in range(0, samples, _SAMPLE_CHUNK):
-        drawn = [draw() for _ in range(min(_SAMPLE_CHUNK, samples - start))]
-        p, q = (np.array([d[i] for d in drawn], dtype=np.int64).reshape(len(drawn), f.n)
-                for i in (0, 1))
-        cols = [min(d[2], f.n) - s for d in drawn]
+        count = min(_SAMPLE_CHUNK, samples - start)
+        p, q, c = draw(count)
         g = conj(np.concatenate([p, q, np.maximum(p, q), np.minimum(p, q)]))
-        g = g.reshape(4, len(drawn), -1)
-        checks = tests(g[:, :, -1], g[:, np.arange(len(drawn)), cols])
+        g = g.reshape(4, count, -1)
+        checks = tests(g[:, :, -1], g[:, np.arange(count), cap_cols[c]])
         failures = [(int(np.argmin(ok)), t, inequality, uses_k)
                     for t, (inequality, uses_k, ok) in enumerate(checks) if not ok.all()]
         if failures:
             i, _, inequality, uses_k = min(failures)
-            counter = {"inequality": inequality, "p": drawn[i][0], "q": drawn[i][1]}
+            counter = {"inequality": inequality, "p": p[i].tolist(), "q": q[i].tolist()}
             if uses_k:
-                counter["k"] = drawn[i][2]
+                counter["k"] = caps[c[i]]
             return failed_report("duality_grid", instance_id, counter,
                                  triples=per_sample * (start + i + 1),
                                  regime="sampled", seed=seed)
-    return passed_report("duality_grid", instance_id, triples=per_sample * max(samples, 0),
+    return passed_report("duality_grid", instance_id, triples=per_sample * samples,
                          regime="sampled", seed=seed)
+
+
+def _price_run(n, lo, hi):
+    """The replay run of the 2n ``randint(lo, hi)`` draws of one pair, as
+    values minus lo."""
+    width = hi - lo + 1
+    return 2 * n, width, width.bit_length()
 
 
 def _explicit_pairs_check(f, grid_vectors, checker):
@@ -278,7 +301,13 @@ def _explicit_pairs_check(f, grid_vectors, checker):
 
 def _box_or_sample_policy(f, grid, box):
     # The box sweep compares exactly, so real-mode default grids fall
-    # through to the tolerance-aware sampled path.
+    # through to the tolerance-aware sampled path. A sampled draw takes
+    # one 32-bit word per try, so a box side holds fewer than 2^32 values.
+    if not (isinstance(box, (tuple, list)) and len(box) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in box)
+            and 0 <= box[1] - box[0] < (1 << 32) - 1):
+        raise ValueError(f"box must be a pair of ints lo <= hi with hi - lo < 2^32 - 1, "
+                         f"got {box!r}")
     lo, hi = box
     if grid is not None:
         return "explicit", None
@@ -299,6 +328,7 @@ def check_conjugate_submodular(f, grid=None, *, box=DEFAULT_BOX, seed=0,
     """
     if not f.dom_masks:
         raise ValueError("the effective domain is empty")
+    _require_samples(samples)
     leq = leq_for(f.mode)
     caps = list(_feasible_caps(f))
     kind, lohi = _box_or_sample_policy(f, grid, box)
@@ -333,17 +363,18 @@ def check_conjugate_submodular(f, grid=None, *, box=DEFAULT_BOX, seed=0,
         checks += [("submodular_sized", _SUBMODULAR, k) for k in caps]
         return _box_report(f, lo, hi, checks, instance_id)
 
-    rng = random.Random(seed)
+    replay = _Replay(random.Random(seed))
+    runs = [_price_run(f.n, lo, hi), (1, len(caps), len(caps).bit_length())]
 
-    def draw():
-        return ([rng.randint(lo, hi) for _ in range(f.n)],
-                [rng.randint(lo, hi) for _ in range(f.n)], caps[rng.randrange(len(caps))])
+    def draw(count):  # p, q, then the cap index
+        pq, c = replay.take(count, runs)
+        return pq[:, :f.n] + lo, pq[:, f.n:] + lo, c[:, 0]
 
     def tests(g, gk):
         return [("submodular", False, _holds(g[2] + g[3], g[0] + g[1], f.mode)),
                 ("submodular_sized", True, _holds(gk[2] + gk[3], gk[0] + gk[1], f.mode))]
 
-    return _sampled_report(f, samples, draw, tests, seed, instance_id, per_sample=2)
+    return _sampled_report(f, samples, caps, draw, tests, seed, instance_id, per_sample=2)
 
 
 def check_cross_submodular(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
@@ -354,6 +385,7 @@ def check_cross_submodular(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
         raise ValueError("the effective domain is empty")
     if not restrict_by_size(f, k).dom_masks:
         raise ValueError(f"no feasible subset of size <= {k}")
+    _require_samples(samples)
     leq = leq_for(f.mode)
     kind, lohi = _box_or_sample_policy(f, grid, box)
 
@@ -380,16 +412,16 @@ def check_cross_submodular(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
     if kind == "box":
         return _box_report(f, lo, hi, [("cross_submodular", _CROSS, k)], instance_id)
 
-    rng = random.Random(seed)
+    replay = _Replay(random.Random(seed))
 
-    def draw():
-        return ([rng.randint(lo, hi) for _ in range(f.n)],
-                [rng.randint(lo, hi) for _ in range(f.n)], k)
+    def draw(count):  # p, then q
+        pq, = replay.take(count, [_price_run(f.n, lo, hi)])
+        return pq[:, :f.n] + lo, pq[:, f.n:] + lo, np.zeros(count, dtype=np.int64)
 
     def tests(g, gk):
         return [("cross_submodular", True, _holds(gk[3] + g[2], gk[0] + g[1], f.mode))]
 
-    return _sampled_report(f, samples, draw, tests, seed, instance_id)
+    return _sampled_report(f, samples, [k], draw, tests, seed, instance_id)
 
 
 def check_strong_quotient(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
@@ -400,6 +432,7 @@ def check_strong_quotient(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
         raise ValueError("the effective domain is empty")
     if not restrict_by_size(f, k).dom_masks:
         raise ValueError(f"no feasible subset of size <= {k}")
+    _require_samples(samples)
     leq = leq_for(f.mode)
     kind, lohi = _box_or_sample_policy(f, grid, box)
 
@@ -425,16 +458,16 @@ def check_strong_quotient(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
     if kind == "box":
         return _box_report(f, lo, hi, [("strong_quotient", _QUOTIENT, k)], instance_id)
 
-    rng = random.Random(seed)
+    replay = _Replay(random.Random(seed))
 
-    def draw():  # p >= q: the larger of two draws per element goes to p
-        pairs = [sorted((rng.randint(lo, hi), rng.randint(lo, hi))) for _ in range(f.n)]
-        return [b for _, b in pairs], [a for a, _ in pairs], k
+    def draw(count):  # p >= q: the larger of two draws per element goes to p
+        pairs = replay.take(count, [_price_run(f.n, lo, hi)])[0].reshape(count, f.n, 2) + lo
+        return pairs.max(axis=2), pairs.min(axis=2), np.zeros(count, dtype=np.int64)
 
     def tests(g, gk):
         return [("strong_quotient", True, _holds(g[0] - g[1], gk[0] - gk[1], f.mode))]
 
-    return _sampled_report(f, samples, draw, tests, seed, instance_id)
+    return _sampled_report(f, samples, [k], draw, tests, seed, instance_id)
 
 
 # ---------------------------------------------------------------------------

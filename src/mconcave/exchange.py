@@ -14,6 +14,9 @@ reports and witnesses are reproducible byte for byte:
   lexicographic order of the element tuple;
 * reported counterexamples are the first violation in lexicographic
   (X, Y, i) or (X, Y, I) order.
+
+Sampled triples are the ``random.Random(seed)`` draws, replayed in bulk
+by ``core._Replay`` with the scalar calls' values.
 """
 
 import random
@@ -27,6 +30,7 @@ from .core import (
     REAL_EPS,
     Falsification,
     SetFn,
+    _Replay,
     elements_of,
     leq_for,
     mask_of,
@@ -39,6 +43,9 @@ from .reporting import failed_report, passed_report
 EXHAUSTIVE_N_LIMIT = 7
 
 DEFAULT_SAMPLES = 10_000
+
+# Sampled multiple-exchange triples replayed at once.
+_MULTI_CHUNK = 1024
 
 # The single-exchange sweep runs batched from this effective-domain size on.
 # Measured crossover: about 32 domain sets on tables that pass, about 100 on
@@ -120,6 +127,12 @@ class ExchangeWitness:
 def _require_nonempty_dom(f):
     if not f.dom_masks:
         raise ValueError("the effective domain is empty")
+
+
+def _require_samples(samples):
+    """The sampled checkers' count rule (``SuiteConfig``'s): an int >= 1."""
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
 
 
 def _ext_or_none(v):
@@ -394,6 +407,7 @@ def check_exc_multi(f, bounded=True, *, regime=None, samples=DEFAULT_SAMPLES,
     first violating triple encountered.
     """
     _require_nonempty_dom(f)
+    _require_samples(samples)
     if regime is None:
         regime = "exhaustive" if f.n <= EXHAUSTIVE_N_LIMIT else "sampled"
     if regime == "exhaustive":
@@ -450,21 +464,26 @@ def _multi_pass_margin(f, bounded=True):
 
 def _sampled_multi(f, bounded, samples, seed):
     """The sampled counterpart over ``samples`` seeded triples: returns
-    (failing, counts, triples) as ``_multi_pass_margin`` does."""
+    (failing, counts, triples) as ``_multi_pass_margin`` does. Triple t is
+    X, Y = dom[randrange(|dom|)] twice, then I = (X \\ Y) & getrandbits(n),
+    replayed in chunks of ``_MULTI_CHUNK`` triples."""
     vals = f.values
     leq = leq_for(f.mode)
     dom = f.dom_masks
     ndom = len(dom)
     counts = [0] * (f.n + 1)
-    rng = random.Random(seed)
-    for t in range(samples):
-        xm = dom[rng.randrange(ndom)]
-        ym = dom[rng.randrange(ndom)]
-        im = (xm & ~ym) & rng.getrandbits(f.n) if f.n else 0
-        best, _, size = _best_multi(vals, xm, ym, im, bounded)
-        if best is NEG_INF or not leq(vals[xm] + vals[ym], best):
-            return (xm, ym, im), counts, t + 1
-        counts[size] += 1
+    replay = _Replay(random.Random(seed))
+    runs = [(2, ndom, ndom.bit_length()), (1, 1 << f.n, f.n)]
+    for start in range(0, samples, _MULTI_CHUNK):
+        xy, bits = replay.take(min(_MULTI_CHUNK, samples - start), runs)
+        for t, ((x, y), (b,)) in enumerate(zip(xy.tolist(), bits.tolist()), start):
+            xm = dom[x]
+            ym = dom[y]
+            im = xm & ~ym & b
+            best, _, size = _best_multi(vals, xm, ym, im, bounded)
+            if best is NEG_INF or not leq(vals[xm] + vals[ym], best):
+                return (xm, ym, im), counts, t + 1
+            counts[size] += 1
     return None, counts, samples
 
 

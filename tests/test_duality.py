@@ -559,3 +559,42 @@ def test_fenchel_exact_above_int64():
     res = fenchel_gap(f, f, box=1)
     assert res.primal == res.dual == 2**63
     assert res.gap == 0 and res.certified
+
+
+# --- arguments that would fake a verdict -------------------------------------
+
+
+GRID_CHECKS = [
+    lambda f, **kw: check_conjugate_submodular(f, **kw),
+    lambda f, **kw: check_cross_submodular(f, f.n, **kw),
+    lambda f, **kw: check_strong_quotient(f, f.n, **kw),
+]
+
+
+@pytest.mark.parametrize("check", GRID_CHECKS)
+@pytest.mark.parametrize("iid", ["n3_assignment", "n6_assignment"])
+@pytest.mark.parametrize("box", [(3, -3), (1, 0), (True, 3), (-3, 3.0), (0, 1, 2), [4],
+                                 "03", (0, 2**32 - 1), (-2**40, 2**40)])
+def test_grid_checks_refuse_a_bad_box(corpus_by_id, iid, check, box):
+    """An empty box swept exhaustively used to PASS with no pair checked;
+    sampled, it raised ``randrange``'s empty-range error."""
+    with pytest.raises(ValueError, match="box must be a pair of ints"):
+        check(corpus_by_id[iid].fn, box=box)
+
+
+def test_grid_checks_accept_a_list_box_and_the_widest_box(corpus_by_id):
+    f = corpus_by_id["n6_assignment"].fn
+    assert check_conjugate_submodular(f, box=[-3, 3], samples=50) == \
+        check_conjugate_submodular(f, box=(-3, 3), samples=50)
+    rep = check_cross_submodular(f, 3, box=(0, 2**32 - 2), samples=20)
+    assert rep.regime == "sampled" and rep.triples_checked == 20
+
+
+@pytest.mark.parametrize("check", GRID_CHECKS)
+@pytest.mark.parametrize("iid", ["n3_assignment", "n6_assignment"])
+@pytest.mark.parametrize("samples", [0, -5, True, 2.5, "10"])
+def test_grid_checks_refuse_samples_below_one(corpus_by_id, iid, check, samples):
+    """``samples=0`` used to PASS with no pair checked; the rule is
+    ``SuiteConfig``'s, in either regime."""
+    with pytest.raises(ValueError, match="samples must be an int >= 1"):
+        check(corpus_by_id[iid].fn, samples=samples)

@@ -475,3 +475,11 @@ def test_exchange_context_consistency(xm, ym, rng):
     assert ctx.y_mask == (ctx.c_mask | ctx.y0_mask)
     assert ctx.x0_mask & ctx.y0_mask == 0
     assert ctx.i_mask & ~ctx.x0_mask == 0
+
+
+@pytest.mark.parametrize("regime", [None, "exhaustive", "sampled"])
+@pytest.mark.parametrize("samples", [0, -5, True, 2.5])
+def test_exc_multi_refuses_samples_below_one(rank_u24, regime, samples):
+    """``samples=0`` used to PASS sampled with no triple checked."""
+    with pytest.raises(ValueError, match="samples must be an int >= 1"):
+        check_exc_multi(rank_u24, regime=regime, samples=samples)

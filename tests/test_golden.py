@@ -14,9 +14,16 @@ import hashlib
 import io
 import json
 
-from mconcave import default_corpus, mutate
+from mconcave import (
+    check_conjugate_submodular,
+    check_cross_submodular,
+    check_strong_quotient,
+    default_corpus,
+    mutate,
+)
 from mconcave.core import elements_of
 from mconcave.cli import SuiteConfig, falsify_campaign, main, run_check
+from mconcave.duality import _feasible_caps
 
 EXCHANGE_SUITES = ("exc_single", "exc_multi_bounded", "exc_multi_unbounded",
                    "corollary1", "m_concave_lift")
@@ -91,3 +98,52 @@ def test_lift_and_lemmas_report_bytes():
     assert len(lift_fails) == 7
     assert max(r.triples_checked for r in lift_fails) > 200_000
     assert sha256(text) == "2a35ccfba2a50d04d2f7cded9c9f70bd13f245bb535c80c7c15c4c6ae6c23ba2"
+
+
+GRID_SEEDS = (0, 2**63 + 12_345)
+
+
+def grid_instances():
+    """Corpus instances with n = 5..8, all in the sampled grid regime, and
+    two seeded `mutate`d copies of each (a +-2 move and a +-3 move)."""
+    corpus = [c for c in default_corpus() if 5 <= c.fn.n <= 8]
+    out = [(c.instance_id, c.fn) for c in corpus]
+    for c in corpus:
+        for s in range(2):
+            out.append((f"{c.instance_id}_mut{s}", mutate(c.fn, s, 2 + s)))
+    return out
+
+
+def test_grid_report_bytes():
+    """`duality_grid` at 500 samples, at seed 0 and at a seed >= 2^63, plus
+    the per-inequality reports behind the suite line of every mutated copy,
+    so the FAIL pairs of all three grid checkers' draws are pinned."""
+    instances = grid_instances()
+    lines, verdicts, inequalities = [], set(), set()
+    for seed in GRID_SEEDS:
+        cfg = SuiteConfig(suites=("duality_grid",), samples=500, seed=seed)
+        for index, report in enumerate(run_check(instances, cfg)):
+            lines.append(report.to_json_line())
+            verdicts.add((instances[index][1].n, report.regime, report.verdict))
+        for index, (iid, f) in enumerate(instances):
+            if "_mut" not in iid:
+                continue
+            caps = list(_feasible_caps(f))
+            per_k = 500 // len(caps)
+            sub_seed = seed ^ index
+            reports = [check_conjugate_submodular(f, seed=sub_seed, samples=500,
+                                                  instance_id=iid)]
+            for k in caps:
+                reports.append(check_cross_submodular(f, k, seed=sub_seed, samples=per_k,
+                                                      instance_id=iid))
+                reports.append(check_strong_quotient(f, k, seed=sub_seed, samples=per_k,
+                                                     instance_id=iid))
+            lines += [r.to_json_line() for r in reports]
+            inequalities |= {r.counterexample["inequality"] for r in reports if not r.passed}
+    # Guard the coverage the hash is meant to pin.
+    for n in range(5, 9):
+        assert (n, "sampled", "PASS") in verdicts
+        assert (n, "sampled", "FAIL") in verdicts
+    assert {"submodular", "cross_submodular"} <= inequalities
+    assert sha256("".join(line + "\n" for line in lines)) == \
+        "0afb9a3e0b617ff473d9acd49778cc6909b398472c60c7f53d41b61799271a5f"
