@@ -1,5 +1,6 @@
 """Command-line harness: generate corpora, run verification suites, and
-hunt for counterexamples with seeded mutations.
+hunt for counterexamples with seeded mutations, whose tables are decided
+in bulk (``exchange._bulk_decide``).
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
 (a falsification), 2 on operational errors (bad config, malformed
@@ -9,6 +10,7 @@ byte-identical reports regardless of --jobs.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,8 +31,8 @@ from .duality import (
 )
 from .exchange import (
     DEFAULT_SAMPLES,
+    _bulk_decide,
     _first_swap,
-    _multi_pass_margin,
     check_exc_multi,
     check_exc_single,
     check_m_concave,
@@ -67,6 +69,9 @@ ALL_SUITES = (
 MASK64 = (1 << 64) - 1
 
 FENCHEL_PAIR_N_LIMIT = 5
+
+# Falsification trials drawn and decided together.
+_FALSIFY_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -407,55 +412,71 @@ class FalsifyOutcome:
         }
 
 
+@functools.cache
 def _falsify_bases():
-    """Small corpus instances to mutate, weighted toward cheap sizes."""
+    """Small corpus instances to mutate, weighted toward cheap sizes; built
+    once per process (instances are immutable)."""
     weights = {3: 3, 4: 2, 5: 1}
     bases = []
     for inst in default_corpus():
         bases.extend([inst] * weights.get(inst.fn.n, 0))
-    return bases
+    return tuple(bases)
+
+
+def _falsify_table(t, seed, bases, n_lo, n_hi):
+    """Trial t's table and kind, from its own ``random.Random``."""
+    rng = random.Random((seed ^ t) & MASK64)
+    if t % 2 == 0 or bases is None:
+        n = rng.randint(n_lo, n_hi)
+        return random_table(n, rng.randrange(1 << 32)), "random"
+    base = bases[rng.randrange(len(bases))]
+    mseed = rng.randrange(1 << 32)
+    magnitude = rng.randint(1, 3)
+    if rng.random() < 0.3:
+        f = mutate(base.fn, mseed, magnitude, toggle_neg_inf=True)
+        if not f.dom_masks:
+            f = mutate(base.fn, mseed, magnitude)
+    else:
+        f = mutate(base.fn, mseed, magnitude)
+    return f, "mutated"
 
 
 def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
+    """``trials`` seeded tables, each gated on the single exchange and then
+    checked for the bounded multiple exchange; trial t draws from
+    ``random.Random(seed ^ t)``. Tables are drawn in chunks of
+    ``_FALSIFY_CHUNK`` and decided in bulk (``exchange._bulk_decide``),
+    which takes them all: every table drawn is an int table of n <= 5 with
+    a nonempty domain and single- or double-digit values."""
+    for name, value in (("trials", trials), ("keep_near", keep_near)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
     n_lo = max(1, n_range[0])
     n_hi = min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
         raise ValueError(f"empty falsification range {n_range}")
     bases = [b for b in _falsify_bases() if n_lo <= b.fn.n <= n_hi] or None
     out = FalsifyOutcome(trials=trials)
-    for t in range(trials):
-        rng = random.Random((seed ^ t) & MASK64)
-        if t % 2 == 0 or bases is None:
-            n = rng.randint(n_lo, n_hi)
-            f = random_table(n, rng.randrange(1 << 32))
-            kind = "random"
-        else:
-            base = bases[rng.randrange(len(bases))]
-            mseed = rng.randrange(1 << 32)
-            magnitude = rng.randint(1, 3)
-            if rng.random() < 0.3:
-                f = mutate(base.fn, mseed, magnitude, toggle_neg_inf=True)
-                if not f.dom_masks:
-                    f = mutate(base.fn, mseed, magnitude)
+    for start in range(0, trials, _FALSIFY_CHUNK):
+        drawn = [_falsify_table(t, seed, bases, n_lo, n_hi)
+                 for t in range(start, min(start + _FALSIFY_CHUNK, trials))]
+        verdicts = _bulk_decide([f for f, _ in drawn])
+        for t, (f, kind), (passed, margin) in zip(range(start, trials), drawn, verdicts):
+            out.kinds[kind] = out.kinds.get(kind, 0) + 1
+            if not passed:
+                continue
+            out.singles_passed += 1
+            if margin is None:
+                out.counterexamples.append({
+                    "trial": t,
+                    "kind": kind,
+                    "n": f.n,
+                    "values": [None if v is NEG_INF else v for v in f.values],
+                })
             else:
-                f = mutate(base.fn, mseed, magnitude)
-            kind = "mutated"
-        out.kinds[kind] = out.kinds.get(kind, 0) + 1
-        if not check_exc_single(f).passed:
-            continue
-        out.singles_passed += 1
-        failing, _, _, margin = _multi_pass_margin(f, bounded=True)
-        if failing is not None:
-            out.counterexamples.append({
-                "trial": t,
-                "kind": kind,
-                "n": f.n,
-                "values": [None if v is NEG_INF else v for v in f.values],
-            })
-        else:
-            out.near_misses.append((margin, t, kind))
-            out.near_misses.sort()
-            del out.near_misses[keep_near:]
+                out.near_misses.append((margin, t, kind))
+        out.near_misses.sort()
+        del out.near_misses[keep_near:]
     return out
 
 

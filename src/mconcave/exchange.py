@@ -3,7 +3,8 @@ of a set function with mixed domain sizes to an equi-cardinal one.
 
 All checkers enumerate bitmasks directly and return VerificationReports;
 on larger domains the single-exchange sweep runs batched in numpy, with
-the loop's order and results.
+the loop's order and results, and ``_bulk_decide`` decides many small
+tables at once for the falsification campaign.
 Pairs (X, Y) with X or Y outside the effective domain satisfy every
 exchange inequality vacuously (the left side is NEG_INF), so loops run
 over dom x dom. Enumeration order and tie-breaking are fixed so that
@@ -19,6 +20,7 @@ Sampled triples are the ``random.Random(seed)`` draws, replayed in bulk
 by ``core._Replay`` with the scalar calls' values.
 """
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -52,11 +54,23 @@ _MULTI_CHUNK = 1024
 # mutated tables, which mostly fail within the loop's first rows; below 64
 # the loop is never more than 0.5 ms slower and stops at the first failure.
 _BATCH_MIN_DOM = 64
-# Bytes of the largest temporary in one block of the batched sweep.
+# Bytes of the largest temporary in one block of the batched sweep, and of
+# all the arrays of one block of the bulk decider.
 _BATCH_BYTES = 1 << 19
 # Int tables run batched only while every |value| < 2^61, so every
 # difference of two values, and every sentinel, fits in int64.
 _INT64_SAFE = 1 << 61
+
+# Tables the bulk decider takes: int mode, a nonempty domain and every
+# |value| < 2^60. NEG_INF becomes -2^62, so a finite sum of two values lies
+# above _BULK_FLOOR = -2^61, any sum with NEG_INF below it, and two NEG_INFs
+# add up to -2^63, the int64 minimum.
+_BULK_SAFE = 1 << 60
+_BULK_NEG = -(1 << 62)
+_BULK_FLOOR = -(1 << 61)
+# Single-exchange triples in the bulk gate's first block; each block is four
+# times the last, and tables drop out after the block where they fail.
+_BULK_FIRST = 32
 
 
 @dataclass(frozen=True)
@@ -485,6 +499,125 @@ def _sampled_multi(f, bounded, samples, seed):
                 return (xm, ym, im), counts, t + 1
             counts[size] += 1
     return None, counts, samples
+
+
+# ---------------------------------------------------------------------------
+# Many small tables at once: the single-exchange gate and the bounded
+# multiple exchange of the falsification campaign.
+
+
+@functools.cache
+def _bulk_index(n):
+    """Every bounded exchange triple (X, Y, I) over the full cube 2^n, as
+    indices into the w * w pair sums f(A) + f(B) at A * w + B of a table
+    row of w = 2^n + 1 entries: the 2^n values, then a NEG_INF column.
+
+    Returns (mlhs, moves, starts, singles). Triple k has f(X) + f(Y) at
+    mlhs[k], and its moves J with |J| <= |I| are the segment of ``moves``
+    from starts[k] to the next start (or the end). The first ``singles``
+    triples, in lex order, are those with |I| = 1: the single exchange,
+    whose moves are the drop (J = {}) and the swaps (J = {j}). The others
+    follow in lex order.
+    """
+    w = (1 << n) + 1
+    triples = ([], [])  # (lhs, moves) with |I| = 1, then the others
+    for xm in range(1 << n):
+        for ym in range(1 << n):
+            for im in submasks_ascending(xm & ~ym):
+                k = im.bit_count()
+                moves = [(xm & ~im | jm) * w + ((ym | im) & ~jm)
+                         for jm, size in submasks_by_size(ym & ~xm) if size <= k]
+                triples[k != 1].append((xm * w + ym, moves))
+    ordered = triples[0] + triples[1]
+    sizes = [len(moves) for _, moves in ordered]
+    arrays = (
+        np.array([lhs for lhs, _ in ordered], dtype=np.intp),
+        np.array([m for _, moves in ordered for m in moves], dtype=np.intp),
+        np.cumsum([0] + sizes[:-1], dtype=np.intp),
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return (*arrays, len(triples[0]))
+
+
+def _bulk_decide(tables):
+    """What the falsification campaign needs of each table, decided for
+    the tables of each ground-set size at once: (passed, margin) with
+    ``passed`` = ``check_exc_single(f).passed`` and, when it passes,
+    ``margin`` = ``_multi_pass_margin(f)``'s margin, or None when the
+    bounded multiple exchange fails (a counterexample). Only the best move
+    of a triple counts, so no tie order is needed. Raises ValueError for a
+    table outside the bulk arithmetic: not int mode, an empty domain, or
+    some |value| >= _BULK_SAFE.
+    """
+    by_n = {}
+    for k, f in enumerate(tables):
+        fin = [v for v in f.values if v is not NEG_INF]
+        if not (f.mode == "int" and fin and max(fin) < _BULK_SAFE and min(fin) > -_BULK_SAFE):
+            raise ValueError(f"table {k} ({f!r}) is outside the bulk decider")
+        at, rows = by_n.setdefault(f.n, ([], []))
+        at.append(k)
+        rows.append([_BULK_NEG if v is NEG_INF else v for v in f.values] + [_BULK_NEG])
+    out = [None] * len(tables)
+    for n, (at, rows) in by_n.items():
+        index = _bulk_index(n)
+        vals = np.array(rows, dtype=np.int64)
+        passed = _bulk_gate(vals, *index)
+        margins = iter(_bulk_margins(vals[passed], *index[:3]))
+        for k, ok in zip(at, passed.tolist()):
+            out[k] = (True, next(margins)) if ok else (False, None)
+    return out
+
+
+def _bulk_gate(vals, mlhs, moves, starts, singles):
+    """Which rows of ``vals`` pass the single exchange, the first
+    ``singles`` triples of the index: every triple with X and Y in the
+    domain has a move >= f(X) + f(Y). Blocks of triples grow fourfold, and
+    rows leave after the block where they fail; a block's arrays together
+    stay under _BATCH_BYTES (a single-exchange triple has at most n
+    moves)."""
+    w = vals.shape[1]
+    n = (w - 1).bit_length() - 1
+    alive = np.arange(len(vals))
+    start, block = 0, _BULK_FIRST
+    while start < singles and len(alive):
+        live = vals[alive]
+        fit = max(1, _BATCH_BYTES // (8 * (2 * n + 3) * len(alive)))
+        stop = min(start + block, start + fit, singles)
+        lo, hi = starts[start], starts[stop]  # the |I| = 0 triples follow
+        xa, xb = np.divmod(mlhs[start:stop], w)
+        ma, mb = np.divmod(moves[lo:hi], w)
+        lhs = live[:, xa] + live[:, xb]
+        best = live[:, ma]
+        best += live[:, mb]
+        best = np.maximum.reduceat(best, starts[start:stop] - lo, axis=1)
+        ok = (best >= lhs) | (lhs <= _BULK_FLOOR)
+        alive = alive[ok.all(axis=1)]
+        start, block = stop, block * 4
+    passed = np.zeros(len(vals), dtype=bool)
+    passed[alive] = True
+    return passed
+
+
+def _bulk_margins(vals, mlhs, moves, starts):
+    """``_multi_pass_margin``'s margin for each row of ``vals``: the
+    minimum of best - f(X) - f(Y) over the triples with X and Y in the
+    domain, or None when some such triple has no move >= f(X) + f(Y). A
+    block's arrays together stay under _BATCH_BYTES."""
+    out = []
+    w = vals.shape[1]
+    step = max(1, _BATCH_BYTES // (8 * (w * w + len(moves) + 2 * len(mlhs))))
+    for r0 in range(0, len(vals), step):
+        blk = vals[r0:r0 + step]
+        pairs = (blk[:, :, None] + blk[:, None, :]).reshape(len(blk), w * w)
+        lhs = pairs[:, mlhs]
+        best = np.maximum.reduceat(pairs[:, moves], starts, axis=1)
+        valid = lhs > _BULK_FLOOR
+        failed = (valid & (best < lhs)).any(axis=1)
+        np.subtract(best, lhs, out=best, where=valid)
+        low = best.min(axis=1, where=valid, initial=np.iinfo(np.int64).max)
+        out += [None if bad else m for bad, m in zip(failed.tolist(), low.tolist())]
+    return out
 
 
 # ---------------------------------------------------------------------------

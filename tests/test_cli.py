@@ -255,6 +255,18 @@ def test_counts_that_fake_a_verdict_are_refused(tmp_path, corpus_by_id, capsys):
         SuiteConfig(jobs=0)
 
 
+def test_campaign_counts_that_fake_a_campaign_are_refused():
+    """keep_near -1 emptied near_misses after every append, trials -5 was
+    reported after no work, and trials True serialized as true."""
+    for kwargs in ({"trials": -5}, {"trials": True}, {"trials": 2.0},
+                   {"keep_near": -1}, {"keep_near": False}, {"keep_near": "5"}):
+        args = {"trials": 200, "seed": 3, **kwargs}
+        with pytest.raises(ValueError, match="must be an int >= 0"):
+            falsify_campaign(**args)
+    assert falsify_campaign(0, 3, keep_near=0).to_dict()["trials"] == 0
+    assert falsify_campaign(200, 3, keep_near=0).near_misses == []
+
+
 def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
     """corollary1 and the lemmas_2_8 gate reuse the exchange reports of the
     instance being run, and never those of another table with the same id
