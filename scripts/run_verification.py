@@ -61,9 +61,6 @@ def main():
     print(f"  {outcome.singles_passed} candidates passed the single-exchange "
           f"gate, {len(outcome.counterexamples)} counterexamples "
           f"({time.monotonic() - t0:.1f}s)")
-    if outcome.near_misses:
-        margin, trial, kind = outcome.near_misses[0]
-        print(f"  tightest margin {margin} (trial {trial}, {kind})")
 
     ok = not fails and not outcome.counterexamples
     print("\nALL SUITES PASS" if ok else "\nFAILURES DETECTED")

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .core import FormatError, NEG_INF, elements_of, leq_for, load, store
+from .core import FormatError, NEG_INF, _require_int, elements_of, leq_for, load, store
 from .duality import (
     check_conjugate_submodular,
     check_cross_submodular,
@@ -88,9 +88,7 @@ class SuiteConfig:
     def __post_init__(self):
         # Counts below these floors would give a verdict without the work.
         for name, floor in (("samples", 1), ("jobs", 1), ("trials", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < floor:
-                raise ValueError(f"{name} must be an int >= {floor}, got {value!r}")
+            _require_int(name, getattr(self, name), floor)
 
     @classmethod
     def from_dict(cls, d):
@@ -397,7 +395,7 @@ class FalsifyOutcome:
     trials: int
     singles_passed: int = 0
     counterexamples: list = field(default_factory=list)
-    near_misses: list = field(default_factory=list)  # (margin, trial, kind)
+    near_misses: list = field(default_factory=list)  # (margin 0, trial, kind)
     kinds: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -447,10 +445,20 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     ``random.Random(seed ^ t)``. Tables are drawn in chunks of
     ``_FALSIFY_CHUNK`` and decided in bulk (``exchange._bulk_decide``),
     which takes them all: every table drawn is an int table of n <= 5 with
-    a nonempty domain and single- or double-digit values."""
-    for name, value in (("trials", trials), ("keep_near", keep_near)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    a nonempty domain and single- or double-digit values.
+
+    ``near_misses`` lists the first ``keep_near`` passing trials as
+    (margin, trial, kind). The margin, the least slack best - f(X) - f(Y)
+    over the bounded triples, is 0 on every table that passes: a triple
+    with I = {} has the one move J = {}, so best = f(X) + f(Y). It stays
+    in the output so that the output bytes stay the same.
+
+    The default ``n_range`` (2, 5) is not ``SuiteConfig.n_range`` (3, 8),
+    which ``mconcave falsify`` passes, so a library call and the CLI run
+    different campaigns for one seed; golden hashes and the benchmark's
+    reference digests pin both defaults."""
+    _require_int("trials", trials, 0)
+    _require_int("keep_near", keep_near, 0)
     n_lo = max(1, n_range[0])
     n_hi = min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
@@ -461,22 +469,20 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
         drawn = [_falsify_table(t, seed, bases, n_lo, n_hi)
                  for t in range(start, min(start + _FALSIFY_CHUNK, trials))]
         verdicts = _bulk_decide([f for f, _ in drawn])
-        for t, (f, kind), (passed, margin) in zip(range(start, trials), drawn, verdicts):
+        for t, (f, kind), (passed, holds) in zip(range(start, trials), drawn, verdicts):
             out.kinds[kind] = out.kinds.get(kind, 0) + 1
             if not passed:
                 continue
             out.singles_passed += 1
-            if margin is None:
+            if not holds:
                 out.counterexamples.append({
                     "trial": t,
                     "kind": kind,
                     "n": f.n,
                     "values": [None if v is NEG_INF else v for v in f.values],
                 })
-            else:
-                out.near_misses.append((margin, t, kind))
-        out.near_misses.sort()
-        del out.near_misses[keep_near:]
+            elif len(out.near_misses) < keep_near:
+                out.near_misses.append((0, t, kind))
     return out
 
 

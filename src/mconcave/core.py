@@ -124,6 +124,12 @@ def leq_for(mode):
     return leq
 
 
+def _require_int(name, value, floor):
+    """The count rule: an int (not a bool) >= floor, else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+        raise ValueError(f"{name} must be an int >= {floor}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Bitmask helpers. Subsets cross the public API as iterables of elements
 # (1-based); everything internal is a bitmask with bit j-1 <-> element j.
@@ -403,8 +409,7 @@ def tilt(f, p):
 
 def restrict_by_size(f, k):
     """Force every subset larger than k to NEG_INF (size-cap penalty)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"size cap must be a nonnegative int, got {k!r}")
+    _require_int("size cap", k, 0)
     vals = [v if m.bit_count() <= k else NEG_INF for m, v in enumerate(f.values)]
     return SetFn(f.n, vals, f.mode)
 

@@ -2,13 +2,12 @@
 submodularity checks, the restricted functions induced by an exchange
 context, and exact integer Fenchel-gap certification.
 
-``conjugate`` is the scalar route, used for caller-supplied grids and as
-the tests' oracle. Box sweeps, sampled pairs, the Lemma 6 bound and the
-Fenchel dual use one batched kernel, ``vals - P @ ind`` over the
-effective domain, which returns every size cap in one pass. It is
-exact: int64 while max|f| + n*max|p| < 2^61 (a slack summing two
-conjugates cannot wrap), Python numbers (``dtype=object``) above that
-bound.
+``conjugate`` is the scalar route and the tests' oracle. Box sweeps,
+sampled pairs and the Fenchel dual use one batched kernel,
+``vals - P @ ind`` over the effective domain, which returns every size
+cap in one pass. It is exact: int64 while max|f| + n*max|p| < 2^61 (a
+slack summing two conjugates cannot wrap), Python numbers
+(``dtype=object``) above that bound.
 
 The Fenchel dual phi(q) = g1(q) + g2(-q) is minimized in int mode by
 steepest descent from q = 0 under the moves q +- chi_S, S nonempty,
@@ -33,7 +32,6 @@ stream order. The samples, and so the reports, are those of the scalar
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -44,9 +42,9 @@ from .core import (
     PriceVector,
     SetFn,
     _Replay,
+    _require_int,
     elements_of,
     ext_add,
-    leq_for,
     max_over,
     price_sums,
     restrict_by_size,
@@ -55,8 +53,7 @@ from .core import (
 from .exchange import (
     DEFAULT_SAMPLES,
     ExchangeContext,
-    _ext_or_none,
-    _require_samples,
+    _require_nonempty_dom,
     check_exc_single,
 )
 from .reporting import failed_report, passed_report
@@ -83,8 +80,7 @@ class ConjugateEval:
 
 def conjugate(f, p):
     """Exact maximum of f(Z) - p(Z) over all 2^n subsets."""
-    if not f.dom_masks:
-        raise ValueError("the effective domain is empty")
+    _require_nonempty_dom(f)
     if p.n != f.n:
         raise ValueError(f"price vector has {p.n} entries, function has n={f.n}")
     sums = price_sums(p.entries, f.n)
@@ -106,11 +102,6 @@ def conjugate_sized(f, k, p):
     if not capped.dom_masks:
         raise ValueError(f"no feasible subset of size <= {k}")
     return conjugate(capped, p)
-
-
-def integer_grid(n, lo=-3, hi=3):
-    """All integer price vectors in [lo, hi]^n, lexicographic order."""
-    return tuple(PriceVector(q) for q in product(range(lo, hi + 1), repeat=n))
 
 
 def _feasible_caps(f):
@@ -285,79 +276,37 @@ def _price_run(n, lo, hi):
     return 2 * n, width, width.bit_length()
 
 
-def _explicit_pairs_check(f, grid_vectors, checker):
-    """Generic path for caller-supplied grids (joins/meets may leave the
-    grid, so conjugates are memoized per price vector)."""
-    memo = {}
-
-    def g(p, k=None):
-        key = (p.entries, k)
-        if key not in memo:
-            memo[key] = (conjugate(f, p) if k is None else conjugate_sized(f, k, p)).value
-        return memo[key]
-
-    return checker(g)
-
-
-def _box_or_sample_policy(f, grid, box):
-    # The box sweep compares exactly, so real-mode default grids fall
-    # through to the tolerance-aware sampled path. A sampled draw takes
-    # one 32-bit word per try, so a box side holds fewer than 2^32 values.
+def _box_or_sample_policy(f, box, samples):
+    """"box" or "sampled" for the grid checks of f on ``box``, after
+    checking ``samples`` and ``box``, which every regime does."""
+    _require_int("samples", samples, 1)
+    # The box sweep compares exactly, so real mode falls through to the
+    # tolerance-aware sampled path. A sampled draw takes one 32-bit word
+    # per try, so a box side holds fewer than 2^32 values.
     if not (isinstance(box, (tuple, list)) and len(box) == 2
             and all(isinstance(v, int) and not isinstance(v, bool) for v in box)
             and 0 <= box[1] - box[0] < (1 << 32) - 1):
         raise ValueError(f"box must be a pair of ints lo <= hi with hi - lo < 2^32 - 1, "
                          f"got {box!r}")
     lo, hi = box
-    if grid is not None:
-        return "explicit", None
-    npoints = (hi - lo + 1) ** f.n
-    if f.mode == "int" and npoints <= EXHAUSTIVE_GRID_LIMIT:
-        return "box", (lo, hi)
-    return "sampled", (lo, hi)
+    if f.mode == "int" and (hi - lo + 1) ** f.n <= EXHAUSTIVE_GRID_LIMIT:
+        return "box"
+    return "sampled"
 
 
-def check_conjugate_submodular(f, grid=None, *, box=DEFAULT_BOX, seed=0,
-                               samples=DEFAULT_SAMPLES, instance_id=""):
-    """Submodularity of the conjugate on a price grid, both for the plain
-    conjugate and for every feasible size cap.
+def check_conjugate_submodular(f, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
+                               instance_id=""):
+    """Submodularity of the conjugate on the integer box, both for the
+    plain conjugate and for every feasible size cap.
 
-    With ``grid=None`` the integer box is swept exhaustively when small
-    enough, otherwise ``samples`` seeded pairs are drawn (the size cap is
-    sampled alongside the pair).
+    The box is swept exhaustively when small enough, otherwise
+    ``samples`` seeded pairs are drawn (the size cap is sampled alongside
+    the pair).
     """
-    if not f.dom_masks:
-        raise ValueError("the effective domain is empty")
-    _require_samples(samples)
-    leq = leq_for(f.mode)
+    _require_nonempty_dom(f)
+    kind = _box_or_sample_policy(f, box, samples)
     caps = list(_feasible_caps(f))
-    kind, lohi = _box_or_sample_policy(f, grid, box)
-
-    if kind == "explicit":
-        vectors = list(grid)
-        checked = 0
-        for k, tag in [(None, "submodular")] + [(k, "submodular_sized") for k in caps]:
-            def run(g):
-                nonlocal checked
-                for a in range(len(vectors)):
-                    for b in range(a, len(vectors)):
-                        p, q = vectors[a], vectors[b]
-                        checked += 1
-                        lhs = g(p.join(q), k) + g(p.meet(q), k)
-                        if not leq(lhs, g(p, k) + g(q, k)):
-                            counter = {"inequality": tag, "p": list(p.entries),
-                                       "q": list(q.entries)}
-                            if k is not None:
-                                counter["k"] = k
-                            return counter
-                return None
-            counter = _explicit_pairs_check(f, vectors, run)
-            if counter:
-                return failed_report("duality_grid", instance_id, counter,
-                                     triples=checked)
-        return passed_report("duality_grid", instance_id, triples=checked)
-
-    lo, hi = lohi
+    lo, hi = box
     if kind == "box":
         checks = [("submodular", _SUBMODULAR, None)]
         checks += [("submodular_sized", _SUBMODULAR, k) for k in caps]
@@ -377,38 +326,15 @@ def check_conjugate_submodular(f, grid=None, *, box=DEFAULT_BOX, seed=0,
     return _sampled_report(f, samples, caps, draw, tests, seed, instance_id, per_sample=2)
 
 
-def check_cross_submodular(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
-                           samples=DEFAULT_SAMPLES, instance_id=""):
+def check_cross_submodular(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
+                           instance_id=""):
     """Mixed submodularity between the size-capped and plain conjugates:
-    sized(p) + plain(q) >= sized(p ^ q) + plain(p v q) over grid pairs."""
-    if not f.dom_masks:
-        raise ValueError("the effective domain is empty")
+    sized(p) + plain(q) >= sized(p ^ q) + plain(p v q) over box pairs."""
+    _require_nonempty_dom(f)
     if not restrict_by_size(f, k).dom_masks:
         raise ValueError(f"no feasible subset of size <= {k}")
-    _require_samples(samples)
-    leq = leq_for(f.mode)
-    kind, lohi = _box_or_sample_policy(f, grid, box)
-
-    if kind == "explicit":
-        vectors = list(grid)
-        fk = restrict_by_size(f, k)
-        checked = 0
-        counter = None
-        for p in vectors:
-            for q in vectors:
-                checked += 1
-                lhs = conjugate(fk, p.meet(q)).value + conjugate(f, p.join(q)).value
-                if not leq(lhs, conjugate(fk, p).value + conjugate(f, q).value):
-                    counter = {"inequality": "cross_submodular", "k": k,
-                               "p": list(p.entries), "q": list(q.entries)}
-                    break
-            if counter:
-                break
-        if counter:
-            return failed_report("duality_grid", instance_id, counter, triples=checked)
-        return passed_report("duality_grid", instance_id, triples=checked)
-
-    lo, hi = lohi
+    kind = _box_or_sample_policy(f, box, samples)
+    lo, hi = box
     if kind == "box":
         return _box_report(f, lo, hi, [("cross_submodular", _CROSS, k)], instance_id)
 
@@ -424,37 +350,15 @@ def check_cross_submodular(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
     return _sampled_report(f, samples, [k], draw, tests, seed, instance_id)
 
 
-def check_strong_quotient(f, k, grid=None, *, box=DEFAULT_BOX, seed=0,
-                          samples=DEFAULT_SAMPLES, instance_id=""):
+def check_strong_quotient(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
+                          instance_id=""):
     """Monotone quotient relation on comparable pairs p >= q:
     sized(p) - sized(q) >= plain(p) - plain(q)."""
-    if not f.dom_masks:
-        raise ValueError("the effective domain is empty")
+    _require_nonempty_dom(f)
     if not restrict_by_size(f, k).dom_masks:
         raise ValueError(f"no feasible subset of size <= {k}")
-    _require_samples(samples)
-    leq = leq_for(f.mode)
-    kind, lohi = _box_or_sample_policy(f, grid, box)
-
-    if kind == "explicit":
-        vectors = list(grid)
-        fk = restrict_by_size(f, k)
-        checked = 0
-        for p in vectors:
-            for q in vectors:
-                if not p.dominates(q):
-                    continue
-                checked += 1
-                lhs = conjugate(f, p).value - conjugate(f, q).value
-                rhs = conjugate(fk, p).value - conjugate(fk, q).value
-                if not leq(lhs, rhs):
-                    counter = {"inequality": "strong_quotient", "k": k,
-                               "p": list(p.entries), "q": list(q.entries)}
-                    return failed_report("duality_grid", instance_id, counter,
-                                         triples=checked)
-        return passed_report("duality_grid", instance_id, triples=checked)
-
-    lo, hi = lohi
+    kind = _box_or_sample_policy(f, box, samples)
+    lo, hi = box
     if kind == "box":
         return _box_report(f, lo, hi, [("strong_quotient", _QUOTIENT, k)], instance_id)
 
@@ -674,10 +578,10 @@ def fenchel_gap(f1, f2, box=None):
         raise ValueError(f"ground sets differ: {f1.n} vs {f2.n}")
     if f1.mode != f2.mode:
         raise ValueError(f"mode mismatch: {f1.mode!r} vs {f2.mode!r}")
-    if not f1.dom_masks or not f2.dom_masks:
-        raise ValueError("the effective domain is empty")
-    if box is not None and (not isinstance(box, int) or isinstance(box, bool) or box < 0):
-        raise ValueError(f"box must be an int >= 0, got {box!r}")
+    _require_nonempty_dom(f1)
+    _require_nonempty_dom(f2)
+    if box is not None:
+        _require_int("box", box, 0)
     n = f1.n
     mode = f1.mode
     primal = _primal(f1, f2)
@@ -745,34 +649,3 @@ def _scan_dual(f1, f2, box):
         attaining = PriceVector(tuple(int(x) for x in best_q)) if exact and gap == 0 else None
         certified = exact and gap == 0
     return FenchelResult(primal, dual, gap, attaining, box, boundary, certified, mode)
-
-
-def check_lemma6_bound(f, ctx, *, box=3, samples=DEFAULT_SAMPLES, seed=0,
-                       instance_id=""):
-    """For the restricted pair of an exchange context, every integer q in
-    the box satisfies sized_x_conj(q) + y_conj(-q) >= f(X) + f(Y)."""
-    triple = build_restrictions(f, ctx)
-    target = f.values[ctx.x_mask] + f.values[ctx.y_mask]
-    m = triple.y_side.n
-    exhaustive = (2 * box + 1) ** m <= 100_000
-    if exhaustive:
-        qs = _box_points(m, -box, box)
-    else:
-        rng = random.Random(seed)
-        qs = np.array([[rng.randint(-box, box) for _ in range(m)] for _ in range(samples)],
-                      dtype=np.int64).reshape(-1, m)
-    regime = {"regime": "exhaustive" if exhaustive else "sampled",
-              "seed": None if exhaustive else seed}
-    x_conj, y_conj = _Conjugates(triple.x_side_sized), _Conjugates(triple.y_side)
-    for start in range(0, len(qs), _CHUNK):
-        chunk = qs[start:start + _CHUNK]
-        lhs = x_conj.plain(chunk) + y_conj.plain(-chunk)
-        bad = np.flatnonzero(~np.asarray(_holds(target, lhs, f.mode), dtype=bool))
-        if len(bad):
-            i = int(bad[0])
-            value = lhs[i].item() if isinstance(lhs[i], np.generic) else lhs[i]
-            counter = {"q": chunk[i].tolist(), "bound": _ext_or_none(target), "value": value,
-                       "X": list(ctx.X), "Y": list(ctx.Y), "I": list(ctx.I)}
-            return failed_report("lemma6_bound", instance_id, counter,
-                                 triples=start + i + 1, **regime)
-    return passed_report("lemma6_bound", instance_id, triples=len(qs), **regime)

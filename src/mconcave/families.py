@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import NEG_INF, PriceVector, SetFn, elements_of, mask_of
+from .core import NEG_INF, PriceVector, SetFn, _require_int, elements_of, mask_of
 
 
 class Matroid:
@@ -82,7 +82,9 @@ class Matroid:
 
 def uniform_matroid(n, r):
     """U(r, n): every set of size at most r is independent."""
-    if not 0 <= r <= n:
+    _require_int("n", n, 0)
+    _require_int("rank", r, 0)
+    if r > n:
         raise ValueError(f"rank {r} outside 0..{n}")
     table = [min(m.bit_count(), r) for m in range(1 << n)]
     return Matroid(n, "uniform", {"n": n, "r": r}, table)
@@ -102,8 +104,7 @@ def partition_matroid(blocks, caps):
     if seen != set(range(1, n + 1)):
         raise ValueError("blocks must partition 1..n with consecutive elements")
     for c in caps:
-        if not isinstance(c, int) or c < 0:
-            raise ValueError(f"cap {c!r} must be a nonnegative int")
+        _require_int("cap", c, 0)
     block_masks = [mask_of(b, n) for b in blocks]
     table = [
         sum(min((m & bm).bit_count(), c) for bm, c in zip(block_masks, caps))
@@ -116,6 +117,7 @@ def partition_matroid(blocks, caps):
 def graphic_matroid(num_vertices, edges):
     """Ground set = edge list (parallel edges allowed) on <= 6 vertices;
     rank of an edge subset is its spanning-forest size."""
+    _require_int("num_vertices", num_vertices, 0)
     if num_vertices > 6:
         raise ValueError("graphic matroids are kept to <= 6 vertices")
     n = len(edges)
@@ -267,8 +269,7 @@ def mutate(f, seed, magnitude, toggle_neg_inf=False):
     """
     if f.mode != "int":
         raise ValueError("mutation is defined for int-mode functions")
-    if not isinstance(magnitude, int) or magnitude < 0:
-        raise ValueError(f"magnitude must be a nonnegative int, got {magnitude!r}")
+    _require_int("magnitude", magnitude, 0)
     rng = random.Random(seed)
     vals = list(f.values)
     if toggle_neg_inf:

@@ -50,14 +50,12 @@ def test_criterion_1_bounded_multi_exchange(corpus):
     failures = []
     for idx, inst in enumerate(corpus):
         assert inst.fn.mode == "int"
+        rep = check_exc_multi(inst.fn, bounded=True, samples=SAMPLES, seed=idx,
+                              instance_id=inst.instance_id)
         if inst.fn.n <= 7:
-            rep = check_exc_multi(inst.fn, bounded=True, regime="exhaustive",
-                                  instance_id=inst.instance_id)
+            assert rep.regime == "exhaustive"
         else:
-            rep = check_exc_multi(inst.fn, bounded=True, regime="sampled",
-                                  samples=SAMPLES, seed=idx,
-                                  instance_id=inst.instance_id)
-            assert rep.triples_checked >= SAMPLES
+            assert rep.regime == "sampled" and rep.triples_checked >= SAMPLES
         if not rep.passed:
             failures.append((inst.instance_id, rep.counterexample))
     elapsed = time.monotonic() - t0
@@ -76,8 +74,8 @@ def test_criterion_2_checker_agreement():
         f = random_table(n, seed=rng.randrange(1 << 32), lo=-5, hi=5,
                          neg_inf_prob=0.2)
         v1 = check_exc_single(f).verdict
-        v2 = check_exc_multi(f, bounded=False, regime="exhaustive").verdict
-        v3 = check_exc_multi(f, bounded=True, regime="exhaustive").verdict
+        v2 = check_exc_multi(f, bounded=False).verdict
+        v3 = check_exc_multi(f, bounded=True).verdict
         if not v1 == v2 == v3:
             disagreements.append((i, v1, v2, v3))
     _verdict("criterion 2: three-checker agreement on 1000 arbitrary tables",

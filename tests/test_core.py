@@ -3,23 +3,32 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mconcave
 from mconcave import (
     HARD_CAP,
     NEG_INF,
     FormatError,
     PriceVector,
     SetFn,
+    check_conjugate_submodular,
+    check_exc_multi,
     effective_domain,
     elements_of,
     ext_add,
     ext_leq,
+    fenchel_gap,
+    graphic_matroid,
     load,
     mask_of,
     max_over,
+    mutate,
+    partition_matroid,
     restrict_by_size,
     store,
     tilt,
+    uniform_matroid,
 )
+from mconcave.cli import SuiteConfig, falsify_campaign
 from mconcave.core import price_sums, submasks_ascending, submasks_by_size
 
 ext_values = st.one_of(st.just(NEG_INF), st.integers(-50, 50))
@@ -278,3 +287,40 @@ def test_store_writes_documented_format(tmp_path):
     store(f, path)
     obj = json.loads(path.read_text())
     assert obj == {"n": 1, "mode": "int", "values": [None, 7]}
+
+
+# --- counts and exports -------------------------------------------------------
+
+
+_ZERO2 = SetFn.constant(2, 0)
+COUNT_SITES = {
+    "check_exc_multi samples": lambda v: check_exc_multi(_ZERO2, samples=v),
+    "grid samples": lambda v: check_conjugate_submodular(_ZERO2, samples=v),
+    "SuiteConfig jobs": lambda v: SuiteConfig(jobs=v),
+    "falsify trials": lambda v: falsify_campaign(v, 0),
+    "falsify keep_near": lambda v: falsify_campaign(10, 0, keep_near=v),
+    "fenchel box": lambda v: fenchel_gap(_ZERO2, _ZERO2, box=v),
+    "size cap": lambda v: restrict_by_size(_ZERO2, v),
+    "uniform n": lambda v: uniform_matroid(v, 0),
+    "uniform rank": lambda v: uniform_matroid(3, v),
+    "partition cap": lambda v: partition_matroid([[1, 2]], [v]),
+    "graphic vertices": lambda v: graphic_matroid(v, []),
+    "mutate magnitude": lambda v: mutate(_ZERO2, 0, v),
+}
+
+
+@pytest.mark.parametrize("value", [True, -1])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_counts_refuse_bools_and_negatives(site, value):
+    """One count rule everywhere; uniform_matroid(3, True) used to build a
+    rank table holding True, and mutate(f, s, True) and
+    partition_matroid([[1, 2]], [True]) ran."""
+    with pytest.raises(ValueError, match="must be an int >= "):
+        COUNT_SITES[site](value)
+
+
+def test_every_export_resolves():
+    """A star import fails on a name in ``__all__`` that no longer exists."""
+    namespace = {}
+    exec("from mconcave import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mconcave.__all__)

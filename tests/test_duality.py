@@ -13,7 +13,6 @@ from mconcave import (
     build_restrictions,
     check_conjugate_submodular,
     check_cross_submodular,
-    check_lemma6_bound,
     check_strong_quotient,
     conjugate,
     conjugate_sized,
@@ -21,16 +20,12 @@ from mconcave import (
     ext_add,
     fenchel_gap,
     find_multi_exchange,
-    integer_grid,
     max_over,
-    mutate,
     random_table,
     restrict_by_size,
 )
-from mconcave.core import leq_for
 from mconcave.duality import _empty_restriction
-from mconcave.exchange import DEFAULT_SAMPLES, _ext_or_none
-from mconcave.reporting import failed_report, passed_report
+from test_grid_engine import ref_box_quotient, ref_box_submodular
 
 # --- oracle: conjugate by plain subset enumeration ---------------------------
 
@@ -74,8 +69,8 @@ def test_conjugate_zero_price_is_max():
 
 def test_conjugate_singleton_dom():
     f = SetFn(2, [7, None, None, None])
-    for p in integer_grid(2, -2, 2):
-        assert conjugate(f, p).value == 7
+    for p in product(range(-2, 3), repeat=2):
+        assert conjugate(f, PriceVector(p)).value == 7
 
 
 def test_conjugate_smallest_argmax_tie():
@@ -157,15 +152,16 @@ def test_conjugate_sized_monotone_in_cap(values, p, k):
 
 
 def test_submodular_equal_pair_trivial(rank_u24):
-    p = PriceVector((1, 0, -1, 2))
-    rep = check_conjugate_submodular(rank_u24, grid=[p])
-    assert rep.passed
+    # a one-point box: the pair (p, p) for the plain conjugate and 5 caps
+    rep = check_conjugate_submodular(rank_u24, box=(1, 1))
+    assert rep.passed and rep.triples_checked == 6
 
 
 def test_submodular_small_grid_pass():
     f = SetFn.constant(2, 0)
-    rep = check_conjugate_submodular(f, grid=integer_grid(2, -3, 3))
+    rep = check_conjugate_submodular(f, box=(-3, 3))
     assert rep.passed and rep.triples_checked > 0
+    assert rep == ref_box_submodular(f, -3, 3)
 
 
 def test_submodular_comparable_pair_equality(rank_u24):
@@ -248,8 +244,8 @@ def test_strong_quotient_unit_bump(corpus_by_id):
 
 
 def test_strong_quotient_explicit_grid(rank_u24):
-    rep = check_strong_quotient(rank_u24, 2, grid=integer_grid(4, -1, 1))
-    assert rep.passed
+    rep = check_strong_quotient(rank_u24, 2, box=(-1, 1))
+    assert rep.passed and rep == ref_box_quotient(rank_u24, 2, -1, 1)
 
 
 def test_strong_quotient_sampled(corpus_by_id):
@@ -455,103 +451,13 @@ def test_lemma6_bound_at_zero(corpus_by_id):
     assert lhs >= f([1, 2]) + f([3, 4])
 
 
-def test_lemma6_bound_exhaustive(corpus_by_id):
-    f = corpus_by_id["n5_assignment"].fn
-    ctx = ExchangeContext.make(5, [1, 2], [3, 4, 5], [1, 2])
-    rep = check_lemma6_bound(f, ctx)
-    assert rep.passed and rep.regime == "exhaustive"
-
-
-def test_lemma6_bound_degenerate_context(corpus_by_id):
-    f = corpus_by_id["n4_laminar"].fn
-    ctx = ExchangeContext.make(4, [1, 2], [2], [1])  # Y0 empty
-    rep = check_lemma6_bound(f, ctx)
-    assert rep.passed and rep.triples_checked == 1
-
-
-def _scalar_lemma6(f, ctx, *, box=3, samples=DEFAULT_SAMPLES, seed=0, instance_id=""):
-    """Reference: the scalar loop that ``check_lemma6_bound`` replaced,
-    two ``conjugate`` calls per point."""
-    triple = build_restrictions(f, ctx)
-    target = f.values[ctx.x_mask] + f.values[ctx.y_mask]
-    m = triple.y_side.n
-    leq = leq_for(f.mode)
-    exhaustive = (2 * box + 1) ** m <= 100_000
-    rng = random.Random(seed)
-    regime = {"regime": "exhaustive" if exhaustive else "sampled",
-              "seed": None if exhaustive else seed}
-
-    def qs():
-        if exhaustive:
-            yield from product(range(-box, box + 1), repeat=m)
-        else:
-            for _ in range(samples):
-                yield tuple(rng.randint(-box, box) for _ in range(m))
-
-    checked = 0
-    for q in qs():
-        qv = PriceVector(q)
-        checked += 1
-        lhs = conjugate(triple.x_side_sized, qv).value + conjugate(triple.y_side, -qv).value
-        if not leq(target, lhs):
-            counter = {"q": list(q), "bound": _ext_or_none(target), "value": lhs,
-                       "X": list(ctx.X), "Y": list(ctx.Y), "I": list(ctx.I)}
-            return failed_report("lemma6_bound", instance_id, counter,
-                                 triples=checked, **regime)
-    return passed_report("lemma6_bound", instance_id, triples=checked, **regime)
-
-
-def _lemma6_contexts(f, rng, count):
-    """Seeded contexts with X, Y in the domain and nonempty restrictions."""
-    out = []
-    for _ in range(count):
-        xm, ym = rng.choice(f.dom_masks), rng.choice(f.dom_masks)
-        ctx = ExchangeContext(f.n, xm, ym, rng.randrange(1 << f.n) & xm & ~ym)
-        try:
-            build_restrictions(f, ctx)
-        except Falsification:
-            continue
-        out.append(ctx)
-    return out
-
-
-def test_lemma6_bound_matches_scalar_loop(corpus):
-    """Batched against scalar on corpus contexts, mutated copies and
-    random tables (for FAIL reports) and real-mode copies, in both
-    regimes (box 200 is sampled once |Y \\ X| >= 2)."""
-    rng = random.Random(0)
-    tables = []
-    for inst in corpus:
-        if inst.fn.n <= 5:
-            f = inst.fn
-            tables += [f, mutate(f, rng.randrange(2**32), 2),
-                       SetFn(f.n, [v if v is NEG_INF else v / 3 for v in f.values], "real")]
-    tables += [random_table(n, seed) for n in (3, 4, 5) for seed in range(6)]
-    cases = [(g, ctx, kw) for g in tables for ctx in _lemma6_contexts(g, rng, 3)
-             for kw in ({"box": 3 if g.n <= 4 else 1}, {"box": 200, "samples": 300, "seed": 7})]
-    # |Y \ X| = 6 makes box 3 sampled; seed 5 fails there.
-    wide = ExchangeContext.make(7, [1], [2, 3, 4, 5, 6, 7], [1])
-    cases += [(random_table(7, seed, neg_inf_prob=0), wide, {"samples": 300, "seed": 7})
-              for seed in range(8)]
-    seen = set()
-    for g, ctx, kw in cases:
-        rep = check_lemma6_bound(g, ctx, instance_id="t", **kw)
-        assert rep.to_json_line() == _scalar_lemma6(g, ctx, instance_id="t", **kw).to_json_line()
-        seen.add((g.mode, rep.regime, rep.passed))
-        if not rep.passed:
-            assert type(rep.counterexample["value"]) is (int if g.mode == "int" else float)
-    assert {("int", "exhaustive", False), ("int", "sampled", False),
-            ("real", "sampled", True)} <= seen
-
-
 # --- exact arithmetic above int64 ----------------------------------------------
 
 
 def test_grid_check_exact_above_int64():
     f = SetFn(2, [0, 2**63, 1, 2])
     rep = check_conjugate_submodular(f)
-    oracle = check_conjugate_submodular(f, grid=integer_grid(2, -3, 3))
-    assert rep == oracle
+    assert rep == ref_box_submodular(f, -3, 3)
 
 
 def test_fenchel_exact_above_int64():

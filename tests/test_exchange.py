@@ -23,6 +23,7 @@ from mconcave import (
     uniform_matroid,
     weighted_basis_valuation,
 )
+from mconcave.exchange import _multi_pass_margin, _sampled_multi
 
 # --- oracles: set-algebra reimplementations, no bitmask tricks ---------------
 
@@ -226,8 +227,8 @@ def test_bounded_weaker_than_unbounded(values, rng):
 
 def test_check_exc_multi_passes_corpus_sample(corpus_by_id):
     for iid in ("n4_uniform_r2", "n5_laminar", "n6_wbasis_k4", "n4_assignment"):
-        rep = check_exc_multi(corpus_by_id[iid].fn, bounded=True, regime="exhaustive")
-        assert rep.passed, iid
+        rep = check_exc_multi(corpus_by_id[iid].fn, bounded=True)
+        assert rep.passed and rep.regime == "exhaustive", iid
         assert sum(rep.witness_histogram.values()) == rep.triples_checked
 
 
@@ -245,19 +246,26 @@ def test_check_exc_multi_fails_mutant_both_flags(rank_u24):
 
 def test_check_exc_multi_sampled_deterministic(corpus_by_id):
     f = corpus_by_id["n8_wbasis_uniform_r4"].fn
-    a = check_exc_multi(f, regime="sampled", samples=500, seed=42)
-    b = check_exc_multi(f, regime="sampled", samples=500, seed=42)
+    a = check_exc_multi(f, samples=500, seed=42)
+    b = check_exc_multi(f, samples=500, seed=42)
     assert a == b
     assert a.regime == "sampled" and a.seed == 42
     assert a.triples_checked == 500
 
 
 def test_check_exc_multi_auto_regime(corpus_by_id):
-    # exhaustive up to n = 7, sampled above
-    rep = check_exc_multi(corpus_by_id["n3_uniform_r1"].fn)
-    assert rep.regime == "exhaustive"
-    rep = check_exc_multi(corpus_by_id["n8_wbasis_partition"].fn, samples=50, seed=3)
-    assert rep.regime == "sampled" and rep.seed == 3 and rep.triples_checked == 50
+    # exhaustive up to n = EXHAUSTIVE_N_LIMIT = 7, sampled above
+    f = corpus_by_id["n3_uniform_r1"].fn
+    rep = check_exc_multi(f, samples=7, seed=5)
+    failing, counts, triples = _multi_pass_margin(f)
+    assert rep.regime == "exhaustive" and rep.seed is None
+    assert rep.passed and failing is None and rep.triples_checked == triples == sum(counts)
+    f = corpus_by_id["n8_wbasis_partition"].fn
+    rep = check_exc_multi(f, samples=50, seed=3)
+    failing, counts, triples = _sampled_multi(f, True, 50, 3)
+    assert rep.regime == "sampled" and rep.seed == 3 and rep.triples_checked == triples == 50
+    assert rep.passed and failing is None
+    assert rep.witness_histogram == {k: c for k, c in enumerate(counts) if c}
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,7 +487,12 @@ def test_exchange_context_consistency(xm, ym, rng):
 
 @pytest.mark.parametrize("regime", [None, "exhaustive", "sampled"])
 @pytest.mark.parametrize("samples", [0, -5, True, 2.5])
-def test_exc_multi_refuses_samples_below_one(rank_u24, regime, samples):
-    """``samples=0`` used to PASS sampled with no triple checked."""
+def test_exc_multi_refuses_samples_below_one(rank_u24, corpus_by_id, regime, samples):
+    """``samples=0`` used to PASS sampled with no triple checked. The
+    regime follows n: ``rank_u24`` (None) and n = 7 run exhaustively,
+    n = 8 sampled; the count is refused in both."""
+    f = {None: rank_u24, "exhaustive": corpus_by_id["n7_wbasis_partition"].fn,
+         "sampled": corpus_by_id["n8_wbasis_partition"].fn}[regime]
+    assert f.n == {None: 4, "exhaustive": 7, "sampled": 8}[regime]
     with pytest.raises(ValueError, match="samples must be an int >= 1"):
-        check_exc_multi(rank_u24, regime=regime, samples=samples)
+        check_exc_multi(f, samples=samples)

@@ -1,9 +1,11 @@
 """The bulk falsification decider against the per-table checkers, its
 oracle, and whole campaigns against the per-trial loop they replace.
 
-The gate and the margin kernel are compared on ungated tables, so the
-kernel's FAIL path (a triple with no move as good as f(X) + f(Y)) is
-covered although no gated table ever reaches it.
+The gate and the multiple-exchange kernel are compared on ungated
+tables, so the kernel's FAIL path (a triple with no move as good as
+f(X) + f(Y)) is covered although no gated table ever reaches it. The
+per-trial loop computes each passing table's margin itself and asserts
+that it is 0, the constant the campaign writes.
 """
 
 import hashlib
@@ -16,15 +18,31 @@ import pytest
 from mconcave import NEG_INF, SetFn, check_exc_single, default_corpus, mutate, random_table
 from mconcave import cli, exchange
 from mconcave.cli import MASK64, FalsifyOutcome, falsify_campaign
-from mconcave.exchange import _multi_pass_margin
+from mconcave.core import submasks_ascending
+from mconcave.exchange import _best_multi, _multi_pass_margin
+
+
+def margin(f):
+    """The least best - f(X) - f(Y) over the bounded triples (X, Y, I),
+    X and Y in the domain, by ``_best_multi``; None when some triple has
+    no move as good as f(X) + f(Y)."""
+    low = None
+    for xm in f.dom_masks:
+        for ym in f.dom_masks:
+            lhs = f.values[xm] + f.values[ym]
+            for im in submasks_ascending(xm & ~ym):
+                best, _, _ = _best_multi(f.values, xm, ym, im, True)
+                if best is NEG_INF or best < lhs:
+                    return None
+                low = best - lhs if low is None else min(low, best - lhs)
+    return low
 
 
 def oracle(f):
-    """(passed, margin) as the campaign's per-table loop decided them."""
+    """(passed, holds) as the campaign's per-table loop decided them."""
     if not check_exc_single(f).passed:
         return False, None
-    failing, _, _, margin = _multi_pass_margin(f, bounded=True)
-    return True, None if failing is not None else margin
+    return True, _multi_pass_margin(f, bounded=True)[0] is None
 
 
 def bulk_rows(tables):
@@ -77,13 +95,15 @@ def test_gate_matches_check_exc_single():
 
 
 def test_margins_match_multi_pass_margin():
+    """The bulk verdict against ``_multi_pass_margin``'s, FAILs included;
+    the margin of every table that holds is 0."""
     fails = 0
     for n, tables in by_n(ungated_tables()):
-        got = exchange._bulk_margins(bulk_rows(tables), *exchange._bulk_index(n)[:3])
-        for f, margin in zip(tables, got):
-            failing, _, _, want = _multi_pass_margin(f, bounded=True)
-            assert margin == (None if failing is not None else want), f
-            assert margin is None or type(margin) is int
+        got = exchange._bulk_multi(bulk_rows(tables), *exchange._bulk_index(n)[:3]).tolist()
+        for f, holds in zip(tables, got):
+            failing = _multi_pass_margin(f, bounded=True)[0]
+            assert holds == (failing is None), f
+            assert margin(f) == (0 if holds else None), f
             fails += failing is not None
     assert fails > 100
 
@@ -149,13 +169,14 @@ def per_trial_campaign(trials, seed, n_range=(2, 5), keep_near=5):
         if not check_exc_single(f).passed:
             continue
         out.singles_passed += 1
-        failing, _, _, margin = _multi_pass_margin(f, bounded=True)
-        if failing is not None:
+        low = margin(f)
+        if low is None:
             out.counterexamples.append({"trial": t, "kind": kind, "n": f.n,
                                         "values": [None if v is NEG_INF else v
                                                    for v in f.values]})
         else:
-            out.near_misses.append((margin, t, kind))
+            assert low == 0, (t, f)
+            out.near_misses.append((low, t, kind))
             out.near_misses.sort()
             del out.near_misses[keep_near:]
     return out

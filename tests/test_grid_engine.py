@@ -1,15 +1,16 @@
 """The batched grid-inequality engine against slow references.
 
-Box regime: the scalar explicit-grid path on the same integer box visits
-pairs in the same order, so verdict and counterexample agree; on PASS
-the whole report does. (A box FAIL counts its whole failing row, the
-explicit path stops at the failing pair.)
+Box regime: a copy, kept here, of the scalar pair loops over the same
+integer box visits pairs in the same order, so verdict and
+counterexample agree; on PASS the whole report does. (A box FAIL counts
+its whole failing row, the loops stop at the failing pair.)
 
 Sampled regime: a copy, kept here, of the scalar sampled loops the
 engine replaced; every report must be byte-identical.
 """
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from mconcave import (
     conjugate,
     conjugate_sized,
     default_corpus,
-    integer_grid,
     mutate,
     random_table,
     restrict_by_size,
@@ -110,6 +110,81 @@ def ref_quotient(f, k, lo, hi, seed, samples, instance_id):
     return _sampled(None, checked, seed, instance_id)
 
 
+# --- reference: the scalar box loops ----------------------------------------------
+
+
+def _box_vectors(n, lo, hi):
+    """Every integer price vector of [lo, hi]^n, in lexicographic order."""
+    return [PriceVector(q) for q in product(range(lo, hi + 1), repeat=n)]
+
+
+def _memo_conjugate(f):
+    """g(p, k): the conjugate of f with size cap k (None: no cap), memoized."""
+    memo = {}
+
+    def g(p, k=None):
+        key = (p.entries, k)
+        if key not in memo:
+            memo[key] = (conjugate(f, p) if k is None else conjugate_sized(f, k, p)).value
+        return memo[key]
+    return g
+
+
+def _boxed(counter, checked, instance_id):
+    if counter:
+        return failed_report("duality_grid", instance_id, counter, triples=checked)
+    return passed_report("duality_grid", instance_id, triples=checked)
+
+
+def ref_box_submodular(f, lo, hi, instance_id=""):
+    """Pairs p before-or-equal q in box order, for the plain conjugate and
+    then for each feasible size cap."""
+    leq, g = leq_for(f.mode), _memo_conjugate(f)
+    vectors = _box_vectors(f.n, lo, hi)
+    checked = 0
+    for k in [None] + list(_feasible_caps(f)):
+        for a, p in enumerate(vectors):
+            for q in vectors[a:]:
+                checked += 1
+                if not leq(g(p.join(q), k) + g(p.meet(q), k), g(p, k) + g(q, k)):
+                    counter = {"inequality": "submodular" if k is None else "submodular_sized",
+                               "p": list(p.entries), "q": list(q.entries)}
+                    if k is not None:
+                        counter["k"] = k
+                    return _boxed(counter, checked, instance_id)
+    return _boxed(None, checked, instance_id)
+
+
+def ref_box_cross(f, k, lo, hi, instance_id=""):
+    leq, g = leq_for(f.mode), _memo_conjugate(f)
+    vectors = _box_vectors(f.n, lo, hi)
+    checked = 0
+    for p in vectors:
+        for q in vectors:
+            checked += 1
+            if not leq(g(p.meet(q), k) + g(p.join(q)), g(p, k) + g(q)):
+                counter = {"inequality": "cross_submodular", "k": k,
+                           "p": list(p.entries), "q": list(q.entries)}
+                return _boxed(counter, checked, instance_id)
+    return _boxed(None, checked, instance_id)
+
+
+def ref_box_quotient(f, k, lo, hi, instance_id=""):
+    leq, g = leq_for(f.mode), _memo_conjugate(f)
+    vectors = _box_vectors(f.n, lo, hi)
+    checked = 0
+    for p in vectors:
+        for q in vectors:
+            if not p.dominates(q):
+                continue
+            checked += 1
+            if not leq(g(p) - g(q), g(p, k) - g(q, k)):
+                counter = {"inequality": "strong_quotient", "k": k,
+                           "p": list(p.entries), "q": list(q.entries)}
+                return _boxed(counter, checked, instance_id)
+    return _boxed(None, checked, instance_id)
+
+
 # --- inputs ---------------------------------------------------------------------
 
 
@@ -132,33 +207,36 @@ def _inputs(max_n):
     return out
 
 
-def _run_all(f, box, seed, samples, instance_id, grid=None):
+def _run_all(f, box, seed, samples, instance_id):
     caps = list(_feasible_caps(f))
-    reports = [check_conjugate_submodular(f, grid, box=box, seed=seed, samples=samples,
+    reports = [check_conjugate_submodular(f, box=box, seed=seed, samples=samples,
                                           instance_id=instance_id)]
     for k in caps + [f.n + 1]:
-        reports.append(check_cross_submodular(f, k, grid, box=box, seed=seed + 1,
+        reports.append(check_cross_submodular(f, k, box=box, seed=seed + 1,
                                               samples=samples, instance_id=instance_id))
-        reports.append(check_strong_quotient(f, k, grid, box=box, seed=seed + 2,
+        reports.append(check_strong_quotient(f, k, box=box, seed=seed + 2,
                                              samples=samples, instance_id=instance_id))
     return reports
 
 
 # Sampled boxes: each has more than 7^4 points at its n, so int mode samples.
 SAMPLED_BOX = {2: (-30, 30), 3: (-7, 7), 4: (-3, 4), 5: (-3, 3)}
-# Boxes small enough for the scalar explicit path to sweep quickly (the
-# default [-3, 3]^n from n = 3 on takes it tens of seconds per table).
+# Boxes small enough for the scalar box loops to sweep quickly.
 EXPLICIT_BOX = {2: (-3, 3), 3: (-1, 2), 4: (-1, 1), 5: (0, 1)}
 
 
-# --- box regime against the explicit grid ----------------------------------------
+# --- box regime against the scalar box loops ---------------------------------------
 
 
 @pytest.mark.parametrize("instance_id, f", _inputs(5))
 def test_box_matches_explicit_grid(instance_id, f):
     box = EXPLICIT_BOX[f.n]
     fast = _run_all(f, box, 0, 10, instance_id)
-    slow = _run_all(f, box, 0, 10, instance_id, grid=integer_grid(f.n, *box))
+    slow = [ref_box_submodular(f, *box, instance_id)]
+    for k in list(_feasible_caps(f)) + [f.n + 1]:
+        slow.append(ref_box_cross(f, k, *box, instance_id))
+        slow.append(ref_box_quotient(f, k, *box, instance_id))
+    assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
         assert a.regime == "exhaustive"
         assert (a.verdict, a.counterexample) == (b.verdict, b.counterexample)
