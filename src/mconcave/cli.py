@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -89,25 +88,43 @@ class SuiteConfig:
         # Counts below these floors would give a verdict without the work.
         for name, floor in (("samples", 1), ("jobs", 1), ("trials", 0)):
             _require_int(name, getattr(self, name), floor)
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not (isinstance(self.n_range, (list, tuple)) and len(self.n_range) == 2
+                and all(map(_is_int, self.n_range))):
+            raise ValueError(f"n_range must be a pair of ints, got {self.n_range!r}")
+        if self.families != "default" and not (
+                isinstance(self.families, (list, tuple))
+                and all(isinstance(spec, dict) for spec in self.families)):
+            raise ValueError(f'families must be "default" or a list of objects, '
+                             f"got {self.families!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
+        object.__setattr__(self, "n_range", tuple(self.n_range))
+        object.__setattr__(self, "suites", _parse_suites(self.suites))
 
     @classmethod
     def from_dict(cls, d):
-        cfg = cls()
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        fixed = dict(d)
-        if "suites" in fixed:
-            fixed["suites"] = _parse_suites(fixed["suites"])
-        if "n_range" in fixed:
-            fixed["n_range"] = tuple(fixed["n_range"])
-        return replace(cfg, **fixed)
+        return cls(**d)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_suites(value):
-    tokens = value.split(",") if isinstance(value, str) else list(value)
-    tokens = [t.strip() for t in tokens if t and t.strip()]
+    """Suite names, from a comma-separated string or a list of strings, in
+    ``ALL_SUITES`` order."""
+    if isinstance(value, str):
+        tokens = value.split(",")
+    elif isinstance(value, (list, tuple)) and all(isinstance(t, str) for t in value):
+        tokens = value
+    else:
+        raise ValueError(f"suites must be a string or a list of strings, got {value!r}")
+    tokens = [t.strip() for t in tokens if t.strip()]
     bad = [t for t in tokens if t not in ALL_SUITES]
     if bad:
         raise ValueError(f"unknown suites {bad}; valid: {', '.join(ALL_SUITES)}")
@@ -335,30 +352,40 @@ def _instance_reports(task):
 
 
 def run_fenchel_pairs(instances, cfg):
-    """Exact duality-gap certification over all same-n corpus pairs with
-    small ground sets; a boundary-flagged result is retried once with a
-    doubled box."""
+    """Fenchel duality over all same-n corpus pairs with small ground
+    sets. The theorem needs M-natural-concave members, so a pair with a
+    member that fails ``check_exc_single`` FAILs on that precondition
+    without a dual. An int pair passes when the descent certifies a zero
+    gap (a certified point is exact wherever it lies, so there is no
+    retry with a larger box), a real pair on weak duality, and a pair
+    with disjoint domains when the descent reaches the box edge."""
     reports = []
-    eligible = [(iid, f) for iid, f in instances if f.n <= FENCHEL_PAIR_N_LIMIT]
+    eligible = [(iid, f, check_exc_single(f).passed)
+                for iid, f in instances if f.n <= FENCHEL_PAIR_N_LIMIT]
     for a in range(len(eligible)):
         for b in range(a, len(eligible)):
-            id1, f1 = eligible[a]
-            id2, f2 = eligible[b]
+            id1, f1, _ = eligible[a]
+            id2, f2, _ = eligible[b]
             if f1.n != f2.n:
                 continue
             pair_id = f"{id1}+{id2}"
+            members = [eligible[a]] if a == b else [eligible[a], eligible[b]]
+            failing = [iid for iid, _, valid in members if not valid]
+            if failing:
+                counter = {"reason": "single-exchange precondition fails",
+                           "instances": failing}
+                reports.append(failed_report("fenchel", pair_id, counter, triples=1))
+                continue
             res = fenchel_gap(f1, f2)
             if res.primal is NEG_INF:
                 # Disjoint effective domains: the dual is unbounded below,
                 # so the boundary hit is the expected diagnostic.
                 ok = res.boundary
             elif res.mode == "int":
-                if res.boundary:
-                    res = fenchel_gap(f1, f2, box=2 * res.box)
-                ok = res.certified and not res.boundary
+                ok = res.certified
             else:
-                # The dual is scanned on integer prices only, so a real
-                # pair may keep a gap: real mode checks weak duality.
+                # The dual is taken on integer prices only, so a real pair
+                # may keep a gap: real mode checks weak duality.
                 ok = leq_for("real")(res.primal, res.dual)
             if ok:
                 reports.append(passed_report("fenchel", pair_id, triples=1))
@@ -575,22 +602,15 @@ def _add_common_flags(sp):
     sp.add_argument("--seed", type=int, help="master seed (64-bit)")
     sp.add_argument("--suites", help="comma-separated suite list")
     sp.add_argument("--out", help="output path (reports or corpus dir)")
-    sp.add_argument("--jobs", type=int, help="worker processes (env DCA_JOBS)")
+    sp.add_argument("--jobs", type=int, help="worker processes")
 
 
 def _config_from_args(args):
     cfg = load_config(args.config) if args.config else SuiteConfig()
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.suites is not None:
-        overrides["suites"] = _parse_suites(args.suites)
-    if args.out is not None:
-        overrides["out"] = args.out
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("DCA_JOBS", "1"))
-    overrides["jobs"] = jobs
+    for name in ("seed", "suites", "out", "jobs"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
     return replace(cfg, **overrides)
 
 

@@ -1,6 +1,6 @@
 """Conjugate evaluation and the duality-side verification path: grid
 submodularity checks, the restricted functions induced by an exchange
-context, and exact integer Fenchel-gap certification.
+context, and the Fenchel dual by steepest descent.
 
 ``conjugate`` is the scalar route and the tests' oracle. Box sweeps,
 sampled pairs and the Fenchel dual use one batched kernel,
@@ -9,15 +9,16 @@ cap in one pass. It is exact: int64 while max|f| + n*max|p| < 2^61 (a
 slack summing two conjugates cannot wrap), Python numbers
 (``dtype=object``) above that bound.
 
-The Fenchel dual phi(q) = g1(q) + g2(-q) is minimized in int mode by
-steepest descent from q = 0 under the moves q +- chi_S, S nonempty,
-inside the box. For M-natural-concave f1 and f2 both conjugates are
-L-natural convex, and so is phi, also restricted to the box; a point no
-move lowers is then a global minimum (Murota, Discrete Convex Analysis,
-2003, ch. 7-8), reached in about ||q*||_inf steps (Kolmogorov and
-Shioura, Discrete Optimization 6, 2009). A point where phi equals the
-primal certifies on any input by weak duality. Other inputs, and real
-mode, scan the whole box shell by shell.
+The Fenchel dual phi(q) = g1(q) + g2(-q) is minimized by steepest
+descent from q = 0 under the moves q +- chi_S, S nonempty, inside the
+box. For M-natural-concave f1 and f2 both conjugates are L-natural
+convex, and so is phi, also restricted to the box; a point no move
+lowers is then a global minimum (Murota, Discrete Convex Analysis, 2003,
+ch. 7-8), reached in about ||q*||_inf steps (Kolmogorov and Shioura,
+Discrete Optimization 6, 2009). A point where phi equals the primal
+certifies on any input by weak duality. Where f1 or f2 is not
+M-natural concave, the end point only bounds the box minimum from
+above; the tests keep a scan of the whole box as the oracle.
 
 The sampled grid regime draws its pairs from ``random.Random(seed)``
 without calling it per value: ``core._Replay`` regenerates the Mersenne
@@ -54,7 +55,6 @@ from .exchange import (
     DEFAULT_SAMPLES,
     ExchangeContext,
     _require_nonempty_dom,
-    check_exc_single,
 )
 from .reporting import failed_report, passed_report
 
@@ -452,11 +452,12 @@ def _empty_restriction(f, xm, ym, im):
 class FenchelResult:
     """Outcome of the primal/dual comparison for a pair of functions.
 
-    gap is dual - primal (None when the primal is NEG_INF); boundary is
-    set when the reported dual point touches the search box. Without a
-    certificate that signals that the box may be too small; a certified
-    result is exact wherever its point lies. ``certified`` means int
-    mode with an exactly attained gap of zero.
+    Either certified (int mode, phi reached the primal exactly at
+    ``attaining_q``) or the descent's end point, uncertified, without
+    ``attaining_q``. gap is dual - primal (None when the primal is
+    NEG_INF); boundary is set when the reported dual point touches the
+    search box. Without a certificate that signals that the box may be
+    too small; a certified result is exact wherever its point lies.
     """
 
     primal: object
@@ -484,28 +485,6 @@ class FenchelResult:
 def _spread(f):
     finite = [f.values[m] for m in f.dom_masks]
     return max(finite) - min(finite)
-
-
-def _shell_points(n, r, cache):
-    """Integer points of the box [-r, r]^n with max-norm exactly r, in
-    lexicographic order."""
-    key = (n, r)
-    if key in cache:
-        return cache[key]
-    if r == 0:
-        pts = np.zeros((1, n), dtype=np.int64)
-    elif n == 1:
-        pts = np.array([[-r], [r]], dtype=np.int64)
-    else:
-        blocks = []
-        for q1 in range(-r, r + 1):
-            inner = _box_points(n - 1, -r, r) if abs(q1) == r \
-                else _shell_points(n - 1, r, cache)
-            col = np.full((len(inner), 1), q1, dtype=np.int64)
-            blocks.append(np.hstack([col, inner]))
-        pts = np.vstack(blocks)
-    cache[key] = pts
-    return pts
 
 
 _CHUNK = 50_000
@@ -549,7 +528,7 @@ def _descend(conj1, conj2, box, target):
         if step is None:
             break
         q = step
-    return tuple(int(x) for x in q), int(value)
+    return tuple(int(x) for x in q), value
 
 
 def fenchel_gap(f1, f2, box=None):
@@ -558,19 +537,18 @@ def fenchel_gap(f1, f2, box=None):
 
     The box defaults to spread(f1) + spread(f2) + 1, which contains an
     attaining point whenever one exists; an explicit ``box`` must be an
-    int >= 0. In int mode a steepest descent from q = 0 runs first (see
-    the module docstring), with three outcomes:
+    int >= 0. A steepest descent from q = 0 (see the module docstring)
+    has two outcomes:
 
-    - phi(q) reaches the primal: certified, with ``attaining_q = q``
-      (weak duality makes this a certificate for any input);
-    - the descent stops short of the primal but f1 and f2 both pass
-      ``check_exc_single``: phi is L-natural convex, so the end point is
-      the box minimum, reported without ``attaining_q``;
-    - otherwise the box is scanned shell by shell outward from the
-      origin, stopping at the first q attaining the primal.
+    - in int mode, phi(q) reaches the primal: certified, with
+      ``attaining_q = q`` (weak duality makes this a certificate for any
+      input);
+    - otherwise the end point, uncertified and without ``attaining_q``:
+      phi there is the box minimum when f1 and f2 are M-natural concave,
+      and an upper bound on it for other inputs. Real mode always ends
+      here, with a float ``dual`` on integer prices: a weak-duality
+      report.
 
-    Real mode always scans, and its result is a weak-duality report only
-    (best dual found on integer prices, no attainment certificate).
     ``boundary`` marks a result point on the box edge: on an uncertified
     result the box may be too small; a certified one is exact anyway.
     """
@@ -582,70 +560,17 @@ def fenchel_gap(f1, f2, box=None):
     _require_nonempty_dom(f2)
     if box is not None:
         _require_int("box", box, 0)
-    n = f1.n
     mode = f1.mode
     primal = _primal(f1, f2)
     if box is None:
         spread_sum = _spread(f1) + _spread(f2)
         box = int(np.ceil(spread_sum)) + 1 if mode == "real" else spread_sum + 1
 
-    if n == 0:
-        dual = f1.values[0] + f2.values[0]
-        gap = None if primal is NEG_INF else dual - primal
-        return FenchelResult(primal, dual, gap, PriceVector(()), box, False,
-                             mode == "int" and gap == 0, mode)
-
-    if mode == "int":
-        target = None if primal is NEG_INF else primal
-        q, dual = _descend(_Conjugates(f1), _Conjugates(f2), box, target)
-        boundary = max(map(abs, q)) == box
-        if dual == target:
-            return FenchelResult(primal, dual, 0, PriceVector(q), box, boundary, True, mode)
-        if check_exc_single(f1).passed and check_exc_single(f2).passed:
-            gap = None if primal is NEG_INF else dual - primal
-            return FenchelResult(primal, dual, gap, None, box, boundary, False, mode)
-    return _scan_dual(f1, f2, box)
-
-
-def _scan_dual(f1, f2, box):
-    """The dual by an outward shell scan of the whole box [-box, box]^n
-    (n >= 1): the fallback of ``fenchel_gap`` and the tests' oracle."""
-    n = f1.n
-    mode = f1.mode
-    exact = mode == "int"
-    primal = _primal(f1, f2)
-    conj1, conj2 = _Conjugates(f1), _Conjugates(f2)
-    cache = {}
-    best = None
-    best_q = None
-    best_shell = None
-    target = primal if (exact and primal is not NEG_INF) else None
-
-    for r in range(box + 1):
-        pts = _shell_points(n, r, cache)
-        for start in range(0, len(pts), _CHUNK):
-            chunk = pts[start:start + _CHUNK]
-            d = conj1.plain(chunk) + conj2.plain(-chunk)
-            if target is not None:
-                hits = np.nonzero(d == target)[0]
-                if len(hits):
-                    q = PriceVector(tuple(int(x) for x in chunk[hits[0]]))
-                    return FenchelResult(primal, target, 0, q, box, r == box,
-                                         True, mode)
-            idx = int(np.argmin(d))
-            if best is None or d[idx] < best:
-                best = d[idx]
-                best_q = tuple(chunk[idx])
-                best_shell = r
-
-    dual = int(best) if exact else float(best)
-    boundary = best_shell == box
-    if primal is NEG_INF:
-        gap = None
-        attaining = None
-        certified = False
-    else:
-        gap = dual - primal
-        attaining = PriceVector(tuple(int(x) for x in best_q)) if exact and gap == 0 else None
-        certified = exact and gap == 0
-    return FenchelResult(primal, dual, gap, attaining, box, boundary, certified, mode)
+    target = primal if mode == "int" and primal is not NEG_INF else None
+    q, dual = _descend(_Conjugates(f1), _Conjugates(f2), box, target)
+    dual = int(dual) if mode == "int" else float(dual)
+    boundary = max(map(abs, q), default=0) == box
+    if target is not None and dual == target:
+        return FenchelResult(primal, dual, 0, PriceVector(q), box, boundary, True, mode)
+    gap = None if primal is NEG_INF else dual - primal
+    return FenchelResult(primal, dual, gap, None, box, boundary, False, mode)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import NEG_INF, PriceVector, SetFn, _require_int, elements_of, mask_of
+from .core import HARD_CAP, NEG_INF, PriceVector, SetFn, _require_int, elements_of, mask_of
 
 
 class Matroid:
@@ -286,6 +286,9 @@ def mutate(f, seed, magnitude, toggle_neg_inf=False):
 def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2, ensure_nonempty=True):
     """Arbitrary int-mode table: each entry NEG_INF with the given
     probability, otherwise uniform in [lo, hi]. Deterministic per seed."""
+    _require_int("n", n, 0)
+    if n > HARD_CAP:
+        raise ValueError(f"ground-set size {n} exceeds hard cap {HARD_CAP}")
     rng = random.Random(seed)
     vals = [
         NEG_INF if rng.random() < neg_inf_prob else rng.randint(lo, hi)

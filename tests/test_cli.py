@@ -148,14 +148,6 @@ def test_check_parallel_matches_serial(tmp_path, corpus):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_check_dca_jobs_env(tmp_path, corpus, monkeypatch):
-    paths = small_corpus_paths(tmp_path, corpus, ["n3_uniform_r2", "n3_partition"])
-    out = tmp_path / "r.jsonl"
-    monkeypatch.setenv("DCA_JOBS", "2")
-    assert main(["check", "--suites", "exc_single", "--out", str(out), *paths]) == 0
-    assert len(out.read_text().splitlines()) == 2
-
-
 def test_check_gen_dir_input(tmp_path):
     cfg = write_config(tmp_path, families=[
         {"family": "matroid_rank", "id": "u23",
@@ -173,7 +165,7 @@ def test_check_gen_dir_input(tmp_path):
 
 
 def test_check_real_fenchel_is_weak_duality(tmp_path):
-    # Both tables are M-natural-concave; the dual is scanned on integer
+    # Both tables are M-natural-concave; the dual is taken on integer
     # prices only, so the pair keeps a gap of 0.3 and must still pass.
     paths = []
     for name, values in (("r1", [0.0, 0.5]), ("r2", [0.0, -0.3])):
@@ -184,6 +176,24 @@ def test_check_real_fenchel_is_weak_duality(tmp_path):
     assert main(["check", "--suites", "exc_single,fenchel", "--out", str(out), *paths]) == 0
     reports = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["suite"] for r in reports] == ["exc_single"] * 2 + ["fenchel"] * 3
+
+
+def test_check_fenchel_refuses_a_non_exchange_member(tmp_path, capsys):
+    """Fenchel duality needs M-natural-concave members: a pair with a table
+    that fails the single exchange FAILs on that precondition."""
+    paths = []
+    for name, values in (("good", [0, 1, 1, 1]), ("bad", [0, 0, 0, 1])):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"n": 2, "mode": "int", "values": values}))
+        paths.append(str(p))
+    assert [check_exc_single(load(p)).passed for p in paths] == [True, False]
+    assert main(["check", "--suites", "fenchel", *paths]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["instance_id"], r["verdict"]) for r in reports] == [
+        ("good+good", "PASS"), ("good+bad", "FAIL"), ("bad+bad", "FAIL")]
+    for r in reports[1:]:
+        assert r["counterexample"] == {"reason": "single-exchange precondition fails",
+                                       "instances": ["bad"]}
 
 
 def test_check_rejects_unknown_suite(capsys):
@@ -253,6 +263,32 @@ def test_counts_that_fake_a_verdict_are_refused(tmp_path, corpus_by_id, capsys):
     assert "trials must be an int >= 0" in captured.err
     with pytest.raises(ValueError, match="jobs"):
         SuiteConfig(jobs=0)
+
+
+MALFORMED_CONFIGS = [
+    {"n_range": ["a", 5]}, {"n_range": [2]}, {"n_range": 5}, {"seed": "x"},
+    {"seed": True}, {"suites": 5}, {"suites": [5]}, {"families": 5},
+    {"families": [5]}, {"out": 5},
+]
+
+
+@pytest.mark.parametrize("command", ["check", "falsify"])
+@pytest.mark.parametrize("fields", MALFORMED_CONFIGS, ids=json.dumps)
+def test_malformed_config_exits_2(tmp_path, capsys, command, fields):
+    args = [command, "--config", write_config(tmp_path, **fields)]
+    assert main([*args, "--trials", "5"] if command == "falsify" else args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_family_spec_with_a_malformed_n_exits_2(tmp_path, capsys):
+    """Only the commands that build the families read their specs; n is
+    checked before 2^n values are drawn."""
+    for n in ("3", -1, 25):
+        cfg = write_config(tmp_path, families=[{"family": "random", "n": n}])
+        for command in ("check", "gen"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_campaign_counts_that_fake_a_campaign_are_refused():

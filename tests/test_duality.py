@@ -23,6 +23,7 @@ from mconcave import (
     max_over,
     random_table,
     restrict_by_size,
+    tilt,
 )
 from mconcave.duality import _empty_restriction
 from test_grid_engine import ref_box_quotient, ref_box_submodular
@@ -400,6 +401,31 @@ def test_fenchel_real_mode_not_certified():
     res = fenchel_gap(f, f)
     assert not res.certified
     assert res.gap == 0.0
+
+
+def test_fenchel_empty_ground_set():
+    f = SetFn(0, [5])
+    res = fenchel_gap(f, f)
+    assert res.certified and res.dual == 10 and res.attaining_q == PriceVector(())
+    assert not res.boundary
+    g = SetFn(0, [1.5], mode="real")
+    res = fenchel_gap(g, g, box=0)
+    assert res.dual == res.primal == 3.0 and not res.certified
+    assert res.attaining_q is None and res.boundary
+
+
+def test_fenchel_real_mode_descends_a_large_box(corpus_by_id):
+    # The box is 6601: a scan of it would visit up to 13203^4 points.
+    p = PriceVector((900, -700, 400, -900))
+
+    def real_tilted(instance_id, price):
+        f = corpus_by_id[instance_id].fn
+        g = tilt(SetFn(f.n, [v if v is NEG_INF else 250 * v for v in f.values]), price)
+        return SetFn(g.n, [v if v is NEG_INF else float(v) for v in g.values], mode="real")
+
+    res = fenchel_gap(real_tilted("n4_laminar", p), real_tilted("n4_partition", -p))
+    assert res.box == 6601 and res.mode == "real"
+    assert res.dual >= res.primal and res.gap == 0.0 and not res.certified
 
 
 def test_fenchel_explicit_box_boundary_flag():

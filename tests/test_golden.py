@@ -1,5 +1,6 @@
-"""Golden hashes of the behaviour contract: the bytes of `falsify` output
-and of the exchange-suite reports are fixed by the seed.
+"""Golden hashes of the behaviour contract: the bytes of `falsify` output,
+of the `fenchel` suite and of the exchange-suite reports are fixed by the
+seed.
 
 The report instances cover both multiple-exchange regimes (n <= 5
 exhaustive, n = 8 sampled) and seeded `mutate`d copies, so FAIL
@@ -52,6 +53,16 @@ def test_default_falsify_stdout_bytes():
         assert main(["falsify"]) == 0
     assert sha256(buf.getvalue()) == \
         "4e56659d3b0b9571dac24ae456a271c5f10546ee93990f419e57b7b9c55558a5"
+
+
+def test_fenchel_check_stdout_bytes():
+    """The 85 same-n corpus pairs with n <= 5, all PASS."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["check", "--suites", "fenchel"]) == 0
+    assert len(buf.getvalue().splitlines()) == 85
+    assert sha256(buf.getvalue()) == \
+        "8232ad1d144cf68e71f98f4702e2ded468b59c50023cb92fc364a4bdbe5f7e7b"
 
 
 def golden_instances():
