@@ -141,30 +141,95 @@ def load_config(path):
 # Family specs -> instances (used by `gen` for non-default corpora).
 
 
-def _build_matroid(spec):
-    kind = spec["kind"]
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(test, value))
+
+
+# The JSON shape of each family-spec field: a test and what it expects.
+_SHAPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an int"),
+    "number": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "ints": (_list_of(_is_int), "a list of ints"),
+    "numbers": (_list_of(_is_number), "a list of numbers"),
+    "int lists": (_list_of(_list_of(_is_int)), "a list of lists of ints"),
+    "int pairs": (_list_of(lambda v: _list_of(_is_int)(v) and len(v) == 2),
+                  "a list of pairs of ints"),
+    "number lists": (_list_of(_list_of(_is_number)), "a list of lists of numbers"),
+}
+
+# The fields each family (and matroid kind) reads; a "?" marks an optional
+# field.
+_FAMILY_FIELDS = {
+    "matroid_rank": {"matroid": "object"},
+    "weighted_basis": {"matroid": "object", "weights": "numbers"},
+    "laminar": {"n": "int", "members": "int lists", "tables": "number lists"},
+    "assignment": {"weights": "number lists"},
+    "random": {"n": "int", "seed?": "int", "lo?": "int", "hi?": "int",
+               "neg_inf_prob?": "number"},
+    "mutated": {"base": "object", "seed?": "int", "magnitude?": "int",
+                "toggle_neg_inf?": "bool"},
+}
+_MATROID_FIELDS = {
+    "uniform": {"n": "int", "r": "int"},
+    "partition": {"blocks": "int lists", "caps": "ints"},
+    "graphic": {"num_vertices": "int", "edges": "int pairs"},
+}
+
+
+def _check_fields(spec, where, fields):
+    for key, shape in fields.items():
+        name = key.rstrip("?")
+        if name not in spec:
+            if key.endswith("?"):
+                continue
+            raise ValueError(f"{where} is missing field {name!r}")
+        test, expected = _SHAPES[shape]
+        if not test(spec[name]):
+            raise ValueError(f"{where}: field {name!r} must be {expected}, "
+                             f"got {spec[name]!r}")
+
+
+def _read_spec(spec, index, tag, schemas):
+    """``spec[tag]``, a key of ``schemas``, after checking that ``spec``
+    holds every field that key's schema requires, each of its shape."""
+    _check_fields(spec, f"family spec {index}", {tag: "str"})
+    value = spec[tag]
+    if value not in schemas:
+        raise ValueError(f"family spec {index}: unknown {tag} {value!r}")
+    _check_fields(spec, f"family spec {index} ({value})", schemas[value])
+    return value
+
+
+def _build_matroid(spec, index):
+    kind = _read_spec(spec, index, "kind", _MATROID_FIELDS)
     if kind == "uniform":
         return uniform_matroid(spec["n"], spec["r"])
     if kind == "partition":
         return partition_matroid(spec["blocks"], spec["caps"])
-    if kind == "graphic":
-        return graphic_matroid(spec["num_vertices"], [tuple(e) for e in spec["edges"]])
-    raise ValueError(f"unknown matroid kind {kind!r}")
+    return graphic_matroid(spec["num_vertices"], [tuple(e) for e in spec["edges"]])
 
 
 def build_instance(spec, index, master_seed):
-    """Build one corpus instance from a config dict. Seeded constructors
+    """Build one corpus instance from a config dict, after checking the
+    fields its family reads (``_FAMILY_FIELDS``). Seeded constructors
     (random, mutated) derive their seed from the master seed and the
     instance index unless the dict pins one; the seed used is recorded."""
-    family = spec["family"]
+    family = _read_spec(spec, index, "family", _FAMILY_FIELDS)
     instance_id = spec.get("id", f"{family}_{index}")
     derived = (master_seed ^ index) & MASK64
     meta = {k: v for k, v in spec.items() if k not in ("family", "id")}
     if family == "matroid_rank":
-        m = _build_matroid(spec["matroid"])
+        m = _build_matroid(spec["matroid"], index)
         return CorpusInstance(instance_id, family, meta, matroid_rank_fn(m), m)
     if family == "weighted_basis":
-        m = _build_matroid(spec["matroid"])
+        m = _build_matroid(spec["matroid"], index)
         fn = weighted_basis_valuation(m, tuple(spec["weights"]))
         return CorpusInstance(instance_id, family, meta, fn, m)
     if family == "laminar":
@@ -180,14 +245,12 @@ def build_instance(spec, index, master_seed):
                           spec.get("neg_inf_prob", 0.2))
         meta = dict(meta, seed=seed)
         return CorpusInstance(instance_id, family, meta, fn)
-    if family == "mutated":
-        base = build_instance(spec["base"], index, master_seed)
-        seed = spec.get("seed", derived)
-        fn = mutate(base.fn, seed, spec.get("magnitude", 1),
-                    spec.get("toggle_neg_inf", False))
-        meta = dict(meta, seed=seed, base_id=base.instance_id)
-        return CorpusInstance(instance_id, family, meta, fn)
-    raise ValueError(f"unknown family {family!r}")
+    base = build_instance(spec["base"], index, master_seed)
+    seed = spec.get("seed", derived)
+    fn = mutate(base.fn, seed, spec.get("magnitude", 1),
+                spec.get("toggle_neg_inf", False))
+    meta = dict(meta, seed=seed, base_id=base.instance_id)
+    return CorpusInstance(instance_id, family, meta, fn)
 
 
 def resolve_instances(cfg):

@@ -9,6 +9,16 @@ cap in one pass. It is exact: int64 while max|f| + n*max|p| < 2^61 (a
 slack summing two conjugates cannot wrap), Python numbers
 (``dtype=object``) above that bound.
 
+The box regime decides the three grid inequalities on unit squares and
+unit steps. On a product of chains a function is submodular iff every
+unit square is (Topkis, Operations Research 26, 1978; Murota, Discrete
+Convex Analysis, 2003, ch. 7); the strong quotient says that the excess
+e = gk - g of a capped conjugate gk over the plain one g is
+nondecreasing, which holds iff it holds on every unit step; and the two
+give cross-submodularity, gk(p ^ q) + g(p v q) = g(p ^ q) + g(p v q) +
+e(p ^ q) <= g(p) + g(q) + e(p) = gk(p) + g(q). Every pair of the box is
+compared only when a local test fails, to name the first violated pair.
+
 The Fenchel dual phi(q) = g1(q) + g2(-q) is minimized by steepest
 descent from q = 0 under the moves q +- chi_S, S nonempty, inside the
 box. For M-natural-concave f1 and f2 both conjugates are L-natural
@@ -60,7 +70,7 @@ from .reporting import failed_report, passed_report
 
 DEFAULT_BOX = (-3, 3)
 
-# Grids up to this many points get the exhaustive all-pairs treatment.
+# Grids up to this many points are decided exhaustively (the box regime).
 EXHAUSTIVE_GRID_LIMIT = 7**4
 
 
@@ -102,6 +112,13 @@ def conjugate_sized(f, k, p):
     if not capped.dom_masks:
         raise ValueError(f"no feasible subset of size <= {k}")
     return conjugate(capped, p)
+
+
+def _require_cap(f, k):
+    """A size cap k under which f keeps a feasible subset, else ValueError."""
+    _require_int("size cap", k, 0)
+    if k < f.dom_size_range()[0]:
+        raise ValueError(f"no feasible subset of size <= {k}")
 
 
 def _feasible_caps(f):
@@ -174,19 +191,58 @@ _SUBMODULAR, _CROSS, _QUOTIENT = range(3)
 
 @lru_cache(maxsize=1)
 def _box_sweeps(f, lo, hi):
-    """Every grid inequality of f over the integer box [lo, hi]^n, in
-    one pass over blocks of rows of the lexicographically ordered points
-    (the box is closed under join and meet, so both are grid indices).
-
-    Returns (first, checked), indexed [kind][c] for the cap column c of
+    """Every grid inequality of f over the integer box [lo, hi]^n, as
+    (first, checked), indexed [kind][c] for the cap column c of
     ``_Conjugates``: the first violated pair (p, q) in row order, or
     None, and the pairs counted up to and including the failing row.
     Kinds: submodular over pairs j >= i, cross over all ordered pairs
-    (sized at p, plain at q), strong quotient over pairs p_j <= p_i."""
+    (sized at p, plain at q), strong quotient over pairs p_j <= p_i.
+
+    The box is a product of chains, so a column is submodular iff every
+    unit square is (Topkis, Operations Research 26, 1978; Murota,
+    Discrete Convex Analysis, 2003, ch. 7), and the excess e = sized -
+    plain is nondecreasing iff every unit step is. Both together give
+    cross-submodularity: gk(p ^ q) + g(p v q) = g(p ^ q) + g(p v q) +
+    e(p ^ q) <= g(p) + g(q) + e(p) = gk(p) + g(q). When both hold, every
+    cell passes and the counts are the pairs each kind covers, with
+    N = w^n points of side w: N(N+1)/2, N^2 and (w(w+1)/2)^n. Otherwise
+    ``_all_pairs`` compares every pair to name the first violation."""
     pts = _box_points(f.n, lo, hi)
-    npts = len(pts)
-    digits = [(pts[:, c] - lo) * (hi - lo + 1) ** (f.n - 1 - c) for c in range(f.n)]
     g = np.ascontiguousarray(_Conjugates(f)(pts).T)
+    w = hi - lo + 1
+    if not _unit_steps_hold(g, f.n, w):
+        return _all_pairs(g, pts, lo, hi)
+    npts = len(pts)
+    counts = [npts * (npts + 1) // 2, npts * npts, (w * (w + 1) // 2) ** f.n]
+    checked = np.repeat(np.array(counts, dtype=np.int64)[:, None], len(g), axis=1)
+    return [[None] * len(g) for _ in range(3)], checked
+
+
+def _unit_steps_hold(g, n, w):
+    """Whether every cap column of the (caps, w^n) box table g has
+    g(p + chi_i) + g(p + chi_j) >= g(p) + g(p + chi_i + chi_j) on each
+    unit square, and its excess over the plain (last) column does not
+    drop along any unit step. Second differences of values below 2^61
+    stay inside int64."""
+    cube = g.reshape((len(g),) + (w,) * n)
+    excess = cube - cube[-1]
+    for i in range(n):
+        if (np.diff(excess, axis=i + 1) < 0).any():
+            return False
+        step = np.diff(cube, axis=i + 1)
+        for j in range(i + 1, n):
+            if (np.diff(step, axis=j + 1) > 0).any():
+                return False
+    return True
+
+
+def _all_pairs(g, pts, lo, hi):
+    """``_box_sweeps``'s result by comparing every pair of the box, in one
+    pass over blocks of rows of the lexicographically ordered points
+    ``pts`` (the box is closed under join and meet, so both are grid
+    indices); g is the (caps, len(pts)) table of ``_Conjugates``."""
+    npts, n = pts.shape
+    digits = [(pts[:, c] - lo) * (hi - lo + 1) ** (n - 1 - c) for c in range(n)]
     plain, idx = g[-1], np.arange(npts)
     excess = g - plain  # sized minus plain: the quotient compares it at p and q
     first = [[None] * len(g) for _ in range(3)]
@@ -331,8 +387,7 @@ def check_cross_submodular(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAM
     """Mixed submodularity between the size-capped and plain conjugates:
     sized(p) + plain(q) >= sized(p ^ q) + plain(p v q) over box pairs."""
     _require_nonempty_dom(f)
-    if not restrict_by_size(f, k).dom_masks:
-        raise ValueError(f"no feasible subset of size <= {k}")
+    _require_cap(f, k)
     kind = _box_or_sample_policy(f, box, samples)
     lo, hi = box
     if kind == "box":
@@ -355,8 +410,7 @@ def check_strong_quotient(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMP
     """Monotone quotient relation on comparable pairs p >= q:
     sized(p) - sized(q) >= plain(p) - plain(q)."""
     _require_nonempty_dom(f)
-    if not restrict_by_size(f, k).dom_masks:
-        raise ValueError(f"no feasible subset of size <= {k}")
+    _require_cap(f, k)
     kind = _box_or_sample_policy(f, box, samples)
     lo, hi = box
     if kind == "box":

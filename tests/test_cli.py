@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +292,40 @@ def test_family_spec_with_a_malformed_n_exits_2(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("error: ")
 
 
+UNIFORM_3_1 = {"kind": "uniform", "n": 3, "r": 1}
+MALFORMED_FAMILIES = [
+    ({"family": "weighted_basis", "matroid": UNIFORM_3_1, "weights": 5},
+     "family spec 0 (weighted_basis): field 'weights' must be a list of numbers"),
+    ({"family": "random", "n": 3, "neg_inf_prob": "x"},
+     "family spec 0 (random): field 'neg_inf_prob' must be a number"),
+    ({"family": "laminar", "n": 3, "members": 5, "tables": []},
+     "family spec 0 (laminar): field 'members' must be a list of lists of ints"),
+    ({"family": "matroid_rank", "matroid": {"kind": "uniform", "n": 3}},
+     "family spec 0 (uniform) is missing field 'r'"),
+    ({"n": 3}, "family spec 0 is missing field 'family'"),
+    ({"family": ["random"]}, "family spec 0: field 'family' must be a string"),
+    ({"family": "matroid_rank", "matroid": {"kind": "vector"}},
+     "family spec 0: unknown kind 'vector'"),
+    ({"family": "mutated", "base": {"family": "random", "n": 3}, "magnitude": "2"},
+     "family spec 0 (mutated): field 'magnitude' must be an int"),
+    ({"family": "matroid_rank",
+      "matroid": {"kind": "graphic", "num_vertices": 3, "edges": [[1, 2, 3]]}},
+     "family spec 0 (graphic): field 'edges' must be a list of pairs of ints"),
+]
+
+
+@pytest.mark.parametrize("spec, message", MALFORMED_FAMILIES, ids=lambda v: json.dumps(v))
+def test_malformed_family_spec_exits_2(tmp_path, capsys, spec, message):
+    """These specs used to end in a TypeError traceback with exit code 1,
+    the falsification code, or in a bare ``error: 'r'``."""
+    cfg = write_config(tmp_path, families=[spec])
+    assert main(["check", "--suites", "exc_single", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+
+
 def test_campaign_counts_that_fake_a_campaign_are_refused():
     """keep_near -1 emptied near_misses after every append, trials -5 was
     reported after no work, and trials True serialized as true."""
@@ -363,3 +398,12 @@ def test_run_verification_falsifies_the_cli_campaign(tmp_path, monkeypatch, caps
     cli_run = falsify_campaign(50, 0, n_range=SuiteConfig().n_range)
     assert cli_run.singles_passed != falsify_campaign(50, 0).singles_passed
     assert f"  {cli_run.singles_passed} candidates passed" in capsys.readouterr().out
+
+
+def test_python_m_mconcave_runs_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "mconcave", "check", "--suites", "exc_single"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == len(cli.default_corpus())

@@ -530,3 +530,19 @@ def test_grid_checks_refuse_samples_below_one(corpus_by_id, iid, check, samples)
     ``SuiteConfig``'s, in either regime."""
     with pytest.raises(ValueError, match="samples must be an int >= 1"):
         check(corpus_by_id[iid].fn, samples=samples)
+
+
+@pytest.mark.parametrize("check", [check_cross_submodular, check_strong_quotient])
+@pytest.mark.parametrize("iid", ["n3_wbasis_uniform", "n6_assignment"])
+def test_grid_checks_refuse_a_cap_without_a_feasible_subset(corpus_by_id, iid, check):
+    """The cap is checked against the smallest domain size, before any
+    capped table is built."""
+    f = corpus_by_id[iid].fn
+    s, _ = f.dom_size_range()
+    if s:
+        with pytest.raises(ValueError, match=f"no feasible subset of size <= {s - 1}"):
+            check(f, s - 1)
+    for k in (-1, True, 1.5, "2"):
+        with pytest.raises(ValueError, match="size cap must be an int >= 0"):
+            check(f, k)
+    assert check(f, f.n + 1, samples=10).passed

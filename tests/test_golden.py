@@ -165,3 +165,29 @@ def test_grid_report_bytes():
     assert {"submodular", "cross_submodular"} <= inequalities
     assert sha256("".join(line + "\n" for line in lines)) == \
         "0afb9a3e0b617ff473d9acd49778cc6909b398472c60c7f53d41b61799271a5f"
+
+
+def test_box_grid_report_bytes():
+    """`duality_grid` over the n <= 4 instances of `golden_instances`, all
+    in the box regime at the default box: the suite line of each, then
+    its per-inequality reports. PASS lines hold the pair counts; FAIL
+    lines the first violated pair in row order, which the all-pairs
+    sweep names once the unit-square test has found a violation."""
+    lines, verdicts, inequalities = [], set(), set()
+    for iid, f in golden_instances():
+        if f.n > 4:
+            continue
+        suite, = run_check([(iid, f)], SuiteConfig(suites=("duality_grid",)))
+        reports = [check_conjugate_submodular(f, instance_id=iid)]
+        for k in _feasible_caps(f):
+            reports.append(check_cross_submodular(f, k, instance_id=iid))
+            reports.append(check_strong_quotient(f, k, instance_id=iid))
+        lines += [r.to_json_line() for r in [suite] + reports]
+        verdicts |= {(r.regime, r.verdict) for r in [suite] + reports}
+        inequalities |= {r.counterexample["inequality"] for r in reports if not r.passed}
+    # Guard the coverage the hash is meant to pin.
+    assert verdicts == {("exhaustive", "PASS"), ("exhaustive", "FAIL")}
+    assert {"submodular", "cross_submodular", "strong_quotient"} <= inequalities
+    assert len(lines) == 448
+    assert sha256("".join(line + "\n" for line in lines)) == \
+        "b5d4e5f0917d6ea631c9b39225db5d443826e58601cb8c4299b0838464e17a7e"

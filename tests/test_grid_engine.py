@@ -3,7 +3,9 @@
 Box regime: a copy, kept here, of the scalar pair loops over the same
 integer box visits pairs in the same order, so verdict and
 counterexample agree; on PASS the whole report does. (A box FAIL counts
-its whole failing row, the loops stop at the failing pair.)
+its whole failing row, the loops stop at the failing pair.) The
+unit-square and unit-step test that decides a PASS is held against the
+engine's own all-pairs pass, which names every violation.
 
 Sampled regime: a copy, kept here, of the scalar sampled loops the
 engine replaced; every report must be byte-identical.
@@ -27,11 +29,19 @@ from mconcave import (
     conjugate_sized,
     default_corpus,
     mutate,
+    random_mnat_concave,
     random_table,
     restrict_by_size,
 )
 from mconcave.core import leq_for
-from mconcave.duality import _Conjugates, _feasible_caps
+from mconcave.duality import (
+    _Conjugates,
+    _all_pairs,
+    _box_points,
+    _box_sweeps,
+    _feasible_caps,
+    _unit_steps_hold,
+)
 from mconcave.reporting import failed_report, passed_report
 
 # --- reference: the scalar sampled loops -------------------------------------
@@ -244,6 +254,62 @@ def test_box_matches_explicit_grid(instance_id, f):
             assert a == b
         else:
             assert a.triples_checked >= b.triples_checked
+
+
+# --- the unit-square decision against the all-pairs pass ---------------------------
+
+
+def _local_cases():
+    """(id, table, lo, hi) with n = 0..4 and box sides w = 1..7: seeded
+    random tables, M-natural-concave bases (the corpus from n = 3 on,
+    rejection-sampled tables below), seeded ``mutate``d copies of the
+    bases, and, on boxes of at most 4^4 points, one of these scaled by
+    2^62 for the exact object path."""
+    rng = random.Random(2024)
+    bases = {n: [c.fn for c in default_corpus() if c.fn.n == n] for n in (3, 4)}
+    cases = []
+    for n in range(5):
+        for w in range(1, 8):
+            for t in range(8 if n <= 3 else 4 if w <= 5 else 2):
+                base = (bases[n][rng.randrange(len(bases[n]))] if n >= 3
+                        else random_mnat_concave(n, rng.randrange(1 << 32)))
+                tables = [random_table(n, rng.randrange(1 << 32), -4, 4, rng.choice((0, 0.2))),
+                          base]
+                if base.n and rng.random() < 0.8:
+                    tables.append(mutate(base, rng.randrange(1 << 32), rng.randint(1, 3)))
+                if w**n <= 4**4:  # the object path is slow on larger boxes
+                    pick = tables[rng.randrange(len(tables))]
+                    tables.append(SetFn(n, [v if v is NEG_INF else v * 2**62
+                                            for v in pick.values]))
+                lo = rng.randint(-5, 1)
+                cases += [(f"n{n}_w{w}_{t}_{i}", f, lo, lo + w - 1)
+                          for i, f in enumerate(tables)]
+    return cases
+
+
+LOCAL_CASES = _local_cases()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_unit_steps_decide_like_all_pairs(n):
+    """Local PASS iff the all-pairs pass finds no violation in any cell,
+    and on PASS the closed-form counts are the pass's counts."""
+    failing = 0
+    for case_id, f, lo, hi in LOCAL_CASES:
+        if f.n != n:
+            continue
+        pts = _box_points(n, lo, hi)
+        g = np.ascontiguousarray(_Conjugates(f)(pts).T)
+        local = _unit_steps_hold(g, n, hi - lo + 1)
+        first, checked = _all_pairs(g, pts, lo, hi)
+        assert local == all(x is None for row in first for x in row), case_id
+        fast_first, fast_checked = _box_sweeps(f, lo, hi)
+        assert fast_first == first, case_id
+        assert np.array_equal(fast_checked, checked), case_id
+        failing += not local
+    # No table fails at n <= 1: the n = 0 box has one point, and every
+    # table with n = 1 is M-natural concave.
+    assert failing > 0 if n >= 2 else failing == 0
 
 
 # --- sampled regime against the scalar loops --------------------------------------
