@@ -601,7 +601,7 @@ def cmd_gen(cfg, out_dir):
         manifest["instances"].append({
             "id": inst.instance_id,
             "family": inst.family,
-            "params": _jsonable(inst.params),
+            "params": inst.params,
             "n": inst.fn.n,
             "mode": inst.fn.mode,
             "path": f"instances/{inst.instance_id}.json",
@@ -610,14 +610,6 @@ def cmd_gen(cfg, out_dir):
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def load_instances(paths):

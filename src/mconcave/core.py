@@ -124,6 +124,13 @@ def leq_for(mode):
     return leq
 
 
+def _holds(lhs, rhs, mode):
+    """``leq_for(mode)`` elementwise over arrays."""
+    if mode == "int":
+        return lhs <= rhs
+    return lhs <= rhs + REAL_EPS * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+
+
 def _require_int(name, value, floor):
     """The count rule: an int (not a bool) >= floor, else ValueError."""
     if not isinstance(value, int) or isinstance(value, bool) or value < floor:
@@ -201,48 +208,22 @@ def price_sums(entries, n):
 # Seeded draws replayed in bulk.
 
 
-def _mt_twist(mt):
-    """The next 624 state words of the Mersenne Twister MT19937
-    (Matsumoto and Nishimura, ACM TOMACS 8, 1998) after ``mt``, as the
-    reference code's in-place loop makes them: word i mixes the top bit of
-    word i with the rest of word i + 1 and adds word i + 397, where a word
-    that wraps around is already the new one."""
-    y = (mt[:-1] & 0x80000000) | (mt[1:] & 0x7FFFFFFF)
-    mix = (y >> 1) ^ (y & 1) * 0x9908B0DF
-    new = np.empty_like(mt)
-    new[:227] = mt[397:] ^ mix[:227]
-    new[227:454] = new[:227] ^ mix[227:454]
-    new[454:623] = new[227:396] ^ mix[454:]
-    last = (mt[623] & 0x80000000) | (new[0] & 0x7FFFFFFF)
-    new[623] = new[396] ^ (last >> 1) ^ (last & 1) * 0x9908B0DF
-    return new
-
-
-def _mt_temper(y):
-    """MT19937's output words for the state words ``y``."""
-    y = y ^ (y >> 11)
-    y = y ^ ((y << 7) & 0x9D2C5680)
-    y = y ^ ((y << 15) & 0xEFC60000)
-    return y ^ (y >> 18)
-
-
 class _Replay:
     """The draws a seeded ``random.Random`` would make, decoded in bulk.
 
-    CPython's ``random.Random`` is MT19937: ``rng.getstate()`` holds its 624
-    state words and the position of the next one, and every call takes
-    whole 32-bit output words. Here the words are made 624 at a time in
-    numpy (``numpy.random`` is not used: importing it costs about 6 MiB of
-    resident memory). ``randrange(m)`` (and ``randint``) for m < 2^32
-    takes the top ``m.bit_length()`` bits of one word per try and rejects
-    while the value is >= m; ``getrandbits(k)`` for k <= 32 is the top k
-    bits of one word. ``rng`` itself is not advanced.
+    CPython's ``random.Random`` is MT19937, and every call takes whole
+    32-bit output words. ``getrandbits(32 * k)`` takes the next k words,
+    the first as its lowest 32 bits, so the words come from ``rng`` in
+    bulk and are decoded in numpy. ``randrange(m)`` (and ``randint``) for
+    m < 2^32 takes the top ``m.bit_length()`` bits of one word per try and
+    rejects while the value is >= m; ``getrandbits(k)`` for k <= 32 is the
+    top k bits of one word. ``rng`` is advanced past the words drawn,
+    which can run ahead of those decoded, so callers pass a private one.
     """
 
     def __init__(self, rng):
-        state = rng.getstate()[1]
-        self._mt = np.array(state[:-1], dtype=np.int64)
-        self._words = _mt_temper(self._mt[state[-1]:])  # made, not yet consumed
+        self._rng = rng
+        self._words = np.empty(0, dtype=np.int64)  # drawn, not yet consumed
 
     def take(self, samples, runs):
         """The next ``samples`` samples, each made of ``runs`` in stream
@@ -259,11 +240,9 @@ class _Replay:
         while out is None:
             short = need - len(self._words)
             if short > 0:
-                blocks = []
-                for _ in range(-(-short // 624)):
-                    self._mt = _mt_twist(self._mt)
-                    blocks.append(self._mt)
-                self._words = np.concatenate([self._words, _mt_temper(np.concatenate(blocks))])
+                fresh = self._rng.getrandbits(32 * short).to_bytes(4 * short, "little")
+                fresh = np.frombuffer(fresh, dtype="<u4").astype(np.int64)
+                self._words = np.concatenate([self._words, fresh])
             out = self._decode(samples, live)
             need *= 2
         out = iter(out)

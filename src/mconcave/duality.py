@@ -31,8 +31,8 @@ M-natural concave, the end point only bounds the box minimum from
 above; the tests keep a scan of the whole box as the oracle.
 
 The sampled grid regime draws its pairs from ``random.Random(seed)``
-without calling it per value: ``core._Replay`` regenerates the Mersenne
-Twister words from ``rng.getstate()`` in numpy and decodes them with
+without calling it per value: ``core._Replay`` takes the Mersenne
+Twister words from the rng in bulk and decodes them in numpy with
 CPython's rules (top ``m.bit_length()`` bits of a word, rejected while
 >= m), a chunk of samples at a time. The submodular draw mixes two widths
 (2n prices, then the cap index), so its rejections are resolved in
@@ -48,10 +48,10 @@ import numpy as np
 
 from .core import (
     NEG_INF,
-    REAL_EPS,
     Falsification,
     PriceVector,
     SetFn,
+    _holds,
     _Replay,
     _require_int,
     elements_of,
@@ -169,13 +169,6 @@ class _Conjugates:
     def plain(self, P):
         """The plain conjugate alone, without the per-size pass."""
         return self._gains(P).max(axis=1)
-
-
-def _holds(lhs, rhs, mode):
-    """``leq_for(mode)`` elementwise over arrays."""
-    if mode == "int":
-        return lhs <= rhs
-    return lhs <= rhs + REAL_EPS * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
 
 def _box_points(n, lo, hi):

@@ -2,9 +2,9 @@
 of a set function with mixed domain sizes to an equi-cardinal one.
 
 All checkers enumerate bitmasks directly and return VerificationReports;
-on larger domains the single-exchange sweep runs batched in numpy, with
-the loop's order and results, and ``_bulk_decide`` decides many small
-tables at once for the falsification campaign.
+the single-exchange sweep runs batched in numpy, in the lex order below,
+and ``_bulk_decide`` decides many small tables at once for the
+falsification campaign.
 Pairs (X, Y) with X or Y outside the effective domain satisfy every
 exchange inequality vacuously (the left side is NEG_INF), so loops run
 over dom x dom. Enumeration order and tie-breaking are fixed so that
@@ -21,6 +21,7 @@ by ``core._Replay`` with the scalar calls' values.
 """
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 
@@ -29,9 +30,9 @@ import numpy as np
 from .core import (
     HARD_CAP,
     NEG_INF,
-    REAL_EPS,
     Falsification,
     SetFn,
+    _holds,
     _Replay,
     _require_int,
     elements_of,
@@ -50,16 +51,11 @@ DEFAULT_SAMPLES = 10_000
 # Sampled multiple-exchange triples replayed at once.
 _MULTI_CHUNK = 1024
 
-# The single-exchange sweep runs batched from this effective-domain size on.
-# Measured crossover: about 32 domain sets on tables that pass, about 100 on
-# mutated tables, which mostly fail within the loop's first rows; below 64
-# the loop is never more than 0.5 ms slower and stops at the first failure.
-_BATCH_MIN_DOM = 64
-# Bytes of the largest temporary in one block of the batched sweep, and of
-# all the arrays of one block of the bulk decider.
+# Bytes of the temporaries of one block of the single-exchange sweep, and
+# of all the arrays of one block of the bulk decider.
 _BATCH_BYTES = 1 << 19
-# Int tables run batched only while every |value| < 2^61, so every
-# difference of two values, and every sentinel, fits in int64.
+# Int tables sweep in int64 while every |value| < 2^61, so every difference
+# of two values, and every sentinel, fits in it.
 _INT64_SAFE = 1 << 61
 
 # Tables the bulk decider takes: int mode, a nonempty domain and every
@@ -194,18 +190,6 @@ def find_single_exchange(f, X, Y, i):
     return None
 
 
-def _single_sweep(f, suite, instance_id, drop):
-    """The exhaustive single-exchange sweep over (X, Y, i) in lex order:
-    each triple passes on the drop option (when ``drop``) or on some swap
-    that attains f(X) + f(Y); FAIL carries the first that does not, and
-    ``triples`` counts the triples through it."""
-    if len(f.dom_masks) >= _BATCH_MIN_DOM:
-        batched = _batched_sweep(f, drop)
-        if batched is not None:
-            return _sweep_report(f, suite, instance_id, *batched)
-    return _sweep_report(f, suite, instance_id, *_loop_sweep(f, drop))
-
-
 def _sweep_report(f, suite, instance_id, failing, triples):
     if failing is None:
         return passed_report(suite, instance_id, triples=triples)
@@ -219,71 +203,39 @@ def _sweep_report(f, suite, instance_id, failing, triples):
     return failed_report(suite, instance_id, counter, triples=triples)
 
 
-def _loop_sweep(f, drop):
-    """The scalar sweep: (first failing (xm, ym, i) or None, triples)."""
-    vals = f.values
-    leq = leq_for(f.mode)
-    dom = f.dom_masks
-    triples = 0
-    for xm in dom:
-        fx = vals[xm]
-        for ym in dom:
-            d = xm & ~ym
-            if not d:
-                continue
-            lhs = fx + vals[ym]
-            yonly = ym & ~xm
-            while d:
-                ib = d & -d
-                d ^= ib
-                triples += 1
-                xmi = xm ^ ib
-                ymi = ym | ib
-                if drop:
-                    a = vals[xmi]
-                    if a is not NEG_INF:
-                        b = vals[ymi]
-                        if b is not NEG_INF and leq(lhs, a + b):
-                            continue
-                e = yonly
-                while e:
-                    jb = e & -e
-                    e ^= jb
-                    a = vals[xmi | jb]
-                    if a is NEG_INF:
-                        continue
-                    b = vals[ymi ^ jb]
-                    if b is not NEG_INF and leq(lhs, a + b):
-                        break
-                else:
-                    return (xm, ym, ib.bit_length()), triples
-    return None, triples
-
-
 def _batched_sweep(f, drop):
-    """The sweep move-major in numpy, with the loop's result; None when the
-    values do not fit its arithmetic (ints with |v| >= 2^61).
+    """The exhaustive single-exchange sweep over (X, Y, i) in lex order:
+    each triple passes on the drop option (when ``drop``) or on some swap
+    that attains f(X) + f(Y). Returns (failing, triples): the first
+    (xm, ym, i) that does not, or None, and the count of triples through
+    it (all of them on a PASS).
 
-    For a move (i, j), X with i in X, j not in X and Y with i not in Y,
-    j in Y, the inequality f(X) + f(Y) <= f(X-i+j) + f(Y+i-j) depends on
-    X and on Y through one vector each, so it is tested for all such X
-    and Y as one outer comparison; the drop (i, -) likewise. Element i
-    takes the rows X containing i and the columns Y without it; its
-    first failing (X, Y) in row-major order, taken over every i by
-    (X, Y, i), is the loop's first failing triple.
+    The sweep runs move-major in numpy. For a move (i, j), X with i in X,
+    j not in X and Y with i not in Y, j in Y, the inequality
+    f(X) + f(Y) <= f(X-i+j) + f(Y+i-j) depends on X and on Y through one
+    vector each, so it is tested for all such X and Y as one outer
+    comparison; the drop (i, -) likewise. Element i takes the rows X
+    containing i and the columns Y without it; its first failing (X, Y)
+    in row-major order, taken over every i by (X, Y, i), is the first
+    failing triple.
     """
     real = f.mode == "real"
     vals = f.values
     dom = f.dom_masks
     fin = [vals[m] for m in dom]
-    if not real and max(map(abs, fin)) >= _INT64_SAFE:
-        return None
-    dm = np.array(dom, dtype=np.int64)
-    fv = np.array(fin, dtype=np.float64 if real else np.int64)
-    n = f.n
     # Unreachable options: NaN fails every real comparison; in int mode the
-    # test is fx - a <= b - fy, which the sentinels +-2^62 always fail.
-    blank = np.nan if real else _INT64_SAFE << 1
+    # test is fx - a <= b - fy, which the sentinels +-blank always fail.
+    # Ints with some |v| >= 2^61 run on Python ints, where a difference of
+    # two values can pass +-2^62.
+    if real:
+        dtype, blank = np.float64, np.nan
+    elif max(map(abs, fin)) < _INT64_SAFE:
+        dtype, blank = np.int64, _INT64_SAFE << 1
+    else:
+        dtype, blank = object, math.inf
+    dm = np.array(dom, dtype=np.int64)
+    fv = np.array(fin, dtype=dtype)
+    n = f.n
 
     def lookup(masks, valid):
         pos = np.minimum(np.searchsorted(dm, masks), len(dm) - 1)
@@ -313,19 +265,16 @@ def _batched_sweep(f, drop):
             a = np.where(xok, fx - fv[xpos], blank)
             b = np.where(yok, fv[ypos] - fy, -blank)
         moves = len(a)
-        step = max(1, _BATCH_BYTES // max(1, moves * len(cols) * (16 if real else 1)))
+        # Bytes per (move, X, Y) of a block: the int comparison's bools; in
+        # real mode the sum rhs and up to three float temporaries of _holds.
+        step = max(1, _BATCH_BYTES // max(1, moves * len(cols) * (32 if real else 1)))
         for r0 in range(0, len(rows), step):
             blk = slice(r0, r0 + step)
             if real:
-                lhs = fx[blk, None] + fy[None, :]
-                rhs = a[:, blk, None] + b[:, None, :]
-                slack = np.abs(rhs)
-                np.maximum(slack, np.maximum(np.abs(lhs), 1.0), out=slack)
-                slack *= REAL_EPS
-                slack += rhs
-                ok = (lhs <= slack).any(axis=0)
+                ok = _holds(fx[blk, None] + fy[None, :], a[:, blk, None] + b[:, None, :], "real")
             else:
-                ok = (a[:, blk, None] <= b[:, None, :]).any(axis=0)
+                ok = a[:, blk, None] <= b[:, None, :]
+            ok = ok.any(axis=0)
             if not ok.all():
                 r, c = divmod(int(np.argmin(ok)), len(cols))
                 cand = (int(rows[r0 + r]), int(cols[c]), i)
@@ -351,7 +300,7 @@ def check_exc_single(f, instance_id=""):
     """Exhaustively test the single-element exchange inequality over all
     (X, Y, i); FAIL carries the first violating triple in lex order."""
     _require_nonempty_dom(f)
-    return _single_sweep(f, "exc_single", instance_id, drop=True)
+    return _sweep_report(f, "exc_single", instance_id, *_batched_sweep(f, True))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +564,7 @@ def check_m_concave(f, instance_id=""):
         counter = {"reason": "domain not equi-cardinal",
                    "sizes": sorted(sizes)}
         return failed_report("m_concave", instance_id, counter)
-    return _single_sweep(f, "m_concave", instance_id, drop=False)
+    return _sweep_report(f, "m_concave", instance_id, *_batched_sweep(f, False))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .core import HARD_CAP, NEG_INF, PriceVector, SetFn, _require_int, elements_of, mask_of
 
 
@@ -32,28 +34,35 @@ class Matroid:
         self._validate()
 
     def _validate(self):
+        """The local rank axioms, which imply the global ones: r({}) = 0,
+        unit increase r(X) <= r(X+i) <= r(X) + 1, and
+        r(X+i) + r(X+j) >= r(X) + r(X+i+j) for i < j outside X. The first
+        violation is reported in order of X, then i (then j)."""
         rt = self.rank_table
         if len(rt) != 1 << self.n:
             raise ValueError("rank table must have 2^n entries")
         if rt[0] != 0:
             raise ValueError("rank of the empty set must be 0")
-        for m in range(1 << self.n):
-            rm = rt[m]
-            for j in range(self.n):
-                bit = 1 << j
-                if m & bit:
-                    continue
-                grown = rt[m | bit]
-                if not rm <= grown <= rm + 1:
-                    raise ValueError(
-                        f"rank not monotone with unit steps at {elements_of(m)} + {j + 1}"
-                    )
-        for x in range(1 << self.n):
-            for y in range(x, 1 << self.n):
-                if rt[x] + rt[y] < rt[x | y] + rt[x & y]:
-                    raise ValueError(
-                        f"rank not submodular at {elements_of(x)}, {elements_of(y)}"
-                    )
+        r = np.array(rt, dtype=np.int64)
+        masks = np.arange(1 << self.n)
+        bad = []
+        for i in range(self.n):
+            x = masks[(masks & 1 << i) == 0]
+            step = r[x | 1 << i] - r[x]
+            bad += [(int(x[k]), i) for k in np.flatnonzero((step < 0) | (step > 1))[:1]]
+        if bad:
+            m, i = min(bad)
+            raise ValueError(f"rank not monotone with unit steps at {elements_of(m)} + {i + 1}")
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                x = masks[(masks & (1 << i | 1 << j)) == 0]
+                xi, xj = x | 1 << i, x | 1 << j
+                fail = r[xi] + r[xj] < r[x] + r[xi | xj]
+                bad += [(int(x[k]), i, j) for k in np.flatnonzero(fail)[:1]]
+        if bad:
+            m, i, j = min(bad)
+            raise ValueError(f"rank not submodular at {elements_of(m | 1 << i)}, "
+                             f"{elements_of(m | 1 << j)}")
 
     def rank(self, subset):
         return self.rank_table[mask_of(subset, self.n)]

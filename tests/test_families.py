@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -102,6 +103,72 @@ def test_rank_axiom_validation_rejects_junk():
     # r({1})=r({2})=0 but r({1,2})=1
     with pytest.raises(ValueError, match="submodular"):
         Matroid(2, "junk", {}, [0, 0, 0, 1])
+
+
+def pairwise_rank_error(n, rt):
+    """The exhaustive rank-axiom check over every pair (X, Y), the oracle
+    of the local one: the first violation's kind, or None."""
+    if rt[0] != 0:
+        return "empty set"
+    for m in range(1 << n):
+        for j in range(n):
+            if not m >> j & 1 and not rt[m] <= rt[m | 1 << j] <= rt[m] + 1:
+                return f"rank not monotone with unit steps at {elements_of(m)} + {j + 1}"
+    for x in range(1 << n):
+        for y in range(x, 1 << n):
+            if rt[x] + rt[y] < rt[x | y] + rt[x & y]:
+                return "submodular"
+    return None
+
+
+def rank_error(n, rt):
+    try:
+        Matroid(n, "junk", {}, rt)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def sparse_paving(n, k, hyperplanes):
+    """min(|X|, k), lowered to k - 1 on the given k-sets: a matroid iff no
+    two of them share k - 1 elements, with unit steps either way."""
+    return [k - 1 if m in hyperplanes else min(m.bit_count(), k) for m in range(1 << n)]
+
+
+def test_local_rank_axioms_agree_with_pairwise_check(monkeypatch):
+    corpus = []
+    validate = Matroid._validate
+    monkeypatch.setattr(Matroid, "_validate",
+                        lambda m: corpus.append((m.n, m.rank_table)) or validate(m))
+    default_corpus()
+    monkeypatch.undo()
+    assert len(corpus) >= 20
+    tables = list(corpus)
+    rng = random.Random(3)
+    for _ in range(40):
+        nv = rng.randint(2, 5)
+        edges = [tuple(rng.sample(range(1, nv + 1), 2)) for _ in range(rng.randint(1, 7))]
+        tables.append((len(edges), graphic_matroid(nv, edges).rank_table))
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        k = rng.randint(2, n - 1)
+        ksets = [m for m in range(1 << n) if m.bit_count() == k]
+        hyperplanes = rng.sample(ksets, rng.randint(1, min(len(ksets), 4)))
+        tables.append((n, sparse_paving(n, k, set(hyperplanes))))
+    for n, rt in tables[:]:
+        for _ in range(2):
+            bumped = list(rt)
+            bumped[rng.randrange(1, 1 << n)] += rng.choice((-1, 1))
+            tables.append((n, bumped))
+    kinds = set()
+    for n, rt in tables:
+        want, got = pairwise_rank_error(n, rt), rank_error(n, rt)
+        if want is None or want.startswith("rank not monotone"):
+            assert got == want, (n, rt)
+        else:
+            assert got is not None and want in got, (n, rt)
+        kinds.add(want and ("monotone" if "monotone" in want else want))
+    assert kinds == {None, "monotone", "submodular"}
 
 
 def test_matroid_bases():

@@ -1,7 +1,7 @@
 """The bulk replay of seeded ``random.Random`` draws against the scalar calls.
 
 ``core._Replay`` decodes the Mersenne Twister words of a seeded
-``random.Random`` with CPython's own rules. The scalar ``randint``,
+``random.Random``, drawn in bulk, with CPython's own rules. The scalar ``randint``,
 ``randrange`` and ``getrandbits`` loops here are the oracle: first for
 the decoded arrays, then for whole reports of the three sampled grid
 checkers and of the sampled multiple exchange, FAILs included.
@@ -83,6 +83,20 @@ def test_multi_draws_match_scalar_draws(seed, ndom, n):
     expected = [[rng.randrange(ndom), rng.randrange(ndom), rng.getrandbits(n) if n else 0]
                 for _ in range(sum(CHUNKS))]
     assert replayed(seed, [below(ndom, 2), (1, 1 << n, n)]) == expected
+
+
+@pytest.mark.parametrize("offset", [0, 5, 623, 624, 1000])
+def test_replay_starts_where_the_rng_stands(offset):
+    """Words already taken from the rng, within or past its first block of
+    624, are not replayed."""
+    for seed in (0, 12345, 2**63 + 7):
+        rng = random.Random(seed)
+        for _ in range(offset):
+            rng.getrandbits(32)
+        expected = random.Random()
+        expected.setstate(rng.getstate())
+        expected = [[expected.getrandbits(32)] for _ in range(700)]
+        assert np.hstack(_Replay(rng).take(700, [(1, 2**32, 32)])).tolist() == expected
 
 
 def test_runs_that_decode_garbage_are_refused():
@@ -222,9 +236,10 @@ def test_sampled_multi_matches_scalar_loop(instance_id, f, mode):
 
 
 def test_sampled_regimes_make_no_per_value_draws(monkeypatch):
-    """With the scalar draws broken, the sampled grid regime at n = 6 and
+    """With the per-value draws broken (``randint``, ``randrange`` and
+    ``getrandbits`` of one word), the sampled grid regime at n = 6 and
     ``check_exc_multi`` at n = 8 still give the reports pinned before the
-    replay replaced them."""
+    replay replaced them; only bulk ``getrandbits(32 * k)`` may run."""
     corpus = {c.instance_id: c.fn for c in default_corpus()}
     grid = [("n6_laminar", corpus["n6_laminar"]),
             ("n6_laminar_mut", mutate(corpus["n6_laminar"], 0, 2))]
@@ -234,8 +249,16 @@ def test_sampled_regimes_make_no_per_value_draws(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("a per-value draw was made")
 
-    for name in ("randint", "randrange", "getrandbits"):
+    bulk_bits = random.Random.getrandbits
+
+    def bulk_only(rng, k):
+        if k <= 32:
+            broken()
+        return bulk_bits(rng, k)
+
+    for name in ("randint", "randrange"):
         monkeypatch.setattr(random.Random, name, broken)
+    monkeypatch.setattr(random.Random, "getrandbits", bulk_only)
     reports = run_check(grid, SuiteConfig(suites=("duality_grid",), samples=500,
                                           seed=2**63 + 5))
     assert [r.regime for r in reports] == ["sampled", "sampled"]

@@ -2,11 +2,11 @@
 
 Both run through one report builder, so the comparison is of report
 bytes: verdict, first failing triple and the triple count through it.
-The batched path is called directly on small tables, which the public
-checkers leave to the loop, and through the checkers from the threshold
-on.
+The batched path is called directly, and through the public checkers on
+every domain size.
 """
 
+import numpy as np
 import pytest
 
 from mconcave import (
@@ -20,13 +20,54 @@ from mconcave import (
     random_table,
 )
 from mconcave import exchange
-from mconcave.core import REAL_EPS, elements_of
+from mconcave.core import REAL_EPS, elements_of, leq_for
 from mconcave.families import random_mnat_concave
 
 
+def loop_sweep(f, drop):
+    """The scalar sweep over (X, Y, i) in lex order: (first failing
+    (xm, ym, i) or None, triples through it)."""
+    vals = f.values
+    leq = leq_for(f.mode)
+    dom = f.dom_masks
+    triples = 0
+    for xm in dom:
+        fx = vals[xm]
+        for ym in dom:
+            d = xm & ~ym
+            if not d:
+                continue
+            lhs = fx + vals[ym]
+            yonly = ym & ~xm
+            while d:
+                ib = d & -d
+                d ^= ib
+                triples += 1
+                xmi = xm ^ ib
+                ymi = ym | ib
+                if drop:
+                    a = vals[xmi]
+                    if a is not NEG_INF:
+                        b = vals[ymi]
+                        if b is not NEG_INF and leq(lhs, a + b):
+                            continue
+                e = yonly
+                while e:
+                    jb = e & -e
+                    e ^= jb
+                    a = vals[xmi | jb]
+                    if a is NEG_INF:
+                        continue
+                    b = vals[ymi ^ jb]
+                    if b is not NEG_INF and leq(lhs, a + b):
+                        break
+                else:
+                    return (xm, ym, ib.bit_length()), triples
+    return None, triples
+
+
 def loop_line(f, drop, suite="s", instance_id="t"):
-    report = exchange._sweep_report(f, suite, instance_id, *exchange._loop_sweep(f, drop))
-    return report.to_json_line()
+    return exchange._sweep_report(f, suite, instance_id, *loop_sweep(f, drop)).to_json_line()
 
 
 def batched_line(f, drop):
@@ -111,29 +152,85 @@ def test_real_mode_slack(by_id):
             assert assert_agree([h], False) == (0 if passes else 1)
 
 
-def test_threshold_dispatch(by_id, monkeypatch):
-    """The checkers run batched from _BATCH_MIN_DOM domain sets on, and
-    give the loop's report on either side of it."""
+def test_every_domain_size_runs_batched(by_id, monkeypatch):
+    """The checkers sweep batched on every domain size, from n6_laminar's
+    64 sets down to one, and on lifts, and give the loop's report."""
     full = by_id["n6_laminar"]
-    assert len(full.dom_masks) == exchange._BATCH_MIN_DOM
-    below = full.with_value(elements_of(63), None)
+    tables = []
+    for k in range(64):
+        f = SetFn(6, [None if m >= 64 - k else v for m, v in enumerate(full.values)])
+        tables.append(f)
+        if k % 16 == 0 or k >= 60:
+            tables.append(lift(f))
     calls = []
     real_batched = exchange._batched_sweep
     monkeypatch.setattr(exchange, "_batched_sweep",
                         lambda f, drop: calls.append(len(f.dom_masks)) or real_batched(f, drop))
-    for f in (full, below, lift(full.with_value((1,), full.values[1] - 1))):
+    equi = []
+    for f in tables:
         assert check_exc_single(f).to_json_line() == loop_line(f, True, "exc_single", "")
-    assert check_m_concave(lift(by_id["n5_laminar"])).passed
-    assert calls == [64, 924, 252]
+        if len({m.bit_count() for m in f.dom_masks}) == 1:
+            equi.append(f)
+            assert check_m_concave(f).to_json_line() == loop_line(f, False, "m_concave", "")
+    assert calls[:2] == [64, 924]
+    assert sorted(set(calls)) == sorted({len(f.dom_masks) for f in tables})
+    assert len(calls) == len(tables) + len(equi)
+    assert {len(f.dom_masks) for f in tables} >= set(range(1, 65))
 
 
-def test_ints_beyond_int64_fall_back_to_the_loop(by_id):
+class _DtypeSpy:
+    """numpy for ``exchange``, noting the dtype of every ``np.array``."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, obj, dtype=None, **kwargs):
+        self.dtypes.append(dtype)
+        return np.array(obj, dtype=dtype, **kwargs)
+
+
+def batched_dtypes(f, drop, monkeypatch):
+    """The batched report line of f, and the dtypes its arrays took."""
+    spy = _DtypeSpy()
+    with monkeypatch.context() as m:
+        m.setattr(exchange, "np", spy)
+        return batched_line(f, drop), spy.dtypes
+
+
+def affine(f, scale=1, shift=0):
+    return SetFn(f.n, [v if v is NEG_INF else v * scale + shift for v in f.values])
+
+
+def test_ints_beyond_int64_sweep_on_python_ints(by_id, monkeypatch):
+    """Int tables with some |v| >= 2^61 sweep on the object dtype with the
+    loop's report; up to 2^61 - 1 they stay in int64."""
     f = by_id["n6_laminar"]
     big = f.with_value((2, 5), 2**62)
-    shifted = SetFn(f.n, [v if v is NEG_INF else v + 2**62 for v in f.values])
-    for g in (big, shifted, lift(big)):
-        assert exchange._batched_sweep(g, True) is None
-        assert exchange._batched_sweep(g, False) is None
-        assert check_exc_single(g).to_json_line() == loop_line(g, True, "exc_single", "")
+    shifted = affine(f, shift=2**62)
+    tables = [big, shifted, lift(big)]
+    moves = [(2**62, 0), (1, 2**63), (1, -(2**63))]
+    for s in range(24):
+        g = random_table(2 + s % 4, s, neg_inf_prob=0.1 * (s % 3))
+        if g.dom_masks:
+            tables.append(affine(g, *moves[s % 3]))
+    tables += [affine(random_mnat_concave(3, s), *moves[s % 3]) for s in range(6)]
+    fails = 0
+    for g in tables:
+        for drop in (True, False):
+            got, dtypes = batched_dtypes(g, drop, monkeypatch)
+            assert object in dtypes
+            want = loop_line(g, drop)
+            assert got == want, (g, drop)
+            fails += '"FAIL"' in want
+    assert 0 < fails < 2 * len(tables)
+    assert check_exc_single(big).to_json_line() == loop_line(big, True, "exc_single", "")
     assert not check_exc_single(big).passed
     assert check_exc_single(shifted).passed
+
+    edge = affine(f, shift=2**61 - 1 - max(f.values))
+    got, dtypes = batched_dtypes(edge, True, monkeypatch)
+    assert object not in dtypes
+    assert got == loop_line(edge, True)
