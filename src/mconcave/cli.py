@@ -19,24 +19,22 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .core import FormatError, NEG_INF, _require_int, elements_of, leq_for, load, store
+from .core import FormatError, NEG_INF, _require_int, leq_for, load, store
 from .duality import (
     check_conjugate_submodular,
     check_cross_submodular,
     check_strong_quotient,
     fenchel_gap,
-    _empty_restriction,
     _feasible_caps,
 )
 from .exchange import (
     DEFAULT_SAMPLES,
     _bulk_decide,
-    _first_swap,
-    check_exc_multi,
+    _lemma_facts,
     check_exc_single,
     check_m_concave,
+    exc_multi_reports,
     lift,
-    submasks_ascending,
 )
 from .families import (
     CorpusInstance,
@@ -271,7 +269,8 @@ _memo = {}
 
 def _exchange_report(instance_id, f, cfg, seed, bounded=None):
     """check_exc_single (``bounded`` None) or check_exc_multi for ``f``,
-    computed once per instance."""
+    computed once per instance; both multiple-exchange reports come from
+    one pass."""
     if _memo.get("fn") is not f:
         _memo.clear()
         _memo["fn"] = f
@@ -280,8 +279,10 @@ def _exchange_report(instance_id, f, cfg, seed, bounded=None):
         if bounded is None:
             _memo[key] = check_exc_single(f, instance_id=instance_id)
         else:
-            _memo[key] = check_exc_multi(f, bounded=bounded, samples=cfg.samples,
-                                         seed=seed, instance_id=instance_id)
+            reports = exc_multi_reports(f, samples=cfg.samples, seed=seed,
+                                        instance_id=instance_id)
+            for b, report in reports.items():
+                _memo[(b, instance_id, seed, cfg.samples)] = report
     return _memo[key]
 
 
@@ -338,40 +339,9 @@ def _suite_lemmas(instance_id, f, cfg, seed):
                    "detail": gate.counterexample}
         return failed_report("lemmas_2_8", instance_id, counter,
                              triples=gate.triples_checked)
-    vals = f.values
-    checked = 0
-    for xm in f.dom_masks:
-        for ym in f.dom_masks:
-            kx, ky = xm.bit_count(), ym.bit_count()
-            lhs = vals[xm] + vals[ym]
-            rest = ym & ~xm
-            if kx <= ky:
-                d = xm & ~ym
-                while d:
-                    ib = d & -d
-                    d ^= ib
-                    checked += 1
-                    if _first_swap(f, lhs, xm ^ ib, ym | ib, rest) is None:
-                        counter = {"fact": "swap_at_leq_size", "X": list(elements_of(xm)),
-                                   "Y": list(elements_of(ym)), "i": ib.bit_length()}
-                        return failed_report("lemmas_2_8", instance_id, counter,
-                                             triples=checked)
-            if kx < ky:
-                checked += 1
-                if _first_swap(f, lhs, xm, ym, rest) is None:
-                    counter = {"fact": "augment_at_lt_size",
-                               "X": list(elements_of(xm)), "Y": list(elements_of(ym))}
-                    return failed_report("lemmas_2_8", instance_id, counter,
-                                         triples=checked)
-            for im in submasks_ascending(xm & ~ym):
-                checked += 1
-                empty = _empty_restriction(f, xm, ym, im)
-                if empty is not None:
-                    counter = {"fact": "restriction_domains_nonempty",
-                               "X": list(elements_of(xm)), "Y": list(elements_of(ym)),
-                               "I": list(elements_of(im)), "detail": empty}
-                    return failed_report("lemmas_2_8", instance_id, counter,
-                                         triples=checked)
+    counter, checked = _lemma_facts(f)
+    if counter is not None:
+        return failed_report("lemmas_2_8", instance_id, counter, triples=checked)
     return passed_report("lemmas_2_8", instance_id, triples=checked)
 
 
@@ -699,8 +669,8 @@ def main(argv=None):
         if args.command == "falsify":
             return cmd_falsify(cfg, args.trials)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (OSError, ValueError, FormatError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, FormatError, KeyError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

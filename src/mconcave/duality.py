@@ -64,6 +64,7 @@ from .core import (
 from .exchange import (
     DEFAULT_SAMPLES,
     ExchangeContext,
+    _empty_side,
     _require_nonempty_dom,
 )
 from .reporting import failed_report, passed_report
@@ -487,8 +488,7 @@ def _empty_restriction(f, xm, ym, im):
         if x_sized and y_side:
             return None
     name = "x_side" if not x_side else "x_side_sized" if not x_sized else "y_side"
-    return (f"{name} restriction has empty domain for X={elements_of(xm)}, "
-            f"Y={elements_of(ym)}, I={elements_of(im)}")
+    return _empty_side(name, xm, ym, im)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 of a set function with mixed domain sizes to an equi-cardinal one.
 
 All checkers enumerate bitmasks directly and return VerificationReports;
-the single-exchange sweep runs batched in numpy, in the lex order below,
-and ``_bulk_decide`` decides many small tables at once for the
-falsification campaign.
+the single-exchange sweep runs batched in numpy, in the lex order below;
+the multiple exchange and the facts of ``lemmas_2_8`` run on the array
+kernel of ``moves``, both bounds from one pass; and ``_bulk_decide``
+decides many small tables at once for the falsification campaign.
 Pairs (X, Y) with X or Y outside the effective domain satisfy every
 exchange inequality vacuously (the left side is NEG_INF), so loops run
 over dom x dom. Enumeration order and tie-breaking are fixed so that
@@ -22,7 +23,6 @@ by ``core._Replay`` with the scalar calls' values.
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +33,25 @@ from .core import (
     Falsification,
     SetFn,
     _holds,
-    _Replay,
     _require_int,
     elements_of,
     leq_for,
     mask_of,
     submasks_ascending,
     submasks_by_size,
+)
+from .moves import (
+    _BULK_FLOOR,
+    _BULK_NEG,
+    _BULK_SAFE,
+    attains,
+    exhaustive_triples,
+    multi_best,
+    pair_blocks,
+    restriction_sides,
+    sampled_triples,
+    triples,
+    value_table,
 )
 from .reporting import failed_report, passed_report
 
@@ -58,13 +70,6 @@ _BATCH_BYTES = 1 << 19
 # of two values, and every sentinel, fits in it.
 _INT64_SAFE = 1 << 61
 
-# Tables the bulk decider takes: int mode, a nonempty domain and every
-# |value| < 2^60. NEG_INF becomes -2^62, so a finite sum of two values lies
-# above _BULK_FLOOR = -2^61, any sum with NEG_INF below it, and two NEG_INFs
-# add up to -2^63, the int64 minimum.
-_BULK_SAFE = 1 << 60
-_BULK_NEG = -(1 << 62)
-_BULK_FLOOR = -(1 << 61)
 # Single-exchange triples in the bulk gate's first block; each block is four
 # times the last, and tables drop out after the block where they fail.
 _BULK_FIRST = 32
@@ -363,77 +368,163 @@ def check_exc_multi(f, bounded=True, *, samples=DEFAULT_SAMPLES, seed=0, instanc
     The report carries a histogram of witness sizes |J| and, on FAIL, the
     first violating triple encountered.
     """
+    return exc_multi_reports(f, samples=samples, seed=seed, instance_id=instance_id)[bounded]
+
+
+def exc_multi_reports(f, *, samples=DEFAULT_SAMPLES, seed=0, instance_id=""):
+    """``check_exc_multi`` for both bounds from one pass over the triples:
+    {True: the bounded report, False: the unbounded one}."""
     _require_nonempty_dom(f)
     _require_int("samples", samples, 1)
     if f.n <= EXHAUSTIVE_N_LIMIT:
-        failing, counts, triples = _multi_pass_margin(f, bounded)
-        regime, seed = "exhaustive", None
+        regime, samples, seed = "exhaustive", None, None
     else:
-        failing, counts, triples = _sampled_multi(f, bounded, samples, seed)
         regime = "sampled"
-    suite = "exc_multi_bounded" if bounded else "exc_multi_unbounded"
-    hist = {size: c for size, c in enumerate(counts) if c}
-    if failing is None:
-        return passed_report(suite, instance_id, histogram=hist, triples=triples,
-                             regime=regime, seed=seed)
-    xm, ym, im = failing
-    counter = {
-        "X": list(elements_of(xm)),
-        "Y": list(elements_of(ym)),
-        "I": list(elements_of(im)),
-        "lhs": _ext_or_none(f.values[xm] + f.values[ym]),
-    }
-    return failed_report(suite, instance_id, counter, histogram=hist,
-                         triples=triples, regime=regime, seed=seed)
+    reports = {}
+    for bounded, (failing, counts, triples) in _multi_pass_margin(f, samples, seed).items():
+        suite = "exc_multi_bounded" if bounded else "exc_multi_unbounded"
+        hist = {size: c for size, c in enumerate(counts) if c}
+        if failing is None:
+            reports[bounded] = passed_report(suite, instance_id, histogram=hist,
+                                             triples=triples, regime=regime, seed=seed)
+            continue
+        xm, ym, im = failing
+        counter = {
+            "X": list(elements_of(xm)),
+            "Y": list(elements_of(ym)),
+            "I": list(elements_of(im)),
+            "lhs": _ext_or_none(f.values[xm] + f.values[ym]),
+        }
+        reports[bounded] = failed_report(suite, instance_id, counter, histogram=hist,
+                                         triples=triples, regime=regime, seed=seed)
+    return reports
 
 
-def _multi_pass_margin(f, bounded=True):
-    """The exhaustive multiple-exchange loop over (X, Y, I) in lex order.
+def _multi_pass_margin(f, samples=None, seed=None):
+    """Both multiple-exchange passes over the triples (X, Y, I) at once:
+    all of them in lex order when ``samples`` is None, else ``samples``
+    triples drawn from ``seed``.
 
-    Returns (failing, counts, triples): the first violating (xm, ym, im)
-    or None, the histogram of witness sizes as a list (counts[k] passing
-    triples had |J| = k), and the count of triples checked. (The name
-    is the one the benchmark's trace point looks up.)
+    Returns {bounded: (failing, counts, triples)} for bounded True and
+    False: the first violating (xm, ym, im) or None, the histogram of
+    witness sizes as a list (counts[k] passing triples had |J| = k), and
+    the count of triples checked. The bounded best is at most the
+    unbounded one, so the bounded FAIL never comes later, and the pass
+    stops at the unbounded FAIL. (The name is the one the benchmark's
+    trace point looks up.)
     """
-    vals = f.values
-    leq = leq_for(f.mode)
-    dom = f.dom_masks
-    counts = [0] * (f.n + 1)
-    for xm in dom:
-        fx = vals[xm]
-        for ym in dom:
-            lhs = fx + vals[ym]
-            for im in submasks_ascending(xm & ~ym):
-                best, _, size = _best_multi(vals, xm, ym, im, bounded)
-                if best is NEG_INF or not leq(lhs, best):
-                    return (xm, ym, im), counts, sum(counts) + 1
-                counts[size] += 1
-    return None, counts, sum(counts)
+    n = f.n
+    at, neg, floor = value_table(f, _BATCH_BYTES)
+    dm = np.array(f.dom_masks, dtype=np.int64)
+    if samples is None:
+        blocks = exhaustive_triples(dm, n, _BATCH_BYTES)
+    else:
+        blocks = sampled_triples(dm, n, samples, seed, _BATCH_BYTES)
+    counts = {True: np.zeros(n + 1, dtype=np.int64), False: np.zeros(n + 1, dtype=np.int64)}
+    out = {}
+    seen = 0
+    for xm, ym, im in blocks:
+        lhs = at(xm) + at(ym)
+        bests = multi_best(at, neg, xm, ym, im, n, _BATCH_BYTES)
+        for bounded, (best, size) in zip((True, False), bests):
+            if bounded in out:
+                continue
+            fail = ~attains(lhs, best, floor, f.mode)
+            t = int(fail.argmax()) if fail.any() else len(fail)
+            counts[bounded] += np.bincount(size[:t], minlength=n + 1)
+            if t < len(fail):
+                out[bounded] = ((int(xm[t]), int(ym[t]), int(im[t])),
+                                counts[bounded].tolist(), seen + t + 1)
+        seen += len(xm)
+        if False in out:
+            break
+    for bounded in (True, False):
+        out.setdefault(bounded, (None, counts[bounded].tolist(), seen))
+    return out
 
 
-def _sampled_multi(f, bounded, samples, seed):
-    """The sampled counterpart over ``samples`` seeded triples: returns
-    (failing, counts, triples) as ``_multi_pass_margin`` does. Triple t is
-    X, Y = dom[randrange(|dom|)] twice, then I = (X \\ Y) & getrandbits(n),
-    replayed in chunks of ``_MULTI_CHUNK`` triples."""
-    vals = f.values
-    leq = leq_for(f.mode)
-    dom = f.dom_masks
-    ndom = len(dom)
-    counts = [0] * (f.n + 1)
-    replay = _Replay(random.Random(seed))
-    runs = [(2, ndom, ndom.bit_length()), (1, 1 << f.n, f.n)]
-    for start in range(0, samples, _MULTI_CHUNK):
-        xy, bits = replay.take(min(_MULTI_CHUNK, samples - start), runs)
-        for t, ((x, y), (b,)) in enumerate(zip(xy.tolist(), bits.tolist()), start):
-            xm = dom[x]
-            ym = dom[y]
-            im = xm & ~ym & b
-            best, _, size = _best_multi(vals, xm, ym, im, bounded)
-            if best is NEG_INF or not leq(vals[xm] + vals[ym], best):
-                return (xm, ym, im), counts, t + 1
-            counts[size] += 1
-    return None, counts, samples
+def _lemma_facts(f):
+    """The facts the proof uses, on every (X, Y) in dom x dom in row-major
+    order: a swap for each i in X \\ Y by ascending i when |X| <= |Y|, an
+    augmenting swap when |X| < |Y|, then nonempty restrictions for each I
+    inside X \\ Y in ascending order. A pair holds
+    [|X| <= |Y|] * |X \\ Y| + [|X| < |Y|] + 2^|X \\ Y| facts.
+
+    Returns (counter, checked): the counterexample of the first fact that
+    fails, or None, and the count of facts through it (all of them when
+    none fails). The swap facts are decided per element i for a block of
+    pairs at once, as outer comparisons over its moves as in
+    ``_batched_sweep``; the restriction facts read which sides of a
+    triple's moves are finite from ``moves.moves``.
+    """
+    n = f.n
+    at, neg, floor = value_table(f, _BATCH_BYTES)
+    dm = np.array(f.dom_masks, dtype=np.int64)
+    fv = at(dm)
+    size = np.bitwise_count(dm).astype(np.int64)
+    checked = 0
+    # Bytes per pair of one element's moves and their temporaries.
+    for r0, r1, c0, c1 in pair_blocks(len(dm), max(1, _BATCH_BYTES // (64 * max(1, n)))):
+        xm, ym = dm[r0:r1, None], dm[None, c0:c1]
+        lhs = fv[r0:r1, None] + fv[None, c0:c1]
+        leq = size[r0:r1, None] <= size[None, c0:c1]
+        lt = size[r0:r1, None] < size[None, c0:c1]
+        d = xm & ~ym
+        nd = np.bitwise_count(d).astype(np.int64)
+        # The swap facts of i = 0 .. n - 1, then the augment fact as i = n
+        # (nothing leaves X). ``first`` is the index in its pair of the
+        # first fact that fails, or -1.
+        first = np.full(d.shape, -1, dtype=np.int64)
+        for i in range(n + 1):
+            bi = 1 << i if i < n else 0
+            js = np.array([1 << j for j in range(n) if j != i], dtype=np.int64)[:, None, None]
+            a = np.where(xm & js == 0, at((xm ^ bi) | js), neg)
+            b = np.where(ym & js != 0, at((ym | bi) ^ js), neg)
+            ok = attains(lhs, a + b, floor, f.mode).any(axis=0)
+            if i < n:
+                applies = leq & (xm & bi != 0) & (ym & bi == 0)
+                index = np.bitwise_count(d & (bi - 1)).astype(np.int64)
+            else:
+                applies, index = lt, leq * nd
+            first = np.where((first < 0) & applies & ~ok, index, first)
+        xs = np.broadcast_to(xm, d.shape).ravel()
+        ys = np.broadcast_to(ym, d.shape).ravel()
+        first, d, nd, leq, lt = (v.ravel() for v in (first, d, nd, leq, lt))
+        facts = leq * nd + lt + (1 << nd)
+        bad = first >= 0
+        q = int(bad.argmax()) if bad.any() else len(d)
+        # Restrictions only on the pairs before the first failing swap.
+        fact = None
+        for p, rank, im in triples(d[:q], n, _BATCH_BYTES):
+            x_side, x_sized, y_side = restriction_sides(at, floor, xs[p], ys[p], im, n,
+                                                        _BATCH_BYTES)
+            empty = ~(x_sized & y_side)
+            if empty.any():
+                t = int(empty.argmax())
+                q, im = int(p[t]), int(im[t])
+                first[q] = leq[q] * nd[q] + lt[q] + rank[t]
+                name = ("x_side" if not x_side[t] else "x_side_sized" if not x_sized[t]
+                        else "y_side")
+                fact = {"fact": "restriction_domains_nonempty", "I": list(elements_of(im)),
+                        "detail": _empty_side(name, int(xs[q]), int(ys[q]), im)}
+                break
+        if q == len(d):
+            checked += int(facts.sum())
+            continue
+        if fact is None:
+            fact = ({"fact": "swap_at_leq_size", "i": elements_of(int(d[q]))[first[q]]}
+                    if first[q] < leq[q] * nd[q] else {"fact": "augment_at_lt_size"})
+        checked += int(facts[:q].sum() + first[q]) + 1
+        return {"X": list(elements_of(int(xs[q]))), "Y": list(elements_of(int(ys[q]))),
+                **fact}, checked
+    return None, checked
+
+
+def _empty_side(name, xm, ym, im):
+    """The message that restriction ``name`` of (X, Y, I) has an empty
+    domain."""
+    return (f"{name} restriction has empty domain for X={elements_of(xm)}, "
+            f"Y={elements_of(ym)}, I={elements_of(im)}")
 
 
 # ---------------------------------------------------------------------------

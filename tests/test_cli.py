@@ -124,6 +124,19 @@ def test_check_missing_file_is_operational_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_operational_error(tmp_path, corpus, monkeypatch, capsys):
+    """A suite that runs out of memory stops the run with exit code 2,
+    not 1: it falsified nothing."""
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._INSTANCE_SUITES, "exc_single", exhausted)
+    paths = small_corpus_paths(tmp_path, corpus, ["n3_uniform_r2"])
+    assert main(["check", "--suites", "exc_single", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: MemoryError\n" and captured.out == ""
+
+
 def test_check_malformed_instance_is_operational_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"n": 2, "mode": "int", "values": [0, 0, 0]}')

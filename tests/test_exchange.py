@@ -23,7 +23,7 @@ from mconcave import (
     uniform_matroid,
     weighted_basis_valuation,
 )
-from mconcave.exchange import _multi_pass_margin, _sampled_multi
+from mconcave.exchange import _multi_pass_margin
 
 # --- oracles: set-algebra reimplementations, no bitmask tricks ---------------
 
@@ -257,12 +257,12 @@ def test_check_exc_multi_auto_regime(corpus_by_id):
     # exhaustive up to n = EXHAUSTIVE_N_LIMIT = 7, sampled above
     f = corpus_by_id["n3_uniform_r1"].fn
     rep = check_exc_multi(f, samples=7, seed=5)
-    failing, counts, triples = _multi_pass_margin(f)
+    failing, counts, triples = _multi_pass_margin(f)[True]
     assert rep.regime == "exhaustive" and rep.seed is None
     assert rep.passed and failing is None and rep.triples_checked == triples == sum(counts)
     f = corpus_by_id["n8_wbasis_partition"].fn
     rep = check_exc_multi(f, samples=50, seed=3)
-    failing, counts, triples = _sampled_multi(f, True, 50, 3)
+    failing, counts, triples = _multi_pass_margin(f, 50, 3)[True]
     assert rep.regime == "sampled" and rep.seed == 3 and rep.triples_checked == triples == 50
     assert rep.passed and failing is None
     assert rep.witness_histogram == {k: c for k, c in enumerate(counts) if c}

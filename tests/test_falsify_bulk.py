@@ -19,7 +19,8 @@ from mconcave import NEG_INF, SetFn, check_exc_single, default_corpus, mutate, r
 from mconcave import cli, exchange
 from mconcave.cli import MASK64, FalsifyOutcome, falsify_campaign
 from mconcave.core import submasks_ascending
-from mconcave.exchange import _best_multi, _multi_pass_margin
+from mconcave.exchange import _best_multi
+from test_multi_batched import ref_multi_pass
 
 
 def margin(f):
@@ -42,7 +43,7 @@ def oracle(f):
     """(passed, holds) as the campaign's per-table loop decided them."""
     if not check_exc_single(f).passed:
         return False, None
-    return True, _multi_pass_margin(f, bounded=True)[0] is None
+    return True, ref_multi_pass(f, bounded=True)[0] is None
 
 
 def bulk_rows(tables):
@@ -95,13 +96,14 @@ def test_gate_matches_check_exc_single():
 
 
 def test_margins_match_multi_pass_margin():
-    """The bulk verdict against ``_multi_pass_margin``'s, FAILs included;
-    the margin of every table that holds is 0."""
+    """The bulk verdict against the exhaustive loop's (``ref_multi_pass``,
+    which ``_multi_pass_margin`` replaced), FAILs included; the margin of
+    every table that holds is 0."""
     fails = 0
     for n, tables in by_n(ungated_tables()):
         got = exchange._bulk_multi(bulk_rows(tables), *exchange._bulk_index(n)[:3]).tolist()
         for f, holds in zip(tables, got):
-            failing = _multi_pass_margin(f, bounded=True)[0]
+            failing = ref_multi_pass(f, bounded=True)[0]
             assert holds == (failing is None), f
             assert margin(f) == (0 if holds else None), f
             fails += failing is not None

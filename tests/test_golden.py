@@ -2,7 +2,7 @@
 of the `fenchel` suite and of the exchange-suite reports are fixed by the
 seed.
 
-The report instances cover both multiple-exchange regimes (n <= 5
+The report instances cover both multiple-exchange regimes (n <= 7
 exhaustive, n = 8 sampled) and seeded `mutate`d copies, so FAIL
 counterexamples and the triple counts at failure are pinned too. The
 lifted instances reach lifted domains of 252 and 924 sets, where the
@@ -91,6 +91,47 @@ def test_exchange_report_bytes():
     assert ("exc_multi_bounded", "exhaustive", "FAIL") in verdicts
     assert ("exc_multi_unbounded", "sampled", "PASS") in verdicts
     assert sha256(text) == "e0949aff82379e6696377ce6be542e0c70436ee2290446bef8f7a1d9b36eb4c8"
+
+
+def exhaustive_multi_instances():
+    """Corpus instances with n = 6, 7, where the multiple exchange runs
+    exhaustively, then two seeded `mutate`d copies of each (a +-1 move,
+    and a +-2 move with a toggled NEG_INF entry) and two single-entry
+    moves whose counterexample lies deep in the lex order."""
+    corpus = default_corpus()
+    out = [(c.instance_id, c.fn) for c in corpus if c.fn.n in (6, 7)]
+    for c in corpus:
+        if c.fn.n in (6, 7):
+            for s in range(2):
+                out.append((f"{c.instance_id}_mut{s}",
+                            mutate(c.fn, s, 1 + s, toggle_neg_inf=bool(s))))
+    by_id = dict(out)
+    for iid, mask, delta in (("n6_laminar", 63, 1), ("n7_wbasis_graphic", 120, -1)):
+        f = by_id[iid]
+        out.append((f"{iid}_at{mask}", f.with_value(elements_of(mask), f.values[mask] + delta)))
+    return out
+
+
+def test_exhaustive_multi_report_bytes():
+    """Both multiple-exchange bounds, `corollary1` and `lemmas_2_8` at
+    n = 6, 7: the exhaustive regime's PASS histograms and triple counts,
+    and the first violating triple of each FAIL."""
+    suites = ("exc_multi_bounded", "exc_multi_unbounded", "corollary1", "lemmas_2_8")
+    instances = exhaustive_multi_instances()
+    reports = run_check(instances, SuiteConfig(suites=suites))
+    text = "".join(r.to_json_line() + "\n" for r in reports)
+    n_of = dict(instances)
+    verdicts = {(n_of[r.instance_id].n, r.suite, r.regime, r.verdict) for r in reports}
+    # Guard the coverage the hash is meant to pin.
+    for suite in suites:
+        assert (6, suite, "exhaustive", "PASS") in verdicts
+        assert (7, suite, "exhaustive", "FAIL") in verdicts
+    gate = [r for r in reports if r.suite == "lemmas_2_8" and not r.passed]
+    assert gate and all(r.counterexample["reason"] == "single-exchange precondition fails"
+                        for r in gate)
+    assert max(r.triples_checked for r in reports
+               if r.suite == "exc_multi_unbounded" and not r.passed) > 10_000
+    assert sha256(text) == "f7c050d64b0aacfb69cafa1b47bfb668628c60bcd02ad7eab0f188e35700fdfe"
 
 
 def lifted_instances():

@@ -27,7 +27,7 @@ from mconcave import (
 from mconcave.cli import SuiteConfig, run_check
 from mconcave.core import _Replay, leq_for
 from mconcave.duality import _feasible_caps
-from mconcave.exchange import _best_multi, _sampled_multi
+from mconcave.exchange import _best_multi, _multi_pass_margin
 from test_grid_engine import ref_cross, ref_quotient, ref_submodular
 
 SEEDS = (0, 1, 2**32, 2**63 + 7, 2**64 - 1)
@@ -223,9 +223,10 @@ def test_sampled_multi_matches_scalar_loop(instance_id, f, mode):
     if mode == "real":
         f = _as_real(f)
     results = []
-    for bounded in (True, False):
-        for seed in SEEDS:
-            fast = _sampled_multi(f, bounded, 600, seed)
+    for seed in SEEDS:
+        passes = _multi_pass_margin(f, 600, seed)
+        for bounded in (True, False):
+            fast = passes[bounded]
             assert fast == ref_sampled_multi(f, bounded, 600, seed)
             results.append(fast[0] is None)
     if instance_id.startswith(("rand", "n8_mut")):
