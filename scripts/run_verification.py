@@ -14,7 +14,11 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from mconcave.cli import SuiteConfig, cmd_gen, falsify_campaign, load_instances, run_check
+# The checkout's package, so the script runs without installing it.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from mconcave.cli import (  # noqa: E402
+    SuiteConfig, cmd_gen, falsify_campaign, load_instances, run_check)
 
 
 def main():

@@ -22,9 +22,8 @@ from pathlib import Path
 from .core import FormatError, NEG_INF, _require_int, leq_for, load, store
 from .duality import (
     check_conjugate_submodular,
-    check_cross_submodular,
-    check_strong_quotient,
     fenchel_gap,
+    _cross_and_quotient,
     _feasible_caps,
 )
 from .exchange import (
@@ -350,11 +349,9 @@ def _suite_duality_grid(instance_id, f, cfg, seed):
                                           instance_id=instance_id)]
     caps = list(_feasible_caps(f))
     per_k = max(1, cfg.samples // max(1, len(caps)))
-    for k in caps:
-        reports.append(check_cross_submodular(f, k, seed=seed, samples=per_k,
-                                              instance_id=instance_id))
-        reports.append(check_strong_quotient(f, k, seed=seed, samples=per_k,
-                                             instance_id=instance_id))
+    for pair in _cross_and_quotient(f, caps, seed=seed, samples=per_k,
+                                    instance_id=instance_id):
+        reports.extend(pair)
     triples = sum(r.triples_checked for r in reports)
     regime = reports[0].regime
     failed = [r for r in reports if not r.passed]

@@ -34,9 +34,12 @@ The sampled grid regime draws its pairs from ``random.Random(seed)``
 without calling it per value: ``core._Replay`` takes the Mersenne
 Twister words from the rng in bulk and decodes them in numpy with
 CPython's rules (top ``m.bit_length()`` bits of a word, rejected while
->= m), a chunk of samples at a time. The submodular draw mixes two widths
-(2n prices, then the cap index), so its rejections are resolved in
-stream order. The samples, and so the reports, are those of the scalar
+>= m), a chunk of samples at a time, the chunk bounded in bytes. The
+submodular draw mixes two widths (2n prices, then the cap index), so its
+rejections are resolved in stream order. The cross and quotient checks
+of every size cap draw the same 2n prices from the same seed, so one
+draw and one conjugate table serve them all, each cap reading its own
+column. The samples, and so the reports, are those of the scalar
 ``randint``/``randrange`` loops, which the tests keep as the oracle.
 """
 
@@ -133,7 +136,8 @@ def _feasible_caps(f):
 
 _INT64_SAFE = 1 << 61   # |conjugate| bound that keeps int64 slacks exact
 _BLOCK_ROWS = 8         # box rows per join/meet pass
-_SAMPLE_CHUNK = 256     # sampled pairs evaluated at once
+_SAMPLE_CHUNK = 256     # sampled pairs of four price rows evaluated at once
+_SAMPLE_BYTES = 1 << 21  # one chunk's gains, at about 16 bytes a row per domain set
 
 
 class _Conjugates:
@@ -287,9 +291,16 @@ def _box_report(f, lo, hi, checks, instance_id):
     return passed_report("duality_grid", instance_id, triples=total)
 
 
+def _chunk(f, rows):
+    """Samples per chunk at ``rows`` price rows a sample: at most the rows
+    of ``_SAMPLE_CHUNK`` four-row samples, fewer past ``_SAMPLE_BYTES``."""
+    fit = _SAMPLE_BYTES // (16 * len(f.dom_masks))
+    return max(1, min(4 * _SAMPLE_CHUNK, fit) // rows)
+
+
 def _sampled_report(f, samples, caps, draw, tests, seed, instance_id, per_sample=1):
     """Report over ``samples`` seeded pairs, drawn and evaluated in chunks
-    of ``_SAMPLE_CHUNK``. ``draw(count)`` returns the next ``count``
+    of ``_chunk(f, 4)``. ``draw(count)`` returns the next ``count``
     samples as arrays: p and q, (count, n), and the index into ``caps`` of
     each sample's size cap. ``tests(plain, sized)`` gets the plain and
     capped conjugates at p, q, p v q, p ^ q (row 0..3, one column per
@@ -299,8 +310,9 @@ def _sampled_report(f, samples, caps, draw, tests, seed, instance_id, per_sample
     conj = _Conjugates(f)
     s, _ = f.dom_size_range()
     cap_cols = np.array([min(k, f.n) - s for k in caps])
-    for start in range(0, samples, _SAMPLE_CHUNK):
-        count = min(_SAMPLE_CHUNK, samples - start)
+    chunk = _chunk(f, 4)
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
         p, q, c = draw(count)
         g = conj(np.concatenate([p, q, np.maximum(p, q), np.minimum(p, q)]))
         g = g.reshape(4, count, -1)
@@ -376,50 +388,71 @@ def check_conjugate_submodular(f, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SA
     return _sampled_report(f, samples, caps, draw, tests, seed, instance_id, per_sample=2)
 
 
+def _cross_and_quotient(f, caps, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
+                        instance_id=""):
+    """The (cross_submodular, strong_quotient) reports of f for each size
+    cap in ``caps``, each what the check of that one cap gives. Sampled,
+    one draw serves both checks of every cap: the 2n prices of a sample
+    are p then q for the cross check, and element by element the larger
+    and smaller of each pair for the quotient's p >= q, so each chunk
+    evaluates the conjugates once, at p, q, p v q, p ^ q and the quotient's
+    two points, and each cap reads its first failing sample in its own
+    column."""
+    _require_nonempty_dom(f)
+    for k in caps:
+        _require_cap(f, k)
+    kind = _box_or_sample_policy(f, box, samples)
+    lo, hi = box
+    names = (("cross_submodular", _CROSS), ("strong_quotient", _QUOTIENT))
+    if kind == "box":
+        return [tuple(_box_report(f, lo, hi, [(name, sweep, k)], instance_id)
+                      for name, sweep in names) for k in caps]
+
+    s, _ = f.dom_size_range()
+    cols = [min(k, f.n) - s for k in caps]
+    conj, replay = _Conjugates(f), _Replay(random.Random(seed))
+    first = {}  # (check, cap index) -> the FAIL report at its first failing sample
+    chunk = _chunk(f, 6)
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
+        pq = replay.take(count, [_price_run(f.n, lo, hi)])[0] + lo
+        p, q = pq[:, :f.n], pq[:, f.n:]
+        up, down = np.maximum(pq[:, ::2], pq[:, 1::2]), np.minimum(pq[:, ::2], pq[:, 1::2])
+        g = conj(np.concatenate([p, q, np.maximum(p, q), np.minimum(p, q), up, down]))
+        g = g.reshape(6, count, -1)
+        plain, sized = g[:, :, -1:], g[:, :, cols]
+        for check, ok, a, b in (
+                (0, _holds(sized[3] + plain[2], sized[0] + plain[1], f.mode), p, q),
+                (1, _holds(plain[4] - plain[5], sized[4] - sized[5], f.mode), up, down)):
+            for c in np.flatnonzero(~ok.all(axis=0)):
+                if (check, c) not in first:
+                    i = int(np.argmin(ok[:, c]))
+                    counter = {"inequality": names[check][0], "p": a[i].tolist(),
+                               "q": b[i].tolist(), "k": caps[c]}
+                    first[check, c] = failed_report("duality_grid", instance_id, counter,
+                                                    triples=start + i + 1, regime="sampled",
+                                                    seed=seed)
+        if len(first) == 2 * len(caps):
+            break
+    passed = passed_report("duality_grid", instance_id, triples=samples, regime="sampled",
+                           seed=seed)
+    return [(first.get((0, c), passed), first.get((1, c), passed)) for c in range(len(caps))]
+
+
 def check_cross_submodular(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
                            instance_id=""):
     """Mixed submodularity between the size-capped and plain conjugates:
     sized(p) + plain(q) >= sized(p ^ q) + plain(p v q) over box pairs."""
-    _require_nonempty_dom(f)
-    _require_cap(f, k)
-    kind = _box_or_sample_policy(f, box, samples)
-    lo, hi = box
-    if kind == "box":
-        return _box_report(f, lo, hi, [("cross_submodular", _CROSS, k)], instance_id)
-
-    replay = _Replay(random.Random(seed))
-
-    def draw(count):  # p, then q
-        pq, = replay.take(count, [_price_run(f.n, lo, hi)])
-        return pq[:, :f.n] + lo, pq[:, f.n:] + lo, np.zeros(count, dtype=np.int64)
-
-    def tests(g, gk):
-        return [("cross_submodular", True, _holds(gk[3] + g[2], gk[0] + g[1], f.mode))]
-
-    return _sampled_report(f, samples, [k], draw, tests, seed, instance_id)
+    return _cross_and_quotient(f, [k], box=box, seed=seed, samples=samples,
+                               instance_id=instance_id)[0][0]
 
 
 def check_strong_quotient(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
                           instance_id=""):
     """Monotone quotient relation on comparable pairs p >= q:
     sized(p) - sized(q) >= plain(p) - plain(q)."""
-    _require_nonempty_dom(f)
-    _require_cap(f, k)
-    kind = _box_or_sample_policy(f, box, samples)
-    lo, hi = box
-    if kind == "box":
-        return _box_report(f, lo, hi, [("strong_quotient", _QUOTIENT, k)], instance_id)
-
-    replay = _Replay(random.Random(seed))
-
-    def draw(count):  # p >= q: the larger of two draws per element goes to p
-        pairs = replay.take(count, [_price_run(f.n, lo, hi)])[0].reshape(count, f.n, 2) + lo
-        return pairs.max(axis=2), pairs.min(axis=2), np.zeros(count, dtype=np.int64)
-
-    def tests(g, gk):
-        return [("strong_quotient", True, _holds(g[0] - g[1], gk[0] - gk[1], f.mode))]
-
-    return _sampled_report(f, samples, [k], draw, tests, seed, instance_id)
+    return _cross_and_quotient(f, [k], box=box, seed=seed, samples=samples,
+                               instance_id=instance_id)[0][1]
 
 
 # ---------------------------------------------------------------------------

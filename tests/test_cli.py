@@ -413,6 +413,18 @@ def test_run_verification_falsifies_the_cli_campaign(tmp_path, monkeypatch, caps
     assert f"  {cli_run.singles_passed} candidates passed" in capsys.readouterr().out
 
 
+def test_run_verification_runs_from_a_checkout(tmp_path):
+    """The README's ``python3 scripts/run_verification.py``, with no
+    ``PYTHONPATH`` and no installed package."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--trials", "10", "--out", str(tmp_path)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "ALL SUITES PASS" in proc.stdout
+    assert (tmp_path / "reports.jsonl").exists()
+
+
 def test_python_m_mconcave_runs_from_a_checkout():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-m", "mconcave", "check", "--suites", "exc_single"],

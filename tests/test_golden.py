@@ -232,3 +232,48 @@ def test_box_grid_report_bytes():
     assert len(lines) == 448
     assert sha256("".join(line + "\n" for line in lines)) == \
         "b5d4e5f0917d6ea631c9b39225db5d443826e58601cb8c4299b0838464e17a7e"
+
+
+def toggled_grid_instances():
+    """Two `mutate`d copies of each corpus instance with n = 5..8, each
+    with one entry toggled between NEG_INF and finite: most gain or lose a
+    domain size, so their caps differ and the cross and quotient checks
+    fail at some caps only."""
+    out = []
+    for c in default_corpus():
+        if 5 <= c.fn.n <= 8:
+            for s in range(2):
+                out.append((f"{c.instance_id}_tog{s}",
+                            mutate(c.fn, s, 1 + s, toggle_neg_inf=True)))
+    return out
+
+
+def test_toggled_grid_report_bytes():
+    """`duality_grid` at 300 samples on the toggled copies, at two seeds:
+    the suite line of each, then its per-inequality reports, so the first
+    failing sample of every cap's cross and quotient check is pinned."""
+    instances = toggled_grid_instances()
+    lines, inequalities, verdicts = [], set(), set()
+    for seed in GRID_SEEDS:
+        cfg = SuiteConfig(suites=("duality_grid",), samples=300, seed=seed)
+        suite = run_check(instances, cfg)
+        for index, (iid, f) in enumerate(instances):
+            caps = list(_feasible_caps(f))
+            per_k = 300 // len(caps)
+            sub_seed = seed ^ index
+            reports = [check_conjugate_submodular(f, seed=sub_seed, samples=300,
+                                                  instance_id=iid)]
+            for k in caps:
+                reports.append(check_cross_submodular(f, k, seed=sub_seed, samples=per_k,
+                                                      instance_id=iid))
+                reports.append(check_strong_quotient(f, k, seed=sub_seed, samples=per_k,
+                                                     instance_id=iid))
+            lines += [r.to_json_line() for r in [suite[index]] + reports]
+            verdicts |= {(r.regime, r.verdict) for r in [suite[index]] + reports}
+            inequalities |= {r.counterexample["inequality"] for r in reports if not r.passed}
+    # Guard the coverage the hash is meant to pin.
+    assert verdicts == {("sampled", "PASS"), ("sampled", "FAIL")}
+    assert {"submodular", "cross_submodular", "strong_quotient"} <= inequalities
+    assert len(lines) == 1168
+    assert sha256("".join(line + "\n" for line in lines)) == \
+        "cf8f203aa9146017f2ab0648aaa63a153caf12a56ead1fd1e02e04a7fe89b414"

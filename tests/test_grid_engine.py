@@ -8,10 +8,13 @@ unit-square and unit-step test that decides a PASS is held against the
 engine's own all-pairs pass, which names every violation.
 
 Sampled regime: a copy, kept here, of the scalar sampled loops the
-engine replaced; every report must be byte-identical.
+engine replaced; every report must be byte-identical. The one pass that
+serves the cross and quotient checks of every size cap is held against
+the loops of each cap, and its work is counted.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -28,17 +31,23 @@ from mconcave import (
     conjugate,
     conjugate_sized,
     default_corpus,
+    matroid_rank_fn,
     mutate,
     random_mnat_concave,
     random_table,
     restrict_by_size,
+    uniform_matroid,
 )
-from mconcave.core import leq_for
+from mconcave import duality
+from mconcave.cli import SuiteConfig, run_check
+from mconcave.core import _Replay, leq_for
 from mconcave.duality import (
     _Conjugates,
     _all_pairs,
     _box_points,
     _box_sweeps,
+    _chunk,
+    _cross_and_quotient,
     _feasible_caps,
     _unit_steps_hold,
 )
@@ -330,6 +339,174 @@ def test_sampled_matches_scalar_loops(instance_id, f, mode):
         slow.append(ref_quotient(f, k, *box, 5, samples, instance_id))
     assert [r.to_json_line() for r in fast] == [r.to_json_line() for r in slow]
     assert all(r.regime == "sampled" for r in fast)
+
+
+# --- one draw and one table for every cap against the scalar loops ----------------
+
+
+def _toggled_inputs():
+    """Corpus instances with n = 5..8 and two copies of each with one entry
+    toggled between NEG_INF and finite, which mostly gain or lose a domain
+    size, so the cross and quotient checks fail at some caps only."""
+    out = []
+    for c in default_corpus():
+        if 5 <= c.fn.n <= 8:
+            out.append((c.instance_id, c.fn))
+            out += [(f"{c.instance_id}_tog{s}", mutate(c.fn, s, 1 + s, toggle_neg_inf=True))
+                    for s in range(2)]
+    return out
+
+
+TOGGLED = _toggled_inputs()
+
+
+def _ref_pairs(f, caps, seed, samples, instance_id):
+    return [(ref_cross(f, k, -3, 3, seed, samples, instance_id),
+             ref_quotient(f, k, -3, 3, seed, samples, instance_id)) for k in caps]
+
+
+def _lines(pairs):
+    return [r.to_json_line() for pair in pairs for r in pair]
+
+
+@pytest.mark.parametrize("mode", ["int", "real"])
+@pytest.mark.parametrize("instance_id, f", TOGGLED)
+def test_one_pass_matches_scalar_loops(instance_id, f, mode, monkeypatch):
+    """Every cap (and one past n) gets the reports of its own scalar cross
+    and quotient loops, in chunks of the default size and of two samples."""
+    if mode == "real":
+        f = _as_real(f)
+    caps = list(_feasible_caps(f)) + [f.n + 1]
+    slow = _lines(_ref_pairs(f, caps, 7, 40, instance_id))
+    assert _lines(_cross_and_quotient(f, caps, seed=7, samples=40,
+                                      instance_id=instance_id)) == slow
+    monkeypatch.setattr(duality, "_SAMPLE_BYTES", 16 * len(f.dom_masks) * 12)
+    assert _chunk(f, 6) == 2
+    assert _lines(_cross_and_quotient(f, caps, seed=7, samples=40,
+                                      instance_id=instance_id)) == slow
+
+
+# (toggled copy, seed), in int mode: FAILs at 513 samples in the first
+# chunk (n8, and n5_assignment_tog0 at a middle cap only), in the last
+# chunk (n5_assignment_tog1 at a middle cap only, n5_uniform_r2_tog1 at
+# caps that fail cross but not quotient).
+EDGE_CASES = (("n5_uniform_r2_tog1", 1), ("n5_assignment_tog1", 1),
+              ("n5_assignment_tog0", 2), ("n8_wbasis_uniform_r4_tog1", 0))
+
+
+def _truncated(report, samples):
+    """The scalar loop's report at ``samples``, from its report at more:
+    the loop draws the same pairs whatever its sample count."""
+    if report.passed or report.triples_checked > samples:
+        return _sampled(None, samples, report.seed, report.instance_id)
+    return report
+
+
+@pytest.mark.parametrize("mode", ["int", "real"])
+def test_one_pass_at_chunk_edges(mode):
+    """Sample counts at the chunk edges: 170 samples of six rows per
+    chunk at these domain sizes (256 of four before), one sample, and the
+    FAILs of ``EDGE_CASES``."""
+    by_id = dict(TOGGLED)
+    firsts = []
+    for instance_id, seed in EDGE_CASES:
+        f = by_id[instance_id] if mode == "int" else _as_real(by_id[instance_id])
+        caps = list(_feasible_caps(f))
+        assert _chunk(f, 6) == 170
+        slow = _ref_pairs(f, caps, seed, 513, instance_id)
+        for samples in (1, 169, 170, 171, 255, 256, 257, 340, 341, 513):
+            fast = _cross_and_quotient(f, caps, seed=seed, samples=samples,
+                                       instance_id=instance_id)
+            assert _lines(fast) == _lines([[_truncated(r, samples) for r in pair]
+                                           for pair in slow]), (instance_id, samples)
+        firsts.append([[None if r.passed else r.triples_checked for r in pair]
+                       for pair in slow])
+    # Guard the coverage the cases are meant to give.
+    failing = [t for case in firsts for pair in case for t in pair if t is not None]
+    assert min(failing) <= 170 and max(failing) > 340
+    assert any(x is not None and y is None for case in firsts for x, y in case)
+    middle_only = [case for case in firsts
+                   if [c for c, pair in enumerate(case) if pair != [None, None]]
+                   in ([c] for c in range(1, len(case) - 1))]
+    assert len(middle_only) == (2 if mode == "int" else 0)  # f / 3 moves the FAILs
+
+
+def test_suite_with_more_caps_than_samples():
+    """Fewer samples than caps: each cap's checks run one sample, and the
+    suite line sums the scalar loops' counts and names their first FAIL."""
+    cases = [(iid, f) for iid, f in TOGGLED if len(list(_feasible_caps(f))) > 3]
+    assert len(cases) > 10
+    for iid, f in cases:
+        suite, = run_check([(iid, f)], SuiteConfig(suites=("duality_grid",), samples=3, seed=5))
+        caps = list(_feasible_caps(f))
+        refs = [ref_submodular(f, -3, 3, 5, 3, iid)]
+        refs += [r for pair in _ref_pairs(f, caps, 5, 1, iid) for r in pair]
+        failed = [r for r in refs if not r.passed]
+        assert suite.counterexample == (failed[0].counterexample if failed else None), iid
+        assert suite.triples_checked == sum(r.triples_checked for r in refs), iid
+
+
+@pytest.mark.parametrize("instance_id", ["n5_partition", "n6_graphic_k4",
+                                         "n7_wbasis_partition", "n8_wbasis_uniform_r4"])
+def test_sampled_suite_work(instance_id, monkeypatch):
+    """A sampled `duality_grid` builds one replay and one conjugate table
+    for the submodular check and one of each for every cap's cross and
+    quotient checks, and evaluates 4 price rows a submodular sample and 6
+    a cross-and-quotient sample."""
+    f = {c.instance_id: c.fn for c in default_corpus()}[instance_id]
+    replays, tables, rows = [], [], []
+    take, call = _Replay.take, _Conjugates.__call__
+
+    def spy_take(self, samples, runs):
+        replays.append(self)
+        return take(self, samples, runs)
+
+    def spy_call(self, P):
+        tables.append(self)
+        rows.append(len(P))
+        return call(self, P)
+
+    monkeypatch.setattr(_Replay, "take", spy_take)
+    monkeypatch.setattr(_Conjugates, "__call__", spy_call)
+    samples = 1000
+    suite, = run_check([(instance_id, f)], SuiteConfig(suites=("duality_grid",),
+                                                       samples=samples))
+    per_k = samples // len(list(_feasible_caps(f)))
+    assert suite.passed and suite.regime == "sampled"
+    assert len({id(r) for r in replays}) == 2
+    assert len({id(t) for t in tables}) == 2
+    assert sum(rows) == 4 * samples + 6 * per_k
+
+
+def test_sampled_chunks_fit_a_byte_budget():
+    """Every corpus instance keeps chunks of 256 four-row samples; a full
+    domain at n = 12 gets smaller ones and stays under 8 MiB (it peaked at
+    64.7 MiB with 256 samples a chunk), with the reports pinned before the
+    chunk was bounded."""
+    assert {_chunk(c.fn, 4) for c in default_corpus()} == {256}
+    g = mutate(matroid_rank_fn(uniform_matroid(12, 5)), 0, 1)
+    pinned = [
+        (lambda: check_conjugate_submodular(g, samples=256),
+         '{"counterexample":null,"instance_id":"","regime":"sampled","seed":0,'
+         '"suite":"duality_grid","triples_checked":512,"verdict":"PASS","witness_histogram":null}'),
+        (lambda: check_cross_submodular(g, 8, samples=256),
+         '{"counterexample":{"inequality":"cross_submodular","k":8,'
+         '"p":[-1,-3,2,3,-1,3,-2,-1,1,3,-3,-3],"q":[-1,-2,-1,0,-1,2,0,0,1,1,-3,-3]},'
+         '"instance_id":"","regime":"sampled","seed":0,"suite":"duality_grid",'
+         '"triples_checked":154,"verdict":"FAIL","witness_histogram":null}'),
+        (lambda: check_strong_quotient(g, 8, samples=256),
+         '{"counterexample":null,"instance_id":"","regime":"sampled","seed":0,'
+         '"suite":"duality_grid","triples_checked":256,"verdict":"PASS","witness_histogram":null}'),
+    ]
+    for check, line in pinned:
+        tracemalloc.start()
+        try:
+            report = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.to_json_line() == line
+        assert peak < 8 << 20
 
 
 # --- the kernel against scalar conjugates ------------------------------------------
