@@ -329,6 +329,8 @@ class SetFn:
                     vals[i] = math.inf
                 if not math.isfinite(vals[i]):
                     raise ValueError(f"values[{i}]: not a finite number: {v!r}")
+                if abs(vals[i]) > 2.0**1020:  # so that sums of a few values stay finite
+                    raise ValueError(f"values[{i}]: |value| exceeds 2^1020: {v!r}")
             else:
                 raise ValueError(f"values[{i}]: not a number: {v!r}")
         self.n = n

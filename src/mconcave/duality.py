@@ -389,21 +389,22 @@ def check_conjugate_submodular(f, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SA
 
 
 def _cross_and_quotient(f, caps, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
-                        instance_id=""):
+                        instance_id="", checks=(0, 1)):
     """The (cross_submodular, strong_quotient) reports of f for each size
-    cap in ``caps``, each what the check of that one cap gives. Sampled,
-    one draw serves both checks of every cap: the 2n prices of a sample
-    are p then q for the cross check, and element by element the larger
-    and smaller of each pair for the quotient's p >= q, so each chunk
-    evaluates the conjugates once, at p, q, p v q, p ^ q and the quotient's
-    two points, and each cap reads its first failing sample in its own
-    column."""
+    cap in ``caps``, each what the check of that one cap gives, or of the
+    ``checks`` alone (0: cross, 1: quotient) in that order. Sampled, one
+    draw serves both checks of every cap: the 2n prices of a sample are p
+    then q for the cross check, and element by element the larger and
+    smaller of each pair for the quotient's p >= q, so each chunk
+    evaluates the conjugates once, at p, q, p v q, p ^ q for the cross
+    check and at the quotient's two points, and each cap reads its first
+    failing sample in its own column."""
     _require_nonempty_dom(f)
     for k in caps:
         _require_cap(f, k)
     kind = _box_or_sample_policy(f, box, samples)
     lo, hi = box
-    names = (("cross_submodular", _CROSS), ("strong_quotient", _QUOTIENT))
+    names = [(("cross_submodular", _CROSS), ("strong_quotient", _QUOTIENT))[c] for c in checks]
     if kind == "box":
         return [tuple(_box_report(f, lo, hi, [(name, sweep, k)], instance_id)
                       for name, sweep in names) for k in caps]
@@ -412,31 +413,37 @@ def _cross_and_quotient(f, caps, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAM
     cols = [min(k, f.n) - s for k in caps]
     conj, replay = _Conjugates(f), _Replay(random.Random(seed))
     first = {}  # (check, cap index) -> the FAIL report at its first failing sample
-    chunk = _chunk(f, 6)
+    heights = [(4, 2)[c] for c in checks]
+    chunk = _chunk(f, sum(heights))
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
         pq = replay.take(count, [_price_run(f.n, lo, hi)])[0] + lo
         p, q = pq[:, :f.n], pq[:, f.n:]
         up, down = np.maximum(pq[:, ::2], pq[:, 1::2]), np.minimum(pq[:, ::2], pq[:, 1::2])
-        g = conj(np.concatenate([p, q, np.maximum(p, q), np.minimum(p, q), up, down]))
-        g = g.reshape(6, count, -1)
-        plain, sized = g[:, :, -1:], g[:, :, cols]
-        for check, ok, a, b in (
-                (0, _holds(sized[3] + plain[2], sized[0] + plain[1], f.mode), p, q),
-                (1, _holds(plain[4] - plain[5], sized[4] - sized[5], f.mode), up, down)):
+        points = [(p, q, np.maximum(p, q), np.minimum(p, q)), (up, down)]
+        g = conj(np.concatenate([x for c in checks for x in points[c]]))
+        g = np.split(g.reshape(-1, count, g.shape[1]), np.cumsum(heights)[:-1])
+        for t, (check, h) in enumerate(zip(checks, g)):
+            plain, sized = h[:, :, -1:], h[:, :, cols]
+            if check == 0:
+                ok = _holds(sized[3] + plain[2], sized[0] + plain[1], f.mode)
+            else:
+                ok = _holds(plain[0] - plain[1], sized[0] - sized[1], f.mode)
+            a, b = points[check][:2]
             for c in np.flatnonzero(~ok.all(axis=0)):
-                if (check, c) not in first:
+                if (t, c) not in first:
                     i = int(np.argmin(ok[:, c]))
-                    counter = {"inequality": names[check][0], "p": a[i].tolist(),
+                    counter = {"inequality": names[t][0], "p": a[i].tolist(),
                                "q": b[i].tolist(), "k": caps[c]}
-                    first[check, c] = failed_report("duality_grid", instance_id, counter,
-                                                    triples=start + i + 1, regime="sampled",
-                                                    seed=seed)
-        if len(first) == 2 * len(caps):
+                    first[t, c] = failed_report("duality_grid", instance_id, counter,
+                                                triples=start + i + 1, regime="sampled",
+                                                seed=seed)
+        if len(first) == len(checks) * len(caps):
             break
     passed = passed_report("duality_grid", instance_id, triples=samples, regime="sampled",
                            seed=seed)
-    return [(first.get((0, c), passed), first.get((1, c), passed)) for c in range(len(caps))]
+    return [tuple(first.get((t, c), passed) for t in range(len(checks)))
+            for c in range(len(caps))]
 
 
 def check_cross_submodular(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
@@ -444,7 +451,7 @@ def check_cross_submodular(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAM
     """Mixed submodularity between the size-capped and plain conjugates:
     sized(p) + plain(q) >= sized(p ^ q) + plain(p v q) over box pairs."""
     return _cross_and_quotient(f, [k], box=box, seed=seed, samples=samples,
-                               instance_id=instance_id)[0][0]
+                               instance_id=instance_id, checks=(0,))[0][0]
 
 
 def check_strong_quotient(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
@@ -452,7 +459,7 @@ def check_strong_quotient(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMP
     """Monotone quotient relation on comparable pairs p >= q:
     sized(p) - sized(q) >= plain(p) - plain(q)."""
     return _cross_and_quotient(f, [k], box=box, seed=seed, samples=samples,
-                               instance_id=instance_id)[0][1]
+                               instance_id=instance_id, checks=(1,))[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Exchange-axiom decision procedures, witness finders, and the lifting
 of a set function with mixed domain sizes to an equi-cardinal one.
 
-All checkers enumerate bitmasks directly and return VerificationReports;
-the single-exchange sweep runs batched in numpy, in the lex order below;
-the multiple exchange and the facts of ``lemmas_2_8`` run on the array
-kernel of ``moves``, both bounds from one pass; and ``_bulk_decide``
-decides many small tables at once for the falsification campaign.
+All checkers enumerate bitmasks directly and return VerificationReports.
+The single exchange, its equi-cardinal form and the swap and augment
+facts of ``lemmas_2_8`` are one batched sweep over exchange rules
+(``_rule_sweep``), in the lex order below, on f as ``moves.value_table``
+holds it; the multiple exchange (both bounds from one pass) and the
+restriction facts of ``lemmas_2_8`` run on the array kernel of
+``moves``; and ``_bulk_decide`` decides many small tables at once for the
+falsification campaign.
 Pairs (X, Y) with X or Y outside the effective domain satisfy every
 exchange inequality vacuously (the left side is NEG_INF), so loops run
 over dom x dom. Enumeration order and tie-breaking are fixed so that
@@ -22,7 +25,7 @@ by ``core._Replay`` with the scalar calls' values.
 """
 
 import functools
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +35,6 @@ from .core import (
     NEG_INF,
     Falsification,
     SetFn,
-    _holds,
     _require_int,
     elements_of,
     leq_for,
@@ -60,15 +62,9 @@ EXHAUSTIVE_N_LIMIT = 7
 
 DEFAULT_SAMPLES = 10_000
 
-# Sampled multiple-exchange triples replayed at once.
-_MULTI_CHUNK = 1024
-
-# Bytes of the temporaries of one block of the single-exchange sweep, and
-# of all the arrays of one block of the bulk decider.
+# Bytes of the temporaries of one block of the exchange sweep, and of all
+# the arrays of one block of the bulk decider.
 _BATCH_BYTES = 1 << 19
-# Int tables sweep in int64 while every |value| < 2^61, so every difference
-# of two values, and every sentinel, fits in it.
-_INT64_SAFE = 1 << 61
 
 # Single-exchange triples in the bulk gate's first block; each block is four
 # times the last, and tables drop out after the block where they fail.
@@ -208,88 +204,83 @@ def _sweep_report(f, suite, instance_id, failing, triples):
     return failed_report(suite, instance_id, counter, triples=triples)
 
 
-def _batched_sweep(f, drop):
-    """The exhaustive single-exchange sweep over (X, Y, i) in lex order:
-    each triple passes on the drop option (when ``drop``) or on some swap
-    that attains f(X) + f(Y). Returns (failing, triples): the first
-    (xm, ym, i) that does not, or None, and the count of triples through
-    it (all of them on a PASS).
+def _rule_sweep(f, rules):
+    """The first (x, y, r) in lex order, x and y indices into
+    ``f.dom_masks`` and r into ``rules``, where rule r applies to (X, Y)
+    and none of its moves attains f(X) + f(Y); None when there is none.
 
-    The sweep runs move-major in numpy. For a move (i, j), X with i in X,
-    j not in X and Y with i not in Y, j in Y, the inequality
-    f(X) + f(Y) <= f(X-i+j) + f(Y+i-j) depends on X and on Y through one
-    vector each, so it is tested for all such X and Y as one outer
-    comparison; the drop (i, -) likewise. Element i takes the rows X
-    containing i and the columns Y without it; its first failing (X, Y)
-    in row-major order, taken over every i by (X, Y, i), is the first
-    failing triple.
+    A rule (out, ins, sizes) applies where X holds the element bit ``out``
+    (0: nothing leaves X), Y does not, and ``sizes(|X|, |Y|)`` holds
+    (None: always). Its moves are the bits j in ``ins`` with j in Y \\ X,
+    or j = 0, the drop; move j attains where
+    f(X) + f(Y) <= f(X-out+j) + f(Y+out-j). Both sides of a move depend on
+    X and on Y through one vector each, so a rule is decided for all its
+    (X, Y) as one outer comparison, in blocks of rows whose temporaries
+    stay under _BATCH_BYTES, and rows past the first failure so far are
+    skipped.
     """
-    real = f.mode == "real"
-    vals = f.values
-    dom = f.dom_masks
-    fin = [vals[m] for m in dom]
-    # Unreachable options: NaN fails every real comparison; in int mode the
-    # test is fx - a <= b - fy, which the sentinels +-blank always fail.
-    # Ints with some |v| >= 2^61 run on Python ints, where a difference of
-    # two values can pass +-2^62.
-    if real:
-        dtype, blank = np.float64, np.nan
-    elif max(map(abs, fin)) < _INT64_SAFE:
-        dtype, blank = np.int64, _INT64_SAFE << 1
-    else:
-        dtype, blank = object, math.inf
-    dm = np.array(dom, dtype=np.int64)
-    fv = np.array(fin, dtype=dtype)
-    n = f.n
-
-    def lookup(masks, valid):
-        pos = np.minimum(np.searchsorted(dm, masks), len(dm) - 1)
-        return pos, valid & (dm[pos] == masks)
-
+    at, neg, floor = value_table(f, _BATCH_BYTES)
+    dm = np.array(f.dom_masks, dtype=np.int64)
+    fv = at(dm)
+    size = np.bitwise_count(dm)
+    # int64 tables test f(X) - a <= b - f(Y), which a missing a or b
+    # (neg = -2^62) always fails; Python ints and reals test the sums.
+    diff = fv.dtype == np.int64
     best = None
-    for i in range(n):
-        bi = 1 << i
-        has_i = (dm & bi) != 0
-        rows = np.flatnonzero(has_i)
-        cols = np.flatnonzero(~has_i)
+    for r, (out, ins, sizes) in enumerate(rules):
+        rows = np.flatnonzero(dm & out == out)
+        cols = np.flatnonzero(dm & out == 0)
         if best is not None:
             rows = rows[rows <= best[0]]
         if not len(rows) or not len(cols):
             continue
         xr, yc = dm[rows], dm[cols]
-        # One move per row: the swaps i -> j, then the drop as j = nothing.
-        js = np.array([1 << k for k in range(n) if k != i] + [0] * drop, dtype=np.int64)
-        js = js[:, None]
-        xpos, xok = lookup((xr ^ bi) | js, (xr & js) == 0)
-        ypos, yok = lookup((yc | bi) & ~js, (yc & js) == js)
+        js = np.array(ins, dtype=np.int64)[:, None]
+        a = np.where(xr & js == 0, at((xr ^ out) | js), neg)
+        b = np.where(yc & js == js, at((yc | out) ^ js), neg)
         fx, fy = fv[rows], fv[cols]
-        if real:
-            a = np.where(xok, fv[xpos], blank)
-            b = np.where(yok, fv[ypos], blank)
-        else:
-            a = np.where(xok, fx - fv[xpos], blank)
-            b = np.where(yok, fv[ypos] - fy, -blank)
-        moves = len(a)
-        # Bytes per (move, X, Y) of a block: the int comparison's bools; in
-        # real mode the sum rhs and up to three float temporaries of _holds.
-        step = max(1, _BATCH_BYTES // max(1, moves * len(cols) * (32 if real else 1)))
+        if diff:
+            a, b = fx - a, b - fy
+        # Bytes per (move, X, Y) of a block: the int64 comparison's bools,
+        # else the sums and the temporaries of ``attains``.
+        step = max(1, _BATCH_BYTES // max(1, len(js) * len(cols) * (1 if diff else 40)))
         for r0 in range(0, len(rows), step):
             blk = slice(r0, r0 + step)
-            if real:
-                ok = _holds(fx[blk, None] + fy[None, :], a[:, blk, None] + b[:, None, :], "real")
-            else:
+            if diff:
                 ok = a[:, blk, None] <= b[:, None, :]
+            else:
+                ok = attains(fx[blk, None] + fy, a[:, blk, None] + b[:, None, :], floor, f.mode)
             ok = ok.any(axis=0)
+            if sizes is not None:
+                ok |= ~sizes(size[rows[blk], None], size[cols])
             if not ok.all():
-                r, c = divmod(int(np.argmin(ok)), len(cols))
-                cand = (int(rows[r0 + r]), int(cols[c]), i)
+                x, y = divmod(int(np.argmin(ok)), len(cols))
+                cand = (int(rows[r0 + x]), int(cols[y]), r)
                 if best is None or cand < best:
                     best = cand
                 break
+    return best
 
+
+def _swap_rules(n, sizes=None, drop=False):
+    """Rule i of ``_rule_sweep`` for each element bit i: X gives up i, Y
+    any other element, or nothing when ``drop``."""
+    return [(1 << i, [1 << j for j in range(n) if j != i] + [0] * drop, sizes)
+            for i in range(n)]
+
+
+def _single_sweep(f, drop):
+    """The exhaustive single-exchange sweep over (X, Y, i) in lex order:
+    each triple passes on the drop option (when ``drop``) or on some swap
+    that attains f(X) + f(Y). Returns (failing, triples): the first
+    (xm, ym, i) that does not, or None, and the count of triples through
+    it (all of them on a PASS)."""
+    n = f.n
+    dom = f.dom_masks
+    best = _rule_sweep(f, _swap_rules(n, drop=drop))
     # A row X holds |X \ Y| triples per column Y: the sum over k in X of
     # the count of domain sets without k.
-    bits = (dm[:, None] >> np.arange(n)) & 1
+    bits = (np.array(dom, dtype=np.int64)[:, None] >> np.arange(n)) & 1
     without = len(dom) - bits.sum(axis=0)
     if best is None:
         return None, int(bits.sum(axis=0) @ without)
@@ -305,7 +296,7 @@ def check_exc_single(f, instance_id=""):
     """Exhaustively test the single-element exchange inequality over all
     (X, Y, i); FAIL carries the first violating triple in lex order."""
     _require_nonempty_dom(f)
-    return _sweep_report(f, "exc_single", instance_id, *_batched_sweep(f, True))
+    return _sweep_report(f, "exc_single", instance_id, *_single_sweep(f, True))
 
 
 # ---------------------------------------------------------------------------
@@ -452,72 +443,56 @@ def _lemma_facts(f):
 
     Returns (counter, checked): the counterexample of the first fact that
     fails, or None, and the count of facts through it (all of them when
-    none fails). The swap facts are decided per element i for a block of
-    pairs at once, as outer comparisons over its moves as in
-    ``_batched_sweep``; the restriction facts read which sides of a
-    triple's moves are finite from ``moves.moves``.
+    none fails). The swap and augment facts are rules of ``_rule_sweep``;
+    the restriction facts, checked on the pairs before its first failure,
+    read which sides of a triple's moves are finite from ``moves.moves``.
     """
     n = f.n
-    at, neg, floor = value_table(f, _BATCH_BYTES)
-    dm = np.array(f.dom_masks, dtype=np.int64)
-    fv = at(dm)
-    size = np.bitwise_count(dm).astype(np.int64)
+    dom = f.dom_masks
+    failing = _rule_sweep(f, _swap_rules(n, operator.le)
+                          + [(0, [1 << j for j in range(n)], operator.lt)])
+    at, _, floor = value_table(f, _BATCH_BYTES)
+    dm = np.array(dom, dtype=np.int64)
+    stop = len(dm) ** 2 if failing is None else failing[0] * len(dm) + failing[1]
     checked = 0
-    # Bytes per pair of one element's moves and their temporaries.
-    for r0, r1, c0, c1 in pair_blocks(len(dm), max(1, _BATCH_BYTES // (64 * max(1, n)))):
-        xm, ym = dm[r0:r1, None], dm[None, c0:c1]
-        lhs = fv[r0:r1, None] + fv[None, c0:c1]
-        leq = size[r0:r1, None] <= size[None, c0:c1]
-        lt = size[r0:r1, None] < size[None, c0:c1]
-        d = xm & ~ym
+    # About 64 bytes per pair, a quarter of the budget; ``triples`` and
+    # ``restriction_sides`` block the rest.
+    for r0, r1, c0, c1 in pair_blocks(len(dm), max(1, _BATCH_BYTES // 256)):
+        cut = stop - (r0 * len(dm) + c0)
+        if cut <= 0:
+            break
+        xs = np.repeat(dm[r0:r1], c1 - c0)[:cut]
+        ys = np.tile(dm[c0:c1], r1 - r0)[:cut]
+        kx, ky = np.bitwise_count(xs), np.bitwise_count(ys)
+        d = xs & ~ys
         nd = np.bitwise_count(d).astype(np.int64)
-        # The swap facts of i = 0 .. n - 1, then the augment fact as i = n
-        # (nothing leaves X). ``first`` is the index in its pair of the
-        # first fact that fails, or -1.
-        first = np.full(d.shape, -1, dtype=np.int64)
-        for i in range(n + 1):
-            bi = 1 << i if i < n else 0
-            js = np.array([1 << j for j in range(n) if j != i], dtype=np.int64)[:, None, None]
-            a = np.where(xm & js == 0, at((xm ^ bi) | js), neg)
-            b = np.where(ym & js != 0, at((ym | bi) ^ js), neg)
-            ok = attains(lhs, a + b, floor, f.mode).any(axis=0)
-            if i < n:
-                applies = leq & (xm & bi != 0) & (ym & bi == 0)
-                index = np.bitwise_count(d & (bi - 1)).astype(np.int64)
-            else:
-                applies, index = lt, leq * nd
-            first = np.where((first < 0) & applies & ~ok, index, first)
-        xs = np.broadcast_to(xm, d.shape).ravel()
-        ys = np.broadcast_to(ym, d.shape).ravel()
-        first, d, nd, leq, lt = (v.ravel() for v in (first, d, nd, leq, lt))
-        facts = leq * nd + lt + (1 << nd)
-        bad = first >= 0
-        q = int(bad.argmax()) if bad.any() else len(d)
-        # Restrictions only on the pairs before the first failing swap.
-        fact = None
-        for p, rank, im in triples(d[:q], n, _BATCH_BYTES):
+        head = (kx <= ky) * nd + (kx < ky)  # the swap and augment facts
+        facts = head + (1 << nd)
+        for p, rank, im in triples(d, n, _BATCH_BYTES):
             x_side, x_sized, y_side = restriction_sides(at, floor, xs[p], ys[p], im, n,
                                                         _BATCH_BYTES)
             empty = ~(x_sized & y_side)
             if empty.any():
                 t = int(empty.argmax())
                 q, im = int(p[t]), int(im[t])
-                first[q] = leq[q] * nd[q] + lt[q] + rank[t]
                 name = ("x_side" if not x_side[t] else "x_side_sized" if not x_sized[t]
                         else "y_side")
-                fact = {"fact": "restriction_domains_nonempty", "I": list(elements_of(im)),
-                        "detail": _empty_side(name, int(xs[q]), int(ys[q]), im)}
-                break
-        if q == len(d):
-            checked += int(facts.sum())
-            continue
-        if fact is None:
-            fact = ({"fact": "swap_at_leq_size", "i": elements_of(int(d[q]))[first[q]]}
-                    if first[q] < leq[q] * nd[q] else {"fact": "augment_at_lt_size"})
-        checked += int(facts[:q].sum() + first[q]) + 1
-        return {"X": list(elements_of(int(xs[q]))), "Y": list(elements_of(int(ys[q]))),
-                **fact}, checked
-    return None, checked
+                checked += int(facts[:q].sum() + head[q] + rank[t]) + 1
+                return {"X": list(elements_of(int(xs[q]))), "Y": list(elements_of(int(ys[q]))),
+                        "fact": "restriction_domains_nonempty", "I": list(elements_of(im)),
+                        "detail": _empty_side(name, int(xs[q]), int(ys[q]), im)}, checked
+        checked += int(facts.sum())
+    if failing is None:
+        return None, checked
+    x, y, r = failing
+    xm, ym = dom[x], dom[y]
+    if r < n:
+        fact = {"fact": "swap_at_leq_size", "i": r + 1}
+        checked += (xm & ~ym & ((1 << r) - 1)).bit_count()
+    else:
+        fact = {"fact": "augment_at_lt_size"}
+        checked += (xm & ~ym).bit_count()
+    return {"X": list(elements_of(xm)), "Y": list(elements_of(ym)), **fact}, checked + 1
 
 
 def _empty_side(name, xm, ym, im):
@@ -655,7 +630,7 @@ def check_m_concave(f, instance_id=""):
         counter = {"reason": "domain not equi-cardinal",
                    "sizes": sorted(sizes)}
         return failed_report("m_concave", instance_id, counter)
-    return _sweep_report(f, "m_concave", instance_id, *_batched_sweep(f, False))
+    return _sweep_report(f, "m_concave", instance_id, *_single_sweep(f, False))
 
 
 # ---------------------------------------------------------------------------

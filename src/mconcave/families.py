@@ -292,9 +292,10 @@ def mutate(f, seed, magnitude, toggle_neg_inf=False):
     return SetFn(f.n, vals, "int")
 
 
-def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2, ensure_nonempty=True):
+def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
     """Arbitrary int-mode table: each entry NEG_INF with the given
-    probability, otherwise uniform in [lo, hi]. Deterministic per seed."""
+    probability, otherwise uniform in [lo, hi], and one entry drawn finite
+    when none is. Deterministic per seed."""
     _require_int("n", n, 0)
     if n > HARD_CAP:
         raise ValueError(f"ground-set size {n} exceeds hard cap {HARD_CAP}")
@@ -303,12 +304,12 @@ def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2, ensure_nonempty=True):
         NEG_INF if rng.random() < neg_inf_prob else rng.randint(lo, hi)
         for _ in range(1 << n)
     ]
-    if ensure_nonempty and all(v is NEG_INF for v in vals):
+    if all(v is NEG_INF for v in vals):
         vals[rng.randrange(1 << n)] = rng.randint(lo, hi)
     return SetFn(n, vals, "int")
 
 
-def random_mnat_concave(n, seed, lo=-3, hi=3, neg_inf_prob=0.15, max_tries=200_000):
+def random_mnat_concave(n, seed, lo=-3, hi=3, neg_inf_prob=0.15):
     """Rejection-sample a random table until it passes the single-element
     exchange check. Supplement only: practical for n <= 4."""
     from .exchange import check_exc_single
@@ -316,11 +317,11 @@ def random_mnat_concave(n, seed, lo=-3, hi=3, neg_inf_prob=0.15, max_tries=200_0
     if n > 4:
         raise ValueError("rejection sampling is only viable for n <= 4")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(200_000):
         f = random_table(n, rng.randrange(2**63), lo, hi, neg_inf_prob)
         if check_exc_single(f).passed:
             return f
-    raise RuntimeError(f"no valid table found in {max_tries} tries")
+    raise RuntimeError("no valid table found in 200000 tries")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import random
 
 import numpy as np
 
-from .core import _holds, _Replay
+from .core import NEG_INF, _holds, _Replay
 
 # Int tables the array kernels hold in int64: every |value| < 2^60.
 # NEG_INF becomes -2^62, so a finite sum of two values lies above
@@ -35,19 +35,20 @@ def value_table(f, budget):
     int64 array of masks, with NEG_INF as ``neg``, and a value, or a sum
     of two, is finite iff it is > ``floor``. Int tables use int64 with
     neg = _BULK_NEG and floor = _BULK_FLOOR while every |value| <
-    _BULK_SAFE, and Python ints (``dtype=object``) above that; real tables
-    use float64. On both, neg = floor = -inf. ``neg`` is a 0-d array of
-    the table's dtype. The table is dense while it fits in ``budget``,
-    else a sorted search over the domain."""
+    _BULK_SAFE, and Python ints (``dtype=object``) above that, with
+    neg = NEG_INF, which absorbs a sum without turning an int into a
+    float; real tables use float64 with neg = -inf. On both, floor = -inf.
+    ``neg`` is a 0-d array of the table's dtype. The table is dense while
+    it fits in ``budget``, else a sorted search over the domain."""
     dom = f.dom_masks
     fin = [f.values[m] for m in dom]
     if f.mode == "real":
-        dtype, floor = np.float64, -math.inf
+        dtype, floor, neg = np.float64, -math.inf, -math.inf
     elif max(map(abs, fin)) < _BULK_SAFE:
-        dtype, floor = np.int64, _BULK_FLOOR
+        dtype, floor, neg = np.int64, _BULK_FLOOR, _BULK_NEG
     else:
-        dtype, floor = object, -math.inf
-    neg = np.array(_BULK_NEG if dtype is np.int64 else -math.inf, dtype=dtype)
+        dtype, floor, neg = object, -math.inf, NEG_INF
+    neg = np.array(neg, dtype=dtype)
     if 8 << f.n <= budget:
         table = np.full(1 << f.n, neg, dtype=dtype)
         table[list(dom)] = fin

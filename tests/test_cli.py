@@ -143,6 +143,23 @@ def test_check_malformed_instance_is_operational_error(tmp_path, capsys):
     assert main(["check", str(p)]) == 2
 
 
+def test_real_values_too_large_to_add_exit_2(tmp_path, capsys):
+    """A real value beyond 2^1020 is refused at load with exit code 2: its
+    sums overflowed, and the default Fenchel box ended in an OverflowError
+    traceback with exit code 1. A table at +-2^1020 runs every suite."""
+    big, edge = tmp_path / "big.json", tmp_path / "edge.json"
+    for path, v in ((big, 2.0**1022), (edge, 2.0**1020)):
+        path.write_text(json.dumps({"n": 2, "mode": "real", "values": [0.0, v, v, -v]}))
+    assert main(["check", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "exceeds 2^1020" in captured.err
+    assert main(["check", "--out", str(tmp_path / "r.jsonl"), str(edge)]) == 0
+    lines = (tmp_path / "r.jsonl").read_text().splitlines()
+    assert len(lines) == len(ALL_SUITES)
+    assert all(json.loads(line)["verdict"] == "PASS" for line in lines)
+
+
 def test_check_reports_byte_identical(tmp_path, corpus):
     paths = small_corpus_paths(tmp_path, corpus, ["n3_uniform_r2", "n4_wbasis_uniform"])
     out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"

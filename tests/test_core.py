@@ -266,6 +266,8 @@ def test_load_null_is_neg_inf(tmp_path):
     ('{"n": 2, "mode": "real", "values": [0.0, NaN, 1.0, 2.0]}', r"values\[1\]: not a finite"),
     ('{"n": 1, "mode": "real", "values": [0.0, Infinity]}', r"values\[1\]: not a finite"),
     ('{"n": 1, "mode": "real", "values": [-Infinity, 0.0]}', r"values\[0\]: not a finite"),
+    (json.dumps({"n": 2, "mode": "real", "values": [0.0, 2.0**1022, 2.0**1022, -2.0**1022]}),
+     r"values\[1\]: \|value\| exceeds 2\^1020"),
 ])
 def test_load_rejects_malformed(tmp_path, payload, fragment):
     path = tmp_path / "bad.json"

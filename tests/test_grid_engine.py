@@ -452,7 +452,8 @@ def test_sampled_suite_work(instance_id, monkeypatch):
     """A sampled `duality_grid` builds one replay and one conjugate table
     for the submodular check and one of each for every cap's cross and
     quotient checks, and evaluates 4 price rows a submodular sample and 6
-    a cross-and-quotient sample."""
+    a cross-and-quotient sample. A lone cross check evaluates 4 rows a
+    sample and a lone quotient check 2, with the scalar loops' reports."""
     f = {c.instance_id: c.fn for c in default_corpus()}[instance_id]
     replays, tables, rows = [], [], []
     take, call = _Replay.take, _Conjugates.__call__
@@ -476,6 +477,13 @@ def test_sampled_suite_work(instance_id, monkeypatch):
     assert len({id(r) for r in replays}) == 2
     assert len({id(t) for t in tables}) == 2
     assert sum(rows) == 4 * samples + 6 * per_k
+    k = max(_feasible_caps(f))
+    for check, ref, height in ((check_cross_submodular, ref_cross, 4),
+                               (check_strong_quotient, ref_quotient, 2)):
+        rows.clear()
+        report = check(f, k, samples=samples)
+        assert sum(rows) == height * samples
+        assert report.to_json_line() == ref(f, k, -3, 3, 0, samples, "").to_json_line()
 
 
 def test_sampled_chunks_fit_a_byte_budget():

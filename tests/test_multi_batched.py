@@ -17,7 +17,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mconcave import NEG_INF, SetFn, check_exc_multi, default_corpus, mutate, random_table
+from mconcave import (
+    NEG_INF,
+    SetFn,
+    check_exc_multi,
+    default_corpus,
+    lift,
+    mutate,
+    random_table,
+)
 from mconcave import cli, exchange, moves
 from mconcave.core import (
     REAL_EPS,
@@ -255,14 +263,15 @@ def test_real_mode_ties(by_id):
 
 def test_ints_beyond_int64_run_on_python_ints(by_id, budget):
     """A table peaking at 2^60 - 1 stays in int64; 2^60 and beyond,
-    shifted by 2^62 or by +-2^63, runs on Python ints."""
+    shifted by 2^62, by +-2^63 or past the float range, runs on Python
+    ints."""
     f = by_id["n3_laminar"]
     edge = affine(f, shift=2**60 - 1 - max(f.values))
     low = affine(f, shift=-(2**60 - 1) - min(f.values))
     assert value_dtype(edge) == np.int64
     assert value_dtype(low) == np.int64
     tables = [edge, low]
-    for shift in (2**62, 2**63, -(2**63)):
+    for shift in (2**62, 2**63, -(2**63), 2**2000):
         big = [affine(f, shift=shift), affine(mutate(f, 0, 1), shift=shift),
                affine(random_table(3, 5, neg_inf_prob=0.3), shift=shift),
                affine(random_mnat_concave(3, 1), shift=shift)]
@@ -339,6 +348,21 @@ def lemma_tables(by_id):
         (3, 1, 0.3), (2, 0, 0.3), (3, 113, 0.3), (3, 17, 0.6), (3, 31, 0.5), (3, 49, 0.5))]
     # ({1, 2, 3}, {4, 5}, {1}) reaches a finite x side only by J = {4, 5}.
     tables.append(SetFn(5, [0 if m in (7, 24, 25, 30) else None for m in range(32)]))
+    # Python ints: a value of +-2^60, and shifts by +-2^63.
+    f3 = by_id["n3_laminar"]
+    tables += [f3.with_value((1, 2), 2**60), by_id["n4_laminar"].with_value((3,), -(2**60))]
+    tables += [affine(g, shift=shift) for shift in (2**63, -(2**63))
+               for g in (f3, mutate(f3, 0, 1), random_table(3, 5, neg_inf_prob=0.3),
+                         random_mnat_concave(3, 1), by_id["n4_laminar"])]
+    # Real ties moved by half the slack and by 1.5 times it.
+    for iid, masks in (("n3_laminar", (3, 5, 7)), ("n4_laminar", (3, 6, 15))):
+        base = real_copy(by_id[iid], 0.01)
+        tables += [base.with_value(elements_of(m), base.values[m] + bump)
+                   for m in masks for bump in (0.5 * REAL_EPS, 1.5 * REAL_EPS)]
+    # Lifts with 252 and 924 domain sets: a PASS, and FAILs past many blocks.
+    n5, n6 = by_id["n5_laminar"], by_id["n6_laminar"]
+    tables += [lift(n5), lift(n5.with_value((3, 5), n5.values[20] - 1)),
+               lift(n6.with_value((6,), n6.values[32] - 1))]
     return [f for f in tables if f.dom_masks]
 
 
@@ -347,7 +371,10 @@ def test_lemma_facts_match_the_loop(by_id, budget):
     on a PASS the counts of facts agree."""
     kinds = set()
     passes = 0
-    for f in thinned(lemma_tables(by_id), budget):
+    tables = thinned(lemma_tables(by_id), budget)
+    assert {str(value_dtype(f)) for f in tables} == {"int64", "object", "float64"}
+    assert {252, 924} <= {len(f.dom_masks) for f in tables} or budget == 1
+    for f in tables:
         got = _lemma_facts(f)
         assert got == ref_lemma_facts(f), f
         counter, _ = got

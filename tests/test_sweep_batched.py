@@ -19,7 +19,7 @@ from mconcave import (
     mutate,
     random_table,
 )
-from mconcave import exchange
+from mconcave import exchange, moves
 from mconcave.core import REAL_EPS, elements_of, leq_for
 from mconcave.families import random_mnat_concave
 
@@ -71,7 +71,7 @@ def loop_line(f, drop, suite="s", instance_id="t"):
 
 
 def batched_line(f, drop):
-    return exchange._sweep_report(f, "s", "t", *exchange._batched_sweep(f, drop)).to_json_line()
+    return exchange._sweep_report(f, "s", "t", *exchange._single_sweep(f, drop)).to_json_line()
 
 
 def assert_agree(tables, drop):
@@ -163,9 +163,9 @@ def test_every_domain_size_runs_batched(by_id, monkeypatch):
         if k % 16 == 0 or k >= 60:
             tables.append(lift(f))
     calls = []
-    real_batched = exchange._batched_sweep
-    monkeypatch.setattr(exchange, "_batched_sweep",
-                        lambda f, drop: calls.append(len(f.dom_masks)) or real_batched(f, drop))
+    real_sweep = exchange._rule_sweep
+    monkeypatch.setattr(exchange, "_rule_sweep",
+                        lambda f, rules: calls.append(len(f.dom_masks)) or real_sweep(f, rules))
     equi = []
     for f in tables:
         assert check_exc_single(f).to_json_line() == loop_line(f, True, "exc_single", "")
@@ -179,7 +179,7 @@ def test_every_domain_size_runs_batched(by_id, monkeypatch):
 
 
 class _DtypeSpy:
-    """numpy for ``exchange``, noting the dtype of every ``np.array``."""
+    """numpy for ``moves``, noting the dtype of every ``np.array``."""
 
     def __init__(self):
         self.dtypes = []
@@ -196,7 +196,7 @@ def batched_dtypes(f, drop, monkeypatch):
     """The batched report line of f, and the dtypes its arrays took."""
     spy = _DtypeSpy()
     with monkeypatch.context() as m:
-        m.setattr(exchange, "np", spy)
+        m.setattr(moves, "np", spy)
         return batched_line(f, drop), spy.dtypes
 
 
@@ -205,18 +205,19 @@ def affine(f, scale=1, shift=0):
 
 
 def test_ints_beyond_int64_sweep_on_python_ints(by_id, monkeypatch):
-    """Int tables with some |v| >= 2^61 sweep on the object dtype with the
-    loop's report; up to 2^61 - 1 they stay in int64."""
+    """Int tables with some |v| >= 2^60 sweep on the object dtype of
+    ``moves.value_table`` with the loop's report; up to 2^60 - 1 they stay
+    in int64."""
     f = by_id["n6_laminar"]
     big = f.with_value((2, 5), 2**62)
     shifted = affine(f, shift=2**62)
-    tables = [big, shifted, lift(big)]
-    moves = [(2**62, 0), (1, 2**63), (1, -(2**63))]
+    tables = [big, shifted, lift(big), affine(f, shift=-(2**2000))]
+    maps = [(2**62, 0), (1, 2**63), (1, -(2**63))]
     for s in range(24):
         g = random_table(2 + s % 4, s, neg_inf_prob=0.1 * (s % 3))
         if g.dom_masks:
-            tables.append(affine(g, *moves[s % 3]))
-    tables += [affine(random_mnat_concave(3, s), *moves[s % 3]) for s in range(6)]
+            tables.append(affine(g, *maps[s % 3]))
+    tables += [affine(random_mnat_concave(3, s), *maps[s % 3]) for s in range(6)]
     fails = 0
     for g in tables:
         for drop in (True, False):
@@ -230,7 +231,11 @@ def test_ints_beyond_int64_sweep_on_python_ints(by_id, monkeypatch):
     assert not check_exc_single(big).passed
     assert check_exc_single(shifted).passed
 
-    edge = affine(f, shift=2**61 - 1 - max(f.values))
+    edge = affine(f, shift=2**60 - 1 - max(f.values))
     got, dtypes = batched_dtypes(edge, True, monkeypatch)
     assert object not in dtypes
     assert got == loop_line(edge, True)
+    past = affine(f, shift=2**60 - max(f.values))
+    got, dtypes = batched_dtypes(past, True, monkeypatch)
+    assert object in dtypes
+    assert got == loop_line(past, True)
