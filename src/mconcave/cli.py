@@ -102,6 +102,8 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -589,7 +591,13 @@ def load_instances(paths):
             if manifest_path.exists():
                 with open(manifest_path, "r", encoding="utf-8") as fh:
                     manifest = json.load(fh)
-                for entry in manifest["instances"]:
+                entries = manifest.get("instances") if isinstance(manifest, dict) else None
+                if not (isinstance(entries, list) and all(
+                        isinstance(e, dict) and isinstance(e.get("id"), str)
+                        and isinstance(e.get("path"), str) for e in entries)):
+                    raise FormatError(f"{manifest_path}: expected an object whose 'instances' "
+                                      f"is a list of objects with string 'id' and 'path'")
+                for entry in entries:
                     out.append((entry["id"], load(p / entry["path"])))
             else:
                 for f in sorted(p.glob("*.json")):

@@ -30,16 +30,20 @@ certifies on any input by weak duality. Where f1 or f2 is not
 M-natural concave, the end point only bounds the box minimum from
 above; the tests keep a scan of the whole box as the oracle.
 
-The sampled grid regime draws its pairs from ``random.Random(seed)``
-without calling it per value: ``core._Replay`` takes the Mersenne
-Twister words from the rng in bulk and decodes them in numpy with
-CPython's rules (top ``m.bit_length()`` bits of a word, rejected while
->= m), a chunk of samples at a time, the chunk bounded in bytes. The
-submodular draw mixes two widths (2n prices, then the cap index), so its
-rejections are resolved in stream order. The cross and quotient checks
-of every size cap draw the same 2n prices from the same seed, so one
-draw and one conjugate table serve them all, each cap reading its own
-column. The samples, and so the reports, are those of the scalar
+Both regimes read one table that writes each grid inequality once, as
+(lhs, rhs) over a capped and the plain conjugate at a pair's p, q,
+p v q and p ^ q, and one builder turns their first violations into
+reports. The sampled regime is one pass over the checks it is given. It
+draws its pairs from ``random.Random(seed)`` without calling it per
+value: ``core._Replay`` takes the Mersenne Twister words from the rng in
+bulk and decodes them in numpy with CPython's rules (top
+``m.bit_length()`` bits of a word, rejected while >= m), a chunk of
+samples at a time, the chunk bounded in bytes. The submodular draw
+mixes two widths (2n prices, then the cap index), so its rejections are
+resolved in stream order. The cross and quotient checks of every size
+cap draw the same 2n prices from the same seed, so one draw and one
+conjugate table serve them all, each cap reading its own column. The
+samples, and so the reports, are those of the scalar
 ``randint``/``randrange`` loops, which the tests keep as the oracle.
 """
 
@@ -62,7 +66,6 @@ from .core import (
     max_over,
     price_sums,
     restrict_by_size,
-    submasks_ascending,
 )
 from .exchange import (
     DEFAULT_SAMPLES,
@@ -185,6 +188,20 @@ def _box_points(n, lo, hi):
 
 
 _SUBMODULAR, _CROSS, _QUOTIENT = range(3)
+_NAMES = ("submodular_sized", "cross_submodular", "strong_quotient")
+_P, _Q, _JOIN, _MEET = range(4)
+
+# Each grid inequality once, as (lhs, rhs) with lhs <= rhs required, from
+# ``s``, a size-capped column, and ``g``, the plain one, each indexed by
+# the point of a pair: _P, _Q, _JOIN (p v q) or _MEET (p ^ q). The
+# submodular check of the plain conjugate reads it as its capped column.
+# The quotient holds on pairs q <= p and keeps its difference form: real
+# mode compares with a tolerance that scales with the terms compared.
+_INEQUALITIES = (
+    lambda s, g: (s[_JOIN] + s[_MEET], s[_P] + s[_Q]),
+    lambda s, g: (s[_MEET] + g[_JOIN], s[_P] + g[_Q]),
+    lambda s, g: (g[_P] - g[_Q], s[_P] - s[_Q]),
+)
 
 
 @lru_cache(maxsize=1)
@@ -241,54 +258,33 @@ def _all_pairs(g, pts, lo, hi):
     indices); g is the (caps, len(pts)) table of ``_Conjugates``."""
     npts, n = pts.shape
     digits = [(pts[:, c] - lo) * (hi - lo + 1) ** (n - 1 - c) for c in range(n)]
-    plain, idx = g[-1], np.arange(npts)
-    excess = g - plain  # sized minus plain: the quotient compares it at p and q
+    idx = np.arange(npts)
     first = [[None] * len(g) for _ in range(3)]
     checked = np.zeros((3, len(g)), dtype=np.int64)
     for a in range(0, npts, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, npts)
         zero = np.zeros((b - a, npts), dtype=np.int64)
-        joins = sum((np.maximum(d[a:b, None], d) for d in digits), zero)
-        meets = sum((np.minimum(d[a:b, None], d) for d in digits), zero)
-        upper, below = idx[a:] >= idx[a:b, None], meets == idx
-        through = [np.cumsum(npts - idx[a:b]), npts * np.arange(1, b - a + 1),
-                   np.cumsum(below.sum(axis=1))]
-        plain_joins = plain[joins]
+        at = (idx[a:b, None], idx, sum((np.maximum(d[a:b, None], d) for d in digits), zero),
+              sum((np.minimum(d[a:b, None], d) for d in digits), zero))
+        # The pairs of each kind: q from p on, every q, and q <= p.
+        pairs = (idx >= at[_P], np.broadcast_to(True, zero.shape), at[_MEET] == idx)
+        through = [np.cumsum(m.sum(axis=1)) for m in pairs]
+        plain = [g[-1][x] for x in at]
         for c, gc in enumerate(g):  # one cap column at a time keeps temporaries small
-            gi, gm = gc[a:b, None], gc[meets]
-            for kind, offset, bad in (
-                    (_SUBMODULAR, a, (gc[joins[:, a:]] + gm[:, a:] > gi + gc[a:]) & upper),
-                    (_CROSS, 0, gm + plain_joins > gi + plain),
-                    (_QUOTIENT, 0, (excess[c, a:b, None] < excess[c]) & below)):
+            sized = [gc[x] for x in at]
+            for kind, inequality in enumerate(_INEQUALITIES):
                 if first[kind][c] is not None:
                     continue
+                lhs, rhs = inequality(sized, plain)
+                bad = (lhs > rhs) & pairs[kind]
                 hit = np.flatnonzero(bad.any(axis=1))
                 r = hit[0] if len(hit) else b - a - 1
                 checked[kind, c] += through[kind][r]
                 if len(hit):
-                    j = offset + int(np.argmax(bad[r]))
-                    first[kind][c] = (pts[a + r].tolist(), pts[j].tolist())
+                    first[kind][c] = (pts[a + r].tolist(), pts[np.argmax(bad[r])].tolist())
         if all(x is not None for row in first for x in row):
             break
     return first, checked
-
-
-def _box_report(f, lo, hi, checks, instance_id):
-    """Report for ``checks``, (inequality, kind, k) in checking order,
-    read from the shared box sweep; k=None is the plain conjugate."""
-    first, checked = _box_sweeps(f, lo, hi)
-    s, _ = f.dom_size_range()
-    total = 0
-    for inequality, kind, k in checks:
-        c = (f.n if k is None else min(k, f.n)) - s
-        total += int(checked[kind, c])
-        if first[kind][c] is not None:
-            p, q = first[kind][c]  # copied: the sweep result is cached
-            counter = {"inequality": inequality, "p": list(p), "q": list(q)}
-            if k is not None:
-                counter["k"] = k
-            return failed_report("duality_grid", instance_id, counter, triples=total)
-    return passed_report("duality_grid", instance_id, triples=total)
 
 
 def _chunk(f, rows):
@@ -298,53 +294,90 @@ def _chunk(f, rows):
     return max(1, min(4 * _SAMPLE_CHUNK, fit) // rows)
 
 
-def _sampled_report(f, samples, caps, draw, tests, seed, instance_id, per_sample=1):
-    """Report over ``samples`` seeded pairs, drawn and evaluated in chunks
-    of ``_chunk(f, 4)``. ``draw(count)`` returns the next ``count``
-    samples as arrays: p and q, (count, n), and the index into ``caps`` of
-    each sample's size cap. ``tests(plain, sized)`` gets the plain and
-    capped conjugates at p, q, p v q, p ^ q (row 0..3, one column per
-    sample) and returns (inequality, uses_k, holds) in checking order; the
-    first failing sample is reported, with ``per_sample`` pairs counted
-    through it."""
-    conj = _Conjugates(f)
+def _sampled(f, kinds, caps, lo, hi, seed, samples):
+    """The checks of ``kinds`` over ``samples`` pairs drawn from
+    ``random.Random(seed)``, in chunks of ``_chunk``, as ``_grid_report``
+    reads them: a list per kind of (kind, k, first violated pair or None,
+    pairs counted through it), one for _SUBMODULAR, one per cap in
+    ``caps`` for the others.
+
+    A sample draws 2n prices: p then q, and for the quotient, element by
+    element, the larger and the smaller of each pair, its p >= q. Each
+    chunk evaluates the conjugates once, at p, q, p v q and p ^ q for the
+    submodular and cross checks and at the quotient's p and q, the only
+    points its inequality reads. The submodular check then draws an index
+    into ``caps`` and compares the plain column and that cap's column,
+    two pairs a sample; its first failing sample names the plain
+    conjugate before the cap. The others compare every cap's column,
+    and each cap keeps its own first failing sample."""
+    n, width = f.n, hi - lo + 1
+    runs = [(2 * n, width, width.bit_length())]
+    if _SUBMODULAR in kinds:
+        runs.append((1, len(caps), len(caps).bit_length()))
     s, _ = f.dom_size_range()
-    cap_cols = np.array([min(k, f.n) - s for k in caps])
-    chunk = _chunk(f, 4)
+    cap_cols = np.array([min(k, n) - s for k in caps])
+    plain_then_cap = np.stack([np.full(len(caps), -1), cap_cols], axis=1)
+    conj, replay = _Conjugates(f), _Replay(random.Random(seed))
+    # Per kind: (checks, pairs a sample).
+    shapes = [(1, 2) if kind == _SUBMODULAR else (len(caps), 1) for kind in kinds]
+    found = [{} for _ in kinds]  # per kind: check -> its entry at the first failing sample
+    chunk = _chunk(f, sum(2 if kind == _QUOTIENT else 4 for kind in kinds))
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        p, q, c = draw(count)
-        g = conj(np.concatenate([p, q, np.maximum(p, q), np.minimum(p, q)]))
-        g = g.reshape(4, count, -1)
-        checks = tests(g[:, :, -1], g[:, np.arange(count), cap_cols[c]])
-        failures = [(int(np.argmin(ok)), t, inequality, uses_k)
-                    for t, (inequality, uses_k, ok) in enumerate(checks) if not ok.all()]
-        if failures:
-            i, _, inequality, uses_k = min(failures)
-            counter = {"inequality": inequality, "p": p[i].tolist(), "q": q[i].tolist()}
-            if uses_k:
-                counter["k"] = caps[c[i]]
-            return failed_report("duality_grid", instance_id, counter,
-                                 triples=per_sample * (start + i + 1),
-                                 regime="sampled", seed=seed)
-    return passed_report("duality_grid", instance_id, triples=per_sample * samples,
-                         regime="sampled", seed=seed)
+        draws = replay.take(count, runs)
+        points = []
+        for kind in kinds:
+            if kind == _QUOTIENT:
+                a, b = draws[0][:, ::2] + lo, draws[0][:, 1::2] + lo
+                points.append((np.maximum(a, b), np.minimum(a, b)))
+            else:
+                p, q = draws[0][:, :n] + lo, draws[0][:, n:] + lo
+                points.append((p, q, np.maximum(p, q), np.minimum(p, q)))
+        table = conj(np.concatenate([x for rows in points for x in rows]))
+        table, row = table.reshape(-1, count, table.shape[1]), 0
+        for t, (kind, rows, (checks, per_sample)) in enumerate(zip(kinds, points, shapes)):
+            h, row = table[row:row + len(rows)], row + len(rows)
+            if kind == _SUBMODULAR:  # the plain column, then the drawn cap's
+                sized = h[:, np.arange(count)[:, None], plain_then_cap[draws[1][:, 0]]]
+            else:  # a check per cap, on its own column
+                sized = h[:, :, cap_cols]
+            ok = _holds(*_INEQUALITIES[kind](sized, h[:, :, -1:]), f.mode)
+            if ok.all():
+                continue
+            ok = ok.reshape(count, checks, per_sample)
+            for c in np.flatnonzero(~ok.all(axis=(0, 2))):
+                if c not in found[t]:
+                    i, j = divmod(int(np.argmin(ok[:, c])), per_sample)
+                    k = caps[c] if kind != _SUBMODULAR else caps[draws[1][i, 0]] if j else None
+                    found[t][c] = (kind, k, (rows[0][i].tolist(), rows[1][i].tolist()),
+                                   per_sample * (start + i + 1))
+        if all(len(d) == checks for d, (checks, _) in zip(found, shapes)):
+            break
+    return [[d.get(c, (kind, None, None, per_sample * samples)) for c in range(checks)]
+            for kind, d, (checks, per_sample) in zip(kinds, found, shapes)]
 
 
-def _price_run(n, lo, hi):
-    """The replay run of the 2n ``randint(lo, hi)`` draws of one pair, as
-    values minus lo."""
-    width = hi - lo + 1
-    return 2 * n, width, width.bit_length()
+def _box_checks(f, kinds, caps, lo, hi):
+    """``_sampled``'s checks read from the cached box sweep, where
+    _SUBMODULAR checks the plain conjugate and then every cap in ``caps``."""
+    first, checked = _box_sweeps(f, lo, hi)
+    s, _ = f.dom_size_range()
+    out = []
+    for kind in kinds:
+        ks = [None] + caps if kind == _SUBMODULAR else caps
+        cols = [min(f.n if k is None else k, f.n) - s for k in ks]
+        out.append([(kind, k, first[kind][c], int(checked[kind, c])) for k, c in zip(ks, cols)])
+    return out
 
 
-def _box_or_sample_policy(f, box, samples):
-    """"box" or "sampled" for the grid checks of f on ``box``, after
-    checking ``samples`` and ``box``, which every regime does."""
+def _grid_checks(f, kinds, caps, box, seed, samples):
+    """The checks of ``kinds`` on f over ``box``, and the report fields of
+    their regime: int tables are swept when the box has at most
+    ``EXHAUSTIVE_GRID_LIMIT`` points, real ones (compared with a
+    tolerance) and larger boxes are sampled."""
     _require_int("samples", samples, 1)
-    # The box sweep compares exactly, so real mode falls through to the
-    # tolerance-aware sampled path. A sampled draw takes one 32-bit word
-    # per try, so a box side holds fewer than 2^32 values.
+    # A sampled draw takes one 32-bit word per try, so a box side holds
+    # fewer than 2^32 values.
     if not (isinstance(box, (tuple, list)) and len(box) == 2
             and all(isinstance(v, int) and not isinstance(v, bool) for v in box)
             and 0 <= box[1] - box[0] < (1 << 32) - 1):
@@ -352,8 +385,24 @@ def _box_or_sample_policy(f, box, samples):
                          f"got {box!r}")
     lo, hi = box
     if f.mode == "int" and (hi - lo + 1) ** f.n <= EXHAUSTIVE_GRID_LIMIT:
-        return "box"
-    return "sampled"
+        return _box_checks(f, kinds, caps, lo, hi), {}
+    return _sampled(f, kinds, caps, lo, hi, seed, samples), {"regime": "sampled", "seed": seed}
+
+
+def _grid_report(checks, instance_id, regime):
+    """The report of ``checks``, (kind, k, first violated pair or None,
+    pairs counted) in checking order, k=None for the plain conjugate: the
+    first violation, with the pairs of every check up to and including it."""
+    total = 0
+    for kind, k, pair, pairs in checks:
+        total += pairs
+        if pair is not None:
+            counter = {"inequality": "submodular" if k is None else _NAMES[kind],
+                       "p": list(pair[0]), "q": list(pair[1])}  # copied: the box sweep is cached
+            if k is not None:
+                counter["k"] = k
+            return failed_report("duality_grid", instance_id, counter, triples=total, **regime)
+    return passed_report("duality_grid", instance_id, triples=total, **regime)
 
 
 def check_conjugate_submodular(f, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
@@ -366,84 +415,23 @@ def check_conjugate_submodular(f, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SA
     the pair).
     """
     _require_nonempty_dom(f)
-    kind = _box_or_sample_policy(f, box, samples)
-    caps = list(_feasible_caps(f))
-    lo, hi = box
-    if kind == "box":
-        checks = [("submodular", _SUBMODULAR, None)]
-        checks += [("submodular_sized", _SUBMODULAR, k) for k in caps]
-        return _box_report(f, lo, hi, checks, instance_id)
-
-    replay = _Replay(random.Random(seed))
-    runs = [_price_run(f.n, lo, hi), (1, len(caps), len(caps).bit_length())]
-
-    def draw(count):  # p, q, then the cap index
-        pq, c = replay.take(count, runs)
-        return pq[:, :f.n] + lo, pq[:, f.n:] + lo, c[:, 0]
-
-    def tests(g, gk):
-        return [("submodular", False, _holds(g[2] + g[3], g[0] + g[1], f.mode)),
-                ("submodular_sized", True, _holds(gk[2] + gk[3], gk[0] + gk[1], f.mode))]
-
-    return _sampled_report(f, samples, caps, draw, tests, seed, instance_id, per_sample=2)
+    checks, regime = _grid_checks(f, (_SUBMODULAR,), list(_feasible_caps(f)), box, seed,
+                                  samples)
+    return _grid_report(checks[0], instance_id, regime)
 
 
 def _cross_and_quotient(f, caps, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
-                        instance_id="", checks=(0, 1)):
-    """The (cross_submodular, strong_quotient) reports of f for each size
-    cap in ``caps``, each what the check of that one cap gives, or of the
-    ``checks`` alone (0: cross, 1: quotient) in that order. Sampled, one
-    draw serves both checks of every cap: the 2n prices of a sample are p
-    then q for the cross check, and element by element the larger and
-    smaller of each pair for the quotient's p >= q, so each chunk
-    evaluates the conjugates once, at p, q, p v q, p ^ q for the cross
-    check and at the quotient's two points, and each cap reads its first
-    failing sample in its own column."""
+                        instance_id="", kinds=(_CROSS, _QUOTIENT)):
+    """The reports of ``kinds`` (cross_submodular, then strong_quotient)
+    of f for each size cap in ``caps``, as a tuple per cap, each what the
+    check of that one cap gives. Sampled, one draw and one conjugate table
+    a chunk serve every cap and both checks."""
     _require_nonempty_dom(f)
     for k in caps:
         _require_cap(f, k)
-    kind = _box_or_sample_policy(f, box, samples)
-    lo, hi = box
-    names = [(("cross_submodular", _CROSS), ("strong_quotient", _QUOTIENT))[c] for c in checks]
-    if kind == "box":
-        return [tuple(_box_report(f, lo, hi, [(name, sweep, k)], instance_id)
-                      for name, sweep in names) for k in caps]
-
-    s, _ = f.dom_size_range()
-    cols = [min(k, f.n) - s for k in caps]
-    conj, replay = _Conjugates(f), _Replay(random.Random(seed))
-    first = {}  # (check, cap index) -> the FAIL report at its first failing sample
-    heights = [(4, 2)[c] for c in checks]
-    chunk = _chunk(f, sum(heights))
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
-        pq = replay.take(count, [_price_run(f.n, lo, hi)])[0] + lo
-        p, q = pq[:, :f.n], pq[:, f.n:]
-        up, down = np.maximum(pq[:, ::2], pq[:, 1::2]), np.minimum(pq[:, ::2], pq[:, 1::2])
-        points = [(p, q, np.maximum(p, q), np.minimum(p, q)), (up, down)]
-        g = conj(np.concatenate([x for c in checks for x in points[c]]))
-        g = np.split(g.reshape(-1, count, g.shape[1]), np.cumsum(heights)[:-1])
-        for t, (check, h) in enumerate(zip(checks, g)):
-            plain, sized = h[:, :, -1:], h[:, :, cols]
-            if check == 0:
-                ok = _holds(sized[3] + plain[2], sized[0] + plain[1], f.mode)
-            else:
-                ok = _holds(plain[0] - plain[1], sized[0] - sized[1], f.mode)
-            a, b = points[check][:2]
-            for c in np.flatnonzero(~ok.all(axis=0)):
-                if (t, c) not in first:
-                    i = int(np.argmin(ok[:, c]))
-                    counter = {"inequality": names[t][0], "p": a[i].tolist(),
-                               "q": b[i].tolist(), "k": caps[c]}
-                    first[t, c] = failed_report("duality_grid", instance_id, counter,
-                                                triples=start + i + 1, regime="sampled",
-                                                seed=seed)
-        if len(first) == len(checks) * len(caps):
-            break
-    passed = passed_report("duality_grid", instance_id, triples=samples, regime="sampled",
-                           seed=seed)
-    return [tuple(first.get((t, c), passed) for t in range(len(checks)))
-            for c in range(len(caps))]
+    checks, regime = _grid_checks(f, kinds, caps, box, seed, samples)
+    return [tuple(_grid_report([check], instance_id, regime) for check in per_cap)
+            for per_cap in zip(*checks)]
 
 
 def check_cross_submodular(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
@@ -451,7 +439,7 @@ def check_cross_submodular(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAM
     """Mixed submodularity between the size-capped and plain conjugates:
     sized(p) + plain(q) >= sized(p ^ q) + plain(p v q) over box pairs."""
     return _cross_and_quotient(f, [k], box=box, seed=seed, samples=samples,
-                               instance_id=instance_id, checks=(0,))[0][0]
+                               instance_id=instance_id, kinds=(_CROSS,))[0][0]
 
 
 def check_strong_quotient(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMPLES,
@@ -459,7 +447,7 @@ def check_strong_quotient(f, k, *, box=DEFAULT_BOX, seed=0, samples=DEFAULT_SAMP
     """Monotone quotient relation on comparable pairs p >= q:
     sized(p) - sized(q) >= plain(p) - plain(q)."""
     return _cross_and_quotient(f, [k], box=box, seed=seed, samples=samples,
-                               instance_id=instance_id, checks=(1,))[0][0]
+                               instance_id=instance_id, kinds=(_QUOTIENT,))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +479,6 @@ def build_restrictions(f, ctx):
     """
     if f.values[ctx.x_mask] is NEG_INF or f.values[ctx.y_mask] is NEG_INF:
         raise ValueError("X and Y must lie in the effective domain")
-    empty = _empty_restriction(f, ctx.x_mask, ctx.y_mask, ctx.i_mask)
-    if empty is not None:
-        raise Falsification(empty)
     y0 = ctx.y0_mask
     bits = [1 << (e - 1) for e in elements_of(y0)]
     m = len(bits)
@@ -506,29 +491,10 @@ def build_restrictions(f, ctx):
     x_side = SetFn(m, [fvals[xbase | g] for g in spread], f.mode)
     y_side = SetFn(m, [fvals[ybase & ~g] for g in spread], f.mode)
     x_sized = restrict_by_size(x_side, ctx.i_mask.bit_count())
+    for name, side in (("x_side", x_side), ("x_side_sized", x_sized), ("y_side", y_side)):
+        if not side.dom_masks:
+            raise Falsification(_empty_side(name, ctx.x_mask, ctx.y_mask, ctx.i_mask))
     return RestrictionTriple(x_side, x_sized, y_side, ctx)
-
-
-def _empty_restriction(f, xm, ym, im):
-    """None when the three restrictions of (X, Y, I) all have a nonempty
-    domain, else the message naming the first empty one of x_side,
-    x_side_sized and y_side. Scans J inside Y \\ X and stops as soon as
-    all three are known nonempty."""
-    vals = f.values
-    xbase = xm & ~im
-    ybase = ym | im
-    k = im.bit_count()
-    x_side = x_sized = y_side = False
-    for g in submasks_ascending(ym & ~xm):
-        if not x_sized and vals[xbase | g] is not NEG_INF:
-            x_side = True
-            x_sized = g.bit_count() <= k
-        if not y_side and vals[ybase & ~g] is not NEG_INF:
-            y_side = True
-        if x_sized and y_side:
-            return None
-    name = "x_side" if not x_side else "x_side_sized" if not x_sized else "y_side"
-    return _empty_side(name, xm, ym, im)
 
 
 # ---------------------------------------------------------------------------

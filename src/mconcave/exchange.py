@@ -163,31 +163,10 @@ def find_single_exchange(f, X, Y, i):
         raise ValueError(f"i={i} must lie in X \\ Y")
     vals = f.values
     lhs = vals[xm] + vals[ym] if vals[xm] is not NEG_INF and vals[ym] is not NEG_INF else NEG_INF
-
-    best = NEG_INF
-    best_kind = "drop"
-    best_moved = ()
-    a = vals[xm ^ im]
-    b = vals[ym | im]
-    if a is not NEG_INF and b is not NEG_INF:
-        best = a + b
-    rest = ym & ~xm
-    while rest:
-        jb = rest & -rest
-        rest ^= jb
-        a = vals[(xm ^ im) | jb]
-        if a is NEG_INF:
-            continue
-        b = vals[(ym | im) ^ jb]
-        if b is NEG_INF:
-            continue
-        cand = a + b
-        if best is NEG_INF or cand > best:
-            best = cand
-            best_kind = "swap"
-            best_moved = (jb.bit_length(),)
+    # The drop and the swaps are the moves J = {} and J = {j} of I = {i}.
+    best, best_j, _ = _best_multi(vals, xm, ym, im, True)
     if lhs is NEG_INF or (best is not NEG_INF and leq_for(f.mode)(lhs, best)):
-        return ExchangeWitness(best_kind, best_moved, lhs, best)
+        return ExchangeWitness("swap" if best_j else "drop", elements_of(best_j), lhs, best)
     return None
 
 

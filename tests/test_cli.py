@@ -312,6 +312,29 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, fields):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind, body", [
+    ("manifest", {"instances": [5]}),
+    ("manifest", [1, 2]),
+    ("manifest", {"instances": [{"id": "a", "path": 7}]}),
+    ("config", 5),
+    ("config", None),
+    ("config", "ab"),
+])
+def test_malformed_manifest_or_config_exits_2(tmp_path, capsys, kind, body):
+    """These used to end in a traceback with exit code 1, and the config
+    "ab" was read as the unknown fields 'a' and 'b'."""
+    if kind == "manifest":
+        (tmp_path / "manifest.json").write_text(json.dumps(body))
+        args = ["check", str(tmp_path)]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(body))
+        args = ["check", "--config", str(tmp_path / "config.json")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err and "unknown config" not in captured.err
+
+
 def test_family_spec_with_a_malformed_n_exits_2(tmp_path, capsys):
     """Only the commands that build the families read their specs; n is
     checked before 2^n values are drawn."""

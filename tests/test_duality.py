@@ -25,8 +25,8 @@ from mconcave import (
     restrict_by_size,
     tilt,
 )
-from mconcave.duality import _empty_restriction
 from test_grid_engine import ref_box_quotient, ref_box_submodular
+from test_multi_batched import scan_empty_restriction
 
 # --- oracle: conjugate by plain subset enumeration ---------------------------
 
@@ -310,8 +310,9 @@ def _materialized_empty(f, ctx):
 
 
 def test_empty_restriction_matches_materialized_tables():
-    """The helper the lemmas_2_8 suite runs names the same side, with the
-    same message, as the materialized tables and build_restrictions."""
+    """build_restrictions names the same empty side, with the same
+    message, as the materialized tables and as the scan over J that the
+    lemmas_2_8 oracle runs."""
     named = set()
     for seed in range(120):
         f = random_table(3 + seed % 3, seed, neg_inf_prob=0.4 + 0.1 * (seed % 4))
@@ -322,7 +323,7 @@ def test_empty_restriction_matches_materialized_tables():
                         continue
                     ctx = ExchangeContext(f.n, xm, ym, im)
                     want = _materialized_empty(f, ctx)
-                    assert _empty_restriction(f, xm, ym, im) == want
+                    assert scan_empty_restriction(f, xm, ym, im) == want
                     if want is None:
                         build_restrictions(f, ctx)
                         continue

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mconcave import (
     NEG_INF,
     ExchangeContext,
+    ExchangeWitness,
     SetFn,
     augment_lt,
     check_exc_multi,
@@ -23,6 +24,7 @@ from mconcave import (
     uniform_matroid,
     weighted_basis_valuation,
 )
+from mconcave.core import leq_for
 from mconcave.exchange import _multi_pass_margin
 
 # --- oracles: set-algebra reimplementations, no bitmask tricks ---------------
@@ -57,6 +59,31 @@ def brute_multi_best(f, X, Y, I, bounded):
             if c is not NEG_INF and (best is NEG_INF or c > best):
                 best = c
     return best
+
+
+def ref_single_exchange(f, X, Y, i):
+    """The scalar single-exchange loop: the drop, then the swaps by
+    ascending j, kept on a strict improvement; the witness when it
+    attains f(X) + f(Y) or X or Y lies outside the domain, else None."""
+    xm, ym, im = mask_of(X, f.n), mask_of(Y, f.n), mask_of([i], f.n)
+    vals = f.values
+    lhs = vals[xm] + vals[ym] if vals[xm] is not NEG_INF and vals[ym] is not NEG_INF else NEG_INF
+    best, best_kind, best_moved = NEG_INF, "drop", ()
+    a, b = vals[xm ^ im], vals[ym | im]
+    if a is not NEG_INF and b is not NEG_INF:
+        best = a + b
+    rest = ym & ~xm
+    while rest:
+        jb = rest & -rest
+        rest ^= jb
+        a, b = vals[(xm ^ im) | jb], vals[(ym | im) ^ jb]
+        if a is NEG_INF or b is NEG_INF:
+            continue
+        if best is NEG_INF or a + b > best:
+            best, best_kind, best_moved = a + b, "swap", (jb.bit_length(),)
+    if lhs is NEG_INF or (best is not NEG_INF and leq_for(f.mode)(lhs, best)):
+        return ExchangeWitness(best_kind, best_moved, lhs, best)
+    return None
 
 
 def random_dom_pair(f, rng):
@@ -114,6 +141,30 @@ def test_single_exchange_matches_oracle(values, rng):
         assert best is NEG_INF or best < lhs
     else:
         assert w.rhs == best or (best is NEG_INF and w.rhs is NEG_INF)
+
+
+@st.composite
+def single_exchange_cases(draw):
+    """A table on n = 2..5, int or real, often mostly NEG_INF, with any X,
+    Y (inside the domain or not) and i in X \\ Y."""
+    n = draw(st.integers(2, 5))
+    mode = draw(st.sampled_from(["int", "real"]))
+    entry = st.integers(-4, 4) if mode == "int" else st.floats(-4, 4, allow_nan=False)
+    blank = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    values = draw(st.lists(st.tuples(st.floats(0, 1), entry), min_size=1 << n,
+                           max_size=1 << n))
+    values = [None if u < blank else v for u, v in values]
+    xm = draw(st.integers(1, (1 << n) - 1))
+    ym = draw(st.integers(0, (1 << n) - 1)) & ~(xm & -xm)  # keeps X \\ Y nonempty
+    i = draw(st.sampled_from(elements_of(xm & ~ym)))
+    return SetFn(n, values, mode), elements_of(xm), elements_of(ym), i
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_exchange_cases())
+def test_single_exchange_matches_scalar_loop(case):
+    f, X, Y, i = case
+    assert find_single_exchange(f, X, Y, i) == ref_single_exchange(f, X, Y, i)
 
 
 # --- check_exc_single ----------------------------------------------------------

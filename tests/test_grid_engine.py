@@ -359,6 +359,15 @@ def _toggled_inputs():
 
 TOGGLED = _toggled_inputs()
 
+# A real copy of a toggled table, scaled by 10^-3 and shifted by 10^7, that
+# fails the sampled strong quotient at seed 7 by about 2e-3 (at caps 1 and
+# 2, sample 26, like its int form). The scalar loop compares differences
+# and reports FAIL; a comparison of sums would report PASS, since the
+# tolerance grows with the magnitude of the terms compared.
+SHIFTED = ("n5_wbasis_uniform_tog1_shifted",
+           SetFn(5, [v if v is NEG_INF else v * 1e-3 + 1e7
+                     for v in dict(TOGGLED)["n5_wbasis_uniform_tog1"].values], "real"))
+
 
 def _ref_pairs(f, caps, seed, samples, instance_id):
     return [(ref_cross(f, k, -3, 3, seed, samples, instance_id),
@@ -370,14 +379,17 @@ def _lines(pairs):
 
 
 @pytest.mark.parametrize("mode", ["int", "real"])
-@pytest.mark.parametrize("instance_id, f", TOGGLED)
+@pytest.mark.parametrize("instance_id, f", TOGGLED + [SHIFTED])
 def test_one_pass_matches_scalar_loops(instance_id, f, mode, monkeypatch):
     """Every cap (and one past n) gets the reports of its own scalar cross
-    and quotient loops, in chunks of the default size and of two samples."""
+    and quotient loops, in chunks of the default size and of two samples.
+    ``SHIFTED`` is real already ("real" divides it by 3)."""
     if mode == "real":
         f = _as_real(f)
     caps = list(_feasible_caps(f)) + [f.n + 1]
     slow = _lines(_ref_pairs(f, caps, 7, 40, instance_id))
+    if instance_id == SHIFTED[0]:
+        assert sum('"strong_quotient"' in line for line in slow) == 2
     assert _lines(_cross_and_quotient(f, caps, seed=7, samples=40,
                                       instance_id=instance_id)) == slow
     monkeypatch.setattr(duality, "_SAMPLE_BYTES", 16 * len(f.dom_masks) * 12)

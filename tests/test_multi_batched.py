@@ -36,11 +36,11 @@ from mconcave.core import (
     submasks_ascending,
     submasks_by_size,
 )
-from mconcave.duality import _empty_restriction
 from mconcave.exchange import (
     DEFAULT_SAMPLES,
     EXHAUSTIVE_N_LIMIT,
     _best_multi,
+    _empty_side,
     _first_swap,
     _lemma_facts,
     exc_multi_reports,
@@ -94,6 +94,28 @@ def ref_line(f, bounded, samples=DEFAULT_SAMPLES, seed=0):
                          regime=regime, seed=seed).to_json_line()
 
 
+def scan_empty_restriction(f, xm, ym, im):
+    """None when the three restrictions of (X, Y, I) all have a nonempty
+    domain, else the message naming the first empty one of x_side,
+    x_side_sized and y_side. Scans J inside Y \\ X and stops as soon as
+    all three are known nonempty."""
+    vals = f.values
+    xbase = xm & ~im
+    ybase = ym | im
+    k = im.bit_count()
+    x_side = x_sized = y_side = False
+    for g in submasks_ascending(ym & ~xm):
+        if not x_sized and vals[xbase | g] is not NEG_INF:
+            x_side = True
+            x_sized = g.bit_count() <= k
+        if not y_side and vals[ybase & ~g] is not NEG_INF:
+            y_side = True
+        if x_sized and y_side:
+            return None
+    name = "x_side" if not x_side else "x_side_sized" if not x_sized else "y_side"
+    return _empty_side(name, xm, ym, im)
+
+
 def ref_lemma_facts(f):
     """The loop of the ``lemmas_2_8`` suite after its gate: (counter of the
     first failing fact or None, facts checked)."""
@@ -120,7 +142,7 @@ def ref_lemma_facts(f):
                             "Y": list(elements_of(ym))}, checked
             for im in submasks_ascending(xm & ~ym):
                 checked += 1
-                empty = _empty_restriction(f, xm, ym, im)
+                empty = scan_empty_restriction(f, xm, ym, im)
                 if empty is not None:
                     return {"fact": "restriction_domains_nonempty",
                             "X": list(elements_of(xm)), "Y": list(elements_of(ym)),

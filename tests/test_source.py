@@ -1,0 +1,75 @@
+"""Source guards on ``src/mconcave``: code that deletions leave behind.
+
+Each module is parsed with ``ast``. An imported name that its module
+never uses fails (``__init__.py`` re-exports, so it is exempt), and so
+does a module-level private function, class or constant that no code in
+the package references.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mconcave"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported(tree):
+    """The names an import statement binds, with the line of each."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _loaded(tree):
+    """Every name read in ``tree``: bare names, and attributes (as in
+    ``module._name``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _private_definitions(tree):
+    """Module-level functions, classes and constants named ``_x`` (not
+    dunders), with the line of each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__.py"])
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    loaded = _loaded(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in loaded]
+    assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def test_every_private_definition_is_referenced():
+    referenced = set()
+    for tree in MODULES.values():
+        referenced |= _loaded(tree)
+        referenced |= {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+    dead = [f"{module}: {name} (line {line})" for module, tree in MODULES.items()
+            for name, line in _private_definitions(tree)
+            if _is_private(name) and name not in referenced]
+    assert not dead, f"private names that no code in the package references: {dead}"
