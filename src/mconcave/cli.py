@@ -1,6 +1,6 @@
 """Command-line harness: generate corpora, run verification suites, and
-hunt for counterexamples with seeded mutations, whose tables are decided
-in bulk (``exchange._bulk_decide``).
+hunt for counterexamples with seeded mutations, whose value rows are
+decided in bulk (``exchange._bulk_decide``).
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
 (a falsification), 2 on operational errors (bad config, malformed
@@ -38,6 +38,8 @@ from .exchange import (
 from .families import (
     CorpusInstance,
     LaminarSpec,
+    _draw_mutation,
+    _draw_table,
     assignment_valuation,
     default_corpus,
     graphic_matroid,
@@ -85,8 +87,8 @@ class SuiteConfig:
         # Counts below these floors would give a verdict without the work.
         for name, floor in (("samples", 1), ("jobs", 1), ("trials", 0)):
             _require_int(name, getattr(self, name), floor)
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed <= MASK64):
+            raise ValueError(f"seed must be an int in [0, 2^64), got {self.seed!r}")
         if not (isinstance(self.n_range, (list, tuple)) and len(self.n_range) == 2
                 and all(map(_is_int, self.n_range))):
             raise ValueError(f"n_range must be a pair of ints, got {self.n_range!r}")
@@ -462,55 +464,33 @@ class FalsifyOutcome:
             "trials": self.trials,
             "singles_passed": self.singles_passed,
             "counterexamples": self.counterexamples,
-            "near_misses": [
-                {"margin": m, "trial": t, "kind": k} for m, t, k in self.near_misses
-            ],
+            "near_misses": [dict(margin=m, trial=t, kind=k) for m, t, k in self.near_misses],
             "kinds": dict(sorted(self.kinds.items())),
         }
 
 
 @functools.cache
 def _falsify_bases():
-    """Small corpus instances to mutate, weighted toward cheap sizes; built
-    once per process (instances are immutable)."""
+    """Small corpus tables to mutate, weighted toward cheap sizes; built
+    once per process (tables are immutable)."""
     weights = {3: 3, 4: 2, 5: 1}
-    bases = []
-    for inst in default_corpus():
-        bases.extend([inst] * weights.get(inst.fn.n, 0))
-    return tuple(bases)
-
-
-def _falsify_table(t, seed, bases, n_lo, n_hi):
-    """Trial t's table and kind, from its own ``random.Random``."""
-    rng = random.Random((seed ^ t) & MASK64)
-    if t % 2 == 0 or bases is None:
-        n = rng.randint(n_lo, n_hi)
-        return random_table(n, rng.randrange(1 << 32)), "random"
-    base = bases[rng.randrange(len(bases))]
-    mseed = rng.randrange(1 << 32)
-    magnitude = rng.randint(1, 3)
-    if rng.random() < 0.3:
-        f = mutate(base.fn, mseed, magnitude, toggle_neg_inf=True)
-        if not f.dom_masks:
-            f = mutate(base.fn, mseed, magnitude)
-    else:
-        f = mutate(base.fn, mseed, magnitude)
-    return f, "mutated"
+    return tuple(inst.fn for inst in default_corpus() for _ in range(weights.get(inst.fn.n, 0)))
 
 
 def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     """``trials`` seeded tables, each gated on the single exchange and then
-    checked for the bounded multiple exchange; trial t draws from
-    ``random.Random(seed ^ t)``. Tables are drawn in chunks of
-    ``_FALSIFY_CHUNK`` and decided in bulk (``exchange._bulk_decide``),
-    which takes them all: every table drawn is an int table of n <= 5 with
-    a nonempty domain and single- or double-digit values.
+    checked for the bounded multiple exchange. One ``random.Random`` is
+    reseeded per trial: trial t draws as ``random.Random(seed ^ t)``, then
+    its table as ``random_table`` or ``mutate`` would from the sub-seed it
+    drew, but as a value row with no ``SetFn``. Rows are drawn in chunks
+    of ``_FALSIFY_CHUNK`` and decided in bulk (``exchange._bulk_decide``),
+    which takes them all: an int row of n <= 5 with a nonempty domain and
+    single- or double-digit values.
 
     ``near_misses`` lists the first ``keep_near`` passing trials as
-    (margin, trial, kind). The margin, the least slack best - f(X) - f(Y)
-    over the bounded triples, is 0 on every table that passes: a triple
-    with I = {} has the one move J = {}, so best = f(X) + f(Y). It stays
-    in the output so that the output bytes stay the same.
+    (margin, trial, kind). The margin, the least best - f(X) - f(Y) over
+    the bounded triples, is 0 on every passing table (I = {} has the one
+    move J = {}) and stays in the output so that its bytes stay the same.
 
     The default ``n_range`` (2, 5) is not ``SuiteConfig.n_range`` (3, 8),
     which ``mconcave falsify`` passes, so a library call and the CLI run
@@ -518,28 +498,39 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     reference digests pin both defaults."""
     _require_int("trials", trials, 0)
     _require_int("keep_near", keep_near, 0)
-    n_lo = max(1, n_range[0])
-    n_hi = min(5, n_range[1])  # the campaign is defined at n <= 5
+    n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
         raise ValueError(f"empty falsification range {n_range}")
-    bases = [b for b in _falsify_bases() if n_lo <= b.fn.n <= n_hi] or None
+    bases = [f for f in _falsify_bases() if n_lo <= f.n <= n_hi] or None
     out = FalsifyOutcome(trials=trials)
+    rng = random.Random()
     for start in range(0, trials, _FALSIFY_CHUNK):
-        drawn = [_falsify_table(t, seed, bases, n_lo, n_hi)
-                 for t in range(start, min(start + _FALSIFY_CHUNK, trials))]
-        verdicts = _bulk_decide([f for f, _ in drawn])
-        for t, (f, kind), (passed, holds) in zip(range(start, trials), drawn, verdicts):
+        drawn = []
+        for t in range(start, min(start + _FALSIFY_CHUNK, trials)):
+            rng.seed((seed ^ t) & MASK64)
+            if t % 2 == 0 or bases is None:
+                n = rng.randint(n_lo, n_hi)
+                rng.seed(rng.randrange(1 << 32))
+                drawn.append((_draw_table(rng, n), "random"))
+                continue
+            base, mseed = bases[rng.randrange(len(bases))], rng.randrange(1 << 32)
+            magnitude, toggle = rng.randint(1, 3), rng.random() < 0.3
+            rng.seed(mseed)
+            row = _draw_mutation(rng, base, magnitude, toggle)
+            if all(v is NEG_INF for v in row):  # the toggle emptied the domain
+                rng.seed(mseed)
+                row = _draw_mutation(rng, base, magnitude)
+            drawn.append((row, "mutated"))
+        verdicts = _bulk_decide([row for row, _ in drawn])
+        for t, (row, kind), (passed, holds) in zip(range(start, trials), drawn, verdicts):
             out.kinds[kind] = out.kinds.get(kind, 0) + 1
             if not passed:
                 continue
             out.singles_passed += 1
             if not holds:
                 out.counterexamples.append({
-                    "trial": t,
-                    "kind": kind,
-                    "n": f.n,
-                    "values": [None if v is NEG_INF else v for v in f.values],
-                })
+                    "trial": t, "kind": kind, "n": len(row).bit_length() - 1,
+                    "values": [None if v is NEG_INF else v for v in row]})
             elif len(out.near_misses) < keep_near:
                 out.near_misses.append((0, t, kind))
     return out

@@ -7,8 +7,8 @@ facts of ``lemmas_2_8`` are one batched sweep over exchange rules
 (``_rule_sweep``), in the lex order below, on f as ``moves.value_table``
 holds it; the multiple exchange (both bounds from one pass) and the
 restriction facts of ``lemmas_2_8`` run on the array kernel of
-``moves``; and ``_bulk_decide`` decides many small tables at once for the
-falsification campaign.
+``moves``; and ``_bulk_decide`` decides many small value rows at once
+for the falsification campaign.
 Pairs (X, Y) with X or Y outside the effective domain satisfy every
 exchange inequality vacuously (the left side is NEG_INF), so loops run
 over dom x dom. Enumeration order and tie-breaking are fixed so that
@@ -520,28 +520,30 @@ def _bulk_index(n):
     return (*arrays, len(triples[0]))
 
 
-def _bulk_decide(tables):
-    """What the falsification campaign needs of each table, decided for
-    the tables of each ground-set size at once: (passed, holds) with
-    ``passed`` = ``check_exc_single(f).passed`` and, when it passes,
-    ``holds`` = whether the bounded multiple exchange holds (False: a
-    counterexample), else None. Only the best move of a triple counts, so
-    no tie order is needed. Raises ValueError for a table outside the
-    bulk arithmetic: not int mode, an empty domain, or some
-    |value| >= _BULK_SAFE.
-    """
+def _bulk_decide(rows):
+    """What the falsification campaign needs of each value row (f's 2^n
+    values, NEG_INF for minus infinity), decided for the rows of each
+    ground-set size at once: (passed, holds) with ``passed`` =
+    ``check_exc_single(f).passed`` and, when it passes, ``holds`` = whether
+    the bounded multiple exchange holds (False: a counterexample), else
+    None. Only the best move of a triple counts, so no tie order is needed.
+    Raises ValueError for a row outside the bulk arithmetic: not 2^n values,
+    a value neither an int nor NEG_INF (a float, a bool), an empty domain,
+    or some |value| >= _BULK_SAFE."""
     by_n = {}
-    for k, f in enumerate(tables):
-        fin = [v for v in f.values if v is not NEG_INF]
-        if not (f.mode == "int" and fin and max(fin) < _BULK_SAFE and min(fin) > -_BULK_SAFE):
-            raise ValueError(f"table {k} ({f!r}) is outside the bulk decider")
-        at, rows = by_n.setdefault(f.n, ([], []))
+    for k, row in enumerate(rows):
+        n = len(row).bit_length() - 1
+        fin = [v for v in row if v is not NEG_INF]
+        if not (fin and len(row) == 1 << n and set(map(type, fin)) == {int}
+                and max(fin) < _BULK_SAFE and min(fin) > -_BULK_SAFE):
+            raise ValueError(f"row {k} is outside the bulk decider")
+        at, group = by_n.setdefault(n, ([], []))
         at.append(k)
-        rows.append([_BULK_NEG if v is NEG_INF else v for v in f.values] + [_BULK_NEG])
-    out = [None] * len(tables)
-    for n, (at, rows) in by_n.items():
+        group.append([_BULK_NEG if v is NEG_INF else v for v in row] + [_BULK_NEG])
+    out = [None] * len(rows)
+    for n, (at, group) in by_n.items():
         index = _bulk_index(n)
-        vals = np.array(rows, dtype=np.int64)
+        vals = np.array(group, dtype=np.int64)
         passed = _bulk_gate(vals, *index)
         holds = iter(_bulk_multi(vals[passed], *index[:3]).tolist())
         for k, ok in zip(at, passed.tolist()):

@@ -279,7 +279,11 @@ def mutate(f, seed, magnitude, toggle_neg_inf=False):
     if f.mode != "int":
         raise ValueError("mutation is defined for int-mode functions")
     _require_int("magnitude", magnitude, 0)
-    rng = random.Random(seed)
+    return SetFn(f.n, _draw_mutation(random.Random(seed), f, magnitude, toggle_neg_inf), "int")
+
+
+def _draw_mutation(rng, f, magnitude, toggle_neg_inf=False):
+    """``mutate``'s values of ``f``, drawn from ``rng``."""
     vals = list(f.values)
     if toggle_neg_inf:
         idx = rng.randrange(1 << f.n)
@@ -289,7 +293,7 @@ def mutate(f, seed, magnitude, toggle_neg_inf=False):
             raise ValueError("no finite entry to perturb")
         idx = f.dom_masks[rng.randrange(len(f.dom_masks))]
         vals[idx] = vals[idx] + rng.choice((-magnitude, magnitude))
-    return SetFn(f.n, vals, "int")
+    return vals
 
 
 def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
@@ -299,14 +303,16 @@ def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
     _require_int("n", n, 0)
     if n > HARD_CAP:
         raise ValueError(f"ground-set size {n} exceeds hard cap {HARD_CAP}")
-    rng = random.Random(seed)
-    vals = [
-        NEG_INF if rng.random() < neg_inf_prob else rng.randint(lo, hi)
-        for _ in range(1 << n)
-    ]
+    return SetFn(n, _draw_table(random.Random(seed), n, lo, hi, neg_inf_prob), "int")
+
+
+def _draw_table(rng, n, lo=-5, hi=5, neg_inf_prob=0.2):
+    """``random_table``'s values, drawn from ``rng``."""
+    vals = [NEG_INF if rng.random() < neg_inf_prob else rng.randint(lo, hi)
+            for _ in range(1 << n)]
     if all(v is NEG_INF for v in vals):
         vals[rng.randrange(1 << n)] = rng.randint(lo, hi)
-    return SetFn(n, vals, "int")
+    return vals
 
 
 def random_mnat_concave(n, seed, lo=-3, hi=3, neg_inf_prob=0.15):

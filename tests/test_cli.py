@@ -299,7 +299,7 @@ def test_counts_that_fake_a_verdict_are_refused(tmp_path, corpus_by_id, capsys):
 MALFORMED_CONFIGS = [
     {"n_range": ["a", 5]}, {"n_range": [2]}, {"n_range": 5}, {"seed": "x"},
     {"seed": True}, {"suites": 5}, {"suites": [5]}, {"families": 5},
-    {"families": [5]}, {"out": 5},
+    {"families": [5]}, {"out": 5}, {"seed": -1}, {"seed": 2**64},
 ]
 
 
@@ -310,6 +310,18 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, fields):
     assert main([*args, "--trials", "5"] if command == "falsify" else args) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["falsify", "--trials", "300"],
+                                     ["check", "--suites", "exc_multi_bounded"]])
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_seed_outside_64_bits_exits_2(capsys, command, seed):
+    """Sub-seeds are taken mod 2^64, so a seed of 2^64 would print the
+    bytes of seed 0; the largest 64-bit seed still runs."""
+    assert main([*command, "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: seed ")
+    assert SuiteConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("kind, body", [

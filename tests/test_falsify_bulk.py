@@ -5,7 +5,11 @@ The gate and the multiple-exchange kernel are compared on ungated
 tables, so the kernel's FAIL path (a triple with no move as good as
 f(X) + f(Y)) is covered although no gated table ever reaches it. The
 per-trial loop computes each passing table's margin itself and asserts
-that it is 0, the constant the campaign writes.
+that it is 0, the constant the campaign writes. It draws its tables with
+``ref_random_table`` and ``ref_mutate``, scalar copies of ``random_table``
+and ``mutate`` with a ``random.Random`` of their own each, so the drawers
+that the campaign runs on one reseeded generator are checked against code
+that does not call them.
 """
 
 import hashlib
@@ -16,11 +20,52 @@ import numpy as np
 import pytest
 
 from mconcave import NEG_INF, SetFn, check_exc_single, default_corpus, mutate, random_table
-from mconcave import cli, exchange
-from mconcave.cli import MASK64, FalsifyOutcome, falsify_campaign
-from mconcave.core import submasks_ascending
+from mconcave import cli, core, exchange
+from mconcave.cli import MASK64, FalsifyOutcome, falsify_campaign, main
+from mconcave.core import HARD_CAP, _require_int, submasks_ascending
 from mconcave.exchange import _best_multi
+from mconcave.families import _draw_mutation, _draw_table
 from test_multi_batched import ref_multi_pass
+
+
+def ref_mutate(f, seed, magnitude, toggle_neg_inf=False):
+    """Perturb one uniformly chosen entry of an int-mode function.
+
+    Without the toggle, a finite entry moves by +-magnitude. With
+    ``toggle_neg_inf`` the entry is chosen among all 2^n and flipped:
+    finite -> NEG_INF, NEG_INF -> 0. Deterministic per seed.
+    """
+    if f.mode != "int":
+        raise ValueError("mutation is defined for int-mode functions")
+    _require_int("magnitude", magnitude, 0)
+    rng = random.Random(seed)
+    vals = list(f.values)
+    if toggle_neg_inf:
+        idx = rng.randrange(1 << f.n)
+        vals[idx] = 0 if vals[idx] is NEG_INF else NEG_INF
+    else:
+        if not f.dom_masks:
+            raise ValueError("no finite entry to perturb")
+        idx = f.dom_masks[rng.randrange(len(f.dom_masks))]
+        vals[idx] = vals[idx] + rng.choice((-magnitude, magnitude))
+    return SetFn(f.n, vals, "int")
+
+
+def ref_random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
+    """Arbitrary int-mode table: each entry NEG_INF with the given
+    probability, otherwise uniform in [lo, hi], and one entry drawn finite
+    when none is. Deterministic per seed."""
+    _require_int("n", n, 0)
+    if n > HARD_CAP:
+        raise ValueError(f"ground-set size {n} exceeds hard cap {HARD_CAP}")
+    rng = random.Random(seed)
+    vals = [
+        NEG_INF if rng.random() < neg_inf_prob else rng.randint(lo, hi)
+        for _ in range(1 << n)
+    ]
+    if all(v is NEG_INF for v in vals):
+        vals[rng.randrange(1 << n)] = rng.randint(lo, hi)
+    return SetFn(n, vals, "int")
 
 
 def margin(f):
@@ -44,6 +89,10 @@ def oracle(f):
     if not check_exc_single(f).passed:
         return False, None
     return True, ref_multi_pass(f, bounded=True)[0] is None
+
+
+def rows_of(tables):
+    return [list(f.values) for f in tables]
 
 
 def bulk_rows(tables):
@@ -115,57 +164,115 @@ def test_decide_matches_oracle(monkeypatch, budget):
     monkeypatch.setattr(exchange, "_BATCH_BYTES", budget)
     tables = ungated_tables()
     random.Random(5).shuffle(tables)
-    assert exchange._bulk_decide(tables) == [oracle(f) for f in tables]
+    assert exchange._bulk_decide(rows_of(tables)) == [oracle(f) for f in tables]
 
 
 def test_tables_outside_the_bound_are_refused():
-    """Values just inside the bound run in bulk and agree with the oracle;
-    a table with any |v| >= 2^60, a real-mode table or an empty domain
-    raises ValueError, as the campaign never draws one."""
+    """Rows with values just inside the bound run in bulk and agree with
+    the oracle; a row with any |v| >= 2^60, a float or a bool, an empty
+    domain or a length other than 2^n raises ValueError, as the campaign
+    never draws one. numpy would read the bools as ints without a word."""
     top = exchange._BULK_SAFE - 1
     inside, outside = [random_table(6, 0)], []
     for s in range(40):
         f = random_table(3 + s % 3, s, lo=-1, hi=1, neg_inf_prob=0.2 * (s % 3))
         inside.append(SetFn(f.n, [v if v is NEG_INF else v * top for v in f.values]))
         m = f.dom_masks[s % len(f.dom_masks)]
-        for big in (top + 1, -top - 1, 1 << 70):
-            outside.append(f.with_value([j + 1 for j in range(f.n) if m >> j & 1], big))
+        for bad in (top + 1, -top - 1, 1 << 70, 1.0, True, False):
+            row = list(f.values)
+            row[m] = bad
+            outside.append(row)
     for c in default_corpus():
         if c.fn.n <= 5:
             scale = top // max(abs(v) for v in c.fn.values if v is not NEG_INF)
             inside.append(SetFn(c.fn.n, [v if v is NEG_INF else v * scale for v in c.fn.values]))
-    outside.append(SetFn(2, [0, 0.5, 0.25, 1.0], "real"))
-    outside.append(SetFn(3, [None] * 8))
-    assert exchange._bulk_decide(inside) == [oracle(f) for f in inside]
+    outside += [[0, 0.5, 0.25, 1.0], [True, 1], [NEG_INF] * 8, [], [0, 1, 2], [None, 1]]
+    assert exchange._bulk_decide(rows_of(inside)) == [oracle(f) for f in inside]
     assert {p for p, _ in map(oracle, inside)} == {True, False}
-    for f in outside:
+    for row in outside:
         with pytest.raises(ValueError, match="outside the bulk decider"):
-            exchange._bulk_decide(inside[:3] + [f])
+            exchange._bulk_decide(rows_of(inside[:3]) + [row])
 
 
-def per_trial_campaign(trials, seed, n_range=(2, 5), keep_near=5):
-    """The campaign as a loop over trials, one table decided at a time."""
+def drawer_cases():
+    """(seed, n, lo, hi, neg_inf_prob) for the table drawer: every n <= 6,
+    the campaign's defaults and others, and a probability that forces the
+    all-NEG_INF redraw."""
+    out = []
+    for s in range(320):
+        n = s % 7
+        lo, hi, prob = ((-5, 5, 0.2), (-3, 3, 0.15), (0, 0, 0.5), (-100, 7, 0.9),
+                        (2, 9, 1.0))[s % 5]
+        out.append((s, n, lo, hi, prob))
+    return out
+
+
+def test_table_drawer_matches_the_scalar_random_table():
+    redraws = 0
+    for s, n, lo, hi, prob in drawer_cases():
+        want = ref_random_table(n, s, lo, hi, prob)
+        assert _draw_table(random.Random(s), n, lo, hi, prob) == list(want.values), s
+        assert random_table(n, s, lo, hi, prob) == want
+        redraws += len(want.dom_masks) == 1 and prob == 1.0
+    assert redraws == 64
+    for s in range(300):  # the campaign's defaults
+        assert _draw_table(random.Random(s), 1 + s % 5) == list(ref_random_table(1 + s % 5, s).values)
+
+
+def mutation_bases():
+    """Corpus tables, random ones, and tables with one finite entry (which
+    the toggle may empty)."""
+    bases = [c.fn for c in default_corpus() if c.fn.n <= 6]
+    bases += [ref_random_table(n, n, neg_inf_prob=0.5) for n in range(7)]
+    bases += [SetFn(n, [3 if k == (5 * n) % (1 << n) else None for k in range(1 << n)])
+              for n in range(4)]
+    return bases
+
+
+def test_mutation_drawer_matches_the_scalar_mutate():
+    bases, emptied = mutation_bases(), 0
+    for s in range(600):
+        f, magnitude, toggle = bases[s % len(bases)], s % 4, bool(s // 300)
+        want = ref_mutate(f, s, magnitude, toggle)
+        assert _draw_mutation(random.Random(s), f, magnitude, toggle) == list(want.values), s
+        assert mutate(f, s, magnitude, toggle) == want
+        emptied += not want.dom_masks
+    assert emptied > 0
+    empty = SetFn(2, [None] * 4)
+    for draw in (lambda: ref_mutate(empty, 0, 1), lambda: _draw_mutation(random.Random(0), empty, 1)):
+        with pytest.raises(ValueError, match="no finite entry"):
+            draw()
+
+
+def per_trial_campaign(trials, seed, n_range=(2, 5), keep_near=5, bases=None, emptied=None):
+    """The campaign as a loop over trials, one table decided at a time,
+    each trial from its own ``random.Random``. ``bases`` replaces the
+    corpus tables to mutate; ``emptied`` collects the trials whose toggle
+    emptied the domain."""
     n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])
     weights = {3: 3, 4: 2, 5: 1}
-    bases = [inst for inst in default_corpus() for _ in range(weights.get(inst.fn.n, 0))]
-    bases = [b for b in bases if n_lo <= b.fn.n <= n_hi] or None
+    if bases is None:
+        bases = [inst.fn for inst in default_corpus() for _ in range(weights.get(inst.fn.n, 0))]
+    bases = [b for b in bases if n_lo <= b.n <= n_hi] or None
     out = FalsifyOutcome(trials=trials)
     for t in range(trials):
         rng = random.Random((seed ^ t) & MASK64)
         if t % 2 == 0 or bases is None:
             n = rng.randint(n_lo, n_hi)
-            f = random_table(n, rng.randrange(1 << 32))
+            f = ref_random_table(n, rng.randrange(1 << 32))
             kind = "random"
         else:
             base = bases[rng.randrange(len(bases))]
             mseed = rng.randrange(1 << 32)
             magnitude = rng.randint(1, 3)
             if rng.random() < 0.3:
-                f = mutate(base.fn, mseed, magnitude, toggle_neg_inf=True)
+                f = ref_mutate(base, mseed, magnitude, toggle_neg_inf=True)
                 if not f.dom_masks:
-                    f = mutate(base.fn, mseed, magnitude)
+                    f = ref_mutate(base, mseed, magnitude)
+                    if emptied is not None:
+                        emptied.append(t)
             else:
-                f = mutate(base.fn, mseed, magnitude)
+                f = ref_mutate(base, mseed, magnitude)
             kind = "mutated"
         out.kinds[kind] = out.kinds.get(kind, 0) + 1
         if not check_exc_single(f).passed:
@@ -211,6 +318,48 @@ def test_campaign_runs_no_per_table_checker(monkeypatch):
     line = dump(falsify_campaign(1000, 0)) + "\n"
     assert hashlib.sha256(line.encode()).hexdigest() == \
         "40adb1ed899f28b285a7fcbb3ae54779f56ce5023a89f34799c4cb01c6d5dfdd"
+
+
+def test_campaign_redraws_a_mutation_whose_toggle_empties_the_domain(monkeypatch):
+    """Mutating one-entry bases empties the domain on some toggles, and the
+    campaign then draws the plain mutation from the same sub-seed."""
+    bases = tuple(SetFn(n, [n if k == n % (1 << n) else None for k in range(1 << n)])
+                  for n in (1, 2, 3)) + cli._falsify_bases()[:2]
+    monkeypatch.setattr(cli, "_falsify_bases", lambda: bases)
+    emptied = []
+    want = dump(per_trial_campaign(600, 9, (1, 5), 10**6, bases, emptied))
+    assert dump(falsify_campaign(600, 9, (1, 5), 10**6)) == want
+    assert len(emptied) >= 10
+
+
+def test_campaign_builds_no_setfn(monkeypatch):
+    """Trials are drawn and decided as value rows; the bases are built
+    before the count starts."""
+    cli._falsify_bases()
+    built = []
+    init = core.SetFn.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.SetFn, "__init__", counting)
+    outcome = falsify_campaign(2000, 3)
+    assert outcome.trials == 2000 and outcome.singles_passed > 0
+    assert built == []
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+def test_falsify_bytes_do_not_depend_on_the_chunk(monkeypatch, capsys, chunk):
+    """The default ``mconcave falsify`` bytes, and a library campaign
+    crossing several chunks, with trials drawn and decided in chunks of
+    ``chunk``."""
+    want = dump(falsify_campaign(1100, 2**64 - 1, (1, 5), 10**6))
+    monkeypatch.setattr(cli, "_FALSIFY_CHUNK", chunk)
+    assert main(["falsify"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "4e56659d3b0b9571dac24ae456a271c5f10546ee93990f419e57b7b9c55558a5"
+    assert dump(falsify_campaign(1100, 2**64 - 1, (1, 5), 10**6)) == want
 
 
 def test_bases_are_built_once():
