@@ -25,10 +25,11 @@ box. For M-natural-concave f1 and f2 both conjugates are L-natural
 convex, and so is phi, also restricted to the box; a point no move
 lowers is then a global minimum (Murota, Discrete Convex Analysis, 2003,
 ch. 7-8), reached in about ||q*||_inf steps (Kolmogorov and Shioura,
-Discrete Optimization 6, 2009). A point where phi equals the primal
-certifies on any input by weak duality. Where f1 or f2 is not
-M-natural concave, the end point only bounds the box minimum from
-above; the tests keep a scan of the whole box as the oracle.
+Discrete Optimization 6, 2009). A step reads the moves in blocks under a
+byte budget; for n <= 5 one cached block serves every step. A point
+where phi equals the primal certifies on any input by weak duality.
+Where f1 or f2 is not M-natural concave, the end point only bounds the
+box minimum from above; a scan of the whole box is the tests' oracle.
 
 Both regimes read one table that writes each grid inequality once, as
 (lhs, rhs) over a capped and the plain conjugate at a pair's p, q,
@@ -540,39 +541,38 @@ def _spread(f):
     return max(finite) - min(finite)
 
 
-_CHUNK = 50_000
+_DESCENT_BYTES = 1 << 21  # a block's gains and points at 16 bytes each: one block a step for n <= 5
 
 
 def _primal(f1, f2):
     return max_over(ext_add(a, b) for a, b in zip(f1.values, f2.values))
 
 
-def _moves(n):
-    """The moves +chi_S by ascending mask S != 0, then -chi_S, in blocks
-    of at most ``_CHUNK`` rows."""
-    bits = np.arange(n)
-    for sign in (1, -1):
-        for start in range(1, 1 << n, _CHUNK):
-            masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-            yield sign * (masks[:, None] >> bits & 1)
+@lru_cache(maxsize=1)
+def _moves(n, start, stop):
+    """Rows start:stop of the moves +chi_S by ascending mask S != 0, then -chi_S."""
+    at, half = np.arange(start, stop, dtype=np.int64), (1 << n) - 1
+    rows = np.where(at < half, 1, -1)[:, None] * ((at % half + 1)[:, None] >> np.arange(n) & 1)
+    rows.flags.writeable = False
+    return rows
 
 
 def _descend(conj1, conj2, box, target):
     """Steepest descent of phi(q) = g1(q) + g2(-q) from q = 0 under the
-    moves q +- chi_S that stay inside [-box, box]^n. Each step goes to
-    the first strict minimizer in ``_moves`` order; the descent stops at
-    ``target`` (None: never) or where no move lowers phi. Returns the
-    end point as a tuple and phi there."""
-    q = np.zeros(conj1.n, dtype=np.int64)
+    moves q +- chi_S inside [-box, box]^n to the first strict minimizer in
+    ``_moves`` order, read in blocks under ``_DESCENT_BYTES`` (a move off
+    the box scores phi(q)), until ``target`` (None: never) or no move
+    lowers phi. Returns the end point as a tuple and phi there."""
+    n, total = conj1.n, 2 * ((1 << conj1.n) - 1)
+    rows = max(1, _DESCENT_BYTES // (16 * (len(conj1.vals) + len(conj2.vals) + n)))
+    q = np.zeros(n, dtype=np.int64)
     value = (conj1.plain(q[None]) + conj2.plain(-q[None]))[0]
     while value != target:
         step = None
-        for moves in _moves(conj1.n):
-            pts = q + moves
-            pts = pts[np.abs(pts).max(axis=1) <= box]
-            if not len(pts):
-                continue
+        for start in range(0, total, rows):
+            pts = q + _moves(n, start, min(start + rows, total))
             d = conj1.plain(pts) + conj2.plain(-pts)
+            d[np.abs(pts).max(axis=1) > box] = value
             i = int(np.argmin(d))
             if d[i] < value:
                 value, step = d[i], pts[i]

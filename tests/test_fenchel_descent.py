@@ -7,11 +7,17 @@ primal, dual, gap and certification, and its q* is checked directly:
 phi(q*) recomputed with the scalar ``conjugate`` equals the primal, and
 q* lies in the box. On other pairs the descent's end point only bounds
 the scan's minimum from above.
+
+``ref_descend`` is the unblocked descent, one generator block per sign
+of the moves, each filtered to the box. It is the oracle of the blocked
+``_descend``: the same end point and the same value on every pair.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mconcave import (
@@ -26,16 +32,19 @@ from mconcave import (
     random_table,
     tilt,
 )
+from mconcave import duality
 from mconcave.cli import FENCHEL_PAIR_N_LIMIT
 from mconcave.duality import (
-    _CHUNK,
     FenchelResult,
     _box_points,
     _Conjugates,
+    _descend,
     _primal,
+    _spread,
 )
 
 BOXES = (None, 1, 2, 3)
+_CHUNK = 50_000  # rows per block of the shell scan and of ``ref_moves``
 
 
 def _shell_points(n, r, cache):
@@ -231,3 +240,166 @@ def test_descent_walks_disjoint_domains_to_the_box_edge(corpus_by_id):
     assert res.box == 1501
     assert res.primal is NEG_INF and res.gap is None
     assert res.boundary and res.attaining_q is None and not res.certified
+
+
+# --- the blocked descent against the unblocked reference --------------------------
+
+
+def ref_moves(n):
+    """The moves +chi_S by ascending mask S != 0, then -chi_S, in blocks
+    of at most ``_CHUNK`` rows."""
+    bits = np.arange(n)
+    for sign in (1, -1):
+        for start in range(1, 1 << n, _CHUNK):
+            masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
+            yield sign * (masks[:, None] >> bits & 1)
+
+
+def ref_descend(conj1, conj2, box, target):
+    """Steepest descent of phi(q) = g1(q) + g2(-q) from q = 0 under the
+    moves q +- chi_S that stay inside [-box, box]^n. Each step goes to
+    the first strict minimizer in ``ref_moves`` order; the descent stops
+    at ``target`` (None: never) or where no move lowers phi. Returns the
+    end point as a tuple and phi there."""
+    q = np.zeros(conj1.n, dtype=np.int64)
+    value = (conj1.plain(q[None]) + conj2.plain(-q[None]))[0]
+    while value != target:
+        step = None
+        for moves in ref_moves(conj1.n):
+            pts = q + moves
+            pts = pts[np.abs(pts).max(axis=1) <= box]
+            if not len(pts):
+                continue
+            d = conj1.plain(pts) + conj2.plain(-pts)
+            i = int(np.argmin(d))
+            if d[i] < value:
+                value, step = d[i], pts[i]
+                if value == target:  # weak duality: nothing lies lower
+                    break
+        if step is None:
+            break
+        q = step
+    return tuple(int(x) for x in q), value
+
+
+def _descent_args(f1, f2, box):
+    """The arguments ``fenchel_gap`` passes to ``_descend``."""
+    if box is None:
+        spread_sum = _spread(f1) + _spread(f2)
+        box = int(np.ceil(spread_sum)) + 1 if f1.mode == "real" else spread_sum + 1
+    primal = _primal(f1, f2)
+    target = primal if f1.mode == "int" and primal is not NEG_INF else None
+    return _Conjugates(f1), _Conjugates(f2), box, target
+
+
+def _mapped(f, value, mode="int"):
+    return SetFn(f.n, [v if v is NEG_INF else value(v) for v in f.values], mode)
+
+
+def _oracle_pair(n, seed, kind):
+    """Two random tables on n elements, as ``kind``: plain ints, tilted
+    apart by a seeded price, real, moved past 2^61 (every block on the
+    Python-int path), or split onto disjoint domains."""
+    inf = 0 if kind == "disjoint" else 0.2  # disjoint: full domains, split below
+    f1, f2 = random_table(n, 2 * seed, -3, 3, inf), random_table(n, 2 * seed + 1, -3, 3, inf)
+    rng = random.Random(seed)
+    if kind == "tilted":
+        p = PriceVector(tuple(rng.randint(-4, 4) for _ in range(n)))
+        return tilt(f1, p), tilt(f2, -p)
+    if kind == "real":
+        return _mapped(f1, lambda v: 0.37 * v + 0.1, "real"), \
+            _mapped(f2, lambda v: 0.53 * v - 0.2, "real")
+    if kind == "object":
+        return _mapped(f1, lambda v: v + (1 << 62)), _mapped(f2, lambda v: v - (1 << 62))
+    if kind == "disjoint":
+        side = [rng.random() < 0.5 for _ in range(1 << n)]
+        side[0], side[-1] = True, False
+        return SetFn(n, [v if s else NEG_INF for v, s in zip(f1.values, side)]), \
+            SetFn(n, [NEG_INF if s else v for v, s in zip(f2.values, side)])
+    return f1, f2
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2**32),
+       st.sampled_from(("int", "tilted", "real", "object", "disjoint")),
+       st.sampled_from((None, 0, 1, 2, 3)))
+def test_blocked_descent_matches_the_reference(n, seed, kind, box):
+    if kind == "disjoint" and n == 0:
+        n = 1  # one set cannot be split
+    args = _descent_args(*_oracle_pair(n, seed, kind), box)
+    got, want = _descend(*args), ref_descend(*args)
+    assert got == want
+    assert type(got[1]) is type(want[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32), st.sampled_from((1, 2, 3)))
+def test_blocked_descent_matches_the_reference_at_the_int64_bound(n, seed, box):
+    """Values just under 2^61, where the exact path of a block depends on
+    the prices it holds. A block of both signs, out-of-box moves included,
+    may take the Python-int path where the reference's one-sign block
+    stayed in int64: the end point and value agree, their types may not,
+    and ``fenchel_gap`` returns an int either way."""
+    edge = (1 << 61) - 2 * n * box
+    f1, f2 = _oracle_pair(n, seed, "int")
+    args = _descent_args(_mapped(f1, lambda v: v + edge), _mapped(f2, lambda v: v - edge), box)
+    (q, value), (ref_q, ref_value) = _descend(*args), ref_descend(*args)
+    assert q == ref_q and int(value) == int(ref_value)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_block_boundaries_leave_fenchel_gap_unchanged(rows, monkeypatch):
+    """A budget of one block row, then of seven, splits every step into
+    many blocks, and ``fenchel_gap`` returns what it does by default."""
+    rng = random.Random(5)
+    pairs = [(f1, f2) for (_, f1), (_, f2) in _corpus_pairs()]
+    pairs += [_tilted(f1, f2, rng) for f1, f2 in pairs] + list(_random_pairs(range(6)))
+    want = [fenchel_gap(f1, f2).to_dict() for f1, f2 in pairs]
+    plain, blocks = _Conjugates.plain, []
+
+    def counted(self, P):
+        blocks.append(len(P))
+        return plain(self, P)
+
+    monkeypatch.setattr(_Conjugates, "plain", counted)
+    for (f1, f2), expected in zip(pairs, want):
+        gains = len(f1.dom_masks) + len(f2.dom_masks)
+        monkeypatch.setattr(duality, "_DESCENT_BYTES", 16 * (gains + f1.n) * rows)
+        assert fenchel_gap(f1, f2).to_dict() == expected
+    assert max(blocks) == rows
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_descent_memory_is_bounded_at_n12():
+    """A full-domain n = 12 pair, certified one move from q = 0, peaks at
+    a few MiB, where one block of all 8,190 moves would hold 258 MiB."""
+    n = 12
+    f = SetFn(n, [-(m.bit_count() - 3) ** 2 for m in range(1 << n)])
+    p = PriceVector((-1, -1) + (0,) * (n - 2))
+    g1, g2 = tilt(f, p), tilt(f, -p)
+    res, peak = _traced_peak(lambda: fenchel_gap(g1, g2))
+    assert res.certified and res.attaining_q.entries == (1, 1) + (0,) * (n - 2)
+    assert peak < 16 << 20
+
+
+def test_descent_memory_is_bounded_on_a_sparse_n18_pair():
+    """Two domain sets a side at n = 18: the first step scans all 2^19 - 2
+    moves, which as one int64 table would take 72 MiB, and the blocks and
+    the cached one keep the peak at a few MiB. The end point is the
+    reference's."""
+    n = 18
+    v1, v2 = [NEG_INF] * (1 << n), [NEG_INF] * (1 << n)
+    v1[0], v1[1], v2[0], v2[1] = 0, 2, 0, -2
+    f1, f2 = SetFn(n, v1), SetFn(n, v2)
+    res, peak = _traced_peak(lambda: fenchel_gap(f1, f2))
+    assert res.certified and res.attaining_q.entries == (2,) + (0,) * (n - 1)
+    assert peak < 16 << 20
+    args = _descent_args(f1, f2, None)
+    assert _descend(*args) == ref_descend(*args)
