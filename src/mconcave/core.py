@@ -8,19 +8,20 @@ explicit exponential enumeration; the hard cap on n keeps that honest.
 Minus infinity is the absorbing singleton ``NEG_INF`` (a tagged object,
 never a numeric sentinel), so integer-mode arithmetic stays exact and
 absorption can never be confused with a large negative number.
+
+Every decision is exact. A real table is decided as the int table D * f
+(``SetFn.exact``, over ``SetFn.scale`` = D), each finite value read as
+its shortest round-trip decimal; a value of a real table is shown as
+the float nearest to its exact value over D (``shown``).
 """
 
 import json
 import math
 from itertools import combinations
-from operator import le as _int_le
 
 import numpy as np
 
 HARD_CAP = 24
-
-# Comparison slack in real mode, scaled by magnitude (exact in int mode).
-REAL_EPS = 1e-9
 
 MODES = ("int", "real")
 
@@ -102,33 +103,22 @@ def max_over(vals):
     return best
 
 
-def ext_leq(a, b, mode="int"):
-    """a <= b over extended values, with magnitude-scaled slack in real mode."""
+def ext_leq(a, b):
+    """a <= b over extended values."""
     if a is NEG_INF:
         return True
     if b is NEG_INF:
         return False
-    if mode == "int":
-        return a <= b
-    return a <= b + REAL_EPS * max(1.0, abs(a), abs(b))
+    return a <= b
 
 
-def leq_for(mode):
-    """Finite-value comparator for hot loops (callers filter NEG_INF)."""
-    if mode == "int":
-        return _int_le
-
-    def leq(a, b):
-        return a <= b + REAL_EPS * max(1.0, abs(a), abs(b))
-
-    return leq
-
-
-def _holds(lhs, rhs, mode):
-    """``leq_for(mode)`` elementwise over arrays."""
-    if mode == "int":
-        return lhs <= rhs
-    return lhs <= rhs + REAL_EPS * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+def shown(f, v, scale=None):
+    """An exact value v = D * x of table f, D = ``scale`` (by default
+    ``f.scale``), as f shows x: v itself in int mode, the float nearest to
+    v / D in real mode; NEG_INF stays."""
+    if v is NEG_INF or f.mode == "int":
+        return v
+    return v / (f.scale if scale is None else scale)
 
 
 def _require_int(name, value, floor):
@@ -297,12 +287,15 @@ class SetFn:
 
     ``values[m]`` is the value of the subset with bitmask m. ``mode`` is
     "int" (exact integers, the default for every verification suite) or
-    "real" (finite floats, compared with magnitude-scaled slack). Instances are
-    immutable after construction; ``None`` entries are accepted as a
-    convenience alias for NEG_INF.
+    "real" (finite floats). Every check reads ``exact``, the Python ints
+    D * f with NEG_INF kept, over ``scale`` = D: an int table is its own
+    exact form (D = 1); a real table reads each finite value as its
+    shortest round-trip decimal, and D is the least common denominator.
+    Instances are immutable after construction; ``None`` entries are
+    accepted as a convenience alias for NEG_INF.
     """
 
-    __slots__ = ("n", "mode", "values", "dom_masks")
+    __slots__ = ("n", "mode", "values", "exact", "scale", "dom_masks")
 
     def __init__(self, n, values, mode="int"):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -313,7 +306,7 @@ class SetFn:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         vals = list(values)
         if len(vals) != 1 << n:
-            raise ValueError(f"expected 2^{n} = {1 << n} values, got {len(vals)}")
+            raise ValueError(f"expected 2^{n} = {1 << n} entries, got {len(vals)}")
         for i, v in enumerate(vals):
             if v is None or v is NEG_INF:
                 vals[i] = NEG_INF
@@ -336,6 +329,14 @@ class SetFn:
         self.n = n
         self.mode = mode
         self.values = tuple(vals)
+        if mode == "int":
+            self.exact, self.scale = self.values, 1
+        else:
+            from fractions import Fraction
+            fracs = [v if v is NEG_INF else Fraction(repr(v)) for v in self.values]
+            self.scale = math.lcm(*(v.denominator for v in fracs if v is not NEG_INF))
+            self.exact = tuple(v if v is NEG_INF else v.numerator * (self.scale // v.denominator)
+                               for v in fracs)
         self.dom_masks = tuple(m for m, v in enumerate(self.values) if v is not NEG_INF)
 
     @classmethod
@@ -381,8 +382,6 @@ def tilt(f, p):
     """f[-p]: subtract the price of each subset; the domain is unchanged."""
     if p.n != f.n:
         raise ValueError(f"price vector has {p.n} entries, function has n={f.n}")
-    if p.mode != f.mode:
-        raise ValueError(f"mode mismatch: function is {f.mode!r}, prices are {p.mode!r}")
     sums = price_sums(p.entries, f.n)
     vals = [v if v is NEG_INF else v - sums[m] for m, v in enumerate(f.values)]
     return SetFn(f.n, vals, f.mode)
@@ -498,35 +497,10 @@ def loads_setfn(obj, context="<data>"):
     for field in ("n", "mode", "values"):
         if field not in obj:
             raise FormatError(f"{context}: missing field {field!r}")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise FormatError(f"{context}: field 'n' must be a nonnegative integer")
-    if n > HARD_CAP:
-        raise FormatError(f"{context}: n={n} exceeds hard cap {HARD_CAP}")
-    mode = obj["mode"]
-    if mode not in MODES:
-        raise FormatError(f"{context}: field 'mode' must be 'int' or 'real'")
-    values = obj["values"]
-    if not isinstance(values, list):
+    if not isinstance(obj["values"], list):
         raise FormatError(f"{context}: field 'values' must be an array")
-    if len(values) != 1 << n:
-        raise FormatError(
-            f"{context}: field 'values' must have 2^{n} = {1 << n} entries, got {len(values)}"
-        )
-    vals = []
-    for i, v in enumerate(values):
-        if v is None:
-            vals.append(NEG_INF)
-        elif isinstance(v, bool):
-            raise FormatError(f"{context}: values[{i}]: booleans are not numbers")
-        elif mode == "int" and not isinstance(v, int):
-            raise FormatError(f"{context}: values[{i}]: int mode requires integer entries")
-        elif isinstance(v, (int, float)):
-            vals.append(v)
-        else:
-            raise FormatError(f"{context}: values[{i}]: expected number or null")
     try:
-        return SetFn(n, vals, mode)
+        return SetFn(obj["n"], obj["values"], obj["mode"])
     except ValueError as e:
         raise FormatError(f"{context}: {e}") from e
 

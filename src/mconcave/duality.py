@@ -5,9 +5,11 @@ context, and the Fenchel dual by steepest descent.
 ``conjugate`` is the scalar route and the tests' oracle. Box sweeps,
 sampled pairs and the Fenchel dual use one batched kernel,
 ``vals - P @ ind`` over the effective domain, which returns every size
-cap in one pass. It is exact: int64 while max|f| + n*max|p| < 2^61 (a
-slack summing two conjugates cannot wrap), Python numbers
-(``dtype=object``) above that bound.
+cap in one pass. It reads the exact table D * f (``SetFn.exact``) with D
+folded into ``ind``, so each column is D times a conjugate at integer
+prices, and every inequality compares with ``<=``. It is exact: int64
+while max|D * f| + D*n*max|p| < 2^61 (a slack summing two conjugates
+cannot wrap), Python ints (``dtype=object``) above that bound.
 
 The box regime decides the three grid inequalities on unit squares and
 unit steps. On a product of chains a function is submodular iff every
@@ -48,6 +50,7 @@ samples, and so the reports, are those of the scalar
 ``randint``/``randrange`` loops, which the tests keep as the oracle.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,14 +62,13 @@ from .core import (
     Falsification,
     PriceVector,
     SetFn,
-    _holds,
     _Replay,
     _require_int,
     elements_of,
-    ext_add,
     max_over,
     price_sums,
     restrict_by_size,
+    shown,
 )
 from .exchange import (
     DEFAULT_SAMPLES,
@@ -145,29 +147,33 @@ _SAMPLE_BYTES = 1 << 21  # one chunk's gains, at about 16 bytes a row per domain
 
 
 class _Conjugates:
-    """Batched conjugates of f under every size cap. Called on a
-    (rows, n) integer price array it returns a (rows, caps) table whose
-    column c is max { f(Z) - p(Z) : Z in dom f, |Z| <= s + c }, s the
-    smallest domain size; the last column is the plain conjugate. The
-    domain is sorted by size, so one pass takes the maximum per size and
-    then a running maximum over sizes."""
+    """Batched conjugates of f under every size cap, times D = ``scale``
+    (by default ``f.scale``, a multiple of it to share a scale with
+    another table). Called on a (rows, n) integer price array it returns
+    a (rows, caps) table whose column c is
+    D * max { f(Z) - p(Z) : Z in dom f, |Z| <= s + c }, s the smallest
+    domain size; the last column is the plain conjugate. The domain is
+    sorted by size, so one pass takes the maximum per size and then a
+    running maximum over sizes."""
 
-    def __init__(self, f):
+    def __init__(self, f, scale=None):
         dom = sorted(f.dom_masks, key=int.bit_count)
         sizes = [m.bit_count() for m in dom]
         self.n = f.n
+        self.scale = f.scale if scale is None else scale
         self.starts = [i for i, z in enumerate(sizes) if i == 0 or z != sizes[i - 1]]
         present = [sizes[i] for i in self.starts]
         self.cols = np.searchsorted(present, range(sizes[0], f.n + 1), side="right") - 1
-        self.ind = np.array(dom, dtype=np.int64) >> np.arange(f.n)[:, None] & 1
-        self.vals = [f.values[m] for m in dom]
+        ind = np.array(dom, dtype=np.int64) >> np.arange(f.n)[:, None] & 1
+        self.vals = [f.exact[m] * (self.scale // f.scale) for m in dom]
         self.magnitude = max(abs(v) for v in self.vals)
-        dtype = np.int64 if f.mode == "int" else np.float64
-        self.fast = np.array(self.vals, dtype) if self.magnitude < _INT64_SAFE else None
+        fits = max(self.magnitude, self.scale) < _INT64_SAFE
+        self.ind = (ind if fits else ind.astype(object)) * self.scale
+        self.fast = np.array(self.vals, np.int64) if fits else None
 
     def _gains(self, P):
         if self.fast is not None and \
-                self.magnitude + self.n * int(np.abs(P).max(initial=0)) < _INT64_SAFE:
+                self.magnitude + self.n * self.scale * int(np.abs(P).max(initial=0)) < _INT64_SAFE:
             return self.fast - P @ self.ind
         return np.array(self.vals, dtype=object) - P.astype(object) @ self.ind.astype(object)
 
@@ -196,8 +202,7 @@ _P, _Q, _JOIN, _MEET = range(4)
 # ``s``, a size-capped column, and ``g``, the plain one, each indexed by
 # the point of a pair: _P, _Q, _JOIN (p v q) or _MEET (p ^ q). The
 # submodular check of the plain conjugate reads it as its capped column.
-# The quotient holds on pairs q <= p and keeps its difference form: real
-# mode compares with a tolerance that scales with the terms compared.
+# The quotient holds on pairs q <= p.
 _INEQUALITIES = (
     lambda s, g: (s[_JOIN] + s[_MEET], s[_P] + s[_Q]),
     lambda s, g: (s[_MEET] + g[_JOIN], s[_P] + g[_Q]),
@@ -342,7 +347,8 @@ def _sampled(f, kinds, caps, lo, hi, seed, samples):
                 sized = h[:, np.arange(count)[:, None], plain_then_cap[draws[1][:, 0]]]
             else:  # a check per cap, on its own column
                 sized = h[:, :, cap_cols]
-            ok = _holds(*_INEQUALITIES[kind](sized, h[:, :, -1:]), f.mode)
+            lhs, rhs = _INEQUALITIES[kind](sized, h[:, :, -1:])
+            ok = lhs <= rhs
             if ok.all():
                 continue
             ok = ok.reshape(count, checks, per_sample)
@@ -373,9 +379,8 @@ def _box_checks(f, kinds, caps, lo, hi):
 
 def _grid_checks(f, kinds, caps, box, seed, samples):
     """The checks of ``kinds`` on f over ``box``, and the report fields of
-    their regime: int tables are swept when the box has at most
-    ``EXHAUSTIVE_GRID_LIMIT`` points, real ones (compared with a
-    tolerance) and larger boxes are sampled."""
+    their regime: the box is swept when it has at most
+    ``EXHAUSTIVE_GRID_LIMIT`` points, and sampled when larger."""
     _require_int("samples", samples, 1)
     # A sampled draw takes one 32-bit word per try, so a box side holds
     # fewer than 2^32 values.
@@ -385,7 +390,7 @@ def _grid_checks(f, kinds, caps, box, seed, samples):
         raise ValueError(f"box must be a pair of ints lo <= hi with hi - lo < 2^32 - 1, "
                          f"got {box!r}")
     lo, hi = box
-    if f.mode == "int" and (hi - lo + 1) ** f.n <= EXHAUSTIVE_GRID_LIMIT:
+    if (hi - lo + 1) ** f.n <= EXHAUSTIVE_GRID_LIMIT:
         return _box_checks(f, kinds, caps, lo, hi), {}
     return _sampled(f, kinds, caps, lo, hi, seed, samples), {"regime": "sampled", "seed": seed}
 
@@ -506,12 +511,14 @@ def build_restrictions(f, ctx):
 class FenchelResult:
     """Outcome of the primal/dual comparison for a pair of functions.
 
-    Either certified (int mode, phi reached the primal exactly at
-    ``attaining_q``) or the descent's end point, uncertified, without
-    ``attaining_q``. gap is dual - primal (None when the primal is
-    NEG_INF); boundary is set when the reported dual point touches the
-    search box. Without a certificate that signals that the box may be
-    too small; a certified result is exact wherever its point lies.
+    Either certified (phi reached the primal exactly at ``attaining_q``)
+    or the descent's end point, uncertified, without ``attaining_q``. gap
+    is dual - primal (None when the primal is NEG_INF); boundary is set
+    when the reported dual point touches the search box. Without a
+    certificate that signals that the box may be too small; a certified
+    result is exact wherever its point lies. The values are decided
+    exactly and shown as the tables show theirs: ints in int mode, the
+    nearest floats in real mode.
     """
 
     primal: object
@@ -537,15 +544,18 @@ class FenchelResult:
 
 
 def _spread(f):
-    finite = [f.values[m] for m in f.dom_masks]
+    finite = [f.exact[m] for m in f.dom_masks]
     return max(finite) - min(finite)
 
 
 _DESCENT_BYTES = 1 << 21  # a block's gains and points at 16 bytes each: one block a step for n <= 5
 
 
-def _primal(f1, f2):
-    return max_over(ext_add(a, b) for a, b in zip(f1.values, f2.values))
+def _primal(f1, f2, scale):
+    """D * max(f1 + f2) for D = ``scale``, a multiple of both tables' scales."""
+    u1, u2 = scale // f1.scale, scale // f2.scale
+    return max_over(a * u1 + b * u2 for a, b in zip(f1.exact, f2.exact)
+                    if a is not NEG_INF and b is not NEG_INF)
 
 
 @lru_cache(maxsize=1)
@@ -593,14 +603,16 @@ def fenchel_gap(f1, f2, box=None):
     int >= 0. A steepest descent from q = 0 (see the module docstring)
     has two outcomes:
 
-    - in int mode, phi(q) reaches the primal: certified, with
-      ``attaining_q = q`` (weak duality makes this a certificate for any
-      input);
+    - phi(q) reaches the primal: certified, with ``attaining_q = q``
+      (weak duality makes this a certificate for any input);
     - otherwise the end point, uncertified and without ``attaining_q``:
       phi there is the box minimum when f1 and f2 are M-natural concave,
-      and an upper bound on it for other inputs. Real mode always ends
-      here, with a float ``dual`` on integer prices: a weak-duality
-      report.
+      and an upper bound on it for other inputs. The dual is taken at
+      integer prices only, so a real pair may end here with a gap.
+
+    Both tables are read exactly, over D, the least common multiple of
+    their scales; the default box is ceil(spread / D) + 1 of the exact
+    spread sum.
 
     ``boundary`` marks a result point on the box edge: on an uncertified
     result the box may be too small; a certified one is exact anyway.
@@ -613,17 +625,18 @@ def fenchel_gap(f1, f2, box=None):
     _require_nonempty_dom(f2)
     if box is not None:
         _require_int("box", box, 0)
-    mode = f1.mode
-    primal = _primal(f1, f2)
+    scale = math.lcm(f1.scale, f2.scale)
+    primal = _primal(f1, f2, scale)
     if box is None:
-        spread_sum = _spread(f1) + _spread(f2)
-        box = int(np.ceil(spread_sum)) + 1 if mode == "real" else spread_sum + 1
+        spread = _spread(f1) * (scale // f1.scale) + _spread(f2) * (scale // f2.scale)
+        box = -(-spread // scale) + 1
 
-    target = primal if mode == "int" and primal is not NEG_INF else None
-    q, dual = _descend(_Conjugates(f1), _Conjugates(f2), box, target)
-    dual = int(dual) if mode == "int" else float(dual)
+    target = None if primal is NEG_INF else primal
+    q, dual = _descend(_Conjugates(f1, scale), _Conjugates(f2, scale), box, target)
+    dual = int(dual)
     boundary = max(map(abs, q), default=0) == box
-    if target is not None and dual == target:
-        return FenchelResult(primal, dual, 0, PriceVector(q), box, boundary, True, mode)
-    gap = None if primal is NEG_INF else dual - primal
-    return FenchelResult(primal, dual, gap, None, box, boundary, False, mode)
+    certified = dual == target
+    gap = None if primal is NEG_INF else shown(f1, dual - primal, scale)
+    return FenchelResult(shown(f1, primal, scale), shown(f1, dual, scale), gap,
+                         PriceVector(q) if certified else None, box, boundary, certified,
+                         f1.mode)

@@ -9,6 +9,9 @@ holds it; the multiple exchange (both bounds from one pass) and the
 restriction facts of ``lemmas_2_8`` run on the array kernel of
 ``moves``; and ``_bulk_decide`` decides many small value rows at once
 for the falsification campaign.
+Every decision reads ``f.exact``, the int table D * f, and compares
+with ``<=``; counterexamples and witnesses show values through
+``core.shown``.
 Pairs (X, Y) with X or Y outside the effective domain satisfy every
 exchange inequality vacuously (the left side is NEG_INF), so loops run
 over dom x dom. Enumeration order and tie-breaking are fixed so that
@@ -37,8 +40,8 @@ from .core import (
     SetFn,
     _require_int,
     elements_of,
-    leq_for,
     mask_of,
+    shown,
     submasks_ascending,
     submasks_by_size,
 )
@@ -161,12 +164,13 @@ def find_single_exchange(f, X, Y, i):
     im = mask_of([i], f.n)
     if not (im & xm & ~ym):
         raise ValueError(f"i={i} must lie in X \\ Y")
-    vals = f.values
-    lhs = vals[xm] + vals[ym] if vals[xm] is not NEG_INF and vals[ym] is not NEG_INF else NEG_INF
+    vals = f.exact
+    lhs = vals[xm] + vals[ym]
     # The drop and the swaps are the moves J = {} and J = {j} of I = {i}.
     best, best_j, _ = _best_multi(vals, xm, ym, im, True)
-    if lhs is NEG_INF or (best is not NEG_INF and leq_for(f.mode)(lhs, best)):
-        return ExchangeWitness("swap" if best_j else "drop", elements_of(best_j), lhs, best)
+    if lhs is NEG_INF or (best is not NEG_INF and lhs <= best):
+        return ExchangeWitness("swap" if best_j else "drop", elements_of(best_j),
+                               shown(f, lhs), shown(f, best))
     return None
 
 
@@ -178,7 +182,7 @@ def _sweep_report(f, suite, instance_id, failing, triples):
         "X": list(elements_of(xm)),
         "Y": list(elements_of(ym)),
         "i": i,
-        "lhs": _ext_or_none(f.values[xm] + f.values[ym]),
+        "lhs": _ext_or_none(shown(f, f.exact[xm] + f.exact[ym])),
     }
     return failed_report(suite, instance_id, counter, triples=triples)
 
@@ -203,7 +207,7 @@ def _rule_sweep(f, rules):
     fv = at(dm)
     size = np.bitwise_count(dm)
     # int64 tables test f(X) - a <= b - f(Y), which a missing a or b
-    # (neg = -2^62) always fails; Python ints and reals test the sums.
+    # (neg = -2^62) always fails; Python ints test the sums.
     diff = fv.dtype == np.int64
     best = None
     for r, (out, ins, sizes) in enumerate(rules):
@@ -228,7 +232,7 @@ def _rule_sweep(f, rules):
             if diff:
                 ok = a[:, blk, None] <= b[:, None, :]
             else:
-                ok = attains(fx[blk, None] + fy, a[:, blk, None] + b[:, None, :], floor, f.mode)
+                ok = attains(fx[blk, None] + fy, a[:, blk, None] + b[:, None, :], floor)
             ok = ok.any(axis=0)
             if sizes is not None:
                 ok |= ~sizes(size[rows[blk], None], size[cols])
@@ -321,12 +325,13 @@ def find_multi_exchange(f, X, Y, I, bounded=True):
     the smallest |J|, then the lexicographically first element tuple.
     """
     ctx = ExchangeContext.make(f.n, X, Y, I)
-    if f.values[ctx.x_mask] is NEG_INF or f.values[ctx.y_mask] is NEG_INF:
+    vals = f.exact
+    if vals[ctx.x_mask] is NEG_INF or vals[ctx.y_mask] is NEG_INF:
         raise ValueError("X and Y must lie in the effective domain")
-    lhs = f.values[ctx.x_mask] + f.values[ctx.y_mask]
-    best, best_j, _ = _best_multi(f.values, ctx.x_mask, ctx.y_mask, ctx.i_mask, bounded)
-    if best is not NEG_INF and leq_for(f.mode)(lhs, best):
-        return ExchangeWitness("multi", elements_of(best_j), lhs, best)
+    lhs = vals[ctx.x_mask] + vals[ctx.y_mask]
+    best, best_j, _ = _best_multi(vals, ctx.x_mask, ctx.y_mask, ctx.i_mask, bounded)
+    if best is not NEG_INF and lhs <= best:
+        return ExchangeWitness("multi", elements_of(best_j), shown(f, lhs), shown(f, best))
     return None
 
 
@@ -363,7 +368,7 @@ def exc_multi_reports(f, *, samples=DEFAULT_SAMPLES, seed=0, instance_id=""):
             "X": list(elements_of(xm)),
             "Y": list(elements_of(ym)),
             "I": list(elements_of(im)),
-            "lhs": _ext_or_none(f.values[xm] + f.values[ym]),
+            "lhs": _ext_or_none(shown(f, f.exact[xm] + f.exact[ym])),
         }
         reports[bounded] = failed_report(suite, instance_id, counter, histogram=hist,
                                          triples=triples, regime=regime, seed=seed)
@@ -399,7 +404,7 @@ def _multi_pass_margin(f, samples=None, seed=None):
         for bounded, (best, size) in zip((True, False), bests):
             if bounded in out:
                 continue
-            fail = ~attains(lhs, best, floor, f.mode)
+            fail = ~attains(lhs, best, floor)
             t = int(fail.argmax()) if fail.any() else len(fail)
             counts[bounded] += np.bincount(size[:t], minlength=n + 1)
             if t < len(fail):
@@ -627,13 +632,13 @@ def exchange_leq(f, X, Y, i):
     xm = mask_of(X, f.n)
     ym = mask_of(Y, f.n)
     im = mask_of([i], f.n)
-    if f.values[xm] is NEG_INF or f.values[ym] is NEG_INF:
+    if f.exact[xm] is NEG_INF or f.exact[ym] is NEG_INF:
         raise ValueError("X and Y must lie in the effective domain")
     if xm.bit_count() > ym.bit_count():
         raise ValueError("requires |X| <= |Y|")
     if not (im & xm & ~ym):
         raise ValueError(f"i={i} must lie in X \\ Y")
-    return _first_swap(f, f.values[xm] + f.values[ym], xm ^ im, ym | im, ym & ~xm)
+    return _first_swap(f, f.exact[xm] + f.exact[ym], xm ^ im, ym | im, ym & ~xm)
 
 
 def augment_lt(f, X, Y):
@@ -642,18 +647,18 @@ def augment_lt(f, X, Y):
     convention. None when no j works."""
     xm = mask_of(X, f.n)
     ym = mask_of(Y, f.n)
-    if f.values[xm] is NEG_INF or f.values[ym] is NEG_INF:
+    if f.exact[xm] is NEG_INF or f.exact[ym] is NEG_INF:
         raise ValueError("X and Y must lie in the effective domain")
     if xm.bit_count() >= ym.bit_count():
         raise ValueError("requires |X| < |Y|")
-    return _first_swap(f, f.values[xm] + f.values[ym], xm, ym, ym & ~xm)
+    return _first_swap(f, f.exact[xm] + f.exact[ym], xm, ym, ym & ~xm)
 
 
 def _first_swap(f, lhs, xb, yb, rest):
     """The first swap j in ``rest`` (by ascending j) with
-    lhs <= f(xb + j) + f(yb - j), as a witness; None when no j works."""
-    vals = f.values
-    leq = leq_for(f.mode)
+    lhs <= f(xb + j) + f(yb - j) on f's exact table, as a witness; None
+    when no j works."""
+    vals = f.exact
     while rest:
         jb = rest & -rest
         rest ^= jb
@@ -661,8 +666,8 @@ def _first_swap(f, lhs, xb, yb, rest):
         if a is NEG_INF:
             continue
         b = vals[yb ^ jb]
-        if b is not NEG_INF and leq(lhs, a + b):
-            return ExchangeWitness("swap", (jb.bit_length(),), lhs, a + b)
+        if b is not NEG_INF and lhs <= a + b:
+            return ExchangeWitness("swap", (jb.bit_length(),), shown(f, lhs), shown(f, a + b))
     return None
 
 

@@ -19,7 +19,7 @@ import random
 
 import numpy as np
 
-from .core import NEG_INF, _holds, _Replay
+from .core import NEG_INF, _Replay
 
 # Int tables the array kernels hold in int64: every |value| < 2^60.
 # NEG_INF becomes -2^62, so a finite sum of two values lies above
@@ -31,20 +31,18 @@ _BULK_FLOOR = -(1 << 61)
 
 
 def value_table(f, budget):
-    """f for the array kernels: (at, neg, floor). ``at(masks)`` is f at an
-    int64 array of masks, with NEG_INF as ``neg``, and a value, or a sum
-    of two, is finite iff it is > ``floor``. Int tables use int64 with
-    neg = _BULK_NEG and floor = _BULK_FLOOR while every |value| <
-    _BULK_SAFE, and Python ints (``dtype=object``) above that, with
-    neg = NEG_INF, which absorbs a sum without turning an int into a
-    float; real tables use float64 with neg = -inf. On both, floor = -inf.
-    ``neg`` is a 0-d array of the table's dtype. The table is dense while
-    it fits in ``budget``, else a sorted search over the domain."""
+    """f's exact table (``f.exact``) for the array kernels: (at, neg,
+    floor). ``at(masks)`` is f at an int64 array of masks, with NEG_INF as
+    ``neg``, and a value, or a sum of two, is finite iff it is > ``floor``.
+    While every |value| < _BULK_SAFE the table is int64, with
+    neg = _BULK_NEG and floor = _BULK_FLOOR; above that it holds Python
+    ints (``dtype=object``), with neg = NEG_INF, which absorbs a sum, and
+    floor = -inf. ``neg`` is a 0-d array of the table's dtype. The table
+    is dense while it fits in ``budget``, else a sorted search over the
+    domain."""
     dom = f.dom_masks
-    fin = [f.values[m] for m in dom]
-    if f.mode == "real":
-        dtype, floor, neg = np.float64, -math.inf, -math.inf
-    elif max(map(abs, fin)) < _BULK_SAFE:
+    fin = [f.exact[m] for m in dom]
+    if max(map(abs, fin)) < _BULK_SAFE:
         dtype, floor, neg = np.int64, _BULK_FLOOR, _BULK_NEG
     else:
         dtype, floor, neg = object, -math.inf, NEG_INF
@@ -62,10 +60,9 @@ def value_table(f, budget):
     return at, neg, floor
 
 
-def attains(lhs, rhs, floor, mode):
-    """Elementwise: rhs is finite and lhs <= rhs, by ``leq_for(mode)``."""
-    fin = rhs > floor
-    return fin & _holds(lhs, np.where(fin, rhs, lhs), mode)
+def attains(lhs, rhs, floor):
+    """Elementwise: rhs is finite and lhs <= rhs."""
+    return (rhs > floor) & (lhs <= rhs)
 
 
 def deposit(idx, d, n):

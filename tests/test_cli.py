@@ -8,7 +8,16 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from mconcave import REPORT_SCHEMA, check_exc_single, cli, load, mutate, store
+from mconcave import (
+    REPORT_SCHEMA,
+    PriceVector,
+    check_exc_single,
+    cli,
+    fenchel_gap,
+    load,
+    mutate,
+    store,
+)
 from mconcave.cli import (
     ALL_SUITES,
     SuiteConfig,
@@ -207,6 +216,40 @@ def test_check_real_fenchel_is_weak_duality(tmp_path):
     assert main(["check", "--suites", "exc_single,fenchel", "--out", str(out), *paths]) == 0
     reports = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["suite"] for r in reports] == ["exc_single"] * 2 + ["fenchel"] * 3
+
+
+def _real_file(tmp_path, name, values):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"n": 2, "mode": "real", "values": values}))
+    return str(path)
+
+
+def test_check_real_table_is_exact(tmp_path):
+    """f({1, 2}) = 1e-9 makes the table supermodular: both exchange suites
+    FAIL (a tolerance of 1e-9 passed them), exit 1."""
+    path = _real_file(tmp_path, "tiny", [0, 0, 0, 1e-9])
+    out = tmp_path / "r.jsonl"
+    assert main(["check", "--suites", "exc_single,exc_multi_bounded", "--out", str(out),
+                 path]) == 1
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["verdict"] for r in reports] == ["FAIL", "FAIL"]
+    assert reports[0]["counterexample"] == {"X": [1, 2], "Y": [], "i": 1, "lhs": 1e-9}
+
+
+def test_check_modular_real_table_passes_every_suite(tmp_path):
+    """0.1 + 0.2 = 0.3 read as decimals: the modular table passes every
+    suite, its grid swept like an int table's, and its Fenchel self-pair
+    certifies a zero gap."""
+    path = _real_file(tmp_path, "modular", [0.0, 0.1, 0.2, 0.3])
+    out = tmp_path / "r.jsonl"
+    assert main(["check", "--out", str(out), path]) == 0
+    reports = {r["suite"]: r for r in map(json.loads, out.read_text().splitlines())}
+    assert sorted(reports) == sorted(ALL_SUITES)
+    assert all(r["verdict"] == "PASS" for r in reports.values())
+    assert reports["duality_grid"]["regime"] == "exhaustive"
+    f = load(path)
+    res = fenchel_gap(f, f)
+    assert res.certified and res.gap == 0.0 and res.attaining_q == PriceVector((0, 0))
 
 
 def test_check_fenchel_refuses_a_non_exchange_member(tmp_path, capsys):

@@ -79,9 +79,9 @@ def test_ext_leq():
     assert not ext_leq(0, NEG_INF)
     assert ext_leq(1, 1)
     assert not ext_leq(2, 1)
-    # real mode tolerates magnitude-scaled noise
-    assert ext_leq(1.0 + 1e-12, 1.0, mode="real")
-    assert not ext_leq(1.1, 1.0, mode="real")
+    # no tolerance: a difference of 1e-12 decides
+    assert not ext_leq(1.0 + 1e-12, 1.0)
+    assert ext_leq(1.0, 1.0 + 1e-12)
 
 
 # --- bitmask helpers --------------------------------------------------------
@@ -173,6 +173,15 @@ def test_tilt_mismatch_errors():
         tilt(f, PriceVector((1,)))
     with pytest.raises(ValueError):
         tilt(f, PriceVector((0.5, 0.0)))
+
+
+def test_tilt_real_table_by_int_prices():
+    """The real Fenchel dual is taken at integer prices, so a real table
+    tilts by int prices (this was refused as a mode mismatch)."""
+    f = SetFn(2, [0.0, 0.1, None, 0.3], "real")
+    g = tilt(f, PriceVector((1, -2)))
+    assert g.mode == "real" and g.scale == 10
+    assert g.exact == (0, -9, NEG_INF, 13)
 
 
 @settings(max_examples=60)

@@ -184,10 +184,13 @@ def test_submodular_sampled_pass(corpus_by_id):
     assert rep.passed and rep.regime == "sampled" and rep.seed == 11
 
 
-def test_submodular_real_mode_uses_tolerant_path():
+def test_submodular_real_mode_sweeps_the_box():
+    """A real table is decided exactly, so a small box is swept as for an
+    int table, and a pair supermodular by 1e-9 FAILs."""
     f = SetFn(2, [0.0, 1.5, 0.25, 1.75], mode="real")
     rep = check_conjugate_submodular(f, samples=300, seed=2)
-    assert rep.passed and rep.regime == "sampled"
+    assert rep.passed and rep.regime == "exhaustive"
+    assert not check_conjugate_submodular(SetFn(2, [0.0, 0.0, 0.0, 1e-9], "real")).passed
 
 
 SUPERMODULAR = [0, 0, 0, 2]  # f({1,2}) rewards the pair: not exchange-valid
@@ -397,11 +400,20 @@ def test_fenchel_requires_matching_shape():
         fenchel_gap(SetFn.constant(1, 0), SetFn.constant(1, 0.0, mode="real"))
 
 
-def test_fenchel_real_mode_not_certified():
+def test_fenchel_real_mode_certifies():
+    """A real pair is read exactly, so phi reaching the primal certifies;
+    the values are shown as floats."""
     f = SetFn.constant(1, 0.0, mode="real")
     res = fenchel_gap(f, f)
-    assert not res.certified
-    assert res.gap == 0.0
+    assert res.certified and res.attaining_q == PriceVector((0,))
+    assert res.gap == 0.0 and type(res.gap) is float
+    g = SetFn(2, [0.0, 0.1, 0.2, 0.3], "real")
+    res = fenchel_gap(g, g)
+    assert res.certified and (res.primal, res.dual, res.gap) == (0.6, 0.6, 0.0)
+    # Scales 10 and 4 meet at 20; the spreads sum to 0.35, so the box is
+    # ceil(0.35) + 1 = 2.
+    res = fenchel_gap(SetFn(1, [0.0, 0.1], "real"), SetFn(1, [0.0, 0.25], "real"))
+    assert res.certified and (res.primal, res.dual, res.box) == (0.35, 0.35, 2)
 
 
 def test_fenchel_empty_ground_set():
@@ -411,8 +423,8 @@ def test_fenchel_empty_ground_set():
     assert not res.boundary
     g = SetFn(0, [1.5], mode="real")
     res = fenchel_gap(g, g, box=0)
-    assert res.dual == res.primal == 3.0 and not res.certified
-    assert res.attaining_q is None and res.boundary
+    assert res.dual == res.primal == 3.0 and res.certified
+    assert res.attaining_q == PriceVector(()) and res.boundary
 
 
 def test_fenchel_real_mode_descends_a_large_box(corpus_by_id):
@@ -426,7 +438,7 @@ def test_fenchel_real_mode_descends_a_large_box(corpus_by_id):
 
     res = fenchel_gap(real_tilted("n4_laminar", p), real_tilted("n4_partition", -p))
     assert res.box == 6601 and res.mode == "real"
-    assert res.dual >= res.primal and res.gap == 0.0 and not res.certified
+    assert res.dual >= res.primal and res.gap == 0.0 and res.certified
 
 
 def test_fenchel_explicit_box_boundary_flag():

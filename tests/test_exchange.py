@@ -24,7 +24,7 @@ from mconcave import (
     uniform_matroid,
     weighted_basis_valuation,
 )
-from mconcave.core import leq_for
+from mconcave.core import shown
 from mconcave.exchange import _multi_pass_margin
 
 # --- oracles: set-algebra reimplementations, no bitmask tricks ---------------
@@ -64,9 +64,10 @@ def brute_multi_best(f, X, Y, I, bounded):
 def ref_single_exchange(f, X, Y, i):
     """The scalar single-exchange loop: the drop, then the swaps by
     ascending j, kept on a strict improvement; the witness when it
-    attains f(X) + f(Y) or X or Y lies outside the domain, else None."""
+    attains f(X) + f(Y) or X or Y lies outside the domain, else None.
+    Values are read from f's exact table and shown as f shows them."""
     xm, ym, im = mask_of(X, f.n), mask_of(Y, f.n), mask_of([i], f.n)
-    vals = f.values
+    vals = f.exact
     lhs = vals[xm] + vals[ym] if vals[xm] is not NEG_INF and vals[ym] is not NEG_INF else NEG_INF
     best, best_kind, best_moved = NEG_INF, "drop", ()
     a, b = vals[xm ^ im], vals[ym | im]
@@ -81,8 +82,9 @@ def ref_single_exchange(f, X, Y, i):
             continue
         if best is NEG_INF or a + b > best:
             best, best_kind, best_moved = a + b, "swap", (jb.bit_length(),)
-    if lhs is NEG_INF or (best is not NEG_INF and leq_for(f.mode)(lhs, best)):
-        return ExchangeWitness(best_kind, best_moved, lhs, best)
+    if lhs is NEG_INF or (best is not NEG_INF and lhs <= best):
+        return ExchangeWitness(best_kind, best_moved, shown(f, lhs),
+                               shown(f, best))
     return None
 
 
@@ -194,11 +196,16 @@ def test_check_exc_single_empty_dom_errors():
         check_exc_single(SetFn(2, [None] * 4))
 
 
-def test_real_mode_comparison_tolerates_noise(rank_u24):
+def test_real_mode_comparison_is_exact(rank_u24):
+    """Noise of 1e-13 that breaks the exchange inequality FAILs it: the
+    comparison has no tolerance. The same table without the noise
+    passes."""
     noisy = SetFn(4, [v + 1e-13 * (m % 3) for m, v in enumerate(rank_u24.values)],
                   mode="real")
-    assert check_exc_single(noisy).passed
-    assert check_exc_multi(noisy, bounded=True).passed
+    assert not check_exc_single(noisy).passed
+    assert not check_exc_multi(noisy, bounded=True).passed
+    clean = SetFn(4, [float(v) for v in rank_u24.values], mode="real")
+    assert check_exc_single(clean).passed and check_exc_multi(clean, bounded=True).passed
 
 
 # --- find_multi_exchange -------------------------------------------------------

@@ -13,6 +13,7 @@ of the moves, each filtered to the box. It is the oracle of the blocked
 ``_descend``: the same end point and the same value on every pair.
 """
 
+import math
 import random
 import tracemalloc
 
@@ -34,6 +35,7 @@ from mconcave import (
 )
 from mconcave import duality
 from mconcave.cli import FENCHEL_PAIR_N_LIMIT
+from mconcave.core import shown
 from mconcave.duality import (
     FenchelResult,
     _box_points,
@@ -73,15 +75,17 @@ def _scan_dual(f1, f2, box):
     """The dual by an outward shell scan of the whole box [-box, box]^n
     (n >= 1), stopping at the first q attaining the primal."""
     n = f1.n
-    mode = f1.mode
-    exact = mode == "int"
-    primal = _primal(f1, f2)
-    conj1, conj2 = _Conjugates(f1), _Conjugates(f2)
+    mode, scale = f1.mode, math.lcm(f1.scale, f2.scale)
+    primal = _primal(f1, f2, scale)
+    conj1, conj2 = _Conjugates(f1, scale), _Conjugates(f2, scale)
     cache = {}
     best = None
     best_q = None
     best_shell = None
-    target = primal if (exact and primal is not NEG_INF) else None
+    target = None if primal is NEG_INF else primal
+
+    def show(v):
+        return shown(f1, v, scale)
 
     for r in range(box + 1):
         pts = _shell_points(n, r, cache)
@@ -92,25 +96,26 @@ def _scan_dual(f1, f2, box):
                 hits = np.nonzero(d == target)[0]
                 if len(hits):
                     q = PriceVector(tuple(int(x) for x in chunk[hits[0]]))
-                    return FenchelResult(primal, target, 0, q, box, r == box,
-                                         True, mode)
+                    return FenchelResult(show(primal), show(target), show(0), q, box,
+                                         r == box, True, mode)
             idx = int(np.argmin(d))
             if best is None or d[idx] < best:
                 best = d[idx]
                 best_q = tuple(chunk[idx])
                 best_shell = r
 
-    dual = int(best) if exact else float(best)
+    dual = int(best)
     boundary = best_shell == box
     if primal is NEG_INF:
         gap = None
         attaining = None
         certified = False
     else:
-        gap = dual - primal
-        attaining = PriceVector(tuple(int(x) for x in best_q)) if exact and gap == 0 else None
-        certified = exact and gap == 0
-    return FenchelResult(primal, dual, gap, attaining, box, boundary, certified, mode)
+        gap = show(dual - primal)
+        attaining = PriceVector(tuple(int(x) for x in best_q)) if gap == 0 else None
+        certified = gap == 0
+    return FenchelResult(show(primal), show(dual), gap, attaining, box, boundary, certified,
+                         mode)
 
 
 def _corpus_pairs():
@@ -284,12 +289,13 @@ def ref_descend(conj1, conj2, box, target):
 
 def _descent_args(f1, f2, box):
     """The arguments ``fenchel_gap`` passes to ``_descend``."""
+    scale = math.lcm(f1.scale, f2.scale)
     if box is None:
-        spread_sum = _spread(f1) + _spread(f2)
-        box = int(np.ceil(spread_sum)) + 1 if f1.mode == "real" else spread_sum + 1
-    primal = _primal(f1, f2)
-    target = primal if f1.mode == "int" and primal is not NEG_INF else None
-    return _Conjugates(f1), _Conjugates(f2), box, target
+        spread = _spread(f1) * (scale // f1.scale) + _spread(f2) * (scale // f2.scale)
+        box = -(-spread // scale) + 1
+    primal = _primal(f1, f2, scale)
+    target = None if primal is NEG_INF else primal
+    return _Conjugates(f1, scale), _Conjugates(f2, scale), box, target
 
 
 def _mapped(f, value, mode="int"):

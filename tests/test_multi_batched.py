@@ -4,8 +4,8 @@ oracles.
 
 ``check_exc_multi`` is compared by report bytes (verdict, first violating
 triple, witness-size histogram and triple count) on both bounds, in both
-regimes, in every dtype of the kernel: int64, Python ints beyond 2^60 and
-real mode, whose ties are moved by fractions of the slack. Each test runs
+regimes, in both dtypes of the kernel, int64 and Python ints beyond 2^60,
+and on real tables, some with ties moved by a billionth. Each test runs
 again with a budget of one byte, so every block holds one triple and one
 move. The lemma facts are compared without the single-exchange gate, on
 tables that fail each kind of fact first.
@@ -28,11 +28,10 @@ from mconcave import (
 )
 from mconcave import cli, exchange, moves
 from mconcave.core import (
-    REAL_EPS,
     _SUBMASKS_ASC,
     _SUBMASKS_SIZED,
     elements_of,
-    leq_for,
+    shown,
     submasks_ascending,
     submasks_by_size,
 )
@@ -58,8 +57,7 @@ BUDGETS = [exchange._BATCH_BYTES, 1]
 def ref_multi_pass(f, bounded):
     """The exhaustive loop over (X, Y, I) in lex order: (first violating
     (xm, ym, im) or None, histogram of witness sizes, triples checked)."""
-    vals = f.values
-    leq = leq_for(f.mode)
+    vals = f.exact
     dom = f.dom_masks
     counts = [0] * (f.n + 1)
     for xm in dom:
@@ -68,7 +66,7 @@ def ref_multi_pass(f, bounded):
             lhs = fx + vals[ym]
             for im in submasks_ascending(xm & ~ym):
                 best, _, size = _best_multi(vals, xm, ym, im, bounded)
-                if best is NEG_INF or not leq(lhs, best):
+                if best is NEG_INF or not lhs <= best:
                     return (xm, ym, im), counts, sum(counts) + 1
                 counts[size] += 1
     return None, counts, sum(counts)
@@ -89,7 +87,8 @@ def ref_line(f, bounded, samples=DEFAULT_SAMPLES, seed=0):
                              seed=seed).to_json_line()
     xm, ym, im = failing
     counter = {"X": list(elements_of(xm)), "Y": list(elements_of(ym)),
-               "I": list(elements_of(im)), "lhs": f.values[xm] + f.values[ym]}
+               "I": list(elements_of(im)),
+               "lhs": shown(f, f.exact[xm] + f.exact[ym])}
     return failed_report(suite, "", counter, histogram=hist, triples=triples,
                          regime=regime, seed=seed).to_json_line()
 
@@ -119,7 +118,7 @@ def scan_empty_restriction(f, xm, ym, im):
 def ref_lemma_facts(f):
     """The loop of the ``lemmas_2_8`` suite after its gate: (counter of the
     first failing fact or None, facts checked)."""
-    vals = f.values
+    vals = f.exact
     checked = 0
     for xm in f.dom_masks:
         for ym in f.dom_masks:
@@ -269,18 +268,18 @@ def test_real_mode(by_id, budget):
 
 
 def test_real_mode_ties(by_id):
-    """Values below 1 make the slack exactly REAL_EPS: raising one value
-    of a table with ties by half of it keeps the loop's PASS, by 1.5 times
-    it makes the loop's FAIL."""
+    """Comparisons are exact: raising one value of a table with ties by
+    5e-10 or by 1.5e-9 makes the loop's FAIL as surely as a larger bump,
+    where a tolerance of 1e-9 kept a PASS at 5e-10."""
     base = real_copy(by_id["n4_laminar"], 0.01)
     assert assert_agree([base]) == 0
     results = {}
     for mask in (3, 6, 15):
-        for bump in (0.5 * REAL_EPS, 1.5 * REAL_EPS):
+        for bump in (5e-10, 1.5e-9):
             h = base.with_value(elements_of(mask), base.values[mask] + bump)
             results[mask, bump] = assert_agree([h])
-    assert all(results[mask, 0.5 * REAL_EPS] == 0 for mask in (3, 6, 15))
-    assert any(results[mask, 1.5 * REAL_EPS] for mask in (3, 6, 15))
+    assert all(results[mask, 5e-10] == results[mask, 1.5e-9] for mask in (3, 6, 15))
+    assert any(results[mask, 5e-10] for mask in (3, 6, 15))
 
 
 def test_ints_beyond_int64_run_on_python_ints(by_id, budget):
@@ -376,11 +375,11 @@ def lemma_tables(by_id):
     tables += [affine(g, shift=shift) for shift in (2**63, -(2**63))
                for g in (f3, mutate(f3, 0, 1), random_table(3, 5, neg_inf_prob=0.3),
                          random_mnat_concave(3, 1), by_id["n4_laminar"])]
-    # Real ties moved by half the slack and by 1.5 times it.
+    # Real ties moved by 5e-10 and by 1.5e-9.
     for iid, masks in (("n3_laminar", (3, 5, 7)), ("n4_laminar", (3, 6, 15))):
         base = real_copy(by_id[iid], 0.01)
         tables += [base.with_value(elements_of(m), base.values[m] + bump)
-                   for m in masks for bump in (0.5 * REAL_EPS, 1.5 * REAL_EPS)]
+                   for m in masks for bump in (5e-10, 1.5e-9)]
     # Lifts with 252 and 924 domain sets: a PASS, and FAILs past many blocks.
     n5, n6 = by_id["n5_laminar"], by_id["n6_laminar"]
     tables += [lift(n5), lift(n5.with_value((3, 5), n5.values[20] - 1)),
@@ -394,7 +393,7 @@ def test_lemma_facts_match_the_loop(by_id, budget):
     kinds = set()
     passes = 0
     tables = thinned(lemma_tables(by_id), budget)
-    assert {str(value_dtype(f)) for f in tables} == {"int64", "object", "float64"}
+    assert {str(value_dtype(f)) for f in tables} == {"int64", "object"}
     assert {252, 924} <= {len(f.dom_masks) for f in tables} or budget == 1
     for f in tables:
         got = _lemma_facts(f)

@@ -25,7 +25,8 @@ from mconcave import (
     random_table,
 )
 from mconcave.cli import SuiteConfig, run_check
-from mconcave.core import _Replay, leq_for
+from mconcave import duality
+from mconcave.core import _Replay
 from mconcave.duality import _feasible_caps
 from mconcave.exchange import _best_multi, _multi_pass_margin
 from test_grid_engine import ref_cross, ref_quotient, ref_submodular
@@ -130,8 +131,8 @@ def _grid_inputs():
     return out
 
 
-# Box widths 7, 4 (a power of two), 1 and 61; int mode samples a box only
-# above 7^4 points, real mode always.
+# Box widths 7, 4 (a power of two), 1 and 61; a box is sampled only above
+# 7^4 points.
 GRID_BOXES = [(-3, 3), (0, 3), (2, 2), (-30, 30)]
 
 
@@ -143,7 +144,7 @@ def test_grid_reports_match_scalar_loops(instance_id, f, mode):
     caps = list(_feasible_caps(f))
     fast, slow = [], []
     for b, box in enumerate(GRID_BOXES):
-        if (box[1] - box[0] + 1) ** f.n <= 7**4 and mode == "int":
+        if (box[1] - box[0] + 1) ** f.n <= 7**4:
             continue  # the box regime
         seed = SEEDS[b % len(SEEDS)] ^ b
         samples = 300 if box != (2, 2) else 20
@@ -158,8 +159,10 @@ def test_grid_reports_match_scalar_loops(instance_id, f, mode):
     assert fast and all(r.regime == "sampled" for r in fast)
 
 
-def test_grid_reports_at_n0_match_scalar_loops():
-    """At n = 0 a real table samples with no price draws, only the cap."""
+def test_grid_reports_at_n0_match_scalar_loops(monkeypatch):
+    """At n = 0 a table sampled (here below the box limit) draws no
+    prices, only the cap."""
+    monkeypatch.setattr(duality, "EXHAUSTIVE_GRID_LIMIT", 0)
     f = SetFn(0, [1.5], "real")
     for seed in SEEDS:
         assert check_conjugate_submodular(f, seed=seed, samples=300) == \
@@ -183,8 +186,7 @@ def test_grid_oracle_inputs_fail_every_inequality():
 
 def ref_sampled_multi(f, bounded, samples, seed):
     """The scalar sampled multiple-exchange loop the replay replaced."""
-    vals = f.values
-    leq = leq_for(f.mode)
+    vals = f.exact
     dom = f.dom_masks
     ndom = len(dom)
     counts = [0] * (f.n + 1)
@@ -194,7 +196,7 @@ def ref_sampled_multi(f, bounded, samples, seed):
         ym = dom[rng.randrange(ndom)]
         im = (xm & ~ym) & rng.getrandbits(f.n) if f.n else 0
         best, _, size = _best_multi(vals, xm, ym, im, bounded)
-        if best is NEG_INF or not leq(vals[xm] + vals[ym], best):
+        if best is NEG_INF or not vals[xm] + vals[ym] <= best:
             return (xm, ym, im), counts, t + 1
         counts[size] += 1
     return None, counts, samples

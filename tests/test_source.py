@@ -3,10 +3,14 @@
 Each module is parsed with ``ast``. An imported name that its module
 never uses fails (``__init__.py`` re-exports, so it is exempt), and so
 does a module-level private function, class or constant that no code in
-the package references.
+the package references. A fresh import of the CLI must not pay for
+reading real tables.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,13 @@ def test_every_private_definition_is_referenced():
             for name, line in _private_definitions(tree)
             if _is_private(name) and name not in referenced]
     assert not dead, f"private names that no code in the package references: {dead}"
+
+
+def test_cli_import_leaves_out_real_table_reading():
+    """Only a real table reads ``fractions`` (its values as decimals), so
+    a fresh ``import mconcave.cli`` loads neither it nor ``decimal``."""
+    code = "import sys, mconcave.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -20,15 +20,14 @@ from mconcave import (
     random_table,
 )
 from mconcave import exchange, moves
-from mconcave.core import REAL_EPS, elements_of, leq_for
+from mconcave.core import elements_of
 from mconcave.families import random_mnat_concave
 
 
 def loop_sweep(f, drop):
     """The scalar sweep over (X, Y, i) in lex order: (first failing
     (xm, ym, i) or None, triples through it)."""
-    vals = f.values
-    leq = leq_for(f.mode)
+    vals = f.exact
     dom = f.dom_masks
     triples = 0
     for xm in dom:
@@ -49,7 +48,7 @@ def loop_sweep(f, drop):
                     a = vals[xmi]
                     if a is not NEG_INF:
                         b = vals[ymi]
-                        if b is not NEG_INF and leq(lhs, a + b):
+                        if b is not NEG_INF and lhs <= a + b:
                             continue
                 e = yonly
                 while e:
@@ -59,7 +58,7 @@ def loop_sweep(f, drop):
                     if a is NEG_INF:
                         continue
                     b = vals[ymi ^ jb]
-                    if b is not NEG_INF and leq(lhs, a + b):
+                    if b is not NEG_INF and lhs <= a + b:
                         break
                 else:
                     return (xm, ym, ib.bit_length()), triples
@@ -84,7 +83,9 @@ def assert_agree(tables, drop):
 
 
 def real_copy(f, scale):
-    return SetFn(f.n, [v if v is NEG_INF else v * scale for v in f.values], "real")
+    """f * scale as a real table of decimals: each value rounded to 12
+    places, so that 3 * 0.1 reads 0.3, not 0.30000000000000004."""
+    return SetFn(f.n, [v if v is NEG_INF else round(v * scale, 12) for v in f.values], "real")
 
 
 @pytest.fixture(scope="module")
@@ -142,14 +143,15 @@ def test_real_mode(by_id):
 
 
 def test_real_mode_slack(by_id):
-    """Values below 1 make the slack exactly REAL_EPS: raising one value
-    of a table with ties by half of it keeps a PASS, by 1.5 times makes a
-    FAIL, on both paths."""
+    """No slack: raising one value of a table with ties by 5e-10 makes a
+    FAIL, as 1.5e-9 does, on both paths (a tolerance of 1e-9 kept the
+    PASS at 5e-10)."""
     g = real_copy(lift(by_id["n5_laminar"]), 0.01)
+    assert assert_agree([g], False) == 0
     for mask in (31, 121):
-        for bump, passes in ((0.5 * REAL_EPS, True), (1.5 * REAL_EPS, False)):
+        for bump in (5e-10, 1.5e-9):
             h = g.with_value(elements_of(mask), g.values[mask] + bump)
-            assert assert_agree([h], False) == (0 if passes else 1)
+            assert assert_agree([h], False) == 1
 
 
 def test_every_domain_size_runs_batched(by_id, monkeypatch):
