@@ -1,6 +1,7 @@
 """Command-line harness: generate corpora, run verification suites, and
 hunt for counterexamples with seeded mutations, whose value rows are
-decided in bulk (``exchange._bulk_decide``).
+drawn by ``core._below``'s rule and decided in bulk
+(``exchange._bulk_decide``).
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
 (a falsification), 2 on operational errors (bad config, malformed
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .core import FormatError, NEG_INF, _require_int, load, store
+from .core import FormatError, NEG_INF, _below, _require_int, load, store
 from .duality import (
     check_conjugate_submodular,
     fenchel_gap,
@@ -28,7 +29,9 @@ from .duality import (
 )
 from .exchange import (
     DEFAULT_SAMPLES,
+    _BULK_NEG,
     _bulk_decide,
+    _bulk_row,
     _lemma_facts,
     check_exc_single,
     check_m_concave,
@@ -482,10 +485,10 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     checked for the bounded multiple exchange. One ``random.Random`` is
     reseeded per trial: trial t draws as ``random.Random(seed ^ t)``, then
     its table as ``random_table`` or ``mutate`` would from the sub-seed it
-    drew, but as a value row with no ``SetFn``. Rows are drawn in chunks
-    of ``_FALSIFY_CHUNK`` and decided in bulk (``exchange._bulk_decide``),
-    which takes them all: an int row of n <= 5 with a nonempty domain and
-    single- or double-digit values.
+    drew, each ``randint``, ``randrange`` or ``choice`` by ``core._below``'s
+    rule, as an int row with _BULK_NEG for NEG_INF and no ``SetFn``. The
+    bases are checked once (``exchange._bulk_row``); each chunk of
+    ``_FALSIFY_CHUNK`` rows is decided in bulk (``exchange._bulk_decide``).
 
     ``near_misses`` lists the first ``keep_near`` passing trials as
     (margin, trial, kind). The margin, the least best - f(X) - f(Y) over
@@ -501,7 +504,8 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
         raise ValueError(f"empty falsification range {n_range}")
-    bases = [f for f in _falsify_bases() if n_lo <= f.n <= n_hi] or None
+    bases = [(_bulk_row(f.values, k), f.dom_masks)
+             for k, f in enumerate(_falsify_bases()) if n_lo <= f.n <= n_hi] or None
     out = FalsifyOutcome(trials=trials)
     rng = random.Random()
     for start in range(0, trials, _FALSIFY_CHUNK):
@@ -509,19 +513,19 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
         for t in range(start, min(start + _FALSIFY_CHUNK, trials)):
             rng.seed((seed ^ t) & MASK64)
             if t % 2 == 0 or bases is None:
-                n = rng.randint(n_lo, n_hi)
-                rng.seed(rng.randrange(1 << 32))
-                drawn.append((_draw_table(rng, n), "random"))
+                n = n_lo + _below(rng, n_hi - n_lo + 1)
+                rng.seed(_below(rng, 1 << 32))
+                drawn.append((_draw_table(rng, n, neg=_BULK_NEG), "random"))
                 continue
-            base, mseed = bases[rng.randrange(len(bases))], rng.randrange(1 << 32)
-            magnitude, toggle = rng.randint(1, 3), rng.random() < 0.3
+            base, mseed = bases[_below(rng, len(bases))], _below(rng, 1 << 32)
+            magnitude, toggle = 1 + _below(rng, 3), rng.random() < 0.3
             rng.seed(mseed)
-            row = _draw_mutation(rng, base, magnitude, toggle)
-            if all(v is NEG_INF for v in row):  # the toggle emptied the domain
+            row = _draw_mutation(rng, *base, magnitude, toggle, neg=_BULK_NEG)
+            if row.count(_BULK_NEG) == len(row):  # the toggle emptied the domain
                 rng.seed(mseed)
-                row = _draw_mutation(rng, base, magnitude)
+                row = _draw_mutation(rng, *base, magnitude, neg=_BULK_NEG)
             drawn.append((row, "mutated"))
-        verdicts = _bulk_decide([row for row, _ in drawn])
+        verdicts = _bulk_decide([row for row, _ in drawn], encoded=True)
         for t, (row, kind), (passed, holds) in zip(range(start, trials), drawn, verdicts):
             out.kinds[kind] = out.kinds.get(kind, 0) + 1
             if not passed:
@@ -530,7 +534,7 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
             if not holds:
                 out.counterexamples.append({
                     "trial": t, "kind": kind, "n": len(row).bit_length() - 1,
-                    "values": [None if v is NEG_INF else v for v in row]})
+                    "values": [None if v == _BULK_NEG else v for v in row]})
             elif len(out.near_misses) < keep_near:
                 out.near_misses.append((0, t, kind))
     return out

@@ -195,7 +195,21 @@ def price_sums(entries, n):
 
 
 # ---------------------------------------------------------------------------
-# Seeded draws replayed in bulk.
+# Seeded draws, one at a time and replayed in bulk.
+
+
+def _below(rng, m):
+    """``rng.randrange(m)`` by CPython's rule (``_randbelow_with_getrandbits``):
+    with k = m.bit_length(), ``getrandbits(k)`` again while the value is
+    >= m. So ``randint(a, b)`` is a + _below(rng, b - a + 1) and
+    ``choice(seq)`` is seq[_below(rng, len(seq))], with the same values and
+    generator state, and without their Python frames."""
+    if m < 1:
+        raise ValueError(f"empty range below {m}")
+    k = m.bit_length()
+    while (r := rng.getrandbits(k)) >= m:
+        pass
+    return r
 
 
 class _Replay:
@@ -204,11 +218,11 @@ class _Replay:
     CPython's ``random.Random`` is MT19937, and every call takes whole
     32-bit output words. ``getrandbits(32 * k)`` takes the next k words,
     the first as its lowest 32 bits, so the words come from ``rng`` in
-    bulk and are decoded in numpy. ``randrange(m)`` (and ``randint``) for
-    m < 2^32 takes the top ``m.bit_length()`` bits of one word per try and
-    rejects while the value is >= m; ``getrandbits(k)`` for k <= 32 is the
-    top k bits of one word. ``rng`` is advanced past the words drawn,
-    which can run ahead of those decoded, so callers pass a private one.
+    bulk and are decoded in numpy. ``randrange(m)`` follows ``_below``'s
+    rule; for m < 2^32 each try is the top ``m.bit_length()`` bits of one
+    word, as ``getrandbits(k)`` for k <= 32 is the top k bits of one word.
+    ``rng`` is advanced past the words drawn, which can run ahead of those
+    decoded, so callers pass a private one.
     """
 
     def __init__(self, rng):

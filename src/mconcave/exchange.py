@@ -69,8 +69,8 @@ DEFAULT_SAMPLES = 10_000
 # the arrays of one block of the bulk decider.
 _BATCH_BYTES = 1 << 19
 
-# Single-exchange triples in the bulk gate's first block; each block is four
-# times the last, and tables drop out after the block where they fail.
+# Triples in the first block of a bulk pass; each block is four times the
+# last, and tables drop out after the block where they fail.
 _BULK_FIRST = 32
 
 
@@ -525,7 +525,7 @@ def _bulk_index(n):
     return (*arrays, len(triples[0]))
 
 
-def _bulk_decide(rows):
+def _bulk_decide(rows, encoded=False):
     """What the falsification campaign needs of each value row (f's 2^n
     values, NEG_INF for minus infinity), decided for the rows of each
     ground-set size at once: (passed, holds) with ``passed`` =
@@ -534,71 +534,62 @@ def _bulk_decide(rows):
     None. Only the best move of a triple counts, so no tie order is needed.
     Raises ValueError for a row outside the bulk arithmetic: not 2^n values,
     a value neither an int nor NEG_INF (a float, a bool), an empty domain,
-    or some |value| >= _BULK_SAFE."""
-    by_n = {}
-    for k, row in enumerate(rows):
-        n = len(row).bit_length() - 1
-        fin = [v for v in row if v is not NEG_INF]
-        if not (fin and len(row) == 1 << n and set(map(type, fin)) == {int}
-                and max(fin) < _BULK_SAFE and min(fin) > -_BULK_SAFE):
-            raise ValueError(f"row {k} is outside the bulk decider")
-        at, group = by_n.setdefault(n, ([], []))
-        at.append(k)
-        group.append([_BULK_NEG if v is NEG_INF else v for v in row] + [_BULK_NEG])
+    or some |value| >= _BULK_SAFE. ``encoded`` rows, int lists of 2^n
+    values with _BULK_NEG for NEG_INF, skip the per-row pass (``_bulk_row``):
+    the last two checks run on each n's int64 matrix for every row."""
+    if not encoded:
+        rows = [_bulk_row(row, k) for k, row in enumerate(rows)]
     out = [None] * len(rows)
-    for n, (at, group) in by_n.items():
-        index = _bulk_index(n)
-        vals = np.array(group, dtype=np.int64)
-        passed = _bulk_gate(vals, *index)
-        holds = iter(_bulk_multi(vals[passed], *index[:3]).tolist())
+    for w in sorted({len(row) for row in rows}):
+        at = [k for k, row in enumerate(rows) if len(row) == w]
+        vals = np.array([rows[k] for k in at], dtype=np.int64)
+        fin, safe = vals != _BULK_NEG, (vals < _BULK_SAFE) & (vals > -_BULK_SAFE)
+        if not (fin.any(axis=1).all() and (fin <= safe).all()):
+            raise ValueError("a row is outside the bulk decider")
+        *index, singles = _bulk_index(w.bit_length() - 1)
+        vals = np.hstack([vals, np.full((len(at), 1), _BULK_NEG)])
+        passed = _bulk_holds(vals, *index, 0, singles)
+        # A triple with |I| = 1 has the single exchange's moves, which passed.
+        holds = iter(_bulk_holds(vals[passed], *index, singles, len(index[0])).tolist())
         for k, ok in zip(at, passed.tolist()):
             out[k] = (True, next(holds)) if ok else (False, None)
     return out
 
 
-def _bulk_gate(vals, mlhs, moves, starts, singles):
-    """Which rows of ``vals`` pass the single exchange, the first
-    ``singles`` triples of the index: every triple with X and Y in the
-    domain has a move >= f(X) + f(Y). Blocks of triples grow fourfold, and
-    rows leave after the block where they fail; a block's arrays together
-    stay under _BATCH_BYTES (a single-exchange triple has at most n
-    moves)."""
+def _bulk_row(row, k):
+    """Row ``k`` in the bulk encoding, after ``_bulk_decide``'s checks."""
+    n = len(row).bit_length() - 1
+    fin = [v for v in row if v is not NEG_INF]
+    if not (fin and len(row) == 1 << n and set(map(type, fin)) == {int}
+            and max(fin) < _BULK_SAFE and min(fin) > -_BULK_SAFE):
+        raise ValueError(f"row {k} is outside the bulk decider")
+    return [_BULK_NEG if v is NEG_INF else v for v in row]
+
+
+def _bulk_holds(vals, mlhs, moves, starts, start, stop):
+    """Which rows of ``vals`` have a move >= f(X) + f(Y) for every triple
+    start .. stop - 1 of the index with X and Y in the domain. Blocks of
+    triples grow fourfold, rows leave after the block where they fail, and
+    a block's arrays together stay under _BATCH_BYTES."""
     w = vals.shape[1]
-    n = (w - 1).bit_length() - 1
-    alive = np.arange(len(vals))
-    start, block = 0, _BULK_FIRST
-    while start < singles and len(alive):
+    ends = np.append(starts, len(moves))
+    alive, block = np.arange(len(vals)), _BULK_FIRST
+    while start < stop and len(alive):
         live = vals[alive]
-        fit = max(1, _BATCH_BYTES // (8 * (2 * n + 3) * len(alive)))
-        stop = min(start + block, start + fit, singles)
-        lo, hi = starts[start], starts[stop]  # the |I| = 0 triples follow
-        xa, xb = np.divmod(mlhs[start:stop], w)
+        # About six int64 values a row per move of the block (a triple has one or more).
+        room = ends[start] + _BATCH_BYTES // (48 * len(alive))
+        end = min(start + block, stop, max(start + 1, np.searchsorted(ends, room, "right") - 1))
+        lo, hi = ends[start], ends[end]
+        xa, xb = np.divmod(mlhs[start:end], w)
         ma, mb = np.divmod(moves[lo:hi], w)
         lhs = live[:, xa] + live[:, xb]
         best = live[:, ma]
         best += live[:, mb]
-        best = np.maximum.reduceat(best, starts[start:stop] - lo, axis=1)
-        ok = (best >= lhs) | (lhs <= _BULK_FLOOR)
-        alive = alive[ok.all(axis=1)]
-        start, block = stop, block * 4
-    passed = np.zeros(len(vals), dtype=bool)
-    passed[alive] = True
-    return passed
-
-
-def _bulk_multi(vals, mlhs, moves, starts):
-    """Which rows of ``vals`` pass the bounded multiple exchange: every
-    triple with X and Y in the domain has a move >= f(X) + f(Y). A
-    block's arrays together stay under _BATCH_BYTES."""
-    holds = np.ones(len(vals), dtype=bool)
-    w = vals.shape[1]
-    step = max(1, _BATCH_BYTES // (8 * (w * w + len(moves) + 2 * len(mlhs))))
-    for r0 in range(0, len(vals), step):
-        blk = vals[r0:r0 + step]
-        pairs = (blk[:, :, None] + blk[:, None, :]).reshape(len(blk), w * w)
-        lhs = pairs[:, mlhs]
-        best = np.maximum.reduceat(pairs[:, moves], starts, axis=1)
-        holds[r0:r0 + step] = ((best >= lhs) | (lhs <= _BULK_FLOOR)).all(axis=1)
+        best = np.maximum.reduceat(best, starts[start:end] - lo, axis=1)
+        alive = alive[((best >= lhs) | (lhs <= _BULK_FLOOR)).all(axis=1)]
+        start, block = end, block * 4
+    holds = np.zeros(len(vals), dtype=bool)
+    holds[alive] = True
     return holds
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import HARD_CAP, NEG_INF, PriceVector, SetFn, _require_int, elements_of, mask_of
+from .core import HARD_CAP, NEG_INF, PriceVector, SetFn, _below, _require_int, elements_of, mask_of
 
 
 class Matroid:
@@ -279,20 +279,22 @@ def mutate(f, seed, magnitude, toggle_neg_inf=False):
     if f.mode != "int":
         raise ValueError("mutation is defined for int-mode functions")
     _require_int("magnitude", magnitude, 0)
-    return SetFn(f.n, _draw_mutation(random.Random(seed), f, magnitude, toggle_neg_inf), "int")
+    return SetFn(f.n, _draw_mutation(random.Random(seed), f.values, f.dom_masks, magnitude,
+                                     toggle_neg_inf), "int")
 
 
-def _draw_mutation(rng, f, magnitude, toggle_neg_inf=False):
-    """``mutate``'s values of ``f``, drawn from ``rng``."""
-    vals = list(f.values)
+def _draw_mutation(rng, values, dom, magnitude, toggle_neg_inf=False, neg=NEG_INF):
+    """``mutate``'s values of the table ``values`` with domain ``dom``,
+    drawn from ``rng`` (``core._below``), with ``neg`` for NEG_INF."""
+    vals = list(values)
     if toggle_neg_inf:
-        idx = rng.randrange(1 << f.n)
-        vals[idx] = 0 if vals[idx] is NEG_INF else NEG_INF
+        idx = _below(rng, len(vals))
+        vals[idx] = 0 if vals[idx] == neg else neg
     else:
-        if not f.dom_masks:
+        if not dom:
             raise ValueError("no finite entry to perturb")
-        idx = f.dom_masks[rng.randrange(len(f.dom_masks))]
-        vals[idx] = vals[idx] + rng.choice((-magnitude, magnitude))
+        idx = dom[_below(rng, len(dom))]
+        vals[idx] += magnitude if _below(rng, 2) else -magnitude
     return vals
 
 
@@ -306,12 +308,23 @@ def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
     return SetFn(n, _draw_table(random.Random(seed), n, lo, hi, neg_inf_prob), "int")
 
 
-def _draw_table(rng, n, lo=-5, hi=5, neg_inf_prob=0.2):
-    """``random_table``'s values, drawn from ``rng``."""
-    vals = [NEG_INF if rng.random() < neg_inf_prob else rng.randint(lo, hi)
-            for _ in range(1 << n)]
-    if all(v is NEG_INF for v in vals):
-        vals[rng.randrange(1 << n)] = rng.randint(lo, hi)
+def _draw_table(rng, n, lo=-5, hi=5, neg_inf_prob=0.2, neg=NEG_INF):
+    """``random_table``'s values, drawn from ``rng``, with ``neg`` for
+    NEG_INF; a value is ``randint(lo, hi)`` by ``core._below``'s rule."""
+    width = hi - lo + 1
+    if not (isinstance(width, int) and width >= 1):
+        raise ValueError(f"lo and hi must be ints with lo <= hi, got {lo!r}..{hi!r}")
+    k, unit, bits = width.bit_length(), rng.random, rng.getrandbits
+    vals = []
+    for _ in range(1 << n):
+        if unit() < neg_inf_prob:
+            vals.append(neg)
+            continue
+        while (r := bits(k)) >= width:
+            pass
+        vals.append(lo + r)
+    if vals.count(neg) == len(vals):
+        vals[_below(rng, len(vals))] = lo + _below(rng, width)
     return vals
 
 

@@ -9,7 +9,8 @@ that it is 0, the constant the campaign writes. It draws its tables with
 ``ref_random_table`` and ``ref_mutate``, scalar copies of ``random_table``
 and ``mutate`` with a ``random.Random`` of their own each, so the drawers
 that the campaign runs on one reseeded generator are checked against code
-that does not call them.
+that does not call them. The scalar copies call ``randint``, ``randrange``
+and ``choice``; the drawers must leave the generator in the same state.
 """
 
 import hashlib
@@ -38,7 +39,10 @@ def ref_mutate(f, seed, magnitude, toggle_neg_inf=False):
     if f.mode != "int":
         raise ValueError("mutation is defined for int-mode functions")
     _require_int("magnitude", magnitude, 0)
-    rng = random.Random(seed)
+    return SetFn(f.n, ref_mutation_values(random.Random(seed), f, magnitude, toggle_neg_inf), "int")
+
+
+def ref_mutation_values(rng, f, magnitude, toggle_neg_inf=False):
     vals = list(f.values)
     if toggle_neg_inf:
         idx = rng.randrange(1 << f.n)
@@ -48,7 +52,7 @@ def ref_mutate(f, seed, magnitude, toggle_neg_inf=False):
             raise ValueError("no finite entry to perturb")
         idx = f.dom_masks[rng.randrange(len(f.dom_masks))]
         vals[idx] = vals[idx] + rng.choice((-magnitude, magnitude))
-    return SetFn(f.n, vals, "int")
+    return vals
 
 
 def ref_random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
@@ -58,14 +62,17 @@ def ref_random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
     _require_int("n", n, 0)
     if n > HARD_CAP:
         raise ValueError(f"ground-set size {n} exceeds hard cap {HARD_CAP}")
-    rng = random.Random(seed)
+    return SetFn(n, ref_table_values(random.Random(seed), n, lo, hi, neg_inf_prob), "int")
+
+
+def ref_table_values(rng, n, lo=-5, hi=5, neg_inf_prob=0.2):
     vals = [
         NEG_INF if rng.random() < neg_inf_prob else rng.randint(lo, hi)
         for _ in range(1 << n)
     ]
     if all(v is NEG_INF for v in vals):
         vals[rng.randrange(1 << n)] = rng.randint(lo, hi)
-    return SetFn(n, vals, "int")
+    return vals
 
 
 def margin(f):
@@ -137,7 +144,8 @@ def test_index_sizes():
 def test_gate_matches_check_exc_single():
     seen = set()
     for n, tables in by_n(ungated_tables()):
-        got = exchange._bulk_gate(bulk_rows(tables), *exchange._bulk_index(n)).tolist()
+        *index, singles = exchange._bulk_index(n)
+        got = exchange._bulk_holds(bulk_rows(tables), *index, 0, singles).tolist()
         want = [check_exc_single(f).passed for f in tables]
         assert got == want, n
         seen |= set(want)
@@ -150,7 +158,8 @@ def test_margins_match_multi_pass_margin():
     every table that holds is 0."""
     fails = 0
     for n, tables in by_n(ungated_tables()):
-        got = exchange._bulk_multi(bulk_rows(tables), *exchange._bulk_index(n)[:3]).tolist()
+        index = exchange._bulk_index(n)[:3]
+        got = exchange._bulk_holds(bulk_rows(tables), *index, 0, len(index[0])).tolist()
         for f, holds in zip(tables, got):
             failing = ref_multi_pass(f, bounded=True)[0]
             assert holds == (failing is None), f
@@ -207,16 +216,29 @@ def drawer_cases():
     return out
 
 
+def same_draws(draw, ref, seed, *args):
+    """``draw`` and ``ref`` from two generators seeded alike: the values,
+    and the generator state after, so that no word is drawn more or less."""
+    rng, twin = random.Random(seed), random.Random(seed)
+    got = draw(rng, *args)
+    assert got == ref(twin, *args), seed
+    assert rng.getstate() == twin.getstate(), seed
+    return got
+
+
 def test_table_drawer_matches_the_scalar_random_table():
     redraws = 0
     for s, n, lo, hi, prob in drawer_cases():
         want = ref_random_table(n, s, lo, hi, prob)
-        assert _draw_table(random.Random(s), n, lo, hi, prob) == list(want.values), s
+        assert same_draws(_draw_table, ref_table_values, s, n, lo, hi, prob) == list(want.values)
         assert random_table(n, s, lo, hi, prob) == want
         redraws += len(want.dom_masks) == 1 and prob == 1.0
     assert redraws == 64
     for s in range(300):  # the campaign's defaults
-        assert _draw_table(random.Random(s), 1 + s % 5) == list(ref_random_table(1 + s % 5, s).values)
+        same_draws(_draw_table, ref_table_values, s, 1 + s % 5)
+    for lo, hi in ((1, 0), (3, -3), (-5.0, 5), (0, 2.5)):
+        with pytest.raises(ValueError, match="must be ints"):
+            _draw_table(random.Random(0), 2, lo, hi)
 
 
 def mutation_bases():
@@ -231,15 +253,17 @@ def mutation_bases():
 
 def test_mutation_drawer_matches_the_scalar_mutate():
     bases, emptied = mutation_bases(), 0
+    draw = lambda rng, f, *rest: _draw_mutation(rng, f.values, f.dom_masks, *rest)
     for s in range(600):
         f, magnitude, toggle = bases[s % len(bases)], s % 4, bool(s // 300)
         want = ref_mutate(f, s, magnitude, toggle)
-        assert _draw_mutation(random.Random(s), f, magnitude, toggle) == list(want.values), s
+        assert same_draws(draw, ref_mutation_values, s, f, magnitude, toggle) == list(want.values)
         assert mutate(f, s, magnitude, toggle) == want
         emptied += not want.dom_masks
     assert emptied > 0
     empty = SetFn(2, [None] * 4)
-    for draw in (lambda: ref_mutate(empty, 0, 1), lambda: _draw_mutation(random.Random(0), empty, 1)):
+    for draw in (lambda: ref_mutate(empty, 0, 1),
+                 lambda: _draw_mutation(random.Random(0), empty.values, empty.dom_masks, 1)):
         with pytest.raises(ValueError, match="no finite entry"):
             draw()
 
@@ -330,6 +354,36 @@ def test_campaign_redraws_a_mutation_whose_toggle_empties_the_domain(monkeypatch
     want = dump(per_trial_campaign(600, 9, (1, 5), 10**6, bases, emptied))
     assert dump(falsify_campaign(600, 9, (1, 5), 10**6)) == want
     assert len(emptied) >= 10
+
+
+@pytest.mark.parametrize("value", [exchange._BULK_SAFE, -exchange._BULK_SAFE, exchange._BULK_NEG,
+                                   2**63, -(2**63) - 1, 2**70, 0.5])
+def test_campaign_refuses_a_base_outside_the_bulk_decider(monkeypatch, value):
+    """A base with a value that an int64 row cannot hold exactly (one past
+    the bound, the -infinity code itself, past int64, a float) raises
+    ValueError, as ``_bulk_decide`` refuses such a row, and is never
+    decided as wrapped, truncated or misread values."""
+    values = [value if k == 5 else k for k in range(8)]
+    base = SetFn(3, values, "real" if isinstance(value, float) else "int")
+    monkeypatch.setattr(cli, "_falsify_bases", lambda: (base,))
+    with pytest.raises(ValueError, match="outside the bulk decider"):
+        falsify_campaign(20, 0, (3, 3))
+    with pytest.raises(ValueError, match="outside the bulk decider"):
+        exchange._bulk_decide([list(base.values)])
+
+
+def test_campaign_refuses_a_mutation_past_the_bound(monkeypatch):
+    """A base just inside the bound passes, and its mutations that move a
+    value past it are refused on the chunk's int64 matrix."""
+    top = exchange._BULK_SAFE - 1
+    base = SetFn(3, [top] * 8)
+    assert exchange._bulk_decide([list(base.values)]) == [(True, True)]
+    monkeypatch.setattr(cli, "_falsify_bases", lambda: (base,))
+    with pytest.raises(ValueError, match="outside the bulk decider"):
+        falsify_campaign(40, 0, (3, 3))
+    for row in ([top + 1] + [top] * 7, [exchange._BULK_NEG] * 8):
+        with pytest.raises(ValueError, match="outside the bulk decider"):
+            exchange._bulk_decide([row], encoded=True)
 
 
 def test_campaign_builds_no_setfn(monkeypatch):

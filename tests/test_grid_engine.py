@@ -569,3 +569,28 @@ def test_kernel_matches_scalar_conjugates(case):
         assert plain[row] == f.scale * exact_conjugate(f, p)
         for c, k in enumerate(caps):
             assert table[row, c] == f.scale * exact_conjugate(restrict_by_size(f, k), p)
+
+
+@pytest.mark.parametrize("mode", ["int", "real"])
+def test_kernel_product_tiers_at_their_bounds(mode):
+    """``_Conjugates`` multiplies prices in float64 while n * D * max|p| <
+    2^53, in int64 while max|D * f| + n * D * max|p| < 2^61, and on Python
+    ints above; each tier against the exact gains, at and just past its
+    bound (a float64 product past 2^53 would round 2^53 + 1). Zeroing the
+    cached float copy of ``ind`` shows which product ran."""
+    f = SetFn(3, [k if mode == "int" else k / 4 for k in range(8)], mode)
+    conj = _Conjugates(f)
+    unit = f.n * f.scale
+    edges = [((2**53 - 1) // unit, "float"), (-(-(2**53) // unit), "int64"),
+             ((2**61 - 1 - conj.magnitude) // unit, "int64"),
+             ((2**61 - conj.magnitude) // unit + 1, "object")]
+    for top, tier in edges:
+        P = np.array([[top, top, top], [-top, top - 1, -(top - 1)], [top, 1, 0]], dtype=np.int64)
+        want = [[v - sum(int(p) * int(x) for p, x in zip(row, col))
+                 for v, col in zip(conj.vals, conj.ind.T)] for row in P]
+        got = conj._gains(P)
+        assert got.tolist() == want, tier
+        assert got.dtype == (object if tier == "object" else np.int64)
+        blind = _Conjugates(f)
+        blind.ind_f = np.zeros_like(blind.ind_f)
+        assert (blind._gains(P).tolist() == want) == (tier != "float"), tier

@@ -26,7 +26,7 @@ from mconcave import (
 )
 from mconcave.cli import SuiteConfig, run_check
 from mconcave import duality
-from mconcave.core import _Replay
+from mconcave.core import _below, _Replay
 from mconcave.duality import _feasible_caps
 from mconcave.exchange import _best_multi, _multi_pass_margin
 from test_grid_engine import ref_cross, ref_quotient, ref_submodular
@@ -98,6 +98,33 @@ def test_replay_starts_where_the_rng_stands(offset):
         expected.setstate(rng.getstate())
         expected = [[expected.getrandbits(32)] for _ in range(700)]
         assert np.hstack(_Replay(rng).take(700, [(1, 2**32, 32)])).tolist() == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 11, 2**31, 2**32, 2**32 + 1])
+def test_below_draws_as_randrange_randint_and_choice(m):
+    """``core._below`` against ``randrange``, ``randint`` and ``choice``
+    from the same seed: the same value, and the same generator state after
+    every draw, so that no word is taken more or less."""
+    seq = range(m)
+    scalars = (lambda r: r.randrange(m), lambda r: r.randint(0, m - 1),
+               lambda r: r.randint(-7, m - 8) + 7, lambda r: r.choice(seq))
+    for seed in SEEDS:
+        for scalar in scalars:
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(40):
+                assert _below(rng, m) == scalar(twin)
+                assert rng.getstate() == twin.getstate()
+
+
+def test_below_refuses_an_empty_range():
+    """m < 1 has no value to draw (``getrandbits(0)`` would redraw 0
+    forever), and draws no word."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    for m in (0, -1, -5):
+        with pytest.raises(ValueError, match="empty range"):
+            _below(rng, m)
+    assert rng.getstate() == state
 
 
 def test_runs_that_decode_garbage_are_refused():

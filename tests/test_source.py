@@ -4,7 +4,8 @@ Each module is parsed with ``ast``. An imported name that its module
 never uses fails (``__init__.py`` re-exports, so it is exempt), and so
 does a module-level private function, class or constant that no code in
 the package references. A fresh import of the CLI must not pay for
-reading real tables.
+reading real tables. The falsification campaign and its drawers draw no
+value through ``random``'s per-value methods.
 """
 
 import ast
@@ -87,3 +88,22 @@ def test_cli_import_leaves_out_real_table_reading():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_PER_VALUE = {"randint", "randrange", "choice"}
+
+
+@pytest.mark.parametrize("module, name", [("cli.py", "falsify_campaign"),
+                                          ("families.py", "_draw_table"),
+                                          ("families.py", "_draw_mutation")])
+def test_falsify_draws_use_no_per_value_random_method(module, name):
+    """Each ``randint``, ``randrange`` or ``choice`` of a falsification
+    trial is drawn by ``core._below``'s rule from ``getrandbits``: the
+    Python frames those methods add per value were most of the drawing."""
+    func = next(node for node in MODULES[module].body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    named = [f"{getattr(node, 'attr', None) or node.id} (line {node.lineno})"
+             for node in ast.walk(func)
+             if isinstance(node, ast.Attribute) and node.attr in _PER_VALUE
+             or isinstance(node, ast.Name) and node.id in _PER_VALUE]
+    assert not named, f"{name} reads {named}"
