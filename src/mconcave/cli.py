@@ -525,7 +525,7 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
                 rng.seed(mseed)
                 row = _draw_mutation(rng, *base, magnitude, neg=_BULK_NEG)
             drawn.append((row, "mutated"))
-        verdicts = _bulk_decide([row for row, _ in drawn], encoded=True)
+        verdicts = _bulk_decide([row for row, _ in drawn])
         for t, (row, kind), (passed, holds) in zip(range(start, trials), drawn, verdicts):
             out.kinds[kind] = out.kinds.get(kind, 0) + 1
             if not passed:

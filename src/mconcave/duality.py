@@ -13,8 +13,14 @@ cannot wrap), with the product in float64 (BLAS) while D*n*max|p| < 2^53,
 and Python ints (``dtype=object``) above that bound.
 
 The box regime decides the three grid inequalities on unit squares and
-unit steps (``_box_sweeps``), and compares every pair of the box only
-when a local test fails, to name the first violated pair.
+unit steps. On a product of chains a function is submodular iff every
+unit square is (Topkis, Operations Research 26, 1978; Murota, Discrete
+Convex Analysis, 2003, ch. 7); the strong quotient says that the excess
+e = gk - g of a capped conjugate gk over the plain one g is
+nondecreasing, which holds iff it holds on every unit step; and the two
+give cross-submodularity, gk(p ^ q) + g(p v q) = g(p ^ q) + g(p v q) +
+e(p ^ q) <= g(p) + g(q) + e(p) = gk(p) + g(q). Every pair of the box is
+compared only when a local test fails, to name the first violated pair.
 
 The Fenchel dual phi(q) = g1(q) + g2(-q) is minimized by steepest
 descent from q = 0 under the moves q +- chi_S, S nonempty, inside the
@@ -31,11 +37,18 @@ box minimum from above; a scan of the whole box is the tests' oracle.
 Both regimes read one table that writes each grid inequality once, as
 (lhs, rhs) over a capped and the plain conjugate at a pair's p, q,
 p v q and p ^ q, and one builder turns their first violations into
-reports. The sampled regime is one pass over the checks it is given
-(``_sampled``). It draws its pairs from ``random.Random(seed)`` through
-``core._Replay``, in chunks bounded in bytes, so the samples, and the
-reports, are those of the scalar ``randint``/``randrange`` loops, which
-the tests keep as the oracle.
+reports. The sampled regime is one pass over the checks it is given. It
+draws its pairs from ``random.Random(seed)`` without calling it per
+value: ``core._Replay`` takes the Mersenne Twister words from the rng in
+bulk and decodes them in numpy with CPython's rules (top
+``m.bit_length()`` bits of a word, rejected while >= m), a chunk of
+samples at a time, the chunk bounded in bytes. The submodular draw
+mixes two widths (2n prices, then the cap index), so its rejections are
+resolved in stream order. The cross and quotient checks of every size
+cap draw the same 2n prices from the same seed, so one draw and one
+conjugate table serve them all, each cap reading its own column. The
+samples, and so the reports, are those of the scalar
+``randint``/``randrange`` loops, which the tests keep as the oracle.
 """
 
 import math
@@ -158,14 +171,14 @@ class _Conjugates:
         fits = max(self.magnitude, self.scale) < _INT64_SAFE
         self.ind = (ind if fits else ind.astype(object)) * self.scale
         self.fast = np.array(self.vals, np.int64) if fits else None
-        self.ind_f = self.ind.astype(np.float64) if fits else None
 
     def _gains(self, P):
         top = self.n * self.scale * int(np.abs(P).max(initial=0))
         if self.fast is None or self.magnitude + top >= _INT64_SAFE:
             return np.array(self.vals, dtype=object) - P.astype(object) @ self.ind.astype(object)
         if top < 1 << 53:  # every partial sum of P @ ind is an int that float64 holds
-            return self.fast - (P.astype(np.float64) @ self.ind_f).astype(np.int64)
+            gains = (P.astype(np.float64) @ self.ind).astype(np.int64)
+            return np.subtract(self.fast, gains, out=gains)
         return self.fast - P @ self.ind
 
     def __call__(self, P):

@@ -525,29 +525,24 @@ def _bulk_index(n):
     return (*arrays, len(triples[0]))
 
 
-def _bulk_decide(rows, encoded=False):
+def _bulk_decide(rows):
     """What the falsification campaign needs of each value row (f's 2^n
-    values, NEG_INF for minus infinity), decided for the rows of each
-    ground-set size at once: (passed, holds) with ``passed`` =
+    values in the bulk encoding, ``_bulk_row``), decided for the rows of
+    each ground-set size at once: (passed, holds) with ``passed`` =
     ``check_exc_single(f).passed`` and, when it passes, ``holds`` = whether
     the bounded multiple exchange holds (False: a counterexample), else
     None. Only the best move of a triple counts, so no tie order is needed.
-    Raises ValueError for a row outside the bulk arithmetic: not 2^n values,
-    a value neither an int nor NEG_INF (a float, a bool), an empty domain,
-    or some |value| >= _BULK_SAFE. ``encoded`` rows, int lists of 2^n
-    values with _BULK_NEG for NEG_INF, skip the per-row pass (``_bulk_row``):
-    the last two checks run on each n's int64 matrix for every row."""
-    if not encoded:
-        rows = [_bulk_row(row, k) for k, row in enumerate(rows)]
+    Raises ValueError, checked on each size's int64 matrix, for a row
+    outside the bulk arithmetic: not 2^n values, an empty domain, or some
+    |value| >= _BULK_SAFE."""
     out = [None] * len(rows)
     for w in sorted({len(row) for row in rows}):
         at = [k for k, row in enumerate(rows) if len(row) == w]
-        vals = np.array([rows[k] for k in at], dtype=np.int64)
+        vals = np.array([rows[k] + [_BULK_NEG] for k in at], dtype=np.int64)
         fin, safe = vals != _BULK_NEG, (vals < _BULK_SAFE) & (vals > -_BULK_SAFE)
-        if not (fin.any(axis=1).all() and (fin <= safe).all()):
+        if not (w & (w - 1) == 0 and fin.any(axis=1).all() and (fin <= safe).all()):
             raise ValueError("a row is outside the bulk decider")
         *index, singles = _bulk_index(w.bit_length() - 1)
-        vals = np.hstack([vals, np.full((len(at), 1), _BULK_NEG)])
         passed = _bulk_holds(vals, *index, 0, singles)
         # A triple with |I| = 1 has the single exchange's moves, which passed.
         holds = iter(_bulk_holds(vals[passed], *index, singles, len(index[0])).tolist())
@@ -557,7 +552,10 @@ def _bulk_decide(rows, encoded=False):
 
 
 def _bulk_row(row, k):
-    """Row ``k`` in the bulk encoding, after ``_bulk_decide``'s checks."""
+    """Row ``k`` (f's 2^n values, NEG_INF for minus infinity) in the bulk
+    encoding, with _BULK_NEG for NEG_INF. Raises ValueError for a row that
+    ``_bulk_decide`` refuses or with a value neither an int nor NEG_INF (a
+    float, a bool)."""
     n = len(row).bit_length() - 1
     fin = [v for v in row if v is not NEG_INF]
     if not (fin and len(row) == 1 << n and set(map(type, fin)) == {int}

@@ -309,20 +309,11 @@ def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
 
 
 def _draw_table(rng, n, lo=-5, hi=5, neg_inf_prob=0.2, neg=NEG_INF):
-    """``random_table``'s values, drawn from ``rng``, with ``neg`` for
-    NEG_INF; a value is ``randint(lo, hi)`` by ``core._below``'s rule."""
+    """``random_table``'s values, drawn from ``rng`` (``core._below``),
+    with ``neg`` for NEG_INF."""
     width = hi - lo + 1
-    if not (isinstance(width, int) and width >= 1):
-        raise ValueError(f"lo and hi must be ints with lo <= hi, got {lo!r}..{hi!r}")
-    k, unit, bits = width.bit_length(), rng.random, rng.getrandbits
-    vals = []
-    for _ in range(1 << n):
-        if unit() < neg_inf_prob:
-            vals.append(neg)
-            continue
-        while (r := bits(k)) >= width:
-            pass
-        vals.append(lo + r)
+    vals = [neg if rng.random() < neg_inf_prob else lo + _below(rng, width)
+            for _ in range(1 << n)]
     if vals.count(neg) == len(vals):
         vals[_below(rng, len(vals))] = lo + _below(rng, width)
     return vals

@@ -99,7 +99,7 @@ def oracle(f):
 
 
 def rows_of(tables):
-    return [list(f.values) for f in tables]
+    return [exchange._bulk_row(f.values, k) for k, f in enumerate(tables)]
 
 
 def bulk_rows(tables):
@@ -179,7 +179,8 @@ def test_decide_matches_oracle(monkeypatch, budget):
 def test_tables_outside_the_bound_are_refused():
     """Rows with values just inside the bound run in bulk and agree with
     the oracle; a row with any |v| >= 2^60, a float or a bool, an empty
-    domain or a length other than 2^n raises ValueError, as the campaign
+    domain or a length other than 2^n raises ValueError in ``_bulk_row``,
+    and in ``_bulk_decide`` when its encoding fits int64, as the campaign
     never draws one. numpy would read the bools as ints without a word."""
     top = exchange._BULK_SAFE - 1
     inside, outside = [random_table(6, 0)], []
@@ -200,7 +201,11 @@ def test_tables_outside_the_bound_are_refused():
     assert {p for p, _ in map(oracle, inside)} == {True, False}
     for row in outside:
         with pytest.raises(ValueError, match="outside the bulk decider"):
-            exchange._bulk_decide(rows_of(inside[:3]) + [row])
+            exchange._bulk_row(row, 0)
+        encoded = [exchange._BULK_NEG if v is NEG_INF else v for v in row]
+        if all(type(v) is int and abs(v) < 2**63 for v in encoded):
+            with pytest.raises(ValueError, match="outside the bulk decider"):
+                exchange._bulk_decide(rows_of(inside[:3]) + [encoded])
 
 
 def drawer_cases():
@@ -236,9 +241,6 @@ def test_table_drawer_matches_the_scalar_random_table():
     assert redraws == 64
     for s in range(300):  # the campaign's defaults
         same_draws(_draw_table, ref_table_values, s, 1 + s % 5)
-    for lo, hi in ((1, 0), (3, -3), (-5.0, 5), (0, 2.5)):
-        with pytest.raises(ValueError, match="must be ints"):
-            _draw_table(random.Random(0), 2, lo, hi)
 
 
 def mutation_bases():
@@ -361,7 +363,7 @@ def test_campaign_redraws_a_mutation_whose_toggle_empties_the_domain(monkeypatch
 def test_campaign_refuses_a_base_outside_the_bulk_decider(monkeypatch, value):
     """A base with a value that an int64 row cannot hold exactly (one past
     the bound, the -infinity code itself, past int64, a float) raises
-    ValueError, as ``_bulk_decide`` refuses such a row, and is never
+    ValueError, as ``_bulk_row`` refuses such a row, and is never
     decided as wrapped, truncated or misread values."""
     values = [value if k == 5 else k for k in range(8)]
     base = SetFn(3, values, "real" if isinstance(value, float) else "int")
@@ -369,7 +371,7 @@ def test_campaign_refuses_a_base_outside_the_bulk_decider(monkeypatch, value):
     with pytest.raises(ValueError, match="outside the bulk decider"):
         falsify_campaign(20, 0, (3, 3))
     with pytest.raises(ValueError, match="outside the bulk decider"):
-        exchange._bulk_decide([list(base.values)])
+        exchange._bulk_row(base.values, 0)
 
 
 def test_campaign_refuses_a_mutation_past_the_bound(monkeypatch):
@@ -377,13 +379,13 @@ def test_campaign_refuses_a_mutation_past_the_bound(monkeypatch):
     value past it are refused on the chunk's int64 matrix."""
     top = exchange._BULK_SAFE - 1
     base = SetFn(3, [top] * 8)
-    assert exchange._bulk_decide([list(base.values)]) == [(True, True)]
+    assert exchange._bulk_decide(rows_of([base])) == [(True, True)]
     monkeypatch.setattr(cli, "_falsify_bases", lambda: (base,))
     with pytest.raises(ValueError, match="outside the bulk decider"):
         falsify_campaign(40, 0, (3, 3))
     for row in ([top + 1] + [top] * 7, [exchange._BULK_NEG] * 8):
         with pytest.raises(ValueError, match="outside the bulk decider"):
-            exchange._bulk_decide([row], encoded=True)
+            exchange._bulk_decide([row])
 
 
 def test_campaign_builds_no_setfn(monkeypatch):

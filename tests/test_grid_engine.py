@@ -576,8 +576,8 @@ def test_kernel_product_tiers_at_their_bounds(mode):
     """``_Conjugates`` multiplies prices in float64 while n * D * max|p| <
     2^53, in int64 while max|D * f| + n * D * max|p| < 2^61, and on Python
     ints above; each tier against the exact gains, at and just past its
-    bound (a float64 product past 2^53 would round 2^53 + 1). Zeroing the
-    cached float copy of ``ind`` shows which product ran."""
+    bound (a float64 product past 2^53 would round 2^53 + 1). Prices that
+    note each dtype they are cast to show which product ran."""
     f = SetFn(3, [k if mode == "int" else k / 4 for k in range(8)], mode)
     conj = _Conjugates(f)
     unit = f.n * f.scale
@@ -585,12 +585,20 @@ def test_kernel_product_tiers_at_their_bounds(mode):
              ((2**61 - 1 - conj.magnitude) // unit, "int64"),
              ((2**61 - conj.magnitude) // unit + 1, "object")]
     for top, tier in edges:
-        P = np.array([[top, top, top], [-top, top - 1, -(top - 1)], [top, 1, 0]], dtype=np.int64)
+        P = np.array([[top, top, top], [-top, top - 1, -(top - 1)], [top, 1, 0]],
+                     dtype=np.int64).view(_NotedCasts)
+        P.seen = []
         want = [[v - sum(int(p) * int(x) for p, x in zip(row, col))
                  for v, col in zip(conj.vals, conj.ind.T)] for row in P]
         got = conj._gains(P)
         assert got.tolist() == want, tier
         assert got.dtype == (object if tier == "object" else np.int64)
-        blind = _Conjugates(f)
-        blind.ind_f = np.zeros_like(blind.ind_f)
-        assert (blind._gains(P).tolist() == want) == (tier != "float"), tier
+        assert (np.dtype(np.float64) in P.seen) == (tier == "float"), tier
+
+
+class _NotedCasts(np.ndarray):
+    """An array that notes each dtype it is cast to in ``seen``."""
+
+    def astype(self, dtype, *args, **kwargs):
+        self.seen.append(np.dtype(dtype))
+        return np.asarray(self).astype(dtype, *args, **kwargs)
