@@ -116,15 +116,6 @@ def conjugate(f, p):
     return ConjugateEval(p, best, best_mask)
 
 
-def conjugate_sized(f, k, p):
-    """Conjugate of the size-capped function: subsets larger than k are
-    excluded from the maximum."""
-    capped = restrict_by_size(f, k)
-    if not capped.dom_masks:
-        raise ValueError(f"no feasible subset of size <= {k}")
-    return conjugate(capped, p)
-
-
 def _require_cap(f, k):
     """A size cap k under which f keeps a feasible subset, else ValueError."""
     _require_int("size cap", k, 0)

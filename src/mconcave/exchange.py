@@ -1,14 +1,17 @@
 """Exchange-axiom decision procedures, witness finders, and the lifting
 of a set function with mixed domain sizes to an equi-cardinal one.
 
-All checkers enumerate bitmasks directly and return VerificationReports.
-The single exchange, its equi-cardinal form and the swap and augment
-facts of ``lemmas_2_8`` are one batched sweep over exchange rules
-(``_rule_sweep``), in the lex order below, on f as ``moves.value_table``
-holds it; the multiple exchange (both bounds from one pass) and the
-restriction facts of ``lemmas_2_8`` run on the array kernel of
-``moves``; and ``_bulk_decide`` decides many small value rows at once
-for the falsification campaign.
+Checkers return VerificationReports. The single exchange, its
+equi-cardinal form and the swap and augment facts of ``lemmas_2_8`` are
+one batched sweep over exchange rules (``_rule_sweep``), in the lex order
+below, on f as ``moves.value_table`` holds it. The triples (X, Y, I) and
+their moves J have one enumeration, the array kernel of ``moves``: the
+multiple exchange (both bounds from one pass) and the restriction facts
+of ``lemmas_2_8`` read its blocks for one table, and ``_bulk_decide``
+decides many small value rows of the falsification campaign at once on
+the masks of its blocks over the full cube 2^n (``_bulk_plan``, one per
+n). ``_best_multi`` is the scalar search of one triple, for the witness
+finders.
 Every decision reads ``f.exact``, the int table D * f, and compares
 with ``<=``; counterexamples and witnesses show values through
 ``core.shown``.
@@ -36,13 +39,11 @@ import numpy as np
 from .core import (
     HARD_CAP,
     NEG_INF,
-    Falsification,
     SetFn,
     _require_int,
     elements_of,
     mask_of,
     shown,
-    submasks_ascending,
     submasks_by_size,
 )
 from .moves import (
@@ -51,6 +52,7 @@ from .moves import (
     _BULK_SAFE,
     attains,
     exhaustive_triples,
+    moves,
     multi_best,
     pair_blocks,
     restriction_sides,
@@ -66,12 +68,8 @@ EXHAUSTIVE_N_LIMIT = 7
 DEFAULT_SAMPLES = 10_000
 
 # Bytes of the temporaries of one block of the exchange sweep, and of all
-# the arrays of one block of the bulk decider.
+# the arrays of one piece of the bulk decider.
 _BATCH_BYTES = 1 << 19
-
-# Triples in the first block of a bulk pass; each block is four times the
-# last, and tables drop out after the block where they fail.
-_BULK_FIRST = 32
 
 
 @dataclass(frozen=True)
@@ -492,37 +490,31 @@ def _empty_side(name, xm, ym, im):
 
 
 @functools.cache
-def _bulk_index(n):
-    """Every bounded exchange triple (X, Y, I) over the full cube 2^n, as
-    indices into the w * w pair sums f(A) + f(B) at A * w + B of a table
-    row of w = 2^n + 1 entries: the 2^n values, then a NEG_INF column.
-
-    Returns (mlhs, moves, starts, singles). Triple k has f(X) + f(Y) at
-    mlhs[k], and its moves J with |J| <= |I| are the segment of ``moves``
-    from starts[k] to the next start (or the end). The first ``singles``
-    triples, in lex order, are those with |I| = 1: the single exchange,
-    whose moves are the drop (J = {}) and the swaps (J = {j}). The others
-    follow in lex order.
-    """
-    w = (1 << n) + 1
-    triples = ([], [])  # (lhs, moves) with |I| = 1, then the others
-    for xm in range(1 << n):
-        for ym in range(1 << n):
-            for im in submasks_ascending(xm & ~ym):
-                k = im.bit_count()
-                moves = [(xm & ~im | jm) * w + ((ym | im) & ~jm)
-                         for jm, size in submasks_by_size(ym & ~xm) if size <= k]
-                triples[k != 1].append((xm * w + ym, moves))
-    ordered = triples[0] + triples[1]
-    sizes = [len(moves) for _, moves in ordered]
-    arrays = (
-        np.array([lhs for lhs, _ in ordered], dtype=np.intp),
-        np.array([m for _, moves in ordered for m in moves], dtype=np.intp),
-        np.cumsum([0] + sizes[:-1], dtype=np.intp),
-    )
-    for a in arrays:
-        a.setflags(write=False)
-    return (*arrays, len(triples[0]))
+def _bulk_plan(n):
+    """Every exchange triple (X, Y, I) of the full cube 2^n with its moves
+    |J| <= |I|, as the masks to gather from a value row: (gate, rest),
+    each a tuple of blocks (x, y, a, b) of read-only int64 arrays. A block
+    holds triples with one count of moves: x and y are their masks, and
+    a[t] and b[t] the masks (X\\I) | J and (Y\\J) | I of triple t's moves,
+    from ``moves.moves`` with the identity as the table. ``gate`` holds the
+    |I| = 1 triples, the single exchange, whose moves are the drop and the
+    swaps; ``rest`` the others. Blocks come by ascending count of moves."""
+    groups = ({}, {})
+    for xm, ym, im in exhaustive_triples(np.arange(1 << n, dtype=np.int64), n, _BATCH_BYTES):
+        # ``moves`` splits a triple's moves over blocks past budget // 64 of
+        # them; the plan needs each triple's moves in one block.
+        for rows, a, b, size, k in moves(lambda masks: masks, xm, ym, im, n,
+                                         max(_BATCH_BYTES, 64 << n)):
+            for kv in set(k.tolist()):
+                t, keep = k == kv, size <= kv
+                groups[kv != 1].setdefault(int(keep.sum()), []).append(
+                    (xm[rows[t]], ym[rows[t]], a[t][:, keep], b[t][:, keep]))
+    plan = tuple(tuple(tuple(np.concatenate(parts) for parts in zip(*blocks[w]))
+                       for w in sorted(blocks)) for blocks in groups)
+    for block in plan[0] + plan[1]:
+        for arr in block:
+            arr.setflags(write=False)
+    return plan
 
 
 def _bulk_decide(rows):
@@ -538,16 +530,31 @@ def _bulk_decide(rows):
     out = [None] * len(rows)
     for w in sorted({len(row) for row in rows}):
         at = [k for k, row in enumerate(rows) if len(row) == w]
-        vals = np.array([rows[k] + [_BULK_NEG] for k in at], dtype=np.int64)
+        vals = np.array([rows[k] for k in at], dtype=np.int64)
         fin, safe = vals != _BULK_NEG, (vals < _BULK_SAFE) & (vals > -_BULK_SAFE)
         if not (w & (w - 1) == 0 and fin.any(axis=1).all() and (fin <= safe).all()):
             raise ValueError("a row is outside the bulk decider")
-        *index, singles = _bulk_index(w.bit_length() - 1)
-        passed = _bulk_holds(vals, *index, 0, singles)
-        # A triple with |I| = 1 has the single exchange's moves, which passed.
-        holds = iter(_bulk_holds(vals[passed], *index, singles, len(index[0])).tolist())
-        for k, ok in zip(at, passed.tolist()):
-            out[k] = (True, next(holds)) if ok else (False, None)
+        verdicts = np.zeros((2, len(at)), dtype=bool)
+        # One column per live row, so that a gather copies whole rows.
+        alive, live = np.arange(len(at)), np.ascontiguousarray(vals.T)
+        # The gate, then the bounded multiple exchange on the rows that pass
+        # it (a triple with |I| = 1 has exactly the single exchange's moves).
+        for verdict, blocks in zip(verdicts, _bulk_plan(w.bit_length() - 1)):
+            for x, y, a, b in blocks:
+                t0 = 0
+                while t0 < len(x) and len(alive):
+                    # About six int64 values a row per move of a piece.
+                    t = slice(t0, t0 + max(1, _BATCH_BYTES // (48 * len(alive) * a.shape[1])))
+                    lhs = live[x[t]] + live[y[t]]
+                    best = live[a[t]]
+                    best += live[b[t]]
+                    ok = ((best.max(axis=1) >= lhs) | (lhs <= _BULK_FLOOR)).all(axis=0)
+                    if not ok.all():
+                        alive, live = alive[ok], live[:, ok]
+                    t0 = t.stop
+            verdict[alive] = True
+        for k, ok, holds in zip(at, *verdicts.tolist()):
+            out[k] = (True, holds) if ok else (False, None)
     return out
 
 
@@ -562,33 +569,6 @@ def _bulk_row(row, k):
             and max(fin) < _BULK_SAFE and min(fin) > -_BULK_SAFE):
         raise ValueError(f"row {k} is outside the bulk decider")
     return [_BULK_NEG if v is NEG_INF else v for v in row]
-
-
-def _bulk_holds(vals, mlhs, moves, starts, start, stop):
-    """Which rows of ``vals`` have a move >= f(X) + f(Y) for every triple
-    start .. stop - 1 of the index with X and Y in the domain. Blocks of
-    triples grow fourfold, rows leave after the block where they fail, and
-    a block's arrays together stay under _BATCH_BYTES."""
-    w = vals.shape[1]
-    ends = np.append(starts, len(moves))
-    alive, block = np.arange(len(vals)), _BULK_FIRST
-    while start < stop and len(alive):
-        live = vals[alive]
-        # About six int64 values a row per move of the block (a triple has one or more).
-        room = ends[start] + _BATCH_BYTES // (48 * len(alive))
-        end = min(start + block, stop, max(start + 1, np.searchsorted(ends, room, "right") - 1))
-        lo, hi = ends[start], ends[end]
-        xa, xb = np.divmod(mlhs[start:end], w)
-        ma, mb = np.divmod(moves[lo:hi], w)
-        lhs = live[:, xa] + live[:, xb]
-        best = live[:, ma]
-        best += live[:, mb]
-        best = np.maximum.reduceat(best, starts[start:end] - lo, axis=1)
-        alive = alive[((best >= lhs) | (lhs <= _BULK_FLOOR)).all(axis=1)]
-        start, block = end, block * 4
-    holds = np.zeros(len(vals), dtype=bool)
-    holds[alive] = True
-    return holds
 
 
 # ---------------------------------------------------------------------------
@@ -684,25 +664,3 @@ def lift(f):
         if z.bit_count() == r:
             vals[z] = fvals[z & base]
     return SetFn(nh, vals, f.mode)
-
-
-def matroid_base_multi_exchange(m, X, Y, I):
-    """Classical multiple exchange for matroid bases X, Y and I in X \\ Y:
-    returns J inside Y \\ X with |J| = |I| such that (X\\I) u J and
-    (Y\\J) u I are both bases.
-
-    Implemented through the bounded multiple-exchange search on the
-    indicator valuation of the basis family; failure to find J would
-    falsify the classical theorem and raises Falsification.
-    """
-    ind = m.basis_indicator
-    xm = mask_of(X, m.n)
-    ym = mask_of(Y, m.n)
-    if ind.values[xm] is NEG_INF or ind.values[ym] is NEG_INF:
-        raise ValueError("X and Y must be bases")
-    w = find_multi_exchange(ind, X, Y, I, bounded=True)
-    if w is None:
-        raise Falsification(
-            f"no exchangeable subset for bases X={tuple(X)}, Y={tuple(Y)}, I={tuple(I)}"
-        )
-    return w.moved

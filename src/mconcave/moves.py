@@ -5,12 +5,15 @@ element tuple).
 
 ``exchange`` decides both bounds of the multiple exchange from one gather
 of f((X\\I) | J) + f((Y\\J) | I), and reads the restriction facts of
-``lemmas_2_8`` from the same moves. A move set J is the canonical rank
-pattern of its size m = |Y \\ X| deposited onto the set bits of Y \\ X; the
-deposit is monotone, so it keeps the order. Every function that allocates
-takes ``budget``, the bytes that the arrays of one block may take together
-(``exchange._BATCH_BYTES``), and blocks over the triples, and over the
-moves too when 2^m moves alone exceed it.
+``lemmas_2_8`` from the same moves. With the identity as the table,
+``moves`` gives the masks (X\\I) | J and (Y\\J) | I themselves: the
+falsification campaign's decider gathers them once per n over the full
+cube and reads many value rows through them. A move set J is the
+canonical rank pattern of its size m = |Y \\ X| deposited onto the set
+bits of Y \\ X; the deposit is monotone, so it keeps the order. Every
+function that allocates takes ``budget``, the bytes that the arrays of
+one block may take together (``exchange._BATCH_BYTES``), and blocks over
+the triples, and over the moves too when 2^m moves alone exceed it.
 """
 
 import functools

@@ -23,7 +23,6 @@ from mconcave import (
     find_single_exchange,
     lift,
     mask_of,
-    matroid_base_multi_exchange,
     random_table,
 )
 from mconcave.cli import SuiteConfig, _suite_lemmas, falsify_campaign
@@ -183,7 +182,11 @@ def test_criterion_7_matroid_base_exchange(corpus):
                 for im in submasks_ascending(xm & ~ym):
                     I = elements_of(im)
                     checked += 1
-                    J = matroid_base_multi_exchange(m, X, Y, I)
+                    w = find_multi_exchange(m.basis_indicator, X, Y, I, bounded=True)
+                    if w is None:
+                        failures += 1
+                        continue
+                    J = w.moved
                     jm = mask_of(J, m.n)
                     if (len(J) != len(I)
                             or ((xm & ~im) | jm) not in bases

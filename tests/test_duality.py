@@ -15,7 +15,6 @@ from mconcave import (
     check_cross_submodular,
     check_strong_quotient,
     conjugate,
-    conjugate_sized,
     elements_of,
     ext_add,
     fenchel_gap,
@@ -113,40 +112,6 @@ def test_conjugate_midpoint_convexity(values, p, q):
     q = PriceVector(tuple(b + ((a + b) % 2) for a, b in zip(p.entries, q.entries)))
     mid = PriceVector(tuple((a + b) // 2 for a, b in zip(p.entries, q.entries)))
     assert 2 * conjugate(f, mid).value <= conjugate(f, p).value + conjugate(f, q).value
-
-
-# --- conjugate_sized ------------------------------------------------------------
-
-
-def test_conjugate_sized_equals_plain_at_full_size(rank_u24):
-    for p in (PriceVector((1, -1, 0, 2)), PriceVector.zero(4)):
-        assert conjugate_sized(rank_u24, 4, p).value == conjugate(rank_u24, p).value
-
-
-def test_conjugate_sized_example():
-    c = conjugate_sized(SetFn.constant(2, 0), 1, PriceVector((-1, -1)))
-    assert c.value == 1  # the size-2 subset worth 2 is excluded
-
-
-def test_conjugate_sized_zero_cap():
-    f = SetFn(2, [5, 9, 9, 9])
-    assert conjugate_sized(f, 0, PriceVector((7, 7))).value == 5
-
-
-def test_conjugate_sized_infeasible():
-    f = SetFn(2, [None, None, None, 3])
-    with pytest.raises(ValueError, match="feasible"):
-        conjugate_sized(f, 1, PriceVector.zero(2))
-
-
-@settings(max_examples=60)
-@given(tables_n3, prices_n3, st.integers(1, 3))
-def test_conjugate_sized_monotone_in_cap(values, p, k):
-    f = SetFn(3, values)
-    smaller = restrict_by_size(f, k - 1)
-    if not smaller.dom_masks:
-        return
-    assert conjugate_sized(f, k, p).value >= conjugate_sized(f, k - 1, p).value
 
 
 # --- grid inequality checkers -----------------------------------------------

@@ -19,7 +19,6 @@ from mconcave import (
     find_single_exchange,
     lift,
     mask_of,
-    matroid_base_multi_exchange,
     matroid_rank_fn,
     uniform_matroid,
     weighted_basis_valuation,
@@ -486,11 +485,20 @@ def test_lift_domain_count_identity(corpus_by_id):
 # --- classical matroid exchange ----------------------------------------------
 
 
+def base_exchange(m, X, Y, I):
+    """The J of the classical multiple exchange for bases X, Y of m and I
+    inside X \\ Y, from the bounded search on the basis indicator: |J| =
+    |I|, and (X\\I) u J and (Y\\J) u I are bases."""
+    w = find_multi_exchange(m.basis_indicator, X, Y, I, bounded=True)
+    assert w is not None, (X, Y, I)
+    return w.moved
+
+
 def test_base_exchange_examples():
     m = uniform_matroid(4, 2)
-    assert matroid_base_multi_exchange(m, [1, 2], [3, 4], [1]) == (3,)
-    assert matroid_base_multi_exchange(m, [1, 2], [3, 4], []) == ()
-    assert matroid_base_multi_exchange(m, [1, 2], [3, 4], [1, 2]) == (3, 4)
+    assert base_exchange(m, [1, 2], [3, 4], [1]) == (3,)
+    assert base_exchange(m, [1, 2], [3, 4], []) == ()
+    assert base_exchange(m, [1, 2], [3, 4], [1, 2]) == (3, 4)
 
 
 def test_base_exchange_postconditions(corpus_by_id):
@@ -503,7 +511,7 @@ def test_base_exchange_postconditions(corpus_by_id):
         ym = bases[rng.randrange(len(bases))]
         im = (xm & ~ym) & rng.getrandbits(m.n)
         X, Y, I = elements_of(xm), elements_of(ym), elements_of(im)
-        J = matroid_base_multi_exchange(m, X, Y, I)
+        J = base_exchange(m, X, Y, I)
         assert len(J) == len(I)
         jm = mask_of(J, m.n)
         left = (xm & ~im) | jm
@@ -513,8 +521,8 @@ def test_base_exchange_postconditions(corpus_by_id):
 
 def test_base_exchange_rejects_non_bases():
     m = uniform_matroid(4, 2)
-    with pytest.raises(ValueError, match="bases"):
-        matroid_base_multi_exchange(m, [1], [3, 4], [1])
+    with pytest.raises(ValueError, match="effective domain"):
+        find_multi_exchange(m.basis_indicator, [1], [3, 4], [1])
 
 
 # --- contexts ------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """The bulk falsification decider against the per-table checkers, its
 oracle, and whole campaigns against the per-trial loop they replace.
 
-The gate and the multiple-exchange kernel are compared on ungated
-tables, so the kernel's FAIL path (a triple with no move as good as
-f(X) + f(Y)) is covered although no gated table ever reaches it. The
+The oracle is the decider that ``exchange._bulk_decide`` replaced: a
+full-cube index of the bounded triples built by scalar loops over
+``submasks_ascending`` and ``submasks_by_size`` (``ref_bulk_index``), and
+one ragged ``np.maximum.reduceat`` pass over it (``ref_bulk_holds``). The
+decider's plan, built from ``moves.moves``, must hold the same triples
+and moves. The gate and the multiple-exchange kernel are compared on
+ungated tables, so the kernel's FAIL path (a triple with no move as good
+as f(X) + f(Y)) is covered although no gated table ever reaches it. The
 per-trial loop computes each passing table's margin itself and asserts
 that it is 0, the constant the campaign writes. It draws its tables with
 ``ref_random_table`` and ``ref_mutate``, scalar copies of ``random_table``
@@ -13,6 +18,7 @@ that does not call them. The scalar copies call ``randint``, ``randrange``
 and ``choice``; the drawers must leave the generator in the same state.
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -20,10 +26,11 @@ import random
 import numpy as np
 import pytest
 
-from mconcave import NEG_INF, SetFn, check_exc_single, default_corpus, mutate, random_table
+from mconcave import (NEG_INF, PriceVector, SetFn, check_exc_single, default_corpus,
+                      matroid_rank_fn, mutate, random_table, tilt, uniform_matroid)
 from mconcave import cli, core, exchange
 from mconcave.cli import MASK64, FalsifyOutcome, falsify_campaign, main
-from mconcave.core import HARD_CAP, _require_int, submasks_ascending
+from mconcave.core import HARD_CAP, _require_int, submasks_ascending, submasks_by_size
 from mconcave.exchange import _best_multi
 from mconcave.families import _draw_mutation, _draw_table
 from test_multi_batched import ref_multi_pass
@@ -134,32 +141,124 @@ def by_n(tables):
     return sorted(groups.items())
 
 
+@functools.cache
+def ref_bulk_index(n):
+    """Every bounded exchange triple (X, Y, I) over the full cube 2^n, as
+    indices into the w * w pair sums f(A) + f(B) at A * w + B of a table
+    row of w = 2^n + 1 entries: the 2^n values, then a NEG_INF column.
+
+    Returns (mlhs, moves, starts, singles). Triple k has f(X) + f(Y) at
+    mlhs[k], and its moves J with |J| <= |I| are the segment of ``moves``
+    from starts[k] to the next start (or the end). The first ``singles``
+    triples, in lex order, are those with |I| = 1: the single exchange,
+    whose moves are the drop (J = {}) and the swaps (J = {j}). The others
+    follow in lex order.
+    """
+    w = (1 << n) + 1
+    triples = ([], [])  # (lhs, moves) with |I| = 1, then the others
+    for xm in range(1 << n):
+        for ym in range(1 << n):
+            for im in submasks_ascending(xm & ~ym):
+                k = im.bit_count()
+                moves = [(xm & ~im | jm) * w + ((ym | im) & ~jm)
+                         for jm, size in submasks_by_size(ym & ~xm) if size <= k]
+                triples[k != 1].append((xm * w + ym, moves))
+    ordered = triples[0] + triples[1]
+    sizes = [len(moves) for _, moves in ordered]
+    arrays = (
+        np.array([lhs for lhs, _ in ordered], dtype=np.intp),
+        np.array([m for _, moves in ordered for m in moves], dtype=np.intp),
+        np.cumsum([0] + sizes[:-1], dtype=np.intp),
+    )
+    return (*arrays, len(triples[0]))
+
+
+def ref_bulk_holds(vals, mlhs, moves, starts, start, stop):
+    """Which rows of ``vals`` (with the NEG_INF column) have a move >=
+    f(X) + f(Y) for every triple start .. stop - 1 of the index with X and
+    Y in the domain. Blocks of triples grow fourfold from 32, and rows
+    leave after the block where they fail."""
+    w = vals.shape[1]
+    ends = np.append(starts, len(moves))
+    alive, block = np.arange(len(vals)), 32
+    while start < stop and len(alive):
+        live = vals[alive]
+        end = min(start + block, stop)
+        lo, hi = ends[start], ends[end]
+        xa, xb = np.divmod(mlhs[start:end], w)
+        ma, mb = np.divmod(moves[lo:hi], w)
+        lhs = live[:, xa] + live[:, xb]
+        best = live[:, ma] + live[:, mb]
+        best = np.maximum.reduceat(best, starts[start:end] - lo, axis=1)
+        alive = alive[((best >= lhs) | (lhs <= exchange._BULK_FLOOR)).all(axis=1)]
+        start, block = end, block * 4
+    holds = np.zeros(len(vals), dtype=bool)
+    holds[alive] = True
+    return holds
+
+
+def plan_triples(plan):
+    """The plan's triples of each group as sorted (X, Y, moves) tuples,
+    moves the sorted pairs ((X\\I) | J, (Y\\J) | I)."""
+    return [sorted((x, y, tuple(sorted(zip(a, b))))
+                   for xs, ys, aa, bb in blocks
+                   for x, y, a, b in zip(xs.tolist(), ys.tolist(), aa.tolist(), bb.tolist()))
+            for blocks in plan]
+
+
+def index_triples(n):
+    """``plan_triples`` of the oracle index."""
+    mlhs, moves, starts, singles = ref_bulk_index(n)
+    w = (1 << n) + 1
+    ends = np.append(starts, len(moves)).tolist()
+    out = [(*divmod(lhs, w), tuple(sorted(divmod(m, w) for m in moves[ends[t]:ends[t + 1]])))
+           for t, lhs in enumerate(mlhs.tolist())]
+    return [sorted(out[:singles]), sorted(out[singles:])]
+
+
 def test_index_sizes():
-    mlhs, moves, starts, singles = exchange._bulk_index(5)
-    assert singles == 1280 and len(mlhs) == len(starts) == 3125 and len(moves) == 5100
-    assert starts[singles] == 2560  # their drops and swaps
-    assert not moves.flags.writeable and exchange._bulk_index(5) is exchange._bulk_index(5)
+    gate, rest = exchange._bulk_plan(5)
+    assert sum(len(x) for x, *_ in gate) == 1280 and sum(len(x) for x, *_ in rest) == 1845
+    assert sum(a.size for _, _, a, _ in gate) == 2560  # their drops and swaps
+    assert sum(a.size for _, _, a, _ in gate + rest) == 5100
+    assert all(not arr.flags.writeable for block in gate + rest for arr in block)
+    assert exchange._bulk_plan(5) is exchange._bulk_plan(5)
+
+
+def test_plan_matches_the_index(monkeypatch):
+    """The plan holds the oracle index's triples and moves, whatever the
+    budget it is built under."""
+    for n in range(6):
+        assert plan_triples(exchange._bulk_plan(n)) == index_triples(n), n
+    monkeypatch.setattr(exchange, "_BATCH_BYTES", 1)
+    exchange._bulk_plan.cache_clear()
+    try:
+        for n in range(5):
+            assert plan_triples(exchange._bulk_plan(n)) == index_triples(n), n
+    finally:
+        exchange._bulk_plan.cache_clear()
 
 
 def test_gate_matches_check_exc_single():
     seen = set()
     for n, tables in by_n(ungated_tables()):
-        *index, singles = exchange._bulk_index(n)
-        got = exchange._bulk_holds(bulk_rows(tables), *index, 0, singles).tolist()
+        *index, singles = ref_bulk_index(n)
+        got = ref_bulk_holds(bulk_rows(tables), *index, 0, singles).tolist()
         want = [check_exc_single(f).passed for f in tables]
         assert got == want, n
+        assert [p for p, _ in exchange._bulk_decide(rows_of(tables))] == want, n
         seen |= set(want)
     assert seen == {True, False}
 
 
 def test_margins_match_multi_pass_margin():
-    """The bulk verdict against the exhaustive loop's (``ref_multi_pass``,
-    which ``_multi_pass_margin`` replaced), FAILs included; the margin of
-    every table that holds is 0."""
+    """The oracle's verdict against the exhaustive loop's
+    (``ref_multi_pass``, which ``_multi_pass_margin`` replaced), FAILs
+    included; the margin of every table that holds is 0."""
     fails = 0
     for n, tables in by_n(ungated_tables()):
-        index = exchange._bulk_index(n)[:3]
-        got = exchange._bulk_holds(bulk_rows(tables), *index, 0, len(index[0])).tolist()
+        index = ref_bulk_index(n)[:3]
+        got = ref_bulk_holds(bulk_rows(tables), *index, 0, len(index[0])).tolist()
         for f, holds in zip(tables, got):
             failing = ref_multi_pass(f, bounded=True)[0]
             assert holds == (failing is None), f
@@ -168,12 +267,71 @@ def test_margins_match_multi_pass_margin():
     assert fails > 100
 
 
+def wide_tables():
+    """The corpus tables of n = 6 and 7 with plain and toggled mutations:
+    some of each n pass the gate."""
+    out = []
+    for c in default_corpus():
+        if c.fn.n in (6, 7):
+            out.append(c.fn)
+            out += [mutate(c.fn, s, 1 + s % 3, toggle_neg_inf=bool(s % 2)) for s in range(4)]
+    return [f for f in out if f.dom_masks]
+
+
+@functools.cache
+def decide_cases():
+    """Shuffled ungated and wide tables with their oracle verdicts."""
+    tables = ungated_tables() + wide_tables()
+    random.Random(5).shuffle(tables)
+    return tables, [oracle(f) for f in tables]
+
+
 @pytest.mark.parametrize("budget", [exchange._BATCH_BYTES, 1])
 def test_decide_matches_oracle(monkeypatch, budget):
+    """Every n <= 7, with some rows of n = 6 and 7 through the gate. The
+    plans are built first, at the default budget (``_bulk_plan`` caches
+    one per n, and ``test_plan_matches_the_index`` shows it does not
+    depend on the budget); at budget 1 each piece is one triple."""
+    tables, want = decide_cases()
+    assert {(f.n, p) for f, (p, _) in zip(tables, want) if f.n >= 6} == \
+        {(6, True), (6, False), (7, True), (7, False)}
+    for n in range(8):
+        exchange._bulk_plan(n)
     monkeypatch.setattr(exchange, "_BATCH_BYTES", budget)
-    tables = ungated_tables()
-    random.Random(5).shuffle(tables)
-    assert exchange._bulk_decide(rows_of(tables)) == [oracle(f) for f in tables]
+    assert exchange._bulk_decide(rows_of(tables)) == want
+
+
+def test_decide_reads_every_triple_of_the_plan(monkeypatch):
+    """A made-up plan over n = 4 whose triple t has X = Y = {} and one move,
+    read at mask t + 1 (repeated in blocks of two and three moves): row r
+    is 0 at mask r + 1 and 1 elsewhere, so it fails at triple r alone. The
+    decider must read every triple of every block in pieces of any size,
+    and drop only the failing rows."""
+    masks = np.arange(1, 16, dtype=np.int64)
+
+    def block(lo, hi, width):
+        moved = np.repeat(masks[lo:hi, None], width, axis=1)
+        return np.zeros(hi - lo, dtype=np.int64), np.zeros(hi - lo, dtype=np.int64), moved, moved
+    plan = ((block(0, 5, 1), block(5, 10, 2)), (block(10, 15, 3),))
+    monkeypatch.setattr(exchange, "_bulk_plan", lambda n: plan)
+    rows = [[0 if k == r + 1 else 1 for k in range(16)] for r in range(16)]
+    want = [(False, None)] * 10 + [(True, False)] * 5 + [(True, True)]
+    for budget in (exchange._BATCH_BYTES, 48 * 16 * 3, 1):  # whole blocks, three triples, one
+        monkeypatch.setattr(exchange, "_BATCH_BYTES", budget)
+        assert exchange._bulk_decide(rows) == want, budget
+
+
+def test_decide_many_rows_that_all_pass():
+    """1,000 rows of n = 5 that all pass, so that every row stays through
+    every piece: tilts of the rank of U(2, 5), which are M-natural
+    concave. (The index decider's blocks grew fourfold per step whatever
+    their size, and past 2^63 triples on this input.)"""
+    rank = matroid_rank_fn(uniform_matroid(5, 2))
+    rng = random.Random(11)
+    tables = [tilt(rank, PriceVector(tuple(rng.randint(-3, 3) for _ in range(5))))
+              for _ in range(1000)]
+    assert [oracle(f) for f in tables[:20]] == [(True, True)] * 20
+    assert exchange._bulk_decide(rows_of(tables)) == [(True, True)] * 1000
 
 
 def test_tables_outside_the_bound_are_refused():

@@ -5,7 +5,9 @@ never uses fails (``__init__.py`` re-exports, so it is exempt), and so
 does a module-level private function, class or constant that no code in
 the package references. A fresh import of the CLI must not pay for
 reading real tables. The falsification campaign and its drawers draw no
-value through ``random``'s per-value methods.
+value through ``random``'s per-value methods. Deleted second
+implementations and unused wrappers stay deleted, and ``exchange.py``
+enumerates moves by ``submasks_*`` only in its scalar search.
 """
 
 import ast
@@ -107,3 +109,35 @@ def test_falsify_draws_use_no_per_value_random_method(module, name):
              if isinstance(node, ast.Attribute) and node.attr in _PER_VALUE
              or isinstance(node, ast.Name) and node.id in _PER_VALUE]
     assert not named, f"{name} reads {named}"
+
+
+_REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange"}
+
+
+def test_removed_names_are_defined_nowhere():
+    """The falsify decider's own triple index and its pass (the decider
+    reads ``moves.moves`` blocks), and two wrappers nothing called."""
+    bound = [f"{module}: {name} (line {node.lineno})" for module, tree in MODULES.items()
+             for node in ast.walk(tree)
+             for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                           ast.ClassDef))
+                          else [node.id] if isinstance(node, ast.Name)
+                          and isinstance(node.ctx, ast.Store) else [])
+             if name in _REMOVED]
+    assert not bound, f"removed names defined again: {bound}"
+
+
+def test_exchange_walks_submasks_only_in_the_scalar_search():
+    """``exchange.py`` has one enumeration of triples and moves, the array
+    one of ``moves``; ``submasks_ascending`` and ``submasks_by_size`` serve
+    only the scalar ``_best_multi``."""
+    tree = MODULES["exchange.py"]
+    scalar = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_best_multi")
+    inside = {id(node) for node in ast.walk(scalar)}
+    named = [f"{getattr(node, 'attr', None) or node.id} (line {node.lineno})"
+             for node in ast.walk(tree)
+             if id(node) not in inside and (
+                 isinstance(node, ast.Attribute) and node.attr.startswith("submasks_")
+                 or isinstance(node, ast.Name) and node.id.startswith("submasks_"))]
+    assert not named, f"exchange.py walks submasks outside _best_multi: {named}"
