@@ -1,6 +1,7 @@
 """Command-line harness: generate corpora, run verification suites, and
 hunt for counterexamples with seeded mutations, whose value rows are
-drawn by ``core._below``'s rule and decided in bulk
+drawn from one reseeded C generator (``_random.Random``) by
+``core._below``'s rule and decided in bulk, grouped by size in one pass
 (``exchange._bulk_decide``).
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
@@ -10,11 +11,11 @@ uses the derived sub-seed ``seed XOR k``, so equal configurations give
 byte-identical reports regardless of --jobs.
 """
 
+import _random
 import argparse
 import functools
 import json
 import math
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -482,13 +483,16 @@ def _falsify_bases():
 
 def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     """``trials`` seeded tables, each gated on the single exchange and then
-    checked for the bounded multiple exchange. One ``random.Random`` is
-    reseeded per trial: trial t draws as ``random.Random(seed ^ t)``, then
-    its table as ``random_table`` or ``mutate`` would from the sub-seed it
-    drew, each ``randint``, ``randrange`` or ``choice`` by ``core._below``'s
-    rule, as an int row with _BULK_NEG for NEG_INF and no ``SetFn``. The
-    bases are checked once (``exchange._bulk_row``); each chunk of
-    ``_FALSIFY_CHUNK`` rows is decided in bulk (``exchange._bulk_decide``).
+    checked for the bounded multiple exchange. One C generator
+    (``_random.Random``, the base class of ``random.Random``, which draws
+    alike; see ``core._below``) is reseeded twice per trial: trial t draws
+    as ``random.Random(seed ^ t)``, then its table as ``random_table`` or
+    ``mutate`` would from the sub-seed it drew, each ``randint``,
+    ``randrange`` or ``choice`` by ``core._below``'s rule, as an int row
+    with _BULK_NEG for NEG_INF and no ``SetFn``. The bases are checked once
+    (``exchange._bulk_row``); each chunk of ``_FALSIFY_CHUNK`` rows is
+    decided in bulk (``exchange._bulk_decide``, which groups the rows by
+    size in one pass).
 
     ``near_misses`` lists the first ``keep_near`` passing trials as
     (margin, trial, kind). The margin, the least best - f(X) - f(Y) over
@@ -507,7 +511,7 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     bases = [(_bulk_row(f.values, k), f.dom_masks)
              for k, f in enumerate(_falsify_bases()) if n_lo <= f.n <= n_hi] or None
     out = FalsifyOutcome(trials=trials)
-    rng = random.Random()
+    rng = _random.Random()  # random.Random's C base: see core._below
     for start in range(0, trials, _FALSIFY_CHUNK):
         drawn = []
         for t in range(start, min(start + _FALSIFY_CHUNK, trials)):

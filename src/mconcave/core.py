@@ -203,7 +203,14 @@ def _below(rng, m):
     with k = m.bit_length(), ``getrandbits(k)`` again while the value is
     >= m. So ``randint(a, b)`` is a + _below(rng, b - a + 1) and
     ``choice(seq)`` is seq[_below(rng, len(seq))], with the same values and
-    generator state, and without their Python frames."""
+    generator state, and without their Python frames.
+
+    ``rng`` may also be ``_random.Random``, the C base class of
+    ``random.Random``: ``getrandbits`` and ``random`` are the base's own
+    methods, and ``random.Random.seed(int)`` is the base's ``seed`` after
+    Python-level type checks, plus a reset of ``gauss_next``, which only
+    ``gauss`` reads. So a seeded ``_random.Random`` draws what a
+    ``random.Random`` seeded alike draws, without a Python frame per seed."""
     if m < 1:
         raise ValueError(f"empty range below {m}")
     k = m.bit_length()

@@ -509,7 +509,9 @@ def _bulk_plan(n):
                 t, keep = k == kv, size <= kv
                 groups[kv != 1].setdefault(int(keep.sum()), []).append(
                     (xm[rows[t]], ym[rows[t]], a[t][:, keep], b[t][:, keep]))
-    plan = tuple(tuple(tuple(np.concatenate(parts) for parts in zip(*blocks[w]))
+    # Each width's parts leave ``groups`` as they are joined, so that the
+    # build never holds the whole plan twice.
+    plan = tuple(tuple(tuple(np.concatenate(parts) for parts in zip(*blocks.pop(w)))
                        for w in sorted(blocks)) for blocks in groups)
     for block in plan[0] + plan[1]:
         for arr in block:
@@ -528,8 +530,10 @@ def _bulk_decide(rows):
     outside the bulk arithmetic: not 2^n values, an empty domain, or some
     |value| >= _BULK_SAFE."""
     out = [None] * len(rows)
-    for w in sorted({len(row) for row in rows}):
-        at = [k for k, row in enumerate(rows) if len(row) == w]
+    by_size = {}
+    for k, row in enumerate(rows):
+        by_size.setdefault(len(row), []).append(k)
+    for w, at in sorted(by_size.items()):
         vals = np.array([rows[k] for k in at], dtype=np.int64)
         fin, safe = vals != _BULK_NEG, (vals < _BULK_SAFE) & (vals > -_BULK_SAFE)
         if not (w & (w - 1) == 0 and fin.any(axis=1).all() and (fin <= safe).all()):

@@ -16,12 +16,17 @@ and ``mutate`` with a ``random.Random`` of their own each, so the drawers
 that the campaign runs on one reseeded generator are checked against code
 that does not call them. The scalar copies call ``randint``, ``randrange``
 and ``choice``; the drawers must leave the generator in the same state.
+The campaign's C generator is checked against ``random.Random``, and its
+counterexample path, which no real table reaches, with a stand-in
+decider.
 """
 
+import _random
 import functools
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +244,19 @@ def test_plan_matches_the_index(monkeypatch):
         exchange._bulk_plan.cache_clear()
 
 
+def test_plan_build_holds_the_plan_once():
+    """Each width's parts are freed as they are joined, so building the
+    plan (3.9 MiB at n = 7) peaks well below twice its size."""
+    tracemalloc.start()
+    try:
+        plan = exchange._bulk_plan.__wrapped__(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(arr.nbytes for block in plan[0] + plan[1] for arr in block)
+    assert peak < 1.5 * size, (peak, size)
+
+
 def test_gate_matches_check_exc_single():
     seen = set()
     for n, tables in by_n(ungated_tables()):
@@ -389,6 +407,25 @@ def same_draws(draw, ref, seed, *args):
     return got
 
 
+def test_c_generator_draws_as_random_random():
+    """The campaign reseeds ``_random.Random``, the C base of
+    ``random.Random``, whose ``getstate`` wraps the base's state as
+    (VERSION, state, gauss_next). Seeded alike, the two hold the same
+    state and draw the same bits and floats, also when one generator is
+    reseeded after draws, as the campaign's is."""
+    pick = random.Random(5)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [pick.getrandbits(64) for _ in range(200)]
+    fast, slow = _random.Random(), random.Random()
+    for s in seeds:
+        fast.seed(s)
+        slow.seed(s)
+        assert (random.Random.VERSION, fast.getstate(), None) == slow.getstate(), s
+        for k in (1, 2, 4, 33):
+            assert [fast.getrandbits(k) for _ in range(64)] == \
+                [slow.getrandbits(k) for _ in range(64)], (s, k)
+        assert [fast.random() for _ in range(64)] == [slow.random() for _ in range(64)], s
+
+
 def test_table_drawer_matches_the_scalar_random_table():
     redraws = 0
     for s, n, lo, hi, prob in drawer_cases():
@@ -428,36 +465,48 @@ def test_mutation_drawer_matches_the_scalar_mutate():
             draw()
 
 
+def campaign_bases(n_range, bases=None):
+    """The tables a campaign over ``n_range`` mutates (None: it draws only
+    random tables); ``bases`` replaces the corpus tables."""
+    n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])
+    weights = {3: 3, 4: 2, 5: 1}
+    if bases is None:
+        bases = [inst.fn for inst in default_corpus() for _ in range(weights.get(inst.fn.n, 0))]
+    return [b for b in bases if n_lo <= b.n <= n_hi] or None
+
+
+def trial_table(t, seed, n_range, bases, emptied=None):
+    """Trial t's (table, kind), from its own ``random.Random`` and the
+    scalar drawers. ``bases`` is as ``campaign_bases`` gives it;
+    ``emptied`` collects the trials whose toggle emptied the domain."""
+    n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])
+    rng = random.Random((seed ^ t) & MASK64)
+    if t % 2 == 0 or bases is None:
+        n = rng.randint(n_lo, n_hi)
+        return ref_random_table(n, rng.randrange(1 << 32)), "random"
+    base = bases[rng.randrange(len(bases))]
+    mseed = rng.randrange(1 << 32)
+    magnitude = rng.randint(1, 3)
+    if rng.random() < 0.3:
+        f = ref_mutate(base, mseed, magnitude, toggle_neg_inf=True)
+        if not f.dom_masks:
+            f = ref_mutate(base, mseed, magnitude)
+            if emptied is not None:
+                emptied.append(t)
+    else:
+        f = ref_mutate(base, mseed, magnitude)
+    return f, "mutated"
+
+
 def per_trial_campaign(trials, seed, n_range=(2, 5), keep_near=5, bases=None, emptied=None):
     """The campaign as a loop over trials, one table decided at a time,
     each trial from its own ``random.Random``. ``bases`` replaces the
     corpus tables to mutate; ``emptied`` collects the trials whose toggle
     emptied the domain."""
-    n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])
-    weights = {3: 3, 4: 2, 5: 1}
-    if bases is None:
-        bases = [inst.fn for inst in default_corpus() for _ in range(weights.get(inst.fn.n, 0))]
-    bases = [b for b in bases if n_lo <= b.n <= n_hi] or None
+    bases = campaign_bases(n_range, bases)
     out = FalsifyOutcome(trials=trials)
     for t in range(trials):
-        rng = random.Random((seed ^ t) & MASK64)
-        if t % 2 == 0 or bases is None:
-            n = rng.randint(n_lo, n_hi)
-            f = ref_random_table(n, rng.randrange(1 << 32))
-            kind = "random"
-        else:
-            base = bases[rng.randrange(len(bases))]
-            mseed = rng.randrange(1 << 32)
-            magnitude = rng.randint(1, 3)
-            if rng.random() < 0.3:
-                f = ref_mutate(base, mseed, magnitude, toggle_neg_inf=True)
-                if not f.dom_masks:
-                    f = ref_mutate(base, mseed, magnitude)
-                    if emptied is not None:
-                        emptied.append(t)
-            else:
-                f = ref_mutate(base, mseed, magnitude)
-            kind = "mutated"
+        f, kind = trial_table(t, seed, n_range, bases, emptied)
         out.kinds[kind] = out.kinds.get(kind, 0) + 1
         if not check_exc_single(f).passed:
             continue
@@ -579,3 +628,37 @@ def test_falsify_bytes_do_not_depend_on_the_chunk(monkeypatch, capsys, chunk):
 def test_bases_are_built_once():
     assert cli._falsify_bases() is cli._falsify_bases()
     assert isinstance(cli._falsify_bases(), tuple)
+
+
+def sevens(rows):
+    """A stand-in decider whose verdict depends only on a row's values:
+    every row passes the gate, and the multiple exchange fails when the
+    sum of its finite values is a multiple of 7."""
+    return [(True, sum(v for v in row if v != exchange._BULK_NEG) % 7 != 0) for row in rows]
+
+
+def test_campaign_reports_counterexamples_in_trial_order(monkeypatch, capsys):
+    """No real table reaches the campaign's FAIL path, so a stand-in
+    decider takes it: each counterexample is the table that the scalar
+    drawers give for its trial, in trial order across sizes, whatever the
+    chunk, and ``mconcave falsify`` then exits 1."""
+    monkeypatch.setattr(cli, "_bulk_decide", sevens)
+    seed, n_range = 2**64 - 1, (1, 5)
+    outcome = falsify_campaign(1100, seed, n_range, keep_near=3)
+    bad = outcome.counterexamples
+    assert [c["trial"] for c in bad] == sorted({c["trial"] for c in bad})
+    assert len({c["n"] for c in bad}) == 5 and len({c["kind"] for c in bad}) == 2
+    bases = campaign_bases(n_range)
+    want = []
+    for t in range(1100):
+        f, kind = trial_table(t, seed, n_range, bases)
+        values = [None if v is NEG_INF else v for v in f.values]
+        if sum(v for v in values if v is not None) % 7 == 0:
+            want.append({"trial": t, "kind": kind, "n": f.n, "values": values})
+    assert bad == want
+    assert outcome.singles_passed == 1100 and len(outcome.near_misses) == 3
+    for chunk in (1, 7, 10**6):
+        monkeypatch.setattr(cli, "_FALSIFY_CHUNK", chunk)
+        assert dump(falsify_campaign(1100, seed, n_range, keep_near=3)) == dump(outcome)
+    assert main(["falsify", "--trials", "50"]) == 1
+    assert json.loads(capsys.readouterr().out)["counterexamples"]

@@ -5,13 +5,16 @@ never uses fails (``__init__.py`` re-exports, so it is exempt), and so
 does a module-level private function, class or constant that no code in
 the package references. A fresh import of the CLI must not pay for
 reading real tables. The falsification campaign and its drawers draw no
-value through ``random``'s per-value methods. Deleted second
+value through ``random``'s per-value methods, and the campaign reseeds
+the C generator, not ``random.Random``. The numpy floor in
+``pyproject.toml`` has every numpy function the package calls. Deleted second
 implementations and unused wrappers stay deleted, and ``exchange.py``
 enumerates moves by ``submasks_*`` only in its scalar search.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +112,33 @@ def test_falsify_draws_use_no_per_value_random_method(module, name):
              if isinstance(node, ast.Attribute) and node.attr in _PER_VALUE
              or isinstance(node, ast.Name) and node.id in _PER_VALUE]
     assert not named, f"{name} reads {named}"
+
+
+def test_falsify_reseeds_the_c_generator():
+    """``falsify_campaign`` builds its one generator as ``_random.Random``
+    and no ``random.Random``, whose ``seed`` adds a Python frame to each of
+    the two reseeds a trial; ``cli.py`` does not import ``random``."""
+    func = next(node for node in MODULES["cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "falsify_campaign")
+    built = [ast.unparse(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "Random"]
+    assert built == ["_random.Random"], built
+    assert "random" not in {name for name, _ in _imported(MODULES["cli.py"])}
+
+
+ROOT = PACKAGE.parents[1]
+
+
+def test_numpy_floor_covers_the_functions_called():
+    """``np.bitwise_count`` came with NumPy 2.0, so a package that calls
+    it must not declare an older numpy; README names the same floor."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S).group(1)
+    floor = re.search(r'"numpy>=([\d.]+)"', deps).group(1)
+    called = set().union(*(_loaded(tree) for tree in MODULES.values()))
+    if "bitwise_count" in called:
+        assert tuple(int(part) for part in floor.split(".")) >= (2, 0), f"numpy>={floor}"
+    assert f"numpy>={floor}" in (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange"}
