@@ -2,15 +2,16 @@
 submodularity checks, the restricted functions induced by an exchange
 context, and the Fenchel dual by steepest descent.
 
-``conjugate`` is the scalar route and the tests' oracle. Box sweeps,
-sampled pairs and the Fenchel dual use one batched kernel,
-``vals - P @ ind`` over the effective domain, which returns every size
-cap in one pass. It reads the exact table D * f (``SetFn.exact``) with D
-folded into ``ind``, so each column is D times a conjugate at integer
-prices, and every inequality compares with ``<=``. It is exact: int64
-while max|D * f| + D*n*max|p| < 2^61 (a slack summing two conjugates
-cannot wrap), with the product in float64 (BLAS) while D*n*max|p| < 2^53,
-and Python ints (``dtype=object``) above that bound.
+``conjugate`` is the scalar route and the tests' oracle; it is exact, a
+loop over D * f at integer prices. Box sweeps, sampled pairs and the
+Fenchel dual use one batched kernel, ``vals - P @ ind`` over the
+effective domain, which returns every size cap in one pass. It reads
+the exact table D * f (``SetFn.exact``) with D folded into ``ind``, so
+each column is D times a conjugate at integer prices, and every
+inequality compares with ``<=``. The kernel is exact too: int64 while
+max|D * f| + D*n*max|p| < 2^61 (a slack summing two conjugates cannot
+wrap), with the product in float64 (BLAS) while D*n*max|p| < 2^53, and
+Python ints (``dtype=object``) above that bound.
 
 The box regime decides the three grid inequalities on unit squares and
 unit steps. On a product of chains a function is submodular iff every
@@ -70,6 +71,7 @@ from .core import (
     price_sums,
     restrict_by_size,
     shown,
+    submasks_ascending,
 )
 from .exchange import (
     DEFAULT_SAMPLES,
@@ -100,12 +102,16 @@ class ConjugateEval:
 
 
 def conjugate(f, p):
-    """Exact maximum of f(Z) - p(Z) over all 2^n subsets."""
+    """Exact maximum of f(Z) - p(Z) over all 2^n subsets at integer
+    prices p: decided on D * f (``f.exact``) against D * p, and shown
+    through ``core.shown``."""
     _require_nonempty_dom(f)
     if p.n != f.n:
         raise ValueError(f"price vector has {p.n} entries, function has n={f.n}")
-    sums = price_sums(p.entries, f.n)
-    vals = f.values
+    if p.mode != "int":
+        raise ValueError(f"price vector {p.entries} is not integer")
+    sums = price_sums([e * f.scale for e in p.entries], f.n)
+    vals = f.exact
     best = None
     best_mask = 0
     for m in f.dom_masks:
@@ -113,7 +119,7 @@ def conjugate(f, p):
         if best is None or v > best:
             best = v
             best_mask = m
-    return ConjugateEval(p, best, best_mask)
+    return ConjugateEval(p, shown(f, best), best_mask)
 
 
 def _require_cap(f, k):
@@ -480,12 +486,8 @@ def build_restrictions(f, ctx):
     """
     if f.values[ctx.x_mask] is NEG_INF or f.values[ctx.y_mask] is NEG_INF:
         raise ValueError("X and Y must lie in the effective domain")
-    y0 = ctx.y0_mask
-    bits = [1 << (e - 1) for e in elements_of(y0)]
-    m = len(bits)
-    spread = [0]
-    for b in bits:
-        spread += [g | b for g in spread]
+    spread = submasks_ascending(ctx.y0_mask)
+    m = ctx.y0_mask.bit_count()
     xbase = ctx.x_mask & ~ctx.i_mask
     ybase = ctx.y_mask | ctx.i_mask
     fvals = f.values

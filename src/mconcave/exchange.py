@@ -50,7 +50,6 @@ from .moves import (
     _BULK_FLOOR,
     _BULK_NEG,
     _BULK_SAFE,
-    attains,
     exhaustive_triples,
     moves,
     multi_best,
@@ -200,13 +199,10 @@ def _rule_sweep(f, rules):
     stay under _BATCH_BYTES, and rows past the first failure so far are
     skipped.
     """
-    at, neg, floor = value_table(f, _BATCH_BYTES)
+    at, neg = value_table(f, _BATCH_BYTES)
     dm = np.array(f.dom_masks, dtype=np.int64)
     fv = at(dm)
     size = np.bitwise_count(dm)
-    # int64 tables test f(X) - a <= b - f(Y), which a missing a or b
-    # (neg = -2^62) always fails; Python ints test the sums.
-    diff = fv.dtype == np.int64
     best = None
     for r, (out, ins, sizes) in enumerate(rules):
         rows = np.flatnonzero(dm & out == out)
@@ -219,19 +215,13 @@ def _rule_sweep(f, rules):
         js = np.array(ins, dtype=np.int64)[:, None]
         a = np.where(xr & js == 0, at((xr ^ out) | js), neg)
         b = np.where(yc & js == js, at((yc | out) ^ js), neg)
-        fx, fy = fv[rows], fv[cols]
-        if diff:
-            a, b = fx - a, b - fy
-        # Bytes per (move, X, Y) of a block: the int64 comparison's bools,
-        # else the sums and the temporaries of ``attains``.
-        step = max(1, _BATCH_BYTES // max(1, len(js) * len(cols) * (1 if diff else 40)))
+        # f(X) - a <= b - f(Y), which fails wherever a or b is neg.
+        a, b = fv[rows] - a, b - fv[cols]
+        # A block's bytes are the comparison's bools, one per (move, X, Y).
+        step = max(1, _BATCH_BYTES // max(1, len(js) * len(cols)))
         for r0 in range(0, len(rows), step):
             blk = slice(r0, r0 + step)
-            if diff:
-                ok = a[:, blk, None] <= b[:, None, :]
-            else:
-                ok = attains(fx[blk, None] + fy, a[:, blk, None] + b[:, None, :], floor)
-            ok = ok.any(axis=0)
+            ok = (a[:, blk, None] <= b[:, None, :]).any(axis=0)
             if sizes is not None:
                 ok |= ~sizes(size[rows[blk], None], size[cols])
             if not ok.all():
@@ -387,7 +377,7 @@ def _multi_pass_margin(f, samples=None, seed=None):
     trace point looks up.)
     """
     n = f.n
-    at, neg, floor = value_table(f, _BATCH_BYTES)
+    at, neg = value_table(f, _BATCH_BYTES)
     dm = np.array(f.dom_masks, dtype=np.int64)
     if samples is None:
         blocks = exhaustive_triples(dm, n, _BATCH_BYTES)
@@ -402,7 +392,8 @@ def _multi_pass_margin(f, samples=None, seed=None):
         for bounded, (best, size) in zip((True, False), bests):
             if bounded in out:
                 continue
-            fail = ~attains(lhs, best, floor)
+            # lhs is finite (X, Y lie in the domain): a best with neg fails.
+            fail = lhs > best
             t = int(fail.argmax()) if fail.any() else len(fail)
             counts[bounded] += np.bincount(size[:t], minlength=n + 1)
             if t < len(fail):
@@ -433,7 +424,7 @@ def _lemma_facts(f):
     dom = f.dom_masks
     failing = _rule_sweep(f, _swap_rules(n, operator.le)
                           + [(0, [1 << j for j in range(n)], operator.lt)])
-    at, _, floor = value_table(f, _BATCH_BYTES)
+    at, neg = value_table(f, _BATCH_BYTES)
     dm = np.array(dom, dtype=np.int64)
     stop = len(dm) ** 2 if failing is None else failing[0] * len(dm) + failing[1]
     checked = 0
@@ -451,7 +442,7 @@ def _lemma_facts(f):
         head = (kx <= ky) * nd + (kx < ky)  # the swap and augment facts
         facts = head + (1 << nd)
         for p, rank, im in triples(d, n, _BATCH_BYTES):
-            x_side, x_sized, y_side = restriction_sides(at, floor, xs[p], ys[p], im, n,
+            x_side, x_sized, y_side = restriction_sides(at, neg, xs[p], ys[p], im, n,
                                                         _BATCH_BYTES)
             empty = ~(x_sized & y_side)
             if empty.any():

@@ -1,7 +1,9 @@
 """The array kernel of the multiple exchange: blocks of triples (X, Y, I)
 as int64 mask arrays, and every move J inside Y \\ X of each, in the order
 of ``submasks_by_size`` (by size, then by the lexicographic order of the
-element tuple).
+element tuple). Minus infinity is a number in every array here, the
+``neg`` of ``value_table``, low enough that every exchange comparison
+with it in a term fails.
 
 ``exchange`` decides both bounds of the multiple exchange from one gather
 of f((X\\I) | J) + f((Y\\J) | I), and reads the restriction facts of
@@ -22,50 +24,43 @@ import random
 
 import numpy as np
 
-from .core import NEG_INF, _Replay
+from .core import _Replay
 
 # Int tables the array kernels hold in int64: every |value| < 2^60.
-# NEG_INF becomes -2^62, so a finite sum of two values lies above
-# _BULK_FLOOR = -2^61, any sum with NEG_INF below it, and two NEG_INFs add
-# up to -2^63, the int64 minimum.
+# Minus infinity becomes _BULK_NEG = -2^62, so a finite sum of two values
+# lies above _BULK_FLOOR = -2^61, any sum with _BULK_NEG below it, and two
+# of them add up to -2^63, the int64 minimum.
 _BULK_SAFE = 1 << 60
 _BULK_NEG = -(1 << 62)
 _BULK_FLOOR = -(1 << 61)
 
 
 def value_table(f, budget):
-    """f's exact table (``f.exact``) for the array kernels: (at, neg,
-    floor). ``at(masks)`` is f at an int64 array of masks, with NEG_INF as
-    ``neg``, and a value, or a sum of two, is finite iff it is > ``floor``.
-    While every |value| < _BULK_SAFE the table is int64, with
-    neg = _BULK_NEG and floor = _BULK_FLOOR; above that it holds Python
-    ints (``dtype=object``), with neg = NEG_INF, which absorbs a sum, and
-    floor = -inf. ``neg`` is a 0-d array of the table's dtype. The table
-    is dense while it fits in ``budget``, else a sorted search over the
-    domain."""
+    """f's exact table (``f.exact``) for the array kernels: (at, neg).
+    ``at(masks)`` is f at an int64 array of masks, with the number ``neg``
+    for minus infinity. With M = max |value|, a finite sum of two values
+    is >= -2M, any sum with ``neg`` in it is <= -3M - 4, and
+    f(X) - neg > b - f(Y) for every finite b, so f(X) - a <= b - f(Y)
+    fails wherever a or b is ``neg``. While M < _BULK_SAFE the table is
+    int64 with neg = _BULK_NEG; above that it holds Python ints
+    (``dtype=object``) with neg = -4M - 4. ``neg`` is a 0-d array of the
+    table's dtype. The table is dense while it fits in ``budget``, else a
+    sorted search over the domain."""
     dom = f.dom_masks
     fin = [f.exact[m] for m in dom]
-    if max(map(abs, fin)) < _BULK_SAFE:
-        dtype, floor, neg = np.int64, _BULK_FLOOR, _BULK_NEG
-    else:
-        dtype, floor, neg = object, -math.inf, NEG_INF
-    neg = np.array(neg, dtype=dtype)
+    top = max(map(abs, fin))
+    neg = np.array(_BULK_NEG, np.int64) if top < _BULK_SAFE else np.array(-4 * top - 4, object)
     if 8 << f.n <= budget:
-        table = np.full(1 << f.n, neg, dtype=dtype)
+        table = np.full(1 << f.n, neg, dtype=neg.dtype)
         table[list(dom)] = fin
-        return table.take, neg, floor
+        return table.take, neg
     dm = np.array(dom, dtype=np.int64)
-    fv = np.array(fin, dtype=dtype)
+    fv = np.array(fin, dtype=neg.dtype)
 
     def at(masks):
         pos = np.minimum(np.searchsorted(dm, masks), len(dm) - 1)
         return np.where(dm[pos] == masks, fv[pos], neg)
-    return at, neg, floor
-
-
-def attains(lhs, rhs, floor):
-    """Elementwise: rhs is finite and lhs <= rhs."""
-    return (rhs > floor) & (lhs <= rhs)
+    return at, neg
 
 
 def deposit(idx, d, n):
@@ -175,14 +170,14 @@ def multi_best(at, neg, xm, ym, im, n, budget):
     return outs
 
 
-def restriction_sides(at, floor, xm, ym, im, n, budget):
+def restriction_sides(at, neg, xm, ym, im, n, budget):
     """For each triple (X, Y, I), whether its restrictions have a nonempty
     domain: (x_side, x_side_sized, y_side), some finite f((X\\I) | J), some
     with |J| <= |I|, and some finite f((Y\\J) | I), over J inside Y \\ X."""
     sides = [np.zeros(len(xm), dtype=bool) for _ in range(3)]
     for rows, a, b, size, k in moves(at, xm, ym, im, n, budget):
-        finite = a > floor
-        for side, hit in zip(sides, (finite, finite & (size <= k[:, None]), b > floor)):
+        finite = a != neg
+        for side, hit in zip(sides, (finite, finite & (size <= k[:, None]), b != neg)):
             side[rows] |= hit.any(axis=1)
     return sides
 

@@ -13,26 +13,32 @@ must give f the verdict it gives the int table D * f, D the least common
 denominator. The grid suite is not: it reads conjugates at integer
 prices, which are prices in D * Z for D * f, so f = [0, 0, 0, 5.5] FAILs
 it where [0, 0, 0, 11] PASSes on the default box. Its verdict is held
-against an exact box loop instead.
+against an exact box loop instead. ``conjugate`` at integer prices is
+held against the ``Fraction`` maximum and the batched kernel.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mconcave import (
     NEG_INF,
+    PriceVector,
     SetFn,
     check_conjugate_submodular,
     check_exc_multi,
     check_exc_single,
     check_m_concave,
+    conjugate,
     lift,
     random_mnat_concave,
 )
 from mconcave.cli import SuiteConfig, _instance_reports
+from mconcave.duality import _Conjugates
 from test_grid_engine import ref_box_submodular
 
 EXCHANGE_SUITES = ("exc_single", "exc_multi_bounded", "exc_multi_unbounded", "corollary1",
@@ -148,3 +154,24 @@ def test_grid_box_matches_the_exact_loop(table):
     _, _, f = table
     fast, slow = check_conjugate_submodular(f), ref_box_submodular(f, -3, 3)
     assert (fast.verdict, fast.counterexample) == (slow.verdict, slow.counterexample)
+
+
+def test_conjugate_of_a_real_table_is_exact():
+    """Float subtraction of the shown values would give 2^-52 here."""
+    f = SetFn(1, [0.0, 1.0000000000000002], "real")
+    assert conjugate(f, PriceVector((1,))).value == 2e-16
+    with pytest.raises(ValueError, match="not integer"):
+        conjugate(f, PriceVector((0.5,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(decimal_tables(), st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+def test_conjugate_matches_the_batched_kernel_and_the_fraction_max(table, prices):
+    n, exact, f = table
+    p = PriceVector(prices[:n])
+    got = conjugate(f, p)
+    want = max(v - p.total(m) for m, v in enumerate(exact) if v is not None)
+    kernel = int(_Conjugates(f).plain(np.array([p.entries], dtype=np.int64))[0])
+    assert got.value == float(want) == kernel / f.scale
+    assert got.argmax_mask == min(m for m, v in enumerate(exact)
+                                  if v is not None and v - p.total(m) == want)

@@ -303,6 +303,27 @@ def test_ints_beyond_int64_run_on_python_ints(by_id, budget):
     assert 0 < fails < 2 * len(tables)
 
 
+@pytest.mark.parametrize("top", [2**60 - 1, 2**60, 2**2000], ids=["2^60-1", "2^60", "2^2000"])
+@pytest.mark.parametrize("blanks", [False, True])
+def test_minus_infinity_is_a_number_on_both_tiers(top, blanks):
+    """``value_table`` gives minus infinity as the number ``neg``, dense
+    and sparse: exactly ``neg`` off the domain, and neg + M < -2M for
+    M = max |value|, so that a term ``neg`` fails every exchange
+    comparison."""
+    rng = random.Random(top.bit_length())
+    vals = [rng.randint(-top, top) for _ in range(16)]
+    vals[5], vals[6] = top, -top
+    if blanks:
+        vals[0] = vals[9] = vals[15] = NEG_INF
+    f = SetFn(4, vals)
+    for budget in (exchange._BATCH_BYTES, (8 << 4) - 1):
+        at, neg = moves.value_table(f, budget)
+        assert isinstance(neg.item(), int)
+        got = at(np.arange(16, dtype=np.int64)).tolist()
+        assert got == [int(neg) if v is NEG_INF else v for v in f.exact]
+        assert neg + top < -2 * top
+
+
 def late_fail_table(missing):
     """An n = 8 table, 0 everywhere but NEG_INF at ``missing`` and its
     complement: a sampled triple fails only when every exchange reaches one

@@ -8,8 +8,10 @@ reading real tables. The falsification campaign and its drawers draw no
 value through ``random``'s per-value methods, and the campaign reseeds
 the C generator, not ``random.Random``. The numpy floor in
 ``pyproject.toml`` has every numpy function the package calls. Deleted second
-implementations and unused wrappers stay deleted, and ``exchange.py``
-enumerates moves by ``submasks_*`` only in its scalar search.
+implementations and unused wrappers stay deleted, ``exchange.py``
+enumerates moves by ``submasks_*`` only in its scalar search, ``moves.py``
+never names ``NEG_INF``, and the scalar ``conjugate`` keeps off the
+batched kernel.
 """
 
 import ast
@@ -141,12 +143,15 @@ def test_numpy_floor_covers_the_functions_called():
     assert f"numpy>={floor}" in (ROOT / "README.md").read_text(encoding="utf-8")
 
 
-_REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange"}
+_REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange",
+            "attains"}
 
 
 def test_removed_names_are_defined_nowhere():
     """The falsify decider's own triple index and its pass (the decider
-    reads ``moves.moves`` blocks), and two wrappers nothing called."""
+    reads ``moves.moves`` blocks), two wrappers nothing called, and the
+    array kernels' second finiteness test (minus infinity is a number
+    there, ``moves.value_table``'s ``neg``)."""
     bound = [f"{module}: {name} (line {node.lineno})" for module, tree in MODULES.items()
              for node in ast.walk(tree)
              for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -171,3 +176,18 @@ def test_exchange_walks_submasks_only_in_the_scalar_search():
                  isinstance(node, ast.Attribute) and node.attr.startswith("submasks_")
                  or isinstance(node, ast.Name) and node.id.startswith("submasks_"))]
     assert not named, f"exchange.py walks submasks outside _best_multi: {named}"
+
+
+def test_moves_never_names_neg_inf():
+    """The array kernels hold minus infinity as a number on both value
+    tiers; ``NEG_INF`` stays in scalar code."""
+    assert "NEG_INF" not in (PACKAGE / "moves.py").read_text(encoding="utf-8")
+
+
+def test_scalar_conjugate_stays_off_the_batched_kernel():
+    """``duality.conjugate`` is a plain loop, so that the tests' oracle and
+    the benchmark's correctness gate do not check ``_Conjugates`` against
+    itself."""
+    func = next(node for node in MODULES["duality.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "conjugate")
+    assert "_Conjugates" not in _loaded(func)
