@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -74,6 +75,9 @@ FENCHEL_PAIR_N_LIMIT = 5
 
 # Falsification trials drawn and decided together.
 _FALSIFY_CHUNK = 512
+
+# Passing trials a campaign lists as near misses.
+_NEAR_MISSES = 5
 
 
 @dataclass(frozen=True)
@@ -268,44 +272,32 @@ def resolve_instances(cfg):
 # Per-instance suite runners.
 
 
-# Exchange reports of one table, so that corollary1 and the lemmas_2_8 gate
-# reuse what exc_single and exc_multi_* computed: "fn" holds the table, and
-# (bounded or None, instance id, seed, samples) keys its reports.
-_memo = {}
+# The exchange reports of the instance being run, so that corollary1 and the
+# lemmas_2_8 gate reuse what exc_single and exc_multi_* computed.
+@functools.lru_cache(maxsize=1)
+def _single_report(instance_id, f):
+    return check_exc_single(f, instance_id=instance_id)
 
 
-def _exchange_report(instance_id, f, cfg, seed, bounded=None):
-    """check_exc_single (``bounded`` None) or check_exc_multi for ``f``,
-    computed once per instance; both multiple-exchange reports come from
-    one pass."""
-    if _memo.get("fn") is not f:
-        _memo.clear()
-        _memo["fn"] = f
-    key = (bounded, instance_id, seed, cfg.samples)
-    if key not in _memo:
-        if bounded is None:
-            _memo[key] = check_exc_single(f, instance_id=instance_id)
-        else:
-            reports = exc_multi_reports(f, samples=cfg.samples, seed=seed,
-                                        instance_id=instance_id)
-            for b, report in reports.items():
-                _memo[(b, instance_id, seed, cfg.samples)] = report
-    return _memo[key]
+@functools.lru_cache(maxsize=1)
+def _multi_reports(instance_id, f, seed, samples):
+    """Both multiple-exchange reports, from one pass."""
+    return exc_multi_reports(f, samples=samples, seed=seed, instance_id=instance_id)
 
 
 def _suite_exc_single(instance_id, f, cfg, seed):
-    return _exchange_report(instance_id, f, cfg, seed)
+    return _single_report(instance_id, f)
 
 
 def _suite_exc_multi(bounded):
     def run(instance_id, f, cfg, seed):
-        return _exchange_report(instance_id, f, cfg, seed, bounded)
+        return _multi_reports(instance_id, f, seed, cfg.samples)[bounded]
     return run
 
 
 def _suite_corollary1(instance_id, f, cfg, seed):
-    reports = [_exchange_report(instance_id, f, cfg, seed, bounded)
-               for bounded in (None, False, True)]
+    multi = _multi_reports(instance_id, f, seed, cfg.samples)
+    reports = [_single_report(instance_id, f), multi[False], multi[True]]
     verdicts = [r.verdict for r in reports]
     agreement = len(set(verdicts)) == 1
     triples = sum(r.triples_checked for r in reports)
@@ -340,7 +332,7 @@ def _suite_lemmas(instance_id, f, cfg, seed):
     """The facts the proof uses, on every (X, Y) of an exchange-valid f: a
     swap for each i in X \\ Y when |X| <= |Y|, an augmenting swap when
     |X| < |Y|, and nonempty restrictions for each I inside X \\ Y."""
-    gate = _exchange_report(instance_id, f, cfg, seed)
+    gate = _single_report(instance_id, f)
     if not gate.passed:
         counter = {"reason": "single-exchange precondition fails",
                    "detail": gate.counterexample}
@@ -435,10 +427,12 @@ def run_fenchel_pairs(instances, cfg):
 
 def run_check(instances, cfg):
     """All selected suites over (instance_id, SetFn) pairs, reports in
-    deterministic instance order."""
+    deterministic instance order. The pool starts every worker at once,
+    so it gets no more workers than there are tasks or CPUs."""
     tasks = [(i, iid, f, cfg) for i, (iid, f) in enumerate(instances)]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_instance_reports, tasks))
     else:
         grouped = [_instance_reports(t) for t in tasks]
@@ -481,7 +475,7 @@ def _falsify_bases():
     return tuple(inst.fn for inst in default_corpus() for _ in range(weights.get(inst.fn.n, 0)))
 
 
-def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
+def falsify_campaign(trials, seed, n_range=(2, 5)):
     """``trials`` seeded tables, each gated on the single exchange and then
     checked for the bounded multiple exchange. One C generator
     (``_random.Random``, the base class of ``random.Random``, which draws
@@ -494,7 +488,7 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     decided in bulk (``exchange._bulk_decide``, which groups the rows by
     size in one pass).
 
-    ``near_misses`` lists the first ``keep_near`` passing trials as
+    ``near_misses`` lists the first ``_NEAR_MISSES`` passing trials as
     (margin, trial, kind). The margin, the least best - f(X) - f(Y) over
     the bounded triples, is 0 on every passing table (I = {} has the one
     move J = {}) and stays in the output so that its bytes stay the same.
@@ -504,7 +498,6 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
     different campaigns for one seed; golden hashes and the benchmark's
     reference digests pin both defaults."""
     _require_int("trials", trials, 0)
-    _require_int("keep_near", keep_near, 0)
     n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
         raise ValueError(f"empty falsification range {n_range}")
@@ -539,7 +532,7 @@ def falsify_campaign(trials, seed, n_range=(2, 5), keep_near=5):
                 out.counterexamples.append({
                     "trial": t, "kind": kind, "n": len(row).bit_length() - 1,
                     "values": [None if v == _BULK_NEG else v for v in row]})
-            elif len(out.near_misses) < keep_near:
+            elif len(out.near_misses) < _NEAR_MISSES:
                 out.near_misses.append((0, t, kind))
     return out
 

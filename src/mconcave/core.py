@@ -103,15 +103,6 @@ def max_over(vals):
     return best
 
 
-def ext_leq(a, b):
-    """a <= b over extended values."""
-    if a is NEG_INF:
-        return True
-    if b is NEG_INF:
-        return False
-    return a <= b
-
-
 def shown(f, v, scale=None):
     """An exact value v = D * x of table f, D = ``scale`` (by default
     ``f.scale``), as f shows x: v itself in int mode, the float nearest to
@@ -394,11 +385,6 @@ class SetFn:
         return f"SetFn(n={self.n}, mode={self.mode!r}, |dom|={len(self.dom_masks)})"
 
 
-def effective_domain(f):
-    """Subsets with finite value, as element tuples in ascending bitmask order."""
-    return [elements_of(m) for m in f.dom_masks]
-
-
 def tilt(f, p):
     """f[-p]: subtract the price of each subset; the domain is unchanged."""
     if p.n != f.n:
@@ -437,13 +423,6 @@ class PriceVector:
     @classmethod
     def zero(cls, n):
         return cls((0,) * n)
-
-    @classmethod
-    def unit(cls, n, k):
-        """Unit vector with a single 1 at element k."""
-        if not 1 <= k <= n:
-            raise ValueError(f"element {k} outside ground set 1..{n}")
-        return cls(tuple(1 if j == k - 1 else 0 for j in range(n)))
 
     @property
     def n(self):

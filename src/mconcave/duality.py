@@ -66,7 +66,6 @@ from .core import (
     SetFn,
     _Replay,
     _require_int,
-    elements_of,
     max_over,
     price_sums,
     restrict_by_size,
@@ -95,10 +94,6 @@ class ConjugateEval:
     price: PriceVector
     value: object
     argmax_mask: int
-
-    @property
-    def argmax(self):
-        return elements_of(self.argmax_mask)
 
 
 def conjugate(f, p):

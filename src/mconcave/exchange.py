@@ -90,28 +90,8 @@ class ExchangeContext:
         return cls(n, xm, ym, im)
 
     @property
-    def c_mask(self):
-        return self.x_mask & self.y_mask
-
-    @property
-    def x0_mask(self):
-        return self.x_mask & ~self.y_mask
-
-    @property
     def y0_mask(self):
         return self.y_mask & ~self.x_mask
-
-    @property
-    def X(self):
-        return elements_of(self.x_mask)
-
-    @property
-    def Y(self):
-        return elements_of(self.y_mask)
-
-    @property
-    def I(self):
-        return elements_of(self.i_mask)
 
 
 @dataclass(frozen=True)
@@ -128,12 +108,6 @@ class ExchangeWitness:
     moved: tuple
     lhs: object
     rhs: object
-
-    @property
-    def j(self):
-        if len(self.moved) != 1:
-            raise ValueError(f"witness of kind {self.kind!r} has no single j")
-        return self.moved[0]
 
 
 def _require_nonempty_dom(f):

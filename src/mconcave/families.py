@@ -64,9 +64,6 @@ class Matroid:
             raise ValueError(f"rank not submodular at {elements_of(m | 1 << i)}, "
                              f"{elements_of(m | 1 << j)}")
 
-    def rank(self, subset):
-        return self.rank_table[mask_of(subset, self.n)]
-
     @cached_property
     def full_rank(self):
         return self.rank_table[(1 << self.n) - 1]
@@ -219,14 +216,25 @@ class LaminarSpec:
 
 def laminar_concave_fn(spec):
     """Sum of concave functions of |X & A| over a laminar family (full
-    domain)."""
+    domain). Real tables are summed exactly, as ``_exact_weights`` reads
+    them, and each sum is given as its nearest float."""
     masks = [mask_of(m, spec.n) for m in spec.members]
-    mode = "int" if all(isinstance(v, int) for t in spec.tables for v in t) else "real"
+    mode, tables = _exact_weights(spec.tables)
     vals = [
-        sum(tab[(m & am).bit_count()] for am, tab in zip(masks, spec.tables))
+        sum(tab[(m & am).bit_count()] for am, tab in zip(masks, tables))
         for m in range(1 << spec.n)
     ]
-    return SetFn(spec.n, vals, mode)
+    return SetFn(spec.n, vals if mode == "int" else map(float, vals), mode)
+
+
+def _exact_weights(rows):
+    """("int", rows) when every weight is an int; else ("real", rows with
+    each weight read as its shortest round-trip decimal, a Fraction), so
+    that sums of them are exact, as ``SetFn`` reads a real table."""
+    if all(isinstance(v, int) for row in rows for v in row):
+        return "int", rows
+    from fractions import Fraction
+    return "real", [[Fraction(repr(v)) for v in row] for row in rows]
 
 
 def assignment_valuation(weights):
@@ -234,7 +242,8 @@ def assignment_valuation(weights):
     most once; weights[i][s] is the value of item i+1 in slot s.
 
     The optimum is found by exhaustive search over partial assignments
-    (corpus scale keeps this module oracle-free).
+    (corpus scale keeps this module oracle-free). Real weights are summed
+    exactly, as in ``laminar_concave_fn``.
     """
     n = len(weights)
     if n == 0:
@@ -246,7 +255,7 @@ def assignment_valuation(weights):
         for v in row:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
                 raise ValueError(f"weights[{i}] contains non-finite or negative {v!r}")
-    mode = "int" if all(isinstance(v, int) for row in weights for v in row) else "real"
+    mode, weights = _exact_weights(weights)
 
     def best(items, used):
         if not items:
@@ -262,7 +271,7 @@ def assignment_valuation(weights):
     for m in range(1 << n):
         items = [j for j in range(n) if m >> j & 1]
         vals.append(best(tuple(items), 0))
-    return SetFn(n, vals, mode)
+    return SetFn(n, vals if mode == "int" else map(float, vals), mode)
 
 
 # ---------------------------------------------------------------------------

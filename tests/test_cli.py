@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -186,6 +187,40 @@ def test_check_parallel_matches_serial(tmp_path, corpus):
     assert main([*args, "--out", str(out1), *paths]) == 0
     assert main([*args, "--jobs", "2", "--out", str(out2), *paths]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_check_pool_is_capped_by_tasks_and_cpus(monkeypatch, corpus_by_id):
+    """``--jobs 1000000`` asked for a pool of 10^6 workers, which the fork
+    start method starts all at once. The pool gets no more workers than
+    there are instances or CPUs, and none opens at one. A stand-in pool
+    records what it is asked for and maps in this process."""
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    instances = [(iid, corpus_by_id[iid].fn)
+                 for iid in ("n3_uniform_r2", "n3_partition", "n4_laminar")]
+    cfg = SuiteConfig(suites=("exc_single", "exc_multi_bounded"), jobs=10**6)
+    serial = cli.run_check(instances, replace(cfg, jobs=1))
+    assert cli.run_check(instances, cfg) == serial
+    assert all(w <= os.cpu_count() for w in asked)
+    for cpus, want in ((None, []), (1, []), (2, [2]), (64, [3])):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        asked.clear()
+        assert cli.run_check(instances, cfg) == serial
+        assert asked == want
 
 
 def test_check_gen_dir_input(tmp_path):
@@ -435,15 +470,12 @@ def test_malformed_family_spec_exits_2(tmp_path, capsys, spec, message):
 
 
 def test_campaign_counts_that_fake_a_campaign_are_refused():
-    """keep_near -1 emptied near_misses after every append, trials -5 was
-    reported after no work, and trials True serialized as true."""
-    for kwargs in ({"trials": -5}, {"trials": True}, {"trials": 2.0},
-                   {"keep_near": -1}, {"keep_near": False}, {"keep_near": "5"}):
-        args = {"trials": 200, "seed": 3, **kwargs}
+    """trials -5 was reported after no work, and trials True serialized as
+    true."""
+    for trials in (-5, True, 2.0):
         with pytest.raises(ValueError, match="must be an int >= 0"):
-            falsify_campaign(**args)
-    assert falsify_campaign(0, 3, keep_near=0).to_dict()["trials"] == 0
-    assert falsify_campaign(200, 3, keep_near=0).near_misses == []
+            falsify_campaign(trials, 3)
+    assert falsify_campaign(0, 3).to_dict()["trials"] == 0
 
 
 def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
@@ -460,7 +492,8 @@ def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
         assert lemmas.passed == want.passed
         corollary = cli._INSTANCE_SUITES["corollary1"]("x", f, cfg, 0)
         assert corollary.verdict == want.verdict
-    assert len(cli._memo) <= 4
+    assert cli._single_report.cache_info().currsize <= 1
+    assert cli._multi_reports.cache_info().currsize <= 1
 
 
 @pytest.mark.parametrize("flag", [["--mode", "real"], ["--tol", "0.5"]])

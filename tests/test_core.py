@@ -12,10 +12,8 @@ from mconcave import (
     SetFn,
     check_conjugate_submodular,
     check_exc_multi,
-    effective_domain,
     elements_of,
     ext_add,
-    ext_leq,
     fenchel_gap,
     graphic_matroid,
     load,
@@ -73,17 +71,6 @@ def test_ext_add_associative(a, b, c):
     assert ext_add(ext_add(a, b), c) == ext_add(a, ext_add(b, c))
 
 
-def test_ext_leq():
-    assert ext_leq(NEG_INF, NEG_INF)
-    assert ext_leq(NEG_INF, 0)
-    assert not ext_leq(0, NEG_INF)
-    assert ext_leq(1, 1)
-    assert not ext_leq(2, 1)
-    # no tolerance: a difference of 1e-12 decides
-    assert not ext_leq(1.0 + 1e-12, 1.0)
-    assert ext_leq(1.0, 1.0 + 1e-12)
-
-
 # --- bitmask helpers --------------------------------------------------------
 
 def test_mask_roundtrip():
@@ -134,12 +121,6 @@ def test_setfn_none_is_neg_inf():
     assert f([]) is NEG_INF
     assert f([1]) == 3
     assert f.dom_masks == (1,)
-
-
-def test_effective_domain():
-    assert effective_domain(SetFn.constant(2, 0)) == [(), (1,), (2,), (1, 2)]
-    assert effective_domain(SetFn(1, [None, 0])) == [(1,)]
-    assert effective_domain(SetFn(2, [None] * 4)) == []
 
 
 def test_dom_size_range():
@@ -228,7 +209,6 @@ def test_price_vector_basics():
     assert p.join(PriceVector((0, 0, 9))).entries == (2, 0, 9)
     assert p.meet(PriceVector((0, 0, 9))).entries == (0, -1, 3)
     assert (-p).entries == (-2, 1, -3)
-    assert PriceVector.unit(3, 2).entries == (0, 1, 0)
     assert PriceVector((1, 1)).dominates(PriceVector((0, 1)))
     assert not PriceVector((1, 0)).dominates(PriceVector((0, 1)))
     assert PriceVector((1, 2)).mode == "int"
@@ -309,7 +289,6 @@ COUNT_SITES = {
     "grid samples": lambda v: check_conjugate_submodular(_ZERO2, samples=v),
     "SuiteConfig jobs": lambda v: SuiteConfig(jobs=v),
     "falsify trials": lambda v: falsify_campaign(v, 0),
-    "falsify keep_near": lambda v: falsify_campaign(10, 0, keep_near=v),
     "fenchel box": lambda v: fenchel_gap(_ZERO2, _ZERO2, box=v),
     "size cap": lambda v: restrict_by_size(_ZERO2, v),
     "uniform n": lambda v: uniform_matroid(v, 0),

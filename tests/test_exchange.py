@@ -115,7 +115,7 @@ def test_single_exchange_constant_fn():
 def test_single_exchange_forced_swap():
     f = weighted_basis_valuation(uniform_matroid(2, 1), (0, 1))
     w = find_single_exchange(f, [1], [2], 1)
-    assert w.kind == "swap" and w.j == 2
+    assert w.kind == "swap" and w.moved == (2,)
     assert w.lhs == 1 and w.rhs == 1
 
 
@@ -355,7 +355,7 @@ def test_specialization_single_element(corpus_by_id):
         if ws.kind == "drop":
             assert wm.moved == ()
         else:
-            assert wm.moved == (ws.j,)
+            assert ws.kind == "swap" and len(ws.moved) == 1 and wm.moved == ws.moved
 
 
 # --- check_m_concave -------------------------------------------------------------
@@ -403,17 +403,17 @@ def test_m_concave_witness_sizes_match(corpus_by_id):
 def test_exchange_leq_example():
     f = matroid_rank_fn(uniform_matroid(3, 2))
     w = exchange_leq(f, [1], [2, 3], 1)
-    assert w.j == 2 and w.lhs == 3 and w.rhs == 3
+    assert w.moved == (2,) and w.lhs == 3 and w.rhs == 3
 
 
 def test_exchange_leq_constant_smallest_j():
     f = SetFn.constant(4, 0)
-    assert exchange_leq(f, [1, 2], [3, 4], 1).j == 3
+    assert exchange_leq(f, [1, 2], [3, 4], 1).moved == (3,)
 
 
 def test_exchange_leq_forced(corpus_by_id):
     f = weighted_basis_valuation(uniform_matroid(2, 1), (0, 1))
-    assert exchange_leq(f, [1], [2], 1).j == 2
+    assert exchange_leq(f, [1], [2], 1).moved == (2,)
 
 
 def test_exchange_leq_preconditions(rank_u24):
@@ -424,13 +424,13 @@ def test_exchange_leq_preconditions(rank_u24):
 def test_augment_lt_example():
     f = matroid_rank_fn(uniform_matroid(3, 2))
     w = augment_lt(f, [], [1, 2])
-    assert w.j == 1 and w.lhs == 2 and w.rhs == 2
+    assert w.moved == (1,) and w.lhs == 2 and w.rhs == 2
 
 
 def test_augment_lt_constant():
     f = SetFn.constant(2, 0)
     w = augment_lt(f, [], [1])
-    assert w.j == 1 and w.lhs == w.rhs == 0
+    assert w.moved == (1,) and w.lhs == w.rhs == 0
 
 
 def test_augment_lt_laminar(corpus_by_id):
@@ -530,12 +530,8 @@ def test_base_exchange_rejects_non_bases():
 
 def test_exchange_context_partitions():
     ctx = ExchangeContext.make(5, [1, 2, 3], [3, 4], [1])
-    assert ctx.c_mask == mask_of([3], 5)
-    assert ctx.x0_mask == mask_of([1, 2], 5)
     assert ctx.y0_mask == mask_of([4], 5)
-    assert ctx.x_mask == ctx.c_mask | ctx.x0_mask
-    assert ctx.y_mask == ctx.c_mask | ctx.y0_mask
-    assert ctx.x0_mask & ctx.y0_mask == 0
+    assert ctx.i_mask == mask_of([1], 5)
     with pytest.raises(ValueError):
         ExchangeContext.make(5, [1, 2], [3], [3])
 
@@ -545,10 +541,9 @@ def test_exchange_context_partitions():
 def test_exchange_context_consistency(xm, ym, rng):
     im = (xm & ~ym) & rng.getrandbits(5)
     ctx = ExchangeContext(5, xm, ym, im)
-    assert ctx.x_mask == (ctx.c_mask | ctx.x0_mask)
-    assert ctx.y_mask == (ctx.c_mask | ctx.y0_mask)
-    assert ctx.x0_mask & ctx.y0_mask == 0
-    assert ctx.i_mask & ~ctx.x0_mask == 0
+    assert ctx.y_mask == (xm & ym) | ctx.y0_mask
+    assert ctx.x_mask & ctx.y0_mask == 0
+    assert ctx.i_mask & ~(ctx.x_mask & ~ctx.y_mask) == 0
 
 
 @pytest.mark.parametrize("regime", [None, "exhaustive", "sampled"])

@@ -530,12 +530,13 @@ def dump(outcome):
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("n_range", [(1, 5), (3, 8), (1, 1), (5, 5)])
-def test_campaign_matches_per_trial_loop(seed, n_range):
-    """700 trials cross a chunk boundary; keep_near 10^6 compares every
-    margin."""
+def test_campaign_matches_per_trial_loop(monkeypatch, seed, n_range):
+    """700 trials cross a chunk boundary; keeping 10^6 near misses
+    compares every margin."""
     for keep_near in (10**6, 3):
         want = dump(per_trial_campaign(700, seed, n_range, keep_near))
-        assert dump(falsify_campaign(700, seed, n_range, keep_near)) == want
+        monkeypatch.setattr(cli, "_NEAR_MISSES", keep_near)
+        assert dump(falsify_campaign(700, seed, n_range)) == want
 
 
 def test_campaign_runs_no_per_table_checker(monkeypatch):
@@ -559,9 +560,10 @@ def test_campaign_redraws_a_mutation_whose_toggle_empties_the_domain(monkeypatch
     bases = tuple(SetFn(n, [n if k == n % (1 << n) else None for k in range(1 << n)])
                   for n in (1, 2, 3)) + cli._falsify_bases()[:2]
     monkeypatch.setattr(cli, "_falsify_bases", lambda: bases)
+    monkeypatch.setattr(cli, "_NEAR_MISSES", 10**6)
     emptied = []
     want = dump(per_trial_campaign(600, 9, (1, 5), 10**6, bases, emptied))
-    assert dump(falsify_campaign(600, 9, (1, 5), 10**6)) == want
+    assert dump(falsify_campaign(600, 9, (1, 5))) == want
     assert len(emptied) >= 10
 
 
@@ -617,12 +619,17 @@ def test_falsify_bytes_do_not_depend_on_the_chunk(monkeypatch, capsys, chunk):
     """The default ``mconcave falsify`` bytes, and a library campaign
     crossing several chunks, with trials drawn and decided in chunks of
     ``chunk``."""
-    want = dump(falsify_campaign(1100, 2**64 - 1, (1, 5), 10**6))
+    def wide():
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_NEAR_MISSES", 10**6)
+            return dump(falsify_campaign(1100, 2**64 - 1, (1, 5)))
+
+    want = wide()
     monkeypatch.setattr(cli, "_FALSIFY_CHUNK", chunk)
     assert main(["falsify"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "4e56659d3b0b9571dac24ae456a271c5f10546ee93990f419e57b7b9c55558a5"
-    assert dump(falsify_campaign(1100, 2**64 - 1, (1, 5), 10**6)) == want
+    assert wide() == want
 
 
 def test_bases_are_built_once():
@@ -643,8 +650,9 @@ def test_campaign_reports_counterexamples_in_trial_order(monkeypatch, capsys):
     drawers give for its trial, in trial order across sizes, whatever the
     chunk, and ``mconcave falsify`` then exits 1."""
     monkeypatch.setattr(cli, "_bulk_decide", sevens)
+    monkeypatch.setattr(cli, "_NEAR_MISSES", 3)
     seed, n_range = 2**64 - 1, (1, 5)
-    outcome = falsify_campaign(1100, seed, n_range, keep_near=3)
+    outcome = falsify_campaign(1100, seed, n_range)
     bad = outcome.counterexamples
     assert [c["trial"] for c in bad] == sorted({c["trial"] for c in bad})
     assert len({c["n"] for c in bad}) == 5 and len({c["kind"] for c in bad}) == 2
@@ -659,6 +667,6 @@ def test_campaign_reports_counterexamples_in_trial_order(monkeypatch, capsys):
     assert outcome.singles_passed == 1100 and len(outcome.near_misses) == 3
     for chunk in (1, 7, 10**6):
         monkeypatch.setattr(cli, "_FALSIFY_CHUNK", chunk)
-        assert dump(falsify_campaign(1100, seed, n_range, keep_near=3)) == dump(outcome)
+        assert dump(falsify_campaign(1100, seed, n_range)) == dump(outcome)
     assert main(["falsify", "--trials", "50"]) == 1
     assert json.loads(capsys.readouterr().out)["counterexamples"]

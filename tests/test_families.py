@@ -265,6 +265,16 @@ def test_assignment_rejects_negative():
         assignment_valuation([[1], [-2]])
 
 
+def test_real_weights_are_summed_exactly():
+    """Summed as floats, 0.1 + 0.2 gave f({1, 2}) = 0.30000000000000004, so
+    these modular tables failed the single exchange at X = {1, 2}, Y = {},
+    i = 1."""
+    for f in (laminar_concave_fn(LaminarSpec(2, [[1], [2]], [[0, 0.1], [0, 0.2]])),
+              assignment_valuation([[0.1, 0.0], [0.0, 0.2]])):
+        assert f.mode == "real" and f.values == (0.0, 0.1, 0.2, 0.3)
+        assert check_exc_single(f).passed
+
+
 # --- mutation and random tables ----------------------------------------------
 
 

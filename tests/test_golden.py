@@ -17,6 +17,7 @@ import json
 
 from mconcave import (
     check_conjugate_submodular,
+    cli,
     check_cross_submodular,
     check_strong_quotient,
     default_corpus,
@@ -40,9 +41,10 @@ def test_falsify_campaign_bytes():
     assert sha256(line) == "40adb1ed899f28b285a7fcbb3ae54779f56ce5023a89f34799c4cb01c6d5dfdd"
 
 
-def test_falsify_wide_campaign_bytes():
+def test_falsify_wide_campaign_bytes(monkeypatch):
     """Every margin of a campaign over n = 1..5 at a seed >= 2^63."""
-    out = falsify_campaign(3000, 2**63 + 7, n_range=(1, 5), keep_near=10**6)
+    monkeypatch.setattr(cli, "_NEAR_MISSES", 10**6)
+    out = falsify_campaign(3000, 2**63 + 7, n_range=(1, 5))
     line = json.dumps(out.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     assert sha256(line) == "aa78d0b5f233d11f2c7d93f715b75934614644dfd6a78c948fc15835b6462873"
 

@@ -8,10 +8,10 @@ reading real tables. The falsification campaign and its drawers draw no
 value through ``random``'s per-value methods, and the campaign reseeds
 the C generator, not ``random.Random``. The numpy floor in
 ``pyproject.toml`` has every numpy function the package calls. Deleted second
-implementations and unused wrappers stay deleted, ``exchange.py``
-enumerates moves by ``submasks_*`` only in its scalar search, ``moves.py``
-never names ``NEG_INF``, and the scalar ``conjugate`` keeps off the
-batched kernel.
+implementations, unused wrappers and members that only their own tests
+read stay deleted, ``exchange.py`` enumerates moves by ``submasks_*`` only
+in its scalar search, ``moves.py`` never names ``NEG_INF``, and the scalar
+``conjugate`` keeps off the batched kernel.
 """
 
 import ast
@@ -144,7 +144,17 @@ def test_numpy_floor_covers_the_functions_called():
 
 
 _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange",
-            "attains"}
+            "attains", "ext_leq", "effective_domain"}
+
+# Class members that only their own tests read; by class, as short names
+# such as ``j`` or ``rank`` are also local variables.
+_REMOVED_MEMBERS = {
+    "ExchangeContext": {"c_mask", "x0_mask", "X", "Y", "I"},
+    "ExchangeWitness": {"j"},
+    "ConjugateEval": {"argmax"},
+    "PriceVector": {"unit"},
+    "Matroid": {"rank"},
+}
 
 
 def test_removed_names_are_defined_nowhere():
@@ -160,6 +170,24 @@ def test_removed_names_are_defined_nowhere():
                           and isinstance(node.ctx, ast.Store) else [])
              if name in _REMOVED]
     assert not bound, f"removed names defined again: {bound}"
+
+
+def test_removed_members_are_defined_nowhere():
+    """Accessors that only their own tests read, and ``falsify_campaign``'s
+    ``keep_near``, which every caller outside the tests set to 5."""
+    bound = [f"{module}: {node.name}.{name} (line {item.lineno})"
+             for module, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body
+             for name in ([item.name] if isinstance(item, ast.FunctionDef)
+                          else [getattr(item.target, "id", None)]
+                          if isinstance(item, ast.AnnAssign) else [])
+             if name in _REMOVED_MEMBERS.get(node.name, ())]
+    assert not bound, f"removed members defined again: {bound}"
+    campaign = next(node for node in MODULES["cli.py"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "falsify_campaign")
+    args = campaign.args
+    assert "keep_near" not in [a.arg for a in args.args + args.kwonlyargs]
 
 
 def test_exchange_walks_submasks_only_in_the_scalar_search():
