@@ -186,7 +186,7 @@ def price_sums(entries, n):
 
 
 # ---------------------------------------------------------------------------
-# Seeded draws, one at a time and replayed in bulk.
+# Seeded draws by CPython's rules, without its per-value frames.
 
 
 def _below(rng, m):
@@ -210,85 +210,25 @@ def _below(rng, m):
     return r
 
 
-class _Replay:
-    """The draws a seeded ``random.Random`` would make, decoded in bulk.
-
-    CPython's ``random.Random`` is MT19937, and every call takes whole
-    32-bit output words. ``getrandbits(32 * k)`` takes the next k words,
-    the first as its lowest 32 bits, so the words come from ``rng`` in
-    bulk and are decoded in numpy. ``randrange(m)`` follows ``_below``'s
-    rule; for m < 2^32 each try is the top ``m.bit_length()`` bits of one
-    word, as ``getrandbits(k)`` for k <= 32 is the top k bits of one word.
-    ``rng`` is advanced past the words drawn, which can run ahead of those
-    decoded, so callers pass a private one.
-    """
-
-    def __init__(self, rng):
-        self._rng = rng
-        self._words = np.empty(0, dtype=np.int64)  # drawn, not yet consumed
-
-    def take(self, samples, runs):
-        """The next ``samples`` samples, each made of ``runs`` in stream
-        order. A run (count, bound, bits) is ``count`` draws: ``randrange(m)``
-        is (count, m, m.bit_length()), ``getrandbits(k)`` is (count, 2**k, k).
-        Runs of no draws, or of ``getrandbits(0)``, take no word and yield
-        zeros. Returns one int64 array of shape (samples, count) per run."""
-        for count, bound, bits in runs:
-            if not (count >= 0 and 0 <= bits <= 32 and 1 <= bound <= 1 << bits):
-                raise ValueError(f"cannot replay {count} draws below {bound} from {bits} bits")
-        live = [run for run in runs if run[0] and run[2]]
-        need = int(samples * sum(c * (1 << k) / m for c, m, k in live) * 1.25) + 64
-        out = [] if not live else None
-        while out is None:
-            short = need - len(self._words)
-            if short > 0:
-                fresh = self._rng.getrandbits(32 * short).to_bytes(4 * short, "little")
-                fresh = np.frombuffer(fresh, dtype="<u4").astype(np.int64)
-                self._words = np.concatenate([self._words, fresh])
-            out = self._decode(samples, live)
-            need *= 2
-        out = iter(out)
-        return [next(out) if count and bits else np.zeros((samples, count), dtype=np.int64)
-                for count, _, bits in runs]
-
-    def _decode(self, samples, runs):
-        """``take`` from the words at hand; None when they run out. Runs of
-        different widths reject different words, so a sample's end depends
-        on where it starts: a table of it for every start is chased once per
-        sample, then each run's draws are gathered at once."""
-        words = self._words
-        end = len(words)
-        kinds = {}  # (bound, bits) -> top bits of every word, accepted positions, and
-        for _, bound, bits in runs:  # rank[i], the accepted words before position i
-            if (bound, bits) not in kinds:
-                top = words >> (32 - bits)
-                ok = top < bound
-                rank = np.concatenate([[0], np.cumsum(ok), [end + 1]])
-                kinds[bound, bits] = top, np.flatnonzero(ok), rank
-        # Position end + 1 stands for "the words ran out" and maps to itself.
-        after = np.arange(end + 2)
-        for count, bound, bits in runs:
-            _, acc, rank = kinds[bound, bits]
-            r = rank[after] + count
-            after = np.where(r <= len(acc), np.append(acc, end)[np.minimum(r, len(acc)) - 1] + 1,
-                             end + 1)
-        after = after.tolist()
-        starts = [0] * samples
-        stop = 0
-        for s in range(samples):
-            starts[s] = stop
-            stop = after[stop]
-        if stop > end:
-            return None
-        at = np.array(starts, dtype=np.int64)
-        out = []
-        for count, bound, bits in runs:
-            top, acc, rank = kinds[bound, bits]
-            picked = acc[rank[at][:, None] + np.arange(count)]
-            out.append(top[picked])
-            at = picked[:, -1] + 1
-        self._words = words[stop:]
-        return out
+def _draws(rng, samples, runs):
+    """The next ``samples`` samples from ``rng``, each made of ``runs`` in
+    stream order. A run (count, bound, bits) is ``count`` draws of
+    ``getrandbits(bits)``, each taken again while it is >= bound, by
+    ``_below``'s rule: ``randrange(m)`` is (count, m, m.bit_length()),
+    ``getrandbits(k)`` is (count, 2**k, k). ``rng`` stops where those
+    scalar calls leave it. Returns one int64 array of shape
+    (samples, count) per run."""
+    bits, out = rng.getrandbits, []
+    append = out.append
+    sample = [(bound, k) for count, bound, k in runs for _ in range(count)]
+    for _ in range(samples):
+        for bound, k in sample:
+            while (r := bits(k)) >= bound:
+                pass
+            append(r)
+    counts = [count for count, _, _ in runs]
+    rows = np.array(out, dtype=np.int64).reshape(samples, sum(counts))
+    return np.split(rows, np.cumsum(counts[:-1]), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -39,17 +39,16 @@ Both regimes read one table that writes each grid inequality once, as
 (lhs, rhs) over a capped and the plain conjugate at a pair's p, q,
 p v q and p ^ q, and one builder turns their first violations into
 reports. The sampled regime is one pass over the checks it is given. It
-draws its pairs from ``random.Random(seed)`` without calling it per
-value: ``core._Replay`` takes the Mersenne Twister words from the rng in
-bulk and decodes them in numpy with CPython's rules (top
-``m.bit_length()`` bits of a word, rejected while >= m), a chunk of
-samples at a time, the chunk bounded in bytes. The submodular draw
-mixes two widths (2n prices, then the cap index), so its rejections are
-resolved in stream order. The cross and quotient checks of every size
-cap draw the same 2n prices from the same seed, so one draw and one
-conjugate table serve them all, each cap reading its own column. The
-samples, and so the reports, are those of the scalar
-``randint``/``randrange`` loops, which the tests keep as the oracle.
+draws its pairs from ``random.Random(seed)`` a chunk of samples at a
+time, the chunk bounded in bytes: ``core._draws`` calls ``getrandbits``
+by CPython's ``randrange`` rule (``m.bit_length()`` bits, taken again
+while >= m) in stream order, 2n prices and then, for the submodular
+check, the cap index, and puts each run into one array. The cross and
+quotient checks of every size cap draw the same 2n prices from the same
+seed, so one draw and one conjugate table serve them all, each cap
+reading its own column. The samples, and so the reports, are those of
+the scalar ``randint``/``randrange`` loops, which the tests keep as the
+oracle.
 """
 
 import math
@@ -64,7 +63,7 @@ from .core import (
     Falsification,
     PriceVector,
     SetFn,
-    _Replay,
+    _draws,
     _require_int,
     max_over,
     price_sums,
@@ -319,14 +318,14 @@ def _sampled(f, kinds, caps, lo, hi, seed, samples):
     s, _ = f.dom_size_range()
     cap_cols = np.array([min(k, n) - s for k in caps])
     plain_then_cap = np.stack([np.full(len(caps), -1), cap_cols], axis=1)
-    conj, replay = _Conjugates(f), _Replay(random.Random(seed))
+    conj, rng = _Conjugates(f), random.Random(seed)
     # Per kind: (checks, pairs a sample).
     shapes = [(1, 2) if kind == _SUBMODULAR else (len(caps), 1) for kind in kinds]
     found = [{} for _ in kinds]  # per kind: check -> its entry at the first failing sample
     chunk = _chunk(f, sum(2 if kind == _QUOTIENT else 4 for kind in kinds))
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        draws = replay.take(count, runs)
+        draws = _draws(rng, count, runs)
         points = []
         for kind in kinds:
             if kind == _QUOTIENT:
@@ -378,13 +377,13 @@ def _grid_checks(f, kinds, caps, box, seed, samples):
     their regime: the box is swept when it has at most
     ``EXHAUSTIVE_GRID_LIMIT`` points, and sampled when larger."""
     _require_int("samples", samples, 1)
-    # A sampled draw takes one 32-bit word per try, so a box side holds
-    # fewer than 2^32 values.
+    # A box side holds fewer than 2^32 values, and its prices are int64.
     if not (isinstance(box, (tuple, list)) and len(box) == 2
             and all(isinstance(v, int) and not isinstance(v, bool) for v in box)
-            and 0 <= box[1] - box[0] < (1 << 32) - 1):
-        raise ValueError(f"box must be a pair of ints lo <= hi with hi - lo < 2^32 - 1, "
-                         f"got {box!r}")
+            and 0 <= box[1] - box[0] < (1 << 32) - 1
+            and -(1 << 63) < box[0] and box[1] < 1 << 63):
+        raise ValueError(f"box must be a pair of ints lo <= hi with hi - lo < 2^32 - 1 "
+                         f"and -2^63 < lo, hi < 2^63, got {box!r}")
     lo, hi = box
     if (hi - lo + 1) ** f.n <= EXHAUSTIVE_GRID_LIMIT:
         return _box_checks(f, kinds, caps, lo, hi), {}

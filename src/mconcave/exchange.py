@@ -26,8 +26,8 @@ reports and witnesses are reproducible byte for byte:
 * reported counterexamples are the first violation in lexicographic
   (X, Y, i) or (X, Y, I) order.
 
-Sampled triples are the ``random.Random(seed)`` draws, replayed in bulk
-by ``core._Replay`` with the scalar calls' values.
+Sampled triples are the ``random.Random(seed)`` draws, taken by
+``core._draws`` from ``getrandbits`` with the scalar calls' values.
 """
 
 import functools

@@ -24,7 +24,7 @@ import random
 
 import numpy as np
 
-from .core import _Replay
+from .core import _draws
 
 # Int tables the array kernels hold in int64: every |value| < 2^60.
 # Minus infinity becomes _BULK_NEG = -2^62, so a finite sum of two values
@@ -195,15 +195,15 @@ def exhaustive_triples(dm, n, budget):
 def sampled_triples(dm, n, samples, seed, budget):
     """``samples`` seeded triples in blocks of (xm, ym, im) arrays: triple t
     is X, Y = dm[randrange(|dom|)] twice, then I = (X \\ Y) &
-    getrandbits(n), replayed from one ``random.Random(seed)``."""
-    replay = _Replay(random.Random(seed))
+    getrandbits(n), drawn by ``core._draws`` from one ``random.Random(seed)``."""
+    rng = random.Random(seed)
     runs = [(2, len(dm), len(dm).bit_length()), (1, 1 << n, n)]
-    # A sample takes at most five words (a randrange rejects fewer than
-    # half of them), and the replay keeps about 64 bytes per word; the
-    # block of triples takes the other half of the budget.
-    step = max(1, budget // (2 * 5 * 64))
+    # A sample's three draws take at most 108 bytes as Python ints in
+    # ``_draws``' list and 24 in its int64 row, and its triple 24 more, so
+    # a step of budget / 640 samples stays well inside the budget.
+    step = max(1, budget // 640)
     for start in range(0, samples, step):
-        xy, bits = replay.take(min(step, samples - start), runs)
+        xy, bits = _draws(rng, min(step, samples - start), runs)
         xm, ym = dm[xy[:, 0]], dm[xy[:, 1]]
         yield xm, ym, xm & ~ym & bits[:, 0]
 

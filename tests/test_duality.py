@@ -486,10 +486,13 @@ GRID_CHECKS = [
 @pytest.mark.parametrize("check", GRID_CHECKS)
 @pytest.mark.parametrize("iid", ["n3_assignment", "n6_assignment"])
 @pytest.mark.parametrize("box", [(3, -3), (1, 0), (True, 3), (-3, 3.0), (0, 1, 2), [4],
-                                 "03", (0, 2**32 - 1), (-2**40, 2**40)])
+                                 "03", (0, 2**32 - 1), (-2**40, 2**40),
+                                 (2**63 - 5, 2**63 + 4), (2**70, 2**70 + 3)])
 def test_grid_checks_refuse_a_bad_box(corpus_by_id, iid, check, box):
     """An empty box swept exhaustively used to PASS with no pair checked;
-    sampled, it raised ``randrange``'s empty-range error."""
+    sampled, it raised ``randrange``'s empty-range error. A box past int64
+    wrapped its sampled prices (a PASS on rows holding -2^63, outside the
+    box) or raised a raw ``OverflowError``."""
     with pytest.raises(ValueError, match="box must be a pair of ints"):
         check(corpus_by_id[iid].fn, box=box)
 

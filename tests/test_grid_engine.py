@@ -43,7 +43,6 @@ from mconcave import (
 )
 from mconcave import duality
 from mconcave.cli import SuiteConfig, run_check
-from mconcave.core import _Replay
 from mconcave.duality import (
     _Conjugates,
     _all_pairs,
@@ -469,32 +468,33 @@ def test_suite_with_more_caps_than_samples():
 @pytest.mark.parametrize("instance_id", ["n5_partition", "n6_graphic_k4",
                                          "n7_wbasis_partition", "n8_wbasis_uniform_r4"])
 def test_sampled_suite_work(instance_id, monkeypatch):
-    """A sampled `duality_grid` builds one replay and one conjugate table
-    for the submodular check and one of each for every cap's cross and
-    quotient checks, and evaluates 4 price rows a submodular sample and 6
-    a cross-and-quotient sample. A lone cross check evaluates 4 rows a
-    sample and a lone quotient check 2, with the scalar loops' reports."""
+    """A sampled `duality_grid` draws from one generator and builds one
+    conjugate table for the submodular check, and one of each for every
+    cap's cross and quotient checks, and evaluates 4 price rows a
+    submodular sample and 6 a cross-and-quotient sample. A lone cross
+    check evaluates 4 rows a sample and a lone quotient check 2, with the
+    scalar loops' reports."""
     f = {c.instance_id: c.fn for c in default_corpus()}[instance_id]
-    replays, tables, rows = [], [], []
-    take, call = _Replay.take, _Conjugates.__call__
+    rngs, tables, rows = [], [], []
+    draws, call = duality._draws, _Conjugates.__call__
 
-    def spy_take(self, samples, runs):
-        replays.append(self)
-        return take(self, samples, runs)
+    def spy_draws(rng, samples, runs):
+        rngs.append(rng)
+        return draws(rng, samples, runs)
 
     def spy_call(self, P):
         tables.append(self)
         rows.append(len(P))
         return call(self, P)
 
-    monkeypatch.setattr(_Replay, "take", spy_take)
+    monkeypatch.setattr(duality, "_draws", spy_draws)
     monkeypatch.setattr(_Conjugates, "__call__", spy_call)
     samples = 1000
     suite, = run_check([(instance_id, f)], SuiteConfig(suites=("duality_grid",),
                                                        samples=samples))
     per_k = samples // len(list(_feasible_caps(f)))
     assert suite.passed and suite.regime == "sampled"
-    assert len({id(r) for r in replays}) == 2
+    assert len({id(r) for r in rngs}) == 2
     assert len({id(t) for t in tables}) == 2
     assert sum(rows) == 4 * samples + 6 * per_k
     k = max(_feasible_caps(f))

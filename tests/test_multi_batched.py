@@ -334,7 +334,7 @@ def late_fail_table(missing):
 
 
 def test_sampled_blocks(by_id, budget):
-    """Sample counts around 1024, and FAILs in the first replay block and
+    """Sample counts around 1024, and FAILs in the first sampled block and
     in the last: the late table first fails at sample 3058 of seed 1,
     past the first block of the default budget; a one-byte block holds one
     sample."""
@@ -348,7 +348,7 @@ def test_sampled_blocks(by_id, budget):
     else:
         runs = [(mutate(f8, 0, 1), 27, 0), (early, 5, 0), (f8, 40, 2**64 - 1)]
         runs += [(g, samples, 0) for g in (f8, early) for samples in (1, 2, 3)]
-    step = max(1, exchange._BATCH_BYTES // 640)  # the samples of a replay block
+    step = max(1, exchange._BATCH_BYTES // 640)  # the samples of a sampled block
     blocks = set()
     for g, samples, seed in runs:
         assert_agree([g], samples=samples, seed=seed)

@@ -1,10 +1,11 @@
-"""The bulk replay of seeded ``random.Random`` draws against the scalar calls.
+"""Seeded ``random.Random`` draws in arrays against the scalar calls.
 
-``core._Replay`` decodes the Mersenne Twister words of a seeded
-``random.Random``, drawn in bulk, with CPython's own rules. The scalar ``randint``,
+``core._draws`` takes runs of ``getrandbits`` by CPython's own
+``randrange`` rule and puts them into arrays. The scalar ``randint``,
 ``randrange`` and ``getrandbits`` loops here are the oracle: first for
-the decoded arrays, then for whole reports of the three sampled grid
-checkers and of the sampled multiple exchange, FAILs included.
+the arrays and the generator state they leave, then for whole reports of
+the three sampled grid checkers and of the sampled multiple exchange,
+FAILs included.
 """
 
 import hashlib
@@ -26,13 +27,13 @@ from mconcave import (
 )
 from mconcave.cli import SuiteConfig, run_check
 from mconcave import duality
-from mconcave.core import _below, _Replay
+from mconcave.core import _below, _draws
 from mconcave.duality import _feasible_caps
 from mconcave.exchange import _best_multi, _multi_pass_margin
 from test_grid_engine import ref_cross, ref_quotient, ref_submodular
 
 SEEDS = (0, 1, 2**32, 2**63 + 7, 2**64 - 1)
-# Chunk sizes of consecutive ``take`` calls on one replay.
+# Chunk sizes of consecutive ``_draws`` calls on one generator.
 CHUNKS = (1, 256, 37)
 
 
@@ -40,25 +41,27 @@ def below(m, count=1):
     return count, m, m.bit_length()
 
 
-def replayed(seed, runs):
-    """The replay of ``runs`` over CHUNKS, stacked into one list per sample."""
-    replay = _Replay(random.Random(seed))
-    return [row for size in CHUNKS for row in np.hstack(replay.take(size, runs)).tolist()]
+def drawn(seed, runs):
+    """The draws of ``runs`` over CHUNKS, stacked into one list per sample,
+    and the state of the generator after them."""
+    rng = random.Random(seed)
+    rows = [row for size in CHUNKS for row in np.hstack(_draws(rng, size, runs)).tolist()]
+    return rows, rng.getstate()
 
 
-# --- the decoded arrays against the scalar calls -----------------------------
+# --- the arrays against the scalar calls -------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("lo, hi", [(-3, 3), (0, 3), (-3, 4), (2, 2), (0, 2**32 - 2)])
 def test_randint_run_matches_scalar_draws(seed, lo, hi):
     """One width: width 7, the powers of two 4 and 8 (CPython takes
-    m.bit_length() bits, so half the words are rejected), width 1 (a word
-    is taken until its top bit is 0) and the widest box, 2^32 - 1."""
+    m.bit_length() bits, so half the draws are rejected), width 1 (a bit
+    is drawn until it is 0) and the widest box, 2^32 - 1."""
     rng = random.Random(seed)
     n = 3
     expected = [[rng.randint(lo, hi) - lo for _ in range(2 * n)] for _ in range(sum(CHUNKS))]
-    assert replayed(seed, [below(hi - lo + 1, 2 * n)]) == expected
+    assert drawn(seed, [below(hi - lo + 1, 2 * n)]) == (expected, rng.getstate())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -71,7 +74,7 @@ def test_mixed_widths_match_scalar_draws(seed, width, ncaps):
     n = 4
     expected = [[rng.randrange(width) for _ in range(2 * n)] + [rng.randrange(ncaps)]
                 for _ in range(sum(CHUNKS))]
-    assert replayed(seed, [below(width, 2 * n), below(ncaps)]) == expected
+    assert drawn(seed, [below(width, 2 * n), below(ncaps)]) == (expected, rng.getstate())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -83,21 +86,22 @@ def test_multi_draws_match_scalar_draws(seed, ndom, n):
     rng = random.Random(seed)
     expected = [[rng.randrange(ndom), rng.randrange(ndom), rng.getrandbits(n) if n else 0]
                 for _ in range(sum(CHUNKS))]
-    assert replayed(seed, [below(ndom, 2), (1, 1 << n, n)]) == expected
+    assert drawn(seed, [below(ndom, 2), (1, 1 << n, n)]) == (expected, rng.getstate())
 
 
 @pytest.mark.parametrize("offset", [0, 5, 623, 624, 1000])
 def test_replay_starts_where_the_rng_stands(offset):
     """Words already taken from the rng, within or past its first block of
-    624, are not replayed."""
+    624, are not drawn again."""
     for seed in (0, 12345, 2**63 + 7):
         rng = random.Random(seed)
         for _ in range(offset):
             rng.getrandbits(32)
-        expected = random.Random()
-        expected.setstate(rng.getstate())
-        expected = [[expected.getrandbits(32)] for _ in range(700)]
-        assert np.hstack(_Replay(rng).take(700, [(1, 2**32, 32)])).tolist() == expected
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        expected = [[twin.getrandbits(32)] for _ in range(700)]
+        assert np.hstack(_draws(rng, 700, [(1, 2**32, 32)])).tolist() == expected
+        assert rng.getstate() == twin.getstate()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 11, 2**31, 2**32, 2**32 + 1])
@@ -125,13 +129,6 @@ def test_below_refuses_an_empty_range():
         with pytest.raises(ValueError, match="empty range"):
             _below(rng, m)
     assert rng.getstate() == state
-
-
-def test_runs_that_decode_garbage_are_refused():
-    replay = _Replay(random.Random(0))
-    for run in [(1, 0, 0), (1, -3, 1), (1, 2**32, 33), (1, 9, 3), (-1, 4, 3)]:
-        with pytest.raises(ValueError, match="cannot replay"):
-            replay.take(4, [run])
 
 
 # --- whole reports against the scalar loops --------------------------------------
@@ -212,7 +209,7 @@ def test_grid_oracle_inputs_fail_every_inequality():
 
 
 def ref_sampled_multi(f, bounded, samples, seed):
-    """The scalar sampled multiple-exchange loop the replay replaced."""
+    """The scalar sampled multiple-exchange loop that ``_draws`` replaced."""
     vals = f.exact
     dom = f.dom_masks
     ndom = len(dom)
@@ -267,9 +264,10 @@ def test_sampled_multi_matches_scalar_loop(instance_id, f, mode):
 
 def test_sampled_regimes_make_no_per_value_draws(monkeypatch):
     """With the per-value draws broken (``randint``, ``randrange`` and
-    ``getrandbits`` of one word), the sampled grid regime at n = 6 and
-    ``check_exc_multi`` at n = 8 still give the reports pinned before the
-    replay replaced them; only bulk ``getrandbits(32 * k)`` may run."""
+    ``choice``), the sampled grid regime at n = 6 and ``check_exc_multi``
+    at n = 8 still give the reports pinned before the per-value calls
+    were replaced; only ``getrandbits(k)`` may run, the standard that
+    ``falsify``'s drawers are held to."""
     corpus = {c.instance_id: c.fn for c in default_corpus()}
     grid = [("n6_laminar", corpus["n6_laminar"]),
             ("n6_laminar_mut", mutate(corpus["n6_laminar"], 0, 2))]
@@ -279,16 +277,8 @@ def test_sampled_regimes_make_no_per_value_draws(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("a per-value draw was made")
 
-    bulk_bits = random.Random.getrandbits
-
-    def bulk_only(rng, k):
-        if k <= 32:
-            broken()
-        return bulk_bits(rng, k)
-
-    for name in ("randint", "randrange"):
+    for name in ("randint", "randrange", "choice"):
         monkeypatch.setattr(random.Random, name, broken)
-    monkeypatch.setattr(random.Random, "getrandbits", bulk_only)
     reports = run_check(grid, SuiteConfig(suites=("duality_grid",), samples=500,
                                           seed=2**63 + 5))
     assert [r.regime for r in reports] == ["sampled", "sampled"]

@@ -4,14 +4,15 @@ Each module is parsed with ``ast``. An imported name that its module
 never uses fails (``__init__.py`` re-exports, so it is exempt), and so
 does a module-level private function, class or constant that no code in
 the package references. A fresh import of the CLI must not pay for
-reading real tables. The falsification campaign and its drawers draw no
-value through ``random``'s per-value methods, and the campaign reseeds
-the C generator, not ``random.Random``. The numpy floor in
-``pyproject.toml`` has every numpy function the package calls. Deleted second
-implementations, unused wrappers and members that only their own tests
-read stay deleted, ``exchange.py`` enumerates moves by ``submasks_*`` only
-in its scalar search, ``moves.py`` never names ``NEG_INF``, and the scalar
-``conjugate`` keeps off the batched kernel.
+reading real tables. The falsification campaign, its drawers and the
+sampled regimes draw no value through ``random``'s per-value methods,
+and the campaign reseeds the C generator, not ``random.Random``. The
+numpy floor in ``pyproject.toml`` has every numpy function the package
+calls. Deleted second implementations, unused wrappers and members that
+only their own tests read stay deleted, ``exchange.py`` enumerates
+moves by ``submasks_*`` only in its scalar search, ``moves.py`` never
+names ``NEG_INF``, and the scalar ``conjugate`` keeps off the batched
+kernel.
 """
 
 import ast
@@ -102,11 +103,15 @@ _PER_VALUE = {"randint", "randrange", "choice"}
 
 @pytest.mark.parametrize("module, name", [("cli.py", "falsify_campaign"),
                                           ("families.py", "_draw_table"),
-                                          ("families.py", "_draw_mutation")])
+                                          ("families.py", "_draw_mutation"),
+                                          ("duality.py", "_sampled"),
+                                          ("moves.py", "sampled_triples"),
+                                          ("core.py", "_draws")])
 def test_falsify_draws_use_no_per_value_random_method(module, name):
     """Each ``randint``, ``randrange`` or ``choice`` of a falsification
-    trial is drawn by ``core._below``'s rule from ``getrandbits``: the
-    Python frames those methods add per value were most of the drawing."""
+    trial, a sampled grid pair or a sampled triple is drawn by
+    ``core._below``'s rule from ``getrandbits``: the Python frames those
+    methods add per value were most of the drawing."""
     func = next(node for node in MODULES[module].body
                 if isinstance(node, ast.FunctionDef) and node.name == name)
     named = [f"{getattr(node, 'attr', None) or node.id} (line {node.lineno})"
@@ -144,7 +149,7 @@ def test_numpy_floor_covers_the_functions_called():
 
 
 _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange",
-            "attains", "ext_leq", "effective_domain"}
+            "attains", "ext_leq", "effective_domain", "_Replay"}
 
 # Class members that only their own tests read; by class, as short names
 # such as ``j`` or ``rank`` are also local variables.
@@ -159,9 +164,10 @@ _REMOVED_MEMBERS = {
 
 def test_removed_names_are_defined_nowhere():
     """The falsify decider's own triple index and its pass (the decider
-    reads ``moves.moves`` blocks), two wrappers nothing called, and the
+    reads ``moves.moves`` blocks), two wrappers nothing called, the
     array kernels' second finiteness test (minus infinity is a number
-    there, ``moves.value_table``'s ``neg``)."""
+    there, ``moves.value_table``'s ``neg``), and the bulk decoder of
+    seeded words (``core._draws`` takes them from ``getrandbits``)."""
     bound = [f"{module}: {name} (line {node.lineno})" for module, tree in MODULES.items()
              for node in ast.walk(tree)
              for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
