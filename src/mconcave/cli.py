@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -432,6 +431,9 @@ def run_check(instances, cfg):
     tasks = [(i, iid, f, cfg) for i, (iid, f) in enumerate(instances)]
     workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the process pool costs a serial run or a library
+        # import about 20 ms.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_instance_reports, tasks))
     else:

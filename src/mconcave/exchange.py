@@ -47,9 +47,6 @@ from .core import (
     submasks_by_size,
 )
 from .moves import (
-    _BULK_FLOOR,
-    _BULK_NEG,
-    _BULK_SAFE,
     exhaustive_triples,
     moves,
     multi_best,
@@ -69,6 +66,14 @@ DEFAULT_SAMPLES = 10_000
 # Bytes of the temporaries of one block of the exchange sweep, and of all
 # the arrays of one piece of the bulk decider.
 _BATCH_BYTES = 1 << 19
+
+# The bulk encoding of the falsification campaign's value rows: every
+# |value| < 2^60, minus infinity _BULK_NEG = -2^62, so a finite sum of two
+# values lies above _BULK_FLOOR = -2^61, any sum with _BULK_NEG below it,
+# and two of them add up to -2^63, the int64 minimum.
+_BULK_SAFE = 1 << 60
+_BULK_NEG = -(1 << 62)
+_BULK_FLOOR = -(1 << 61)
 
 
 @dataclass(frozen=True)
@@ -392,7 +397,8 @@ def _lemma_facts(f):
     fails, or None, and the count of facts through it (all of them when
     none fails). The swap and augment facts are rules of ``_rule_sweep``;
     the restriction facts, checked on the pairs before its first failure,
-    read which sides of a triple's moves are finite from ``moves.moves``.
+    hold by J = {} where f(X\\I) and f(Y | I) are finite, and read which
+    sides of the other triples' moves are finite from ``moves.moves``.
     """
     n = f.n
     dom = f.dom_masks
@@ -416,6 +422,11 @@ def _lemma_facts(f):
         head = (kx <= ky) * nd + (kx < ky)  # the swap and augment facts
         facts = head + (1 << nd)
         for p, rank, im in triples(d, n, _BATCH_BYTES):
+            # J = {} settles a triple whose f(X\I) and f(Y | I) are finite.
+            rest = np.flatnonzero((at(xs[p] & ~im) == neg) | (at(ys[p] | im) == neg))
+            if not len(rest):
+                continue
+            p, rank, im = p[rest], rank[rest], im[rest]
             x_side, x_sized, y_side = restriction_sides(at, neg, xs[p], ys[p], im, n,
                                                         _BATCH_BYTES)
             empty = ~(x_sized & y_side)

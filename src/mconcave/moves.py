@@ -3,19 +3,23 @@ as int64 mask arrays, and every move J inside Y \\ X of each, in the order
 of ``submasks_by_size`` (by size, then by the lexicographic order of the
 element tuple). Minus infinity is a number in every array here, the
 ``neg`` of ``value_table``, low enough that every exchange comparison
-with it in a term fails.
+with it in a term fails. The table takes the narrowest of int16, int32
+and int64 in which every sum and difference the kernels form stays
+exact, and Python ints past int64.
 
 ``exchange`` decides both bounds of the multiple exchange from one gather
 of f((X\\I) | J) + f((Y\\J) | I), and reads the restriction facts of
-``lemmas_2_8`` from the same moves. With the identity as the table,
-``moves`` gives the masks (X\\I) | J and (Y\\J) | I themselves: the
-falsification campaign's decider gathers them once per n over the full
-cube and reads many value rows through them. A move set J is the
+``lemmas_2_8`` from the same moves, for the triples that J = {} leaves
+open. With the identity as the table, ``moves`` gives the masks
+(X\\I) | J and (Y\\J) | I themselves: the falsification campaign's
+decider gathers them once per n over the full cube and reads many value
+rows through them. A move set J is the
 canonical rank pattern of its size m = |Y \\ X| deposited onto the set
 bits of Y \\ X; the deposit is monotone, so it keeps the order. Every
 function that allocates takes ``budget``, the bytes that the arrays of
 one block may take together (``exchange._BATCH_BYTES``), and blocks over
-the triples, and over the moves too when 2^m moves alone exceed it.
+the triples, budget / _TRIPLE_BYTES of them enumerated or sampled, and
+over the moves too when 2^m moves alone exceed it.
 """
 
 import functools
@@ -26,36 +30,36 @@ import numpy as np
 
 from .core import _draws
 
-# Int tables the array kernels hold in int64: every |value| < 2^60.
-# Minus infinity becomes _BULK_NEG = -2^62, so a finite sum of two values
-# lies above _BULK_FLOOR = -2^61, any sum with _BULK_NEG below it, and two
-# of them add up to -2^63, the int64 minimum.
-_BULK_SAFE = 1 << 60
-_BULK_NEG = -(1 << 62)
-_BULK_FLOOR = -(1 << 61)
+# Bytes per triple of the arrays a block of triples makes on its way
+# through ``moves``, besides its blocks of moves.
+_TRIPLE_BYTES = 256
 
 
 def value_table(f, budget):
     """f's exact table (``f.exact``) for the array kernels: (at, neg).
-    ``at(masks)`` is f at an int64 array of masks, with the number ``neg``
-    for minus infinity. With M = max |value|, a finite sum of two values
-    is >= -2M, any sum with ``neg`` in it is <= -3M - 4, and
+    ``at(masks)`` is f at an int64 array of masks, with the number
+    neg = -4M - 4 for minus infinity, M = max |value|. A finite sum of two
+    values is >= -2M, any sum with ``neg`` in it is <= -3M - 4, and
     f(X) - neg > b - f(Y) for every finite b, so f(X) - a <= b - f(Y)
-    fails wherever a or b is ``neg``. While M < _BULK_SAFE the table is
-    int64 with neg = _BULK_NEG; above that it holds Python ints
-    (``dtype=object``) with neg = -4M - 4. ``neg`` is a 0-d array of the
-    table's dtype. The table is dense while it fits in ``budget``, else a
-    sorted search over the domain."""
+    fails wherever a or b is ``neg``. The table takes the narrowest of
+    int16, int32 and int64 that holds 2 * neg = -8M - 8 (M < 2^12, 2^28
+    and 2^60), and Python ints (``dtype=object``) above that: every side
+    the kernels compare lies in [-5M - 4, 5M + 4] and every sum in
+    [2 * neg, 2M], so none wraps. ``neg`` is a 0-d array of the table's
+    dtype. The table is dense while it fits in ``budget``, else a sorted
+    search over the domain."""
     dom = f.dom_masks
     fin = [f.exact[m] for m in dom]
-    top = max(map(abs, fin))
-    neg = np.array(_BULK_NEG, np.int64) if top < _BULK_SAFE else np.array(-4 * top - 4, object)
-    if 8 << f.n <= budget:
-        table = np.full(1 << f.n, neg, dtype=neg.dtype)
+    neg = -4 * max(map(abs, fin)) - 4
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if 2 * neg >= np.iinfo(t).min),
+                 object)
+    neg = np.array(neg, dtype)
+    if neg.itemsize << f.n <= budget:
+        table = np.full(1 << f.n, neg, dtype=dtype)
         table[list(dom)] = fin
         return table.take, neg
     dm = np.array(dom, dtype=np.int64)
-    fv = np.array(fin, dtype=neg.dtype)
+    fv = np.array(fin, dtype=dtype)
 
     def at(masks):
         pos = np.minimum(np.searchsorted(dm, masks), len(dm) - 1)
@@ -198,10 +202,11 @@ def sampled_triples(dm, n, samples, seed, budget):
     getrandbits(n), drawn by ``core._draws`` from one ``random.Random(seed)``."""
     rng = random.Random(seed)
     runs = [(2, len(dm), len(dm).bit_length()), (1, 1 << n, n)]
-    # A sample's three draws take at most 108 bytes as Python ints in
-    # ``_draws``' list and 24 in its int64 row, and its triple 24 more, so
-    # a step of budget / 640 samples stays well inside the budget.
-    step = max(1, budget // 640)
+    # A sample's three draws take at most 132 bytes while ``_draws`` runs
+    # (108 as Python ints in its list, 24 in its int64 row), less than the
+    # _TRIPLE_BYTES a triple of ``triples`` takes through ``moves``, so a
+    # sampled block is as long as theirs.
+    step = max(1, budget // _TRIPLE_BYTES)
     for start in range(0, samples, step):
         xy, bits = _draws(rng, min(step, samples - start), runs)
         xm, ym = dm[xy[:, 0]], dm[xy[:, 1]]
@@ -229,9 +234,7 @@ def triples(d, n, budget):
     counts = np.left_shift(1, np.bitwise_count(d).astype(np.int64))
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
-    # Bytes per triple of the arrays a block of triples makes on its way
-    # through ``moves``, besides its blocks of moves.
-    step = max(1, budget // 256)
+    step = max(1, budget // _TRIPLE_BYTES)
     for t0 in range(0, total, step):
         t = np.arange(t0, min(t0 + step, total), dtype=np.int64)
         p = np.searchsorted(ends, t, side="right")

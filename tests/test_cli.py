@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.util
 import json
 import os
@@ -209,7 +210,7 @@ def test_check_pool_is_capped_by_tasks_and_cpus(monkeypatch, corpus_by_id):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     instances = [(iid, corpus_by_id[iid].fn)
                  for iid in ("n3_uniform_r2", "n3_partition", "n4_laminar")]
     cfg = SuiteConfig(suites=("exc_single", "exc_multi_bounded"), jobs=10**6)

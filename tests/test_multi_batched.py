@@ -4,11 +4,12 @@ oracles.
 
 ``check_exc_multi`` is compared by report bytes (verdict, first violating
 triple, witness-size histogram and triple count) on both bounds, in both
-regimes, in both dtypes of the kernel, int64 and Python ints beyond 2^60,
-and on real tables, some with ties moved by a billionth. Each test runs
-again with a budget of one byte, so every block holds one triple and one
-move. The lemma facts are compared without the single-exchange gate, on
-tables that fail each kind of fact first.
+regimes, in every dtype of the kernel (int16, int32 and int64 up to
+|value| < 2^12, 2^28 and 2^60, Python ints above), and on real tables,
+some with ties moved by a billionth. Each test runs again with a budget
+of one byte, so every block holds one triple and one move. The lemma
+facts are compared without the single-exchange gate, on tables that fail
+each kind of fact first.
 """
 
 import random
@@ -31,6 +32,7 @@ from mconcave.core import (
     _SUBMASKS_ASC,
     _SUBMASKS_SIZED,
     elements_of,
+    mask_of,
     shown,
     submasks_ascending,
     submasks_by_size,
@@ -184,6 +186,20 @@ def value_dtype(f):
     return moves.value_table(f, exchange._BATCH_BYTES)[1].dtype
 
 
+# The tiers of ``moves.value_table``: the largest |value| on each side of
+# each dtype boundary, and the dtype the table takes.
+TIERS = [(4095, np.int16), (4096, np.int32), (2**28 - 1, np.int32), (2**28, np.int64),
+         (2**60 - 1, np.int64), (2**60, object)]
+TIER_IDS = ["4095", "4096", "2^28-1", "2^28", "2^60-1", "2^60"]
+
+
+def at_top(f, top, low=False):
+    """f shifted so that its largest |value| is ``top``: its maximum moved
+    to ``top``, or its minimum to ``-top`` when ``low``."""
+    fin = [v for v in f.values if v is not NEG_INF]
+    return affine(f, shift=-top - min(fin) if low else top - max(fin))
+
+
 def real_copy(f, scale):
     return SetFn(f.n, [v if v is NEG_INF else v * scale for v in f.values], "real")
 
@@ -303,25 +319,33 @@ def test_ints_beyond_int64_run_on_python_ints(by_id, budget):
     assert 0 < fails < 2 * len(tables)
 
 
-@pytest.mark.parametrize("top", [2**60 - 1, 2**60, 2**2000], ids=["2^60-1", "2^60", "2^2000"])
+@pytest.mark.parametrize("top, dtype", TIERS + [(2**2000, object)], ids=TIER_IDS + ["2^2000"])
 @pytest.mark.parametrize("blanks", [False, True])
-def test_minus_infinity_is_a_number_on_both_tiers(top, blanks):
-    """``value_table`` gives minus infinity as the number ``neg``, dense
-    and sparse: exactly ``neg`` off the domain, and neg + M < -2M for
-    M = max |value|, so that a term ``neg`` fails every exchange
-    comparison."""
+def test_minus_infinity_is_a_number_on_both_tiers(top, dtype, blanks):
+    """``value_table`` gives minus infinity as the number neg = -4M - 4,
+    M = max |value|, on every dtype tier, dense and sparse: exactly
+    ``neg`` off the domain, and neg + M < -2M, so that a term ``neg``
+    fails every exchange comparison. The table takes the narrowest dtype
+    that holds 2 * neg, and is dense while the bytes of that dtype fit
+    in the budget."""
     rng = random.Random(top.bit_length())
     vals = [rng.randint(-top, top) for _ in range(16)]
     vals[5], vals[6] = top, -top
     if blanks:
         vals[0] = vals[9] = vals[15] = NEG_INF
     f = SetFn(4, vals)
-    for budget in (exchange._BATCH_BYTES, (8 << 4) - 1):
+    size = np.dtype(dtype).itemsize << 4
+    for budget, dense in ((exchange._BATCH_BYTES, True), (size, True), (size - 1, False)):
         at, neg = moves.value_table(f, budget)
+        assert neg.dtype == dtype and neg == -4 * top - 4
+        assert isinstance(getattr(at, "__self__", None), np.ndarray) == dense
         assert isinstance(neg.item(), int)
-        got = at(np.arange(16, dtype=np.int64)).tolist()
-        assert got == [int(neg) if v is NEG_INF else v for v in f.exact]
+        got = at(np.arange(16, dtype=np.int64))
+        assert got.dtype == dtype
+        assert got.tolist() == [int(neg) if v is NEG_INF else v for v in f.exact]
         assert neg + top < -2 * top
+        if dtype is not object:
+            assert 2 * int(neg) >= np.iinfo(dtype).min
 
 
 def late_fail_table(missing):
@@ -334,21 +358,22 @@ def late_fail_table(missing):
 
 
 def test_sampled_blocks(by_id, budget):
-    """Sample counts around 1024, and FAILs in the first sampled block and
-    in the last: the late table first fails at sample 3058 of seed 1,
-    past the first block of the default budget; a one-byte block holds one
-    sample."""
+    """Sample counts around one sampled block, and FAILs in the first
+    sampled block and in the last: the late table first fails at sample
+    3058 of seed 1, past the first block of the default budget; a one-byte
+    block holds one sample."""
+    step = max(1, budget // moves._TRIPLE_BYTES)  # the samples of a sampled block
     f8 = by_id["n8_wbasis_uniform_r4"]
     early = mutate(by_id["n8_wbasis_uniform_r3"], 0, 1)  # FAILs at sample 1
     late = late_fail_table(0b111)
     if budget > 1:
+        assert step < 3058
         runs = [(late, 3058, 1), (late, 3058, 2**64 - 1), (mutate(f8, 0, 1), 10**4, 0)]
         runs += [(g, samples, seed) for g in (f8, late, early)
-                 for samples in (1, 1023, 1024, 1025, 10**4) for seed in (0, 2**64 - 1)]
+                 for samples in (1, step - 1, step, step + 1, 10**4) for seed in (0, 2**64 - 1)]
     else:
         runs = [(mutate(f8, 0, 1), 27, 0), (early, 5, 0), (f8, 40, 2**64 - 1)]
         runs += [(g, samples, 0) for g in (f8, early) for samples in (1, 2, 3)]
-    step = max(1, exchange._BATCH_BYTES // 640)  # the samples of a sampled block
     blocks = set()
     for g, samples, seed in runs:
         assert_agree([g], samples=samples, seed=seed)
@@ -396,6 +421,13 @@ def lemma_tables(by_id):
     tables += [affine(g, shift=shift) for shift in (2**63, -(2**63))
                for g in (f3, mutate(f3, 0, 1), random_table(3, 5, neg_inf_prob=0.3),
                          random_mnat_concave(3, 1), by_id["n4_laminar"])]
+    # Each side of each dtype boundary, up from the top and down from the
+    # bottom, on tables of at most eight domain sets.
+    tables += [at_top(g, top, low) for top, _ in TIERS for low in (False, True)
+               for g in (mutate(f3, 0, 1), random_table(3, 5, neg_inf_prob=0.3))]
+    # J = {} finite on one side only at the first failing fact: f(X\I) at
+    # an x_side FAIL, f(Y | I) at a y_side FAIL.
+    tables += one_sided_tables()
     # Real ties moved by 5e-10 and by 1.5e-9.
     for iid, masks in (("n3_laminar", (3, 5, 7)), ("n4_laminar", (3, 6, 15))):
         base = real_copy(by_id[iid], 0.01)
@@ -408,13 +440,22 @@ def lemma_tables(by_id):
     return [f for f in tables if f.dom_masks]
 
 
+def one_sided_tables():
+    """Zero tables on n = 4 with three sets outside the domain, whose first
+    failing fact (after 118 and 50 facts) is a restriction fact where J = {}
+    reaches a finite value on one side only: f(X\\I) = -inf at an x_side
+    FAIL, f(Y | I) = -inf at a y_side FAIL."""
+    return [SetFn(4, [None if m in holes else 0 for m in range(16)])
+            for holes in ((0, 4, 12), (0, 1, 9))]
+
+
 def test_lemma_facts_match_the_loop(by_id, budget):
     """The facts without their gate, on tables that fail each kind first;
     on a PASS the counts of facts agree."""
     kinds = set()
     passes = 0
     tables = thinned(lemma_tables(by_id), budget)
-    assert {str(value_dtype(f)) for f in tables} == {"int64", "object"}
+    assert {str(value_dtype(f)) for f in tables} == {"int16", "int32", "int64", "object"}
     assert {252, 924} <= {len(f.dom_masks) for f in tables} or budget == 1
     for f in tables:
         got = _lemma_facts(f)
@@ -429,6 +470,61 @@ def test_lemma_facts_match_the_loop(by_id, budget):
     assert kinds == {"swap_at_leq_size", "augment_at_lt_size", "x_side", "x_side_sized",
                      "y_side"}
     assert passes >= 20
+
+
+def test_restriction_facts_skip_what_the_empty_move_settles(by_id, monkeypatch):
+    """``_lemma_facts`` runs the moves of a triple only where J = {} leaves
+    a side infinite: never on a full domain, on single-size domains it
+    does. Where J = {} is finite on one side only, the first failing fact
+    is the loop's, with its count."""
+    calls = []
+    real = exchange.restriction_sides
+    monkeypatch.setattr(exchange, "restriction_sides",
+                        lambda at, neg, xm, *a: calls.append(len(xm)) or real(at, neg, xm, *a))
+    for iid in ("n4_laminar", "n5_laminar"):
+        assert _lemma_facts(by_id[iid]) == ref_lemma_facts(by_id[iid])
+    assert calls == []
+    f8 = by_id["n8_wbasis_uniform_r4"]
+    assert _lemma_facts(f8) == (None, ref_lemma_facts(f8)[1])
+    assert calls and sum(calls) < ref_lemma_facts(f8)[1]
+    for f, (kind, x_finite, y_finite, count) in zip(one_sided_tables(),
+                                                    (("x_side", False, True, 118),
+                                                     ("y_side", True, False, 50))):
+        calls.clear()
+        got = _lemma_facts(f)
+        assert got == ref_lemma_facts(f)
+        counter, checked = got
+        xm, ym, im = (mask_of(counter[key], 4) for key in "XYI")
+        assert counter["detail"].split()[0] == kind and checked == count
+        assert (f.exact[xm & ~im] is not NEG_INF, f.exact[ym | im] is not NEG_INF) == \
+            (x_finite, y_finite)
+        assert calls
+
+
+@pytest.mark.parametrize("top, dtype", TIERS, ids=TIER_IDS)
+def test_value_tiers_match_the_loops(by_id, top, dtype):
+    """Corpus tables shifted to each side of each dtype boundary, up and
+    down: both bounds of the multiple exchange, exhaustive and sampled, and
+    the lemma facts give the loops' results, FAILs included."""
+    def shifted(tables):
+        out = [at_top(g, top, low) for g in tables for low in (False, True)]
+        assert all(value_dtype(g) == dtype for g in out)
+        return out
+
+    exhaustive = shifted([by_id["n4_laminar"], by_id["n5_wbasis_uniform"],
+                          mutate(by_id["n5_partition"], 0, 1),
+                          mutate(by_id["n4_assignment"], 1, 2, toggle_neg_inf=True)])
+    sampled = shifted([by_id["n8_wbasis_uniform_r4"], late_fail_table(0b111),
+                       mutate(by_id["n8_wbasis_uniform_r3"], 0, 1)])
+    fails = assert_agree(exhaustive) + assert_agree(sampled, samples=3058, seed=1)
+    assert 0 < fails < 2 * (len(exhaustive) + len(sampled))
+    lemma_fails = 0
+    for f in shifted([by_id["n4_laminar"], by_id["n6_wbasis_k4"], *one_sided_tables(),
+                      random_table(3, 1, neg_inf_prob=0.3)]):
+        got = _lemma_facts(f)
+        assert got == ref_lemma_facts(f), f
+        lemma_fails += got[0] is not None
+    assert lemma_fails >= 4
 
 
 # --- bounded memory ----------------------------------------------------------------

@@ -4,7 +4,7 @@ Each module is parsed with ``ast``. An imported name that its module
 never uses fails (``__init__.py`` re-exports, so it is exempt), and so
 does a module-level private function, class or constant that no code in
 the package references. A fresh import of the CLI must not pay for
-reading real tables. The falsification campaign, its drawers and the
+reading real tables or for the process pool. The falsification campaign, its drawers and the
 sampled regimes draw no value through ``random``'s per-value methods,
 and the campaign reseeds the C generator, not ``random.Random``. The
 numpy floor in ``pyproject.toml`` has every numpy function the package
@@ -96,6 +96,18 @@ def test_cli_import_leaves_out_real_table_reading():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_imports_the_process_pool_only_for_workers():
+    """``cli.py`` imports nothing from ``concurrent`` at module level: the
+    process pool, about 20 ms of a fresh import, loads only when
+    ``run_check`` starts workers."""
+    named = [f"{ast.unparse(node)} (line {node.lineno})" for node in MODULES["cli.py"].body
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "concurrent" for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "concurrent"]
+    assert not named, f"cli.py imports at module level: {named}"
 
 
 _PER_VALUE = {"randint", "randrange", "choice"}

@@ -22,6 +22,7 @@ from mconcave import (
 from mconcave import exchange, moves
 from mconcave.core import elements_of
 from mconcave.families import random_mnat_concave
+from test_multi_batched import TIER_IDS, TIERS, at_top, value_dtype
 
 
 def loop_sweep(f, drop):
@@ -241,3 +242,25 @@ def test_ints_beyond_int64_sweep_on_python_ints(by_id, monkeypatch):
     got, dtypes = batched_dtypes(past, True, monkeypatch)
     assert object in dtypes
     assert got == loop_line(past, True)
+
+
+@pytest.mark.parametrize("top, dtype", TIERS, ids=TIER_IDS)
+def test_value_tiers_sweep_like_the_loop(by_id, top, dtype):
+    """Corpus tables and lifts shifted to each side of each dtype boundary
+    of ``moves.value_table``, up and down: ``check_exc_single`` and
+    ``check_m_concave`` give the loop's report, FAILs included."""
+    bases = [by_id["n5_laminar"], mutate(by_id["n5_partition"], 0, 1),
+             mutate(by_id["n4_assignment"], 1, 2, toggle_neg_inf=True),
+             lift(by_id["n4_laminar"]), lift(mutate(by_id["n4_laminar"], 0, 1)),
+             by_id["n6_wbasis_k4"], mutate(by_id["n6_wbasis_k4"], 1, 1)]
+    fails = 0
+    for f in (at_top(g, top, low) for g in bases for low in (False, True)):
+        assert value_dtype(f) == dtype
+        want = loop_line(f, True, "exc_single", "")
+        assert check_exc_single(f).to_json_line() == want
+        fails += '"FAIL"' in want
+        if len({m.bit_count() for m in f.dom_masks}) == 1:
+            want = loop_line(f, False, "m_concave", "")
+            assert check_m_concave(f).to_json_line() == want
+            fails += '"FAIL"' in want
+    assert 4 <= fails < 3 * len(bases)
