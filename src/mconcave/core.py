@@ -94,13 +94,8 @@ def ext_add(a, b):
 
 def max_over(vals):
     """Maximum of an iterable of extended values; empty input yields NEG_INF."""
-    best = NEG_INF
-    for v in vals:
-        if v is NEG_INF:
-            continue
-        if best is NEG_INF or v > best:
-            best = v
-    return best
+    finite = [v for v in vals if v is not NEG_INF]
+    return max(finite) if finite else NEG_INF
 
 
 def shown(f, v, scale=None):
@@ -165,23 +160,16 @@ def submasks_by_size(mask):
         bits = [1 << (e - 1) for e in elements_of(mask)]
         out = []
         for size in range(len(bits) + 1):
-            for combo in combinations(bits, size):
-                sub = 0
-                for b in combo:
-                    sub |= b
-                out.append((sub, size))
+            out += [(sum(combo), size) for combo in combinations(bits, size)]
         cached = _SUBMASKS_SIZED[mask] = tuple(out)
     return cached
 
 
 def price_sums(entries, n):
     """Table of sum(entries[j-1] for j in Z) over all 2^n bitmasks Z."""
-    sums = [0] * (1 << n)
-    for j in range(n):
-        bit = 1 << j
-        pj = entries[j]
-        for m in range(bit):
-            sums[bit | m] = sums[m] + pj
+    sums = [0]
+    for pj in entries[:n]:  # the masks with bit j set follow the 2^j below
+        sums += [s + pj for s in sums]
     return sums
 
 

@@ -3,15 +3,16 @@ submodularity checks, the restricted functions induced by an exchange
 context, and the Fenchel dual by steepest descent.
 
 ``conjugate`` is the scalar route and the tests' oracle; it is exact, a
-loop over D * f at integer prices. Box sweeps, sampled pairs and the
-Fenchel dual use one batched kernel, ``vals - P @ ind`` over the
-effective domain, which returns every size cap in one pass. It reads
-the exact table D * f (``SetFn.exact``) with D folded into ``ind``, so
+loop over D * f at integer prices. Box sweeps and sampled pairs use one
+batched kernel, ``vals - P @ ind`` over the effective domain, which
+returns every size cap in one pass. It reads the exact table D * f
+(``SetFn.exact``) with D folded into ``ind``, so
 each column is D times a conjugate at integer prices, and every
 inequality compares with ``<=``. The kernel is exact too: int64 while
 max|D * f| + D*n*max|p| < 2^61 (a slack summing two conjugates cannot
 wrap), with the product in float64 (BLAS) while D*n*max|p| < 2^53, and
-Python ints (``dtype=object``) above that bound.
+Python ints (``dtype=object``) above that bound. The Fenchel descent
+carries its own gains and has no float64 tier (below).
 
 The box regime decides the three grid inequalities on unit squares and
 unit steps. On a product of chains a function is submodular iff every
@@ -29,9 +30,13 @@ box. For M-natural-concave f1 and f2 both conjugates are L-natural
 convex, and so is phi, also restricted to the box; a point no move
 lowers is then a global minimum (Murota, Discrete Convex Analysis, 2003,
 ch. 7-8), reached in about ||q*||_inf steps (Kolmogorov and Shioura,
-Discrete Optimization 6, 2009). A step reads the moves in blocks under a
-byte budget; for n <= 5 one cached block serves every step. A point
-where phi equals the primal certifies on any input by weak duality.
+Discrete Optimization 6, 2009). The gains G, D*f1(Z) - D*q(Z) and
+D*f2(Z) + D*q(Z), are linear in q: phi(q + m) is the sum of both sides'
+maxima of G + T[m], T[m, Z] = +-D*|S & Z| for m = +-chi_S, and a step
+adds one row of T to G. For n <= 7 one move-gain table T of every move,
+formed once a descent, fits a byte budget; past it a step forms T in
+blocks. All is int64 while max|D*f| + D*n*(box + 1) < 2^61, else Python
+ints. A point where phi equals the primal certifies by weak duality.
 Where f1 or f2 is not M-natural concave, the end point only bounds the
 box minimum from above; a scan of the whole box is the tests' oracle.
 
@@ -39,16 +44,13 @@ Both regimes read one table that writes each grid inequality once, as
 (lhs, rhs) over a capped and the plain conjugate at a pair's p, q,
 p v q and p ^ q, and one builder turns their first violations into
 reports. The sampled regime is one pass over the checks it is given. It
-draws its pairs from ``random.Random(seed)`` a chunk of samples at a
-time, the chunk bounded in bytes: ``core._draws`` calls ``getrandbits``
-by CPython's ``randrange`` rule (``m.bit_length()`` bits, taken again
-while >= m) in stream order, 2n prices and then, for the submodular
-check, the cap index, and puts each run into one array. The cross and
-quotient checks of every size cap draw the same 2n prices from the same
-seed, so one draw and one conjugate table serve them all, each cap
-reading its own column. The samples, and so the reports, are those of
-the scalar ``randint``/``randrange`` loops, which the tests keep as the
-oracle.
+draws its pairs from ``random.Random(seed)`` by ``core._draws``, a
+byte-bounded chunk of samples at a time: 2n prices and then, for the
+submodular check, the cap index. The cross and quotient checks of every
+size cap draw the same 2n prices from the same seed, so one draw and one
+conjugate table serve them all, each cap reading its own column. The
+samples, and so the reports, are those of the scalar
+``randint``/``randrange`` loops, which the tests keep as the oracle.
 """
 
 import math
@@ -175,10 +177,6 @@ class _Conjugates:
     def __call__(self, P):
         per_size = np.maximum.reduceat(self._gains(P), self.starts, axis=1)
         return np.maximum.accumulate(per_size, axis=1)[:, self.cols]
-
-    def plain(self, P):
-        """The plain conjugate alone, without the per-size pass."""
-        return self._gains(P).max(axis=1)
 
 
 def _box_points(n, lo, hi):
@@ -539,7 +537,7 @@ def _spread(f):
     return max(finite) - min(finite)
 
 
-_DESCENT_BYTES = 1 << 21  # a block's gains and points at 16 bytes each: one block a step for n <= 5
+_DESCENT_BYTES = 1 << 21  # move gains and their sums, 16 bytes each: one block for n <= 7
 
 
 def _primal(f1, f2, scale):
@@ -549,40 +547,53 @@ def _primal(f1, f2, scale):
                     if a is not NEG_INF and b is not NEG_INF)
 
 
-@lru_cache(maxsize=1)
-def _moves(n, start, stop):
-    """Rows start:stop of the moves +chi_S by ascending mask S != 0, then -chi_S."""
-    at, half = np.arange(start, stop, dtype=np.int64), (1 << n) - 1
-    rows = np.where(at < half, 1, -1)[:, None] * ((at % half + 1)[:, None] >> np.arange(n) & 1)
-    rows.flags.writeable = False
-    return rows
+def _move_gains(n, start, stop, zm, coef):
+    """Rows start:stop of the moves +chi_S by ascending mask S != 0, then -chi_S:
+    the masks S, the first minus row, and the move gains +-coef_Z * |S & Z|."""
+    half = (1 << n) - 1
+    masks, minus = np.arange(start, stop, dtype=np.int64) % half + 1, max(0, half - start)
+    table = np.bitwise_count(masks[:, None] & zm) * coef
+    np.negative(table[minus:], out=table[minus:])
+    return masks, minus, table
 
 
-def _descend(conj1, conj2, box, target):
-    """Steepest descent of phi(q) = g1(q) + g2(-q) from q = 0 under the
-    moves q +- chi_S inside [-box, box]^n to the first strict minimizer in
-    ``_moves`` order, read in blocks under ``_DESCENT_BYTES`` (a move off
-    the box scores phi(q)), until ``target`` (None: never) or no move
-    lowers phi. Returns the end point as a tuple and phi there."""
-    n, total = conj1.n, 2 * ((1 << conj1.n) - 1)
-    rows = max(1, _DESCENT_BYTES // (16 * (len(conj1.vals) + len(conj2.vals) + n)))
-    q = np.zeros(n, dtype=np.int64)
-    value = (conj1.plain(q[None]) + conj2.plain(-q[None]))[0]
+def _descend(f1, f2, scale, box, target):
+    """Steepest descent of D * phi, D = ``scale``, from q = 0 to the first
+    strict minimizer among the moves in ``_move_gains`` order (a move off
+    [-box, box]^n scores phi(q)), on carried gains (module docstring),
+    until ``target`` (None: never) or no move lowers phi. Returns the end
+    point as a tuple and D * phi there."""
+    n, total, cut = f1.n, 2 * ((1 << f1.n) - 1), len(f1.dom_masks)
+    vals = [f.exact[m] * (scale // f.scale) for f in (f1, f2) for m in f.dom_masks]
+    rows = max(1, _DESCENT_BYTES // (16 * (len(vals) + n)))
+    top = max(max(map(abs, vals)) + scale * n * (box + 1), scale)  # coef holds D itself
+    dtype = np.int64 if top < _INT64_SAFE else object
+    gains = np.array(vals, dtype)
+    zm = np.array(f1.dom_masks + f2.dom_masks, dtype=np.int64)
+    coef = np.array([-scale] * cut + [scale] * (len(vals) - cut), dtype)
+    whole = _move_gains(n, 0, total, zm, coef) if 0 < total <= rows else None
+    q, sides = [0] * n, np.array([0, cut])
+    value = gains[:cut].max() + gains[cut:].max()
     while value != target:
-        step = None
+        step, hi, lo = None, 0, 0
+        if box in q or -box in q:  # bits where a move leaves the box
+            hi, lo = (sum(1 << j for j, x in enumerate(q) if x == e) for e in (box, -box))
         for start in range(0, total, rows):
-            pts = q + _moves(n, start, min(start + rows, total))
-            d = conj1.plain(pts) + conj2.plain(-pts)
-            d[np.abs(pts).max(axis=1) > box] = value
-            i = int(np.argmin(d))
+            masks, minus, t = whole or _move_gains(n, start, min(start + rows, total), zm, coef)
+            d = np.maximum.reduceat(gains + t, sides, axis=1)
+            d = d[:, 0] + d[:, 1]
+            if hi or lo:
+                d[masks & np.where(np.arange(len(d)) < minus, hi, lo) != 0] = value
+            i = int(d.argmin())
             if d[i] < value:
-                value, step = d[i], pts[i]
+                value, step = d[i], (t[i], int(masks[i]), 1 if i < minus else -1)
                 if value == target:  # weak duality: nothing lies lower
                     break
         if step is None:
             break
-        q = step
-    return tuple(int(x) for x in q), value
+        gains += step[0]
+        q = [x + step[2] * (step[1] >> j & 1) for j, x in enumerate(q)]
+    return tuple(q), value
 
 
 def fenchel_gap(f1, f2, box=None):
@@ -621,9 +632,8 @@ def fenchel_gap(f1, f2, box=None):
     if box is None:
         spread = _spread(f1) * (scale // f1.scale) + _spread(f2) * (scale // f2.scale)
         box = -(-spread // scale) + 1
-
     target = None if primal is NEG_INF else primal
-    q, dual = _descend(_Conjugates(f1, scale), _Conjugates(f2, scale), box, target)
+    q, dual = _descend(f1, f2, scale, box, target)
     dual = int(dual)
     boundary = max(map(abs, q), default=0) == box
     certified = dual == target

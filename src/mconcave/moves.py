@@ -35,6 +35,7 @@ from .core import _draws
 _TRIPLE_BYTES = 256
 
 
+@functools.lru_cache(maxsize=2)
 def value_table(f, budget):
     """f's exact table (``f.exact``) for the array kernels: (at, neg).
     ``at(masks)`` is f at an int64 array of masks, with the number
@@ -45,15 +46,16 @@ def value_table(f, budget):
     int16, int32 and int64 that holds 2 * neg = -8M - 8 (M < 2^12, 2^28
     and 2^60), and Python ints (``dtype=object``) above that: every side
     the kernels compare lies in [-5M - 4, 5M + 4] and every sum in
-    [2 * neg, 2M], so none wraps. ``neg`` is a 0-d array of the table's
-    dtype. The table is dense while it fits in ``budget``, else a sorted
-    search over the domain."""
+    [2 * neg, 2M], so none wraps. ``neg`` is a read-only 0-d array of the
+    table's dtype. The table is dense while it fits in ``budget``, else a
+    sorted search over the domain. The last two (f, its lift) are cached."""
     dom = f.dom_masks
     fin = [f.exact[m] for m in dom]
     neg = -4 * max(map(abs, fin)) - 4
     dtype = next((t for t in (np.int16, np.int32, np.int64) if 2 * neg >= np.iinfo(t).min),
                  object)
     neg = np.array(neg, dtype)
+    neg.flags.writeable = False
     if neg.itemsize << f.n <= budget:
         table = np.full(1 << f.n, neg, dtype=dtype)
         table[list(dom)] = fin

@@ -17,6 +17,7 @@ from mconcave import (
     cli,
     fenchel_gap,
     load,
+    moves,
     mutate,
     store,
 )
@@ -495,6 +496,22 @@ def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
         assert corollary.verdict == want.verdict
     assert cli._single_report.cache_info().currsize <= 1
     assert cli._multi_reports.cache_info().currsize <= 1
+
+
+@pytest.mark.parametrize("instance_id, builds", [("n4_laminar", 2), ("n5_partition", 2),
+                                                  ("n8_wbasis_uniform_r4", 1)])
+def test_exchange_suites_build_one_value_table_per_table(corpus_by_id, instance_id, builds):
+    """The six exchange suites of one instance read ``moves.value_table``
+    five times, and build it once for f and once for its lift; a table of
+    one domain size is its own lift."""
+    f = corpus_by_id[instance_id].fn
+    suites = ("exc_single", "exc_multi_bounded", "exc_multi_unbounded", "corollary1",
+              "m_concave_lift", "lemmas_2_8")
+    for cache in (cli._single_report, cli._multi_reports, moves.value_table):
+        cache.cache_clear()
+    reports = cli._instance_reports((0, instance_id, f, SuiteConfig(suites=suites)))
+    assert all(r.passed for r in reports)
+    assert moves.value_table.cache_info()[:2] == (5 - builds, builds)  # hits, misses
 
 
 @pytest.mark.parametrize("flag", [["--mode", "real"], ["--tol", "0.5"]])

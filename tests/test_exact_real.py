@@ -39,7 +39,7 @@ from mconcave import (
 )
 from mconcave.cli import SuiteConfig, _instance_reports
 from mconcave.duality import _Conjugates
-from test_grid_engine import ref_box_submodular
+from test_grid_engine import plain_conjugate, ref_box_submodular
 
 EXCHANGE_SUITES = ("exc_single", "exc_multi_bounded", "exc_multi_unbounded", "corollary1",
                    "m_concave_lift", "lemmas_2_8")
@@ -171,7 +171,7 @@ def test_conjugate_matches_the_batched_kernel_and_the_fraction_max(table, prices
     p = PriceVector(prices[:n])
     got = conjugate(f, p)
     want = max(v - p.total(m) for m, v in enumerate(exact) if v is not None)
-    kernel = int(_Conjugates(f).plain(np.array([p.entries], dtype=np.int64))[0])
+    kernel = int(plain_conjugate(_Conjugates(f), np.array([p.entries], dtype=np.int64))[0])
     assert got.value == float(want) == kernel / f.scale
     assert got.argmax_mask == min(m for m, v in enumerate(exact)
                                   if v is not None and v - p.total(m) == want)

@@ -9,8 +9,13 @@ q* lies in the box. On other pairs the descent's end point only bounds
 the scan's minimum from above.
 
 ``ref_descend`` is the unblocked descent, one generator block per sign
-of the moves, each filtered to the box. It is the oracle of the blocked
-``_descend``: the same end point and the same value on every pair.
+of the moves, each filtered to the box, that evaluates both conjugates
+afresh at every point. It is the oracle of the blocked ``_descend`` and
+its carried gains: the same end point and the same value on every pair.
+
+Metamorphic relations need no oracle: swapping the pair, renaming the
+ground set, a tilt by (p, -p) and added constants change ``fenchel_gap``'s
+result only as each relation says.
 """
 
 import math
@@ -44,6 +49,7 @@ from mconcave.duality import (
     _primal,
     _spread,
 )
+from test_grid_engine import plain_conjugate
 
 BOXES = (None, 1, 2, 3)
 _CHUNK = 50_000  # rows per block of the shell scan and of ``ref_moves``
@@ -91,7 +97,7 @@ def _scan_dual(f1, f2, box):
         pts = _shell_points(n, r, cache)
         for start in range(0, len(pts), _CHUNK):
             chunk = pts[start:start + _CHUNK]
-            d = conj1.plain(chunk) + conj2.plain(-chunk)
+            d = plain_conjugate(conj1, chunk) + plain_conjugate(conj2, -chunk)
             if target is not None:
                 hits = np.nonzero(d == target)[0]
                 if len(hits):
@@ -247,6 +253,63 @@ def test_descent_walks_disjoint_domains_to_the_box_edge(corpus_by_id):
     assert res.boundary and res.attaining_q is None and not res.certified
 
 
+# --- metamorphic relations ---------------------------------------------------------
+
+
+def _permuted(f, perm):
+    """f with element j + 1 renamed perm[j] + 1: g(sigma(Z)) = f(Z)."""
+    values = [NEG_INF] * (1 << f.n)
+    for m, v in enumerate(f.values):
+        values[sum(1 << perm[j] for j in range(f.n) if m >> j & 1)] = v
+    return SetFn(f.n, values, f.mode)
+
+
+def _fields(res):
+    return res.primal, res.dual, res.gap, res.certified
+
+
+def assert_metamorphic(f1, f2, perm, p, c1, c2):
+    """Swapping the pair, renaming the ground set in both tables, and
+    tilting by (p, -p) leave primal, dual, gap and certification as they
+    are; adding c1 and c2 moves primal and dual by c1 + c2. A tilt moves
+    the box, so on disjoint domains, where the dual is the minimum over
+    the box of a phi unbounded below, only the primal and the verdict
+    stay. Each certified q* is checked with the scalar ``conjugate``."""
+    res = fenchel_gap(f1, f2)
+    tilted = (tilt(f1, p), tilt(f2, -p))
+    shifted = (_mapped(f1, lambda v: v + c1), _mapped(f2, lambda v: v + c2))
+    pairs = [(f2, f1), (_permuted(f1, perm), _permuted(f2, perm)), tilted, shifted]
+    got = [fenchel_gap(g1, g2) for g1, g2 in pairs]
+    for (g1, g2), other in zip(pairs, got):
+        if other.certified:
+            assert _phi(g1, g2, other.attaining_q) == other.primal
+    assert _fields(got[0]) == _fields(got[1]) == _fields(res)
+    if res.primal is NEG_INF:
+        assert (got[2].primal, got[2].gap, got[2].certified) == (NEG_INF, None, False)
+    else:
+        assert _fields(got[2]) == _fields(res)
+    primal = res.primal if res.primal is NEG_INF else res.primal + c1 + c2
+    assert _fields(got[3]) == (primal, res.dual + c1 + c2, res.gap, res.certified)
+
+
+def test_fenchel_gap_metamorphic_on_corpus_pairs():
+    rng = random.Random(11)
+    for (_, f1), (_, f2) in _corpus_pairs():
+        perm = list(range(f1.n))
+        rng.shuffle(perm)
+        p = PriceVector(tuple(rng.randint(-4, 4) for _ in range(f1.n)))
+        assert_metamorphic(f1, f2, perm, p, rng.randint(-9, 9), rng.randint(-9, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32), st.integers(0, 2**32), st.data())
+def test_fenchel_gap_metamorphic_on_mnat_concave_pairs(n, s1, s2, data):
+    perm = data.draw(st.permutations(range(n)))
+    p = PriceVector(tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))))
+    c1, c2 = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
+    assert_metamorphic(random_mnat_concave(n, s1), random_mnat_concave(n, s2), perm, p, c1, c2)
+
+
 # --- the blocked descent against the unblocked reference --------------------------
 
 
@@ -260,14 +323,16 @@ def ref_moves(n):
             yield sign * (masks[:, None] >> bits & 1)
 
 
-def ref_descend(conj1, conj2, box, target):
-    """Steepest descent of phi(q) = g1(q) + g2(-q) from q = 0 under the
-    moves q +- chi_S that stay inside [-box, box]^n. Each step goes to
-    the first strict minimizer in ``ref_moves`` order; the descent stops
-    at ``target`` (None: never) or where no move lowers phi. Returns the
-    end point as a tuple and phi there."""
+def ref_descend(f1, f2, scale, box, target):
+    """Steepest descent of phi(q) = g1(q) + g2(-q), both conjugates times
+    D = ``scale``, from q = 0 under the moves q +- chi_S that stay inside
+    [-box, box]^n. Each step goes to the first strict minimizer in
+    ``ref_moves`` order; the descent stops at ``target`` (None: never) or
+    where no move lowers phi. Returns the end point as a tuple and phi
+    there."""
+    conj1, conj2 = _Conjugates(f1, scale), _Conjugates(f2, scale)
     q = np.zeros(conj1.n, dtype=np.int64)
-    value = (conj1.plain(q[None]) + conj2.plain(-q[None]))[0]
+    value = (plain_conjugate(conj1, q[None]) + plain_conjugate(conj2, -q[None]))[0]
     while value != target:
         step = None
         for moves in ref_moves(conj1.n):
@@ -275,7 +340,7 @@ def ref_descend(conj1, conj2, box, target):
             pts = pts[np.abs(pts).max(axis=1) <= box]
             if not len(pts):
                 continue
-            d = conj1.plain(pts) + conj2.plain(-pts)
+            d = plain_conjugate(conj1, pts) + plain_conjugate(conj2, -pts)
             i = int(np.argmin(d))
             if d[i] < value:
                 value, step = d[i], pts[i]
@@ -295,7 +360,7 @@ def _descent_args(f1, f2, box):
         box = -(-spread // scale) + 1
     primal = _primal(f1, f2, scale)
     target = None if primal is NEG_INF else primal
-    return _Conjugates(f1, scale), _Conjugates(f2, scale), box, target
+    return f1, f2, scale, box, target
 
 
 def _mapped(f, value, mode="int"):
@@ -353,26 +418,53 @@ def test_blocked_descent_matches_the_reference_at_the_int64_bound(n, seed, box):
     assert q == ref_q and int(value) == int(ref_value)
 
 
+def _count_move_gains(monkeypatch):
+    """A spy on ``duality._move_gains``: the list of the block lengths of
+    the move-gain tables formed, one entry a table."""
+    move_gains, blocks = duality._move_gains, []
+
+    def counted(n, start, stop, *args):
+        blocks.append(stop - start)
+        return move_gains(n, start, stop, *args)
+
+    monkeypatch.setattr(duality, "_move_gains", counted)
+    return blocks
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_block_boundaries_leave_fenchel_gap_unchanged(rows, monkeypatch):
     """A budget of one block row, then of seven, splits every step into
-    many blocks, and ``fenchel_gap`` returns what it does by default."""
+    many blocks, each forming its own move-gain table, and ``fenchel_gap``
+    returns what it does by default."""
     rng = random.Random(5)
     pairs = [(f1, f2) for (_, f1), (_, f2) in _corpus_pairs()]
     pairs += [_tilted(f1, f2, rng) for f1, f2 in pairs] + list(_random_pairs(range(6)))
     want = [fenchel_gap(f1, f2).to_dict() for f1, f2 in pairs]
-    plain, blocks = _Conjugates.plain, []
-
-    def counted(self, P):
-        blocks.append(len(P))
-        return plain(self, P)
-
-    monkeypatch.setattr(_Conjugates, "plain", counted)
+    blocks = _count_move_gains(monkeypatch)
     for (f1, f2), expected in zip(pairs, want):
         gains = len(f1.dom_masks) + len(f2.dom_masks)
         monkeypatch.setattr(duality, "_DESCENT_BYTES", 16 * (gains + f1.n) * rows)
         assert fenchel_gap(f1, f2).to_dict() == expected
     assert max(blocks) == rows
+
+
+def test_one_block_descent_forms_its_move_gains_once(corpus_by_id, monkeypatch):
+    """Under the default budget one block holds every move for n <= 5, so
+    each descent forms one move-gain table of all 2(2^n - 1) moves however
+    many steps it takes: the scaled disjoint pair ends on the edge of its
+    box of 1,501, at least 1,501 steps from q = 0."""
+    f1 = _scaled(corpus_by_id["n4_wbasis_uniform"].fn, 250)
+    f2 = _scaled(corpus_by_id["n4_wbasis_cycle"].fn, 250)
+    rng = random.Random(7)
+    pairs = [(g1, g2) for (_, g1), (_, g2) in _corpus_pairs()]
+    pairs += [_tilted(g1, g2, rng) for g1, g2 in pairs]
+    blocks = _count_move_gains(monkeypatch)
+    res = fenchel_gap(f1, f2)
+    assert res.box == 1501 and res.boundary and blocks == [30]
+    for g1, g2 in pairs:
+        blocks.clear()
+        fenchel_gap(g1, g2)
+        assert blocks == [2 * ((1 << g1.n) - 1)]
 
 
 def _traced_peak(run):

@@ -171,6 +171,7 @@ _REMOVED_MEMBERS = {
     "ConjugateEval": {"argmax"},
     "PriceVector": {"unit"},
     "Matroid": {"rank"},
+    "_Conjugates": {"plain"},
 }
 
 
@@ -191,7 +192,8 @@ def test_removed_names_are_defined_nowhere():
 
 
 def test_removed_members_are_defined_nowhere():
-    """Accessors that only their own tests read, and ``falsify_campaign``'s
+    """Accessors that only their own tests read (``_Conjugates.plain`` is
+    now the Fenchel tests' oracle), and ``falsify_campaign``'s
     ``keep_near``, which every caller outside the tests set to 5."""
     bound = [f"{module}: {node.name}.{name} (line {item.lineno})"
              for module, tree in MODULES.items()

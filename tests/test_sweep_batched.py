@@ -196,8 +196,11 @@ class _DtypeSpy:
 
 
 def batched_dtypes(f, drop, monkeypatch):
-    """The batched report line of f, and the dtypes its arrays took."""
+    """The batched report line of f, and the dtypes its arrays took. The
+    cache of ``moves.value_table`` is emptied first, so the table is built
+    under the spy."""
     spy = _DtypeSpy()
+    moves.value_table.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(moves, "np", spy)
         return batched_line(f, drop), spy.dtypes
