@@ -1,8 +1,8 @@
 """Command-line harness: generate corpora, run verification suites, and
 hunt for counterexamples with seeded mutations, whose value rows are
 drawn from one reseeded C generator (``_random.Random``) by
-``core._below``'s rule and decided in bulk, grouped by size in one pass
-(``exchange._bulk_decide``).
+``core._below``'s rule, grouped by size as they are drawn, and decided
+in bulk (``exchange._bulk_decide``).
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
 (a falsification), 2 on operational errors (bad config, malformed
@@ -21,6 +21,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .core import FormatError, NEG_INF, _below, _require_int, load, store
 from .duality import (
     check_conjugate_submodular,
@@ -30,9 +32,9 @@ from .duality import (
 )
 from .exchange import (
     DEFAULT_SAMPLES,
-    _BULK_NEG,
+    _BULK_SAFE,
+    _bulk_bound,
     _bulk_decide,
-    _bulk_row,
     _lemma_facts,
     check_exc_single,
     check_m_concave,
@@ -55,6 +57,7 @@ from .families import (
     uniform_matroid,
     weighted_basis_valuation,
 )
+from .moves import encoding
 from .reporting import VerificationReport, failed_report, passed_report
 
 ALL_SUITES = (
@@ -72,8 +75,8 @@ MASK64 = (1 << 64) - 1
 
 FENCHEL_PAIR_N_LIMIT = 5
 
-# Falsification trials drawn and decided together.
-_FALSIFY_CHUNK = 512
+# Values of the falsification trials drawn and decided together.
+_FALSIFY_VALUES = 1 << 16
 
 # Passing trials a campaign lists as near misses.
 _NEAR_MISSES = 5
@@ -485,10 +488,10 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     as ``random.Random(seed ^ t)``, then its table as ``random_table`` or
     ``mutate`` would from the sub-seed it drew, each ``randint``,
     ``randrange`` or ``choice`` by ``core._below``'s rule, as an int row
-    with _BULK_NEG for NEG_INF and no ``SetFn``. The bases are checked once
-    (``exchange._bulk_row``); each chunk of ``_FALSIFY_CHUNK`` rows is
-    decided in bulk (``exchange._bulk_decide``, which groups the rows by
-    size in one pass).
+    and no ``SetFn``, in ``moves.encoding(m)``, m = max(5, max |base| + 3)
+    capped below ``_BULK_SAFE`` (bases checked once, ``exchange._bulk_bound``),
+    packed by size as drawn; each chunk of ``_FALSIFY_VALUES`` values is
+    decided in one call (``exchange._bulk_decide``), so memory stays flat.
 
     ``near_misses`` lists the first ``_NEAR_MISSES`` passing trials as
     (margin, trial, kind). The margin, the least best - f(X) - f(Y) over
@@ -503,39 +506,50 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
         raise ValueError(f"empty falsification range {n_range}")
-    bases = [(_bulk_row(f.values, k), f.dom_masks)
-             for k, f in enumerate(_falsify_bases()) if n_lo <= f.n <= n_hi] or None
+    bases = [(f.values, f.dom_masks) for f in _falsify_bases() if n_lo <= f.n <= n_hi]
+    m = min(max([5] + [_bulk_bound(r, k) + 3 for k, (r, _) in enumerate(bases)]), _BULK_SAFE - 1)
+    neg, dtype = encoding(m)
+    bases = [([neg if v is NEG_INF else v for v in row], dom) for row, dom in bases] or None
+    kinds = ("random", "random" if bases is None else "mutated")  # by the parity of t
     out = FalsifyOutcome(trials=trials)
+    for p in range(min(trials, 2)):
+        out.kinds[kinds[p]] = out.kinds.get(kinds[p], 0) + (trials + 1 - p) // 2
     rng = _random.Random()  # random.Random's C base: see core._below
-    for start in range(0, trials, _FALSIFY_CHUNK):
-        drawn = []
-        for t in range(start, min(start + _FALSIFY_CHUNK, trials)):
+    t = 0
+    while t < trials:
+        start, left, ns, packed = t, _FALSIFY_VALUES, [], {n: [] for n in range(n_lo, n_hi + 1)}
+        while t < trials and left > 0:
             rng.seed((seed ^ t) & MASK64)
             if t % 2 == 0 or bases is None:
                 n = n_lo + _below(rng, n_hi - n_lo + 1)
                 rng.seed(_below(rng, 1 << 32))
-                drawn.append((_draw_table(rng, n, neg=_BULK_NEG), "random"))
-                continue
-            base, mseed = bases[_below(rng, len(bases))], _below(rng, 1 << 32)
-            magnitude, toggle = 1 + _below(rng, 3), rng.random() < 0.3
-            rng.seed(mseed)
-            row = _draw_mutation(rng, *base, magnitude, toggle, neg=_BULK_NEG)
-            if row.count(_BULK_NEG) == len(row):  # the toggle emptied the domain
+                row = _draw_table(rng, n, neg=neg)
+            else:
+                base, mseed = bases[_below(rng, len(bases))], _below(rng, 1 << 32)
+                magnitude, toggle = 1 + _below(rng, 3), rng.random() < 0.3
                 rng.seed(mseed)
-                row = _draw_mutation(rng, *base, magnitude, neg=_BULK_NEG)
-            drawn.append((row, "mutated"))
-        verdicts = _bulk_decide([row for row, _ in drawn])
-        for t, (row, kind), (passed, holds) in zip(range(start, trials), drawn, verdicts):
-            out.kinds[kind] = out.kinds.get(kind, 0) + 1
-            if not passed:
-                continue
-            out.singles_passed += 1
-            if not holds:
-                out.counterexamples.append({
-                    "trial": t, "kind": kind, "n": len(row).bit_length() - 1,
-                    "values": [None if v == _BULK_NEG else v for v in row]})
-            elif len(out.near_misses) < _NEAR_MISSES:
-                out.near_misses.append((0, t, kind))
+                row = _draw_mutation(rng, *base, magnitude, toggle, neg=neg)
+                if row.count(neg) == len(row):  # the toggle emptied the domain
+                    rng.seed(mseed)
+                    row = _draw_mutation(rng, *base, magnitude, neg=neg)
+                n = len(row).bit_length() - 1
+            packed[n].extend(row)
+            ns.append(n)
+            left -= len(row)
+            t += 1
+        mats = {n: np.array(buf, dtype).reshape(-1, 1 << n) for n, buf in packed.items() if buf}
+        ns = np.array(ns)
+        passed, holds = np.zeros((2, len(ns)), dtype=bool)
+        for n, verdicts in zip(mats, _bulk_decide(mats.values(), m)):
+            passed[ns == n], holds[ns == n] = verdicts
+        out.singles_passed += int(passed.sum())
+        for i in np.flatnonzero(passed & ~holds).tolist():
+            row = mats[ns[i]][np.count_nonzero(ns[:i] == ns[i])].tolist()
+            out.counterexamples.append({"trial": start + i, "kind": kinds[(start + i) % 2],
+                                        "n": int(ns[i]),
+                                        "values": [None if v == neg else v for v in row]})
+        for i in np.flatnonzero(holds)[:_NEAR_MISSES - len(out.near_misses)].tolist():
+            out.near_misses.append((0, start + i, kinds[(start + i) % 2]))
     return out
 
 
@@ -624,17 +638,13 @@ def cmd_falsify(cfg, trials):
 def _add_common_flags(sp):
     sp.add_argument("--config", help="JSON config file mirroring SuiteConfig")
     sp.add_argument("--seed", type=int, help="master seed (64-bit)")
-    sp.add_argument("--suites", help="comma-separated suite list")
     sp.add_argument("--out", help="output path (reports or corpus dir)")
-    sp.add_argument("--jobs", type=int, help="worker processes")
 
 
 def _config_from_args(args):
     cfg = load_config(args.config) if args.config else SuiteConfig()
-    overrides = {}
-    for name in ("seed", "suites", "out", "jobs"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
+    overrides = {name: getattr(args, name) for name in ("seed", "suites", "out", "jobs")
+                 if getattr(args, name, None) is not None}
     return replace(cfg, **overrides)
 
 
@@ -650,6 +660,8 @@ def main(argv=None):
 
     sp_check = sub.add_parser("check", help="run suites over instances")
     _add_common_flags(sp_check)
+    sp_check.add_argument("--suites", help="comma-separated suite list")
+    sp_check.add_argument("--jobs", type=int, help="worker processes")
     sp_check.add_argument("paths", nargs="*",
                           help="instance files or gen output dirs "
                                "(default: the built-in corpus)")

@@ -47,6 +47,7 @@ from .core import (
     submasks_by_size,
 )
 from .moves import (
+    encoding,
     exhaustive_triples,
     moves,
     multi_best,
@@ -67,13 +68,8 @@ DEFAULT_SAMPLES = 10_000
 # the arrays of one piece of the bulk decider.
 _BATCH_BYTES = 1 << 19
 
-# The bulk encoding of the falsification campaign's value rows: every
-# |value| < 2^60, minus infinity _BULK_NEG = -2^62, so a finite sum of two
-# values lies above _BULK_FLOOR = -2^61, any sum with _BULK_NEG below it,
-# and two of them add up to -2^63, the int64 minimum.
+# The bulk decider's bound on |value|: its ``moves.encoding`` is at most int64.
 _BULK_SAFE = 1 << 60
-_BULK_NEG = -(1 << 62)
-_BULK_FLOOR = -(1 << 61)
 
 
 @dataclass(frozen=True)
@@ -495,60 +491,55 @@ def _bulk_plan(n):
     return plan
 
 
-def _bulk_decide(rows):
-    """What the falsification campaign needs of each value row (f's 2^n
-    values in the bulk encoding, ``_bulk_row``), decided for the rows of
-    each ground-set size at once: (passed, holds) with ``passed`` =
-    ``check_exc_single(f).passed`` and, when it passes, ``holds`` = whether
-    the bounded multiple exchange holds (False: a counterexample), else
-    None. Only the best move of a triple counts, so no tie order is needed.
-    Raises ValueError, checked on each size's int64 matrix, for a row
-    outside the bulk arithmetic: not 2^n values, an empty domain, or some
-    |value| >= _BULK_SAFE."""
-    out = [None] * len(rows)
-    by_size = {}
-    for k, row in enumerate(rows):
-        by_size.setdefault(len(row), []).append(k)
-    for w, at in sorted(by_size.items()):
-        vals = np.array([rows[k] for k in at], dtype=np.int64)
-        fin, safe = vals != _BULK_NEG, (vals < _BULK_SAFE) & (vals > -_BULK_SAFE)
-        if not (w & (w - 1) == 0 and fin.any(axis=1).all() and (fin <= safe).all()):
+def _bulk_decide(mats, m):
+    """The campaign's verdicts on matrices of value rows (f's 2^n values,
+    one n per matrix) in ``moves.encoding(m)``: per matrix, bool arrays
+    ``passed`` (``check_exc_single(f).passed``) and ``holds`` (passed and
+    the bounded multiple exchange holds). Only the best move of a triple
+    counts, so no tie order is needed; f(X) + f(Y) < -2m only where X or Y
+    is outside the domain. Raises ValueError, checked on each matrix, for
+    m >= _BULK_SAFE, another dtype, rows not of 2^n values, an empty
+    domain, or a value neither neg nor in [-m, m]."""
+    neg, dtype = encoding(m)
+    out = []
+    for vals in mats:
+        w = vals.shape[1]
+        fin = vals != neg
+        if not (m < _BULK_SAFE and vals.dtype == dtype and w and w & (w - 1) == 0
+                and fin.any(axis=1).all() and (~fin | (vals >= -m) & (vals <= m)).all()):
             raise ValueError("a row is outside the bulk decider")
-        verdicts = np.zeros((2, len(at)), dtype=bool)
+        verdicts = np.zeros((2, len(vals)), dtype=bool)
         # One column per live row, so that a gather copies whole rows.
-        alive, live = np.arange(len(at)), np.ascontiguousarray(vals.T)
+        alive, live = np.arange(len(vals)), np.ascontiguousarray(vals.T)
         # The gate, then the bounded multiple exchange on the rows that pass
         # it (a triple with |I| = 1 has exactly the single exchange's moves).
         for verdict, blocks in zip(verdicts, _bulk_plan(w.bit_length() - 1)):
             for x, y, a, b in blocks:
                 t0 = 0
                 while t0 < len(x) and len(alive):
-                    # About six int64 values a row per move of a piece.
-                    t = slice(t0, t0 + max(1, _BATCH_BYTES // (48 * len(alive) * a.shape[1])))
+                    # About six values a row per move of a piece.
+                    t = slice(t0, t0 + max(1, _BATCH_BYTES // (6 * live[0].nbytes * a.shape[1])))
                     lhs = live[x[t]] + live[y[t]]
                     best = live[a[t]]
                     best += live[b[t]]
-                    ok = ((best.max(axis=1) >= lhs) | (lhs <= _BULK_FLOOR)).all(axis=0)
+                    ok = ((best.max(axis=1) >= lhs) | (lhs < -2 * m)).all(axis=0)
                     if not ok.all():
                         alive, live = alive[ok], live[:, ok]
                     t0 = t.stop
             verdict[alive] = True
-        for k, ok, holds in zip(at, *verdicts.tolist()):
-            out[k] = (True, holds) if ok else (False, None)
+        out.append(tuple(verdicts))
     return out
 
 
-def _bulk_row(row, k):
-    """Row ``k`` (f's 2^n values, NEG_INF for minus infinity) in the bulk
-    encoding, with _BULK_NEG for NEG_INF. Raises ValueError for a row that
-    ``_bulk_decide`` refuses or with a value neither an int nor NEG_INF (a
-    float, a bool)."""
-    n = len(row).bit_length() - 1
+def _bulk_bound(row, k):
+    """The largest |value| of row ``k`` (f's 2^n values, NEG_INF for minus
+    infinity). Raises ValueError for a row that ``_bulk_decide`` refuses in
+    every encoding or with a value neither an int nor NEG_INF (a float, a bool)."""
     fin = [v for v in row if v is not NEG_INF]
-    if not (fin and len(row) == 1 << n and set(map(type, fin)) == {int}
-            and max(fin) < _BULK_SAFE and min(fin) > -_BULK_SAFE):
-        raise ValueError(f"row {k} is outside the bulk decider")
-    return [_BULK_NEG if v is NEG_INF else v for v in row]
+    if (set(map(type, fin)) == {int} and len(row) == 1 << (len(row).bit_length() - 1)
+            and (top := max(map(abs, fin))) < _BULK_SAFE):
+        return top
+    raise ValueError(f"row {k} is outside the bulk decider")
 
 
 # ---------------------------------------------------------------------------

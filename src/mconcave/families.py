@@ -318,11 +318,20 @@ def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
 
 
 def _draw_table(rng, n, lo=-5, hi=5, neg_inf_prob=0.2, neg=NEG_INF):
-    """``random_table``'s values, drawn from ``rng`` (``core._below``),
-    with ``neg`` for NEG_INF."""
+    """``random_table``'s values, drawn from ``rng`` with ``neg`` for
+    NEG_INF, by ``core._below``'s rule run inline: no frame per value."""
     width = hi - lo + 1
-    vals = [neg if rng.random() < neg_inf_prob else lo + _below(rng, width)
-            for _ in range(1 << n)]
+    if width < 1:
+        raise ValueError(f"empty range below {width}")
+    k, random, bits = width.bit_length(), rng.random, rng.getrandbits
+    vals = []
+    for _ in range(1 << n):
+        if random() < neg_inf_prob:
+            vals.append(neg)
+            continue
+        while (r := bits(k)) >= width:
+            pass
+        vals.append(lo + r)
     if vals.count(neg) == len(vals):
         vals[_below(rng, len(vals))] = lo + _below(rng, width)
     return vals

@@ -2,10 +2,10 @@
 as int64 mask arrays, and every move J inside Y \\ X of each, in the order
 of ``submasks_by_size`` (by size, then by the lexicographic order of the
 element tuple). Minus infinity is a number in every array here, the
-``neg`` of ``value_table``, low enough that every exchange comparison
-with it in a term fails. The table takes the narrowest of int16, int32
-and int64 in which every sum and difference the kernels form stays
-exact, and Python ints past int64.
+``neg`` of ``encoding``, low enough that every exchange comparison with
+it in a term fails; ``encoding`` also picks the narrowest exact dtype
+(int16, int32, int64, then Python ints), for ``value_table`` and the
+campaign's decider alike.
 
 ``exchange`` decides both bounds of the multiple exchange from one gather
 of f((X\\I) | J) + f((Y\\J) | I), and reads the restriction facts of
@@ -35,33 +35,36 @@ from .core import _draws
 _TRIPLE_BYTES = 256
 
 
+def encoding(m):
+    """(neg, dtype) for values with |value| <= m: neg = -4m - 4 for minus
+    infinity, and the narrowest of int16, int32 and int64 that holds
+    2 * neg (m < 2^12, 2^28 and 2^60), else ``object``. A finite sum of two
+    values is >= -2m and a sum with neg is <= -3m - 4; every compared side
+    lies in [-5m - 4, 5m + 4] and every sum in [2 * neg, 2m], so none wraps."""
+    neg = -4 * m - 4
+    return neg, next((t for t in (np.int16, np.int32, np.int64) if 2 * neg >= np.iinfo(t).min),
+                     object)
+
+
 @functools.lru_cache(maxsize=2)
 def value_table(f, budget):
     """f's exact table (``f.exact``) for the array kernels: (at, neg).
-    ``at(masks)`` is f at an int64 array of masks, with the number
-    neg = -4M - 4 for minus infinity, M = max |value|. A finite sum of two
-    values is >= -2M, any sum with ``neg`` in it is <= -3M - 4, and
-    f(X) - neg > b - f(Y) for every finite b, so f(X) - a <= b - f(Y)
-    fails wherever a or b is ``neg``. The table takes the narrowest of
-    int16, int32 and int64 that holds 2 * neg = -8M - 8 (M < 2^12, 2^28
-    and 2^60), and Python ints (``dtype=object``) above that: every side
-    the kernels compare lies in [-5M - 4, 5M + 4] and every sum in
-    [2 * neg, 2M], so none wraps. ``neg`` is a read-only 0-d array of the
-    table's dtype. The table is dense while it fits in ``budget``, else a
-    sorted search over the domain. The last two (f, its lift) are cached."""
+    ``at(masks)`` is f at an int64 array of masks, in the ``encoding`` of
+    M = max |value|: f(X) - neg > b - f(Y) for every finite b, so
+    f(X) - a <= b - f(Y) fails wherever a or b is ``neg``. ``neg`` is a
+    read-only 0-d array of the table's dtype. The table is dense while it
+    fits in ``budget``, else a sorted search over the domain. The last two
+    (f, its lift) are cached."""
     dom = f.dom_masks
     fin = [f.exact[m] for m in dom]
-    neg = -4 * max(map(abs, fin)) - 4
-    dtype = next((t for t in (np.int16, np.int32, np.int64) if 2 * neg >= np.iinfo(t).min),
-                 object)
-    neg = np.array(neg, dtype)
+    neg = np.array(*encoding(max(map(abs, fin))))
     neg.flags.writeable = False
     if neg.itemsize << f.n <= budget:
-        table = np.full(1 << f.n, neg, dtype=dtype)
+        table = np.full(1 << f.n, neg, dtype=neg.dtype)
         table[list(dom)] = fin
         return table.take, neg
     dm = np.array(dom, dtype=np.int64)
-    fv = np.array(fin, dtype=dtype)
+    fv = np.array(fin, dtype=neg.dtype)
 
     def at(masks):
         pos = np.minimum(np.searchsorted(dm, masks), len(dm) - 1)

@@ -521,6 +521,24 @@ def test_removed_flags_are_refused(flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [("gen", "--jobs", "2"),
+                                                  ("gen", "--suites", "exc_single"),
+                                                  ("falsify", "--jobs", "2"),
+                                                  ("falsify", "--suites", "exc_single")])
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, command, flag, value):
+    """``gen`` and ``falsify`` read neither --jobs nor --suites, and took
+    both without a word; argparse now exits 2 on them. The config file is
+    shared by every command, so its jobs and suites fields stay accepted."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    cfg = write_config(tmp_path, jobs=2, suites="exc_single")
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out]
+                + (["--trials", "5"] if command == "falsify" else [])) == 0
+
+
 def test_build_instance_unknown_family():
     with pytest.raises(ValueError, match="family"):
         build_instance({"family": "nope"}, 0, 0)

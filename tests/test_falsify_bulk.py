@@ -38,6 +38,7 @@ from mconcave.cli import MASK64, FalsifyOutcome, falsify_campaign, main
 from mconcave.core import HARD_CAP, _require_int, submasks_ascending, submasks_by_size
 from mconcave.exchange import _best_multi
 from mconcave.families import _draw_mutation, _draw_table
+from mconcave.moves import encoding, value_table
 from test_multi_batched import ref_multi_pass
 
 
@@ -110,14 +111,46 @@ def oracle(f):
     return True, ref_multi_pass(f, bounded=True)[0] is None
 
 
+# The oracle's int64 encoding: every |value| < 2^60, minus infinity
+# REF_NEG, so a finite sum of two values lies above REF_FLOOR, any sum with
+# REF_NEG below it, and two of them add up to -2^63, the int64 minimum.
+REF_NEG = -(1 << 62)
+REF_FLOOR = -(1 << 61)
+
+
+def matrices(rows, m):
+    """Value rows (NEG_INF for minus infinity) in ``encoding(m)``: the
+    decider's matrices, one per row length in order of first appearance,
+    and the indices of each one's rows."""
+    neg, dtype = encoding(m)
+    groups = {}
+    for k, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(k)
+    return ([np.array([[neg if v is NEG_INF else v for v in rows[k]] for k in ks], dtype=dtype)
+             for ks in groups.values()], list(groups.values()))
+
+
+def decide(rows, m=None):
+    """``_bulk_decide`` on value rows of mixed sizes in one call, as
+    (passed, holds) per row in row order, holds None where the gate fails.
+    m defaults to the rows' largest |value| (``_bulk_bound``)."""
+    if m is None:
+        m = max(exchange._bulk_bound(row, k) for k, row in enumerate(rows))
+    mats, groups = matrices(rows, m)
+    out = [None] * len(rows)
+    for ks, (passed, holds) in zip(groups, exchange._bulk_decide(mats, m)):
+        for k, p, h in zip(ks, passed.tolist(), holds.tolist()):
+            out[k] = (True, h) if p else (False, None)
+    return out
+
+
 def rows_of(tables):
-    return [exchange._bulk_row(f.values, k) for k, f in enumerate(tables)]
+    return [f.values for f in tables]
 
 
 def bulk_rows(tables):
-    return np.array(
-        [[exchange._BULK_NEG if v is NEG_INF else v for v in f.values] + [exchange._BULK_NEG]
-         for f in tables], dtype=np.int64)
+    return np.array([[REF_NEG if v is NEG_INF else v for v in f.values] + [REF_NEG]
+                     for f in tables], dtype=np.int64)
 
 
 def ungated_tables():
@@ -195,7 +228,7 @@ def ref_bulk_holds(vals, mlhs, moves, starts, start, stop):
         lhs = live[:, xa] + live[:, xb]
         best = live[:, ma] + live[:, mb]
         best = np.maximum.reduceat(best, starts[start:end] - lo, axis=1)
-        alive = alive[((best >= lhs) | (lhs <= exchange._BULK_FLOOR)).all(axis=1)]
+        alive = alive[((best >= lhs) | (lhs <= REF_FLOOR)).all(axis=1)]
         start, block = end, block * 4
     holds = np.zeros(len(vals), dtype=bool)
     holds[alive] = True
@@ -264,7 +297,7 @@ def test_gate_matches_check_exc_single():
         got = ref_bulk_holds(bulk_rows(tables), *index, 0, singles).tolist()
         want = [check_exc_single(f).passed for f in tables]
         assert got == want, n
-        assert [p for p, _ in exchange._bulk_decide(rows_of(tables))] == want, n
+        assert [p for p, _ in decide(rows_of(tables))] == want, n
         seen |= set(want)
     assert seen == {True, False}
 
@@ -316,7 +349,7 @@ def test_decide_matches_oracle(monkeypatch, budget):
     for n in range(8):
         exchange._bulk_plan(n)
     monkeypatch.setattr(exchange, "_BATCH_BYTES", budget)
-    assert exchange._bulk_decide(rows_of(tables)) == want
+    assert decide(rows_of(tables)) == want
 
 
 def test_decide_reads_every_triple_of_the_plan(monkeypatch):
@@ -334,9 +367,10 @@ def test_decide_reads_every_triple_of_the_plan(monkeypatch):
     monkeypatch.setattr(exchange, "_bulk_plan", lambda n: plan)
     rows = [[0 if k == r + 1 else 1 for k in range(16)] for r in range(16)]
     want = [(False, None)] * 10 + [(True, False)] * 5 + [(True, True)]
-    for budget in (exchange._BATCH_BYTES, 48 * 16 * 3, 1):  # whole blocks, three triples, one
+    # Whole blocks, three triples (six int16 values a row per move), one.
+    for budget in (exchange._BATCH_BYTES, 12 * 16 * 3, 1):
         monkeypatch.setattr(exchange, "_BATCH_BYTES", budget)
-        assert exchange._bulk_decide(rows) == want, budget
+        assert decide(rows) == want, budget
 
 
 def test_decide_many_rows_that_all_pass():
@@ -349,15 +383,16 @@ def test_decide_many_rows_that_all_pass():
     tables = [tilt(rank, PriceVector(tuple(rng.randint(-3, 3) for _ in range(5))))
               for _ in range(1000)]
     assert [oracle(f) for f in tables[:20]] == [(True, True)] * 20
-    assert exchange._bulk_decide(rows_of(tables)) == [(True, True)] * 1000
+    assert decide(rows_of(tables)) == [(True, True)] * 1000
 
 
 def test_tables_outside_the_bound_are_refused():
     """Rows with values just inside the bound run in bulk and agree with
     the oracle; a row with any |v| >= 2^60, a float or a bool, an empty
-    domain or a length other than 2^n raises ValueError in ``_bulk_row``,
-    and in ``_bulk_decide`` when its encoding fits int64, as the campaign
-    never draws one. numpy would read the bools as ints without a word."""
+    domain or a length other than 2^n raises ValueError in ``_bulk_bound``,
+    and in ``_bulk_decide`` when its ints fit int64, as the campaign never
+    draws one; so do a matrix of another dtype than the encoding's and
+    m >= 2^60. numpy would read the bools as ints without a word."""
     top = exchange._BULK_SAFE - 1
     inside, outside = [random_table(6, 0)], []
     for s in range(40):
@@ -373,15 +408,21 @@ def test_tables_outside_the_bound_are_refused():
             scale = top // max(abs(v) for v in c.fn.values if v is not NEG_INF)
             inside.append(SetFn(c.fn.n, [v if v is NEG_INF else v * scale for v in c.fn.values]))
     outside += [[0, 0.5, 0.25, 1.0], [True, 1], [NEG_INF] * 8, [], [0, 1, 2], [None, 1]]
-    assert exchange._bulk_decide(rows_of(inside)) == [oracle(f) for f in inside]
+    assert decide(rows_of(inside)) == [oracle(f) for f in inside]
     assert {p for p, _ in map(oracle, inside)} == {True, False}
+    neg, dtype = encoding(top)
+    good = matrices(rows_of(inside[:3]), top)[0]
     for row in outside:
         with pytest.raises(ValueError, match="outside the bulk decider"):
-            exchange._bulk_row(row, 0)
-        encoded = [exchange._BULK_NEG if v is NEG_INF else v for v in row]
+            exchange._bulk_bound(row, 0)
+        encoded = [neg if v is NEG_INF else v for v in row]
         if all(type(v) is int and abs(v) < 2**63 for v in encoded):
             with pytest.raises(ValueError, match="outside the bulk decider"):
-                exchange._bulk_decide(rows_of(inside[:3]) + [encoded])
+                exchange._bulk_decide(good + [np.array([encoded], dtype=dtype)], top)
+    for mats, m in ((good, top + 1), ([good[0].astype(np.int32)], top),
+                    ([good[0].astype(float)], top)):
+        with pytest.raises(ValueError, match="outside the bulk decider"):
+            exchange._bulk_decide(mats, m)
 
 
 def drawer_cases():
@@ -567,12 +608,12 @@ def test_campaign_redraws_a_mutation_whose_toggle_empties_the_domain(monkeypatch
     assert len(emptied) >= 10
 
 
-@pytest.mark.parametrize("value", [exchange._BULK_SAFE, -exchange._BULK_SAFE, exchange._BULK_NEG,
+@pytest.mark.parametrize("value", [exchange._BULK_SAFE, -exchange._BULK_SAFE, -(1 << 62),
                                    2**63, -(2**63) - 1, 2**70, 0.5])
 def test_campaign_refuses_a_base_outside_the_bulk_decider(monkeypatch, value):
     """A base with a value that an int64 row cannot hold exactly (one past
-    the bound, the -infinity code itself, past int64, a float) raises
-    ValueError, as ``_bulk_row`` refuses such a row, and is never
+    the bound, the int64 oracle's -infinity code, past int64, a float)
+    raises ValueError, as ``_bulk_bound`` refuses such a row, and is never
     decided as wrapped, truncated or misread values."""
     values = [value if k == 5 else k for k in range(8)]
     base = SetFn(3, values, "real" if isinstance(value, float) else "int")
@@ -580,21 +621,23 @@ def test_campaign_refuses_a_base_outside_the_bulk_decider(monkeypatch, value):
     with pytest.raises(ValueError, match="outside the bulk decider"):
         falsify_campaign(20, 0, (3, 3))
     with pytest.raises(ValueError, match="outside the bulk decider"):
-        exchange._bulk_row(base.values, 0)
+        exchange._bulk_bound(base.values, 0)
 
 
 def test_campaign_refuses_a_mutation_past_the_bound(monkeypatch):
-    """A base just inside the bound passes, and its mutations that move a
-    value past it are refused on the chunk's int64 matrix."""
+    """A base just inside the bound passes, a campaign whose trials move no
+    value past it runs, and its mutations that move a value past it are
+    refused on the chunk's matrix."""
     top = exchange._BULK_SAFE - 1
     base = SetFn(3, [top] * 8)
-    assert exchange._bulk_decide(rows_of([base])) == [(True, True)]
+    assert decide(rows_of([base])) == [(True, True)]
     monkeypatch.setattr(cli, "_falsify_bases", lambda: (base,))
+    assert falsify_campaign(1, 0, (3, 3)).kinds == {"random": 1}
     with pytest.raises(ValueError, match="outside the bulk decider"):
         falsify_campaign(40, 0, (3, 3))
-    for row in ([top + 1] + [top] * 7, [exchange._BULK_NEG] * 8):
+    for row in ([top + 1] + [top] * 7, [NEG_INF] * 8):
         with pytest.raises(ValueError, match="outside the bulk decider"):
-            exchange._bulk_decide([row])
+            exchange._bulk_decide(matrices([row], top)[0], top)
 
 
 def test_campaign_builds_no_setfn(monkeypatch):
@@ -614,18 +657,23 @@ def test_campaign_builds_no_setfn(monkeypatch):
     assert built == []
 
 
+# Chunks of 1, 7 and 10^6 rows in the campaign's unit, values: every row
+# closes its chunk, 4 to 56 rows (of 2 to 32 values), everything.
+CHUNK_VALUES = {1: 1, 7: 7 * 16, 10**6: 10**6}
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 10**6])
 def test_falsify_bytes_do_not_depend_on_the_chunk(monkeypatch, capsys, chunk):
     """The default ``mconcave falsify`` bytes, and a library campaign
     crossing several chunks, with trials drawn and decided in chunks of
-    ``chunk``."""
+    ``CHUNK_VALUES[chunk]`` values."""
     def wide():
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_NEAR_MISSES", 10**6)
             return dump(falsify_campaign(1100, 2**64 - 1, (1, 5)))
 
     want = wide()
-    monkeypatch.setattr(cli, "_FALSIFY_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_FALSIFY_VALUES", CHUNK_VALUES[chunk])
     assert main(["falsify"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "4e56659d3b0b9571dac24ae456a271c5f10546ee93990f419e57b7b9c55558a5"
@@ -637,11 +685,13 @@ def test_bases_are_built_once():
     assert isinstance(cli._falsify_bases(), tuple)
 
 
-def sevens(rows):
+def sevens(mats, m):
     """A stand-in decider whose verdict depends only on a row's values:
     every row passes the gate, and the multiple exchange fails when the
     sum of its finite values is a multiple of 7."""
-    return [(True, sum(v for v in row if v != exchange._BULK_NEG) % 7 != 0) for row in rows]
+    neg = encoding(m)[0]
+    return [(np.ones(len(vals), dtype=bool), np.where(vals == neg, 0, vals).sum(axis=1) % 7 != 0)
+            for vals in mats]
 
 
 def test_campaign_reports_counterexamples_in_trial_order(monkeypatch, capsys):
@@ -666,7 +716,102 @@ def test_campaign_reports_counterexamples_in_trial_order(monkeypatch, capsys):
     assert bad == want
     assert outcome.singles_passed == 1100 and len(outcome.near_misses) == 3
     for chunk in (1, 7, 10**6):
-        monkeypatch.setattr(cli, "_FALSIFY_CHUNK", chunk)
+        monkeypatch.setattr(cli, "_FALSIFY_VALUES", CHUNK_VALUES[chunk])
         assert dump(falsify_campaign(1100, seed, n_range)) == dump(outcome)
     assert main(["falsify", "--trials", "50"]) == 1
     assert json.loads(capsys.readouterr().out)["counterexamples"]
+
+
+def shifted(tables, top, up):
+    """Each table's finite values moved by one constant, so that its
+    largest value is ``top`` (``up``) or its least is -top: the exchange
+    verdicts stay, as both sides of every inequality hold two values."""
+    out = []
+    for f in tables:
+        fin = [v for v in f.values if v is not NEG_INF]
+        c = top - max(fin) if up else -top - min(fin)
+        out.append(SetFn(f.n, [v if v is NEG_INF else v + c for v in f.values]))
+    return out
+
+
+@pytest.mark.parametrize("bound, below, above", [(2**12, np.int16, np.int32),
+                                                 (2**28, np.int32, np.int64),
+                                                 (2**60, np.int64, None)])
+def test_decide_matches_the_int64_oracle_on_each_dtype_tier(monkeypatch, bound, below, above):
+    """Rows of every n <= 5 in one call, whose largest |value| is
+    bound - 1 or bound (ungated tables shifted up and down), take the
+    narrow dtype of their tier and agree with ``ref_bulk_holds`` in int64:
+    the gate on the plan, and the bounded multiple exchange, FAILs
+    included, on a plan whose triples all lie past the gate. At 2^60 the
+    rows are refused."""
+    tables = ungated_tables()[::3]
+    plan = exchange._bulk_plan
+    for top, dtype in ((bound - 1, below), (bound, above)):
+        rows = shifted(tables, top, True) + shifted(tables, top, False)
+        if dtype is None:
+            with pytest.raises(ValueError, match="outside the bulk decider"):
+                exchange._bulk_bound(rows[0].values, 0)
+            with pytest.raises(ValueError, match="outside the bulk decider"):
+                exchange._bulk_decide(matrices(rows_of(rows), top)[0], top)
+            continue
+        assert encoding(top)[1] is dtype
+        want = []
+        for f in rows:
+            *index, singles = ref_bulk_index(f.n)
+            vals = bulk_rows([f])
+            gate = ref_bulk_holds(vals, *index, 0, singles)[0]
+            want.append((gate, ref_bulk_holds(vals, *index, 0, len(index[0]))[0]))
+        assert {g for g, _ in want} == {b for _, b in want} == {True, False}
+        assert decide(rows_of(rows), top) == [(True, True) if g else (False, None) for g, _ in want]
+        with monkeypatch.context() as patch:
+            patch.setattr(exchange, "_bulk_plan", lambda n: ((), plan(n)[0] + plan(n)[1]))
+            assert decide(rows_of(rows), top) == [(True, b) for _, b in want]
+
+
+def test_value_table_and_the_decider_share_one_encoding(monkeypatch):
+    """For one M, ``value_table`` and ``_bulk_decide`` take the same
+    (neg, dtype) from ``moves.encoding``, on each side of every tier."""
+    seen = []
+    real = exchange.encoding
+    monkeypatch.setattr(exchange, "encoding", lambda m: seen.append(real(m)) or seen[-1])
+    for top in (0, 1, 2**12 - 1, 2**12, 2**28 - 1, 2**28, 2**60 - 1):
+        f = SetFn(2, [top, -(top // 2), None, 0])
+        _, neg = value_table(f, exchange._BATCH_BYTES)
+        assert decide(rows_of([f])) == [oracle(f)]
+        assert seen[-1][0] == int(neg) and np.dtype(seen[-1][1]) == neg.dtype, top
+
+
+def test_default_campaigns_decide_int16_matrices(monkeypatch, capsys):
+    """The default ``mconcave falsify`` and library campaigns draw values
+    within 5 or 3 of the corpus bases', so their matrices are int16."""
+    dtypes = []
+    real = cli._bulk_decide
+
+    def spy(mats, m):
+        mats = list(mats)
+        dtypes.extend(vals.dtype for vals in mats)
+        return real(mats, m)
+    monkeypatch.setattr(cli, "_bulk_decide", spy)
+    assert main(["falsify"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "4e56659d3b0b9571dac24ae456a271c5f10546ee93990f419e57b7b9c55558a5"
+    falsify_campaign(1000, 0)
+    assert len(dtypes) > 2 and set(dtypes) == {np.dtype(np.int16)}
+
+
+def test_campaign_memory_does_not_grow_with_trials(monkeypatch):
+    """Rows are packed and decided one chunk at a time, so ten times the
+    trials peak within a small slack of the same allocations (traced by
+    ``tracemalloc``, numpy's included), once the plans and the bases are
+    built. Chunks of 2^12 values keep it quick: 600 trials fill a few."""
+    monkeypatch.setattr(cli, "_FALSIFY_VALUES", 1 << 12)
+    falsify_campaign(600, 5)
+    peaks = []
+    for trials in (600, 6000):
+        tracemalloc.start()
+        try:
+            falsify_campaign(trials, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (64 << 10), peaks

@@ -133,6 +133,24 @@ def test_falsify_draws_use_no_per_value_random_method(module, name):
     assert not named, f"{name} reads {named}"
 
 
+def test_table_drawer_calls_below_only_to_fix_an_empty_domain():
+    """``families._draw_table`` runs ``core._below``'s rejection loop inline
+    for each value; it calls ``_below`` only on the path that fixes a
+    table drawn all minus infinity, never in a loop."""
+    func = next(node for node in MODULES["families.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_draw_table")
+    fixes = [node for node in ast.walk(func) if isinstance(node, ast.If)
+             and ".count(" in ast.unparse(node.test)]
+    inside = {id(node) for fix in fixes for node in ast.walk(fix)}
+    loops = {id(node) for loop in ast.walk(func)
+             if isinstance(loop, (ast.For, ast.While, ast.ListComp, ast.GeneratorExp))
+             for node in ast.walk(loop)}
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_below"]
+    stray = [f"line {node.lineno}" for node in calls if id(node) not in inside or id(node) in loops]
+    assert calls and not stray, f"_draw_table calls _below outside the fix-up: {stray}"
+
+
 def test_falsify_reseeds_the_c_generator():
     """``falsify_campaign`` builds its one generator as ``_random.Random``
     and no ``random.Random``, whose ``seed`` adds a Python frame to each of
@@ -161,7 +179,8 @@ def test_numpy_floor_covers_the_functions_called():
 
 
 _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange",
-            "attains", "ext_leq", "effective_domain", "_Replay"}
+            "attains", "ext_leq", "effective_domain", "_Replay", "_BULK_NEG", "_BULK_FLOOR",
+            "_bulk_row", "_FALSIFY_CHUNK"}
 
 # Class members that only their own tests read; by class, as short names
 # such as ``j`` or ``rank`` are also local variables.
@@ -179,8 +198,11 @@ def test_removed_names_are_defined_nowhere():
     """The falsify decider's own triple index and its pass (the decider
     reads ``moves.moves`` blocks), two wrappers nothing called, the
     array kernels' second finiteness test (minus infinity is a number
-    there, ``moves.value_table``'s ``neg``), and the bulk decoder of
-    seeded words (``core._draws`` takes them from ``getrandbits``)."""
+    there, ``moves.value_table``'s ``neg``), the bulk decoder of seeded
+    words (``core._draws`` takes them from ``getrandbits``), the falsify
+    decider's own int64 encoding and row encoder (it reads
+    ``moves.encoding``), and the chunk of rows (chunks are bounded by
+    values)."""
     bound = [f"{module}: {name} (line {node.lineno})" for module, tree in MODULES.items()
              for node in ast.walk(tree)
              for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
