@@ -363,7 +363,7 @@ def _multi_pass_margin(f, samples=None, seed=None):
     seen = 0
     for xm, ym, im in blocks:
         lhs = at(xm) + at(ym)
-        bests = multi_best(at, neg, xm, ym, im, n, _BATCH_BYTES)
+        bests = multi_best(at, neg, xm, ym, im, _BATCH_BYTES)
         for bounded, (best, size) in zip((True, False), bests):
             if bounded in out:
                 continue
@@ -423,7 +423,7 @@ def _lemma_facts(f):
             if not len(rest):
                 continue
             p, rank, im = p[rest], rank[rest], im[rest]
-            x_side, x_sized, y_side = restriction_sides(at, neg, xs[p], ys[p], im, n,
+            x_side, x_sized, y_side = restriction_sides(at, neg, xs[p], ys[p], im,
                                                         _BATCH_BYTES)
             empty = ~(x_sized & y_side)
             if empty.any():
@@ -475,7 +475,7 @@ def _bulk_plan(n):
     for xm, ym, im in exhaustive_triples(np.arange(1 << n, dtype=np.int64), n, _BATCH_BYTES):
         # ``moves`` splits a triple's moves over blocks past budget // 64 of
         # them; the plan needs each triple's moves in one block.
-        for rows, a, b, size, k in moves(lambda masks: masks, xm, ym, im, n,
+        for rows, a, b, size, k in moves(lambda masks: masks, xm, ym, im,
                                          max(_BATCH_BYTES, 64 << n)):
             for kv in set(k.tolist()):
                 t, keep = k == kv, size <= kv

@@ -13,9 +13,11 @@ of f((X\\I) | J) + f((Y\\J) | I), and reads the restriction facts of
 open. With the identity as the table, ``moves`` gives the masks
 (X\\I) | J and (Y\\J) | I themselves: the falsification campaign's
 decider gathers them once per n over the full cube and reads many value
-rows through them. A move set J is the
-canonical rank pattern of its size m = |Y \\ X| deposited onto the set
-bits of Y \\ X; the deposit is monotone, so it keeps the order. Every
+rows through them. A move set J is the canonical rank pattern of its
+size m = |Y \\ X| with bit r moved to the r-th lowest set bit of Y \\ X,
+which keeps the order: one int64 matrix product of those m bits with the
+(m, moves) 0/1 bit matrix of the patterns, exact as each entry sums
+distinct powers of two below 2^HARD_CAP (integer, so no BLAS). Every
 function that allocates takes ``budget``, the bytes that the arrays of
 one block may take together (``exchange._BATCH_BYTES``), and blocks over
 the triples, budget / _TRIPLE_BYTES of them enumerated or sampled, and
@@ -86,21 +88,21 @@ def deposit(idx, d, n):
 
 
 def ranked(m, j0, j1):
-    """Ranks j0 .. j1 - 1 of the submasks of (1 << m) - 1 in the order of
-    ``submasks_by_size``: (masks, sizes) as int64 arrays."""
+    """Ranks j0 .. j1 - 1 (below 2^m) of the submasks of (1 << m) - 1 in the
+    order of ``submasks_by_size``: (bits, sizes) as int64 arrays, bits the
+    0/1 matrix with m rows whose column w holds the bits of rank j0 + w."""
     first, starts = _rank_tables(m)
-    rank = np.arange(j0, j1, dtype=np.int64)
+    rank = np.arange(j0, min(j1, 1 << m), dtype=np.int64)
     size = np.searchsorted(first, rank, side="right") - 1
     rank -= first[size]
     left = size.copy()
-    masks = np.zeros_like(rank)
+    bits = np.zeros((m, len(rank)), dtype=np.int64)
     for e in range(m):
         take = starts[e][left]
-        hit = rank < take
-        masks |= hit.astype(np.int64) << e
+        bits[e] = hit = rank < take
         rank -= np.where(hit, 0, take)
         left -= hit
-    return masks, size
+    return bits, size
 
 
 @functools.cache
@@ -116,14 +118,14 @@ def _rank_tables(m):
 
 @functools.cache
 def by_size(m):
-    """All submasks of (1 << m) - 1 in the order of ``submasks_by_size``."""
+    """All of ``ranked(m, ...)``, read-only."""
     out = ranked(m, 0, 1 << m)
     for a in out:
         a.setflags(write=False)
     return out
 
 
-def moves(at, xm, ym, im, n, budget):
+def moves(at, xm, ym, im, budget):
     """The moves J inside Y \\ X of the triples (X, Y, I), given as int64
     mask arrays, in the order of ``submasks_by_size``. Yields
     (rows, a, b, size, k) per block: ``rows`` indexes triples with one
@@ -136,9 +138,7 @@ def moves(at, xm, ym, im, n, budget):
     y0 = ym & ~xm
     m = np.bitwise_count(y0)
     k = np.bitwise_count(im)
-    # Triples by m, and by Y \ X within one m, so that a block deposits
-    # each of its Y \ X once.
-    order = np.argsort((m.astype(np.int64) << n) | y0)
+    order = np.argsort(m, kind="stable")
     cuts = np.flatnonzero(np.diff(m[order])) + 1
     # Bytes per (triple, move) of the live int64 temporaries.
     fit = max(1, budget // 64)
@@ -149,42 +149,42 @@ def moves(at, xm, ym, im, n, budget):
         width = min(1 << mr, fit)
         step = max(1, fit // width)
         for j0 in range(0, 1 << mr, width):
-            if width == 1 << mr:
-                pattern, size = by_size(mr)
-            else:
-                pattern, size = ranked(mr, j0, min(j0 + width, 1 << mr))
+            bits, size = by_size(mr) if width == 1 << mr else ranked(mr, j0, j0 + width)
             for t0 in range(0, len(rows), step):
                 sub = rows[t0:t0 + step]
-                fresh = np.diff(y0[sub], prepend=-1) != 0
-                spread = deposit(pattern[None, :], y0[sub][fresh, None], n)
-                moved = spread[np.cumsum(fresh) - 1]
+                # The m lowest set bits of each Y \ X; J sums those its pattern picks.
+                y, low = y0[sub], np.empty((len(sub), mr), dtype=np.int64)
+                for r in range(mr):
+                    low[:, r] = y & -y
+                    y = y ^ low[:, r]
+                moved = low @ bits
                 yield (sub, at(xb[sub, None] ^ moved), at(yb[sub, None] ^ moved),
                        size, k[sub])
 
 
-def multi_best(at, neg, xm, ym, im, n, budget):
+def multi_best(at, neg, xm, ym, im, budget):
     """The best move of each triple: ((best, size) bounded, (best, size)
     unbounded), where best is the maximum of f((X\\I) | J) + f((Y\\J) | I)
     over J inside Y \\ X (with |J| <= |I| when bounded) and size the
     smallest |J| attaining it, which is the size ``_best_multi`` reports."""
     outs = [(np.full(len(xm), neg), np.zeros(len(xm), dtype=np.int64)) for _ in range(2)]
-    for rows, a, b, size, k in moves(at, xm, ym, im, n, budget):
+    for rows, a, b, size, k in moves(at, xm, ym, im, budget):
         s = a + b
         for (best, at_size), sums in zip(outs[::-1], (s, np.where(size <= k[:, None], s, neg))):
             pick = sums.argmax(axis=1)
-            top = np.take_along_axis(sums, pick[:, None], axis=1)[:, 0]
+            top = sums[np.arange(len(rows)), pick]
             up = top > best[rows]
             best[rows[up]] = top[up]
             at_size[rows[up]] = size[pick[up]]
     return outs
 
 
-def restriction_sides(at, neg, xm, ym, im, n, budget):
+def restriction_sides(at, neg, xm, ym, im, budget):
     """For each triple (X, Y, I), whether its restrictions have a nonempty
     domain: (x_side, x_side_sized, y_side), some finite f((X\\I) | J), some
     with |J| <= |I|, and some finite f((Y\\J) | I), over J inside Y \\ X."""
     sides = [np.zeros(len(xm), dtype=bool) for _ in range(3)]
-    for rows, a, b, size, k in moves(at, xm, ym, im, n, budget):
+    for rows, a, b, size, k in moves(at, xm, ym, im, budget):
         finite = a != neg
         for side, hit in zip(sides, (finite, finite & (size <= k[:, None]), b != neg)):
             side[rows] |= hit.any(axis=1)

@@ -212,13 +212,16 @@ def affine(f, scale=1, shift=0):
 
 
 def test_ranked_moves_are_submasks_by_size():
+    def pairs(bits, size):
+        masks = (bits << np.arange(len(bits))[:, None]).sum(axis=0, dtype=np.int64)
+        assert set(bits.flat) <= {0, 1}
+        return list(zip(masks.tolist(), size.tolist()))
     for m in range(11):
         want = list(submasks_by_size((1 << m) - 1))
-        assert list(zip(*(a.tolist() for a in moves.by_size(m)))) == want
+        assert pairs(*moves.by_size(m)) == want
         for width in (1, 7):
             for j0 in range(0, 1 << m, width):
-                got = moves.ranked(m, j0, min(j0 + width, 1 << m))
-                assert list(zip(*(a.tolist() for a in got))) == want[j0:j0 + width]
+                assert pairs(*moves.ranked(m, j0, j0 + width)) == want[j0:j0 + width]
 
 
 def test_deposit_is_submasks_ascending():
@@ -226,6 +229,72 @@ def test_deposit_is_submasks_ascending():
     for d in [0, 1, 255, 0b10110100] + [rng.randrange(1 << 10) for _ in range(40)]:
         got = moves.deposit(np.arange(1 << d.bit_count()), np.array(d), 10)
         assert got.tolist() == list(submasks_ascending(d))
+
+
+def ref_moves(at, xm, ym, im):
+    """(f((X\\I) | J), f((Y\\J) | I), |J|) of every move J of (X, Y, I) in
+    the order of ``submasks_by_size``, one scalar lookup each."""
+    return [(at(xm & ~im | jm), at(ym & ~jm | im), size)
+            for jm, size in submasks_by_size(ym & ~xm)]
+
+
+def moves_triples(n, count, seed, top=None):
+    """``count`` seeded triples (X, Y, I) over n elements, a few with
+    Y inside X (m = 0); with ``top`` set, Y \\ X holds bit ``top`` and at
+    most five more bits."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        xm, ym = rng.getrandbits(n), rng.getrandbits(n)
+        if t % 7 == 0:
+            ym &= xm
+        if top is not None:
+            xm &= ~(1 << top)
+            extra = rng.sample([e for e in range(n) if not xm >> e & 1 and e != top],
+                               rng.randrange(6))
+            ym = xm & ym | 1 << top | sum(1 << e for e in extra)
+        out.append((xm, ym, xm & ~ym & rng.getrandbits(n)))
+    return [np.array(col, dtype=np.int64) for col in zip(*out)]
+
+
+def moves_of(at, triples, budget):
+    """Each triple's (a, b, |J|) from ``moves.moves``, in the order its
+    blocks give them, checking each block's k against |I|."""
+    xm, ym, im = triples
+    got = [[] for _ in xm]
+    for rows, a, b, size, k in moves.moves(at, xm, ym, im, budget):
+        assert k.tolist() == np.bitwise_count(im[rows]).tolist()
+        for t, row in enumerate(rows.tolist()):
+            got[row] += zip(a[t].tolist(), b[t].tolist(), size.tolist())
+    return got
+
+
+@pytest.mark.parametrize("budget", [exchange._BATCH_BYTES, 64 * 5, 1])
+def test_moves_against_the_loop(budget):
+    """Every move of every triple once, in ``submasks_by_size`` order, with
+    its |J| and its triple's |I|: whole blocks at the default budget, and
+    split ones (``ranked`` chunks of 5 and of 1 move) below it; with the
+    identity as the table, with a value table, and at n = 24 with bit 23
+    in Y \\ X."""
+    values = np.array(random.Random(5).choices(range(-9, 10), k=1 << 7), dtype=np.int64)
+    cases = [(lambda masks: masks, moves_triples(7, 60, 1)), (values.take, moves_triples(7, 60, 2)),
+             (lambda masks: masks, moves_triples(24, 30, 3, top=23))]
+    for at, triples in cases:
+        want = [ref_moves(lambda mask: int(at(np.int64(mask))), *map(int, t))
+                for t in zip(*triples)]
+        assert moves_of(at, triples, budget) == want
+    assert any(not xm & ~ym for xm, ym, _ in zip(*cases[0][1]))
+
+
+def test_moves_never_deposit(monkeypatch):
+    """The moves are a product of bit matrices; ``deposit`` stays for the
+    I masks of ``triples`` only."""
+    def banned(*args):
+        raise AssertionError("moves.moves called deposit")
+    triples = moves_triples(7, 20, 4)
+    monkeypatch.setattr(moves, "deposit", banned)
+    for budget in (exchange._BATCH_BYTES, 64 * 5):
+        assert moves_of(lambda masks: masks, triples, budget)
 
 
 def test_exhaustive_triples_are_in_lex_order(budget):
