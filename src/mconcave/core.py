@@ -333,10 +333,9 @@ def restrict_by_size(f, k):
 
 
 class PriceVector:
-    """Vector indexed by the ground set; p(Z) = sum of entries over Z.
-
-    Supports componentwise join/meet and domination; entries are ints in
-    int mode and floats otherwise (mode is inferred from the entries).
+    """Vector indexed by the ground set; p(Z) = sum of entries over Z
+    (``total``). Entries are ints in int mode and floats otherwise (mode
+    is inferred from the entries).
     """
 
     __slots__ = ("entries",)
@@ -348,10 +347,6 @@ class PriceVector:
                 raise ValueError(f"price entry {e!r} is not a number")
         self.entries = ent
 
-    @classmethod
-    def zero(cls, n):
-        return cls((0,) * n)
-
     @property
     def n(self):
         return len(self.entries)
@@ -359,10 +354,6 @@ class PriceVector:
     @property
     def mode(self):
         return "int" if all(isinstance(e, int) for e in self.entries) else "real"
-
-    def __call__(self, subset):
-        """p(Z) for a subset given as an iterable of elements."""
-        return self.total(mask_of(subset, self.n))
 
     def total(self, mask):
         """p(Z) for a subset given as a bitmask."""
@@ -372,18 +363,6 @@ class PriceVector:
             mask ^= bit
             s += self.entries[bit.bit_length() - 1]
         return s
-
-    def join(self, other):
-        """Componentwise maximum."""
-        return PriceVector(tuple(map(max, self.entries, other.entries)))
-
-    def meet(self, other):
-        """Componentwise minimum."""
-        return PriceVector(tuple(map(min, self.entries, other.entries)))
-
-    def dominates(self, other):
-        """True when self >= other componentwise."""
-        return all(a >= b for a, b in zip(self.entries, other.entries))
 
     def __neg__(self):
         return PriceVector(tuple(-e for e in self.entries))

@@ -89,10 +89,10 @@ EXHAUSTIVE_GRID_LIMIT = 7**4
 
 @dataclass(frozen=True)
 class ConjugateEval:
-    """Value and argmax of max_Z { f(Z) - p(Z) }; the argmax is the
-    smallest bitmask among maximizers."""
+    """Value and argmax of max_Z { f(Z) - p(Z) } at the price vector p
+    passed to ``conjugate``; the argmax is the smallest bitmask among
+    maximizers."""
 
-    price: PriceVector
     value: object
     argmax_mask: int
 
@@ -115,7 +115,7 @@ def conjugate(f, p):
         if best is None or v > best:
             best = v
             best_mask = m
-    return ConjugateEval(p, shown(f, best), best_mask)
+    return ConjugateEval(shown(f, best), best_mask)
 
 
 def _require_cap(f, k):
@@ -141,25 +141,23 @@ _SAMPLE_BYTES = 1 << 21  # one chunk's gains, at about 16 bytes a row per domain
 
 
 class _Conjugates:
-    """Batched conjugates of f under every size cap, times D = ``scale``
-    (by default ``f.scale``, a multiple of it to share a scale with
-    another table). Called on a (rows, n) integer price array it returns
-    a (rows, caps) table whose column c is
-    D * max { f(Z) - p(Z) : Z in dom f, |Z| <= s + c }, s the smallest
-    domain size; the last column is the plain conjugate. The domain is
-    sorted by size, so one pass takes the maximum per size and then a
-    running maximum over sizes."""
+    """Batched conjugates of f under every size cap, times D = ``f.scale``.
+    Called on a (rows, n) integer price array it returns a (rows, caps)
+    table whose column c is D * max { f(Z) - p(Z) : Z in dom f,
+    |Z| <= s + c }, s the smallest domain size; the last column is the
+    plain conjugate. The domain is sorted by size, so one pass takes the
+    maximum per size and then a running maximum over sizes."""
 
-    def __init__(self, f, scale=None):
+    def __init__(self, f):
         dom = sorted(f.dom_masks, key=int.bit_count)
         sizes = [m.bit_count() for m in dom]
         self.n = f.n
-        self.scale = f.scale if scale is None else scale
+        self.scale = f.scale
         self.starts = [i for i, z in enumerate(sizes) if i == 0 or z != sizes[i - 1]]
         present = [sizes[i] for i in self.starts]
         self.cols = np.searchsorted(present, range(sizes[0], f.n + 1), side="right") - 1
         ind = np.array(dom, dtype=np.int64) >> np.arange(f.n)[:, None] & 1
-        self.vals = [f.exact[m] * (self.scale // f.scale) for m in dom]
+        self.vals = [f.exact[m] for m in dom]
         self.magnitude = max(abs(v) for v in self.vals)
         fits = max(self.magnitude, self.scale) < _INT64_SAFE
         self.ind = (ind if fits else ind.astype(object)) * self.scale

@@ -77,11 +77,6 @@ class Matroid:
             if m.bit_count() == r and self.rank_table[m] == r
         )
 
-    @cached_property
-    def basis_indicator(self):
-        """Indicator valuation: 0 on bases, NEG_INF elsewhere."""
-        return weighted_basis_valuation(self, PriceVector.zero(self.n))
-
     def __repr__(self):
         return f"Matroid(n={self.n}, kind={self.kind!r}, rank={self.full_rank})"
 

@@ -312,6 +312,24 @@ def test_check_rejects_unknown_suite(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["no suites", "fenchel past its n limit", "empty directory"])
+def test_check_without_a_report_exits_2(tmp_path, corpus_by_id, capsys, case):
+    """A run that checks nothing is refused, not passed: these printed
+    nothing and exited 0."""
+    if case == "no suites":
+        args = ["--suites", ""]
+    elif case == "fenchel past its n limit":
+        store(corpus_by_id["n6_laminar"].fn, tmp_path / "n6.json")
+        args = ["--suites", "fenchel", str(tmp_path / "n6.json")]
+    else:
+        (tmp_path / "empty").mkdir()
+        args = [str(tmp_path / "empty")]
+    assert main(["check", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: no report")
+    assert "Traceback" not in captured.err
+
+
 # --- falsify --------------------------------------------------------------------
 
 

@@ -489,7 +489,7 @@ def base_exchange(m, X, Y, I):
     """The J of the classical multiple exchange for bases X, Y of m and I
     inside X \\ Y, from the bounded search on the basis indicator: |J| =
     |I|, and (X\\I) u J and (Y\\J) u I are bases."""
-    w = find_multi_exchange(m.basis_indicator, X, Y, I, bounded=True)
+    w = find_multi_exchange(weighted_basis_valuation(m, (0,) * m.n), X, Y, I, bounded=True)
     assert w is not None, (X, Y, I)
     return w.moved
 
@@ -522,7 +522,7 @@ def test_base_exchange_postconditions(corpus_by_id):
 def test_base_exchange_rejects_non_bases():
     m = uniform_matroid(4, 2)
     with pytest.raises(ValueError, match="effective domain"):
-        find_multi_exchange(m.basis_indicator, [1], [3, 4], [1])
+        find_multi_exchange(weighted_basis_valuation(m, (0,) * m.n), [1], [3, 4], [1])
 
 
 # --- contexts ------------------------------------------------------------------

@@ -77,13 +77,21 @@ def _shell_points(n, r, cache):
     return pts
 
 
+def _phi_rows(f1, f2, scale):
+    """D * phi(q) = D * (g1(q) + g2(-q)) at price rows, D = ``scale``: each
+    side's ``_Conjugates`` column, times its own scale, multiplied up to D."""
+    conj1, conj2 = _Conjugates(f1), _Conjugates(f2)
+    u1, u2 = scale // f1.scale, scale // f2.scale
+    return lambda P: plain_conjugate(conj1, P) * u1 + plain_conjugate(conj2, -P) * u2
+
+
 def _scan_dual(f1, f2, box):
     """The dual by an outward shell scan of the whole box [-box, box]^n
     (n >= 1), stopping at the first q attaining the primal."""
     n = f1.n
     mode, scale = f1.mode, math.lcm(f1.scale, f2.scale)
     primal = _primal(f1, f2, scale)
-    conj1, conj2 = _Conjugates(f1, scale), _Conjugates(f2, scale)
+    phi = _phi_rows(f1, f2, scale)
     cache = {}
     best = None
     best_q = None
@@ -97,7 +105,7 @@ def _scan_dual(f1, f2, box):
         pts = _shell_points(n, r, cache)
         for start in range(0, len(pts), _CHUNK):
             chunk = pts[start:start + _CHUNK]
-            d = plain_conjugate(conj1, chunk) + plain_conjugate(conj2, -chunk)
+            d = phi(chunk)
             if target is not None:
                 hits = np.nonzero(d == target)[0]
                 if len(hits):
@@ -330,17 +338,17 @@ def ref_descend(f1, f2, scale, box, target):
     ``ref_moves`` order; the descent stops at ``target`` (None: never) or
     where no move lowers phi. Returns the end point as a tuple and phi
     there."""
-    conj1, conj2 = _Conjugates(f1, scale), _Conjugates(f2, scale)
-    q = np.zeros(conj1.n, dtype=np.int64)
-    value = (plain_conjugate(conj1, q[None]) + plain_conjugate(conj2, -q[None]))[0]
+    phi = _phi_rows(f1, f2, scale)
+    q = np.zeros(f1.n, dtype=np.int64)
+    value = phi(q[None])[0]
     while value != target:
         step = None
-        for moves in ref_moves(conj1.n):
+        for moves in ref_moves(f1.n):
             pts = q + moves
             pts = pts[np.abs(pts).max(axis=1) <= box]
             if not len(pts):
                 continue
-            d = plain_conjugate(conj1, pts) + plain_conjugate(conj2, -pts)
+            d = phi(pts)
             i = int(np.argmin(d))
             if d[i] < value:
                 value, step = d[i], pts[i]

@@ -30,7 +30,7 @@ from mconcave import duality
 from mconcave.core import _below, _draws
 from mconcave.duality import _feasible_caps
 from mconcave.exchange import _best_multi, _multi_pass_margin
-from test_grid_engine import ref_cross, ref_quotient, ref_submodular
+from test_grid_engine import _as_real, ref_cross, ref_quotient, ref_submodular
 
 SEEDS = (0, 1, 2**32, 2**63 + 7, 2**64 - 1)
 # Chunk sizes of consecutive ``_draws`` calls on one generator.
@@ -132,10 +132,6 @@ def test_below_refuses_an_empty_range():
 
 
 # --- whole reports against the scalar loops --------------------------------------
-
-
-def _as_real(f):
-    return SetFn(f.n, [v if v is NEG_INF else v / 3 for v in f.values], "real")
 
 
 def _top_heavy(n, seed):

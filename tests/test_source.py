@@ -187,9 +187,9 @@ _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi
 _REMOVED_MEMBERS = {
     "ExchangeContext": {"c_mask", "x0_mask", "X", "Y", "I"},
     "ExchangeWitness": {"j"},
-    "ConjugateEval": {"argmax"},
-    "PriceVector": {"unit"},
-    "Matroid": {"rank"},
+    "ConjugateEval": {"argmax", "price"},
+    "PriceVector": {"unit", "join", "meet", "dominates", "zero", "__call__"},
+    "Matroid": {"rank", "basis_indicator"},
     "_Conjugates": {"plain"},
 }
 
@@ -215,8 +215,11 @@ def test_removed_names_are_defined_nowhere():
 
 def test_removed_members_are_defined_nowhere():
     """Accessors that only their own tests read (``_Conjugates.plain`` is
-    now the Fenchel tests' oracle), and ``falsify_campaign``'s
-    ``keep_near``, which every caller outside the tests set to 5."""
+    now the Fenchel tests' oracle, ``PriceVector``'s lattice operations
+    the grid tests' ``_join`` and ``_meet``), ``falsify_campaign``'s
+    ``keep_near``, which every caller outside the tests set to 5, and
+    ``_Conjugates``' ``scale``, which only the Fenchel tests' oracles
+    passed."""
     bound = [f"{module}: {node.name}.{name} (line {item.lineno})"
              for module, tree in MODULES.items()
              for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
@@ -230,6 +233,11 @@ def test_removed_members_are_defined_nowhere():
                     if isinstance(node, ast.FunctionDef) and node.name == "falsify_campaign")
     args = campaign.args
     assert "keep_near" not in [a.arg for a in args.args + args.kwonlyargs]
+    conj = next(node for node in MODULES["duality.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "_Conjugates")
+    init = next(item for item in conj.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__")
+    assert [a.arg for a in init.args.args] == ["self", "f"]
 
 
 def test_exchange_walks_submasks_only_in_the_scalar_search():

@@ -22,7 +22,7 @@ from mconcave import (
 from mconcave import exchange, moves
 from mconcave.core import elements_of
 from mconcave.families import random_mnat_concave
-from test_multi_batched import TIER_IDS, TIERS, at_top, value_dtype
+from test_multi_batched import TIER_IDS, TIERS, affine, at_top, value_dtype
 
 
 def loop_sweep(f, drop):
@@ -204,10 +204,6 @@ def batched_dtypes(f, drop, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(moves, "np", spy)
         return batched_line(f, drop), spy.dtypes
-
-
-def affine(f, scale=1, shift=0):
-    return SetFn(f.n, [v if v is NEG_INF else v * scale + shift for v in f.values])
 
 
 def test_ints_beyond_int64_sweep_on_python_ints(by_id, monkeypatch):
