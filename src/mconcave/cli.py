@@ -35,11 +35,15 @@ from .exchange import (
     _BULK_SAFE,
     _bulk_bound,
     _bulk_decide,
+    _exchange_sweep,
     _lemma_facts,
+    _lift_pads,
+    _lift_sweep,
+    _require_nonempty_dom,
+    _single_sweep,
+    _sweep_report,
     check_exc_single,
-    check_m_concave,
     exc_multi_reports,
-    lift,
 )
 from .families import (
     CorpusInstance,
@@ -95,7 +99,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         # Counts below these floors would give a verdict without the work.
-        for name, floor in (("samples", 1), ("jobs", 1), ("trials", 0)):
+        for name, floor in (("samples", 1), ("jobs", 1), ("trials", 1)):
             _require_int(name, getattr(self, name), floor)
         if not (_is_int(self.seed) and 0 <= self.seed <= MASK64):
             raise ValueError(f"seed must be an int in [0, 2^64), got {self.seed!r}")
@@ -274,11 +278,28 @@ def resolve_instances(cfg):
 # Per-instance suite runners.
 
 
-# The exchange reports of the instance being run, so that corollary1 and the
-# lemmas_2_8 gate reuse what exc_single and exc_multi_* computed.
+# The exchange sweeps and reports of the instance being run, so that
+# corollary1, m_concave_lift and lemmas_2_8 reuse what exc_single and
+# exc_multi_* computed.
 @functools.lru_cache(maxsize=1)
-def _single_report(instance_id, f):
-    return check_exc_single(f, instance_id=instance_id)
+def _sweeps(f, facts):
+    """exc_single's (failing, triples) and, when ``facts``, the first
+    failing swap or augment fact of lemmas_2_8, from one sweep
+    (``exchange._exchange_sweep``); else None in its place."""
+    return _exchange_sweep(f) if facts else (_single_sweep(f, True), None)
+
+
+def _needs_facts(cfg):
+    """Whether the swap and augment facts are read: by lemmas_2_8 and by
+    m_concave_lift, whose lift passes iff the single exchange and the facts
+    hold."""
+    return "lemmas_2_8" in cfg.suites or "m_concave_lift" in cfg.suites
+
+
+@functools.lru_cache(maxsize=1)
+def _single_report(instance_id, f, facts):
+    _require_nonempty_dom(f)
+    return _sweep_report(f, "exc_single", instance_id, *_sweeps(f, facts)[0])
 
 
 @functools.lru_cache(maxsize=1)
@@ -288,7 +309,7 @@ def _multi_reports(instance_id, f, seed, samples):
 
 
 def _suite_exc_single(instance_id, f, cfg, seed):
-    return _single_report(instance_id, f)
+    return _single_report(instance_id, f, _needs_facts(cfg))
 
 
 def _suite_exc_multi(bounded):
@@ -299,7 +320,7 @@ def _suite_exc_multi(bounded):
 
 def _suite_corollary1(instance_id, f, cfg, seed):
     multi = _multi_reports(instance_id, f, seed, cfg.samples)
-    reports = [_single_report(instance_id, f), multi[False], multi[True]]
+    reports = [_single_report(instance_id, f, _needs_facts(cfg)), multi[False], multi[True]]
     verdicts = [r.verdict for r in reports]
     agreement = len(set(verdicts)) == 1
     triples = sum(r.triples_checked for r in reports)
@@ -316,20 +337,26 @@ def _suite_corollary1(instance_id, f, cfg, seed):
 
 
 def _suite_m_concave_lift(instance_id, f, cfg, seed):
-    return replace(check_m_concave(lift(f), instance_id=instance_id), suite="m_concave_lift")
+    """``check_m_concave(lift(f))``, decided on f: the lift passes iff the
+    single exchange and the swap and augment facts of lemmas_2_8 hold
+    (``exchange._lift_sweep``), which the sweeps of exc_single give."""
+    _lift_pads(f)  # refuse what ``lift`` refuses before sweeping
+    (single, _), facts = _sweeps(f, True)
+    return _sweep_report(f, "m_concave_lift", instance_id,
+                         *_lift_sweep(f, holds=single is None and facts is None))
 
 
 def _suite_lemmas(instance_id, f, cfg, seed):
     """The facts the proof uses, on every (X, Y) of an exchange-valid f: a
     swap for each i in X \\ Y when |X| <= |Y|, an augmenting swap when
     |X| < |Y|, and nonempty restrictions for each I inside X \\ Y."""
-    gate = _single_report(instance_id, f)
+    gate = _single_report(instance_id, f, True)
     if not gate.passed:
         counter = {"reason": "single-exchange precondition fails",
                    "detail": gate.counterexample}
         return failed_report("lemmas_2_8", instance_id, counter,
                              triples=gate.triples_checked)
-    counter, checked = _lemma_facts(f)
+    counter, checked = _lemma_facts(f, _sweeps(f, True)[1])
     if counter is not None:
         return failed_report("lemmas_2_8", instance_id, counter, triples=checked)
     return passed_report("lemmas_2_8", instance_id, triples=checked)
@@ -491,7 +518,7 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     which ``mconcave falsify`` passes, so a library call and the CLI run
     different campaigns for one seed; golden hashes and the benchmark's
     reference digests pin both defaults."""
-    _require_int("trials", trials, 0)
+    _require_int("trials", trials, 1)
     n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
         raise ValueError(f"empty falsification range {n_range}")

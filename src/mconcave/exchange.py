@@ -2,7 +2,8 @@
 of a set function with mixed domain sizes to an equi-cardinal one.
 
 Checkers return VerificationReports. The single exchange, its
-equi-cardinal form and the swap and augment facts of ``lemmas_2_8`` are
+equi-cardinal form, the swap and augment facts of ``lemmas_2_8`` and the
+equi-cardinal exchange of the lift, decided on f (``_lift_sweep``), are
 one batched sweep over exchange rules (``_rule_sweep``), in the lex order
 below, on f as ``moves.value_table`` holds it. The triples (X, Y, I) and
 their moves J have one enumeration, the array kernel of ``moves``: the
@@ -31,6 +32,7 @@ Sampled triples are the ``random.Random(seed)`` draws, taken by
 """
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -150,40 +152,51 @@ def _sweep_report(f, suite, instance_id, failing, triples):
     if failing is None:
         return passed_report(suite, instance_id, triples=triples)
     xm, ym, i = failing
+    # Masks of lift(f) carry padding bits above n; lift(f)(Z) = f(Z & N).
+    base = (1 << f.n) - 1
     counter = {
         "X": list(elements_of(xm)),
         "Y": list(elements_of(ym)),
         "i": i,
-        "lhs": _ext_or_none(shown(f, f.exact[xm] + f.exact[ym])),
+        "lhs": _ext_or_none(shown(f, f.exact[xm & base] + f.exact[ym & base])),
     }
     return failed_report(suite, instance_id, counter, triples=triples)
 
 
-def _rule_sweep(f, rules):
-    """The first (x, y, r) in lex order, x and y indices into
-    ``f.dom_masks`` and r into ``rules``, where rule r applies to (X, Y)
-    and none of its moves attains f(X) + f(Y); None when there is none.
+def _rule_sweep(f, rules, order=None, lenses=1):
+    """The first (x, y, r) in lex order for each of ``lenses``, verdicts
+    read from one set of comparisons, where rule r applies to (X, Y) for
+    the lens and none of its moves attains f(X) + f(Y); None for a lens
+    where there is none. x and y index the domain sets that ``order``
+    picks from ``f.dom_masks`` (default: all of them, ascending), r indexes
+    ``rules``.
 
-    A rule (out, ins, sizes) applies where X holds the element bit ``out``
-    (0: nothing leaves X), Y does not, and ``sizes(|X|, |Y|)`` holds
-    (None: always). Its moves are the bits j in ``ins`` with j in Y \\ X,
-    or j = 0, the drop; move j attains where
-    f(X) + f(Y) <= f(X-out+j) + f(Y+out-j). Both sides of a move depend on
-    X and on Y through one vector each, so a rule is decided for all its
-    (X, Y) as one outer comparison, in blocks of rows whose temporaries
-    stay under _BATCH_BYTES, and rows past the first failure so far are
-    skipped.
+    A rule (out, ins, tests) has X give up the element bit ``out`` (0:
+    nothing leaves X) where Y does not hold it. Its moves are the bits j in
+    ``ins`` with j in Y \\ X, or j = 0, the drop; move j attains where
+    f(X) + f(Y) <= f(X-out+j) + f(Y+out-j). ``tests`` holds per lens None
+    (not a rule of the lens) or (applies, drop): the rule applies where
+    ``applies(|X|, |Y|)`` holds (True: everywhere), and the drop is a move
+    besides ``ins`` where ``drop(|X|, |Y|)`` holds (True: everywhere,
+    False: nowhere). Both sides of a move depend on X and on Y through one
+    vector each, so a rule is decided for all its (X, Y) as one outer
+    comparison, which every lens reads, in blocks of rows whose
+    temporaries stay under _BATCH_BYTES; rows past the first failure so
+    far of every lens are skipped.
     """
     at, neg = value_table(f, _BATCH_BYTES)
     dm = np.array(f.dom_masks, dtype=np.int64)
+    if order is not None:
+        dm = dm[order]
     fv = at(dm)
     size = np.bitwise_count(dm)
-    best = None
-    for r, (out, ins, sizes) in enumerate(rules):
+    best = [None] * lenses
+    for r, (out, ins, tests) in enumerate(rules):
+        live = [k for k, test in enumerate(tests) if test is not None]
         rows = np.flatnonzero(dm & out == out)
         cols = np.flatnonzero(dm & out == 0)
-        if best is not None:
-            rows = rows[rows <= best[0]]
+        if all(best[k] is not None for k in live):
+            rows = rows[rows <= max(best[k][0] for k in live)]
         if not len(rows) or not len(cols):
             continue
         xr, yc = dm[rows], dm[cols]
@@ -192,27 +205,44 @@ def _rule_sweep(f, rules):
         b = np.where(yc & js == js, at((yc | out) ^ js), neg)
         # f(X) - a <= b - f(Y), which fails wherever a or b is neg.
         a, b = fv[rows] - a, b - fv[cols]
+        if any(tests[k][1] is not False for k in live):
+            a0, b0 = fv[rows] - at(xr ^ out), at(yc | out) - fv[cols]
+        kx, ky = size[rows, None], size[cols]
         # A block's bytes are the comparison's bools, one per (move, X, Y).
         step = max(1, _BATCH_BYTES // max(1, len(js) * len(cols)))
         for r0 in range(0, len(rows), step):
             blk = slice(r0, r0 + step)
             ok = (a[:, blk, None] <= b[:, None, :]).any(axis=0)
-            if sizes is not None:
-                ok |= ~sizes(size[rows[blk], None], size[cols])
-            if not ok.all():
-                x, y = divmod(int(np.argmin(ok)), len(cols))
-                cand = (int(rows[r0 + x]), int(cols[y]), r)
-                if best is None or cand < best:
-                    best = cand
+            for k in list(live):
+                applies, drop = tests[k]
+                holds = ok
+                if drop is not False:
+                    dropped = a0[blk, None] <= b0
+                    holds = holds | (dropped if drop is True else dropped & drop(kx[blk], ky))
+                if applies is not True:
+                    holds = holds | ~applies(kx[blk], ky)
+                if not holds.all():
+                    x, y = divmod(int(np.argmin(holds)), len(cols))
+                    cand = (int(rows[r0 + x]), int(cols[y]), r)
+                    if best[k] is None or cand < best[k]:
+                        best[k] = cand
+                    live.remove(k)
+            if not live:
                 break
     return best
 
 
-def _swap_rules(n, sizes=None, drop=False):
-    """Rule i of ``_rule_sweep`` for each element bit i: X gives up i, Y
-    any other element, or nothing when ``drop``."""
-    return [(1 << i, [1 << j for j in range(n) if j != i] + [0] * drop, sizes)
+def _swap_rules(n, *tests, drop=False):
+    """Rule i of ``_rule_sweep`` for each element bit i, with ``tests``:
+    X gives up i, Y any other element, or nothing when ``drop``."""
+    return [(1 << i, [1 << j for j in range(n) if j != i] + [0] * drop, tests)
             for i in range(n)]
+
+
+def _augment_rule(n, *tests):
+    """The rule of ``_rule_sweep`` where nothing leaves X and Y gives up
+    any element: X + j, Y - j."""
+    return 0, [1 << j for j in range(n)], tests
 
 
 def _single_sweep(f, drop):
@@ -221,9 +251,14 @@ def _single_sweep(f, drop):
     that attains f(X) + f(Y). Returns (failing, triples): the first
     (xm, ym, i) that does not, or None, and the count of triples through
     it (all of them on a PASS)."""
+    return _single_count(f, _rule_sweep(f, _swap_rules(f.n, (True, False), drop=drop))[0])
+
+
+def _single_count(f, best):
+    """(failing, triples) of the single-exchange sweep of f whose first
+    failure ``_rule_sweep`` gave as ``best``."""
     n = f.n
     dom = f.dom_masks
-    best = _rule_sweep(f, _swap_rules(n, drop=drop))
     # A row X holds |X \ Y| triples per column Y: the sum over k in X of
     # the count of domain sets without k.
     bits = (np.array(dom, dtype=np.int64)[:, None] >> np.arange(n)) & 1
@@ -236,6 +271,25 @@ def _single_sweep(f, drop):
     triples += sum((xm & ~t).bit_count() for t in dom[:y])
     triples += (xm & ~ym & ((1 << i) - 1)).bit_count() + 1
     return (xm, ym, i + 1), triples
+
+
+def _exchange_rules(n):
+    """The rules of ``_rule_sweep`` with two lenses: the single exchange
+    (each i in X \\ Y swaps or drops) and the swap and augment facts of
+    ``lemmas_2_8`` (each i in X \\ Y swaps where |X| <= |Y|, the augment
+    X + j, Y - j holds where |X| < |Y|). Rule i compares its swaps once
+    for both, the single exchange adding the drop; the augment is the
+    facts' alone."""
+    return (_swap_rules(n, (True, True), (operator.le, False))
+            + [_augment_rule(n, None, (operator.lt, False))])
+
+
+def _exchange_sweep(f):
+    """``_single_sweep(f, True)`` and the first failing swap or augment
+    fact of ``lemmas_2_8`` as ``_rule_sweep`` gives it (or None), from one
+    sweep of ``_exchange_rules``."""
+    single, facts = _rule_sweep(f, _exchange_rules(f.n), lenses=2)
+    return _single_count(f, single), facts
 
 
 def check_exc_single(f, instance_id=""):
@@ -382,7 +436,7 @@ def _multi_pass_margin(f, samples=None, seed=None):
     return out
 
 
-def _lemma_facts(f):
+def _lemma_facts(f, failing=...):
     """The facts the proof uses, on every (X, Y) in dom x dom in row-major
     order: a swap for each i in X \\ Y by ascending i when |X| <= |Y|, an
     augmenting swap when |X| < |Y|, then nonempty restrictions for each I
@@ -391,15 +445,17 @@ def _lemma_facts(f):
 
     Returns (counter, checked): the counterexample of the first fact that
     fails, or None, and the count of facts through it (all of them when
-    none fails). The swap and augment facts are rules of ``_rule_sweep``;
-    the restriction facts, checked on the pairs before its first failure,
-    hold by J = {} where f(X\\I) and f(Y | I) are finite, and read which
-    sides of the other triples' moves are finite from ``moves.moves``.
+    none fails). The swap and augment facts are rules of
+    ``_exchange_sweep``, whose first failure ``failing`` gives when the
+    caller has swept them; the restriction facts, checked on the pairs
+    before it, hold by J = {} where f(X\\I) and f(Y | I) are finite,
+    which on a full domain is every triple, and read which sides of the
+    other triples' moves are finite from ``moves.moves``.
     """
     n = f.n
     dom = f.dom_masks
-    failing = _rule_sweep(f, _swap_rules(n, operator.le)
-                          + [(0, [1 << j for j in range(n)], operator.lt)])
+    if failing is ...:
+        failing = _exchange_sweep(f)[1]
     at, neg = value_table(f, _BATCH_BYTES)
     dm = np.array(dom, dtype=np.int64)
     stop = len(dm) ** 2 if failing is None else failing[0] * len(dm) + failing[1]
@@ -417,7 +473,8 @@ def _lemma_facts(f):
         nd = np.bitwise_count(d).astype(np.int64)
         head = (kx <= ky) * nd + (kx < ky)  # the swap and augment facts
         facts = head + (1 << nd)
-        for p, rank, im in triples(d, n, _BATCH_BYTES):
+        # J = {} settles every triple of a full domain.
+        for p, rank, im in () if len(dm) == 1 << n else triples(d, n, _BATCH_BYTES):
             # J = {} settles a triple whose f(X\I) and f(Y | I) are finite.
             rest = np.flatnonzero((at(xs[p] & ~im) == neg) | (at(ys[p] | im) == neg))
             if not len(rest):
@@ -623,11 +680,8 @@ def lift(f):
 
     The result has an equi-cardinal domain of size r.
     """
-    _require_nonempty_dom(f)
-    s, r = f.dom_size_range()
-    nh = f.n + (r - s)
-    if nh > HARD_CAP:
-        raise ValueError(f"lifted ground-set size {nh} exceeds hard cap {HARD_CAP}")
+    nh = f.n + _lift_pads(f)
+    r = f.dom_size_range()[1]
     base = (1 << f.n) - 1
     vals = [NEG_INF] * (1 << nh)
     fvals = f.values
@@ -635,3 +689,83 @@ def lift(f):
         if z.bit_count() == r:
             vals[z] = fvals[z & base]
     return SetFn(nh, vals, f.mode)
+
+
+def _lift_pads(f):
+    """t = r - s, the padding elements of ``lift(f)``; ValueError for an
+    empty domain or where the lift would pass HARD_CAP."""
+    _require_nonempty_dom(f)
+    s, r = f.dom_size_range()
+    if f.n + r - s > HARD_CAP:
+        raise ValueError(f"lifted ground-set size {f.n + r - s} exceeds hard cap {HARD_CAP}")
+    return r - s
+
+
+def _lift_rules(n):
+    """The rules of ``_rule_sweep`` on f that decide ``lift(f)``: each i
+    in X \\ Y swaps, or drops where |X| > |Y|, and the augment X + j,
+    Y - j holds where |X| < |Y| (see ``_lift_sweep``)."""
+    return _swap_rules(n, (True, operator.gt)) + [_augment_rule(n, (operator.lt, False))]
+
+
+def _lift_sweep(f, holds=False):
+    """``_single_sweep(lift(f), False)``, which ``check_m_concave(lift(f))``
+    reports, decided on f without building the lift; ``holds`` skips the
+    sweep for a caller that knows the lift passes.
+
+    A domain set of lift(f) is X u P, P any a = r - |X| of the t = r - s
+    pads (bits n .. n + t - 1); the sets go in the order of the numbers
+    (P, X). Take a pair (X u P, Y u Q). An i in X \\ Y may drop (swap for
+    a pad of Q \\ P) where Q \\ P is nonempty; a pad i in P \\ Q then
+    passes (pad for pad), else needs the augment X + j, Y - j. With P and
+    Q the lowest a and b pads, Q \\ P is nonempty exactly where
+    |X| > |Y|, and a pair that fails at any P and Q fails at those. So
+    lift(f) is M-concave iff on f each i in X \\ Y swaps, or drops where
+    |X| > |Y|, and the augment holds where |X| < |Y| (the lifting theorem:
+    Murota, Discrete Convex Analysis, §6.1). The first failure is found by
+    one ``_rule_sweep`` of those rules on f in the order of (r - |X|, X),
+    which is the lifted order of the lowest pads, and the count of lifted
+    triples through it comes from sums over f's domain: a lifted set holds
+    |Zx \\ Zy| triples per column, so an element k adds L - c_k per row
+    that holds it, with L the lifted domain's size and c_k the count of
+    its sets that hold k.
+    """
+    t = _lift_pads(f)
+    n, r = f.n, f.dom_size_range()[1]
+    dm = np.array(f.dom_masks, dtype=np.int64)
+    a = r - np.bitwise_count(dm).astype(np.int64)  # the pads of each X
+    order = np.lexsort((dm, a))
+    dm, a = dm[order], a[order]
+    # X stands for C(t, a) lifted sets, C(t - 1, a - 1) of them with a given pad.
+    sets = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.int64)[a]
+    size = int(sets.sum())
+    bits = (dm[:, None] >> np.arange(n)) & 1
+    c = sets @ bits  # c_k of each element of N
+    cp = int(np.array([0] + [math.comb(t - 1, k) for k in range(t)])[a].sum())  # c_k of a pad
+    total = int(c @ (size - c)) + t * cp * (size - cp)
+    if holds or (best := _rule_sweep(f, _lift_rules(n), order)[0]) is None:
+        return None, total
+    x, y, rule = best
+    xm, ym, ax, by = int(dm[x]), int(dm[y]), int(a[x]), int(a[y])
+    rows = bits @ (size - c) + a * (size - cp)  # the triples of each X u P
+    cols = np.bitwise_count(xm & ~dm).astype(np.int64)  # |X \ Y| per Y
+    starts = np.searchsorted(a, np.arange(t + 2)).tolist()
+    # Rows before: P below the lowest ax pads, any subset of them but all.
+    triples = sum(math.comb(ax, k) * int(rows[starts[k]:starts[k + 1]].sum())
+                  for k in range(ax))
+    triples += int(rows[starts[ax]:x].sum())
+    # Columns before, each Y u Q holding |X \ Y| + |P \ Q| of the triples.
+    low = min(ax, by)
+    for k in range(by):
+        span = slice(starts[k], starts[k + 1])
+        triples += math.comb(by, k) * int(cols[span].sum())
+        triples += (span.stop - span.start) * (ax * math.comb(by, k)
+                                               - low * (math.comb(by - 1, k - 1) if k else 0))
+    triples += int(cols[starts[by]:y].sum()) + (y - starts[by]) * max(0, ax - by)
+    if rule < n:
+        triples += (xm & ~ym & ((1 << rule) - 1)).bit_count() + 1
+        i = rule + 1
+    else:
+        triples += (xm & ~ym).bit_count() + 1
+        i = n + by + 1
+    return (xm | ((1 << ax) - 1) << n, ym | ((1 << by) - 1) << n, i), triples

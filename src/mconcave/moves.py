@@ -48,15 +48,15 @@ def encoding(m):
                      object)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def value_table(f, budget):
     """f's exact table (``f.exact``) for the array kernels: (at, neg).
     ``at(masks)`` is f at an int64 array of masks, in the ``encoding`` of
     M = max |value|: f(X) - neg > b - f(Y) for every finite b, so
     f(X) - a <= b - f(Y) fails wherever a or b is ``neg``. ``neg`` is a
     read-only 0-d array of the table's dtype. The table is dense while it
-    fits in ``budget``, else a sorted search over the domain. The last two
-    (f, its lift) are cached."""
+    fits in ``budget``, else a sorted search over the domain. The last
+    table's is cached, for the exchange suites of one instance."""
     dom = f.dom_masks
     fin = [f.exact[m] for m in dom]
     neg = np.array(*encoding(max(map(abs, fin))))

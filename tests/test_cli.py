@@ -15,6 +15,7 @@ from mconcave import (
     PriceVector,
     check_exc_single,
     cli,
+    exchange,
     fenchel_gap,
     load,
     moves,
@@ -333,11 +334,16 @@ def test_check_without_a_report_exits_2(tmp_path, corpus_by_id, capsys, case):
 # --- falsify --------------------------------------------------------------------
 
 
-def test_falsify_zero_trials(tmp_path):
+def test_falsify_zero_trials(tmp_path, capsys):
+    """A campaign of no trials printed a pass after no work: it exits 2,
+    from the flag and from the config file, and writes nothing."""
     out = tmp_path / "f.json"
-    assert main(["falsify", "--trials", "0", "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert rep["trials"] == 0 and rep["counterexamples"] == []
+    assert main(["falsify", "--trials", "0", "--out", str(out)]) == 2
+    assert main(["falsify", "--config", write_config(tmp_path, trials=0), "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: trials must be an int >= 1, got 0"] * 2
 
 
 def test_falsify_deterministic(tmp_path):
@@ -380,7 +386,7 @@ def test_counts_that_fake_a_verdict_are_refused(tmp_path, corpus_by_id, capsys):
     assert '"verdict":"FAIL"' in capsys.readouterr().out
     for fields in ({"samples": 0}, {"samples": -3}, {"samples": True}, {"samples": 2.5},
                    {"jobs": 0}, {"jobs": -4}, {"jobs": "2"}, {"trials": -5},
-                   {"trials": False}, {"trials": 1.0}):
+                   {"trials": 0}, {"trials": False}, {"trials": 1.0}):
         assert main(["check", "--config", write_config(tmp_path, **fields), *check[1:]]) == 2
         assert main(["falsify", "--config", write_config(tmp_path, **fields)]) == 2
     assert main([*check, "--jobs", "-4"]) == 2
@@ -389,7 +395,7 @@ def test_counts_that_fake_a_verdict_are_refused(tmp_path, corpus_by_id, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "samples must be an int >= 1" in captured.err
-    assert "trials must be an int >= 0" in captured.err
+    assert "trials must be an int >= 1" in captured.err
     with pytest.raises(ValueError, match="jobs"):
         SuiteConfig(jobs=0)
 
@@ -490,12 +496,14 @@ def test_malformed_family_spec_exits_2(tmp_path, capsys, spec, message):
 
 
 def test_campaign_counts_that_fake_a_campaign_are_refused():
-    """trials -5 was reported after no work, and trials True serialized as
-    true."""
-    for trials in (-5, True, 2.0):
-        with pytest.raises(ValueError, match="must be an int >= 0"):
+    """trials -5 and 0 were reported after no work, and trials True
+    serialized as true."""
+    for trials in (-5, 0, True, False, 2.0):
+        with pytest.raises(ValueError, match="must be an int >= 1"):
             falsify_campaign(trials, 3)
-    assert falsify_campaign(0, 3).to_dict()["trials"] == 0
+        with pytest.raises(ValueError, match="must be an int >= 1"):
+            SuiteConfig(trials=trials)
+    assert falsify_campaign(1, 3).to_dict()["trials"] == 1
 
 
 def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
@@ -516,20 +524,20 @@ def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
     assert cli._multi_reports.cache_info().currsize <= 1
 
 
-@pytest.mark.parametrize("instance_id, builds", [("n4_laminar", 2), ("n5_partition", 2),
-                                                  ("n8_wbasis_uniform_r4", 1)])
-def test_exchange_suites_build_one_value_table_per_table(corpus_by_id, instance_id, builds):
-    """The six exchange suites of one instance read ``moves.value_table``
-    five times, and build it once for f and once for its lift; a table of
-    one domain size is its own lift."""
+@pytest.mark.parametrize("instance_id", ["n4_laminar", "n5_partition", "n8_wbasis_uniform_r4"])
+def test_exchange_suites_build_one_value_table(corpus_by_id, instance_id, monkeypatch):
+    """The six exchange suites of one instance build ``moves.value_table``
+    once, for f: m_concave_lift is decided on f and builds no lift."""
     f = corpus_by_id[instance_id].fn
     suites = ("exc_single", "exc_multi_bounded", "exc_multi_unbounded", "corollary1",
               "m_concave_lift", "lemmas_2_8")
-    for cache in (cli._single_report, cli._multi_reports, moves.value_table):
+    for cache in (cli._sweeps, cli._single_report, cli._multi_reports, moves.value_table):
         cache.cache_clear()
+    monkeypatch.setattr(exchange, "lift", lambda f: pytest.fail("lift was called"))
     reports = cli._instance_reports((0, instance_id, f, SuiteConfig(suites=suites)))
     assert all(r.passed for r in reports)
-    assert moves.value_table.cache_info()[:2] == (5 - builds, builds)  # hits, misses
+    assert moves.value_table.cache_info().misses == 1
+    assert cli._sweeps.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 @pytest.mark.parametrize("flag", [["--mode", "real"], ["--tol", "0.5"]])

@@ -167,8 +167,8 @@ def test_every_domain_size_runs_batched(by_id, monkeypatch):
             tables.append(lift(f))
     calls = []
     real_sweep = exchange._rule_sweep
-    monkeypatch.setattr(exchange, "_rule_sweep",
-                        lambda f, rules: calls.append(len(f.dom_masks)) or real_sweep(f, rules))
+    monkeypatch.setattr(exchange, "_rule_sweep", lambda f, *args, **kw:
+                        calls.append(len(f.dom_masks)) or real_sweep(f, *args, **kw))
     equi = []
     for f in tables:
         assert check_exc_single(f).to_json_line() == loop_line(f, True, "exc_single", "")
