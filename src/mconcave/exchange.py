@@ -173,14 +173,14 @@ def _rule_sweep(f, rules, order=None, lenses=1):
 
     A rule (out, ins, tests) has X give up the element bit ``out`` (0:
     nothing leaves X) where Y does not hold it. Its moves are the bits j in
-    ``ins`` with j in Y \\ X, or j = 0, the drop; move j attains where
-    f(X) + f(Y) <= f(X-out+j) + f(Y+out-j). ``tests`` holds per lens None
-    (not a rule of the lens) or (applies, drop): the rule applies where
-    ``applies(|X|, |Y|)`` holds (True: everywhere), and the drop is a move
-    besides ``ins`` where ``drop(|X|, |Y|)`` holds (True: everywhere,
-    False: nowhere). Both sides of a move depend on X and on Y through one
-    vector each, so a rule is decided for all its (X, Y) as one outer
-    comparison, which every lens reads, in blocks of rows whose
+    ``ins`` with j in Y \\ X; move j attains where f(X) + f(Y) <=
+    f(X-out+j) + f(Y+out-j). ``tests`` holds per lens None (not a rule of
+    the lens) or (applies, drop): the rule applies where
+    ``applies(|X|, |Y|)`` holds (True: everywhere), and the drop, move
+    j = 0, is a move besides ``ins`` where ``drop(|X|, |Y|)`` holds (True:
+    everywhere, False: nowhere). Both sides of a move depend on X and on Y
+    through one vector each, so a rule is decided for all its (X, Y) as one
+    outer comparison, which every lens reads, in blocks of rows whose
     temporaries stay under _BATCH_BYTES; rows past the first failure so
     far of every lens are skipped.
     """
@@ -205,11 +205,12 @@ def _rule_sweep(f, rules, order=None, lenses=1):
         b = np.where(yc & js == js, at((yc | out) ^ js), neg)
         # f(X) - a <= b - f(Y), which fails wherever a or b is neg.
         a, b = fv[rows] - a, b - fv[cols]
-        if any(tests[k][1] is not False for k in live):
+        drops = any(tests[k][1] is not False for k in live)
+        if drops:
             a0, b0 = fv[rows] - at(xr ^ out), at(yc | out) - fv[cols]
         kx, ky = size[rows, None], size[cols]
         # A block's bytes are the comparison's bools, one per (move, X, Y).
-        step = max(1, _BATCH_BYTES // max(1, len(js) * len(cols)))
+        step = max(1, _BATCH_BYTES // max(1, (len(js) + drops) * len(cols)))
         for r0 in range(0, len(rows), step):
             blk = slice(r0, r0 + step)
             ok = (a[:, blk, None] <= b[:, None, :]).any(axis=0)
@@ -232,11 +233,10 @@ def _rule_sweep(f, rules, order=None, lenses=1):
     return best
 
 
-def _swap_rules(n, *tests, drop=False):
+def _swap_rules(n, *tests):
     """Rule i of ``_rule_sweep`` for each element bit i, with ``tests``:
-    X gives up i, Y any other element, or nothing when ``drop``."""
-    return [(1 << i, [1 << j for j in range(n) if j != i] + [0] * drop, tests)
-            for i in range(n)]
+    X gives up i, Y any other element."""
+    return [(1 << i, [1 << j for j in range(n) if j != i], tests) for i in range(n)]
 
 
 def _augment_rule(n, *tests):
@@ -251,7 +251,7 @@ def _single_sweep(f, drop):
     that attains f(X) + f(Y). Returns (failing, triples): the first
     (xm, ym, i) that does not, or None, and the count of triples through
     it (all of them on a PASS)."""
-    return _single_count(f, _rule_sweep(f, _swap_rules(f.n, (True, False), drop=drop))[0])
+    return _single_count(f, _rule_sweep(f, _swap_rules(f.n, (True, drop)))[0])
 
 
 def _single_count(f, best):
@@ -436,7 +436,7 @@ def _multi_pass_margin(f, samples=None, seed=None):
     return out
 
 
-def _lemma_facts(f, failing=...):
+def _lemma_facts(f, failing):
     """The facts the proof uses, on every (X, Y) in dom x dom in row-major
     order: a swap for each i in X \\ Y by ascending i when |X| <= |Y|, an
     augmenting swap when |X| < |Y|, then nonempty restrictions for each I
@@ -446,16 +446,14 @@ def _lemma_facts(f, failing=...):
     Returns (counter, checked): the counterexample of the first fact that
     fails, or None, and the count of facts through it (all of them when
     none fails). The swap and augment facts are rules of
-    ``_exchange_sweep``, whose first failure ``failing`` gives when the
-    caller has swept them; the restriction facts, checked on the pairs
-    before it, hold by J = {} where f(X\\I) and f(Y | I) are finite,
-    which on a full domain is every triple, and read which sides of the
-    other triples' moves are finite from ``moves.moves``.
+    ``_exchange_sweep``, whose first failure (or None) ``failing`` gives;
+    the restriction facts, checked on the pairs before it, hold by J = {}
+    where f(X\\I) and f(Y | I) are finite, which on a full domain is every
+    triple, and read which sides of the other triples' moves are finite
+    from ``moves.moves``.
     """
     n = f.n
     dom = f.dom_masks
-    if failing is ...:
-        failing = _exchange_sweep(f)[1]
     at, neg = value_table(f, _BATCH_BYTES)
     dm = np.array(dom, dtype=np.int64)
     stop = len(dm) ** 2 if failing is None else failing[0] * len(dm) + failing[1]

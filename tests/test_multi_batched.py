@@ -518,6 +518,12 @@ def one_sided_tables():
             for holes in ((0, 4, 12), (0, 1, 9))]
 
 
+def lemma_facts(f):
+    """``_lemma_facts`` given the first failing swap or augment fact of
+    the shared exchange sweep, as the CLI runs it."""
+    return _lemma_facts(f, exchange._exchange_sweep(f)[1])
+
+
 def test_lemma_facts_match_the_loop(by_id, budget):
     """The facts without their gate, on tables that fail each kind first;
     on a PASS the counts of facts agree."""
@@ -527,7 +533,7 @@ def test_lemma_facts_match_the_loop(by_id, budget):
     assert {str(value_dtype(f)) for f in tables} == {"int16", "int32", "int64", "object"}
     assert {252, 924} <= {len(f.dom_masks) for f in tables} or budget == 1
     for f in tables:
-        got = _lemma_facts(f)
+        got = lemma_facts(f)
         assert got == ref_lemma_facts(f), f
         counter, _ = got
         if counter is None:
@@ -551,16 +557,16 @@ def test_restriction_facts_skip_what_the_empty_move_settles(by_id, monkeypatch):
     monkeypatch.setattr(exchange, "restriction_sides",
                         lambda at, neg, xm, *a: calls.append(len(xm)) or real(at, neg, xm, *a))
     for iid in ("n4_laminar", "n5_laminar"):
-        assert _lemma_facts(by_id[iid]) == ref_lemma_facts(by_id[iid])
+        assert lemma_facts(by_id[iid]) == ref_lemma_facts(by_id[iid])
     assert calls == []
     f8 = by_id["n8_wbasis_uniform_r4"]
-    assert _lemma_facts(f8) == (None, ref_lemma_facts(f8)[1])
+    assert lemma_facts(f8) == (None, ref_lemma_facts(f8)[1])
     assert calls and sum(calls) < ref_lemma_facts(f8)[1]
     for f, (kind, x_finite, y_finite, count) in zip(one_sided_tables(),
                                                     (("x_side", False, True, 118),
                                                      ("y_side", True, False, 50))):
         calls.clear()
-        got = _lemma_facts(f)
+        got = lemma_facts(f)
         assert got == ref_lemma_facts(f)
         counter, checked = got
         xm, ym, im = (mask_of(counter[key], 4) for key in "XYI")
@@ -590,7 +596,7 @@ def test_value_tiers_match_the_loops(by_id, top, dtype):
     lemma_fails = 0
     for f in shifted([by_id["n4_laminar"], by_id["n6_wbasis_k4"], *one_sided_tables(),
                       random_table(3, 1, neg_inf_prob=0.3)]):
-        got = _lemma_facts(f)
+        got = lemma_facts(f)
         assert got == ref_lemma_facts(f), f
         lemma_fails += got[0] is not None
     assert lemma_fails >= 4
@@ -632,7 +638,7 @@ def test_memory_stays_bounded():
     samples, seed = 3, 6  # (empty, full), then (full, empty, I) with a NEG_INF move
     reports, peak = traced_peak(lambda: exc_multi_reports(pair, samples=samples, seed=seed))
     assert peak < 8 * budget
-    facts, peak = traced_peak(lambda: _lemma_facts(chain))
+    facts, peak = traced_peak(lambda: lemma_facts(chain))
     assert peak < 8 * budget
     gate, peak = traced_peak(lambda: cli._suite_lemmas("pair", pair, cli.SuiteConfig(), 0))
     assert peak < 8 * budget and not gate.passed
