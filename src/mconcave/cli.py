@@ -40,7 +40,6 @@ from .exchange import (
     _lift_pads,
     _lift_sweep,
     _require_nonempty_dom,
-    _single_sweep,
     _sweep_report,
     check_exc_single,
     exc_multi_reports,
@@ -278,30 +277,23 @@ def resolve_instances(cfg):
 # Per-instance suite runners.
 
 
-# The exchange sweeps and reports of the instance being run, so that
+# The exchange sweep and reports of the instance being run, so that
 # corollary1, m_concave_lift and lemmas_2_8 reuse what exc_single and
-# exc_multi_* computed.
+# exc_multi_* computed. Every suite selection reads the one shared sweep,
+# though its augment rule, which only the facts read, makes exc_single
+# alone 12-15% slower on a full n = 12 domain.
 @functools.lru_cache(maxsize=1)
-def _sweeps(f, facts):
-    """exc_single's (failing, triples) and, when ``facts``, the first
-    failing swap or augment fact of lemmas_2_8, from one sweep
-    (``exchange._exchange_sweep``); else None in its place."""
-    return _exchange_sweep(f) if facts else (_single_sweep(f, True), None)
-
-
-def _needs_facts(cfg):
-    """Whether the swap and augment facts are read: by lemmas_2_8 and by
-    m_concave_lift, whose lift passes iff the single exchange and the facts
-    hold. Without them exc_single sweeps alone: the facts' augment rule
-    compares every pair, and on the full-domain n = 12 table the shared
-    sweep takes about half again as long as the single exchange."""
-    return "lemmas_2_8" in cfg.suites or "m_concave_lift" in cfg.suites
+def _sweeps(f):
+    """exc_single's (failing, triples) and the first failing swap or
+    augment fact of lemmas_2_8, from one sweep
+    (``exchange._exchange_sweep``)."""
+    return _exchange_sweep(f)
 
 
 @functools.lru_cache(maxsize=1)
-def _single_report(instance_id, f, facts):
+def _single_report(instance_id, f):
     _require_nonempty_dom(f)
-    return _sweep_report(f, "exc_single", instance_id, *_sweeps(f, facts)[0])
+    return _sweep_report(f, "exc_single", instance_id, *_sweeps(f)[0])
 
 
 @functools.lru_cache(maxsize=1)
@@ -311,7 +303,7 @@ def _multi_reports(instance_id, f, seed, samples):
 
 
 def _suite_exc_single(instance_id, f, cfg, seed):
-    return _single_report(instance_id, f, _needs_facts(cfg))
+    return _single_report(instance_id, f)
 
 
 def _suite_exc_multi(bounded):
@@ -322,7 +314,7 @@ def _suite_exc_multi(bounded):
 
 def _suite_corollary1(instance_id, f, cfg, seed):
     multi = _multi_reports(instance_id, f, seed, cfg.samples)
-    reports = [_single_report(instance_id, f, _needs_facts(cfg)), multi[False], multi[True]]
+    reports = [_single_report(instance_id, f), multi[False], multi[True]]
     verdicts = [r.verdict for r in reports]
     agreement = len(set(verdicts)) == 1
     triples = sum(r.triples_checked for r in reports)
@@ -343,7 +335,7 @@ def _suite_m_concave_lift(instance_id, f, cfg, seed):
     single exchange and the swap and augment facts of lemmas_2_8 hold
     (``exchange._lift_sweep``), which the sweeps of exc_single give."""
     _lift_pads(f)  # refuse what ``lift`` refuses before sweeping
-    (single, _), facts = _sweeps(f, True)
+    (single, _), facts = _sweeps(f)
     return _sweep_report(f, "m_concave_lift", instance_id,
                          *_lift_sweep(f, holds=single is None and facts is None))
 
@@ -352,13 +344,13 @@ def _suite_lemmas(instance_id, f, cfg, seed):
     """The facts the proof uses, on every (X, Y) of an exchange-valid f: a
     swap for each i in X \\ Y when |X| <= |Y|, an augmenting swap when
     |X| < |Y|, and nonempty restrictions for each I inside X \\ Y."""
-    gate = _single_report(instance_id, f, True)
+    gate = _single_report(instance_id, f)
     if not gate.passed:
         counter = {"reason": "single-exchange precondition fails",
                    "detail": gate.counterexample}
         return failed_report("lemmas_2_8", instance_id, counter,
                              triples=gate.triples_checked)
-    counter, checked = _lemma_facts(f, _sweeps(f, True)[1])
+    counter, checked = _lemma_facts(f, _sweeps(f)[1])
     if counter is not None:
         return failed_report("lemmas_2_8", instance_id, counter, triples=checked)
     return passed_report("lemmas_2_8", instance_id, triples=checked)

@@ -251,26 +251,59 @@ def _single_sweep(f, drop):
     that attains f(X) + f(Y). Returns (failing, triples): the first
     (xm, ym, i) that does not, or None, and the count of triples through
     it (all of them on a PASS)."""
-    return _single_count(f, _rule_sweep(f, _swap_rules(f.n, (True, drop)))[0])
+    return _sweep_count(f, _rule_sweep(f, _swap_rules(f.n, (True, drop)))[0])
 
 
-def _single_count(f, best):
-    """(failing, triples) of the single-exchange sweep of f whose first
-    failure ``_rule_sweep`` gave as ``best``."""
+def _sweep_count(f, best, dm=None, a=None, t=0):
+    """(failing, triples) of a single-exchange sweep in lex order whose
+    first failure ``_rule_sweep`` gave as ``best`` (x, y, r), or None: the
+    failing (xm, ym, i) and the count of triples through it, all of them
+    for None.
+
+    The swept sets are those of f's lift with ``t`` pads (bits
+    n .. n + t - 1): domain set ``dm[x]`` stands for the C(t, a[x]) sets
+    X u P, P any a[x] of the pads, and ``dm`` goes in their order of the
+    numbers (P, X); the defaults, f's domain and no pads, sweep f itself.
+    Rule r < n fails at i = r + 1 in X \\ Y, the augment r = n at the
+    first pad of P \\ Q, with P and Q the lowest pads. A lifted set holds
+    |Zx \\ Zy| triples per column, so an element k adds L - c_k per row
+    that holds it, with L the lifted domain's size and c_k the count of
+    its sets that hold k.
+    """
     n = f.n
-    dom = f.dom_masks
-    # A row X holds |X \ Y| triples per column Y: the sum over k in X of
-    # the count of domain sets without k.
-    bits = (np.array(dom, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    without = len(dom) - bits.sum(axis=0)
+    if dm is None:
+        dm = np.array(f.dom_masks, dtype=np.int64)
+        a = np.zeros(len(dm), dtype=np.int64)
+    # X stands for C(t, a) lifted sets, C(t - 1, a - 1) of them with a given pad.
+    sets = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.int64)[a]
+    size = int(sets.sum())
+    bits = (dm[:, None] >> np.arange(n)) & 1
+    c = sets @ bits  # c_k of each element of N
+    cp = int(np.array([0] + [math.comb(t - 1, k) for k in range(t)])[a].sum())  # c_k of a pad
+    total = int(c @ (size - c)) + t * cp * (size - cp)
     if best is None:
-        return None, int(bits.sum(axis=0) @ without)
-    x, y, i = best
-    xm, ym = dom[x], dom[y]
-    triples = int(bits[:x].sum(axis=0) @ without)
-    triples += sum((xm & ~t).bit_count() for t in dom[:y])
-    triples += (xm & ~ym & ((1 << i) - 1)).bit_count() + 1
-    return (xm, ym, i + 1), triples
+        return None, total
+    x, y, rule = best
+    xm, ym, ax, by = int(dm[x]), int(dm[y]), int(a[x]), int(a[y])
+    rows = bits @ (size - c) + a * (size - cp)  # the triples of each X u P
+    cols = np.bitwise_count(xm & ~dm).astype(np.int64)  # |X \ Y| per Y
+    starts = np.searchsorted(a, np.arange(t + 2)).tolist()
+    # Rows before: P below the lowest ax pads, any subset of them but all.
+    triples = sum(math.comb(ax, k) * int(rows[starts[k]:starts[k + 1]].sum())
+                  for k in range(ax))
+    triples += int(rows[starts[ax]:x].sum())
+    # Columns before, each Y u Q holding |X \ Y| + |P \ Q| of the triples.
+    low = min(ax, by)
+    for k in range(by):
+        span = slice(starts[k], starts[k + 1])
+        triples += math.comb(by, k) * int(cols[span].sum())
+        triples += (span.stop - span.start) * (ax * math.comb(by, k)
+                                               - low * (math.comb(by - 1, k - 1) if k else 0))
+    triples += int(cols[starts[by]:y].sum()) + (y - starts[by]) * max(0, ax - by)
+    # The triples of the pair before rule r: those of X \ Y below r.
+    triples += (xm & ~ym & ((1 << rule) - 1)).bit_count() + 1
+    i = rule + 1 if rule < n else n + by + 1
+    return (xm | ((1 << ax) - 1) << n, ym | ((1 << by) - 1) << n, i), triples
 
 
 def _exchange_rules(n):
@@ -289,7 +322,7 @@ def _exchange_sweep(f):
     fact of ``lemmas_2_8`` as ``_rule_sweep`` gives it (or None), from one
     sweep of ``_exchange_rules``."""
     single, facts = _rule_sweep(f, _exchange_rules(f.n), lenses=2)
-    return _single_count(f, single), facts
+    return _sweep_count(f, single), facts
 
 
 def check_exc_single(f, instance_id=""):
@@ -495,12 +528,9 @@ def _lemma_facts(f, failing):
         return None, checked
     x, y, r = failing
     xm, ym = dom[x], dom[y]
-    if r < n:
-        fact = {"fact": "swap_at_leq_size", "i": r + 1}
-        checked += (xm & ~ym & ((1 << r) - 1)).bit_count()
-    else:
-        fact = {"fact": "augment_at_lt_size"}
-        checked += (xm & ~ym).bit_count()
+    fact = {"fact": "swap_at_leq_size", "i": r + 1} if r < n else {"fact": "augment_at_lt_size"}
+    # The facts of the pair before rule r: the swaps of X \ Y below r.
+    checked += (xm & ~ym & ((1 << r) - 1)).bit_count()
     return {"X": list(elements_of(xm)), "Y": list(elements_of(ym)), **fact}, checked + 1
 
 
@@ -722,48 +752,13 @@ def _lift_sweep(f, holds=False):
     |X| > |Y|, and the augment holds where |X| < |Y| (the lifting theorem:
     Murota, Discrete Convex Analysis, §6.1). The first failure is found by
     one ``_rule_sweep`` of those rules on f in the order of (r - |X|, X),
-    which is the lifted order of the lowest pads, and the count of lifted
-    triples through it comes from sums over f's domain: a lifted set holds
-    |Zx \\ Zy| triples per column, so an element k adds L - c_k per row
-    that holds it, with L the lifted domain's size and c_k the count of
-    its sets that hold k.
+    which is the lifted order of the lowest pads, and ``_sweep_count``
+    counts the lifted triples through it.
     """
     t = _lift_pads(f)
-    n, r = f.n, f.dom_size_range()[1]
+    r = f.dom_size_range()[1]
     dm = np.array(f.dom_masks, dtype=np.int64)
     a = r - np.bitwise_count(dm).astype(np.int64)  # the pads of each X
     order = np.lexsort((dm, a))
-    dm, a = dm[order], a[order]
-    # X stands for C(t, a) lifted sets, C(t - 1, a - 1) of them with a given pad.
-    sets = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.int64)[a]
-    size = int(sets.sum())
-    bits = (dm[:, None] >> np.arange(n)) & 1
-    c = sets @ bits  # c_k of each element of N
-    cp = int(np.array([0] + [math.comb(t - 1, k) for k in range(t)])[a].sum())  # c_k of a pad
-    total = int(c @ (size - c)) + t * cp * (size - cp)
-    if holds or (best := _rule_sweep(f, _lift_rules(n), order)[0]) is None:
-        return None, total
-    x, y, rule = best
-    xm, ym, ax, by = int(dm[x]), int(dm[y]), int(a[x]), int(a[y])
-    rows = bits @ (size - c) + a * (size - cp)  # the triples of each X u P
-    cols = np.bitwise_count(xm & ~dm).astype(np.int64)  # |X \ Y| per Y
-    starts = np.searchsorted(a, np.arange(t + 2)).tolist()
-    # Rows before: P below the lowest ax pads, any subset of them but all.
-    triples = sum(math.comb(ax, k) * int(rows[starts[k]:starts[k + 1]].sum())
-                  for k in range(ax))
-    triples += int(rows[starts[ax]:x].sum())
-    # Columns before, each Y u Q holding |X \ Y| + |P \ Q| of the triples.
-    low = min(ax, by)
-    for k in range(by):
-        span = slice(starts[k], starts[k + 1])
-        triples += math.comb(by, k) * int(cols[span].sum())
-        triples += (span.stop - span.start) * (ax * math.comb(by, k)
-                                               - low * (math.comb(by - 1, k - 1) if k else 0))
-    triples += int(cols[starts[by]:y].sum()) + (y - starts[by]) * max(0, ax - by)
-    if rule < n:
-        triples += (xm & ~ym & ((1 << rule) - 1)).bit_count() + 1
-        i = rule + 1
-    else:
-        triples += (xm & ~ym).bit_count() + 1
-        i = n + by + 1
-    return (xm | ((1 << ax) - 1) << n, ym | ((1 << by) - 1) << n, i), triples
+    best = None if holds else _rule_sweep(f, _lift_rules(f.n), order)[0]
+    return _sweep_count(f, best, dm[order], a[order], t)

@@ -6,7 +6,7 @@ laminar sums, assignment valuations) are the test corpus: each output is
 known to satisfy the single-element exchange property, and the weighted
 basis valuations additionally have equi-cardinal domains. Rejection
 sampling of random tables is kept only as a small-n diversity supplement
-because valid tables become vanishingly rare from n = 5 on.
+because valid tables become vanishingly rare from n = 4 on.
 """
 
 import random
@@ -334,11 +334,12 @@ def _draw_table(rng, n, lo=-5, hi=5, neg_inf_prob=0.2, neg=NEG_INF):
 
 def random_mnat_concave(n, seed, lo=-3, hi=3, neg_inf_prob=0.15):
     """Rejection-sample a random table until it passes the single-element
-    exchange check. Supplement only: practical for n <= 4."""
+    exchange check. Supplement only: practical for n <= 3 (with the
+    defaults, none of 200,000 draws at n = 4 passes)."""
     from .exchange import check_exc_single
 
-    if n > 4:
-        raise ValueError("rejection sampling is only viable for n <= 4")
+    if n > 3:
+        raise ValueError("rejection sampling is only viable for n <= 3")
     rng = random.Random(seed)
     for _ in range(200_000):
         f = random_table(n, rng.randrange(2**63), lo, hi, neg_inf_prob)

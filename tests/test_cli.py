@@ -509,17 +509,20 @@ def test_campaign_counts_that_fake_a_campaign_are_refused():
 def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
     """corollary1 and the lemmas_2_8 gate reuse the exchange reports of the
     instance being run, and never those of another table with the same id
-    and seed."""
+    and seed, and exc_single gives the same report whichever suites are
+    selected."""
     good = corpus_by_id["n4_laminar"].fn
     bad = mutate(good, 0, 1)
-    cfg = SuiteConfig()
-    for f in (good, bad, good):
-        want = check_exc_single(f, instance_id="x")
-        assert cli._INSTANCE_SUITES["exc_single"]("x", f, cfg, 0) == want
-        lemmas = cli._INSTANCE_SUITES["lemmas_2_8"]("x", f, cfg, 0)
-        assert lemmas.passed == want.passed
-        corollary = cli._INSTANCE_SUITES["corollary1"]("x", f, cfg, 0)
-        assert corollary.verdict == want.verdict
+    for suites in (ALL_SUITES, ("exc_single",), ("exc_single", "corollary1")):
+        cfg = SuiteConfig(suites=suites)
+        for f in (good, bad, good):
+            want = check_exc_single(f, instance_id="x")
+            got = cli._INSTANCE_SUITES["exc_single"]("x", f, cfg, 0)
+            assert got.to_json_line() == want.to_json_line()
+            lemmas = cli._INSTANCE_SUITES["lemmas_2_8"]("x", f, cfg, 0)
+            assert lemmas.passed == want.passed
+            corollary = cli._INSTANCE_SUITES["corollary1"]("x", f, cfg, 0)
+            assert corollary.verdict == want.verdict
     assert cli._single_report.cache_info().currsize <= 1
     assert cli._multi_reports.cache_info().currsize <= 1
 

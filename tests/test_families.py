@@ -12,6 +12,7 @@ from mconcave import (
     check_exc_single,
     default_corpus,
     elements_of,
+    exchange,
     graphic_matroid,
     laminar_concave_fn,
     matroid_rank_fn,
@@ -321,11 +322,16 @@ def test_random_table_deterministic():
     assert a.dom_masks  # nonempty dom enforced
 
 
-def test_random_mnat_concave_passes_check():
+def test_random_mnat_concave_passes_check(monkeypatch):
+    """n = 3 samples a passing table; n >= 4 is refused before any draw
+    (with the defaults no n = 4 draw of 200,000 passes)."""
     f = random_mnat_concave(3, seed=5)
     assert check_exc_single(f).passed
-    with pytest.raises(ValueError):
-        random_mnat_concave(5, seed=0)
+    monkeypatch.setattr(exchange, "check_exc_single",
+                        lambda f: pytest.fail("check_exc_single was called"))
+    for n in (4, 5):
+        with pytest.raises(ValueError, match="n <= 3"):
+            random_mnat_concave(n, seed=0)
 
 
 # --- corpus ------------------------------------------------------------------

@@ -121,8 +121,8 @@ def test_value_tiers_match_the_lift(by_id, top, dtype):
 
 def test_every_rule_position_maps_to_its_lifted_triple(by_id, monkeypatch):
     """For each (X, Y) of f and each rule that applies, the lifted triple
-    and the count through it are those of lift(f)'s lex order (its
-    ``_single_count``): X and Y with their lowest pads, i in X \\ Y as
+    and the count through it are those of lift(f)'s lex order, counted
+    triple by triple: X and Y with their lowest pads, i in X \\ Y as
     itself, and the augment as the first pad of P \\ Q, n + b + 1 for
     b = r - |Y|. No table tried fails first on a pad, so this is where the
     augment's mapping is checked."""
@@ -130,7 +130,13 @@ def test_every_rule_position_maps_to_its_lifted_triple(by_id, monkeypatch):
               SetFn(4, [0 if m in (0, 1, 3, 6, 7, 14, 15) else None for m in range(16)])]
     for f in tables:
         lifted = lift(f)
-        index = {z: k for k, z in enumerate(lifted.dom_masks)}
+        # The count of lift(f)'s triples (Zx, Zy, k) through each, as
+        # ``test_sweep_batched.loop_sweep`` counts them.
+        position = {}
+        for zx in lifted.dom_masks:
+            for zy in lifted.dom_masks:
+                for k in elements_of(zx & ~zy):
+                    position[zx, zy, k] = len(position) + 1
         s, r = f.dom_size_range()
         order = sorted(range(len(f.dom_masks)),
                        key=lambda k: (r - f.dom_masks[k].bit_count(), f.dom_masks[k]))
@@ -147,8 +153,7 @@ def test_every_rule_position_maps_to_its_lifted_triple(by_id, monkeypatch):
                     a, b = r - xm.bit_count(), r - ym.bit_count()
                     assert (zx, zy) == (xm | ((1 << a) - 1) << f.n, ym | ((1 << b) - 1) << f.n)
                     assert i == (rule + 1 if rule < f.n else f.n + b + 1)
-                    _, want = exchange._single_count(lifted, (index[zx], index[zy], i - 1))
-                    assert got == want
+                    assert got == position[zx, zy, i]
                     pads += rule == f.n
         assert pads > 0 and s < r
 
