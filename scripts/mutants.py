@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""The committed mutant catalogue: deliberate faults in ``src/mconcave``,
+each with the tests that must kill it.
+
+An entry names a module of the package, an exact snippet of it, the
+snippet's replacement and the tests that must fail once the replacement
+is in. For each selected entry the script copies ``src``, ``tests``,
+``scripts`` and ``pyproject.toml`` into a temporary directory, applies
+the replacement there and runs the entry's tests with a timeout; a run
+past it counts as a kill. The checkout is never edited. It prints one
+line per mutant and exits 1 when a snippet does not occur exactly once,
+or a mutant survives: some listed test still passes.
+
+Usage:
+    python3 scripts/mutants.py [NAME ...]
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from shutil import copyfile, copytree
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Seconds for one mutant's pytest run.
+TIMEOUT = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file of src/mconcave
+    snippet: str
+    replacement: str
+    tests: tuple  # pytest node ids, each of which must fail
+
+
+MUTANTS = [
+    Mutant("interval_min_max_swapped", "exchange.py",
+           "np.minimum(v[:, 0], v[:, 2], out=v[:, 1])\n"
+           "    for v in views:\n"
+           "        np.maximum(v[:, 0], v[:, 2], out=v[:, 3])",
+           "np.maximum(v[:, 0], v[:, 2], out=v[:, 1])\n"
+           "    for v in views:\n"
+           "        np.minimum(v[:, 0], v[:, 2], out=v[:, 3])",
+           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",
+            "tests/test_cli.py::test_lemmas_2_8_prints_the_same_lines_on_both_sides_of_the_gate")),
+    Mutant("interval_digit_3_from_0_and_1", "exchange.py",
+           "np.maximum(v[:, 0], v[:, 2], out=v[:, 3])",
+           "np.maximum(v[:, 0], v[:, 1], out=v[:, 3])",
+           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",)),
+    Mutant("interval_size_bound_inclusive", "exchange.py",
+           "quad[xs ^ ys]] > kx",
+           "quad[xs ^ ys]] >= kx",
+           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",
+            "tests/test_cli.py::test_lemmas_2_8_prints_the_same_lines_on_both_sides_of_the_gate")),
+    Mutant("interval_scan_descending", "exchange.py",
+           "deposit(np.arange(1 << int(d[p]).bit_count()), d[p], n)",
+           "deposit(np.arange(1 << int(d[p]).bit_count())[::-1], d[p], n)",
+           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",)),
+    Mutant("sweep_count_row_past_x", "exchange.py",
+           "triples += int(rows[starts[ax]:x].sum())",
+           "triples += int(rows[starts[ax]:x + 1].sum())",
+           ("tests/test_sweep_batched.py::test_random_tables",
+            "tests/test_lift_on_f.py::test_every_rule_position_maps_to_its_lifted_triple",
+            "tests/test_golden.py::test_exchange_report_bytes")),
+    Mutant("sweep_count_rule_inclusive", "exchange.py",
+           "triples += (xm & ~ym & ((1 << rule) - 1)).bit_count() + 1",
+           "triples += (xm & ~ym & ((1 << (rule + 1)) - 1)).bit_count() + 1",
+           ("tests/test_sweep_batched.py::test_random_tables",
+            "tests/test_lift_on_f.py::test_every_rule_position_maps_to_its_lifted_triple",
+            "tests/test_golden.py::test_exchange_report_bytes")),
+    Mutant("lemma_facts_rule_inclusive", "exchange.py",
+           "checked += (xm & ~ym & ((1 << r) - 1)).bit_count()",
+           "checked += (xm & ~ym & ((1 << (r + 1)) - 1)).bit_count()",
+           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",)),
+]
+
+
+def source(mutant, root=ROOT):
+    return (root / "src" / "mconcave" / mutant.module).read_text(encoding="utf-8")
+
+
+def run(mutant):
+    """(killed, survivors, note): whether every listed test failed, the
+    listed tests that passed, and pytest's last line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for part in ("src", "tests", "scripts"):
+            copytree(ROOT / part, tmp / part)
+        copyfile(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+        path = tmp / "src" / "mconcave" / mutant.module
+        path.write_text(source(mutant, tmp).replace(mutant.snippet, mutant.replacement),
+                        encoding="utf-8")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+               *mutant.tests]
+        try:
+            done = subprocess.run(cmd, cwd=tmp, env={**os.environ, "PYTHONPATH": "src"},
+                                  capture_output=True, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return True, [], f"timed out after {TIMEOUT} s"
+    failed = [line.split()[1] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    survivors = [t for t in mutant.tests
+                 if not any(f == t or f.startswith(t + "[") or f == t.split("::")[0]
+                            for f in failed)]
+    lines = done.stdout.strip().splitlines()
+    return not survivors, survivors, lines[-1] if lines else done.stderr.strip()
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    ok = True
+    for mutant in chosen:
+        count = source(mutant).count(mutant.snippet)
+        if count != 1:
+            print(f"{mutant.name}: snippet occurs {count} times in {mutant.module}")
+            ok = False
+            continue
+        killed, survivors, note = run(mutant)
+        print(f"{mutant.name}: {'killed' if killed else 'SURVIVED'} ({note})"
+              + (f"; still passing: {', '.join(survivors)}" if survivors else ""), flush=True)
+        ok &= killed
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -5,14 +5,17 @@ Checkers return VerificationReports. The single exchange, its
 equi-cardinal form, the swap and augment facts of ``lemmas_2_8`` and the
 equi-cardinal exchange of the lift, decided on f (``_lift_sweep``), are
 one batched sweep over exchange rules (``_rule_sweep``), in the lex order
-below, on f as ``moves.value_table`` holds it. The triples (X, Y, I) and
-their moves J have one enumeration, the array kernel of ``moves``: the
-multiple exchange (both bounds from one pass) and the restriction facts
-of ``lemmas_2_8`` read its blocks for one table, and ``_bulk_decide``
-decides many small value rows of the falsification campaign at once on
-the masks of its blocks over the full cube 2^n (``_bulk_plan``, one per
-n). ``_best_multi`` is the scalar search of one triple, for the witness
-finders.
+below, on f as ``moves.value_table`` holds it. The restriction facts of
+``lemmas_2_8`` depend on the domain alone: one lookup per pair in a table
+of least domain-set sizes over the intervals of the cube
+(``_least_sizes``) while its 4^n bytes fit _INTERVAL_BYTES. The triples
+(X, Y, I) and their moves J have one enumeration, the array kernel of
+``moves``: the multiple exchange (both bounds from one pass) and, above
+that size, the restriction facts read its blocks for one table, and
+``_bulk_decide`` decides many small value rows of the falsification
+campaign at once on the masks of its blocks over the full cube 2^n
+(``_bulk_plan``, one per n). ``_best_multi`` is the scalar search of one
+triple, for the witness finders.
 Every decision reads ``f.exact``, the int table D * f, and compares
 with ``<=``; counterexamples and witnesses show values through
 ``core.shown``.
@@ -49,6 +52,7 @@ from .core import (
     submasks_by_size,
 )
 from .moves import (
+    deposit,
     encoding,
     exhaustive_triples,
     moves,
@@ -69,6 +73,10 @@ DEFAULT_SAMPLES = 10_000
 # Bytes of the temporaries of one block of the exchange sweep, and of all
 # the arrays of one piece of the bulk decider.
 _BATCH_BYTES = 1 << 19
+
+# Bytes of the interval table of ``_lemma_facts``, one int8 per entry: its
+# 4^n entries fit up to n = 12. Above, the restriction facts read the moves.
+_INTERVAL_BYTES = 1 << 24
 
 # The bulk decider's bound on |value|: its ``moves.encoding`` is at most int64.
 _BULK_SAFE = 1 << 60
@@ -479,20 +487,25 @@ def _lemma_facts(f, failing):
     Returns (counter, checked): the counterexample of the first fact that
     fails, or None, and the count of facts through it (all of them when
     none fails). The swap and augment facts are rules of
-    ``_exchange_sweep``, whose first failure (or None) ``failing`` gives;
-    the restriction facts, checked on the pairs before it, hold by J = {}
-    where f(X\\I) and f(Y | I) are finite, which on a full domain is every
-    triple, and read which sides of the other triples' moves are finite
-    from ``moves.moves``.
+    ``_exchange_sweep``, whose first failure (or None) ``failing`` gives.
+    The restriction facts, checked on the pairs before it, ask for domain
+    sets in intervals of the cube: one lookup per pair in the table of
+    ``_least_sizes`` while its 4^n entries fit _INTERVAL_BYTES
+    (``_interval_first``), else the moves of ``moves.moves``
+    (``_moves_first``).
     """
     n = f.n
     dom = f.dom_masks
-    at, neg = value_table(f, _BATCH_BYTES)
     dm = np.array(dom, dtype=np.int64)
+    if 4 ** n <= _INTERVAL_BYTES:
+        first = functools.partial(_interval_first, *_least_sizes(n, dm), n)
+    else:
+        first = functools.partial(_moves_first, *value_table(f, _BATCH_BYTES), n,
+                                  len(dm) == 1 << n)
     stop = len(dm) ** 2 if failing is None else failing[0] * len(dm) + failing[1]
     checked = 0
-    # About 64 bytes per pair, a quarter of the budget; ``triples`` and
-    # ``restriction_sides`` block the rest.
+    # About 64 bytes per pair, a quarter of the budget; ``first`` blocks
+    # the rest.
     for r0, r1, c0, c1 in pair_blocks(len(dm), max(1, _BATCH_BYTES // 256)):
         cut = stop - (r0 * len(dm) + c0)
         if cut <= 0:
@@ -504,25 +517,13 @@ def _lemma_facts(f, failing):
         nd = np.bitwise_count(d).astype(np.int64)
         head = (kx <= ky) * nd + (kx < ky)  # the swap and augment facts
         facts = head + (1 << nd)
-        # J = {} settles every triple of a full domain.
-        for p, rank, im in () if len(dm) == 1 << n else triples(d, n, _BATCH_BYTES):
-            # J = {} settles a triple whose f(X\I) and f(Y | I) are finite.
-            rest = np.flatnonzero((at(xs[p] & ~im) == neg) | (at(ys[p] | im) == neg))
-            if not len(rest):
-                continue
-            p, rank, im = p[rest], rank[rest], im[rest]
-            x_side, x_sized, y_side = restriction_sides(at, neg, xs[p], ys[p], im,
-                                                        _BATCH_BYTES)
-            empty = ~(x_sized & y_side)
-            if empty.any():
-                t = int(empty.argmax())
-                q, im = int(p[t]), int(im[t])
-                name = ("x_side" if not x_side[t] else "x_side_sized" if not x_sized[t]
-                        else "y_side")
-                checked += int(facts[:q].sum() + head[q] + rank[t]) + 1
-                return {"X": list(elements_of(int(xs[q]))), "Y": list(elements_of(int(ys[q]))),
-                        "fact": "restriction_domains_nonempty", "I": list(elements_of(im)),
-                        "detail": _empty_side(name, int(xs[q]), int(ys[q]), im)}, checked
+        hit = first(xs, ys, d)
+        if hit is not None:
+            q, rank, im, side = hit
+            checked += int(facts[:q].sum() + head[q] + rank) + 1
+            return {"X": list(elements_of(int(xs[q]))), "Y": list(elements_of(int(ys[q]))),
+                    "fact": "restriction_domains_nonempty", "I": list(elements_of(im)),
+                    "detail": _empty_side(side, int(xs[q]), int(ys[q]), im)}, checked
         checked += int(facts.sum())
     if failing is None:
         return None, checked
@@ -532,6 +533,78 @@ def _lemma_facts(f, failing):
     # The facts of the pair before rule r: the swaps of X \ Y below r.
     checked += (xm & ~ym & ((1 << r) - 1)).bit_count()
     return {"X": list(elements_of(xm)), "Y": list(elements_of(ym)), **fact}, checked + 1
+
+
+def _least_sizes(n, dm):
+    """The interval table of the restriction facts over the domain sets
+    ``dm``: (table, quad), quad[M] the sum of 4^i over i in M.
+
+    An index of ``table`` is a number in base 4 with one digit per element
+    for an interval [A, U]: 0 outside U, 1 in U \\ A, 2 in A. There the
+    table holds the least |Z| over domain sets Z in [A, U], n + 1 where
+    there is none: a digit 1 is the min of the interval without the
+    element (digit 0) and with it (digit 2). A digit 3 is the max of its
+    digits 0 and 2, so that the restriction facts of a pair (X, Y), over
+    every S inside X \\ Y, are one entry (``_interval_first``). The min
+    passes all come before the max passes, which take the max of mins."""
+    quad = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        quad[1 << i:2 << i] = quad[:1 << i] + 4 ** i
+    table = np.full(4 ** n, n + 1, dtype=np.int8)
+    table[2 * quad[dm]] = np.bitwise_count(dm)
+    views = [table.reshape(-1, 4, 4 ** i) for i in range(n)]
+    for v in views:
+        np.minimum(v[:, 0], v[:, 2], out=v[:, 1])
+    for v in views:
+        np.maximum(v[:, 0], v[:, 2], out=v[:, 3])
+    return table, quad
+
+
+def _interval_first(table, quad, n, xs, ys, d):
+    """The first failing restriction fact of the pairs (xs, ys), d = X \\ Y,
+    from the table of ``_least_sizes``: (pair, rank of I, I, side), or None.
+
+    The x side of (X, Y, I) is the interval [X \\ I, (X \\ I) u (Y \\ X)],
+    the y side [(X n Y) u I, Y u I]. With S = (X \\ Y) \\ I on the x side and
+    S = I on the y side, both are [(X n Y) u S, (X n Y) u S u (Y \\ X)]. A
+    set there of size at most |X| settles x_side_sized for one I and
+    y_side for another, so every fact of the pair holds iff each S has one:
+    the entry of digits 1 on Y \\ X, 2 on X n Y and 3 on X \\ Y is at most
+    |X|. The first pair where it is not scans its I in ascending order."""
+    kx = np.bitwise_count(xs)
+    bad = table[2 * quad[xs] + quad[xs ^ ys]] > kx
+    if not bad.any():
+        return None
+    p = int(bad.argmax())
+    x, y, k = int(xs[p]), int(ys[p]), int(kx[p])
+    im = deposit(np.arange(1 << int(d[p]).bit_count()), d[p], n)
+    base = quad[y & ~x]
+    xl = table[base + 2 * quad[x & ~im]]
+    yl = table[base + 2 * quad[x & y | im]]
+    t = int(((xl > k) | (yl > n)).argmax())
+    side = "x_side" if xl[t] > n else "x_side_sized" if xl[t] > k else "y_side"
+    return p, t, int(im[t]), side
+
+
+def _moves_first(at, neg, n, full, xs, ys, d):
+    """The first failing restriction fact of the pairs (xs, ys), d = X \\ Y,
+    read from the moves J inside Y \\ X (``moves.restriction_sides``):
+    (pair, rank of I, I, side), or None. J = {} settles a triple whose
+    f(X\\I) and f(Y | I) are finite, which on a ``full`` domain is every
+    triple."""
+    for p, rank, im in () if full else triples(d, n, _BATCH_BYTES):
+        rest = np.flatnonzero((at(xs[p] & ~im) == neg) | (at(ys[p] | im) == neg))
+        if not len(rest):
+            continue
+        p, rank, im = p[rest], rank[rest], im[rest]
+        x_side, x_sized, y_side = restriction_sides(at, neg, xs[p], ys[p], im, _BATCH_BYTES)
+        empty = ~(x_sized & y_side)
+        if empty.any():
+            t = int(empty.argmax())
+            side = ("x_side" if not x_side[t] else "x_side_sized" if not x_sized[t]
+                    else "y_side")
+            return int(p[t]), int(rank[t]), int(im[t]), side
+    return None
 
 
 def _empty_side(name, xm, ym, im):

@@ -8,9 +8,9 @@ it in a term fails; ``encoding`` also picks the narrowest exact dtype
 campaign's decider alike.
 
 ``exchange`` decides both bounds of the multiple exchange from one gather
-of f((X\\I) | J) + f((Y\\J) | I), and reads the restriction facts of
-``lemmas_2_8`` from the same moves, for the triples that J = {} leaves
-open. With the identity as the table, ``moves`` gives the masks
+of f((X\\I) | J) + f((Y\\J) | I). Where its interval table of the
+restriction facts of ``lemmas_2_8`` does not fit (n > 12), it reads those
+facts from the same moves, for the triples that J = {} leaves open. With the identity as the table, ``moves`` gives the masks
 (X\\I) | J and (Y\\J) | I themselves: the falsification campaign's
 decider gathers them once per n over the full cube and reads many value
 rows through them. A move set J is the canonical rank pattern of its

@@ -21,6 +21,8 @@ from mconcave import (
     moves,
     mutate,
     store,
+    uniform_matroid,
+    weighted_basis_valuation,
 )
 from mconcave.cli import (
     ALL_SUITES,
@@ -541,6 +543,24 @@ def test_exchange_suites_build_one_value_table(corpus_by_id, instance_id, monkey
     assert all(r.passed for r in reports)
     assert moves.value_table.cache_info().misses == 1
     assert cli._sweeps.cache_info()[:2] == (2, 1)  # hits, misses
+
+
+def test_lemmas_2_8_prints_the_same_lines_on_both_sides_of_the_gate(tmp_path, monkeypatch,
+                                                                     capsys):
+    """``check --suites exc_single,lemmas_2_8`` on a uniform valuated
+    matroid with n = 10 (252 bases) prints the same lines whether the
+    restriction facts read the interval table or, with the gate at 0, the
+    moves. (The moves take about 5 s on the n = 12 analog, so n = 10.)"""
+    path = tmp_path / "u10.json"
+    store(weighted_basis_valuation(uniform_matroid(10, 5), (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)),
+          path)
+    outs = []
+    for gate in (exchange._INTERVAL_BYTES, 0):
+        monkeypatch.setattr(exchange, "_INTERVAL_BYTES", gate)
+        assert main(["check", "--suites", "exc_single,lemmas_2_8", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert [json.loads(line)["verdict"] for line in outs[0].splitlines()] == ["PASS", "PASS"]
 
 
 @pytest.mark.parametrize("flag", [["--mode", "real"], ["--tol", "0.5"]])

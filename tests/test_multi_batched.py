@@ -9,7 +9,7 @@ regimes, in every dtype of the kernel (int16, int32 and int64 up to
 some with ties moved by a billionth. Each test runs again with a budget
 of one byte, so every block holds one triple and one move. The lemma
 facts are compared without the single-exchange gate, on tables that fail
-each kind of fact first.
+each kind of fact first, from the interval table and from the moves.
 """
 
 import random
@@ -51,6 +51,9 @@ from mconcave.reporting import failed_report, passed_report
 from test_rng_replay import ref_sampled_multi
 
 BUDGETS = [exchange._BATCH_BYTES, 1]
+# ``_lemma_facts`` on each side of its size gate: the moves of every
+# table, and the interval table wherever 4^n fits (the default).
+GATES = [0, exchange._INTERVAL_BYTES]
 
 
 # --- the oracles -------------------------------------------------------------
@@ -497,6 +500,7 @@ def lemma_tables(by_id):
     # J = {} finite on one side only at the first failing fact: f(X\I) at
     # an x_side FAIL, f(Y | I) at a y_side FAIL.
     tables += one_sided_tables()
+    tables += wide_restriction_tables().values()
     # Real ties moved by 5e-10 and by 1.5e-9.
     for iid, masks in (("n3_laminar", (3, 5, 7)), ("n4_laminar", (3, 6, 15))):
         base = real_copy(by_id[iid], 0.01)
@@ -507,6 +511,31 @@ def lemma_tables(by_id):
     tables += [lift(n5), lift(n5.with_value((3, 5), n5.values[20] - 1)),
                lift(n6.with_value((6,), n6.values[32] - 1))]
     return [f for f in tables if f.dom_masks]
+
+
+# Domains (zero tables) with n = 5..8 whose first failing fact is a
+# restriction fact of each side, found by a seeded search that grew random
+# domains of three to six sets to eight while the first failure kept its kind.
+WIDE_DOMAINS = {
+    (5, "x_side"): (17, 19, 20, 21, 22, 24, 25, 29),
+    (5, "x_side_sized"): (7, 11, 15, 19, 23, 24, 28, 30),
+    (5, "y_side"): (15, 21, 23, 24, 26, 27, 29, 30),
+    (6, "x_side"): (38, 46, 50, 52, 54),
+    (6, "x_side_sized"): (22, 26, 33, 40, 41, 48, 53, 62),
+    (6, "y_side"): (7, 11, 14, 23, 24, 34, 39, 51),
+    (7, "x_side"): (11, 27, 73, 89, 96, 100, 119, 124),
+    (7, "x_side_sized"): (55, 87, 88, 108, 110, 112, 115, 126),
+    (7, "y_side"): (7, 21, 32, 38, 40, 43, 68, 74),
+    (8, "x_side"): (7, 13, 15, 67, 73, 136, 144, 187),
+    (8, "x_side_sized"): (91, 121, 217, 226, 239, 247, 250, 251),
+    (8, "y_side"): (55, 151, 154, 164, 182, 197, 213, 233),
+}
+
+
+def wide_restriction_tables():
+    """{(n, side): the zero table on WIDE_DOMAINS[n, side]}."""
+    return {key: SetFn(key[0], [0 if m in dom else None for m in range(1 << key[0])])
+            for key, dom in WIDE_DOMAINS.items()}
 
 
 def one_sided_tables():
@@ -524,56 +553,67 @@ def lemma_facts(f):
     return _lemma_facts(f, exchange._exchange_sweep(f)[1])
 
 
-def test_lemma_facts_match_the_loop(by_id, budget):
-    """The facts without their gate, on tables that fail each kind first;
-    on a PASS the counts of facts agree."""
-    kinds = set()
-    passes = 0
+def test_lemma_facts_match_the_loop(by_id, budget, monkeypatch):
+    """The facts without their gate, on tables that fail each kind first,
+    on each side of the size gate; on a PASS the counts of facts agree."""
     tables = thinned(lemma_tables(by_id), budget)
     assert {str(value_dtype(f)) for f in tables} == {"int16", "int32", "int64", "object"}
     assert {252, 924} <= {len(f.dom_masks) for f in tables} or budget == 1
-    for f in tables:
-        got = lemma_facts(f)
-        assert got == ref_lemma_facts(f), f
-        counter, _ = got
-        if counter is None:
-            passes += 1
-        elif counter["fact"] == "restriction_domains_nonempty":
-            kinds.add(counter["detail"].split()[0])
-        else:
-            kinds.add(counter["fact"])
-    assert kinds == {"swap_at_leq_size", "augment_at_lt_size", "x_side", "x_side_sized",
-                     "y_side"}
-    assert passes >= 20
+    wants = [ref_lemma_facts(f) for f in tables]
+    for gate in GATES:
+        monkeypatch.setattr(exchange, "_INTERVAL_BYTES", gate)
+        kinds = set()
+        passes = 0
+        for f, want in zip(tables, wants):
+            got = lemma_facts(f)
+            assert got == want, (f, gate)
+            counter, _ = got
+            if counter is None:
+                passes += 1
+            elif counter["fact"] == "restriction_domains_nonempty":
+                kinds.add(counter["detail"].split()[0])
+            else:
+                kinds.add(counter["fact"])
+        assert kinds == {"swap_at_leq_size", "augment_at_lt_size", "x_side", "x_side_sized",
+                         "y_side"}
+        assert passes >= 20
+        for (n, kind), f in wide_restriction_tables().items():
+            assert f.n == n and lemma_facts(f)[0]["detail"].split()[0] == kind
 
 
 def test_restriction_facts_skip_what_the_empty_move_settles(by_id, monkeypatch):
-    """``_lemma_facts`` runs the moves of a triple only where J = {} leaves
-    a side infinite: never on a full domain, on single-size domains it
-    does. Where J = {} is finite on one side only, the first failing fact
-    is the loop's, with its count."""
+    """Below the size gate ``_lemma_facts`` reads the interval table and
+    runs no moves. Above it (the gate at 0), it runs the moves of a triple
+    only where J = {} leaves a side infinite: never on a full domain, on
+    single-size domains it does. Where J = {} is finite on one side only,
+    the first failing fact is the loop's, with its count."""
     calls = []
     real = exchange.restriction_sides
     monkeypatch.setattr(exchange, "restriction_sides",
                         lambda at, neg, xm, *a: calls.append(len(xm)) or real(at, neg, xm, *a))
-    for iid in ("n4_laminar", "n5_laminar"):
-        assert lemma_facts(by_id[iid]) == ref_lemma_facts(by_id[iid])
-    assert calls == []
     f8 = by_id["n8_wbasis_uniform_r4"]
-    assert lemma_facts(f8) == (None, ref_lemma_facts(f8)[1])
-    assert calls and sum(calls) < ref_lemma_facts(f8)[1]
-    for f, (kind, x_finite, y_finite, count) in zip(one_sided_tables(),
-                                                    (("x_side", False, True, 118),
-                                                     ("y_side", True, False, 50))):
+    f8_facts = ref_lemma_facts(f8)[1]
+    for gate in GATES:
+        monkeypatch.setattr(exchange, "_INTERVAL_BYTES", gate)
+        moves_path = gate == 0
         calls.clear()
-        got = lemma_facts(f)
-        assert got == ref_lemma_facts(f)
-        counter, checked = got
-        xm, ym, im = (mask_of(counter[key], 4) for key in "XYI")
-        assert counter["detail"].split()[0] == kind and checked == count
-        assert (f.exact[xm & ~im] is not NEG_INF, f.exact[ym | im] is not NEG_INF) == \
-            (x_finite, y_finite)
-        assert calls
+        for iid in ("n4_laminar", "n5_laminar"):
+            assert lemma_facts(by_id[iid]) == ref_lemma_facts(by_id[iid])
+        assert calls == []
+        assert lemma_facts(f8) == (None, f8_facts)
+        assert (bool(calls) and sum(calls) < f8_facts) == moves_path
+        for f, (kind, x_finite, y_finite, count) in zip(one_sided_tables(),
+                                                        (("x_side", False, True, 118),
+                                                         ("y_side", True, False, 50))):
+            calls.clear()
+            got = lemma_facts(f)
+            assert got == ref_lemma_facts(f)
+            counter, checked = got
+            xm, ym, im = (mask_of(counter[key], 4) for key in "XYI")
+            assert counter["detail"].split()[0] == kind and checked == count
+            assert (f.exact[xm & ~im] is not NEG_INF, f.exact[ym | im] is not NEG_INF) == \
+                (x_finite, y_finite)
+            assert bool(calls) == moves_path
 
 
 @pytest.mark.parametrize("top, dtype", TIERS, ids=TIER_IDS)

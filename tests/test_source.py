@@ -11,8 +11,9 @@ numpy floor in ``pyproject.toml`` has every numpy function the package
 calls. Deleted second implementations, unused wrappers and members that
 only their own tests read stay deleted, ``exchange.py`` enumerates
 moves by ``submasks_*`` only in its scalar search, ``moves.py`` never
-names ``NEG_INF``, and the scalar ``conjugate`` keeps off the batched
-kernel.
+names ``NEG_INF``, the scalar ``conjugate`` keeps off the batched
+kernel, and every snippet of the mutant catalogue (``scripts/mutants.py``)
+occurs once in its module.
 """
 
 import ast
@@ -271,3 +272,22 @@ def test_scalar_conjugate_stays_off_the_batched_kernel():
     func = next(node for node in MODULES["duality.py"].body
                 if isinstance(node, ast.FunctionDef) and node.name == "conjugate")
     assert "_Conjugates" not in _loaded(func)
+
+
+def test_every_mutant_snippet_occurs_once():
+    """Each entry of ``scripts/mutants.py`` still applies: its snippet
+    occurs exactly once in its module, its replacement differs, and the
+    tests that must kill it exist."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import mutants
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        text = (PACKAGE / m.module).read_text(encoding="utf-8")
+        assert text.count(m.snippet) == 1, m.name
+        assert m.replacement != m.snippet and m.tests, m.name
+        for test in m.tests:
+            path, name = test.split("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), test
