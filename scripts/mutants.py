@@ -76,6 +76,58 @@ MUTANTS = [
            "checked += (xm & ~ym & ((1 << r) - 1)).bit_count()",
            "checked += (xm & ~ym & ((1 << (r + 1)) - 1)).bit_count()",
            ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",)),
+    Mutant("facts_swap_at_equal_size", "exchange.py",
+           "holds = ok | (kx[blk] > ky)",
+           "holds = ok | (kx[blk] >= ky)",
+           ("tests/test_lift_on_f.py::test_shared_rules_hold_pair_by_pair",
+            "tests/test_lift_on_f.py::"
+            "test_each_lift_rule_holds_on_a_pair_where_its_lifted_element_does",
+            "tests/test_multi_batched.py::test_lemma_facts_match_the_loop")),
+    Mutant("augment_at_equal_size", "exchange.py",
+           "holds = ok | (kx[blk] >= ky)",
+           "holds = ok | (kx[blk] > ky)",
+           ("tests/test_lift_on_f.py::test_shared_sweep_is_the_two_sweeps",
+            "tests/test_lift_on_f.py::test_random_tables_match_the_lift",
+            "tests/test_multi_batched.py::test_lemma_facts_match_the_loop",
+            "tests/test_golden.py::test_exchange_report_bytes")),
+    Mutant("facts_given_the_drop", "exchange.py",
+           "holds = ok | (kx[blk] > ky)",
+           "holds = ok | (a0[blk, None] <= b0) | (kx[blk] > ky)",
+           ("tests/test_lift_on_f.py::test_shared_rules_hold_pair_by_pair",
+            "tests/test_lift_on_f.py::"
+            "test_each_lift_rule_holds_on_a_pair_where_its_lifted_element_does")),
+    Mutant("sweep_comparison_strict", "exchange.py",
+           "ok = (a[:, blk, None] <= b[:, None, :]).any(axis=0)",
+           "ok = (a[:, blk, None] < b[:, None, :]).any(axis=0)",
+           ("tests/test_sweep_batched.py::test_random_tables",
+            "tests/test_lift_on_f.py::test_shared_sweep_is_the_two_sweeps",
+            "tests/test_golden.py::test_exchange_report_bytes")),
+    Mutant("sweep_count_pad_index_low", "exchange.py",
+           "n + by + 1",
+           "n + by",
+           ("tests/test_lift_on_f.py::test_every_rule_position_maps_to_its_lifted_triple",)),
+    Mutant("restriction_skip_on_every_domain", "exchange.py",
+           "len(dm) == 1 << n",
+           "True",
+           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",)),
+    Mutant("sweep_row_cut_once_any_failed", "exchange.py",
+           "if all(best[k] is not None for k in live):\n"
+           "            rows = rows[rows <= max(best[k][0] for k in live)]",
+           "if any(best[k] is not None for k in live):\n"
+           "            rows = rows[rows <= max(best[k][0] for k in live if best[k])]",
+           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",)),
+    Mutant("sweep_count_pad_sets_unshifted", "exchange.py",
+           "[0] + [math.comb(t - 1, k) for k in range(t)]",
+           "[0] + [math.comb(t, k) for k in range(t)]",
+           ("tests/test_lift_on_f.py::test_random_tables_match_the_lift",
+            "tests/test_lift_on_f.py::test_mutated_tables_match_the_lift",
+            "tests/test_golden.py::test_exchange_report_bytes")),
+    # Default pads fail every count: modules that build tables at import
+    # error at collection, so the listed test runs in a module that does not.
+    Mutant("sweep_count_default_pads_ones", "exchange.py",
+           "a = np.zeros(len(dm), dtype=np.int64)",
+           "a = np.ones(len(dm), dtype=np.int64)",
+           ("tests/test_golden.py::test_exchange_report_bytes",)),
 ]
 
 

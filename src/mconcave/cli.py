@@ -40,6 +40,7 @@ from .exchange import (
     _lift_pads,
     _lift_sweep,
     _require_nonempty_dom,
+    _sweep_count,
     _sweep_report,
     check_exc_single,
     exc_multi_reports,
@@ -287,7 +288,8 @@ def _sweeps(f):
     """exc_single's (failing, triples) and the first failing swap or
     augment fact of lemmas_2_8, from one sweep
     (``exchange._exchange_sweep``)."""
-    return _exchange_sweep(f)
+    single, facts = _exchange_sweep(f)
+    return _sweep_count(f, single), facts
 
 
 @functools.lru_cache(maxsize=1)

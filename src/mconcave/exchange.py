@@ -1,11 +1,12 @@
 """Exchange-axiom decision procedures, witness finders, and the lifting
 of a set function with mixed domain sizes to an equi-cardinal one.
 
-Checkers return VerificationReports. The single exchange, its
-equi-cardinal form, the swap and augment facts of ``lemmas_2_8`` and the
-equi-cardinal exchange of the lift, decided on f (``_lift_sweep``), are
-one batched sweep over exchange rules (``_rule_sweep``), in the lex order
-below, on f as ``moves.value_table`` holds it. The restriction facts of
+Checkers return VerificationReports. One batched sweep
+(``_exchange_sweep``), in the lex order below, on f as
+``moves.value_table`` holds it, gives two verdicts: the single exchange,
+which on an equi-cardinal domain is its drop-free form, and the swap and
+augment facts of ``lemmas_2_8``. The equi-cardinal exchange of the lift,
+decided on f (``_lift_sweep``), is their AND. The restriction facts of
 ``lemmas_2_8`` depend on the domain alone: one lookup per pair in a table
 of least domain-set sizes over the intervals of the cube
 (``_least_sizes``) while its 4^n bytes fit _INTERVAL_BYTES. The triples
@@ -36,7 +37,6 @@ Sampled triples are the ``random.Random(seed)`` draws, taken by
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,36 +171,35 @@ def _sweep_report(f, suite, instance_id, failing, triples):
     return failed_report(suite, instance_id, counter, triples=triples)
 
 
-def _rule_sweep(f, rules, order=None, lenses=1):
-    """The first (x, y, r) in lex order for each of ``lenses``, verdicts
-    read from one set of comparisons, where rule r applies to (X, Y) for
-    the lens and none of its moves attains f(X) + f(Y); None for a lens
-    where there is none. x and y index the domain sets that ``order``
-    picks from ``f.dom_masks`` (default: all of them, ascending), r indexes
-    ``rules``.
+def _exchange_sweep(f, order=None):
+    """[single, facts]: the first (x, y, r) in lex order where each
+    verdict fails, or None, both read from one set of comparisons. x and y
+    index the domain sets that ``order`` picks from ``f.dom_masks``
+    (default: all of them, ascending).
 
-    A rule (out, ins, tests) has X give up the element bit ``out`` (0:
-    nothing leaves X) where Y does not hold it. Its moves are the bits j in
-    ``ins`` with j in Y \\ X; move j attains where f(X) + f(Y) <=
-    f(X-out+j) + f(Y+out-j). ``tests`` holds per lens None (not a rule of
-    the lens) or (applies, drop): the rule applies where
-    ``applies(|X|, |Y|)`` holds (True: everywhere), and the drop, move
-    j = 0, is a move besides ``ins`` where ``drop(|X|, |Y|)`` holds (True:
-    everywhere, False: nowhere). Both sides of a move depend on X and on Y
-    through one vector each, so a rule is decided for all its (X, Y) as one
-    outer comparison, which every lens reads, in blocks of rows whose
+    Rule r < n has X give up element bit r where Y does not hold it, rule
+    n nothing; its moves are the bits j != r in Y \\ X, and move j attains
+    where f(X) + f(Y) <= f(X-r+j) + f(Y+r-j). The single verdict holds
+    rule r < n where a move or the drop f(X-r) + f(Y+r) attains. The
+    facts verdict, the swap and augment facts of ``lemmas_2_8``, holds
+    rule r < n where a move attains or |X| > |Y|, and rule n (the augment
+    X + j, Y - j) where a move attains or |X| >= |Y|. Both sides of a move
+    depend on X and on Y through one vector each, so a rule is decided for
+    all its (X, Y) as one outer comparison in blocks of rows whose
     temporaries stay under _BATCH_BYTES; rows past the first failure so
-    far of every lens are skipped.
+    far of every verdict are skipped.
     """
+    n = f.n
     at, neg = value_table(f, _BATCH_BYTES)
     dm = np.array(f.dom_masks, dtype=np.int64)
     if order is not None:
         dm = dm[order]
     fv = at(dm)
     size = np.bitwise_count(dm)
-    best = [None] * lenses
-    for r, (out, ins, tests) in enumerate(rules):
-        live = [k for k, test in enumerate(tests) if test is not None]
+    best = [None, None]
+    for r in range(n + 1):
+        out = 1 << r if r < n else 0
+        live = [0, 1] if r < n else [1]  # the augment is the facts' alone
         rows = np.flatnonzero(dm & out == out)
         cols = np.flatnonzero(dm & out == 0)
         if all(best[k] is not None for k in live):
@@ -208,28 +207,26 @@ def _rule_sweep(f, rules, order=None, lenses=1):
         if not len(rows) or not len(cols):
             continue
         xr, yc = dm[rows], dm[cols]
-        js = np.array(ins, dtype=np.int64)[:, None]
+        js = np.array([1 << j for j in range(n) if j != r], dtype=np.int64)[:, None]
         a = np.where(xr & js == 0, at((xr ^ out) | js), neg)
         b = np.where(yc & js == js, at((yc | out) ^ js), neg)
         # f(X) - a <= b - f(Y), which fails wherever a or b is neg.
         a, b = fv[rows] - a, b - fv[cols]
-        drops = any(tests[k][1] is not False for k in live)
-        if drops:
+        if r < n:
             a0, b0 = fv[rows] - at(xr ^ out), at(yc | out) - fv[cols]
         kx, ky = size[rows, None], size[cols]
         # A block's bytes are the comparison's bools, one per (move, X, Y).
-        step = max(1, _BATCH_BYTES // max(1, (len(js) + drops) * len(cols)))
+        step = max(1, _BATCH_BYTES // max(1, (len(js) + (r < n)) * len(cols)))
         for r0 in range(0, len(rows), step):
             blk = slice(r0, r0 + step)
             ok = (a[:, blk, None] <= b[:, None, :]).any(axis=0)
             for k in list(live):
-                applies, drop = tests[k]
-                holds = ok
-                if drop is not False:
-                    dropped = a0[blk, None] <= b0
-                    holds = holds | (dropped if drop is True else dropped & drop(kx[blk], ky))
-                if applies is not True:
-                    holds = holds | ~applies(kx[blk], ky)
+                if k == 0:
+                    holds = ok | (a0[blk, None] <= b0)
+                elif r < n:
+                    holds = ok | (kx[blk] > ky)
+                else:
+                    holds = ok | (kx[blk] >= ky)
                 if not holds.all():
                     x, y = divmod(int(np.argmin(holds)), len(cols))
                     cand = (int(rows[r0 + x]), int(cols[y]), r)
@@ -241,30 +238,9 @@ def _rule_sweep(f, rules, order=None, lenses=1):
     return best
 
 
-def _swap_rules(n, *tests):
-    """Rule i of ``_rule_sweep`` for each element bit i, with ``tests``:
-    X gives up i, Y any other element."""
-    return [(1 << i, [1 << j for j in range(n) if j != i], tests) for i in range(n)]
-
-
-def _augment_rule(n, *tests):
-    """The rule of ``_rule_sweep`` where nothing leaves X and Y gives up
-    any element: X + j, Y - j."""
-    return 0, [1 << j for j in range(n)], tests
-
-
-def _single_sweep(f, drop):
-    """The exhaustive single-exchange sweep over (X, Y, i) in lex order:
-    each triple passes on the drop option (when ``drop``) or on some swap
-    that attains f(X) + f(Y). Returns (failing, triples): the first
-    (xm, ym, i) that does not, or None, and the count of triples through
-    it (all of them on a PASS)."""
-    return _sweep_count(f, _rule_sweep(f, _swap_rules(f.n, (True, drop)))[0])
-
-
 def _sweep_count(f, best, dm=None, a=None, t=0):
     """(failing, triples) of a single-exchange sweep in lex order whose
-    first failure ``_rule_sweep`` gave as ``best`` (x, y, r), or None: the
+    first failure ``_exchange_sweep`` gave as ``best`` (x, y, r), or None: the
     failing (xm, ym, i) and the count of triples through it, all of them
     for None.
 
@@ -314,30 +290,12 @@ def _sweep_count(f, best, dm=None, a=None, t=0):
     return (xm | ((1 << ax) - 1) << n, ym | ((1 << by) - 1) << n, i), triples
 
 
-def _exchange_rules(n):
-    """The rules of ``_rule_sweep`` with two lenses: the single exchange
-    (each i in X \\ Y swaps or drops) and the swap and augment facts of
-    ``lemmas_2_8`` (each i in X \\ Y swaps where |X| <= |Y|, the augment
-    X + j, Y - j holds where |X| < |Y|). Rule i compares its swaps once
-    for both, the single exchange adding the drop; the augment is the
-    facts' alone."""
-    return (_swap_rules(n, (True, True), (operator.le, False))
-            + [_augment_rule(n, None, (operator.lt, False))])
-
-
-def _exchange_sweep(f):
-    """``_single_sweep(f, True)`` and the first failing swap or augment
-    fact of ``lemmas_2_8`` as ``_rule_sweep`` gives it (or None), from one
-    sweep of ``_exchange_rules``."""
-    single, facts = _rule_sweep(f, _exchange_rules(f.n), lenses=2)
-    return _sweep_count(f, single), facts
-
-
 def check_exc_single(f, instance_id=""):
     """Exhaustively test the single-element exchange inequality over all
     (X, Y, i); FAIL carries the first violating triple in lex order."""
     _require_nonempty_dom(f)
-    return _sweep_report(f, "exc_single", instance_id, *_single_sweep(f, True))
+    return _sweep_report(f, "exc_single", instance_id,
+                         *_sweep_count(f, _exchange_sweep(f)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +672,9 @@ def check_m_concave(f, instance_id=""):
         counter = {"reason": "domain not equi-cardinal",
                    "sizes": sorted(sizes)}
         return failed_report("m_concave", instance_id, counter)
-    return _sweep_report(f, "m_concave", instance_id, *_single_sweep(f, False))
+    # No X - i lies in an equi-cardinal domain, so the drop never attains.
+    return _sweep_report(f, "m_concave", instance_id,
+                         *_sweep_count(f, _exchange_sweep(f)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -802,17 +762,10 @@ def _lift_pads(f):
     return r - s
 
 
-def _lift_rules(n):
-    """The rules of ``_rule_sweep`` on f that decide ``lift(f)``: each i
-    in X \\ Y swaps, or drops where |X| > |Y|, and the augment X + j,
-    Y - j holds where |X| < |Y| (see ``_lift_sweep``)."""
-    return _swap_rules(n, (True, operator.gt)) + [_augment_rule(n, (operator.lt, False))]
-
-
 def _lift_sweep(f, holds=False):
-    """``_single_sweep(lift(f), False)``, which ``check_m_concave(lift(f))``
-    reports, decided on f without building the lift; ``holds`` skips the
-    sweep for a caller that knows the lift passes.
+    """The single-exchange sweep of lift(f), which
+    ``check_m_concave(lift(f))`` reports, decided on f without building the
+    lift; ``holds`` skips the sweep for a caller that knows the lift passes.
 
     A domain set of lift(f) is X u P, P any a = r - |X| of the t = r - s
     pads (bits n .. n + t - 1); the sets go in the order of the numbers
@@ -823,15 +776,17 @@ def _lift_sweep(f, holds=False):
     |X| > |Y|, and a pair that fails at any P and Q fails at those. So
     lift(f) is M-concave iff on f each i in X \\ Y swaps, or drops where
     |X| > |Y|, and the augment holds where |X| < |Y| (the lifting theorem:
-    Murota, Discrete Convex Analysis, §6.1). The first failure is found by
-    one ``_rule_sweep`` of those rules on f in the order of (r - |X|, X),
-    which is the lifted order of the lowest pads, and ``_sweep_count``
-    counts the lifted triples through it.
+    Murota, Discrete Convex Analysis, §6.1). Rule i holds iff
+    (swap or drop) and (swap or |X| > |Y|): the single verdict of
+    ``_exchange_sweep`` and its facts verdict, whose augment is the
+    lift's. The first failure is the earlier of theirs in the order of
+    (r - |X|, X), which is the lifted order of the lowest pads, and
+    ``_sweep_count`` counts the lifted triples through it.
     """
     t = _lift_pads(f)
     r = f.dom_size_range()[1]
     dm = np.array(f.dom_masks, dtype=np.int64)
     a = r - np.bitwise_count(dm).astype(np.int64)  # the pads of each X
     order = np.lexsort((dm, a))
-    best = None if holds else _rule_sweep(f, _lift_rules(f.n), order)[0]
+    best = None if holds else min(filter(None, _exchange_sweep(f, order)), default=None)
     return _sweep_count(f, best, dm[order], a[order], t)

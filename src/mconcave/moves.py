@@ -10,10 +10,11 @@ campaign's decider alike.
 ``exchange`` decides both bounds of the multiple exchange from one gather
 of f((X\\I) | J) + f((Y\\J) | I). Where its interval table of the
 restriction facts of ``lemmas_2_8`` does not fit (n > 12), it reads those
-facts from the same moves, for the triples that J = {} leaves open. With the identity as the table, ``moves`` gives the masks
-(X\\I) | J and (Y\\J) | I themselves: the falsification campaign's
-decider gathers them once per n over the full cube and reads many value
-rows through them. A move set J is the canonical rank pattern of its
+facts from the same moves, for the triples that J = {} leaves open.
+With the identity as the table, ``moves`` gives the masks (X\\I) | J
+and (Y\\J) | I themselves: the falsification campaign's decider gathers
+them once per n over the full cube and reads many value rows through
+them. A move set J is the canonical rank pattern of its
 size m = |Y \\ X| with bit r moved to the r-th lowest set bit of Y \\ X,
 which keeps the order: one int64 matrix product of those m bits with the
 (m, moves) 0/1 bit matrix of the patterns, exact as each entry sums

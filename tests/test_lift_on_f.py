@@ -1,6 +1,6 @@
 """The ``m_concave_lift`` suite, decided on f, against its oracle
-``check_m_concave(lift(f))``, and the shared exchange sweep against the
-sweeps it joins.
+``check_m_concave(lift(f))``, and the two verdicts of the shared exchange
+sweep against the scalar loops and witness finders.
 
 The suite's report is compared by bytes with the oracle's, relabelled:
 verdict, first failing lifted triple (pads as elements n + 1 ..) and the
@@ -33,6 +33,7 @@ from mconcave.cli import SuiteConfig, main
 from mconcave.core import elements_of
 from mconcave.families import random_mnat_concave
 from test_multi_batched import TIER_IDS, TIERS, at_top, value_dtype
+from test_sweep_batched import loop_sweep
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +149,8 @@ def test_every_rule_position_maps_to_its_lifted_triple(by_id, monkeypatch):
                 rules += [f.n] * (xm.bit_count() < ym.bit_count())
                 for rule in rules:
                     with monkeypatch.context() as m:
-                        m.setattr(exchange, "_rule_sweep", lambda *a, **kw: [(x, y, rule)])
+                        m.setattr(exchange, "_exchange_sweep",
+                                  lambda *a, **kw: [None, (x, y, rule)])
                         (zx, zy, i), got = exchange._lift_sweep(f)
                     a, b = r - xm.bit_count(), r - ym.bit_count()
                     assert (zx, zy) == (xm | ((1 << a) - 1) << f.n, ym | ((1 << b) - 1) << f.n)
@@ -171,15 +173,42 @@ def lifted_holds(g, zx, zy, k):
     return False
 
 
+def pair_first(f, x, y):
+    """[single, facts]: the rule at which each verdict of
+    ``_exchange_sweep`` first fails on (X, Y) = (dom[x], dom[y]) alone, or
+    None, from a sweep over the domain sets [X, Y]. Its pairs (X, X) and
+    (Y, Y) hold every rule, and (Y, X) comes after (X, Y)."""
+    return [g[2] if g is not None and g[:2] == (0, 1) else None
+            for g in exchange._exchange_sweep(f, [x, y])]
+
+
+def scalar_first(f, xm, ym):
+    """``pair_first`` by the scalar witness finders: the first i in X \\ Y
+    (as rule i - 1) where ``find_single_exchange`` finds no move, and the
+    first where ``exchange_leq`` finds none for |X| <= |Y|, else rule n
+    where ``augment_lt`` finds none for |X| < |Y|."""
+    X, Y = elements_of(xm), elements_of(ym)
+    d = elements_of(xm & ~ym)
+    single = next((i - 1 for i in d if find_single_exchange(f, X, Y, i) is None), None)
+    facts = None
+    if len(X) <= len(Y):
+        facts = next((i - 1 for i in d if exchange_leq(f, X, Y, i) is None), None)
+    if facts is None and len(X) < len(Y) and augment_lt(f, X, Y) is None:
+        facts = f.n
+    return [single, facts]
+
+
 def test_each_lift_rule_holds_on_a_pair_where_its_lifted_element_does():
-    """Pair by pair, rule k of ``_lift_rules`` holds on (X, Y) of f iff the
-    lifted exchange holds for its element at (X u P, Y u Q) for every P
-    and Q, and iff it holds with P and Q the lowest pads: element i for
-    rule i < n, and a pad of P \\ Q for the augment. A ``_rule_sweep``
-    over the domain sets [X, Y] decides the rule on that pair alone. The
-    first failure of the rules on a whole table has, on every table tried,
-    never depended on where the drop is allowed, so this is where the drop
-    condition is checked."""
+    """Pair by pair, rule k of the lift (the AND of the two verdicts of
+    ``_exchange_sweep``, as ``_lift_sweep`` reads them) holds on (X, Y) of
+    f iff the lifted exchange holds for its element at (X u P, Y u Q) for
+    every P and Q, and iff it holds with P and Q the lowest pads: element
+    i for rule i < n, and a pad of P \\ Q for the augment. A sweep over
+    the domain sets [X, Y] gives the first rule of that pair where the
+    lift fails, so each rule up to it is decided there. The first failure
+    of the lift on a whole table has, on every table tried, never depended
+    on where the drop is allowed, so this is where the drop condition is
+    checked."""
     tables = [random_table(1 + s % 4, s, neg_inf_prob=0.1 * (s % 5)) for s in range(60)]
     tables = [f for f in tables if f.dom_masks and len(set(map(int.bit_count, f.dom_masks))) > 1]
     decided = set()
@@ -189,12 +218,15 @@ def test_each_lift_rule_holds_on_a_pair_where_its_lifted_element_does():
                     for a in range(g.n - n + 1)}
         for x, xm in enumerate(f.dom_masks):
             for y, ym in enumerate(f.dom_masks):
+                if x == y:
+                    continue
                 a, b = r - xm.bit_count(), r - ym.bit_count()
-                for k, rule in enumerate(exchange._lift_rules(n)):
+                first = min(filter(lambda k: k is not None, pair_first(f, x, y)), default=None)
+                applying = []
+                for k in range(n + 1):
                     if k < n and not (xm >> k & 1 and not ym >> k & 1) or k == n and a <= b:
                         continue
-                    got = exchange._rule_sweep(f, [rule], [x, y])[0]
-                    holds = got is None or got[:2] != (0, 1)
+                    applying.append(k)
                     # The lifted element: i itself, or the lowest pad of P \ Q.
                     bit = k if k < n else n + b
                     low = lifted_holds(g, xm | ((1 << a) - 1) << n, ym | ((1 << b) - 1) << n, bit)
@@ -202,8 +234,12 @@ def test_each_lift_rule_holds_on_a_pair_where_its_lifted_element_does():
                                 for pm in pad_sets[a] for qm in pad_sets[b]
                                 for kb in range(g.n) if (k < n and kb == k or k == n and kb >= n)
                                 and (xm | pm) >> kb & 1 and not (ym | qm) >> kb & 1)
-                    assert holds == low == every, (f.values, xm, ym, k)
-                    decided.add((holds, k == n, a < b, a == b))
+                    assert low == every, (f.values, xm, ym, k)
+                    if first is None or k <= first:
+                        holds = k != first
+                        assert holds == low, (f.values, xm, ym, k)
+                        decided.add((holds, k == n, a < b, a == b))
+                assert first is None or first in applying, (f.values, xm, ym, first)
     # Passes and failures of the augment, and of rule i at each size order.
     assert decided == {(h, False, lt, eq) for h in (True, False)
                        for lt, eq in ((True, False), (False, True), (False, False))} | {
@@ -211,10 +247,10 @@ def test_each_lift_rule_holds_on_a_pair_where_its_lifted_element_does():
 
 
 def test_shared_rules_hold_pair_by_pair(by_id):
-    """On each pair (X, Y) alone (a ``_rule_sweep`` over the domain sets
-    [X, Y]), the two lenses of ``_exchange_rules`` hold where the scalar
-    witness finders find a move: ``find_single_exchange`` for rule i of
-    the single exchange, ``exchange_leq`` for rule i of the facts where
+    """On each pair (X, Y) alone (an ``_exchange_sweep`` over the domain
+    sets [X, Y]), each verdict first fails at the rule where the scalar
+    witness finders first find no move: ``find_single_exchange`` for the
+    single verdict, ``exchange_leq`` for rule i of the facts where
     |X| <= |Y|, and ``augment_lt`` for the augment where |X| < |Y|. The
     first failure of a whole table has, on every table tried, never
     depended on the drop of the facts, so this is where it is checked."""
@@ -227,42 +263,40 @@ def test_shared_rules_hold_pair_by_pair(by_id):
             for y, ym in enumerate(dom):
                 if x == y:
                     continue
-                X, Y = elements_of(xm), elements_of(ym)
-                for k, rule in enumerate(exchange._exchange_rules(n)):
-                    got = exchange._rule_sweep(f, [rule], [x, y], lenses=2)
-                    holds = [g is None or g[:2] != (0, 1) for g in got]
-                    if k < n:
-                        if not (xm >> k & 1 and not ym >> k & 1):
-                            assert holds == [True, True]
-                            continue
-                        want = [find_single_exchange(f, X, Y, k + 1) is not None,
-                                len(X) > len(Y) or exchange_leq(f, X, Y, k + 1) is not None]
-                    else:
-                        want = [True, len(X) >= len(Y) or augment_lt(f, X, Y) is not None]
-                    assert holds == want, (f.values, xm, ym, k)
-                    seen.add((k == n, len(X) <= len(Y), *want))
-    # Each lens fails somewhere, the facts where the drop would hold too.
+                got = pair_first(f, x, y)
+                assert got == scalar_first(f, xm, ym), (f.values, xm, ym)
+                # Where a verdict fails, whether the other holds at that rule.
+                single, facts = got
+                leq = xm.bit_count() <= ym.bit_count()
+                if single is not None:
+                    seen.add((False, leq, False, facts is None or facts > single))
+                if facts is not None:
+                    seen.add((facts == n, leq, single is None or single > facts, False))
+    # Each verdict fails somewhere, the facts where the drop would hold too.
     assert {(False, True, True, False), (False, True, False, False),
             (False, False, False, True), (True, True, True, False)} <= seen
 
 
 def test_shared_sweep_is_the_two_sweeps(by_id, monkeypatch):
-    """``_exchange_sweep`` gives what the single-exchange sweep and a sweep
-    of the ``lemmas_2_8`` facts alone give, at the block budget and at one
-    byte, where every row is a block: each lens keeps its own first
-    failure and row cut."""
+    """Each verdict of ``_exchange_sweep`` is its scalar loop's, at the
+    block budget and at one byte, where every row is a block: the single
+    one, counted by ``_sweep_count``, is ``loop_sweep``'s, and the facts
+    one is the first pair where ``scalar_first`` finds a failing fact.
+    Each verdict keeps its own first failure and row cut."""
     tables = random_tables()[:60] + [mutate(by_id["n5_laminar"], s, 1) for s in range(4)]
     for budget in (exchange._BATCH_BYTES, 1):
         monkeypatch.setattr(exchange, "_BATCH_BYTES", budget)
         passes = fails = 0
         for f in tables:
             single, facts = exchange._exchange_sweep(f)
-            assert single == exchange._single_sweep(f, True)
-            alone = [(out, ins, tests[1:]) for out, ins, tests in exchange._exchange_rules(f.n)]
-            assert facts == exchange._rule_sweep(f, alone)[0]
-            passes += single[0] is None and facts is None
-            if single[0] is not None and facts is not None:
-                fails += (f.dom_masks[facts[0]], f.dom_masks[facts[1]]) != single[0][:2]
+            assert exchange._sweep_count(f, single) == loop_sweep(f, True)
+            dom = f.dom_masks
+            want = next(((x, y, k) for x, xm in enumerate(dom) for y, ym in enumerate(dom)
+                         for k in [scalar_first(f, xm, ym)[1]] if k is not None), None)
+            assert facts == want
+            passes += single is None and facts is None
+            if single is not None and facts is not None:
+                fails += single[:2] != facts[:2]
         assert passes > 10 and fails > 10
 
 

@@ -1,0 +1,153 @@
+"""Metamorphic relations of the exchange suites: transforms of f that keep
+M-natural-concavity and every fact of the proof keep the verdicts of
+``exc_single``, ``m_concave_lift`` and ``lemmas_2_8``.
+
+The transforms are a permutation of the ground set, an added constant,
+an integer modular tilt f(Z) + p(Z), scaling by an integer c > 0, and
+the complement Z -> N \\ Z (for ``exc_single`` and ``m_concave_lift``:
+the size bounds of the restriction facts do not turn over with it). The
+value transforms keep every comparison of every sweep, so the reports
+keep their counterexamples and counts too, all but the values shown. A
+report's counterexample, mapped through a permutation, violates the
+permuted table.
+"""
+
+import random
+
+import pytest
+
+from mconcave import (
+    NEG_INF,
+    SetFn,
+    cli,
+    default_corpus,
+    find_single_exchange,
+    lift,
+    mutate,
+    random_table,
+)
+from mconcave.cli import SuiteConfig
+from mconcave.families import random_mnat_concave
+
+SUITES = ("exc_single", "m_concave_lift", "lemmas_2_8")
+
+
+def reports(f):
+    """{suite: report} of f on the three suites."""
+    cli._sweeps.cache_clear()
+    cli._single_report.cache_clear()
+    return {s: cli._INSTANCE_SUITES[s]("t", f, SuiteConfig(), 0) for s in SUITES}
+
+
+def permuted(f, perm):
+    """g with g(sigma(Z)) = f(Z), sigma moving element bit b to perm[b]."""
+    vals = [NEG_INF] * (1 << f.n)
+    for m, v in enumerate(f.values):
+        vals[sum(1 << perm[b] for b in range(f.n) if m >> b & 1)] = v
+    return SetFn(f.n, vals, f.mode)
+
+
+def tilted(f, p):
+    return SetFn(f.n, [v if v is NEG_INF else v + sum(p[b] for b in range(f.n) if m >> b & 1)
+                       for m, v in enumerate(f.values)])
+
+
+def complemented(f):
+    full = (1 << f.n) - 1
+    return SetFn(f.n, [f.values[full & ~m] for m in range(1 << f.n)])
+
+
+def tables():
+    """Seeded random tables with n <= 4 and M-natural-concave ones (n <= 3),
+    and seeded ``mutate``d corpus tables with n <= 5 and the unmutated
+    ones."""
+    out = [random_table(1 + s % 4, s, neg_inf_prob=0.1 * (s % 4)) for s in range(24)]
+    out += [random_mnat_concave(2 + s % 2, s) for s in range(6)]
+    corpus = [c.fn for c in default_corpus() if c.fn.n <= 5]
+    for k, f in enumerate(corpus):
+        out.append(f)
+        out += [mutate(f, 5 * k + s, 1 + s, toggle_neg_inf=s == 1) for s in range(2)]
+    return [f for f in out if f.dom_masks]
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """(f, its reports) for every table, with PASS and FAIL on every suite."""
+    out = [(f, reports(f)) for f in tables()]
+    for s in SUITES:
+        assert {r[s].verdict for _, r in out} == {"PASS", "FAIL"}, s
+    return out
+
+
+def without_values(report):
+    """The report's line with the values it shows (``lhs``) taken out."""
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items() if k != "lhs"}
+        return obj
+    return report.verdict, report.triples_checked, strip(report.counterexample)
+
+
+def value_transforms(f, rng):
+    c = rng.randint(2, 5)
+    p = [rng.randint(-6, 6) for _ in range(f.n)]
+    return {"constant": SetFn(f.n, [v if v is NEG_INF else v + c - 9 for v in f.values]),
+            "tilt": tilted(f, p),
+            "scale": SetFn(f.n, [v if v is NEG_INF else c * v for v in f.values])}
+
+
+def test_value_transforms_keep_the_reports(cases):
+    """An added constant, a modular tilt and a positive integer scale
+    keep each suite's verdict, first failure and count."""
+    rng = random.Random(7)
+    for f, want in cases:
+        for name, g in value_transforms(f, rng).items():
+            got = reports(g)
+            for s in SUITES:
+                assert without_values(got[s]) == without_values(want[s]), (name, s, f.values)
+
+
+def test_complement_keeps_the_verdicts(cases):
+    flipped = 0
+    for f, want in cases:
+        got = reports(complemented(f))
+        for s in ("exc_single", "m_concave_lift"):
+            assert got[s].verdict == want[s].verdict, (s, f.values)
+        flipped += got["exc_single"].counterexample != want["exc_single"].counterexample
+    assert flipped  # the complement moves the first failure
+
+
+def mapped(elements, perm, n):
+    """Elements (1-based) through the permutation; pads above n stay."""
+    return [perm[e - 1] + 1 if e <= n else e for e in elements]
+
+
+def fails_single(g, c, perm, n):
+    """The permuted single-exchange counterexample c fails on g."""
+    X, Y = mapped(c["X"], perm, n), mapped(c["Y"], perm, n)
+    return find_single_exchange(g, X, Y, mapped([c["i"]], perm, n)[0]) is None
+
+
+def test_permutation_keeps_the_verdicts_and_maps_the_counterexample(cases):
+    """A permuted table gets each suite's verdict, and each FAIL's
+    counterexample, mapped through the permutation, fails the single
+    exchange on it (on its lift for ``m_concave_lift``, pads fixed). A
+    ``lemmas_2_8`` FAIL is its single-exchange precondition's: the facts
+    of the proof hold wherever the single exchange does."""
+    rng = random.Random(3)
+    for f, want in cases:
+        n = f.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = permuted(f, perm)
+        got = reports(g)
+        for s in SUITES:
+            assert got[s].verdict == want[s].verdict, (s, perm, f.values)
+        if not want["exc_single"].passed:
+            assert fails_single(g, want["exc_single"].counterexample, perm, n)
+        if not want["m_concave_lift"].passed:
+            assert fails_single(lift(g), want["m_concave_lift"].counterexample, perm, n)
+        if not want["lemmas_2_8"].passed:
+            c = want["lemmas_2_8"].counterexample
+            assert c["reason"] == "single-exchange precondition fails"
+            assert fails_single(g, c["detail"], perm, n)

@@ -181,7 +181,8 @@ def test_numpy_floor_covers_the_functions_called():
 
 _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange",
             "attains", "ext_leq", "effective_domain", "_Replay", "_BULK_NEG", "_BULK_FLOOR",
-            "_bulk_row", "_FALSIFY_CHUNK", "_needs_facts", "_single_count"}
+            "_bulk_row", "_FALSIFY_CHUNK", "_needs_facts", "_single_count", "_rule_sweep",
+            "_single_sweep", "_lift_rules", "_exchange_rules", "_swap_rules", "_augment_rule"}
 
 # Class members that only their own tests read; by class, as short names
 # such as ``j`` or ``rank`` are also local variables.
@@ -204,8 +205,11 @@ def test_removed_names_are_defined_nowhere():
     decider's own int64 encoding and row encoder (it reads
     ``moves.encoding``), the chunk of rows (chunks are bounded by
     values), the CLI's choice of sweep by the selected suites (every
-    selection reads the shared sweep), and the single exchange's own
-    triple count (one closed form counts it and the lift's)."""
+    selection reads the shared sweep), the single exchange's own
+    triple count (one closed form counts it and the lift's), and the rule
+    language of the exchange sweep, the functions that made its rules and
+    its drop-free single sweep (one fixed sweep gives the single and the facts verdicts,
+    the lift is their AND, and no sweep leaves out the drop)."""
     bound = [f"{module}: {name} (line {node.lineno})" for module, tree in MODULES.items()
              for node in ast.walk(tree)
              for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
