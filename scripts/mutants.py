@@ -115,19 +115,31 @@ MUTANTS = [
            "            rows = rows[rows <= max(best[k][0] for k in live)]",
            "if any(best[k] is not None for k in live):\n"
            "            rows = rows[rows <= max(best[k][0] for k in live if best[k])]",
-           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",)),
+           ("tests/test_multi_batched.py::test_lemma_facts_match_the_loop",
+            "tests/test_lift_on_f.py::test_shared_sweep_is_the_two_sweeps")),
     Mutant("sweep_count_pad_sets_unshifted", "exchange.py",
            "[0] + [math.comb(t - 1, k) for k in range(t)]",
            "[0] + [math.comb(t, k) for k in range(t)]",
            ("tests/test_lift_on_f.py::test_random_tables_match_the_lift",
             "tests/test_lift_on_f.py::test_mutated_tables_match_the_lift",
             "tests/test_golden.py::test_exchange_report_bytes")),
-    # Default pads fail every count: modules that build tables at import
-    # error at collection, so the listed test runs in a module that does not.
+    # Default pads fail every count, also where a test builds its tables.
     Mutant("sweep_count_default_pads_ones", "exchange.py",
            "a = np.zeros(len(dm), dtype=np.int64)",
            "a = np.ones(len(dm), dtype=np.int64)",
-           ("tests/test_golden.py::test_exchange_report_bytes",)),
+           ("tests/test_golden.py::test_exchange_report_bytes",
+            "tests/test_sweep_batched.py::test_random_tables",
+            "tests/test_lift_on_f.py::test_random_tables_match_the_lift",
+            "tests/test_grid_engine.py::test_unit_steps_decide_like_all_pairs")),
+    Mutant("conjugate_float_tier_without_value_bound", "duality.py",
+           "if self.magnitude + top >= 1 << 53:",
+           "if top >= 1 << 53:",
+           ("tests/test_grid_engine.py::test_kernel_product_tiers_at_their_bounds",
+            "tests/test_grid_engine.py::test_kernel_tiers_match_scalar_conjugates")),
+    Mutant("conjugate_int64_cast_on_every_tier", "duality.py",
+           "return table.astype(np.int64) if table.dtype == np.float64 else table",
+           "return table.astype(np.int64)",
+           ("tests/test_grid_engine.py::test_kernel_tiers_match_scalar_conjugates",)),
 ]
 
 

@@ -8,11 +8,14 @@ batched kernel, ``vals - P @ ind`` over the effective domain, which
 returns every size cap in one pass. It reads the exact table D * f
 (``SetFn.exact``) with D folded into ``ind``, so
 each column is D times a conjugate at integer prices, and every
-inequality compares with ``<=``. The kernel is exact too: int64 while
-max|D * f| + D*n*max|p| < 2^61 (a slack summing two conjugates cannot
-wrap), with the product in float64 (BLAS) while D*n*max|p| < 2^53, and
-Python ints (``dtype=object``) above that bound. The Fenchel descent
-carries its own gains and has no float64 tier (below).
+inequality compares with ``<=``. The kernel is exact too, with S =
+max|D * f| + D*n*max|p|: float64 throughout while S < 2^53, on one
+rows x |dom| array (every value, partial sum and difference is an int
+that float64 holds), and only the rows x caps table cast to int64;
+int64 while S < 2^61 (a slack summing two conjugates cannot wrap), with
+the product in float64 (BLAS) while D*n*max|p| < 2^53; and Python ints
+(``dtype=object``) above. The Fenchel descent carries its own gains and
+has no float64 tier (below).
 
 The box regime decides the three grid inequalities on unit squares and
 unit steps. On a product of chains a function is submodular iff every
@@ -168,13 +171,16 @@ class _Conjugates:
         if self.fast is None or self.magnitude + top >= _INT64_SAFE:
             return np.array(self.vals, dtype=object) - P.astype(object) @ self.ind.astype(object)
         if top < 1 << 53:  # every partial sum of P @ ind is an int that float64 holds
-            gains = (P.astype(np.float64) @ self.ind).astype(np.int64)
+            gains = P.astype(np.float64) @ self.ind
+            if self.magnitude + top >= 1 << 53:  # a difference may not be: subtract in int64
+                gains = gains.astype(np.int64)
             return np.subtract(self.fast, gains, out=gains)
         return self.fast - P @ self.ind
 
     def __call__(self, P):
         per_size = np.maximum.reduceat(self._gains(P), self.starts, axis=1)
-        return np.maximum.accumulate(per_size, axis=1)[:, self.cols]
+        table = np.maximum.accumulate(per_size, axis=1)[:, self.cols]
+        return table.astype(np.int64) if table.dtype == np.float64 else table
 
 
 def _box_points(n, lo, hi):

@@ -18,6 +18,7 @@ table is compared without a tolerance.
 
 import random
 import tracemalloc
+from functools import cache
 from fractions import Fraction
 from itertools import product
 
@@ -68,8 +69,10 @@ def exact_conjugate(f, p):
 
 def plain_conjugate(conj, P):
     """The plain conjugate column of ``_Conjugates`` at the price rows P,
-    without the per-size pass: the maximum of its gains."""
-    return conj._gains(P).max(axis=1)
+    without the per-size pass: the maximum of its gains, in int64 as the
+    kernel returns it, or in Python ints."""
+    plain = conj._gains(P).max(axis=1)
+    return plain if plain.dtype == object else plain.astype(np.int64)
 
 
 def _join(p, q):
@@ -290,12 +293,16 @@ def test_box_matches_explicit_grid(instance_id, f):
 # --- the unit-square decision against the all-pairs pass ---------------------------
 
 
-def _local_cases():
+@cache
+def local_cases():
     """(id, table, lo, hi) with n = 0..4 and box sides w = 1..7: seeded
     random tables, M-natural-concave bases (the corpus from n = 3 on,
     rejection-sampled tables below), seeded ``mutate``d copies of the
     bases, and, on boxes of at most 4^4 points, one of these scaled by
-    2^62 for the exact object path."""
+    2^62 for the exact object path. Built on first use, not at import:
+    ``random_mnat_concave`` runs the exchange sweep, and a fault there
+    should fail the test that reads these cases, not the collection of
+    every module that imports this one."""
     rng = random.Random(2024)
     bases = {n: [c.fn for c in default_corpus() if c.fn.n == n] for n in (3, 4)}
     cases = []
@@ -318,15 +325,12 @@ def _local_cases():
     return cases
 
 
-LOCAL_CASES = _local_cases()
-
-
 @pytest.mark.parametrize("n", range(5))
 def test_unit_steps_decide_like_all_pairs(n):
     """Local PASS iff the all-pairs pass finds no violation in any cell,
     and on PASS the closed-form counts are the pass's counts."""
     failing = 0
-    for case_id, f, lo, hi in LOCAL_CASES:
+    for case_id, f, lo, hi in local_cases():
         if f.n != n:
             continue
         pts = _box_points(n, lo, hi)
@@ -366,10 +370,13 @@ def test_sampled_matches_scalar_loops(instance_id, f, mode):
 # --- one draw and one table for every cap against the scalar loops ----------------
 
 
-def _toggled_inputs():
+@cache
+def toggled():
     """Corpus instances with n = 5..8 and two copies of each with one entry
     toggled between NEG_INF and finite, which mostly gain or lose a domain
-    size, so the cross and quotient checks fail at some caps only."""
+    size, so the cross and quotient checks fail at some caps only, as
+    (id, table) in the order of ``TOGGLED_IDS``. Built on first use, like
+    ``local_cases``."""
     out = []
     for c in default_corpus():
         if 5 <= c.fn.n <= 8:
@@ -379,15 +386,19 @@ def _toggled_inputs():
     return out
 
 
-TOGGLED = _toggled_inputs()
+TOGGLED_IDS = [c.instance_id + tog for c in default_corpus() if 5 <= c.fn.n <= 8
+               for tog in ("", "_tog0", "_tog1")]
+SHIFTED_ID = "n5_wbasis_uniform_tog1_shifted"
 
-# A real copy of a toggled table, scaled by 10^-3 and shifted by 10^7, that
-# fails the sampled strong quotient at seed 7 by about 2e-3 (at caps 1 and
-# 2, sample 26, like its int form): small differences of large values,
-# decided exactly.
-SHIFTED = ("n5_wbasis_uniform_tog1_shifted",
-           SetFn(5, [v if v is NEG_INF else v * 1e-3 + 1e7
-                     for v in dict(TOGGLED)["n5_wbasis_uniform_tog1"].values], "real"))
+
+@cache
+def shifted():
+    """A real copy of a toggled table, scaled by 10^-3 and shifted by 10^7,
+    that fails the sampled strong quotient at seed 7 by about 2e-3 (at caps
+    1 and 2, sample 26, like its int form): small differences of large
+    values, decided exactly."""
+    return SetFn(5, [v if v is NEG_INF else v * 1e-3 + 1e7
+                     for v in dict(toggled())["n5_wbasis_uniform_tog1"].values], "real")
 
 
 def _ref_pairs(f, caps, seed, samples, instance_id):
@@ -400,16 +411,18 @@ def _lines(pairs):
 
 
 @pytest.mark.parametrize("mode", ["int", "real"])
-@pytest.mark.parametrize("instance_id, f", TOGGLED + [SHIFTED])
-def test_one_pass_matches_scalar_loops(instance_id, f, mode, monkeypatch):
+@pytest.mark.parametrize("instance_id", [pytest.param(iid, id=f"{iid}-f{i}")  # f<i>: stable ids
+                                         for i, iid in enumerate(TOGGLED_IDS + [SHIFTED_ID])])
+def test_one_pass_matches_scalar_loops(instance_id, mode, monkeypatch):
     """Every cap (and one past n) gets the reports of its own scalar cross
     and quotient loops, in chunks of the default size and of two samples.
-    ``SHIFTED`` is real already ("real" divides it by 3)."""
+    ``shifted()`` is real already ("real" divides it by 3)."""
+    f = shifted() if instance_id == SHIFTED_ID else dict(toggled())[instance_id]
     if mode == "real":
         f = _as_real(f)
     caps = list(_feasible_caps(f)) + [f.n + 1]
     slow = _lines(_ref_pairs(f, caps, 7, 40, instance_id))
-    if instance_id == SHIFTED[0]:
+    if instance_id == SHIFTED_ID:
         assert sum('"strong_quotient"' in line for line in slow) == 2
     assert _lines(_cross_and_quotient(f, caps, seed=7, samples=40,
                                       instance_id=instance_id)) == slow
@@ -440,7 +453,7 @@ def test_one_pass_at_chunk_edges(mode):
     """Sample counts at the chunk edges: 170 samples of six rows per
     chunk at these domain sizes (256 of four before), one sample, and the
     FAILs of ``EDGE_CASES``."""
-    by_id = dict(TOGGLED)
+    by_id = dict(toggled())
     firsts = []
     for instance_id, seed in EDGE_CASES:
         f = by_id[instance_id] if mode == "int" else _as_real(by_id[instance_id])
@@ -467,7 +480,7 @@ def test_one_pass_at_chunk_edges(mode):
 def test_suite_with_more_caps_than_samples():
     """Fewer samples than caps: each cap's checks run one sample, and the
     suite line sums the scalar loops' counts and names their first FAIL."""
-    cases = [(iid, f) for iid, f in TOGGLED if len(list(_feasible_caps(f))) > 3]
+    cases = [(iid, f) for iid, f in toggled() if len(list(_feasible_caps(f))) > 3]
     assert len(cases) > 10
     for iid, f in cases:
         suite, = run_check([(iid, f)], SuiteConfig(suites=("duality_grid",), samples=3, seed=5))
@@ -585,29 +598,92 @@ def test_kernel_matches_scalar_conjugates(case):
             assert table[row, c] == f.scale * exact_conjugate(restrict_by_size(f, k), p)
 
 
+def _tier_table(mode, last):
+    """n = 3 with exact values 0..6 and ``last`` at the full set, so
+    max|D * f| = ``last`` (real: the values over D = 4)."""
+    return SetFn(3, [v if mode == "int" else v / 4 for v in [*range(7), last]], mode)
+
+
+def _tier_edges(mode):
+    """(table, top, tier) at and just past each bound of ``_Conjugates``,
+    with S = max|D * f| + n * D * top for prices up to ``top``: float64
+    while S < 2^53 ("float"), a float64 product and int64 differences
+    while n * D * top < 2^53 ("float product"), int64 while S < 2^61,
+    Python ints above. 2^53 - 8 is a multiple of n * D (3, or 12 for
+    real), so the first two edges sit at S = 2^53 - 1 and S = 2^53; at the
+    third, the gain 9 + n * D * top of the full set at -top is odd and
+    past 2^53, where a float64 difference would round."""
+    unit = 3 * (1 if mode == "int" else 4)
+    return [(_tier_table(mode, 7), (2**53 - 8) // unit, "float"),
+            (_tier_table(mode, 8), (2**53 - 8) // unit, "float product"),
+            (_tier_table(mode, 9), (2**53 - 1) // unit, "float product"),
+            (_tier_table(mode, 9), -(-(2**53) // unit), "int64"),
+            (_tier_table(mode, 9), (2**61 - 1 - 9) // unit, "int64"),
+            (_tier_table(mode, 9), (2**61 - 9) // unit + 1, "object")]
+
+
+def _tier_rows(top):
+    return [[top, top, top], [-top, top - 1, -(top - 1)], [top, 1, 0], [-top, -top, -top]]
+
+
 @pytest.mark.parametrize("mode", ["int", "real"])
 def test_kernel_product_tiers_at_their_bounds(mode):
-    """``_Conjugates`` multiplies prices in float64 while n * D * max|p| <
-    2^53, in int64 while max|D * f| + n * D * max|p| < 2^61, and on Python
-    ints above; each tier against the exact gains, at and just past its
-    bound (a float64 product past 2^53 would round 2^53 + 1). Prices that
-    note each dtype they are cast to show which product ran."""
-    f = SetFn(3, [k if mode == "int" else k / 4 for k in range(8)], mode)
-    conj = _Conjugates(f)
-    unit = f.n * f.scale
-    edges = [((2**53 - 1) // unit, "float"), (-(-(2**53) // unit), "int64"),
-             ((2**61 - 1 - conj.magnitude) // unit, "int64"),
-             ((2**61 - conj.magnitude) // unit + 1, "object")]
-    for top, tier in edges:
-        P = np.array([[top, top, top], [-top, top - 1, -(top - 1)], [top, 1, 0]],
-                     dtype=np.int64).view(_NotedCasts)
+    """``_Conjugates._gains`` at each edge of ``_tier_edges`` against the
+    exact gains: float64 in the float tier, int64 in the float-product
+    and int64 tiers, Python ints above. Prices that note each dtype they
+    are cast to show which product ran."""
+    edges = _tier_edges(mode)
+    assert [f.exact[-1] + 3 * f.scale * top for f, top, _ in edges[:2]] == [2**53 - 1, 2**53]
+    for f, top, tier in edges:
+        conj = _Conjugates(f)
+        P = np.array(_tier_rows(top), dtype=np.int64).view(_NotedCasts)
         P.seen = []
         want = [[v - sum(int(p) * int(x) for p, x in zip(row, col))
                  for v, col in zip(conj.vals, conj.ind.T)] for row in P]
         got = conj._gains(P)
         assert got.tolist() == want, tier
-        assert got.dtype == (object if tier == "object" else np.int64)
-        assert (np.dtype(np.float64) in P.seen) == (tier == "float"), tier
+        assert got.dtype == {"float": np.float64, "object": object}.get(tier, np.int64), tier
+        assert (np.dtype(np.float64) in P.seen) == tier.startswith("float"), tier
+
+
+@pytest.mark.parametrize("mode", ["int", "real"])
+def test_kernel_tiers_match_scalar_conjugates(mode):
+    """``_Conjugates`` at each edge of ``_tier_edges``, and at prices
+    (-2^62)^3, whose plain conjugate passes int64, against the scalar
+    conjugate of every size cap: an int64 table from every tier but
+    Python ints, whose table stays ``dtype=object``."""
+    edges = [(f, _tier_rows(top), tier) for f, top, tier in _tier_edges(mode)]
+    edges.append((_tier_table(mode, 9), [[-2**62] * 3], "object"))
+    for f, rows, tier in edges:
+        table = _Conjugates(f)(np.array(rows, dtype=np.int64))
+        assert table.dtype == (object if tier == "object" else np.int64), tier
+        for got, entries in zip(table.tolist(), rows):
+            p = PriceVector(tuple(entries))
+            assert got == [f.scale * exact_conjugate(restrict_by_size(f, k), p)
+                           for k in _feasible_caps(f)], tier
+    assert max(table[0]) >= 2**63  # the last table's, at (-2^62)^3
+
+
+def test_float_tier_keeps_one_gains_temporary():
+    """A float64-tier call on 1,024 price rows of a 70-set domain peaks,
+    under ``tracemalloc`` (numpy's buffers included), below 1.5 times one
+    rows x |dom| gains array: the product, the differences and the
+    per-size maxima share one float64 array, and only the rows x caps
+    table is cast to int64. A second gains-sized array, such as an int64
+    copy of the product, would reach two."""
+    f = {c.instance_id: c.fn for c in default_corpus()}["n8_wbasis_uniform_r4"]
+    conj = _Conjugates(f)
+    P = np.random.default_rng(0).integers(-3, 4, size=(1024, f.n))
+    gains = P.shape[0] * len(f.dom_masks) * np.dtype(np.float64).itemsize
+    assert len(f.dom_masks) == 70 and conj._gains(P).dtype == np.float64
+    tracemalloc.start()
+    try:
+        table = conj(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int64
+    assert peak < 1.5 * gains
 
 
 class _NotedCasts(np.ndarray):

@@ -277,27 +277,49 @@ def test_shared_rules_hold_pair_by_pair(by_id):
             (False, False, False, True), (True, True, True, False)} <= seen
 
 
+def _lost_to_a_shared_cut(firsts, found, n):
+    """Whether a row cut shared by the two verdicts would lose one of the
+    first failures ``found`` ([single, facts]): at the first rule r < n
+    where verdict k fails on any pair, the other verdict has failed in an
+    earlier rule, on a row before every row where k fails. ``firsts`` maps
+    each pair (x, y) to ``scalar_first``'s [single, facts]."""
+    for k, first in enumerate(found):
+        if first is None:
+            continue
+        r = min(fr[k] for fr in firsts.values() if fr[k] is not None)
+        before = [x for (x, _), fr in firsts.items() if fr[1 - k] is not None and fr[1 - k] < r]
+        if r < n and before and min(before) < first[0]:
+            return True
+    return False
+
+
 def test_shared_sweep_is_the_two_sweeps(by_id, monkeypatch):
     """Each verdict of ``_exchange_sweep`` is its scalar loop's, at the
     block budget and at one byte, where every row is a block: the single
     one, counted by ``_sweep_count``, is ``loop_sweep``'s, and the facts
     one is the first pair where ``scalar_first`` finds a failing fact.
-    Each verdict keeps its own first failure and row cut."""
+    Each verdict keeps its own first failure and row cut: on the mutated
+    tables that end the list, one verdict has failed on an early row
+    before the first rule where the other fails, and only on later rows."""
     tables = random_tables()[:60] + [mutate(by_id["n5_laminar"], s, 1) for s in range(4)]
+    tables += [mutate(by_id[iid], 5, 3) for iid in ("n3_uniform_r1", "n4_uniform_r2",
+                                                    "n5_uniform_r2")]
+    tables.append(mutate(by_id["n5_partition"], 0, 1))
+    firsts = [{(x, y): scalar_first(f, xm, ym) for x, xm in enumerate(f.dom_masks)
+               for y, ym in enumerate(f.dom_masks)} for f in tables]
     for budget in (exchange._BATCH_BYTES, 1):
         monkeypatch.setattr(exchange, "_BATCH_BYTES", budget)
-        passes = fails = 0
-        for f in tables:
+        passes = fails = lost = 0
+        for f, pairs in zip(tables, firsts):
             single, facts = exchange._exchange_sweep(f)
             assert exchange._sweep_count(f, single) == loop_sweep(f, True)
-            dom = f.dom_masks
-            want = next(((x, y, k) for x, xm in enumerate(dom) for y, ym in enumerate(dom)
-                         for k in [scalar_first(f, xm, ym)[1]] if k is not None), None)
-            assert facts == want
+            assert facts == next(((x, y, k) for (x, y), (_, k) in pairs.items()
+                                  if k is not None), None)
             passes += single is None and facts is None
             if single is not None and facts is not None:
                 fails += single[:2] != facts[:2]
-        assert passes > 10 and fails > 10
+            lost += _lost_to_a_shared_cut(pairs, [single, facts], f.n)
+        assert passes > 10 and fails > 10 and lost == 4
 
 
 def test_check_never_lifts(monkeypatch, capsys):
