@@ -278,11 +278,9 @@ def resolve_instances(cfg):
 # Per-instance suite runners.
 
 
-# The exchange sweep and reports of the instance being run, so that
-# corollary1, m_concave_lift and lemmas_2_8 reuse what exc_single and
-# exc_multi_* computed. Every suite selection reads the one shared sweep,
-# though its augment rule, which only the facts read, makes exc_single
-# alone 12-15% slower on a full n = 12 domain.
+# The instance's exchange sweep and reports, which corollary1, m_concave_lift
+# and lemmas_2_8 reuse. Every selection reads the one shared sweep: the facts'
+# augment rule makes exc_single alone about 12% slower on a full n = 12 domain.
 @functools.lru_cache(maxsize=1)
 def _sweeps(f):
     """exc_single's (failing, triples) and the first failing swap or

@@ -178,16 +178,18 @@ def _exchange_sweep(f, order=None):
     (default: all of them, ascending).
 
     Rule r < n has X give up element bit r where Y does not hold it, rule
-    n nothing; its moves are the bits j != r in Y \\ X, and move j attains
-    where f(X) + f(Y) <= f(X-r+j) + f(Y+r-j). The single verdict holds
-    rule r < n where a move or the drop f(X-r) + f(Y+r) attains. The
-    facts verdict, the swap and augment facts of ``lemmas_2_8``, holds
-    rule r < n where a move attains or |X| > |Y|, and rule n (the augment
-    X + j, Y - j) where a move attains or |X| >= |Y|. Both sides of a move
-    depend on X and on Y through one vector each, so a rule is decided for
-    all its (X, Y) as one outer comparison in blocks of rows whose
-    temporaries stay under _BATCH_BYTES; rows past the first failure so
-    far of every verdict are skipped.
+    n (the augment X + j, Y - j) nothing; move j in Y \\ X attains where
+    f(X) + f(Y) <= f(X-r+j) + f(Y+r-j). The single verdict holds rule
+    r < n where a move or the drop f(X-r) + f(Y+r) attains; the facts
+    verdict, the swap and augment facts of ``lemmas_2_8``, holds rule r
+    where a move attains or |X| + [r = n] > |Y|. A move's sides depend on
+    X and on Y through one vector each, so the rules are decided as one
+    outer comparison, n + 3 bools per (rule, X, Y), in chunks of as many
+    rules as fit _BATCH_BYTES, else of one rule on the rows and columns it
+    applies to, and in blocks of rows; rows past the first failure so far
+    of every verdict are skipped. Where a rule does not apply, its X side
+    is ``low``, below every compared side (``moves.encoding``), or its Y
+    side -low, above every one: it holds there.
     """
     n = f.n
     at, neg = value_table(f, _BATCH_BYTES)
@@ -196,40 +198,40 @@ def _exchange_sweep(f, order=None):
         dm = dm[order]
     fv = at(dm)
     size = np.bitwise_count(dm)
+    low = np.array(5 * int(neg) // 4 - 1, dtype=neg.dtype)
+    width = max(1, _BATCH_BYTES // ((n + 3) * len(dm) ** 2))
     best = [None, None]
-    for r in range(n + 1):
-        out = 1 << r if r < n else 0
-        live = [0, 1] if r < n else [1]  # the augment is the facts' alone
-        rows = np.flatnonzero(dm & out == out)
-        cols = np.flatnonzero(dm & out == 0)
+    for c0 in range(0, n + 1, width):
+        rule = np.arange(c0, min(c0 + width, n + 1))
+        # A rule alone goes without its move j = r, which never attains.
+        js = np.array([1 << j for j in range(n) if width > 1 or j != c0], np.int64)[:, None, None]
+        out = np.where(rule < n, np.left_shift(1, rule), 0)[:, None]
+        xin, yout = dm & out == out, dm & out == 0  # where each rule applies
+        live = [0, 1] if c0 < n else [1]  # the augment is the facts' alone
+        rows, cols = np.flatnonzero(xin.any(axis=0)), np.flatnonzero(yout.any(axis=0))
         if all(best[k] is not None for k in live):
             rows = rows[rows <= max(best[k][0] for k in live)]
-        if not len(rows) or not len(cols):
-            continue
-        xr, yc = dm[rows], dm[cols]
-        js = np.array([1 << j for j in range(n) if j != r], dtype=np.int64)[:, None]
-        a = np.where(xr & js == 0, at((xr ^ out) | js), neg)
-        b = np.where(yc & js == js, at((yc | out) ^ js), neg)
+        xr, yc, xin, yout = dm[rows], dm[cols], xin[:, rows], yout[:, cols]
         # f(X) - a <= b - f(Y), which fails wherever a or b is neg.
-        a, b = fv[rows] - a, b - fv[cols]
-        if r < n:
-            a0, b0 = fv[rows] - at(xr ^ out), at(yc | out) - fv[cols]
-        kx, ky = size[rows, None], size[cols]
-        # A block's bytes are the comparison's bools, one per (move, X, Y).
-        step = max(1, _BATCH_BYTES // max(1, (len(js) + (r < n)) * len(cols)))
+        a = np.where(xin, fv[rows] - np.where(xr & js == 0, at((xr ^ out) | js), neg), low)
+        b = np.where(yout, np.where(yc & js == js, at((yc | out) ^ js), neg) - fv[cols], -low)
+        a0 = np.where(xin & (rule < n)[:, None], fv[rows] - at(xr ^ out), low)
+        b0 = np.where(yout, at(yc | out) - fv[cols], -low)
+        kx, ky = size[rows] + (rule == n)[:, None], size[cols]
+        step = max(1, _BATCH_BYTES // (len(rule) * (len(js) + 3) * max(1, len(cols))))
+        # No row holding j attains move j: a rule alone skips what a block holds.
+        held = np.bitwise_and.reduceat(xr, np.arange(0, len(rows), step))
         for r0 in range(0, len(rows), step):
             blk = slice(r0, r0 + step)
-            ok = (a[:, blk, None] <= b[:, None, :]).any(axis=0)
+            act = held[r0 // step] & js[:, 0, 0] == 0 if width == 1 else slice(None)
+            ok = (a[act, :, blk, None] <= b[act, :, None, :]).any(axis=0)
             for k in list(live):
-                if k == 0:
-                    holds = ok | (a0[blk, None] <= b0)
-                elif r < n:
-                    holds = ok | (kx[blk] > ky)
-                else:
-                    holds = ok | (kx[blk] >= ky)
+                holds = ok | (a0[:, blk, None] <= b0[:, None, :] if k == 0
+                              else kx[:, blk, None] > ky)
                 if not holds.all():
-                    x, y = divmod(int(np.argmin(holds)), len(cols))
-                    cand = (int(rows[r0 + x]), int(cols[y]), r)
+                    bad = holds.transpose(1, 2, 0)  # lex order (x, y, rule)
+                    x, y, q = np.unravel_index(np.argmin(bad), bad.shape)
+                    cand = (int(rows[r0 + x]), int(cols[y]), int(rule[q]))
                     if best[k] is None or cand < best[k]:
                         best[k] = cand
                     live.remove(k)

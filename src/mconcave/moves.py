@@ -7,10 +7,10 @@ it in a term fails; ``encoding`` also picks the narrowest exact dtype
 (int16, int32, int64, then Python ints), for ``value_table`` and the
 campaign's decider alike.
 
-``exchange`` decides both bounds of the multiple exchange from one gather
-of f((X\\I) | J) + f((Y\\J) | I). Where its interval table of the
-restriction facts of ``lemmas_2_8`` does not fit (n > 12), it reads those
-facts from the same moves, for the triples that J = {} leaves open.
+``exchange`` decides the multiple exchange from one gather of f((X\\I) | J)
++ f((Y\\J) | I), and again with the bound where a best J outgrows I. Where
+its interval table of ``lemmas_2_8``'s restriction facts does not fit
+(n > 12), it reads them from the same moves, where J = {} leaves them open.
 With the identity as the table, ``moves`` gives the masks (X\\I) | J
 and (Y\\J) | I themselves: the falsification campaign's decider gathers
 them once per n over the full cube and reads many value rows through
@@ -167,17 +167,27 @@ def multi_best(at, neg, xm, ym, im, budget):
     """The best move of each triple: ((best, size) bounded, (best, size)
     unbounded), where best is the maximum of f((X\\I) | J) + f((Y\\J) | I)
     over J inside Y \\ X (with |J| <= |I| when bounded) and size the
-    smallest |J| attaining it, which is the size ``_best_multi`` reports."""
-    outs = [(np.full(len(xm), neg), np.zeros(len(xm), dtype=np.int64)) for _ in range(2)]
+    smallest |J| attaining it, which is the size ``_best_multi`` reports.
+    Moves come by size, so the bounded best is the unbounded one where its
+    |J| is at most |I|; only the other triples are searched again."""
+    free = _best(at, neg, xm, ym, im, budget, False)
+    redo = np.flatnonzero(free[1] > np.bitwise_count(im))
+    bounded = tuple(a.copy() for a in free)
+    for out, part in zip(bounded, _best(at, neg, xm[redo], ym[redo], im[redo], budget, True)):
+        out[redo] = part
+    return [bounded, free]
+
+
+def _best(at, neg, xm, ym, im, budget, bounded):
+    """``multi_best``'s (best, size) of one bound."""
+    best, at_size = np.full(len(xm), neg), np.zeros(len(xm), dtype=np.int64)
     for rows, a, b, size, k in moves(at, xm, ym, im, budget):
-        s = a + b
-        for (best, at_size), sums in zip(outs[::-1], (s, np.where(size <= k[:, None], s, neg))):
-            pick = sums.argmax(axis=1)
-            top = sums[np.arange(len(rows)), pick]
-            up = top > best[rows]
-            best[rows[up]] = top[up]
-            at_size[rows[up]] = size[pick[up]]
-    return outs
+        s = np.where(size <= k[:, None], a + b, neg) if bounded else a + b
+        pick = s.argmax(axis=1)
+        top = s[np.arange(len(rows)), pick]
+        up = top > best[rows]
+        best[rows[up]], at_size[rows[up]] = top[up], size[pick[up]]
+    return best, at_size
 
 
 def restriction_sides(at, neg, xm, ym, im, budget):

@@ -33,7 +33,7 @@ from mconcave.cli import SuiteConfig, main
 from mconcave.core import elements_of
 from mconcave.families import random_mnat_concave
 from test_multi_batched import TIER_IDS, TIERS, at_top, value_dtype
-from test_sweep_batched import loop_sweep
+from test_sweep_batched import chunk_budget, loop_sweep, partial_chunk_tables
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +320,27 @@ def test_shared_sweep_is_the_two_sweeps(by_id, monkeypatch):
                 fails += single[:2] != facts[:2]
             lost += _lost_to_a_shared_cut(pairs, [single, facts], f.n)
         assert passes > 10 and fails > 10 and lost == 4
+
+
+def test_partial_rule_chunks_match_the_lift(by_id, monkeypatch):
+    """At budgets that put 2 and n of the n + 1 rules in one chunk, so that
+    a block compares rules that apply to a pair with rules that do not,
+    the suite's report is the lifted oracle's, and each verdict of the
+    sweep is its scalar loop's."""
+    tables = partial_chunk_tables(by_id) + random_tables()[::5]
+    runs = counters = 0
+    for f in tables:
+        pairs = {(x, y): scalar_first(f, xm, ym) for x, xm in enumerate(f.dom_masks)
+                 for y, ym in enumerate(f.dom_masks)}
+        for width in sorted({2, f.n}):
+            monkeypatch.setattr(exchange, "_BATCH_BYTES", chunk_budget(f, width))
+            runs += 1
+            counters += len(assert_agree([f]))
+            single, facts = exchange._exchange_sweep(f)
+            assert exchange._sweep_count(f, single) == loop_sweep(f, True)
+            assert facts == next(((x, y, k) for (x, y), (_, k) in pairs.items()
+                                  if k is not None), None)
+    assert runs // 3 < counters < runs
 
 
 def test_check_never_lifts(monkeypatch, capsys):

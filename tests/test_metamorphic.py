@@ -9,9 +9,10 @@ the size bounds of the restriction facts do not turn over with it). The
 value transforms keep every comparison of every sweep, so the reports
 keep their counterexamples and counts too, all but the values shown. A
 report's counterexample, mapped through a permutation, violates the
-permuted table.
+permuted table. The CLI keeps these relations on instance files.
 """
 
+import json
 import random
 
 import pytest
@@ -21,12 +22,14 @@ from mconcave import (
     SetFn,
     cli,
     default_corpus,
+    find_multi_exchange,
     find_single_exchange,
     lift,
     mutate,
     random_table,
+    store,
 )
-from mconcave.cli import SuiteConfig
+from mconcave.cli import SuiteConfig, main
 from mconcave.families import random_mnat_concave
 
 SUITES = ("exc_single", "m_concave_lift", "lemmas_2_8")
@@ -151,3 +154,61 @@ def test_permutation_keeps_the_verdicts_and_maps_the_counterexample(cases):
             c = want["lemmas_2_8"].counterexample
             assert c["reason"] == "single-exchange precondition fails"
             assert fails_single(g, c["detail"], perm, n)
+
+
+CLI_SUITES = ("exc_single", "exc_multi_bounded", "exc_multi_unbounded", "m_concave_lift",
+              "lemmas_2_8")
+
+
+def check_file(tmp_path, name, f, capsys):
+    """{suite: report} that ``mconcave check`` prints for f stored as a file."""
+    path = tmp_path / f"{name}.json"
+    store(f, path)
+    code = main(["check", "--suites", ",".join(CLI_SUITES), str(path)])
+    reports = {r["suite"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert sorted(reports) == sorted(CLI_SUITES)
+    assert code == (0 if all(r["verdict"] == "PASS" for r in reports.values()) else 1)
+    return reports
+
+
+def fails_on(g, suite, c, perm, n):
+    """The counterexample c of ``suite``, mapped through the permutation,
+    fails on g."""
+    if suite == "lemmas_2_8":
+        assert c["reason"] == "single-exchange precondition fails"
+        return fails_single(g, c["detail"], perm, n)
+    if suite.startswith("exc_multi"):
+        X, Y, I = (mapped(c[key], perm, n) for key in "XYI")
+        return find_multi_exchange(g, X, Y, I, suite == "exc_multi_bounded") is None
+    return fails_single(lift(g) if suite == "m_concave_lift" else g, c, perm, n)
+
+
+def test_check_keeps_its_verdicts_on_a_transformed_instance_file(tmp_path, capsys):
+    """``mconcave check`` on corpus instance files (one with sampled
+    multiple-exchange suites) and on copies permuted, shifted by a constant
+    and tripled prints the same verdict, regime and triples_checked for
+    every exchange suite. On a ``mutate``d instance every suite FAILs on
+    both files, and each counterexample mapped through the permutation
+    (the copy's mapped back) fails on the other table; the first failure
+    in lex order, and so the count through it, may move."""
+    by_id = {c.instance_id: c.fn for c in default_corpus()}
+    rng = random.Random(5)
+    regimes = set()
+    for iid in ("n5_laminar", "n8_wbasis_partition", "mutated"):
+        f = mutate(by_id["n5_partition"], 0, 1) if iid == "mutated" else by_id[iid]
+        n = f.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = permuted(SetFn(n, [v if v is NEG_INF else 3 * (v + 7) for v in f.values]), perm)
+        want, got = check_file(tmp_path, iid, f, capsys), check_file(tmp_path, "copy", g, capsys)
+        keys = ("verdict", "regime") + ("triples_checked",) * (iid != "mutated")
+        for s in CLI_SUITES:
+            assert [got[s][k] for k in keys] == [want[s][k] for k in keys], (iid, s)
+            assert want[s]["verdict"] == ("FAIL" if iid == "mutated" else "PASS"), (iid, s)
+            regimes.add(want[s]["regime"])
+        if iid == "mutated":
+            inverse = [perm.index(b) for b in range(n)]
+            for s in CLI_SUITES:
+                assert fails_on(g, s, want[s]["counterexample"], perm, n), s
+                assert fails_on(f, s, got[s]["counterexample"], inverse, n), s
+    assert regimes == {"exhaustive", "sampled"}

@@ -336,6 +336,57 @@ def test_corpus_passes(by_id, budget):
     assert assert_agree(thinned(tables, budget)) == 0
 
 
+def test_multi_best_matches_the_scalar_search(budget):
+    """Per triple, ``moves.multi_best``'s four arrays are
+    ``_best_multi``'s best and smallest |J|, under both bounds: equal
+    where some move gives a finite sum, and below -2M (no finite sum, M
+    the largest |value|) where none does."""
+    tables = [random_table(n, 70 * n + s, neg_inf_prob=p)
+              for n in range(1, 6) for s in range(3) for p in (0.0, 0.3)]
+    tables += [random_mnat_concave(2 + s % 2, s) for s in range(6)]
+    redone = infinite = 0
+    for f in thinned([f for f in tables if f.dom_masks], budget):
+        at, neg = moves.value_table(f, budget)
+        top = max(abs(v) for v in f.exact if v is not NEG_INF)
+        dm = np.array(f.dom_masks, dtype=np.int64)
+        for xm, ym, im in moves.exhaustive_triples(dm, f.n, budget):
+            got = moves.multi_best(at, neg, xm, ym, im, budget)
+            redone += int((got[1][1] > np.bitwise_count(im)).sum())
+            for t, triple in enumerate(zip(xm.tolist(), ym.tolist(), im.tolist())):
+                for (best, size), bounded in zip(got, (True, False)):
+                    want, _, want_size = _best_multi(f.exact, *triple, bounded)
+                    if want is NEG_INF:
+                        infinite += 1
+                        assert best[t] < -2 * top, (f.values, triple, bounded)
+                    else:
+                        assert (best[t], size[t]) == (want, want_size), (f.values, triple)
+    assert redone and infinite
+
+
+def test_bounded_search_reads_only_the_triples_past_the_bound(by_id, monkeypatch):
+    """``multi_best`` searches the bounded moves again only for the triples
+    whose unbounded best has its smallest |J| above |I|: on the corpus
+    there are some, and few."""
+    calls = []
+    real = moves._best
+
+    def spy(at, neg, xm, ym, im, budget, bounded):
+        out = real(at, neg, xm, ym, im, budget, bounded)
+        calls.append((bounded, (xm, ym, im), out[1]))
+        return out
+    monkeypatch.setattr(moves, "_best", spy)
+    for f in by_id.values():
+        exc_multi_reports(f)
+    assert [bounded for bounded, *_ in calls] == [False, True] * (len(calls) // 2)
+    total = redone = 0
+    for (_, triples, size), (_, again, _) in zip(calls[::2], calls[1::2]):
+        past = size > np.bitwise_count(triples[2])
+        assert all(np.array_equal(a[past], b) for a, b in zip(triples, again))
+        total += len(past)
+        redone += int(past.sum())
+    assert 0 < redone < total // 10
+
+
 def test_bounds_fail_at_different_triples(by_id):
     """The bounded FAIL can come first: the bounded report keeps its own
     triple and count, and the pass goes on to the unbounded one."""

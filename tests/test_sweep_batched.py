@@ -27,7 +27,7 @@ from mconcave import (
 from mconcave import exchange, moves
 from mconcave.core import elements_of
 from mconcave.families import random_mnat_concave
-from test_multi_batched import TIER_IDS, TIERS, affine, at_top, value_dtype
+from test_multi_batched import TIER_IDS, TIERS, affine, at_top, traced_peak, value_dtype
 
 
 def loop_sweep(f, drop):
@@ -158,6 +158,56 @@ def test_failures_past_the_first_block(by_id, monkeypatch, budget):
     tables.append(lift(by_id["n5_laminar"]))
     for drop in (True, False):
         assert assert_agree(tables, drop) == len(tables) - 1
+
+
+def chunk_budget(f, width):
+    """The budget at which ``exchange._exchange_sweep`` takes ``width`` rules
+    of f at a time: n + 3 bools per (rule, X, Y) of the domain."""
+    return width * (f.n + 3) * len(f.dom_masks) ** 2
+
+
+def partial_chunk_tables(by_id):
+    """Seeded random tables with n = 2..5 and ``mutate``d corpus tables
+    with n = 3..6, some with minus infinity, and lifts with 56 and 252
+    domain sets."""
+    tables = [random_table(2 + s % 4, s, neg_inf_prob=0.1 * (s % 5)) for s in range(40)]
+    tables += [mutate(by_id[iid], s, 1 + s, toggle_neg_inf=bool(s)) for s in range(2)
+               for iid in ("n3_laminar", "n4_assignment", "n5_partition", "n6_laminar")]
+    tables += [lift(by_id["n3_laminar"]), lift(mutate(by_id["n5_laminar"], 0, 1))]
+    return [f for f in tables if f.dom_masks]
+
+
+def test_partial_rule_chunks(by_id, monkeypatch):
+    """Budgets that put 2 and n of the n + 1 rules in one chunk, so that a
+    block compares rules that apply to a pair with rules that do not, and
+    a later chunk holds the augment: the loop's report, with and without
+    the drop."""
+    runs = fails = 0
+    for g in partial_chunk_tables(by_id):
+        for drop in (True, False):
+            f = swept(g, drop)
+            for width in sorted({2, f.n}):
+                monkeypatch.setattr(exchange, "_BATCH_BYTES", chunk_budget(f, width))
+                want = loop_line(f, drop)
+                assert batched_line(f, drop) == want, (f.values, drop, width)
+                runs += 1
+                fails += '"FAIL"' in want
+    assert runs // 3 < fails < runs
+
+
+def test_sweep_memory_stays_under_two_budgets(by_id):
+    """The tracemalloc peak of a sweep, value table included, is at most
+    twice ``_BATCH_BYTES`` on every corpus instance, whose rules fit in
+    one chunk, and on the full-domain n = 12 table, swept a rule at a
+    time in blocks of rows."""
+    budget = exchange._BATCH_BYTES
+    f12 = SetFn(12, [-(m.bit_count() - 6) ** 2 for m in range(1 << 12)])
+    peaks = {}
+    for iid, f in [*by_id.items(), ("n12", f12)]:
+        moves.value_table.cache_clear()
+        best, peaks[iid] = traced_peak(lambda: exchange._exchange_sweep(f))
+        assert best == [None, None]
+    assert max(peaks.values()) <= 2 * budget, peaks
 
 
 def test_real_mode(by_id):
