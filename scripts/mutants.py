@@ -174,6 +174,16 @@ MUTANTS = [
            "return table.astype(np.int64) if table.dtype == np.float64 else table",
            "return table.astype(np.int64)",
            ("tests/test_grid_engine.py::test_kernel_tiers_match_scalar_conjugates",)),
+    Mutant("seed_kernel_pass_two_multiplier", "core.py",
+           "mult[0], mult[1] = 1664525, 1566083941",
+           "mult[0], mult[1] = 1664525, 1664525",
+           ("tests/test_falsify_bulk.py::test_seed_words_are_the_c_generators_first_words",
+            "tests/test_falsify_bulk.py::test_campaign_runs_no_per_table_checker")),
+    Mutant("sub_seed_draw_top_bit_shift", "core.py",
+           ".astype(np.int64) >> 31) << 32",
+           ".astype(np.int64) >> 30) << 32",
+           ("tests/test_falsify_bulk.py::test_words_below_matches_below",
+            "tests/test_falsify_bulk.py::test_campaign_runs_no_per_table_checker")),
 ]
 
 

@@ -1,8 +1,9 @@
 """Command-line harness: generate corpora, run verification suites, and
 hunt for counterexamples with seeded mutations, whose value rows are
-drawn from one reseeded C generator (``_random.Random``) by
-``core._below``'s rule, grouped by size as they are drawn, and decided
-in bulk (``exchange._bulk_decide``).
+drawn by ``core._below``'s rule from generators seeded in bulk
+(``core._seed_words``) or one reseeded C generator (``_random.Random``),
+grouped by size as they are drawn, and decided in bulk
+(``exchange._bulk_decide``).
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
 (a falsification), 2 on operational errors (bad config, malformed
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, NEG_INF, _below, _require_int, load, store
+from .core import (FormatError, NEG_INF, _below, _require_int, _seed_words, _words_below,
+                   _words_random, load, store)
 from .duality import (
     check_conjugate_submodular,
     fenchel_gap,
@@ -81,6 +83,10 @@ FENCHEL_PAIR_N_LIMIT = 5
 
 # Values of the falsification trials drawn and decided together.
 _FALSIFY_VALUES = 1 << 16
+
+# Words of each falsification trial's generators drawn in numpy
+# (``core._seed_words``); a trial whose draws run past them is drawn in C.
+_SEED_WORDS = 24
 
 # Passing trials a campaign lists as near misses.
 _NEAR_MISSES = 5
@@ -490,18 +496,62 @@ def _falsify_bases():
     return tuple(inst.fn for inst in default_corpus() for _ in range(weights.get(inst.fn.n, 0)))
 
 
+def _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg):
+    """``falsify_campaign``'s trials first..stop - 1 up to their tables, drawn
+    by ``core._below``'s rule from the first ``_SEED_WORDS`` words of each
+    trial's generators (``core._seed_words``): an int64 (3, trials) array,
+    (n, sub-seed, 0) for a random table and (base, index, value) for a
+    mutation, and a bool array of the trials whose draws run past those words."""
+    t = np.arange(first, stop, dtype=np.uint64)
+    words = _seed_words(t ^ np.uint64(seed & MASK64), _SEED_WORDS)
+    pos, out = np.zeros(len(t), np.int64), np.zeros((3, len(t)), np.int64)
+    mut = (t % 2 == 1) & (bases is not None)
+    cols = np.flatnonzero(~mut)
+    out[0, cols] = n_lo + _words_below(words, cols, pos, n_hi - n_lo + 1)
+    out[1, cols] = _words_below(words, cols, pos, 1 << 32)
+    if (cols := np.flatnonzero(mut)).size:
+        base, mseed, magnitude = (_words_below(words, cols, pos, m) for m in (len(bases), 1 << 32, 3))
+        magnitude += 1
+        toggle = _words_random(words, cols, pos) < 0.3
+        rows, doms = zip(*bases)
+        size, dom_size = (np.array([len(x) for x in xs]) for xs in (rows, doms))
+        values, dom_at = (np.array([list(x) + [0] * ((1 << n_hi) - len(x)) for x in xs])
+                          for xs in (rows, doms))
+        words, pos2 = _seed_words(mseed, _SEED_WORDS), np.zeros(len(cols), np.int64)
+        idx = np.zeros(len(cols), np.int64)
+        on = np.flatnonzero(toggle)
+        idx[on] = _words_below(words, on, pos2, size[base[on]])
+        redo = on[(dom_size[base[on]] == 1) & (dom_at[base[on], 0] == idx[on])]  # emptied
+        pos2[redo], toggle[redo] = 0, False  # drawn again from word 0 without the toggle
+        on, plain = np.flatnonzero(toggle), np.flatnonzero(~toggle & (dom_size[base] > 0))
+        idx[plain] = dom_at[base[plain], _words_below(words, plain, pos2, dom_size[base[plain]])]
+        up = _words_below(words, plain, pos2, 2) == 1
+        value = values[base, idx]
+        value[on] = np.where(value[on] == neg, 0, neg)
+        value[plain] += np.where(up, magnitude[plain], -magnitude[plain])
+        out[:, cols] = base, idx, value
+        # past the words, or a plain mutation of an empty domain, which the C path refuses
+        pos[cols[(pos2 > _SEED_WORDS) | (~toggle & (dom_size[base] == 0))]] = _SEED_WORDS + 1
+    return out, pos > _SEED_WORDS
+
+
 def falsify_campaign(trials, seed, n_range=(2, 5)):
     """``trials`` seeded tables, each gated on the single exchange and then
-    checked for the bounded multiple exchange. One C generator
-    (``_random.Random``, the base class of ``random.Random``, which draws
-    alike; see ``core._below``) is reseeded twice per trial: trial t draws
-    as ``random.Random(seed ^ t)``, then its table as ``random_table`` or
+    checked for the bounded multiple exchange. Trial t draws as
+    ``random.Random(seed ^ t)``, then its table as ``random_table`` or
     ``mutate`` would from the sub-seed it drew, each ``randint``,
     ``randrange`` or ``choice`` by ``core._below``'s rule, as an int row
     and no ``SetFn``, in ``moves.encoding(m)``, m = max(5, max |base| + 3)
-    capped below ``_BULK_SAFE`` (bases checked once, ``exchange._bulk_bound``),
-    packed by size as drawn; each chunk of ``_FALSIFY_VALUES`` values is
-    decided in one call (``exchange._bulk_decide``), so memory stays flat.
+    capped below ``_BULK_SAFE`` (bases checked once, ``exchange._bulk_bound``).
+    Batches of ``_FALSIFY_VALUES`` / 8 trials are drawn up to their tables
+    in numpy (``_bulk_draws``), every first generator and every mutation's
+    second one seeded at once; a random table is drawn from one C generator
+    (``_random.Random``, which draws as ``random.Random``; see
+    ``core._below``) reseeded with its sub-seed, and a trial whose draws
+    pass ``_SEED_WORDS`` words wholly in C. Rows are packed by size as
+    drawn; each chunk of ``_FALSIFY_VALUES`` values, closed where a batch
+    ends, is decided in one call (``exchange._bulk_decide``), so memory
+    stays flat.
 
     ``near_misses`` lists the first ``_NEAR_MISSES`` passing trials as
     (margin, trial, kind). The margin, the least best - f(X) - f(Y) over
@@ -525,29 +575,45 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     for p in range(min(trials, 2)):
         out.kinds[kinds[p]] = out.kinds.get(kinds[p], 0) + (trials + 1 - p) // 2
     rng = _random.Random()  # random.Random's C base: see core._below
-    t = 0
+
+    def scalar_row(t):  # trial t drawn from its generators reseeded in C
+        rng.seed((seed ^ t) & MASK64)
+        if t % 2 == 0 or bases is None:
+            n = n_lo + _below(rng, n_hi - n_lo + 1)
+            rng.seed(_below(rng, 1 << 32))
+            return _draw_table(rng, n, neg=neg)
+        base, mseed = bases[_below(rng, len(bases))], _below(rng, 1 << 32)
+        magnitude, toggle = 1 + _below(rng, 3), rng.random() < 0.3
+        rng.seed(mseed)
+        row = _draw_mutation(rng, *base, magnitude, toggle, neg=neg)
+        if row.count(neg) == len(row):  # the toggle emptied the domain
+            rng.seed(mseed)
+            row = _draw_mutation(rng, *base, magnitude, neg=neg)
+        return row
+
+    t = stop = 0
     while t < trials:
+        if t == stop:  # a batch starts with a chunk, and its last trial closes one
+            first, stop = t, min(trials, t + max(1, _FALSIFY_VALUES >> 3))
+            draws, scalar = _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg)
         start, left, ns, packed = t, _FALSIFY_VALUES, [], {n: [] for n in range(n_lo, n_hi + 1)}
-        while t < trials and left > 0:
-            rng.seed((seed ^ t) & MASK64)
-            if t % 2 == 0 or bases is None:
-                n = n_lo + _below(rng, n_hi - n_lo + 1)
-                rng.seed(_below(rng, 1 << 32))
-                row = _draw_table(rng, n, neg=neg)
+        while t < stop and left > 0:
+            j = t - first
+            if scalar[j]:
+                row = scalar_row(t)
+            elif t % 2 == 0 or bases is None:
+                rng.seed(draws.item(1, j))
+                row = _draw_table(rng, draws.item(0, j), neg=neg)
             else:
-                base, mseed = bases[_below(rng, len(bases))], _below(rng, 1 << 32)
-                magnitude, toggle = 1 + _below(rng, 3), rng.random() < 0.3
-                rng.seed(mseed)
-                row = _draw_mutation(rng, *base, magnitude, toggle, neg=neg)
-                if row.count(neg) == len(row):  # the toggle emptied the domain
-                    rng.seed(mseed)
-                    row = _draw_mutation(rng, *base, magnitude, neg=neg)
-                n = len(row).bit_length() - 1
+                row = bases[draws.item(0, j)][0].copy()
+                row[draws.item(1, j)] = draws.item(2, j)
+            n = len(row).bit_length() - 1
             packed[n].extend(row)
             ns.append(n)
             left -= len(row)
             t += 1
         mats = {n: np.array(buf, dtype).reshape(-1, 1 << n) for n, buf in packed.items() if buf}
+        packed.clear()  # the lists are free before the decision's peak
         ns = np.array(ns)
         passed, holds = np.zeros((2, len(ns)), dtype=bool)
         for n, verdicts in zip(mats, _bulk_decide(mats.values(), m)):

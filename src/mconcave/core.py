@@ -15,6 +15,7 @@ its shortest round-trip decimal; a value of a real table is shown as
 the float nearest to its exact value over D (``shown``).
 """
 
+import functools
 import json
 import math
 from itertools import combinations
@@ -196,6 +197,113 @@ def _below(rng, m):
     while (r := rng.getrandbits(k)) >= m:
         pass
     return r
+
+
+@functools.cache
+def _mt_init():
+    """MT19937 after ``init_genrand(19650218)``, where every seed starts."""
+    mt = [19650218]
+    for i in range(1, 624):
+        mt.append((1812433253 * (mt[-1] ^ mt[-1] >> 30) + i) & 0xFFFFFFFF)
+    return tuple(map(np.uint32, mt))
+
+
+def _seed_words(seeds, k):
+    """The first k words (``getrandbits(32)``) of ``random.Random(s)`` for
+    each seed s in [0, 2^64), as a (k, len(seeds)) uint32 array, 1 <= k <= 227.
+    ``seed(s)`` is MT19937's ``init_by_array`` (Matsumoto & Nishimura, ACM
+    TOMACS 8, 1998) on s's little-endian 32-bit words: a serial chain of
+    about 1,870 steps, run for all seeds at once in in-place uint32 ufuncs,
+    which wrap as the C code does. Pass 1 runs to its wrap, then again in
+    lockstep with pass 2, so only rows 0..k are held: output i >= 2 is
+    twisted and tempered into row i as pass 2 reaches row 397 + i; outputs
+    0 and 1 wait for row 1, which pass 2 writes last."""
+    init, n = _mt_init(), len(seeds)
+    seeds = np.asarray(seeds, np.uint64)
+    lo, hi = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    terms = (np.where(hi > 0, hi + np.uint32(1), lo), lo)  # key[j] + j at even and odd rows
+    rows, chain, tmp = (np.empty(shape, np.uint32) for shape in ((k + 1, n), (2, n), (2, n)))
+    mult = np.empty((2, n), np.uint32)  # a whole row each: broadcasting costs twice the product
+    mult[0], mult[1] = 1664525, 1566083941  # passes 1 and 2
+    x, q, t, u = *chain, *tmp
+
+    def step(prev, last, term, out, op=np.add, mul=mult[0, 0]):
+        np.right_shift(prev, 30, out=out)
+        np.bitwise_xor(out, prev, out=out)
+        np.multiply(out, mul, out=out)
+        op(np.bitwise_xor(out, last, out=out), term, out=out)
+
+    def emit(i, lower, far):  # output i from rows i, i + 1 and 397 + i, into row i
+        np.bitwise_or(np.bitwise_and(rows[i], 0x80000000, out=t),
+                      np.bitwise_and(lower, 0x7FFFFFFF, out=u), out=t)
+        np.multiply(np.bitwise_and(t, 1, out=u), 0x9908B0DF, out=u)
+        np.bitwise_xor(np.right_shift(t, 1, out=t), u, out=t)
+        np.bitwise_xor(t, far, out=t)
+        np.bitwise_xor(t, np.right_shift(t, 11, out=u), out=t)
+        np.bitwise_xor(t, np.bitwise_and(np.left_shift(t, 7, out=u), 0x9D2C5680, out=u), out=t)
+        np.bitwise_xor(t, np.bitwise_and(np.left_shift(t, 15, out=u), 0xEFC60000, out=u), out=t)
+        np.bitwise_xor(t, np.right_shift(t, 18, out=u), out=rows[i])
+
+    step(np.full(n, init[0]), init[1], lo, x)
+    first = x.copy()
+    for r in range(2, 624):
+        step(x, init[r], terms[r & 1], t)
+        x, t = t, x
+    one = np.empty(n, np.uint32)
+    step(x, first, terms[0], one)  # pass 1 wraps to row 1
+    x, t = chain[0], tmp[0]
+    x[:], q[:] = first, one
+    keep = {}  # the rows that outputs 0 and 1 read once row 1 is known
+    for r in range(2, 624):
+        np.right_shift(chain, 30, out=tmp)
+        np.bitwise_xor(tmp, chain, out=tmp)
+        np.multiply(tmp, mult, out=tmp)
+        np.add(np.bitwise_xor(t, init[r], out=x), terms[r & 1], out=x)
+        np.subtract(np.bitwise_xor(u, x, out=q), r, out=q)
+        if r <= k:
+            rows[r] = q
+        if r in (2, 397, 398):
+            keep[r] = q.copy()
+        elif 399 <= r < 397 + k:
+            emit(r - 397, rows[r - 396], q)
+    step(q, one, 1, rows[1], np.subtract, mult[1, 0])  # pass 2 wraps to row 1
+    rows[0] = 0x80000000
+    emit(0, rows[1], keep[397])
+    if k > 1:
+        emit(1, keep[2], keep[398])
+    return rows[:k]
+
+
+def _words_below(words, cols, pos, m):
+    """``_below(rng, m)`` for each generator j in ``cols`` whose words are
+    ``words[pos[j]:, j]`` (``_seed_words``), m <= 2^32 an int or one int below
+    2^32 per column, as int64. A draw of b <= 32 bits is a word's top b bits;
+    m = 2^32 draws ``getrandbits(33)``, w0 | (w1 >> 31) << 32. ``pos`` moves
+    past the words drawn; a generator out of words ends past ``len(words)``."""
+    k, out, live = len(words), np.zeros(len(cols), np.int64), np.arange(len(cols))
+    m = np.broadcast_to(m, cols.shape)
+    wide = int(m.max(initial=0)) >> 32  # 1 for m = 2^32: two words a draw
+    shift = np.maximum(32 - np.frexp(m.astype(float))[1], 0)  # 32 - m.bit_length()
+    while live.size:
+        c = cols[live]
+        p = pos[c]
+        pos[c] = p + 1 + wide
+        r = words[np.minimum(p, k - 1), c].astype(np.int64) >> shift[live]
+        if wide:
+            r |= (words[np.minimum(p + 1, k - 1), c].astype(np.int64) >> 31) << 32
+        done = (end := p + 1 + wide > k) | (r < m[live])
+        out[live[done]] = np.where(end, 0, r)[done]
+        live = live[~done]
+    return out
+
+
+def _words_random(words, cols, pos):
+    """``rng.random()`` for each generator of ``_words_below``: two words
+    a, b give ((a >> 5) * 2^26 + (b >> 6)) * 2^-53."""
+    p = pos[cols]
+    pos[cols] = p + 2
+    a, b = (words[np.minimum(i, len(words) - 1), cols] for i in (p, p + 1))
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def _draws(rng, samples, runs):

@@ -175,6 +175,47 @@ def test_real_values_too_large_to_add_exit_2(tmp_path, capsys):
     assert all(json.loads(line)["verdict"] == "PASS" for line in lines)
 
 
+# One file per refusal: a value past every float is exact in int mode and
+# runs every suite; NaN, Infinity, 1e308 in real mode (past 2^1020), a
+# string value and an all-null domain are refused with one error line.
+REFUSALS = {
+    "huge_int": ('{"n": 2, "mode": "int", "values": [0, 1%s, 1%s, 2%s]}' % (("0" * 400,) * 3),
+                 0, None),
+    "nan": ('{"n": 2, "mode": "real", "values": [0, 1, 1, NaN]}', 2, "not a finite number"),
+    "infinity": ('{"n": 2, "mode": "real", "values": [0, 1, 1, Infinity]}', 2,
+                 "not a finite number"),
+    "real_1e308": ('{"n": 2, "mode": "real", "values": [0, 1, 1, 1e308]}', 2, "exceeds 2^1020"),
+    "string": ('{"n": 2, "mode": "int", "values": [0, 1, 1, "2"]}', 2, "requires exact ints"),
+    "all_null": ('{"n": 2, "mode": "int", "values": [null, null, null, null]}', 2,
+                 "effective domain is empty"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_check_refuses_or_decides_each_extreme_file(tmp_path, name):
+    """``mconcave check FILE`` in a fresh process: the 10^400 table passes
+    every suite with exit 0; each other file exits 2 with one ``error:``
+    line naming it and no traceback, and prints no report."""
+    text, code, message = REFUSALS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "mconcave", "check", str(path)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        reports = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert {r["verdict"] for r in reports} == {"PASS"}
+        assert {r["suite"] for r in reports} == set(ALL_SUITES)
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+
+
 def test_check_reports_byte_identical(tmp_path, corpus):
     paths = small_corpus_paths(tmp_path, corpus, ["n3_uniform_r2", "n4_wbasis_uniform"])
     out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"

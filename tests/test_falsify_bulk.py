@@ -815,3 +815,138 @@ def test_campaign_memory_does_not_grow_with_trials(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] + (64 << 10), peaks
+
+
+class Counting(_random.Random):
+    """A C generator that counts the words it draws (``used``)."""
+
+    used = 0
+
+    def getrandbits(self, k):
+        self.used += (k + 31) // 32
+        return super().getrandbits(k)
+
+    def random(self):
+        self.used += 2
+        return super().random()
+
+
+def kernel_seeds():
+    """The edge seeds and seeded 1- and 2-word seeds, mixed in one list."""
+    pick = random.Random(11)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    return seeds + [pick.getrandbits(pick.choice((1, 20, 32, 33, 50, 64))) for _ in range(300)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 24, 227])
+def test_seed_words_are_the_c_generators_first_words(k):
+    seeds = kernel_seeds()
+    assert {(s > MASK64 >> 32) for s in seeds} == {False, True}  # 1- and 2-word keys
+    words = core._seed_words(seeds, k)
+    assert words.shape == (k, len(seeds)) and words.dtype == np.uint32
+    for j, s in enumerate(seeds):
+        rng = _random.Random(s)
+        assert words[:, j].tolist() == [rng.getrandbits(32) for _ in range(k)], (s, k)
+
+
+def decode_against_below(seeds, k, draws):
+    """``draws`` (a list of bounds, each an int or one per seed) decoded by
+    ``_words_below`` from k words a seed, against ``core._below`` on each
+    seed's C generator: the values, the words drawn, and the seeds that
+    run out of words, exactly those whose scalar draws need more than k."""
+    words = core._seed_words(seeds, k)
+    cols, pos = np.arange(len(seeds)), np.zeros(len(seeds), np.int64)
+    got = [core._words_below(words, cols, pos, m) for m in draws]
+    for j, s in enumerate(seeds):
+        rng = Counting(s)
+        want = [core._below(rng, m if isinstance(m, int) else int(m[j])) for m in draws]
+        assert (pos[j] > k) == (rng.used > k), (s, draws)
+        if rng.used <= k:
+            assert [int(g[j]) for g in got] == want, (s, draws)
+            assert pos[j] == rng.used
+    return pos
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 2**31, 2**32 - 1, 2**32])
+def test_words_below_matches_below(m):
+    """Eight draws below m from 24 words, and from 8, where a retry runs a
+    seed out of words: every bound but 2^32 - 1 retries on some seed."""
+    seeds = kernel_seeds()
+    for k in (24, 8):
+        pos = decode_against_below(seeds, k, [m] * 8)
+    assert (pos > 8).any() == (m != 2**32 - 1)
+
+
+def test_words_below_takes_a_bound_per_seed():
+    seeds = kernel_seeds()
+    bounds = np.array([1 + s % 33 for s in range(len(seeds))])
+    pos = decode_against_below(seeds, 12, [bounds, 2**32, bounds[::-1].copy(), 2])
+    assert (pos > 12).any() and (pos <= 12).any()
+
+
+def test_words_random_matches_random():
+    seeds = kernel_seeds()
+    words = core._seed_words(seeds, 9)
+    cols, pos = np.arange(len(seeds)), np.zeros(len(seeds), np.int64)
+    got = [core._words_random(words, cols, pos) for _ in range(4)]
+    assert (pos == 8).all()
+    for j, s in enumerate(seeds):
+        rng = _random.Random(s)
+        assert [g[j] for g in got] == [rng.random() for _ in range(4)], s
+
+
+def spy_scalar(monkeypatch):
+    """The trials that take the scalar path, as the campaign runs."""
+    taken, real = [], cli._bulk_draws
+
+    def spy(seed, first, stop, *args):
+        draws, scalar = real(seed, first, stop, *args)
+        taken.extend((first + np.flatnonzero(scalar)).tolist())
+        return draws, scalar
+    monkeypatch.setattr(cli, "_bulk_draws", spy)
+    return taken
+
+
+@pytest.mark.parametrize("words", [2, 5, 9])
+def test_trials_past_the_words_take_the_scalar_path(monkeypatch, words):
+    """With few words a seed, many trials run past them (all at 2); the campaign
+    still equals the per-trial loop, over corpus bases and over one-entry
+    bases whose toggle empties the domain, and at every chunk."""
+    monkeypatch.setattr(cli, "_SEED_WORDS", words)
+    monkeypatch.setattr(cli, "_NEAR_MISSES", 10**6)
+    taken = spy_scalar(monkeypatch)
+    for seed, n_range in ((0, (1, 5)), (2**64 - 1, (3, 8))):
+        want = dump(per_trial_campaign(500, seed, n_range, 10**6))
+        for chunk in (7, 10**6):
+            monkeypatch.setattr(cli, "_FALSIFY_VALUES", CHUNK_VALUES[chunk])
+            assert dump(falsify_campaign(500, seed, n_range)) == want
+    assert 0 < len(taken) <= 2 * 2 * 500 and (len(taken) < 2000) == (words > 2)
+    bases = tuple(SetFn(n, [n if k == n % (1 << n) else None for k in range(1 << n)])
+                  for n in (1, 2, 3)) + cli._falsify_bases()[:2]
+    monkeypatch.setattr(cli, "_falsify_bases", lambda: bases)
+    emptied = []
+    want = dump(per_trial_campaign(400, 9, (1, 5), 10**6, bases, emptied))
+    assert dump(falsify_campaign(400, 9, (1, 5))) == want
+    assert len(emptied) >= 5
+
+
+def test_campaign_reseeds_only_random_tables_and_the_scalar_path(monkeypatch):
+    """In a default campaign of 2,000 trials the C generator is seeded once
+    for each random table (its sub-seed) and two or three times for each
+    trial past the words: at most trials / 2 + 2% seeds, against two or
+    three a trial when every generator was seeded in C."""
+    seeds = []
+
+    class Seeding(_random.Random):
+        def seed(self, s):
+            seeds.append(s)
+            super().seed(s)
+    monkeypatch.setattr(cli, "_random", type("C", (), {"Random": Seeding}))
+    taken = spy_scalar(monkeypatch)
+    trials = 2000
+    assert dump(falsify_campaign(trials, 0)) == dump(per_trial_campaign(trials, 0))
+    scalar = set(taken)
+    table_trials = sum(t % 2 == 0 and t not in scalar for t in range(trials))
+    assert scalar <= set(seeds)  # a trial past the words is seeded t = 0 ^ t first
+    assert 2 * len(scalar) <= len(seeds) - table_trials <= 3 * len(scalar)
+    assert len(seeds) <= trials // 2 + trials // 50

@@ -1,6 +1,7 @@
 """Metamorphic relations of the exchange suites: transforms of f that keep
 M-natural-concavity and every fact of the proof keep the verdicts of
-``exc_single``, ``m_concave_lift`` and ``lemmas_2_8``.
+``exc_single``, ``m_concave_lift`` and ``lemmas_2_8``, and of both
+multiple-exchange suites and ``corollary1``.
 
 The transforms are a permutation of the ground set, an added constant,
 an integer modular tilt f(Z) + p(Z), scaling by an integer c > 0, and
@@ -154,6 +155,70 @@ def test_permutation_keeps_the_verdicts_and_maps_the_counterexample(cases):
             c = want["lemmas_2_8"].counterexample
             assert c["reason"] == "single-exchange precondition fails"
             assert fails_single(g, c["detail"], perm, n)
+
+
+MULTI_SUITES = ("exc_multi_bounded", "exc_multi_unbounded", "corollary1")
+
+
+def multi_reports(f):
+    """{suite: report} of f on the multiple-exchange suites and corollary1."""
+    for cached in (cli._sweeps, cli._single_report, cli._multi_reports):
+        cached.cache_clear()
+    return {s: cli._INSTANCE_SUITES[s]("t", f, SuiteConfig(), 0) for s in MULTI_SUITES}
+
+
+@pytest.fixture(scope="module")
+def multi_cases():
+    """(f, its multiple-exchange reports) for every table, with PASS and
+    FAIL on every suite."""
+    out = [(f, multi_reports(f)) for f in tables()]
+    for s in MULTI_SUITES:
+        assert {r[s].verdict for _, r in out} == {"PASS", "FAIL"}, s
+    return out
+
+
+def kept(report):
+    return report.verdict, report.regime, report.triples_checked
+
+
+def fails_multi(g, suite, c, perm, n):
+    """The counterexample c of a multiple-exchange suite (corollary1's, the
+    single-exchange failure its three verdicts agree on), mapped through the
+    permutation, fails on g."""
+    if suite == "corollary1":
+        assert c["agreement"] and c["verdicts"] == ["FAIL"] * 3
+        return fails_single(g, c["detail"], perm, n)
+    X, Y, I = (mapped(c[key], perm, n) for key in "XYI")
+    return find_multi_exchange(g, X, Y, I, suite == "exc_multi_bounded") is None
+
+
+def test_multiple_exchange_keeps_its_reports_under_the_transforms(multi_cases):
+    """An added constant, an integer modular tilt and x3 keep each suite's
+    verdict, regime, triples_checked and counterexample (all but the values
+    shown); a permutation keeps the verdict and regime, the count on every
+    PASS (on a FAIL the first failure in lex order may move), and maps each
+    FAIL's counterexample to one that fails on the permuted table."""
+    rng = random.Random(13)
+    for f, want in multi_cases:
+        c, p = rng.randint(2, 5), [rng.randint(-6, 6) for _ in range(f.n)]
+        for name, g in (("constant", SetFn(f.n, [v if v is NEG_INF else v + c - 9
+                                                 for v in f.values])),
+                        ("tilt", tilted(f, p)),
+                        ("x3", SetFn(f.n, [v if v is NEG_INF else 3 * v for v in f.values]))):
+            got = multi_reports(g)
+            for s in MULTI_SUITES:
+                assert kept(got[s]) == kept(want[s]), (name, s, f.values)
+                assert without_values(got[s]) == without_values(want[s]), (name, s, f.values)
+        perm = list(range(f.n))
+        rng.shuffle(perm)
+        g = permuted(f, perm)
+        got = multi_reports(g)
+        for s in MULTI_SUITES:
+            assert kept(got[s])[:2] == kept(want[s])[:2], (s, perm, f.values)
+            if want[s].passed:
+                assert got[s].triples_checked == want[s].triples_checked, (s, perm, f.values)
+            else:
+                assert fails_multi(g, s, want[s].counterexample, perm, f.n), (s, perm, f.values)
 
 
 CLI_SUITES = ("exc_single", "exc_multi_bounded", "exc_multi_unbounded", "m_concave_lift",
