@@ -166,10 +166,24 @@ MUTANTS = [
             "tests/test_lift_on_f.py::test_random_tables_match_the_lift",
             "tests/test_grid_engine.py::test_unit_steps_decide_like_all_pairs")),
     Mutant("conjugate_float_tier_without_value_bound", "duality.py",
-           "if self.magnitude + top >= 1 << 53:",
-           "if top >= 1 << 53:",
+           "if self.magnitude + top < 1 << 53:",
+           "if top < 1 << 53:",
            ("tests/test_grid_engine.py::test_kernel_product_tiers_at_their_bounds",
             "tests/test_grid_engine.py::test_kernel_tiers_match_scalar_conjugates")),
+    Mutant("grid_suite_count_of_the_chosen_report", "cli.py",
+           "triples_checked=sum(r.triples_checked for r in reports)",
+           "triples_checked=first.triples_checked",
+           ("tests/test_golden.py::test_grid_report_bytes",
+            "tests/test_golden.py::test_box_grid_report_bytes",
+            "tests/test_golden.py::test_toggled_grid_report_bytes",
+            "tests/test_grid_engine.py::test_suite_with_more_caps_than_samples")),
+    Mutant("grid_suite_names_the_first_pass", "cli.py",
+           "next((r for r in reports if not r.passed), reports[0])",
+           "next((r for r in reports if r.passed), reports[0])",
+           ("tests/test_golden.py::test_grid_report_bytes",
+            "tests/test_golden.py::test_box_grid_report_bytes",
+            "tests/test_golden.py::test_toggled_grid_report_bytes",
+            "tests/test_grid_engine.py::test_suite_with_more_caps_than_samples")),
     Mutant("conjugate_int64_cast_on_every_tier", "duality.py",
            "return table.astype(np.int64) if table.dtype == np.float64 else table",
            "return table.astype(np.int64)",

@@ -11,11 +11,11 @@ each column is D times a conjugate at integer prices, and every
 inequality compares with ``<=``. The kernel is exact too, with S =
 max|D * f| + D*n*max|p|: float64 throughout while S < 2^53, on one
 rows x |dom| array (every value, partial sum and difference is an int
-that float64 holds), and only the rows x caps table cast to int64;
-int64 while S < 2^61 (a slack summing two conjugates cannot wrap), with
-the product in float64 (BLAS) while D*n*max|p| < 2^53; and Python ints
-(``dtype=object``) above. The Fenchel descent carries its own gains and
-has no float64 tier (below).
+that float64 holds), only the rows x caps table cast to int64 (the corpus
+and every benchmark workload); int64 while S < 2^61, where a slack of two
+conjugates cannot wrap (real tables read as decimals: thirds have D =
+10^16); and Python ints (``dtype=object``) above. The Fenchel descent
+carries its own gains and has no float64 tier (below).
 
 The box regime decides the three grid inequalities on unit squares and
 unit steps. On a product of chains a function is submodular iff every
@@ -170,10 +170,8 @@ class _Conjugates:
         top = self.n * self.scale * int(np.abs(P).max(initial=0))
         if self.fast is None or self.magnitude + top >= _INT64_SAFE:
             return np.array(self.vals, dtype=object) - P.astype(object) @ self.ind.astype(object)
-        if top < 1 << 53:  # every partial sum of P @ ind is an int that float64 holds
+        if self.magnitude + top < 1 << 53:  # every sum and difference is an int float64 holds
             gains = P.astype(np.float64) @ self.ind
-            if self.magnitude + top >= 1 << 53:  # a difference may not be: subtract in int64
-                gains = gains.astype(np.int64)
             return np.subtract(self.fast, gains, out=gains)
         return self.fast - P @ self.ind
 

@@ -37,7 +37,7 @@ Sampled triples are the ``random.Random(seed)`` draws, taken by
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -675,8 +675,7 @@ def check_m_concave(f, instance_id=""):
                    "sizes": sorted(sizes)}
         return failed_report("m_concave", instance_id, counter)
     # No X - i lies in an equi-cardinal domain, so the drop never attains.
-    return _sweep_report(f, "m_concave", instance_id,
-                         *_sweep_count(f, _exchange_sweep(f)[0]))
+    return replace(check_exc_single(f, instance_id), suite="m_concave")
 
 
 # ---------------------------------------------------------------------------

@@ -607,16 +607,16 @@ def _tier_table(mode, last):
 def _tier_edges(mode):
     """(table, top, tier) at and just past each bound of ``_Conjugates``,
     with S = max|D * f| + n * D * top for prices up to ``top``: float64
-    while S < 2^53 ("float"), a float64 product and int64 differences
-    while n * D * top < 2^53 ("float product"), int64 while S < 2^61,
-    Python ints above. 2^53 - 8 is a multiple of n * D (3, or 12 for
-    real), so the first two edges sit at S = 2^53 - 1 and S = 2^53; at the
-    third, the gain 9 + n * D * top of the full set at -top is odd and
-    past 2^53, where a float64 difference would round."""
+    while S < 2^53 ("float"), int64 while S < 2^61, Python ints above.
+    2^53 - 8 is a multiple of n * D (3, or 12 for real), so the first two
+    edges sit at S = 2^53 - 1 and S = 2^53; at the third, the gain
+    9 + n * D * top of the full set at -top is odd and past 2^53, where a
+    float64 difference would round, and at the fourth n * D * top passes
+    2^53, where a float64 product would."""
     unit = 3 * (1 if mode == "int" else 4)
     return [(_tier_table(mode, 7), (2**53 - 8) // unit, "float"),
-            (_tier_table(mode, 8), (2**53 - 8) // unit, "float product"),
-            (_tier_table(mode, 9), (2**53 - 1) // unit, "float product"),
+            (_tier_table(mode, 8), (2**53 - 8) // unit, "int64"),
+            (_tier_table(mode, 9), (2**53 - 1) // unit, "int64"),
             (_tier_table(mode, 9), -(-(2**53) // unit), "int64"),
             (_tier_table(mode, 9), (2**61 - 1 - 9) // unit, "int64"),
             (_tier_table(mode, 9), (2**61 - 9) // unit + 1, "object")]
@@ -629,9 +629,9 @@ def _tier_rows(top):
 @pytest.mark.parametrize("mode", ["int", "real"])
 def test_kernel_product_tiers_at_their_bounds(mode):
     """``_Conjugates._gains`` at each edge of ``_tier_edges`` against the
-    exact gains: float64 in the float tier, int64 in the float-product
-    and int64 tiers, Python ints above. Prices that note each dtype they
-    are cast to show which product ran."""
+    exact gains: float64 in the float tier, int64 in the int64 tier,
+    Python ints above. Prices that note each dtype they are cast to show
+    which product ran."""
     edges = _tier_edges(mode)
     assert [f.exact[-1] + 3 * f.scale * top for f, top, _ in edges[:2]] == [2**53 - 1, 2**53]
     for f, top, tier in edges:
@@ -643,7 +643,7 @@ def test_kernel_product_tiers_at_their_bounds(mode):
         got = conj._gains(P)
         assert got.tolist() == want, tier
         assert got.dtype == {"float": np.float64, "object": object}.get(tier, np.int64), tier
-        assert (np.dtype(np.float64) in P.seen) == tier.startswith("float"), tier
+        assert (np.dtype(np.float64) in P.seen) == (tier == "float"), tier
 
 
 @pytest.mark.parametrize("mode", ["int", "real"])
@@ -662,6 +662,27 @@ def test_kernel_tiers_match_scalar_conjugates(mode):
             assert got == [f.scale * exact_conjugate(restrict_by_size(f, k), p)
                            for k in _feasible_caps(f)], tier
     assert max(table[0]) >= 2**63  # the last table's, at (-2^62)^3
+
+
+def test_real_thirds_take_the_int64_product_at_box_prices():
+    """A corpus table read as thirds is a real table of 16-digit decimals,
+    D = 10^16, so max|D * f| alone passes 2^53: at the prices of the
+    default box ``_Conjugates`` takes the int64 product, with no float64
+    cast of the prices, and every column equals the scalar conjugate of its
+    size cap at every point. Such tables are what keeps the int64 tier."""
+    f = _as_real({c.instance_id: c.fn for c in default_corpus()}["n4_laminar"])
+    conj = _Conjugates(f)
+    assert f.scale == 10**16 and conj.magnitude >= 2**53
+    pts = _box_points(f.n, -3, 3)
+    P = pts.view(_NotedCasts)
+    P.seen = []
+    assert conj._gains(P).dtype == np.int64 and np.dtype(np.float64) not in P.seen
+    table = conj(pts)
+    assert table.dtype == np.int64 and len(table) == 7**4
+    caps = list(_feasible_caps(f))
+    for got, entries in zip(table.tolist(), pts.tolist()):
+        p = PriceVector(tuple(entries))
+        assert got == [f.scale * exact_conjugate(restrict_by_size(f, k), p) for k in caps]
 
 
 def test_float_tier_keeps_one_gains_temporary():

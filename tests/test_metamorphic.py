@@ -11,6 +11,9 @@ value transforms keep every comparison of every sweep, so the reports
 keep their counterexamples and counts too, all but the values shown. A
 report's counterexample, mapped through a permutation, violates the
 permuted table. The CLI keeps these relations on instance files.
+
+One relation is one-sided: a PASS on f is a PASS on each interval minor
+g(Z) = f(A u Z) on B \\ A, for |A| <= 1 and |B| >= n - 1.
 """
 
 import json
@@ -36,11 +39,11 @@ from mconcave.families import random_mnat_concave
 SUITES = ("exc_single", "m_concave_lift", "lemmas_2_8")
 
 
-def reports(f):
-    """{suite: report} of f on the three suites."""
-    cli._sweeps.cache_clear()
-    cli._single_report.cache_clear()
-    return {s: cli._INSTANCE_SUITES[s]("t", f, SuiteConfig(), 0) for s in SUITES}
+def reports(f, suites=SUITES):
+    """{suite: report} of f on ``suites``, from cleared caches."""
+    for cached in (cli._sweeps, cli._single_report, cli._multi_reports):
+        cached.cache_clear()
+    return {s: cli._INSTANCE_SUITES[s]("t", f, SuiteConfig(), 0) for s in suites}
 
 
 def permuted(f, perm):
@@ -162,9 +165,7 @@ MULTI_SUITES = ("exc_multi_bounded", "exc_multi_unbounded", "corollary1")
 
 def multi_reports(f):
     """{suite: report} of f on the multiple-exchange suites and corollary1."""
-    for cached in (cli._sweeps, cli._single_report, cli._multi_reports):
-        cached.cache_clear()
-    return {s: cli._INSTANCE_SUITES[s]("t", f, SuiteConfig(), 0) for s in MULTI_SUITES}
+    return reports(f, MULTI_SUITES)
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +278,36 @@ def test_check_keeps_its_verdicts_on_a_transformed_instance_file(tmp_path, capsy
                 assert fails_on(g, s, want[s]["counterexample"], perm, n), s
                 assert fails_on(f, s, got[s]["counterexample"], inverse, n), s
     assert regimes == {"exhaustive", "sampled"}
+
+
+def interval_minor(f, a, b):
+    """g(Z) = f(A u Z) on the ground set B \\ A, A inside B given as
+    bitmasks, its elements renumbered in ascending order."""
+    rest = [e for e in range(f.n) if (b & ~a) >> e & 1]
+    return SetFn(len(rest), [f.values[a | sum(1 << e for k, e in enumerate(rest) if z >> k & 1)]
+                             for z in range(1 << len(rest))])
+
+
+def test_one_sided_interval_minors_keep_a_pass():
+    """Wherever f PASSes a suite, each minor g(Z) = f(A u Z) on B \\ A with
+    A inside B, |A| <= 1 and |B| >= n - 1 PASSes it too: a triple of g,
+    with its moves, is the triple (A u X, A u Y) of f with the same moves.
+    On every corpus table with n <= 5 and two ``mutate``d copies of each."""
+    corpus = [c.fn for c in default_corpus() if c.fn.n <= 5]
+    minors = dict.fromkeys(CLI_SUITES, 0)
+    for k, f in enumerate(corpus):
+        for h in [f] + [mutate(f, 5 * k + s, 1 + s, toggle_neg_inf=s == 1) for s in range(2)]:
+            passing = [s for s, r in reports(h, CLI_SUITES).items() if r.passed]
+            if not passing:
+                continue
+            full = (1 << h.n) - 1
+            for b in [full] + [full & ~(1 << e) for e in range(h.n)]:
+                for a in [0] + [1 << e for e in range(h.n) if b >> e & 1]:
+                    g = interval_minor(h, a, b)
+                    if not g.dom_masks:
+                        continue
+                    got = reports(g, CLI_SUITES)
+                    for s in passing:
+                        assert got[s].passed, (s, a, b, h.values)
+                        minors[s] += 1
+    assert all(minors.values()), minors
