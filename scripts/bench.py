@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""A layer profile of the checkout: per suite and n in-process, and the
+default CLI commands in fresh processes, written as one JSON file.
+
+Suites run on the built-in corpus with the default ``SuiteConfig``,
+each instance with the per-table caches (those of one entry) cleared
+first, so that every suite pays for its own sweep and value table. A
+suite's time at n is the sum over the corpus instances with that n
+(``fenchel``: the same-n pairs among them). The commands are
+``mconcave check``, ``mconcave check --jobs 2`` and ``mconcave falsify``
+with their defaults; each run records the sha256 of its output. Every
+number is over k runs: median, min, max and interquartile range, in
+seconds. The host (CPU count, Python and numpy versions, commit and
+whether the tree has uncommitted changes) and the load average before
+and after go in too: on a shared machine the spread is part of the
+measurement.
+
+Usage:
+    python3 scripts/bench.py --out BENCH.json [-k 5] [--suites S,...]
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from mconcave import cli, default_corpus, duality, exchange, moves  # noqa: E402
+
+COMMANDS = {
+    "check": ["check"],
+    "check_jobs2": ["check", "--jobs", "2"],
+    "falsify": ["falsify"],
+}
+
+
+def spread(times):
+    """median, min, max and interquartile range of ``times`` (seconds)."""
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else (times[0],) * 3
+    return {"median_s": statistics.median(times), "min_s": min(times), "max_s": max(times),
+            "iqr_s": q3 - q1, "runs": len(times)}
+
+
+def clear_table_caches():
+    """Empty every cache of one entry: those that hold the last table's
+    sweeps, reports and value table. Caches of static tables stay."""
+    for module in (cli, duality, exchange, moves):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.cache_info().maxsize == 1:
+                value.cache_clear()
+
+
+def time_suite(suite, group, cfg):
+    """Seconds of one run of ``suite`` over ``group``, (index, id, f)
+    triples of the corpus, each seeded as ``mconcave check`` seeds it."""
+    if suite == "fenchel":
+        clear_table_caches()
+        start = time.perf_counter()
+        cli.run_fenchel_pairs([(iid, f) for _, iid, f in group], cfg)
+        return time.perf_counter() - start
+    total = 0.0
+    for index, iid, f in group:
+        clear_table_caches()
+        start = time.perf_counter()
+        cli._INSTANCE_SUITES[suite](iid, f, cfg, (cfg.seed ^ index) & cli.MASK64)
+        total += time.perf_counter() - start
+    return total
+
+
+def suite_profile(suites, k):
+    cfg = cli.SuiteConfig()
+    by_n = defaultdict(list)
+    for index, inst in enumerate(default_corpus()):
+        by_n[inst.fn.n].append((index, inst.instance_id, inst.fn))
+    out = {}
+    for suite in suites:
+        out[suite] = {}
+        for n, group in sorted(by_n.items()):
+            if suite == "fenchel" and n > cli.FENCHEL_PAIR_N_LIMIT:
+                continue
+            times = [time_suite(suite, group, cfg) for _ in range(k)]
+            out[suite][str(n)] = {**spread(times), "instances": len(group)}
+    return out
+
+
+def command_profile(k):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = {}
+    for name, args in COMMANDS.items():
+        argv = [sys.executable, "-m", "mconcave", *args]
+        times, digests = [], set()
+        for _ in range(k):
+            start = time.perf_counter()
+            done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=True)
+            times.append(time.perf_counter() - start)
+            digests.add(hashlib.sha256(done.stdout).hexdigest())
+        out[name] = {**spread(times), "args": args, "sha256": sorted(digests)}
+    return out
+
+
+def git(*args):
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
+def host():
+    status = git("status", "--porcelain")
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "machine": platform.machine(),
+            "commit": git("rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status)}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="the JSON file to write")
+    ap.add_argument("-k", type=int, default=5, help="runs per number")
+    ap.add_argument("--suites", default=",".join(cli.ALL_SUITES),
+                    help="comma-separated suites (default: all)")
+    args = ap.parse_args(argv)
+    suites = args.suites.split(",")
+    unknown = sorted(set(suites) - set(cli.ALL_SUITES))
+    if unknown or args.k < 1:
+        ap.error(f"unknown suites {unknown}" if unknown else "-k must be at least 1")
+    load = [os.getloadavg()[0]]
+    record = {"schema": 1, "host": host(), "k": args.k,
+              "suites": suite_profile(suites, args.k), "commands": command_profile(args.k)}
+    load.append(os.getloadavg()[0])
+    record["host"]["load_1min"] = load
+    Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -93,15 +93,15 @@ MUTANTS = [
             "tests/test_multi_batched.py::test_lemma_facts_match_the_loop",
             "tests/test_golden.py::test_exchange_report_bytes")),
     Mutant("facts_given_the_drop", "exchange.py",
-           "else kx[:, blk, None] > ky)",
-           "else (a0[:, blk, None] <= b0[:, None, :]) | (kx[:, blk, None] > ky))",
+           "if k == 0 else kx[:, blk, None] > ky",
+           "if k == 0 else (a[n] <= b[n]) | (kx[:, blk, None] > ky)",
            ("tests/test_lift_on_f.py::test_shared_rules_hold_pair_by_pair",
             "tests/test_lift_on_f.py::test_partial_rule_chunks_match_the_lift",
             "tests/test_lift_on_f.py::"
             "test_each_lift_rule_holds_on_a_pair_where_its_lifted_element_does")),
     Mutant("sweep_comparison_strict", "exchange.py",
-           "ok = (a[act, :, blk, None] <= b[act, :, None, :]).any(axis=0)",
-           "ok = (a[act, :, blk, None] < b[act, :, None, :]).any(axis=0)",
+           "ok |= a[j] <= b[j]",
+           "ok |= a[j] < b[j]",
            ("tests/test_sweep_batched.py::test_random_tables",
             "tests/test_sweep_batched.py::test_partial_rule_chunks",
             "tests/test_lift_on_f.py::test_shared_sweep_is_the_two_sweeps",
@@ -124,33 +124,54 @@ MUTANTS = [
             "tests/test_lift_on_f.py::test_partial_rule_chunks_match_the_lift")),
     # Only a chunk of several rules compares a rule where it does not apply.
     Mutant("sweep_rule_compared_where_it_does_not_apply", "exchange.py",
-           "a = np.where(xin, fv[rows] - np.where(xr & js == 0, at((xr ^ out) | js), neg), low)",
-           "a = fv[rows] - np.where(xr & js == 0, at((xr ^ out) | js), neg)",
+           "a = np.where(xin[:, blk], fv[rows[blk]] - moved, low)[..., None]",
+           "a = (fv[rows[blk]] - moved)[..., None]",
            ("tests/test_lift_on_f.py::test_random_tables_match_the_lift",
             "tests/test_lift_on_f.py::test_shared_sweep_is_the_two_sweeps",
             "tests/test_lift_on_f.py::test_partial_rule_chunks_match_the_lift",
             "tests/test_multi_batched.py::test_lemma_facts_match_the_loop",
             "tests/test_golden.py::test_lift_and_lemmas_report_bytes")),
-    # A rule alone compares the moves that every row of a block holds, and
-    # only those.
+    # A block compares the moves that all its rows hold, and only those.
     Mutant("sweep_block_moves_inverted", "exchange.py",
-           "held[r0 // step] & js[:, 0, 0] == 0",
-           "held[r0 // step] & js[:, 0, 0] != 0",
+           "if not held[r0 // step] >> j & 1",
+           "if held[r0 // step] >> j & 1",
            ("tests/test_sweep_batched.py::test_failures_past_the_first_block",
             "tests/test_sweep_batched.py::test_mutated_corpus_raw_and_lifted",
             "tests/test_lift_on_f.py::test_full_domain_n12_gets_a_verdict_without_the_lift")),
-    # The bounded bests of every triple as the unbounded ones. (Re-searching
-    # more triples, > as >=, gives the same bests, so no test can kill it.)
+    # A block whose rows hold every move (the full set alone) compares
+    # none, so a rule that does not apply there fails.
+    Mutant("sweep_all_held_compares_no_move", "exchange.py",
+           "if not held[r0 // step] >> j & 1] or range(n):",
+           "if not held[r0 // step] >> j & 1]:",
+           ("tests/test_sweep_batched.py::test_multi_rule_chunks_skip_the_moves_a_block_holds",)),
+    # The bounded picks of every block as the unbounded ones. (Deciding
+    # more rows again, > as >=, gives the same picks, so no test can kill it.)
     Mutant("multi_bounded_search_skipped", "moves.py",
-           "redo = np.flatnonzero(free[1] > np.bitwise_count(im))",
-           "redo = np.flatnonzero(free[1] < 0)",
+           "past = np.flatnonzero(size[free[1]] > k)",
+           "past = np.flatnonzero(size[free[1]] < 0)",
            ("tests/test_multi_batched.py::test_random_tables",
             "tests/test_multi_batched.py::test_corpus_passes",
             "tests/test_multi_batched.py::test_multi_best_matches_the_scalar_search",
             "tests/test_multi_batched.py::"
-            "test_bounded_search_reads_only_the_triples_past_the_bound",
+            "test_bounded_pick_is_decided_again_only_past_the_bound",
             "tests/test_multi_batched.py::test_bounds_fail_at_different_triples",
             "tests/test_golden.py::test_exhaustive_multi_report_bytes")),
+    # The bounded pick of a block without its moves of |J| = |I|.
+    Mutant("multi_in_block_bound_strict", "moves.py",
+           "size <= k[past, None]",
+           "size < k[past, None]",
+           ("tests/test_multi_batched.py::test_random_tables",
+            "tests/test_multi_batched.py::test_multi_best_matches_the_scalar_search",
+            "tests/test_multi_batched.py::"
+            "test_bounded_pick_is_decided_again_only_past_the_bound",
+            "tests/test_golden.py::test_exhaustive_multi_report_bytes")),
+    # Every block of rows compares the moves of the first block's rows.
+    Mutant("sweep_block_reads_first_block_masks", "exchange.py",
+           "xs = dm[rows[blk]]",
+           "xs = dm[rows[:step]]",
+           ("tests/test_sweep_batched.py::test_failures_past_the_first_block",
+            "tests/test_lift_on_f.py::test_shared_sweep_is_the_two_sweeps",
+            "tests/test_lift_on_f.py::test_full_domain_n12_gets_a_verdict_without_the_lift")),
     Mutant("sweep_count_pad_sets_unshifted", "exchange.py",
            "[0] + [math.comb(t - 1, k) for k in range(t)]",
            "[0] + [math.comb(t, k) for k in range(t)]",

@@ -180,16 +180,17 @@ def _exchange_sweep(f, order=None):
     Rule r < n has X give up element bit r where Y does not hold it, rule
     n (the augment X + j, Y - j) nothing; move j in Y \\ X attains where
     f(X) + f(Y) <= f(X-r+j) + f(Y+r-j). The single verdict holds rule
-    r < n where a move or the drop f(X-r) + f(Y+r) attains; the facts
-    verdict, the swap and augment facts of ``lemmas_2_8``, holds rule r
-    where a move attains or |X| + [r = n] > |Y|. A move's sides depend on
-    X and on Y through one vector each, so the rules are decided as one
-    outer comparison, n + 3 bools per (rule, X, Y), in chunks of as many
-    rules as fit _BATCH_BYTES, else of one rule on the rows and columns it
-    applies to, and in blocks of rows; rows past the first failure so far
-    of every verdict are skipped. Where a rule does not apply, its X side
-    is ``low``, below every compared side (``moves.encoding``), or its Y
-    side -low, above every one: it holds there.
+    r < n where a move or the drop, the move of nothing, attains; the
+    facts verdict, the swap and augment facts of ``lemmas_2_8``, holds
+    rule r where a move attains or |X| + [r = n] > |Y|. A move's sides
+    depend on X and on Y through one vector each: the Y sides are built
+    once per chunk of as many rules as fit _BATCH_BYTES at n + 3 bools per
+    (rule, X, Y), else of one rule on the rows and columns it applies to,
+    and the X sides per block of rows, compared one move at a time, so
+    that one sweep stays within twice the budget. Rows past the first
+    failure so far of every verdict are skipped. Where a rule does not
+    apply, its X side is ``low``, below every compared side
+    (``moves.encoding``), or its Y side -low, above every one: it holds.
     """
     n = f.n
     at, neg = value_table(f, _BATCH_BYTES)
@@ -200,34 +201,43 @@ def _exchange_sweep(f, order=None):
     size = np.bitwise_count(dm)
     low = np.array(5 * int(neg) // 4 - 1, dtype=neg.dtype)
     width = max(1, _BATCH_BYTES // ((n + 3) * len(dm) ** 2))
+    js = np.append(np.left_shift(1, np.arange(n, dtype=np.int64)), 0)[:, None, None]  # drop: 0
     best = [None, None]
     for c0 in range(0, n + 1, width):
         rule = np.arange(c0, min(c0 + width, n + 1))
-        # A rule alone goes without its move j = r, which never attains.
-        js = np.array([1 << j for j in range(n) if width > 1 or j != c0], np.int64)[:, None, None]
         out = np.where(rule < n, np.left_shift(1, rule), 0)[:, None]
         xin, yout = dm & out == out, dm & out == 0  # where each rule applies
         live = [0, 1] if c0 < n else [1]  # the augment is the facts' alone
         rows, cols = np.flatnonzero(xin.any(axis=0)), np.flatnonzero(yout.any(axis=0))
         if all(best[k] is not None for k in live):
             rows = rows[rows <= max(best[k][0] for k in live)]
-        xr, yc, xin, yout = dm[rows], dm[cols], xin[:, rows], yout[:, cols]
-        # f(X) - a <= b - f(Y), which fails wherever a or b is neg.
-        a = np.where(xin, fv[rows] - np.where(xr & js == 0, at((xr ^ out) | js), neg), low)
-        b = np.where(yout, np.where(yc & js == js, at((yc | out) ^ js), neg) - fv[cols], -low)
-        a0 = np.where(xin & (rule < n)[:, None], fv[rows] - at(xr ^ out), low)
-        b0 = np.where(yout, at(yc | out) - fv[cols], -low)
+        xin, yout = xin[:, rows], yout[:, cols]
+        # f(X) - a <= b - f(Y), which fails wherever a or b is neg. The Y
+        # sides go in groups of moves, their int64 masks in a quarter budget.
+        b = np.empty((n + 1, len(rule), 1, len(cols)), dtype=neg.dtype)
+        group = max(1, _BATCH_BYTES // (128 * len(rule) * max(1, len(cols))))
+        for j0 in range(0, n + 1, group):
+            jb = js[j0:j0 + group]
+            b[j0:j0 + group, :, 0] = np.where(yout, np.where(dm[cols] & jb == jb,
+                                                             at((dm[cols] | out) ^ jb), neg)
+                                              - fv[cols], -low)
         kx, ky = size[rows] + (rule == n)[:, None], size[cols]
-        step = max(1, _BATCH_BYTES // (len(rule) * (len(js) + 3) * max(1, len(cols))))
-        # No row holding j attains move j: a rule alone skips what a block holds.
-        held = np.bitwise_and.reduceat(xr, np.arange(0, len(rows), step))
+        # A block takes four bools per (rule, X, Y). No row holding j attains
+        # move j, so it compares the moves not all its rows hold; the full
+        # set alone compares all, as a rule holds where it does not apply.
+        step = max(1, _BATCH_BYTES // (len(rule) * 4 * max(1, len(cols))))
+        held = np.bitwise_and.reduceat(dm[rows], np.arange(0, len(rows), step)).tolist()
         for r0 in range(0, len(rows), step):
             blk = slice(r0, r0 + step)
-            act = held[r0 // step] & js[:, 0, 0] == 0 if width == 1 else slice(None)
-            ok = (a[act, :, blk, None] <= b[act, :, None, :]).any(axis=0)
+            xs = dm[rows[blk]]
+            moved = np.where(xs & js == 0, at((xs ^ out) | js), neg)
+            a = np.where(xin[:, blk], fv[rows[blk]] - moved, low)[..., None]
+            ok = np.zeros((len(rule), len(xs), len(cols)), dtype=bool)
+            for j in [j for j in range(n) if not held[r0 // step] >> j & 1] or range(n):
+                ok |= a[j] <= b[j]
             for k in list(live):
-                holds = ok | (a0[:, blk, None] <= b0[:, None, :] if k == 0
-                              else kx[:, blk, None] > ky)
+                holds = a[n] <= b[n] if k == 0 else kx[:, blk, None] > ky
+                holds |= ok
                 if not holds.all():
                     bad = holds.transpose(1, 2, 0)  # lex order (x, y, rule)
                     x, y, q = np.unravel_index(np.argmin(bad), bad.shape)

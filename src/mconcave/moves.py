@@ -7,10 +7,10 @@ it in a term fails; ``encoding`` also picks the narrowest exact dtype
 (int16, int32, int64, then Python ints), for ``value_table`` and the
 campaign's decider alike.
 
-``exchange`` decides the multiple exchange from one gather of f((X\\I) | J)
-+ f((Y\\J) | I), and again with the bound where a best J outgrows I. Where
-its interval table of ``lemmas_2_8``'s restriction facts does not fit
-(n > 12), it reads them from the same moves, where J = {} leaves them open.
+``exchange`` decides the multiple exchange, both bounds, from one gather
+of f((X\\I) | J) + f((Y\\J) | I). Where its interval table of
+``lemmas_2_8``'s restriction facts does not fit (n > 12), it reads them
+from the same moves, where J = {} leaves them open.
 With the identity as the table, ``moves`` gives the masks (X\\I) | J
 and (Y\\J) | I themselves: the falsification campaign's decider gathers
 them once per n over the full cube and reads many value rows through
@@ -168,26 +168,28 @@ def multi_best(at, neg, xm, ym, im, budget):
     unbounded), where best is the maximum of f((X\\I) | J) + f((Y\\J) | I)
     over J inside Y \\ X (with |J| <= |I| when bounded) and size the
     smallest |J| attaining it, which is the size ``_best_multi`` reports.
-    Moves come by size, so the bounded best is the unbounded one where its
-    |J| is at most |I|; only the other triples are searched again."""
-    free = _best(at, neg, xm, ym, im, budget, False)
-    redo = np.flatnonzero(free[1] > np.bitwise_count(im))
-    bounded = tuple(a.copy() for a in free)
-    for out, part in zip(bounded, _best(at, neg, xm[redo], ym[redo], im[redo], budget, True)):
-        out[redo] = part
-    return [bounded, free]
-
-
-def _best(at, neg, xm, ym, im, budget, bounded):
-    """``multi_best``'s (best, size) of one bound."""
-    best, at_size = np.full(len(xm), neg), np.zeros(len(xm), dtype=np.int64)
+    One pass of ``moves`` gives both: a block's bounded pick is its
+    unbounded one but in the rows where that has |J| > |I|, picked again
+    from the same sums with the moves past |I| masked. A pick joins its
+    best where it beats it, and moves come by size."""
+    bests = [(np.full(len(xm), neg), np.zeros(len(xm), dtype=np.int64)) for _ in range(2)]
     for rows, a, b, size, k in moves(at, xm, ym, im, budget):
-        s = np.where(size <= k[:, None], a + b, neg) if bounded else a + b
-        pick = s.argmax(axis=1)
-        top = s[np.arange(len(rows)), pick]
-        up = top > best[rows]
-        best[rows[up]], at_size[rows[up]] = top[up], size[pick[up]]
-    return best, at_size
+        s = a + b
+        free = bound = _top(s)
+        past = np.flatnonzero(size[free[1]] > k)
+        if len(past):
+            bound = [v.copy() for v in free]
+            bound[0][past], bound[1][past] = _top(np.where(size <= k[past, None], s[past], neg))
+        for (best, at_size), (top, pick) in zip(bests, (bound, free)):
+            up = top > best[rows]
+            best[rows[up]], at_size[rows[up]] = top[up], size[pick[up]]
+    return bests
+
+
+def _top(s):
+    """The maximum of each row of s and its first position."""
+    pick = s.argmax(axis=1)
+    return s[np.arange(len(s)), pick], pick
 
 
 def restriction_sides(at, neg, xm, ym, im, budget):

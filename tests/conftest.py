@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from mconcave import default_corpus, matroid_rank_fn, uniform_matroid
+
+# The property tests draw the same examples on every run; each test keeps
+# its own max_examples and deadline.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(scope="session")

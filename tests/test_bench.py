@@ -1,0 +1,56 @@
+"""``scripts/bench.py``: the schema of the profile it writes, on one
+suite and one run, and its independence from the benchmark's code."""
+
+import ast
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench.py"
+STATS = {"median_s", "min_s", "max_s", "iqr_s", "runs"}
+
+
+def assert_stats(entry):
+    assert STATS <= set(entry)
+    assert entry["runs"] == 1 and entry["iqr_s"] == 0
+    assert 0 < entry["min_s"] <= entry["median_s"] <= entry["max_s"]
+
+
+def test_one_suite_one_run_writes_the_schema(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(SCRIPT), "--out", str(out), "--suites", "exc_single",
+                    "-k", "1"], cwd=tmp_path, check=True, capture_output=True)
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert set(record) == {"schema", "host", "k", "suites", "commands"}
+    assert record["schema"] == 1 and record["k"] == 1
+    host = record["host"]
+    assert set(host) == {"cpu_count", "python", "numpy", "machine", "commit", "dirty",
+                         "load_1min"}
+    assert host["cpu_count"] >= 1 and len(host["load_1min"]) == 2
+    # Outside a git checkout both are null.
+    assert host["commit"] is None or re.fullmatch(r"[0-9a-f]{40}", host["commit"])
+    assert host["dirty"] in (None, True, False)
+    assert list(record["suites"]) == ["exc_single"]
+    by_n = record["suites"]["exc_single"]
+    assert sorted(by_n, key=int) == [str(n) for n in range(3, 9)]
+    assert sum(entry["instances"] for entry in by_n.values()) == 36
+    for entry in by_n.values():
+        assert_stats(entry)
+    commands = record["commands"]
+    assert set(commands) == {"check", "check_jobs2", "falsify"}
+    for entry in commands.values():
+        assert_stats(entry)
+        assert len(entry["sha256"]) == 1 and re.fullmatch(r"[0-9a-f]{64}", entry["sha256"][0])
+    assert commands["check"]["sha256"] == commands["check_jobs2"]["sha256"]
+    assert commands["check_jobs2"]["args"] == ["check", "--jobs", "2"]
+
+
+def test_imports_nothing_from_the_benchmark():
+    tree = ast.parse(SCRIPT.read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert names and not [name for name in names if name.split(".")[0] == "perfbench"]

@@ -363,25 +363,38 @@ def test_multi_best_matches_the_scalar_search(budget):
     assert redone and infinite
 
 
-def test_bounded_search_reads_only_the_triples_past_the_bound(by_id, monkeypatch):
-    """``multi_best`` searches the bounded moves again only for the triples
-    whose unbounded best has its smallest |J| above |I|: on the corpus
-    there are some, and few."""
-    calls = []
-    real = moves._best
+def test_bounded_pick_is_decided_again_only_past_the_bound(by_id, monkeypatch):
+    """In each block of ``multi_best``'s one pass, the bounded pick is
+    decided again only in the rows whose unbounded pick has |J| > |I|, on
+    the same sums with the moves past |I| at ``neg``, and not at all in a
+    block without such rows: on the corpus there are some, and under a
+    tenth of the rows."""
+    blocks, tops, negs = [], [], []
+    real_moves, real_top = moves.moves, moves._top
 
-    def spy(at, neg, xm, ym, im, budget, bounded):
-        out = real(at, neg, xm, ym, im, budget, bounded)
-        calls.append((bounded, (xm, ym, im), out[1]))
-        return out
-    monkeypatch.setattr(moves, "_best", spy)
+    def spy_moves(*args):
+        for block in real_moves(*args):
+            blocks.append((block, len(tops)))  # the block and its first pick
+            yield block
+
+    def spy_top(s):
+        top, pick = real_top(s)
+        tops.append((s, pick))
+        return top, pick
+    monkeypatch.setattr(moves, "moves", spy_moves)
+    monkeypatch.setattr(moves, "_top", spy_top)
     for f in by_id.values():
+        start = len(blocks)
         exc_multi_reports(f)
-    assert [bounded for bounded, *_ in calls] == [False, True] * (len(calls) // 2)
+        negs += [moves.value_table(f, exchange._BATCH_BYTES)[1]] * (len(blocks) - start)
+    ends = [first for _, first in blocks[1:]] + [len(tops)]
     total = redone = 0
-    for (_, triples, size), (_, again, _) in zip(calls[::2], calls[1::2]):
-        past = size > np.bitwise_count(triples[2])
-        assert all(np.array_equal(a[past], b) for a, b in zip(triples, again))
+    for ((_, _, _, size, k), first), end, neg in zip(blocks, ends, negs):
+        (s, pick), *again = tops[first:end]
+        past = size[pick] > k
+        assert len(again) == past.any()
+        for masked, _ in again:
+            assert np.array_equal(masked, np.where(size <= k[past, None], s[past], neg))
         total += len(past)
         redone += int(past.sum())
     assert 0 < redone < total // 10

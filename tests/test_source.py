@@ -182,7 +182,8 @@ def test_numpy_floor_covers_the_functions_called():
 _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi_exchange",
             "attains", "ext_leq", "effective_domain", "_Replay", "_BULK_NEG", "_BULK_FLOOR",
             "_bulk_row", "_FALSIFY_CHUNK", "_needs_facts", "_single_count", "_rule_sweep",
-            "_single_sweep", "_lift_rules", "_exchange_rules", "_swap_rules", "_augment_rule"}
+            "_single_sweep", "_lift_rules", "_exchange_rules", "_swap_rules", "_augment_rule",
+            "_best"}
 
 # Class members that only their own tests read; by class, as short names
 # such as ``j`` or ``rank`` are also local variables.
@@ -209,7 +210,9 @@ def test_removed_names_are_defined_nowhere():
     triple count (one closed form counts it and the lift's), and the rule
     language of the exchange sweep, the functions that made its rules and
     its drop-free single sweep (one fixed sweep gives the single and the facts verdicts,
-    the lift is their AND, and no sweep leaves out the drop)."""
+    the lift is their AND, and no sweep leaves out the drop), and the
+    multiple exchange's second, bounded search (``moves.multi_best``
+    decides both bounds in one pass)."""
     bound = [f"{module}: {name} (line {node.lineno})" for module, tree in MODULES.items()
              for node in ast.walk(tree)
              for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,

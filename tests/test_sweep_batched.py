@@ -195,15 +195,53 @@ def test_partial_rule_chunks(by_id, monkeypatch):
     assert runs // 3 < fails < runs
 
 
+def held_move_tables(by_id):
+    """Tables on which every row block of a chunk holds a move: random and
+    ``mutate``d corpus tables (n = 3..6) and random M-natural-concave ones
+    (n = 2, 3) on their domain sets that hold the top element, and the
+    full set alone (n = 1..4), which holds every move."""
+    tables = [random_table(3 + s % 3, 90 + s, neg_inf_prob=0.1 * (s % 3)) for s in range(24)]
+    tables += [mutate(by_id[iid], s, 1 + s) for s in range(2)
+               for iid in ("n4_assignment", "n5_laminar", "n6_laminar")]
+    tables += [random_mnat_concave(2 + s % 2, s) for s in range(4)]
+    tops = [SetFn(f.n, [v if m >> (f.n - 1) & 1 else NEG_INF for m, v in enumerate(f.values)],
+                  f.mode) for f in tables]
+    fulls = [SetFn(n, [0 if m == (1 << n) - 1 else NEG_INF for m in range(1 << n)])
+             for n in range(1, 5)]
+    return [f for f in tops if f.dom_masks] + fulls
+
+
+def test_multi_rule_chunks_skip_the_moves_a_block_holds(by_id, monkeypatch):
+    """At budgets that put 2, n and all n + 1 rules in one chunk, whose
+    one row block holds a move, the single verdict gives the loop's
+    report with and without the drop, and on the full set alone, where
+    no rule applies to a pair, neither verdict fails."""
+    runs = fails = 0
+    for g in held_move_tables(by_id):
+        for drop in (True, False):
+            f = swept(g, drop)
+            assert np.bitwise_and.reduce(f.dom_masks) >> (f.n - 1) & 1
+            for width in sorted({2, f.n, f.n + 1}):
+                monkeypatch.setattr(exchange, "_BATCH_BYTES", chunk_budget(f, width))
+                want = loop_line(f, drop)
+                assert batched_line(f, drop) == want, (f.values, drop, width)
+                if len(f.dom_masks) == 1:
+                    assert exchange._exchange_sweep(f) == [None, None]
+                runs += 1
+                fails += '"FAIL"' in want
+    assert runs // 4 < fails < runs
+
+
 def test_sweep_memory_stays_under_two_budgets(by_id):
     """The tracemalloc peak of a sweep, value table included, is at most
     twice ``_BATCH_BYTES`` on every corpus instance, whose rules fit in
-    one chunk, and on the full-domain n = 12 table, swept a rule at a
-    time in blocks of rows."""
+    one chunk, and on the full-domain n = 12 and n = 13 tables
+    -(|Z| - 6)^2, swept a rule at a time in blocks of rows."""
     budget = exchange._BATCH_BYTES
-    f12 = SetFn(12, [-(m.bit_count() - 6) ** 2 for m in range(1 << 12)])
+    full = [(f"n{n}", SetFn(n, [-(m.bit_count() - 6) ** 2 for m in range(1 << n)]))
+            for n in (12, 13)]
     peaks = {}
-    for iid, f in [*by_id.items(), ("n12", f12)]:
+    for iid, f in [*by_id.items(), *full]:
         moves.value_table.cache_clear()
         best, peaks[iid] = traced_peak(lambda: exchange._exchange_sweep(f))
         assert best == [None, None]
