@@ -15,8 +15,14 @@ whether the tree has uncommitted changes) and the load average before
 and after go in too: on a shared machine the spread is part of the
 measurement.
 
+``--compare OLD NEW`` prints, for each suite at each n and each command
+in both profiles, the change of the median next to the larger of the
+two interquartile ranges, and marks a change inside that range as
+noise. It decides no gate: the exit code is 0.
+
 Usage:
     python3 scripts/bench.py --out BENCH.json [-k 5] [--suites S,...]
+    python3 scripts/bench.py --compare OLD.json NEW.json
 """
 
 import argparse
@@ -126,14 +132,44 @@ def host():
             "dirty": None if status is None else bool(status)}
 
 
+def compare(old, new):
+    """The lines of ``--compare``: one per suite and n, then one per
+    command, present in both profiles ``old`` and ``new``."""
+    rows = [(f"{suite} n={n}", entry, new["suites"][suite][n])
+            for suite, by_n in old["suites"].items() if suite in new["suites"]
+            for n, entry in sorted(by_n.items(), key=lambda item: int(item[0]))
+            if n in new["suites"][suite]]
+    rows += [(name, entry, new["commands"][name]) for name, entry in old["commands"].items()
+             if name in new["commands"]]
+    lines = []
+    for label, a, b in rows:
+        delta, iqr = b["median_s"] - a["median_s"], max(a["iqr_s"], b["iqr_s"])
+        line = (f"{label:<24} {a['median_s']:.6f} -> {b['median_s']:.6f} s  "
+                f"delta {delta:+.6f} s ({delta / a['median_s']:+.1%})  iqr {iqr:.6f} s")
+        if abs(delta) <= iqr:
+            line += "  noise"
+        if a.get("sha256") != b.get("sha256"):
+            line += "  sha256 differs"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--out", required=True, help="the JSON file to write")
+    ap.add_argument("--out", help="the JSON file to write")
     ap.add_argument("-k", type=int, default=5, help="runs per number")
     ap.add_argument("--suites", default=",".join(cli.ALL_SUITES),
                     help="comma-separated suites (default: all)")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="print the changes from profile OLD to NEW instead")
     args = ap.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
+        print("\n".join(compare(old, new)))
+        return 0
+    if not args.out:
+        ap.error("--out is required without --compare")
     suites = args.suites.split(",")
     unknown = sorted(set(suites) - set(cli.ALL_SUITES))
     if unknown or args.k < 1:

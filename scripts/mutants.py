@@ -186,6 +186,21 @@ MUTANTS = [
             "tests/test_sweep_batched.py::test_random_tables",
             "tests/test_lift_on_f.py::test_random_tables_match_the_lift",
             "tests/test_grid_engine.py::test_unit_steps_decide_like_all_pairs")),
+    # The spec reader gives a weighted basis its weights reversed.
+    Mutant("spec_weights_reversed", "families.py",
+           'weighted_basis_valuation(m, spec["weights"])',
+           'weighted_basis_valuation(m, spec["weights"][::-1])',
+           ("tests/test_cli.py::test_gen_default_corpus_is_its_spec_list",
+            "tests/test_golden.py::test_exchange_report_bytes")),
+    # The sweep cache keeps every table's sweep, not the last one's.
+    Mutant("sweep_cache_unbounded", "exchange.py",
+           "@functools.lru_cache(maxsize=1)\ndef _sweeps(f):",
+           "@functools.lru_cache(maxsize=None)\ndef _sweeps(f):",
+           ("tests/test_cli.py::test_suites_reuse_reports_of_one_table_only",)),
+    Mutant("multi_reports_cache_unbounded", "exchange.py",
+           "@functools.lru_cache(maxsize=1)\ndef exc_multi_reports(",
+           "@functools.lru_cache(maxsize=None)\ndef exc_multi_reports(",
+           ("tests/test_cli.py::test_suites_reuse_reports_of_one_table_only",)),
     Mutant("conjugate_float_tier_without_value_bound", "duality.py",
            "if self.magnitude + top < 1 << 53:",
            "if top < 1 << 53:",

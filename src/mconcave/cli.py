@@ -11,6 +11,10 @@ instance files, I/O, a check that gives no report). All randomness
 flows from one seed; instance k uses the derived sub-seed
 ``seed XOR k``, so equal configurations give byte-identical reports
 regardless of --jobs.
+
+Instances come from family specs (``families.build_instance``; the default
+corpus is a list of them) or instance files; every verdict is a checker's
+of ``exchange`` or ``duality``, whose caches share one table's sweeps.
 """
 
 import _random
@@ -37,32 +41,14 @@ from .exchange import (
     _BULK_SAFE,
     _bulk_bound,
     _bulk_decide,
-    _exchange_sweep,
     _lemma_facts,
-    _lift_pads,
     _lift_sweep,
-    _require_nonempty_dom,
-    _sweep_count,
     _sweep_report,
+    _sweeps,
     check_exc_single,
     exc_multi_reports,
 )
-from .families import (
-    CorpusInstance,
-    LaminarSpec,
-    _draw_mutation,
-    _draw_table,
-    assignment_valuation,
-    default_corpus,
-    graphic_matroid,
-    laminar_concave_fn,
-    matroid_rank_fn,
-    mutate,
-    partition_matroid,
-    random_table,
-    uniform_matroid,
-    weighted_basis_valuation,
-)
+from .families import MASK64, _draw_mutation, _draw_table, _is_int, build_corpus, default_corpus
 from .moves import encoding
 from .reporting import failed_report, passed_report
 
@@ -76,8 +62,6 @@ ALL_SUITES = (
     "lemmas_2_8",
     "duality_grid",
 )
-
-MASK64 = (1 << 64) - 1
 
 FENCHEL_PAIR_N_LIMIT = 5
 
@@ -96,7 +80,7 @@ _NEAR_MISSES = 5
 class SuiteConfig:
     seed: int = 0
     families: object = "default"  # "default" or a list of family spec dicts
-    n_range: tuple = (3, 8)
+    n_range: tuple = (3, 5)
     trials: int = 1000
     suites: tuple = ALL_SUITES
     out: str | None = None
@@ -132,10 +116,6 @@ class SuiteConfig:
         return cls(**d)
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_suites(value):
     """Suite names, from a comma-separated string or a list of strings, in
     ``ALL_SUITES`` order."""
@@ -158,169 +138,28 @@ def load_config(path):
         return SuiteConfig.from_dict(json.load(fh))
 
 
-# ---------------------------------------------------------------------------
-# Family specs -> instances (used by `gen` for non-default corpora).
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _list_of(test):
-    return lambda value: isinstance(value, (list, tuple)) and all(map(test, value))
-
-
-# The JSON shape of each family-spec field: a test and what it expects.
-_SHAPES = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "int": (_is_int, "an int"),
-    "number": (_is_number, "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "object": (lambda v: isinstance(v, dict), "an object"),
-    "ints": (_list_of(_is_int), "a list of ints"),
-    "numbers": (_list_of(_is_number), "a list of numbers"),
-    "int lists": (_list_of(_list_of(_is_int)), "a list of lists of ints"),
-    "int pairs": (_list_of(lambda v: _list_of(_is_int)(v) and len(v) == 2),
-                  "a list of pairs of ints"),
-    "number lists": (_list_of(_list_of(_is_number)), "a list of lists of numbers"),
-}
-
-# The fields each family (and matroid kind) reads; a "?" marks an optional
-# field.
-_FAMILY_FIELDS = {
-    "matroid_rank": {"matroid": "object"},
-    "weighted_basis": {"matroid": "object", "weights": "numbers"},
-    "laminar": {"n": "int", "members": "int lists", "tables": "number lists"},
-    "assignment": {"weights": "number lists"},
-    "random": {"n": "int", "seed?": "int", "lo?": "int", "hi?": "int",
-               "neg_inf_prob?": "number"},
-    "mutated": {"base": "object", "seed?": "int", "magnitude?": "int",
-                "toggle_neg_inf?": "bool"},
-}
-_MATROID_FIELDS = {
-    "uniform": {"n": "int", "r": "int"},
-    "partition": {"blocks": "int lists", "caps": "ints"},
-    "graphic": {"num_vertices": "int", "edges": "int pairs"},
-}
-
-
-def _check_fields(spec, where, fields):
-    for key, shape in fields.items():
-        name = key.rstrip("?")
-        if name not in spec:
-            if key.endswith("?"):
-                continue
-            raise ValueError(f"{where} is missing field {name!r}")
-        test, expected = _SHAPES[shape]
-        if not test(spec[name]):
-            raise ValueError(f"{where}: field {name!r} must be {expected}, "
-                             f"got {spec[name]!r}")
-
-
-def _read_spec(spec, index, tag, schemas):
-    """``spec[tag]``, a key of ``schemas``, after checking that ``spec``
-    holds every field that key's schema requires, each of its shape."""
-    _check_fields(spec, f"family spec {index}", {tag: "str"})
-    value = spec[tag]
-    if value not in schemas:
-        raise ValueError(f"family spec {index}: unknown {tag} {value!r}")
-    _check_fields(spec, f"family spec {index} ({value})", schemas[value])
-    return value
-
-
-def _build_matroid(spec, index):
-    kind = _read_spec(spec, index, "kind", _MATROID_FIELDS)
-    if kind == "uniform":
-        return uniform_matroid(spec["n"], spec["r"])
-    if kind == "partition":
-        return partition_matroid(spec["blocks"], spec["caps"])
-    return graphic_matroid(spec["num_vertices"], [tuple(e) for e in spec["edges"]])
-
-
-def build_instance(spec, index, master_seed):
-    """Build one corpus instance from a config dict, after checking the
-    fields its family reads (``_FAMILY_FIELDS``). Seeded constructors
-    (random, mutated) derive their seed from the master seed and the
-    instance index unless the dict pins one; the seed used is recorded."""
-    family = _read_spec(spec, index, "family", _FAMILY_FIELDS)
-    instance_id = spec.get("id", f"{family}_{index}")
-    derived = (master_seed ^ index) & MASK64
-    meta = {k: v for k, v in spec.items() if k not in ("family", "id")}
-    if family == "matroid_rank":
-        m = _build_matroid(spec["matroid"], index)
-        return CorpusInstance(instance_id, family, meta, matroid_rank_fn(m), m)
-    if family == "weighted_basis":
-        m = _build_matroid(spec["matroid"], index)
-        fn = weighted_basis_valuation(m, tuple(spec["weights"]))
-        return CorpusInstance(instance_id, family, meta, fn, m)
-    if family == "laminar":
-        ls = LaminarSpec(spec["n"], tuple(map(tuple, spec["members"])),
-                         tuple(map(tuple, spec["tables"])))
-        return CorpusInstance(instance_id, family, meta, laminar_concave_fn(ls))
-    if family == "assignment":
-        return CorpusInstance(instance_id, family, meta,
-                              assignment_valuation(spec["weights"]))
-    if family == "random":
-        seed = spec.get("seed", derived)
-        fn = random_table(spec["n"], seed, spec.get("lo", -5), spec.get("hi", 5),
-                          spec.get("neg_inf_prob", 0.2))
-        meta = dict(meta, seed=seed)
-        return CorpusInstance(instance_id, family, meta, fn)
-    base = build_instance(spec["base"], index, master_seed)
-    seed = spec.get("seed", derived)
-    fn = mutate(base.fn, seed, spec.get("magnitude", 1),
-                spec.get("toggle_neg_inf", False))
-    meta = dict(meta, seed=seed, base_id=base.instance_id)
-    return CorpusInstance(instance_id, family, meta, fn)
-
-
 def resolve_instances(cfg):
-    if cfg.families == "default":
-        return default_corpus()
-    return [build_instance(spec, i, cfg.seed) for i, spec in enumerate(cfg.families)]
+    return default_corpus() if cfg.families == "default" else build_corpus(cfg.families, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # Per-instance suite runners.
 
 
-# The instance's exchange sweep and reports, which corollary1, m_concave_lift
-# and lemmas_2_8 reuse. Every selection reads the one shared sweep: the facts'
-# augment rule makes exc_single alone about 12% slower on a full n = 12 domain.
-@functools.lru_cache(maxsize=1)
-def _sweeps(f):
-    """exc_single's (failing, triples) and the first failing swap or
-    augment fact of lemmas_2_8, from one sweep
-    (``exchange._exchange_sweep``)."""
-    single, facts = _exchange_sweep(f)
-    return _sweep_count(f, single), facts
-
-
-@functools.lru_cache(maxsize=1)
-def _single_report(instance_id, f):
-    _require_nonempty_dom(f)
-    return _sweep_report(f, "exc_single", instance_id, *_sweeps(f)[0])
-
-
-@functools.lru_cache(maxsize=1)
-def _multi_reports(instance_id, f, seed, samples):
-    """Both multiple-exchange reports, from one pass."""
-    return exc_multi_reports(f, samples=samples, seed=seed, instance_id=instance_id)
-
-
 def _suite_exc_single(instance_id, f, cfg, seed):
-    return _single_report(instance_id, f)
+    return check_exc_single(f, instance_id)
 
 
 def _suite_exc_multi(bounded):
     def run(instance_id, f, cfg, seed):
-        return _multi_reports(instance_id, f, seed, cfg.samples)[bounded]
+        return exc_multi_reports(f, samples=cfg.samples, seed=seed,
+                                 instance_id=instance_id)[bounded]
     return run
 
 
 def _suite_corollary1(instance_id, f, cfg, seed):
-    multi = _multi_reports(instance_id, f, seed, cfg.samples)
-    reports = [_single_report(instance_id, f), multi[False], multi[True]]
+    multi = exc_multi_reports(f, samples=cfg.samples, seed=seed, instance_id=instance_id)
+    reports = [check_exc_single(f, instance_id), multi[False], multi[True]]
     verdicts = [r.verdict for r in reports]
     agreement = len(set(verdicts)) == 1
     triples = sum(r.triples_checked for r in reports)
@@ -340,17 +179,14 @@ def _suite_m_concave_lift(instance_id, f, cfg, seed):
     """``check_m_concave(lift(f))``, decided on f: the lift passes iff the
     single exchange and the swap and augment facts of lemmas_2_8 hold
     (``exchange._lift_sweep``), which the sweeps of exc_single give."""
-    _lift_pads(f)  # refuse what ``lift`` refuses before sweeping
-    (single, _), facts = _sweeps(f)
-    return _sweep_report(f, "m_concave_lift", instance_id,
-                         *_lift_sweep(f, holds=single is None and facts is None))
+    return _sweep_report(f, "m_concave_lift", instance_id, *_lift_sweep(f))
 
 
 def _suite_lemmas(instance_id, f, cfg, seed):
     """The facts the proof uses, on every (X, Y) of an exchange-valid f: a
     swap for each i in X \\ Y when |X| <= |Y|, an augmenting swap when
     |X| < |Y|, and nonempty restrictions for each I inside X \\ Y."""
-    gate = _single_report(instance_id, f)
+    gate = check_exc_single(f, instance_id)
     if not gate.passed:
         counter = {"reason": "single-exchange precondition fails",
                    "detail": gate.counterexample}
@@ -551,10 +387,11 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     the bounded triples, is 0 on every passing table (I = {} has the one
     move J = {}) and stays in the output so that its bytes stay the same.
 
-    The default ``n_range`` (2, 5) is not ``SuiteConfig.n_range`` (3, 8),
+    The default ``n_range`` (2, 5) is not ``SuiteConfig.n_range`` (3, 5),
     which ``mconcave falsify`` passes, so a library call and the CLI run
     different campaigns for one seed; golden hashes and the benchmark's
-    reference digests pin both defaults."""
+    reference digests pin both defaults. A range past n = 5 runs as if
+    it stopped there."""
     _require_int("trials", trials, 1)
     n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:

@@ -6,8 +6,10 @@ Checkers return VerificationReports. One batched sweep
 ``moves.value_table`` holds it, gives two verdicts: the single exchange,
 which on an equi-cardinal domain is its drop-free form, and the swap and
 augment facts of ``lemmas_2_8``. The equi-cardinal exchange of the lift,
-decided on f (``_lift_sweep``), is their AND. The restriction facts of
-``lemmas_2_8`` depend on the domain alone: one lookup per pair in a table
+decided on f (``_lift_sweep``), is their AND; the last table's sweep is
+kept (``_sweeps``), as are its multiple-exchange reports
+(``exc_multi_reports``). The restriction facts of ``lemmas_2_8``
+depend on the domain alone: one lookup per pair in a table
 of least domain-set sizes over the intervals of the cube
 (``_least_sizes``) while its 4^n bytes fit _INTERVAL_BYTES. The triples
 (X, Y, I) and their moves J have one enumeration, the array kernel of
@@ -38,6 +40,7 @@ Sampled triples are the ``random.Random(seed)`` draws, taken by
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -302,12 +305,19 @@ def _sweep_count(f, best, dm=None, a=None, t=0):
     return (xm | ((1 << ax) - 1) << n, ym | ((1 << by) - 1) << n, i), triples
 
 
+@functools.lru_cache(maxsize=1)
+def _sweeps(f):
+    """((failing, triples) of the single exchange, the first failing swap or
+    augment fact of ``lemmas_2_8``) of the last table, from one sweep."""
+    _require_nonempty_dom(f)
+    single, facts = _exchange_sweep(f)
+    return _sweep_count(f, single), facts
+
+
 def check_exc_single(f, instance_id=""):
     """Exhaustively test the single-element exchange inequality over all
     (X, Y, i); FAIL carries the first violating triple in lex order."""
-    _require_nonempty_dom(f)
-    return _sweep_report(f, "exc_single", instance_id,
-                         *_sweep_count(f, _exchange_sweep(f)[0]))
+    return _sweep_report(f, "exc_single", instance_id, *_sweeps(f)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +384,11 @@ def check_exc_multi(f, bounded=True, *, samples=DEFAULT_SAMPLES, seed=0, instanc
     return exc_multi_reports(f, samples=samples, seed=seed, instance_id=instance_id)[bounded]
 
 
+@functools.lru_cache(maxsize=1)
 def exc_multi_reports(f, *, samples=DEFAULT_SAMPLES, seed=0, instance_id=""):
-    """``check_exc_multi`` for both bounds from one pass over the triples:
-    {True: the bounded report, False: the unbounded one}."""
+    """``check_exc_multi`` for both bounds from one pass over the triples, as
+    a read-only {True: the bounded report, False: the unbounded one}, kept
+    for the last call so that the two bounds of one table share the pass."""
     _require_nonempty_dom(f)
     _require_int("samples", samples, 1)
     if f.n <= EXHAUSTIVE_N_LIMIT:
@@ -400,7 +412,7 @@ def exc_multi_reports(f, *, samples=DEFAULT_SAMPLES, seed=0, instance_id=""):
         }
         reports[bounded] = failed_report(suite, instance_id, counter, histogram=hist,
                                          triples=triples, regime=regime, seed=seed)
-    return reports
+    return MappingProxyType(reports)
 
 
 def _multi_pass_margin(f, samples=None, seed=None):
@@ -678,7 +690,6 @@ def check_m_concave(f, instance_id=""):
     """PASS iff the effective domain is equi-cardinal and for every
     X, Y in it and i in X \\ Y some j in Y \\ X satisfies
     f(X) + f(Y) <= f(X-i+j) + f(Y+i-j)."""
-    _require_nonempty_dom(f)
     sizes = {m.bit_count() for m in f.dom_masks}
     if len(sizes) > 1:
         counter = {"reason": "domain not equi-cardinal",
@@ -773,10 +784,10 @@ def _lift_pads(f):
     return r - s
 
 
-def _lift_sweep(f, holds=False):
-    """The single-exchange sweep of lift(f), which
-    ``check_m_concave(lift(f))`` reports, decided on f without building the
-    lift; ``holds`` skips the sweep for a caller that knows the lift passes.
+def _lift_sweep(f):
+    """The single-exchange sweep of lift(f), which ``check_m_concave(lift(f))``
+    reports, decided on f without building the lift, in the lifted order
+    where a verdict of f's sweep (``_sweeps``) fails.
 
     A domain set of lift(f) is X u P, P any a = r - |X| of the t = r - s
     pads (bits n .. n + t - 1); the sets go in the order of the numbers
@@ -794,10 +805,11 @@ def _lift_sweep(f, holds=False):
     (r - |X|, X), which is the lifted order of the lowest pads, and
     ``_sweep_count`` counts the lifted triples through it.
     """
-    t = _lift_pads(f)
+    t = _lift_pads(f)  # refuse what ``lift`` refuses before sweeping
     r = f.dom_size_range()[1]
     dm = np.array(f.dom_masks, dtype=np.int64)
     a = r - np.bitwise_count(dm).astype(np.int64)  # the pads of each X
     order = np.lexsort((dm, a))
-    best = None if holds else min(filter(None, _exchange_sweep(f, order)), default=None)
+    (single, _), facts = _sweeps(f)
+    best = min(filter(None, _exchange_sweep(f, order)), default=None) if single or facts else None
     return _sweep_count(f, best, dm[order], a[order], t)

@@ -7,8 +7,13 @@ known to satisfy the single-element exchange property, and the weighted
 basis valuations additionally have equi-cardinal domains. Rejection
 sampling of random tables is kept only as a small-n diversity supplement
 because valid tables become vanishingly rare from n = 4 on.
+
+A family spec is the JSON object of a config's ``families``; one reader,
+``build_instance``, checks its fields (``_FAMILY_FIELDS``) and builds it.
+The default corpus is a list of such specs.
 """
 
+import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,14 +27,12 @@ class Matroid:
     """Matroid on {1..n} realized as a dense rank table.
 
     ``kind`` records the constructing family ("uniform", "partition",
-    "graphic"); ``params`` the constructor arguments. Rank axioms are
-    verified exhaustively at construction.
+    "graphic"). Rank axioms are verified exhaustively at construction.
     """
 
-    def __init__(self, n, kind, params, rank_table):
+    def __init__(self, n, kind, rank_table):
         self.n = n
         self.kind = kind
-        self.params = params
         self.rank_table = tuple(rank_table)
         self._validate()
 
@@ -88,7 +91,7 @@ def uniform_matroid(n, r):
     if r > n:
         raise ValueError(f"rank {r} outside 0..{n}")
     table = [min(m.bit_count(), r) for m in range(1 << n)]
-    return Matroid(n, "uniform", {"n": n, "r": r}, table)
+    return Matroid(n, "uniform", table)
 
 
 def partition_matroid(blocks, caps):
@@ -111,8 +114,7 @@ def partition_matroid(blocks, caps):
         sum(min((m & bm).bit_count(), c) for bm, c in zip(block_masks, caps))
         for m in range(1 << n)
     ]
-    params = {"blocks": [sorted(b) for b in blocks], "caps": list(caps)}
-    return Matroid(n, "partition", params, table)
+    return Matroid(n, "partition", table)
 
 
 def graphic_matroid(num_vertices, edges):
@@ -145,8 +147,7 @@ def graphic_matroid(num_vertices, edges):
                     parent[ru] = rv
                     size += 1
         table.append(size)
-    params = {"num_vertices": num_vertices, "edges": [tuple(e) for e in edges]}
-    return Matroid(n, "graphic", params, table)
+    return Matroid(n, "graphic", table)
 
 
 def matroid_rank_fn(m):
@@ -349,9 +350,10 @@ def random_mnat_concave(n, seed, lo=-3, hi=3, neg_inf_prob=0.15):
 
 
 # ---------------------------------------------------------------------------
-# The fixed verification corpus. Full-domain families stop at n = 6 so the
-# lifted equi-cardinal check stays exhaustively feasible; n = 7 and 8 are
-# covered by weighted basis valuations, whose domains are single-size.
+# Family specs -> instances: the one reader of the default corpus, a config's
+# ``families`` and ``gen --config``.
+
+MASK64 = (1 << 64) - 1  # seeds and sub-seeds are 64-bit words
 
 
 @dataclass(frozen=True)
@@ -363,111 +365,182 @@ class CorpusInstance:
     matroid: Matroid | None = None
 
 
-def _laminar(n, members, tables):
-    return laminar_concave_fn(LaminarSpec(n, tuple(members), tuple(tables)))
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(test, value))
+
+
+# The JSON shape of each family-spec field: a test and what it expects.
+_SHAPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an int"),
+    "number": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "ints": (_list_of(_is_int), "a list of ints"),
+    "numbers": (_list_of(_is_number), "a list of numbers"),
+    "int lists": (_list_of(_list_of(_is_int)), "a list of lists of ints"),
+    "int pairs": (_list_of(lambda v: _list_of(_is_int)(v) and len(v) == 2),
+                  "a list of pairs of ints"),
+    "number lists": (_list_of(_list_of(_is_number)), "a list of lists of numbers"),
+}
+
+# The fields each family (and matroid kind) reads; a "?" marks an optional
+# field.
+_FAMILY_FIELDS = {
+    "matroid_rank": {"matroid": "object"},
+    "weighted_basis": {"matroid": "object", "weights": "numbers"},
+    "laminar": {"n": "int", "members": "int lists", "tables": "number lists"},
+    "assignment": {"weights": "number lists"},
+    "random": {"n": "int", "seed?": "int", "lo?": "int", "hi?": "int",
+               "neg_inf_prob?": "number"},
+    "mutated": {"base": "object", "seed?": "int", "magnitude?": "int",
+                "toggle_neg_inf?": "bool"},
+}
+_MATROID_FIELDS = {
+    "uniform": {"n": "int", "r": "int"},
+    "partition": {"blocks": "int lists", "caps": "ints"},
+    "graphic": {"num_vertices": "int", "edges": "int pairs"},
+}
+
+
+def _check_fields(spec, where, fields):
+    for key, shape in fields.items():
+        name = key.rstrip("?")
+        if name not in spec:
+            if key.endswith("?"):
+                continue
+            raise ValueError(f"{where} is missing field {name!r}")
+        test, expected = _SHAPES[shape]
+        if not test(spec[name]):
+            raise ValueError(f"{where}: field {name!r} must be {expected}, "
+                             f"got {spec[name]!r}")
+
+
+def _read_spec(spec, index, tag, schemas):
+    """``spec[tag]``, a key of ``schemas``, after checking that ``spec``
+    holds every field that key's schema requires, each of its shape."""
+    _check_fields(spec, f"family spec {index}", {tag: "str"})
+    value = spec[tag]
+    if value not in schemas:
+        raise ValueError(f"family spec {index}: unknown {tag} {value!r}")
+    _check_fields(spec, f"family spec {index} ({value})", schemas[value])
+    return value
+
+
+def _build_matroid(spec, index):
+    kind = _read_spec(spec, index, "kind", _MATROID_FIELDS)
+    if kind == "uniform":
+        return uniform_matroid(spec["n"], spec["r"])
+    if kind == "partition":
+        return partition_matroid(spec["blocks"], spec["caps"])
+    return graphic_matroid(spec["num_vertices"], spec["edges"])
+
+
+def build_instance(spec, index, master_seed):
+    """Build one corpus instance from a config dict, after checking the
+    fields its family reads (``_FAMILY_FIELDS``). Seeded constructors
+    (random, mutated) derive their seed from the master seed and the
+    instance index unless the dict pins one; the seed used is recorded."""
+    family = _read_spec(spec, index, "family", _FAMILY_FIELDS)
+    instance_id = spec.get("id", f"{family}_{index}")
+    meta = {k: v for k, v in spec.items() if k not in ("family", "id")}
+    if family in ("matroid_rank", "weighted_basis"):
+        m = _build_matroid(spec["matroid"], index)
+        fn = matroid_rank_fn(m) if family == "matroid_rank" else \
+            weighted_basis_valuation(m, spec["weights"])
+        return CorpusInstance(instance_id, family, meta, fn, m)
+    if family == "laminar":
+        ls = LaminarSpec(spec["n"], spec["members"], spec["tables"])
+        return CorpusInstance(instance_id, family, meta, laminar_concave_fn(ls))
+    if family == "assignment":
+        return CorpusInstance(instance_id, family, meta, assignment_valuation(spec["weights"]))
+    seed = spec.get("seed", (master_seed ^ index) & MASK64)
+    if family == "random":
+        fn = random_table(spec["n"], seed, spec.get("lo", -5), spec.get("hi", 5),
+                          spec.get("neg_inf_prob", 0.2))
+        return CorpusInstance(instance_id, family, dict(meta, seed=seed), fn)
+    base = build_instance(spec["base"], index, master_seed)
+    fn = mutate(base.fn, seed, spec.get("magnitude", 1), spec.get("toggle_neg_inf", False))
+    return CorpusInstance(instance_id, family, dict(meta, seed=seed, base_id=base.instance_id), fn)
+
+
+def build_corpus(specs, master_seed):
+    """The instances of a list of family specs, in order (``build_instance``),
+    after checking that each names a file of its own: its id is a string,
+    neither empty, "." nor "..", without a slash or backslash, and no
+    earlier spec's."""
+    out, seen = [], set()
+    for index, spec in enumerate(specs):
+        _check_fields(spec, f"family spec {index}", {"id?": "str"})
+        inst = build_instance(spec, index, master_seed)
+        iid = inst.instance_id
+        if iid in ("", ".", "..") or "/" in iid or "\\" in iid:
+            raise ValueError(f"family spec {index}: id {iid!r} is not a file name")
+        if iid in seen:
+            raise ValueError(f"family spec {index}: id {iid!r} repeats an earlier spec's")
+        seen.add(iid)
+        out.append(inst)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The fixed verification corpus. Full-domain families stop at n = 6 so the
+# lifted equi-cardinal check stays exhaustively feasible; n = 7 and 8 are
+# covered by weighted basis valuations, whose domains are single-size. The
+# specs are the JSON a config's ``families`` holds, one per row in corpus
+# order. Kept as text: as Python literals they add about 0.8 MiB to the
+# peak memory of compiling this module.
+
+_DEFAULT_SPECS = json.loads("""[
+    {"family": "matroid_rank", "id": "n3_uniform_r1", "matroid": {"kind": "uniform", "n": 3, "r": 1}},
+    {"family": "matroid_rank", "id": "n3_uniform_r2", "matroid": {"kind": "uniform", "n": 3, "r": 2}},
+    {"family": "matroid_rank", "id": "n3_partition", "matroid": {"kind": "partition", "blocks": [[1, 2], [3]], "caps": [1, 1]}},
+    {"family": "matroid_rank", "id": "n3_graphic_triangle", "matroid": {"kind": "graphic", "num_vertices": 3, "edges": [[1, 2], [2, 3], [1, 3]]}},
+    {"family": "laminar", "id": "n3_laminar", "n": 3, "members": [[1, 2, 3], [1]], "tables": [[0, 2, 3, 3], [0, 1]]},
+    {"family": "assignment", "id": "n3_assignment", "weights": [[3, 1], [2, 2], [0, 4]]},
+    {"family": "weighted_basis", "id": "n3_wbasis_uniform", "matroid": {"kind": "uniform", "n": 3, "r": 2}, "weights": [1, 0, 2]},
+    {"family": "weighted_basis", "id": "n3_wbasis_triangle", "matroid": {"kind": "graphic", "num_vertices": 3, "edges": [[1, 2], [2, 3], [1, 3]]}, "weights": [1, 2, 3]},
+    {"family": "matroid_rank", "id": "n4_uniform_r2", "matroid": {"kind": "uniform", "n": 4, "r": 2}},
+    {"family": "matroid_rank", "id": "n4_partition", "matroid": {"kind": "partition", "blocks": [[1, 2], [3, 4]], "caps": [1, 1]}},
+    {"family": "matroid_rank", "id": "n4_graphic_cycle", "matroid": {"kind": "graphic", "num_vertices": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}},
+    {"family": "laminar", "id": "n4_laminar", "n": 4, "members": [[1], [1, 2], [1, 2, 3, 4]], "tables": [[0, 2], [0, 3, 4], [0, 3, 5, 6, 6]]},
+    {"family": "assignment", "id": "n4_assignment", "weights": [[4, 1], [2, 3], [1, 1], [0, 5]]},
+    {"family": "weighted_basis", "id": "n4_wbasis_uniform", "matroid": {"kind": "uniform", "n": 4, "r": 2}, "weights": [0, 1, 2, 3]},
+    {"family": "weighted_basis", "id": "n4_wbasis_cycle", "matroid": {"kind": "graphic", "num_vertices": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}, "weights": [2, 1, 0, 1]},
+    {"family": "matroid_rank", "id": "n5_uniform_r2", "matroid": {"kind": "uniform", "n": 5, "r": 2}},
+    {"family": "matroid_rank", "id": "n5_partition", "matroid": {"kind": "partition", "blocks": [[1, 2, 3], [4, 5]], "caps": [2, 1]}},
+    {"family": "matroid_rank", "id": "n5_graphic", "matroid": {"kind": "graphic", "num_vertices": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]]}},
+    {"family": "laminar", "id": "n5_laminar", "n": 5, "members": [[1, 2], [3, 4, 5], [1, 2, 3, 4, 5]], "tables": [[0, 2, 3], [0, 2, 3, 3], [0, 1, 2, 3, 3, 3]]},
+    {"family": "assignment", "id": "n5_assignment", "weights": [[3, 0], [1, 2], [2, 2], [0, 4], [1, 1]]},
+    {"family": "weighted_basis", "id": "n5_wbasis_uniform", "matroid": {"kind": "uniform", "n": 5, "r": 3}, "weights": [1, 0, 2, 1, 3]},
+    {"family": "matroid_rank", "id": "n6_uniform_r3", "matroid": {"kind": "uniform", "n": 6, "r": 3}},
+    {"family": "matroid_rank", "id": "n6_partition", "matroid": {"kind": "partition", "blocks": [[1, 2], [3, 4], [5, 6]], "caps": [1, 1, 1]}},
+    {"family": "matroid_rank", "id": "n6_graphic_k4", "matroid": {"kind": "graphic", "num_vertices": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}},
+    {"family": "laminar", "id": "n6_laminar", "n": 6, "members": [[1], [1, 2], [1, 2, 3], [4, 5, 6]], "tables": [[0, 1], [0, 2, 3], [0, 2, 4, 5], [0, 3, 4, 4]]},
+    {"family": "assignment", "id": "n6_assignment", "weights": [[2, 1, 0], [1, 3, 1], [0, 1, 4], [2, 2, 2], [3, 0, 1], [1, 1, 1]]},
+    {"family": "weighted_basis", "id": "n6_wbasis_uniform", "matroid": {"kind": "uniform", "n": 6, "r": 3}, "weights": [0, 2, 1, 3, 1, 2]},
+    {"family": "weighted_basis", "id": "n6_wbasis_k4", "matroid": {"kind": "graphic", "num_vertices": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}, "weights": [1, 1, 2, 0, 3, 1]},
+    {"family": "weighted_basis", "id": "n7_wbasis_uniform_r3", "matroid": {"kind": "uniform", "n": 7, "r": 3}, "weights": [2, 0, 1, 3, 1, 2, 0]},
+    {"family": "weighted_basis", "id": "n7_wbasis_uniform_r4_flat", "matroid": {"kind": "uniform", "n": 7, "r": 4}, "weights": [0, 0, 0, 0, 0, 0, 0]},
+    {"family": "weighted_basis", "id": "n7_wbasis_partition", "matroid": {"kind": "partition", "blocks": [[1, 2, 3], [4, 5], [6, 7]], "caps": [1, 1, 1]}, "weights": [1, 0, 2, 1, 3, 0, 2]},
+    {"family": "weighted_basis", "id": "n7_wbasis_graphic", "matroid": {"kind": "graphic", "num_vertices": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3], [2, 4]]}, "weights": [1, 2, 0, 1, 3, 1, 0]},
+    {"family": "weighted_basis", "id": "n8_wbasis_uniform_r4", "matroid": {"kind": "uniform", "n": 8, "r": 4}, "weights": [1, 0, 2, 1, 0, 3, 1, 2]},
+    {"family": "weighted_basis", "id": "n8_wbasis_uniform_r3", "matroid": {"kind": "uniform", "n": 8, "r": 3}, "weights": [0, 1, 1, 2, 0, 1, 2, 1]},
+    {"family": "weighted_basis", "id": "n8_wbasis_partition", "matroid": {"kind": "partition", "blocks": [[1, 2], [3, 4], [5, 6], [7, 8]], "caps": [1, 1, 1, 1]}, "weights": [2, 0, 1, 1, 0, 2, 1, 3]},
+    {"family": "weighted_basis", "id": "n8_wbasis_graphic", "matroid": {"kind": "graphic", "num_vertices": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1], [1, 4], [2, 5]]}, "weights": [1, 0, 2, 1, 1, 0, 2, 1]}
+]""")
 
 
 def default_corpus():
-    """The deterministic instance corpus used by the verification suites."""
-    out = []
-
-    def add(instance_id, family, params, fn, matroid=None):
-        out.append(CorpusInstance(instance_id, family, params, fn, matroid))
-
-    def add_rank(instance_id, matroid):
-        add(instance_id, f"{matroid.kind}_rank", dict(matroid.params),
-            matroid_rank_fn(matroid), matroid)
-
-    def add_wbasis(instance_id, matroid, w):
-        params = dict(matroid.params)
-        params["weights"] = list(w)
-        add(instance_id, f"{matroid.kind}_basis", params,
-            weighted_basis_valuation(matroid, w), matroid)
-
-    # n = 3
-    add_rank("n3_uniform_r1", uniform_matroid(3, 1))
-    add_rank("n3_uniform_r2", uniform_matroid(3, 2))
-    add_rank("n3_partition", partition_matroid([[1, 2], [3]], [1, 1]))
-    add_rank("n3_graphic_triangle", graphic_matroid(3, [(1, 2), (2, 3), (1, 3)]))
-    add("n3_laminar", "laminar",
-        {"members": [[1, 2, 3], [1]], "tables": [(0, 2, 3, 3), (0, 1)]},
-        _laminar(3, [[1, 2, 3], [1]], [(0, 2, 3, 3), (0, 1)]))
-    add("n3_assignment", "assignment", {"weights": [[3, 1], [2, 2], [0, 4]]},
-        assignment_valuation([[3, 1], [2, 2], [0, 4]]))
-    add_wbasis("n3_wbasis_uniform", uniform_matroid(3, 2), (1, 0, 2))
-    add_wbasis("n3_wbasis_triangle",
-               graphic_matroid(3, [(1, 2), (2, 3), (1, 3)]), (1, 2, 3))
-
-    # n = 4
-    add_rank("n4_uniform_r2", uniform_matroid(4, 2))
-    add_rank("n4_partition", partition_matroid([[1, 2], [3, 4]], [1, 1]))
-    add_rank("n4_graphic_cycle",
-             graphic_matroid(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
-    add("n4_laminar", "laminar",
-        {"members": [[1], [1, 2], [1, 2, 3, 4]],
-         "tables": [(0, 2), (0, 3, 4), (0, 3, 5, 6, 6)]},
-        _laminar(4, [[1], [1, 2], [1, 2, 3, 4]],
-                 [(0, 2), (0, 3, 4), (0, 3, 5, 6, 6)]))
-    add("n4_assignment", "assignment",
-        {"weights": [[4, 1], [2, 3], [1, 1], [0, 5]]},
-        assignment_valuation([[4, 1], [2, 3], [1, 1], [0, 5]]))
-    add_wbasis("n4_wbasis_uniform", uniform_matroid(4, 2), (0, 1, 2, 3))
-    add_wbasis("n4_wbasis_cycle",
-               graphic_matroid(4, [(1, 2), (2, 3), (3, 4), (4, 1)]), (2, 1, 0, 1))
-
-    # n = 5
-    add_rank("n5_uniform_r2", uniform_matroid(5, 2))
-    add_rank("n5_partition", partition_matroid([[1, 2, 3], [4, 5]], [2, 1]))
-    add_rank("n5_graphic",
-             graphic_matroid(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
-    add("n5_laminar", "laminar",
-        {"members": [[1, 2], [3, 4, 5], [1, 2, 3, 4, 5]],
-         "tables": [(0, 2, 3), (0, 2, 3, 3), (0, 1, 2, 3, 3, 3)]},
-        _laminar(5, [[1, 2], [3, 4, 5], [1, 2, 3, 4, 5]],
-                 [(0, 2, 3), (0, 2, 3, 3), (0, 1, 2, 3, 3, 3)]))
-    add("n5_assignment", "assignment",
-        {"weights": [[3, 0], [1, 2], [2, 2], [0, 4], [1, 1]]},
-        assignment_valuation([[3, 0], [1, 2], [2, 2], [0, 4], [1, 1]]))
-    add_wbasis("n5_wbasis_uniform", uniform_matroid(5, 3), (1, 0, 2, 1, 3))
-
-    # n = 6
-    add_rank("n6_uniform_r3", uniform_matroid(6, 3))
-    add_rank("n6_partition", partition_matroid([[1, 2], [3, 4], [5, 6]], [1, 1, 1]))
-    add_rank("n6_graphic_k4",
-             graphic_matroid(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]))
-    add("n6_laminar", "laminar",
-        {"members": [[1], [1, 2], [1, 2, 3], [4, 5, 6]],
-         "tables": [(0, 1), (0, 2, 3), (0, 2, 4, 5), (0, 3, 4, 4)]},
-        _laminar(6, [[1], [1, 2], [1, 2, 3], [4, 5, 6]],
-                 [(0, 1), (0, 2, 3), (0, 2, 4, 5), (0, 3, 4, 4)]))
-    add("n6_assignment", "assignment",
-        {"weights": [[2, 1, 0], [1, 3, 1], [0, 1, 4], [2, 2, 2], [3, 0, 1], [1, 1, 1]]},
-        assignment_valuation(
-            [[2, 1, 0], [1, 3, 1], [0, 1, 4], [2, 2, 2], [3, 0, 1], [1, 1, 1]]))
-    add_wbasis("n6_wbasis_uniform", uniform_matroid(6, 3), (0, 2, 1, 3, 1, 2))
-    add_wbasis("n6_wbasis_k4",
-               graphic_matroid(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
-               (1, 1, 2, 0, 3, 1))
-
-    # n = 7: equi-cardinal domains only (keeps the lift check exhaustive).
-    add_wbasis("n7_wbasis_uniform_r3", uniform_matroid(7, 3), (2, 0, 1, 3, 1, 2, 0))
-    add_wbasis("n7_wbasis_uniform_r4_flat", uniform_matroid(7, 4), (0,) * 7)
-    add_wbasis("n7_wbasis_partition",
-               partition_matroid([[1, 2, 3], [4, 5], [6, 7]], [1, 1, 1]),
-               (1, 0, 2, 1, 3, 0, 2))
-    add_wbasis("n7_wbasis_graphic",
-               graphic_matroid(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3), (2, 4)]),
-               (1, 2, 0, 1, 3, 1, 0))
-
-    # n = 8: equi-cardinal domains only.
-    add_wbasis("n8_wbasis_uniform_r4", uniform_matroid(8, 4), (1, 0, 2, 1, 0, 3, 1, 2))
-    add_wbasis("n8_wbasis_uniform_r3", uniform_matroid(8, 3), (0, 1, 1, 2, 0, 1, 2, 1))
-    add_wbasis("n8_wbasis_partition",
-               partition_matroid([[1, 2], [3, 4], [5, 6], [7, 8]], [1, 1, 1, 1]),
-               (2, 0, 1, 1, 0, 2, 1, 3))
-    add_wbasis("n8_wbasis_graphic",
-               graphic_matroid(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1),
-                                   (1, 4), (2, 5)]),
-               (1, 0, 2, 1, 1, 0, 2, 1))
-
-    return out
+    """The deterministic instance corpus used by the verification suites:
+    the family specs above, in the format of a config's ``families``,
+    built as ``gen --config`` builds them (``build_corpus``)."""
+    return build_corpus(_DEFAULT_SPECS, 0)

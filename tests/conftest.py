@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from mconcave import default_corpus, matroid_rank_fn, uniform_matroid
+from mconcave import default_corpus, exchange, matroid_rank_fn, uniform_matroid
 
 # The property tests draw the same examples on every run; each test keeps
 # its own max_examples and deadline.
@@ -22,3 +22,11 @@ def corpus_by_id(corpus):
 @pytest.fixture()
 def rank_u24():
     return matroid_rank_fn(uniform_matroid(4, 2))
+
+
+@pytest.fixture(autouse=True)
+def fresh_exchange_caches():
+    """No test reads a sweep or multiple-exchange reports that an earlier
+    test left in the one-entry caches of ``exchange``."""
+    exchange._sweeps.cache_clear()
+    exchange.exc_multi_reports.cache_clear()

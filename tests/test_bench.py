@@ -1,5 +1,6 @@
 """``scripts/bench.py``: the schema of the profile it writes, on one
-suite and one run, and its independence from the benchmark's code."""
+suite and one run, its comparison of two such profiles, and its
+independence from the benchmark's code."""
 
 import ast
 import json
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "bench.py"
@@ -19,11 +22,20 @@ def assert_stats(entry):
     assert 0 < entry["min_s"] <= entry["median_s"] <= entry["max_s"]
 
 
-def test_one_suite_one_run_writes_the_schema(tmp_path):
+def one_suite_one_run(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(SCRIPT), "--out", str(out), "--suites", "exc_single",
                     "-k", "1"], cwd=tmp_path, check=True, capture_output=True)
-    record = json.loads(out.read_text(encoding="utf-8"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def profile(tmp_path_factory):
+    return one_suite_one_run(tmp_path_factory.mktemp("bench"))
+
+
+def test_one_suite_one_run_writes_the_schema(profile):
+    record = json.loads(profile.read_text(encoding="utf-8"))
     assert set(record) == {"schema", "host", "k", "suites", "commands"}
     assert record["schema"] == 1 and record["k"] == 1
     host = record["host"]
@@ -46,6 +58,37 @@ def test_one_suite_one_run_writes_the_schema(tmp_path):
         assert len(entry["sha256"]) == 1 and re.fullmatch(r"[0-9a-f]{64}", entry["sha256"][0])
     assert commands["check"]["sha256"] == commands["check_jobs2"]["sha256"]
     assert commands["check_jobs2"]["args"] == ["check", "--jobs", "2"]
+
+
+LINE = re.compile(r"(.+?) +(\d+\.\d{6}) -> (\d+\.\d{6}) s  delta ([+-]\d+\.\d{6}) s "
+                  r"\([+-]\d+\.\d%\)  iqr (\d+\.\d{6}) s(  noise)?")
+
+
+def compared(old, new):
+    done = subprocess.run([sys.executable, str(SCRIPT), "--compare", str(old), str(new)],
+                          check=True, capture_output=True, text=True)
+    return [LINE.fullmatch(line).groups() for line in done.stdout.splitlines()]
+
+
+def test_compare_prints_each_suite_and_command(profile, tmp_path):
+    """``--compare`` of two one-suite k = 1 runs prints a line per n of the
+    suite, then per command: both medians, their change next to the
+    larger IQR (0 at k = 1), and "noise" only where the change lies inside
+    it; the outputs' sha256 agree, so no line says they differ. A run
+    compared with itself is noise throughout."""
+    second = one_suite_one_run(tmp_path)
+    old, new = (json.loads(path.read_text(encoding="utf-8")) for path in (profile, second))
+    entries = [(f"exc_single n={n}", old["suites"]["exc_single"][str(n)],
+                new["suites"]["exc_single"][str(n)]) for n in range(3, 9)]
+    entries += [(name, old["commands"][name], new["commands"][name])
+                for name in sorted(old["commands"])]
+    rows = compared(profile, second)
+    assert [row[0] for row in rows] == [label for label, _, _ in entries]
+    for (label, a, b), (_, before, after, delta, iqr, noise) in zip(entries, rows):
+        assert (float(before), float(after)) == (round(a["median_s"], 6), round(b["median_s"], 6))
+        assert abs(float(delta) - (b["median_s"] - a["median_s"])) <= 1e-6
+        assert float(iqr) == 0 and bool(noise) == (a["median_s"] == b["median_s"]), label
+    assert all(row[5] for row in compared(profile, profile))
 
 
 def test_imports_nothing_from_the_benchmark():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import importlib.util
 import json
 import os
@@ -27,11 +28,11 @@ from mconcave import (
 from mconcave.cli import (
     ALL_SUITES,
     SuiteConfig,
-    build_instance,
     falsify_campaign,
     load_instances,
     main,
 )
+from mconcave.families import _DEFAULT_SPECS, build_instance
 
 
 def write_config(tmp_path, **fields):
@@ -98,6 +99,60 @@ def test_gen_mutated_records_seed(tmp_path):
     assert main(["gen", "--config", cfg, "--out", str(out), "--seed", "9"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["instances"][0]["params"]["seed"] == 9  # seed ^ index 0
+
+
+def test_gen_default_corpus_is_its_spec_list(tmp_path):
+    """``gen`` on the default corpus and ``gen --config`` on its spec list
+    write the same manifest and the same 36 instance files, whose bytes
+    are pinned; each manifest entry's spec rebuilds its instance file,
+    also where ``gen`` recorded a drawn seed in the params."""
+    default, config = tmp_path / "default", tmp_path / "config"
+    assert main(["gen", "--out", str(default)]) == 0
+    cfg = write_config(tmp_path, families=_DEFAULT_SPECS)
+    assert main(["gen", "--config", cfg, "--out", str(config)]) == 0
+    manifest = json.loads((default / "manifest.json").read_text())
+    assert (config / "manifest.json").read_bytes() == (default / "manifest.json").read_bytes()
+    files = [(default / e["path"]).read_bytes() for e in manifest["instances"]]
+    assert files == [(config / e["path"]).read_bytes() for e in manifest["instances"]]
+    assert len(files) == 36 and hashlib.sha256(b"".join(files)).hexdigest() == \
+        "9cf97a260b8984bc62a9e217ea2d966dfa849a17d774ffd686f65e63eae935d3"
+    seeded = tmp_path / "seeded"
+    cfg = write_config(tmp_path, families=[
+        {"family": "random", "n": 3},
+        {"family": "mutated", "id": "mut", "toggle_neg_inf": True,
+         "base": {"family": "random", "n": 4}}])
+    assert main(["gen", "--config", cfg, "--out", str(seeded), "--seed", "11"]) == 0
+    for out in (default, seeded):
+        manifest = json.loads((out / "manifest.json").read_text())
+        for index, e in enumerate(manifest["instances"]):
+            inst = build_instance({"family": e["family"], "id": e["id"], **e["params"]},
+                                  index, manifest["seed"])
+            store(inst.fn, tmp_path / "rebuilt.json")
+            assert (tmp_path / "rebuilt.json").read_bytes() == (out / e["path"]).read_bytes()
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([5], "field 'id' must be a string, got 5"),
+    (["u", "u"], "family spec 1: id 'u' repeats an earlier spec's"),
+    (["../escaped"], "family spec 0: id '../escaped' is not a file name"),
+    (["a\\b"], "is not a file name"), ([""], "is not a file name"),
+    (["."], "is not a file name"), ([".."], "is not a file name")],
+    ids=["int", "repeated", "escaping", "backslash", "empty", "dot", "dotdot"])
+def test_gen_refuses_ids_it_cannot_write(tmp_path, capsys, ids, message):
+    """An int id made a manifest that ``check DIR`` refused, a repeated id
+    overwrote the first instance file, and ``../escaped`` wrote outside
+    ``instances/``: each is one error line and exit 2, and nothing is
+    written. ``check --config`` refuses the same ids."""
+    cfg = write_config(tmp_path, families=[
+        {"family": "matroid_rank", "id": iid, "matroid": {"kind": "uniform", "n": 3, "r": 1}}
+        for iid in ids])
+    out = tmp_path / "c"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c", "config.json", "instances"]
+    assert main(["check", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
 
 
 # --- check ----------------------------------------------------------------------
@@ -566,8 +621,8 @@ def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
             assert lemmas.passed == want.passed
             corollary = cli._INSTANCE_SUITES["corollary1"]("x", f, cfg, 0)
             assert corollary.verdict == want.verdict
-    assert cli._single_report.cache_info().currsize <= 1
-    assert cli._multi_reports.cache_info().currsize <= 1
+    assert exchange._sweeps.cache_info().currsize <= 1
+    assert exchange.exc_multi_reports.cache_info().currsize <= 1
 
 
 @pytest.mark.parametrize("instance_id", ["n4_laminar", "n5_partition", "n8_wbasis_uniform_r4"])
@@ -577,13 +632,14 @@ def test_exchange_suites_build_one_value_table(corpus_by_id, instance_id, monkey
     f = corpus_by_id[instance_id].fn
     suites = ("exc_single", "exc_multi_bounded", "exc_multi_unbounded", "corollary1",
               "m_concave_lift", "lemmas_2_8")
-    for cache in (cli._sweeps, cli._single_report, cli._multi_reports, moves.value_table):
+    for cache in (exchange._sweeps, exchange.exc_multi_reports, moves.value_table):
         cache.cache_clear()
     monkeypatch.setattr(exchange, "lift", lambda f: pytest.fail("lift was called"))
     reports = cli._instance_reports((0, instance_id, f, SuiteConfig(suites=suites)))
     assert all(r.passed for r in reports)
     assert moves.value_table.cache_info().misses == 1
-    assert cli._sweeps.cache_info()[:2] == (2, 1)  # hits, misses
+    # exc_single sweeps; corollary1, m_concave_lift and both reads of lemmas_2_8 hit.
+    assert exchange._sweeps.cache_info()[:2] == (4, 1)  # hits, misses
 
 
 def test_lemmas_2_8_prints_the_same_lines_on_both_sides_of_the_gate(tmp_path, monkeypatch,
@@ -650,8 +706,8 @@ def test_console_entry_smoke(tmp_path):
 
 def test_run_verification_falsifies_the_cli_campaign(tmp_path, monkeypatch, capsys):
     """The script's campaign is the one ``mconcave falsify`` runs for the
-    same seed and trials (``SuiteConfig.n_range``, not the library
-    default); the corpus sweep is stubbed out."""
+    same seed and trials (``SuiteConfig.n_range``, (3, 5), not the library
+    default (2, 5)); the corpus sweep is stubbed out."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
     spec = importlib.util.spec_from_file_location("run_verification", path)
     script = importlib.util.module_from_spec(spec)

@@ -97,13 +97,13 @@ def test_partition_validation():
 
 def test_rank_axiom_validation_rejects_junk():
     with pytest.raises(ValueError, match="monotone"):
-        Matroid(2, "junk", {}, [0, 1, 1, 3])
+        Matroid(2, "junk", [0, 1, 1, 3])
     with pytest.raises(ValueError, match="empty set"):
-        Matroid(1, "junk", {}, [1, 1])
+        Matroid(1, "junk", [1, 1])
     # submodularity violation with valid unit steps:
     # r({1})=r({2})=0 but r({1,2})=1
     with pytest.raises(ValueError, match="submodular"):
-        Matroid(2, "junk", {}, [0, 0, 0, 1])
+        Matroid(2, "junk", [0, 0, 0, 1])
 
 
 def pairwise_rank_error(n, rt):
@@ -124,7 +124,7 @@ def pairwise_rank_error(n, rt):
 
 def rank_error(n, rt):
     try:
-        Matroid(n, "junk", {}, rt)
+        Matroid(n, "junk", rt)
     except ValueError as e:
         return str(e)
     return None
@@ -341,9 +341,10 @@ def test_corpus_shape(corpus):
     assert len(corpus) >= 30
     ns = {inst.fn.n for inst in corpus}
     assert ns == {3, 4, 5, 6, 7, 8}
-    families = {inst.family for inst in corpus}
-    assert {"uniform_rank", "partition_rank", "graphic_rank", "laminar",
-            "assignment", "uniform_basis"} <= families
+    labels = {(inst.family, inst.matroid and inst.matroid.kind) for inst in corpus}
+    assert {("matroid_rank", "uniform"), ("matroid_rank", "partition"),
+            ("matroid_rank", "graphic"), ("laminar", None), ("assignment", None),
+            ("weighted_basis", "uniform")} <= labels
     assert all(inst.fn.mode == "int" for inst in corpus)
     ids = [inst.instance_id for inst in corpus]
     assert len(ids) == len(set(ids))

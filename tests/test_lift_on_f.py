@@ -43,8 +43,7 @@ def by_id():
 
 def suite_line(f):
     """The m_concave_lift suite's report of f, labelled as the oracle's."""
-    cli._sweeps.cache_clear()
-    cli._single_report.cache_clear()
+    exchange._sweeps.cache_clear()
     report = cli._INSTANCE_SUITES["m_concave_lift"]("t", f, SuiteConfig(), 0)
     assert report.suite == "m_concave_lift"
     return replace(report, suite="m_concave").to_json_line()

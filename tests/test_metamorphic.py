@@ -26,6 +26,7 @@ from mconcave import (
     SetFn,
     cli,
     default_corpus,
+    exchange,
     find_multi_exchange,
     find_single_exchange,
     lift,
@@ -41,7 +42,7 @@ SUITES = ("exc_single", "m_concave_lift", "lemmas_2_8")
 
 def reports(f, suites=SUITES):
     """{suite: report} of f on ``suites``, from cleared caches."""
-    for cached in (cli._sweeps, cli._single_report, cli._multi_reports):
+    for cached in (exchange._sweeps, exchange.exc_multi_reports):
         cached.cache_clear()
     return {s: cli._INSTANCE_SUITES[s]("t", f, SuiteConfig(), 0) for s in suites}
 

@@ -183,7 +183,7 @@ _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi
             "attains", "ext_leq", "effective_domain", "_Replay", "_BULK_NEG", "_BULK_FLOOR",
             "_bulk_row", "_FALSIFY_CHUNK", "_needs_facts", "_single_count", "_rule_sweep",
             "_single_sweep", "_lift_rules", "_exchange_rules", "_swap_rules", "_augment_rule",
-            "_best"}
+            "_best", "add_rank", "add_wbasis", "_laminar", "_single_report", "_multi_reports"}
 
 # Class members that only their own tests read; by class, as short names
 # such as ``j`` or ``rank`` are also local variables.
@@ -212,7 +212,10 @@ def test_removed_names_are_defined_nowhere():
     its drop-free single sweep (one fixed sweep gives the single and the facts verdicts,
     the lift is their AND, and no sweep leaves out the drop), and the
     multiple exchange's second, bounded search (``moves.multi_best``
-    decides both bounds in one pass)."""
+    decides both bounds in one pass), the default corpus's own helpers
+    (its specs go through ``families.build_instance``) and the CLI's
+    copies of the exchange checkers (``exchange`` keeps the one-entry
+    caches they held)."""
     bound = [f"{module}: {name} (line {node.lineno})" for module, tree in MODULES.items()
              for node in ast.walk(tree)
              for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -248,6 +251,35 @@ def test_removed_members_are_defined_nowhere():
     init = next(item for item in conj.body
                 if isinstance(item, ast.FunctionDef) and item.name == "__init__")
     assert [a.arg for a in init.args.args] == ["self", "f"]
+
+
+_READER = {"_SHAPES", "_FAMILY_FIELDS", "_MATROID_FIELDS", "_check_fields", "_read_spec",
+           "_build_matroid", "build_instance"}
+
+
+def test_build_instance_makes_every_corpus_instance():
+    """Every ``CorpusInstance`` of the package, the default corpus's too,
+    is made in ``families.build_instance``, and ``cli.py`` defines no
+    family schema: none of the spec reader's names, and no dict keyed by
+    a family or a matroid kind."""
+    reader = next(node for node in MODULES["families.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "build_instance")
+    inside = {id(node) for node in ast.walk(reader)}
+    made = [f"{module} (line {node.lineno})" for module, tree in MODULES.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "CorpusInstance" in {getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None)}
+            and id(node) not in inside]
+    assert not made and "CorpusInstance" in _loaded(reader), made
+    cli = MODULES["cli.py"]
+    defined = {name for name, _ in _private_definitions(cli)}
+    defined |= {node.name for node in cli.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & _READER, sorted(defined & _READER)
+    from mconcave.families import _FAMILY_FIELDS, _MATROID_FIELDS
+    labels = set(_FAMILY_FIELDS) | set(_MATROID_FIELDS)
+    keyed = [f"line {node.lineno}" for node in ast.walk(cli) if isinstance(node, ast.Dict)
+             and labels & {getattr(key, "value", None) for key in node.keys}]
+    assert not keyed, f"cli.py keys a dict by family: {keyed}"
 
 
 def test_exchange_walks_submasks_only_in_the_scalar_search():

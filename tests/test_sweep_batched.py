@@ -82,6 +82,7 @@ def batched_line(f, drop):
         single = exchange._exchange_sweep(f)[0]
         return exchange._sweep_report(f, "s", "t", *exchange._sweep_count(f, single)).to_json_line()
     assert len({m.bit_count() for m in f.dom_masks}) == 1
+    exchange._sweeps.cache_clear()  # sweep at the budget set now
     return replace(check_m_concave(f, instance_id="t"), suite="s").to_json_line()
 
 
@@ -291,7 +292,10 @@ def test_every_domain_size_runs_batched(by_id, monkeypatch):
             assert check_m_concave(f).to_json_line() == loop_line(f, False, "m_concave", "")
     assert calls[:2] == [64, 924]
     assert sorted(set(calls)) == sorted({len(f.dom_masks) for f in tables})
-    assert len(calls) == len(tables) + len(equi)
+    # check_m_concave reads the sweep that check_exc_single made of the same
+    # table, as does a lift equal to the table before it (a lift with no pads).
+    assert len(calls) == sum(k == 0 or f != tables[k - 1] for k, f in enumerate(tables))
+    assert len(equi) > 1
     assert {len(f.dom_masks) for f in tables} >= set(range(1, 65))
 
 
