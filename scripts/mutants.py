@@ -202,8 +202,8 @@ MUTANTS = [
            "@functools.lru_cache(maxsize=None)\ndef exc_multi_reports(",
            ("tests/test_cli.py::test_suites_reuse_reports_of_one_table_only",)),
     Mutant("conjugate_float_tier_without_value_bound", "duality.py",
-           "if self.magnitude + top < 1 << 53:",
-           "if top < 1 << 53:",
+           "if self.magnitude + top < bound:",
+           "if top < bound:",
            ("tests/test_grid_engine.py::test_kernel_product_tiers_at_their_bounds",
             "tests/test_grid_engine.py::test_kernel_tiers_match_scalar_conjugates")),
     Mutant("grid_suite_count_of_the_chosen_report", "cli.py",
@@ -221,9 +221,18 @@ MUTANTS = [
             "tests/test_golden.py::test_toggled_grid_report_bytes",
             "tests/test_grid_engine.py::test_suite_with_more_caps_than_samples")),
     Mutant("conjugate_int64_cast_on_every_tier", "duality.py",
-           "return table.astype(np.int64) if table.dtype == np.float64 else table",
-           "return table.astype(np.int64)",
+           "table if table.dtype == object else table.astype(np.int64, copy=False)",
+           "table.astype(np.int64, copy=False)",
            ("tests/test_grid_engine.py::test_kernel_tiers_match_scalar_conjugates",)),
+    Mutant("conjugate_float32_tier_past_2_24", "duality.py",
+           "(1 << 24, np.float32)",
+           "(1 << 25, np.float32)",
+           ("tests/test_grid_engine.py::test_kernel_product_tiers_at_their_bounds",
+            "tests/test_grid_engine.py::test_kernel_tiers_match_scalar_conjugates")),
+    Mutant("draws_byte_path_past_256", "core.py",
+           "bound <= 256 for _, bound, _ in runs",
+           "bound <= 257 for _, bound, _ in runs",
+           ("tests/test_rng_replay.py::test_byte_and_list_paths_match_scalar_draws",)),
     Mutant("seed_kernel_pass_two_multiplier", "core.py",
            "mult[0], mult[1] = 1664525, 1566083941",
            "mult[0], mult[1] = 1664525, 1664525",

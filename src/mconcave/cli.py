@@ -498,8 +498,19 @@ def cmd_gen(cfg, out_dir):
 
 
 def load_instances(paths):
-    """Instances from explicit files or from gen output directories."""
-    out = []
+    """Instances from explicit files or from gen output directories. A
+    manifest entry whose path resolves outside its directory, and an id
+    that an earlier instance has (a file's id is its stem), are
+    FormatErrors."""
+    out, seen = [], set()
+
+    def add(instance_id, path):
+        if instance_id in seen:
+            raise FormatError(f"{path}: instance id {instance_id!r} repeats an earlier "
+                              f"instance's")
+        seen.add(instance_id)
+        out.append((instance_id, load(path)))
+
     for p in paths:
         p = Path(p)
         if p.is_dir():
@@ -513,13 +524,17 @@ def load_instances(paths):
                         and isinstance(e.get("path"), str) for e in entries)):
                     raise FormatError(f"{manifest_path}: expected an object whose 'instances' "
                                       f"is a list of objects with string 'id' and 'path'")
+                root = p.resolve()
                 for entry in entries:
-                    out.append((entry["id"], load(p / entry["path"])))
+                    if not (p / entry["path"]).resolve().is_relative_to(root):
+                        raise FormatError(f"{manifest_path}: instance {entry['id']!r} has path "
+                                          f"{entry['path']!r}, outside {str(p)!r}")
+                    add(entry["id"], p / entry["path"])
             else:
                 for f in sorted(p.glob("*.json")):
-                    out.append((f.stem, load(f)))
+                    add(f.stem, f)
         else:
-            out.append((p.stem, load(p)))
+            add(p.stem, p)
     return out
 
 

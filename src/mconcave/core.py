@@ -313,7 +313,9 @@ def _draws(rng, samples, runs):
     ``_below``'s rule: ``randrange(m)`` is (count, m, m.bit_length()),
     ``getrandbits(k)`` is (count, 2**k, k). ``rng`` stops where those
     scalar calls leave it. Returns one int64 array of shape
-    (samples, count) per run."""
+    (samples, count) per run. When every bound is at most 256 the values
+    reach numpy as ``bytes``, at well under half the cost of converting
+    the list of Python ints."""
     bits, out = rng.getrandbits, []
     append = out.append
     sample = [(bound, k) for count, bound, k in runs for _ in range(count)]
@@ -323,7 +325,11 @@ def _draws(rng, samples, runs):
                 pass
             append(r)
     counts = [count for count, _, _ in runs]
-    rows = np.array(out, dtype=np.int64).reshape(samples, sum(counts))
+    if all(bound <= 256 for _, bound, _ in runs):  # every value fits a byte
+        rows = np.frombuffer(bytes(out), np.uint8).astype(np.int64)
+    else:
+        rows = np.array(out, dtype=np.int64)
+    rows = rows.reshape(samples, sum(counts))
     return np.split(rows, np.cumsum(counts[:-1]), axis=1)
 
 

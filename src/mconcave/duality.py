@@ -4,18 +4,21 @@ context, and the Fenchel dual by steepest descent.
 
 ``conjugate`` is the scalar route and the tests' oracle; it is exact, a
 loop over D * f at integer prices. Box sweeps and sampled pairs use one
-batched kernel, ``vals - P @ ind`` over the effective domain, which
+batched kernel, ``vals - ind @ P.T`` over the effective domain, which
 returns every size cap in one pass. It reads the exact table D * f
 (``SetFn.exact``) with D folded into ``ind``, so
 each column is D times a conjugate at integer prices, and every
 inequality compares with ``<=``. The kernel is exact too, with S =
-max|D * f| + D*n*max|p|: float64 throughout while S < 2^53, on one
-rows x |dom| array (every value, partial sum and difference is an int
-that float64 holds), only the rows x caps table cast to int64 (the corpus
-and every benchmark workload); int64 while S < 2^61, where a slack of two
+max|D * f| + D*n*max|p|. While S < 2^24 it runs in float32: every
+product, partial sum and difference is an integer with |value| <= S <
+2^24, which float32 holds exactly, so the product is exact in any BLAS
+summation order (the corpus, whose largest S on the default box is
+32). The same argument gives float64 while S < 2^53. Either float tier
+works on one |dom| x rows gains array, and only the caps x rows table is
+cast to int64. int64 runs while S < 2^61, where a slack of two
 conjugates cannot wrap (real tables read as decimals: thirds have D =
-10^16); and Python ints (``dtype=object``) above. The Fenchel descent
-carries its own gains and has no float64 tier (below).
+10^16), and Python ints (``dtype=object``) above. The Fenchel descent
+carries its own gains and has no float tier (below).
 
 The box regime decides the three grid inequalities on unit squares and
 unit steps. On a product of chains a function is submodular iff every
@@ -148,37 +151,53 @@ class _Conjugates:
     Called on a (rows, n) integer price array it returns a (rows, caps)
     table whose column c is D * max { f(Z) - p(Z) : Z in dom f,
     |Z| <= s + c }, s the smallest domain size; the last column is the
-    plain conjugate. The domain is sorted by size, so one pass takes the
-    maximum per size and then a running maximum over sizes."""
+    plain conjugate. The table is the transpose of a contiguous
+    (caps, rows) array, which ``_box_sweeps`` reads as it is. The gains
+    are domain-major, (|dom|, rows), over the domain sorted by size, so
+    each size's maximum is one contiguous slice reduction, followed by a
+    running maximum over sizes."""
 
     def __init__(self, f):
         dom = sorted(f.dom_masks, key=int.bit_count)
         sizes = [m.bit_count() for m in dom]
         self.n = f.n
         self.scale = f.scale
-        self.starts = [i for i, z in enumerate(sizes) if i == 0 or z != sizes[i - 1]]
-        present = [sizes[i] for i in self.starts]
+        starts = [i for i, z in enumerate(sizes) if i == 0 or z != sizes[i - 1]]
+        self.spans = list(zip(starts, starts[1:] + [len(dom)]))
+        present = [sizes[i] for i in starts]
         self.cols = np.searchsorted(present, range(sizes[0], f.n + 1), side="right") - 1
-        ind = np.array(dom, dtype=np.int64) >> np.arange(f.n)[:, None] & 1
+        ind = np.array(dom, dtype=np.int64)[:, None] >> np.arange(f.n) & 1
         self.vals = [f.exact[m] for m in dom]
         self.magnitude = max(abs(v) for v in self.vals)
         fits = max(self.magnitude, self.scale) < _INT64_SAFE
         self.ind = (ind if fits else ind.astype(object)) * self.scale
         self.fast = np.array(self.vals, np.int64) if fits else None
+        # (bound on S, values, ind) per float tier, narrowest first.
+        tiers = ((1 << 24, np.float32), (1 << 53, np.float64)) if fits else ()
+        self.floats = [(bound, self.fast.astype(t), self.ind.astype(t)) for bound, t in tiers]
 
     def _gains(self, P):
+        """D * (f(Z) - p(Z)) as a (|dom|, rows) array, Z in the size-sorted
+        domain and p the rows of P, in the narrowest exact tier."""
         top = self.n * self.scale * int(np.abs(P).max(initial=0))
         if self.fast is None or self.magnitude + top >= _INT64_SAFE:
-            return np.array(self.vals, dtype=object) - P.astype(object) @ self.ind.astype(object)
-        if self.magnitude + top < 1 << 53:  # every sum and difference is an int float64 holds
-            gains = P.astype(np.float64) @ self.ind
-            return np.subtract(self.fast, gains, out=gains)
-        return self.fast - P @ self.ind
+            return (np.array(self.vals, dtype=object)[:, None]
+                    - self.ind.astype(object) @ P.astype(object).T)
+        for bound, vals, ind in self.floats:
+            if self.magnitude + top < bound:  # every product, sum and difference is exact
+                # A contiguous copy: OpenBLAS is slow, and erratic under load, on a P.T view.
+                gains = ind @ P.T.astype(vals.dtype, order="C")
+                return np.subtract(vals[:, None], gains, out=gains)
+        return self.fast[:, None] - self.ind @ P.T
 
     def __call__(self, P):
-        per_size = np.maximum.reduceat(self._gains(P), self.starts, axis=1)
-        table = np.maximum.accumulate(per_size, axis=1)[:, self.cols]
-        return table.astype(np.int64) if table.dtype == np.float64 else table
+        gains = self._gains(P)
+        per_size = np.empty((len(self.spans), len(P)), gains.dtype)
+        for row, (a, b) in zip(per_size, self.spans):
+            np.max(gains[a:b], axis=0, out=row)
+        np.maximum.accumulate(per_size, axis=0, out=per_size)
+        table = per_size[self.cols]
+        return (table if table.dtype == object else table.astype(np.int64, copy=False)).T
 
 
 def _box_points(n, lo, hi):
@@ -224,7 +243,7 @@ def _box_sweeps(f, lo, hi):
     N = w^n points of side w: N(N+1)/2, N^2 and (w(w+1)/2)^n. Otherwise
     ``_all_pairs`` compares every pair to name the first violation."""
     pts = _box_points(f.n, lo, hi)
-    g = np.ascontiguousarray(_Conjugates(f)(pts).T)
+    g = _Conjugates(f)(pts).T  # (caps, points), contiguous
     w = hi - lo + 1
     if not _unit_steps_hold(g, f.n, w):
         return _all_pairs(g, pts, lo, hi)

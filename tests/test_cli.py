@@ -340,6 +340,47 @@ def test_check_gen_dir_input(tmp_path):
     assert suites.count("fenchel") == 3  # two instances + self-pairs
 
 
+@pytest.mark.parametrize("where", ["../outside.json", "instances/../../outside.json",
+                                   "absolute"])
+def test_check_refuses_a_manifest_path_outside_its_dir(tmp_path, capsys, rank_u24, where):
+    """A manifest entry such as ``"path": "../outside.json"`` made
+    ``check DIR`` read and report a file outside DIR (exit 0, with the
+    entry's id): now one error line and exit 2, and nothing is checked.
+    An entry inside DIR still loads."""
+    store(rank_u24, tmp_path / "outside.json")
+    corpus = tmp_path / "corpus"
+    (corpus / "instances").mkdir(parents=True)
+    store(rank_u24, corpus / "instances" / "x.json")
+    path = str(tmp_path / "outside.json") if where == "absolute" else where
+    entries = [{"id": "x", "path": "instances/x.json"}, {"id": "y", "path": path}]
+    (corpus / "manifest.json").write_text(json.dumps({"instances": entries}))
+    assert main(["check", "--suites", "exc_single", str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "outside" in captured.err
+    assert [iid for iid, _ in load_instances([corpus / "instances"])] == ["x"]
+
+
+def test_check_refuses_repeated_instance_ids(tmp_path, capsys, rank_u24):
+    """``check a/x.json b/x.json`` printed two reports with
+    ``"instance_id":"x"`` and nothing told them apart. A repeated id, from
+    two files of one stem, one file named twice, or a manifest listing an
+    id twice, is one error line and exit 2, as ``gen`` refuses repeated
+    ids."""
+    for d in ("a", "b", "m"):
+        (tmp_path / d).mkdir()
+        store(rank_u24, tmp_path / d / "x.json")
+    entries = [{"id": "x", "path": "x.json"}, {"id": "x", "path": "x.json"}]
+    (tmp_path / "m" / "manifest.json").write_text(json.dumps({"instances": entries}))
+    a, b = str(tmp_path / "a" / "x.json"), str(tmp_path / "b" / "x.json")
+    for paths in ([a, b], [a, a], [str(tmp_path / "m")], [str(tmp_path / "a"), b]):
+        assert main(["check", "--suites", "exc_single", *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "'x' repeats" in captured.err
+    assert main(["check", "--suites", "exc_single", a]) == 0
+
+
 def test_check_real_fenchel_is_weak_duality(tmp_path):
     # Both tables are M-natural-concave; the dual is taken on integer
     # prices only, so the pair keeps a gap of 0.3 and must still pass.

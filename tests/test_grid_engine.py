@@ -69,9 +69,9 @@ def exact_conjugate(f, p):
 
 def plain_conjugate(conj, P):
     """The plain conjugate column of ``_Conjugates`` at the price rows P,
-    without the per-size pass: the maximum of its gains, in int64 as the
-    kernel returns it, or in Python ints."""
-    plain = conj._gains(P).max(axis=1)
+    without the per-size pass: the maximum of its domain-major gains, in
+    int64 as the kernel returns it, or in Python ints."""
+    plain = conj._gains(P).max(axis=0)
     return plain if plain.dtype == object else plain.astype(np.int64)
 
 
@@ -606,15 +606,20 @@ def _tier_table(mode, last):
 
 def _tier_edges(mode):
     """(table, top, tier) at and just past each bound of ``_Conjugates``,
-    with S = max|D * f| + n * D * top for prices up to ``top``: float64
-    while S < 2^53 ("float"), int64 while S < 2^61, Python ints above.
-    2^53 - 8 is a multiple of n * D (3, or 12 for real), so the first two
-    edges sit at S = 2^53 - 1 and S = 2^53; at the third, the gain
-    9 + n * D * top of the full set at -top is odd and past 2^53, where a
-    float64 difference would round, and at the fourth n * D * top passes
-    2^53, where a float64 product would."""
+    with S = max|D * f| + n * D * top for prices up to ``top``: float32
+    while S < 2^24, float64 while S < 2^53, int64 while S < 2^61, Python
+    ints above. 2^24 - 16 and 2^53 - 8 are multiples of n * D (3, or 12
+    for real), so the first two edges of each float bound sit at S =
+    bound - 1 and S = bound; at the third past 2^24, the gain 17 + n * D *
+    top of the full set at -top is odd and past 2^24, where a float32
+    difference would round. Past 2^53, the gain 9 + n * D * top is odd,
+    where a float64 difference would round, and at the last int64 edge but
+    one n * D * top passes 2^53, where a float64 product would."""
     unit = 3 * (1 if mode == "int" else 4)
-    return [(_tier_table(mode, 7), (2**53 - 8) // unit, "float"),
+    return [(_tier_table(mode, 15), (2**24 - 16) // unit, "float32"),
+            (_tier_table(mode, 16), (2**24 - 16) // unit, "float64"),
+            (_tier_table(mode, 17), (2**24 - 16) // unit, "float64"),
+            (_tier_table(mode, 7), (2**53 - 8) // unit, "float64"),
             (_tier_table(mode, 8), (2**53 - 8) // unit, "int64"),
             (_tier_table(mode, 9), (2**53 - 1) // unit, "int64"),
             (_tier_table(mode, 9), -(-(2**53) // unit), "int64"),
@@ -629,21 +634,23 @@ def _tier_rows(top):
 @pytest.mark.parametrize("mode", ["int", "real"])
 def test_kernel_product_tiers_at_their_bounds(mode):
     """``_Conjugates._gains`` at each edge of ``_tier_edges`` against the
-    exact gains: float64 in the float tier, int64 in the int64 tier,
-    Python ints above. Prices that note each dtype they are cast to show
-    which product ran."""
+    exact domain-major gains: float32 and float64 in the float tiers,
+    int64 in the int64 tier, Python ints above. Prices that note each
+    dtype they are cast to show which product ran."""
     edges = _tier_edges(mode)
-    assert [f.exact[-1] + 3 * f.scale * top for f, top, _ in edges[:2]] == [2**53 - 1, 2**53]
+    assert [f.exact[-1] + 3 * f.scale * top for f, top, _ in edges[:5]] == \
+        [2**24 - 1, 2**24, 2**24 + 1, 2**53 - 1, 2**53]
     for f, top, tier in edges:
         conj = _Conjugates(f)
         P = np.array(_tier_rows(top), dtype=np.int64).view(_NotedCasts)
         P.seen = []
-        want = [[v - sum(int(p) * int(x) for p, x in zip(row, col))
-                 for v, col in zip(conj.vals, conj.ind.T)] for row in P]
+        want = [[v - sum(int(p) * int(x) for p, x in zip(row, z)) for row in P]
+                for v, z in zip(conj.vals, conj.ind)]
         got = conj._gains(P)
         assert got.tolist() == want, tier
-        assert got.dtype == {"float": np.float64, "object": object}.get(tier, np.int64), tier
-        assert (np.dtype(np.float64) in P.seen) == (tier == "float"), tier
+        assert got.dtype == np.dtype(tier), tier
+        floats = [t for t in P.seen if t.kind == "f"]
+        assert floats == ([np.dtype(tier)] if tier.startswith("float") else []), tier
 
 
 @pytest.mark.parametrize("mode", ["int", "real"])
@@ -686,29 +693,36 @@ def test_real_thirds_take_the_int64_product_at_box_prices():
 
 
 def test_float_tier_keeps_one_gains_temporary():
-    """A float64-tier call on 1,024 price rows of a 70-set domain peaks,
-    under ``tracemalloc`` (numpy's buffers included), below 1.5 times one
-    rows x |dom| gains array: the product, the differences and the
-    per-size maxima share one float64 array, and only the rows x caps
-    table is cast to int64. A second gains-sized array, such as an int64
-    copy of the product, would reach two."""
+    """A call in either float tier on 1,024 price rows of a 70-set domain
+    peaks, under ``tracemalloc`` (numpy's buffers included), below 1.5
+    times one |dom| x rows gains array of the tier's float: the product
+    and the differences share one array, and only the caps x rows table
+    is cast to int64. A second gains-sized array, such as an int64 copy of
+    the product, would reach two. Prices of 2^21 times -3..3 put S past
+    2^24, into the float64 tier."""
     f = {c.instance_id: c.fn for c in default_corpus()}["n8_wbasis_uniform_r4"]
     conj = _Conjugates(f)
-    P = np.random.default_rng(0).integers(-3, 4, size=(1024, f.n))
-    gains = P.shape[0] * len(f.dom_masks) * np.dtype(np.float64).itemsize
-    assert len(f.dom_masks) == 70 and conj._gains(P).dtype == np.float64
-    tracemalloc.start()
-    try:
-        table = conj(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.dtype == np.int64
-    assert peak < 1.5 * gains
+    assert len(f.dom_masks) == 70
+    for unit, dtype in ((1, np.float32), (1 << 21, np.float64)):
+        P = np.random.default_rng(0).integers(-3, 4, size=(1024, f.n)) * unit
+        gains = P.shape[0] * len(f.dom_masks) * np.dtype(dtype).itemsize
+        assert conj._gains(P).dtype == dtype
+        tracemalloc.start()
+        try:
+            table = conj(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.dtype == np.int64
+        assert peak < 1.5 * gains, dtype
 
 
 class _NotedCasts(np.ndarray):
-    """An array that notes each dtype it is cast to in ``seen``."""
+    """An array that notes each dtype it or a view of it is cast to in
+    ``seen``."""
+
+    def __array_finalize__(self, obj):
+        self.seen = getattr(obj, "seen", None)
 
     def astype(self, dtype, *args, **kwargs):
         self.seen.append(np.dtype(dtype))

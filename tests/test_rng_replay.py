@@ -89,6 +89,25 @@ def test_multi_draws_match_scalar_draws(seed, ndom, n):
     assert drawn(seed, [below(ndom, 2), (1, 1 << n, n)]) == (expected, rng.getstate())
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("runs", [[below(256, 4)], [below(257, 4)],
+                                  [below(256, 2), below(257, 4)], [(3, 256, 8), below(7)]],
+                         ids=["256", "257", "256-257", "bits8-7"])
+def test_byte_and_list_paths_match_scalar_draws(seed, runs):
+    """On each side of the byte path: with every bound at most 256 the
+    values reach numpy as bytes, and a run of bound 257, whose values
+    reach 256, sends the whole draw through the list. Values and the
+    generator state equal the scalar ``randrange`` and ``getrandbits``
+    loop's."""
+    rng = random.Random(seed)
+    expected = [[rng.getrandbits(k) if bound == 1 << k else rng.randrange(bound)
+                 for count, bound, k in runs for _ in range(count)]
+                for _ in range(sum(CHUNKS))]
+    assert drawn(seed, runs) == (expected, rng.getstate())
+    if any(bound > 256 for _, bound, _ in runs):
+        assert max(map(max, expected)) == 256  # a value no byte holds was drawn
+
+
 @pytest.mark.parametrize("offset", [0, 5, 623, 624, 1000])
 def test_replay_starts_where_the_rng_stands(offset):
     """Words already taken from the rng, within or past its first block of
