@@ -6,7 +6,10 @@ Suites run on the built-in corpus with the default ``SuiteConfig``,
 each instance with the per-table caches (those of one entry) cleared
 first, so that every suite pays for its own sweep and value table. A
 suite's time at n is the sum over the corpus instances with that n
-(``fenchel``: the same-n pairs among them). The commands are
+(``fenchel``: the same-n pairs among them). Those caches hide what
+one table keeps for the next, so one more pass runs the selected
+exchange suites over the whole corpus in its order with the caches kept,
+as ``mconcave check`` runs them, clearing them once per run. The commands are
 ``mconcave check``, ``mconcave check --jobs 2`` and ``mconcave falsify``
 with their defaults; each run records the sha256 of its output. Every
 number is over k runs: median, min, max and interquartile range, in
@@ -15,8 +18,8 @@ whether the tree has uncommitted changes) and the load average before
 and after go in too: on a shared machine the spread is part of the
 measurement.
 
-``--compare OLD NEW`` prints, for each suite at each n and each command
-in both profiles, the change of the median next to the larger of the
+``--compare OLD NEW`` prints, for each suite at each n, the kept pass and
+each command in both profiles, the change of the median next to the larger of the
 two interquartile ranges, and marks a change inside that range as
 noise. It decides no gate: the exit code is 0.
 
@@ -100,6 +103,27 @@ def suite_profile(suites, k):
     return out
 
 
+def kept_pass(suites, k):
+    """Seconds of ``k`` runs of the selected exchange suites over the whole
+    corpus in its order, with the caches cleared once per run and kept
+    from one instance to the next, as ``mconcave check`` keeps them; None
+    when no exchange suite is selected."""
+    chosen = tuple(s for s in suites if s not in ("fenchel", "duality_grid"))
+    if not chosen:
+        return None
+    cfg = cli.SuiteConfig(suites=chosen)
+    tasks = [(index, inst.instance_id, inst.fn, cfg)
+             for index, inst in enumerate(default_corpus())]
+    times = []
+    for _ in range(k):
+        clear_table_caches()
+        start = time.perf_counter()
+        for task in tasks:
+            cli._instance_reports(task)
+        times.append(time.perf_counter() - start)
+    return {**spread(times), "suites": list(chosen), "instances": len(tasks)}
+
+
 def command_profile(k):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = {}
@@ -133,12 +157,15 @@ def host():
 
 
 def compare(old, new):
-    """The lines of ``--compare``: one per suite and n, then one per
-    command, present in both profiles ``old`` and ``new``."""
+    """The lines of ``--compare``: one per suite and n, then one per kept
+    pass and one per command, present in both profiles ``old`` and
+    ``new``."""
     rows = [(f"{suite} n={n}", entry, new["suites"][suite][n])
             for suite, by_n in old["suites"].items() if suite in new["suites"]
             for n, entry in sorted(by_n.items(), key=lambda item: int(item[0]))
             if n in new["suites"][suite]]
+    rows += [(f"pass {name}", entry, new["passes"][name])
+             for name, entry in old.get("passes", {}).items() if name in new.get("passes", {})]
     rows += [(name, entry, new["commands"][name]) for name, entry in old["commands"].items()
              if name in new["commands"]]
     lines = []
@@ -176,7 +203,11 @@ def main(argv=None):
         ap.error(f"unknown suites {unknown}" if unknown else "-k must be at least 1")
     load = [os.getloadavg()[0]]
     record = {"schema": 1, "host": host(), "k": args.k,
-              "suites": suite_profile(suites, args.k), "commands": command_profile(args.k)}
+              "suites": suite_profile(suites, args.k), "passes": {},
+              "commands": command_profile(args.k)}
+    kept = kept_pass(suites, args.k)
+    if kept is not None:
+        record["passes"]["exchange_caches_kept"] = kept
     load.append(os.getloadavg()[0])
     record["host"]["load_1min"] = load
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",

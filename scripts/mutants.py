@@ -201,6 +201,17 @@ MUTANTS = [
            "@functools.lru_cache(maxsize=1)\ndef exc_multi_reports(",
            "@functools.lru_cache(maxsize=None)\ndef exc_multi_reports(",
            ("tests/test_cli.py::test_suites_reuse_reports_of_one_table_only",)),
+    # The next table of the same n reads the plan of another domain.
+    Mutant("domain_plan_keyed_on_n_alone", "exchange.py",
+           "plan = _domain_plan(f.n, f.dom_masks)\n    if \"triples\" in plan:",
+           "plan = _domain_plan(f.n, ())\n    if \"triples\" in plan:",
+           ("tests/test_multi_batched.py::test_tables_on_one_domain_share_its_plan",)),
+    # A table whose sweep fails a fact reads the domain's scan of every pair.
+    Mutant("restriction_scan_reused_past_a_failing_fact", "exchange.py",
+           'parts.get("facts") if failing is None else None',
+           'parts.get("facts")',
+           ("tests/test_multi_batched.py::"
+            "test_a_failing_fact_after_a_passing_table_gets_its_own_count",)),
     Mutant("conjugate_float_tier_without_value_bound", "duality.py",
            "if self.magnitude + top < bound:",
            "if top < bound:",

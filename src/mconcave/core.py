@@ -531,10 +531,20 @@ def load(path):
 
     Deserialized functions may have an empty effective domain; checkers
     reject those, so callers should inspect ``dom_masks`` when in doubt.
+    A real value is the float the literal parses to, so a literal that
+    the parse changes by more than float rounding is refused: one with a
+    nonzero magnitude below 2^-1022, where floats are subnormal or 0.
     """
+    def parse_float(text):
+        value = float(text)
+        if abs(value) < 2.0**-1022 and text.lower().partition("e")[0].strip("-0."):
+            raise FormatError(f"{path}: {text} is nonzero and below 2^-1022 in magnitude, "
+                              f"which a float does not hold to its precision")
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_float=parse_float)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
     return loads_setfn(obj, context=str(path))

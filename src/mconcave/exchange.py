@@ -17,8 +17,16 @@ of least domain-set sizes over the intervals of the cube
 that size, the restriction facts read its blocks for one table, and
 ``_bulk_decide`` decides many small value rows of the falsification
 campaign at once on the masks of its blocks over the full cube 2^n
-(``_bulk_plan``, one per n). ``_best_multi`` is the scalar search of one
-triple, for the witness finders.
+(``_bulk_plan``, one per n). Of this work only the gathers of f at X, Y,
+(X\\I) | J and (Y\\J) | I read the values: the triples, the masks of
+their moves and the restriction facts depend on dom f alone. So the last
+domain keeps (``_domain_plan``) its exhaustive triples with their move
+masks where those arrays fit _BATCH_BYTES (every repeated domain of the
+default corpus; above, they stream as they are built, and sampled
+triples are never kept), and its restriction scan where the sweep
+reports no failing fact; the next table on the domain reads them.
+``_best_multi`` is the scalar search of one triple, for the witness
+finders.
 Every decision reads ``f.exact``, the int table D * f, and compares
 with ``<=``; counterexamples and witnesses show values through
 ``core.shown``.
@@ -430,17 +438,18 @@ def _multi_pass_margin(f, samples=None, seed=None):
     """
     n = f.n
     at, neg = value_table(f, _BATCH_BYTES)
-    dm = np.array(f.dom_masks, dtype=np.int64)
     if samples is None:
-        blocks = exhaustive_triples(dm, n, _BATCH_BYTES)
+        blocks = _exhaustive_plan(f)
     else:
-        blocks = sampled_triples(dm, n, samples, seed, _BATCH_BYTES)
+        dm = np.array(f.dom_masks, dtype=np.int64)
+        blocks = ((xm, ym, im, moves(xm, ym, im, _BATCH_BYTES))
+                  for xm, ym, im in sampled_triples(dm, n, samples, seed, _BATCH_BYTES))
     counts = {True: np.zeros(n + 1, dtype=np.int64), False: np.zeros(n + 1, dtype=np.int64)}
     out = {}
     seen = 0
-    for xm, ym, im in blocks:
+    for xm, ym, im, mv in blocks:
         lhs = at(xm) + at(ym)
-        bests = multi_best(at, neg, xm, ym, im, _BATCH_BYTES)
+        bests = multi_best(at, neg, len(xm), mv)
         for bounded, (best, size) in zip((True, False), bests):
             if bounded in out:
                 continue
@@ -459,6 +468,40 @@ def _multi_pass_margin(f, samples=None, seed=None):
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _domain_plan(n, dom):
+    """What the exchange suites read of the domain ``dom`` (f.dom_masks)
+    alone, kept for the last domain: a dict that gets, once computed,
+    "triples", the blocks of ``_exhaustive_plan``, and "facts", the
+    restriction scan of ``_lemma_facts`` over every pair."""
+    return {}
+
+
+def _exhaustive_plan(f):
+    """Every triple (X, Y, I) of f's domain in lex order with its moves, as
+    blocks (xm, ym, im, moves): ``moves.exhaustive_triples`` and, for each
+    block, the blocks of ``moves.moves``. Where the plan's arrays, at most
+    40 bytes a triple and 16 a move, fit _BATCH_BYTES, it is built whole,
+    kept read-only in ``_domain_plan`` and read from there by the next
+    table on the domain; else its blocks stream as they are built."""
+    plan = _domain_plan(f.n, f.dom_masks)
+    if "triples" in plan:
+        return plan["triples"]
+    dm = np.array(f.dom_masks, dtype=np.int64)
+    blocks = ((xm, ym, im, moves(xm, ym, im, _BATCH_BYTES))
+              for xm, ym, im in exhaustive_triples(dm, f.n, _BATCH_BYTES))
+    # 2^|X \ Y| triples a pair, and 2^|Y \ X| moves each.
+    n_triples, n_moves = (np.left_shift(1, np.bitwise_count(d), dtype=np.int64).sum()
+                          for d in (dm[:, None] & ~dm, dm[:, None] ^ dm))
+    if 40 * n_triples + 16 * n_moves > _BATCH_BYTES:
+        return blocks
+    plan["triples"] = tuple((xm, ym, im, tuple(mv)) for xm, ym, im, mv in blocks)
+    for xm, ym, im, mv in plan["triples"]:
+        for arr in (xm, ym, im, *(a for block in mv for a in block)):
+            arr.setflags(write=False)
+    return plan["triples"]
+
+
 def _lemma_facts(f, failing):
     """The facts the proof uses, on every (X, Y) in dom x dom in row-major
     order: a swap for each i in X \\ Y by ascending i when |X| <= |Y|, an
@@ -470,15 +513,44 @@ def _lemma_facts(f, failing):
     fails, or None, and the count of facts through it (all of them when
     none fails). The swap and augment facts are rules of
     ``_exchange_sweep``, whose first failure (or None) ``failing`` gives.
-    The restriction facts, checked on the pairs before it, ask for domain
-    sets in intervals of the cube: one lookup per pair in the table of
+    The restriction facts, checked on the pairs before it, depend on the
+    domain alone (``_restriction_scan``); where ``failing`` is None, their
+    scan covers every pair and is kept in ``_domain_plan``.
+    """
+    parts = _domain_plan(f.n, f.dom_masks)
+    scan = parts.get("facts") if failing is None else None
+    if scan is None:
+        scan = _restriction_scan(f, failing)
+        if failing is None:
+            parts["facts"] = scan
+    hit, checked = scan
+    if hit is not None:
+        xm, ym, im, side = hit
+        return {"X": list(elements_of(xm)), "Y": list(elements_of(ym)),
+                "fact": "restriction_domains_nonempty", "I": list(elements_of(im)),
+                "detail": _empty_side(side, xm, ym, im)}, checked
+    if failing is None:
+        return None, checked
+    x, y, r = failing
+    xm, ym = f.dom_masks[x], f.dom_masks[y]
+    fact = {"fact": "swap_at_leq_size", "i": r + 1} if r < f.n else {"fact": "augment_at_lt_size"}
+    # The facts of the pair before rule r: the swaps of X \ Y below r.
+    checked += (xm & ~ym & ((1 << r) - 1)).bit_count()
+    return {"X": list(elements_of(xm)), "Y": list(elements_of(ym)), **fact}, checked + 1
+
+
+def _restriction_scan(f, failing):
+    """(hit, checked) of the restriction facts of ``_lemma_facts`` on the
+    pairs before ``failing`` (all of them for None): hit the first failing
+    one as (xm, ym, im, side), or None, and checked the count of facts
+    through it, or of all the pairs' facts. They ask for domain sets in
+    intervals of the cube: one lookup per pair in the table of
     ``_least_sizes`` while its 4^n entries fit _INTERVAL_BYTES
     (``_interval_first``), else the moves of ``moves.moves``
     (``_moves_first``).
     """
     n = f.n
-    dom = f.dom_masks
-    dm = np.array(dom, dtype=np.int64)
+    dm = np.array(f.dom_masks, dtype=np.int64)
     if 4 ** n <= _INTERVAL_BYTES:
         first = functools.partial(_interval_first, *_least_sizes(n, dm), n)
     else:
@@ -503,18 +575,9 @@ def _lemma_facts(f, failing):
         if hit is not None:
             q, rank, im, side = hit
             checked += int(facts[:q].sum() + head[q] + rank) + 1
-            return {"X": list(elements_of(int(xs[q]))), "Y": list(elements_of(int(ys[q]))),
-                    "fact": "restriction_domains_nonempty", "I": list(elements_of(im)),
-                    "detail": _empty_side(side, int(xs[q]), int(ys[q]), im)}, checked
+            return (int(xs[q]), int(ys[q]), im, side), checked
         checked += int(facts.sum())
-    if failing is None:
-        return None, checked
-    x, y, r = failing
-    xm, ym = dom[x], dom[y]
-    fact = {"fact": "swap_at_leq_size", "i": r + 1} if r < n else {"fact": "augment_at_lt_size"}
-    # The facts of the pair before rule r: the swaps of X \ Y below r.
-    checked += (xm & ~ym & ((1 << r) - 1)).bit_count()
-    return {"X": list(elements_of(xm)), "Y": list(elements_of(ym)), **fact}, checked + 1
+    return None, checked
 
 
 def _least_sizes(n, dm):
@@ -608,15 +671,14 @@ def _bulk_plan(n):
     each a tuple of blocks (x, y, a, b) of read-only int64 arrays. A block
     holds triples with one count of moves: x and y are their masks, and
     a[t] and b[t] the masks (X\\I) | J and (Y\\J) | I of triple t's moves,
-    from ``moves.moves`` with the identity as the table. ``gate`` holds the
+    from ``moves.moves`` over the full cube. ``gate`` holds the
     |I| = 1 triples, the single exchange, whose moves are the drop and the
     swaps; ``rest`` the others. Blocks come by ascending count of moves."""
     groups = ({}, {})
     for xm, ym, im in exhaustive_triples(np.arange(1 << n, dtype=np.int64), n, _BATCH_BYTES):
         # ``moves`` splits a triple's moves over blocks past budget // 64 of
         # them; the plan needs each triple's moves in one block.
-        for rows, a, b, size, k in moves(lambda masks: masks, xm, ym, im,
-                                         max(_BATCH_BYTES, 64 << n)):
+        for rows, a, b, size, k in moves(xm, ym, im, max(_BATCH_BYTES, 64 << n)):
             for kv in set(k.tolist()):
                 t, keep = k == kv, size <= kv
                 groups[kv != 1].setdefault(int(keep.sum()), []).append(

@@ -7,22 +7,26 @@ it in a term fails; ``encoding`` also picks the narrowest exact dtype
 (int16, int32, int64, then Python ints), for ``value_table`` and the
 campaign's decider alike.
 
+The triples and their moves depend on the domain alone, so ``moves``
+gives masks, (X\\I) | J and (Y\\J) | I, and its callers gather the
+values: ``multi_best`` and ``restriction_sides`` for one table, and
+``exchange``, which keeps one domain's blocks of masks for the next
+table on it (``exchange._domain_plan``) and builds the falsification
+campaign's plan, once per n over the full cube, from the same blocks.
 ``exchange`` decides the multiple exchange, both bounds, from one gather
 of f((X\\I) | J) + f((Y\\J) | I). Where its interval table of
 ``lemmas_2_8``'s restriction facts does not fit (n > 12), it reads them
 from the same moves, where J = {} leaves them open.
-With the identity as the table, ``moves`` gives the masks (X\\I) | J
-and (Y\\J) | I themselves: the falsification campaign's decider gathers
-them once per n over the full cube and reads many value rows through
-them. A move set J is the canonical rank pattern of its
+A move set J is the canonical rank pattern of its
 size m = |Y \\ X| with bit r moved to the r-th lowest set bit of Y \\ X,
 which keeps the order: one int64 matrix product of those m bits with the
 (m, moves) 0/1 bit matrix of the patterns, exact as each entry sums
 distinct powers of two below 2^HARD_CAP (integer, so no BLAS). Every
-function that allocates takes ``budget``, the bytes that the arrays of
+function that enumerates takes ``budget``, the bytes that the arrays of
 one block may take together (``exchange._BATCH_BYTES``), and blocks over
 the triples, budget / _TRIPLE_BYTES of them enumerated or sampled, and
-over the moves too when 2^m moves alone exceed it.
+over the moves too when 2^m moves alone exceed it; ``multi_best`` reads
+the blocks it is given.
 """
 
 import functools
@@ -126,14 +130,15 @@ def by_size(m):
     return out
 
 
-def moves(at, xm, ym, im, budget):
+def moves(xm, ym, im, budget):
     """The moves J inside Y \\ X of the triples (X, Y, I), given as int64
     mask arrays, in the order of ``submasks_by_size``. Yields
     (rows, a, b, size, k) per block: ``rows`` indexes triples with one
-    m = |Y \\ X|, and for a block of their moves a = f((X\\I) | J) and
-    b = f((Y\\J) | I) have shape (len(rows), len(size)); ``size`` holds the
-    |J| of the block's moves and k the |I| of its triples. A triple's
-    blocks come in the order of its moves."""
+    m = |Y \\ X|, and for a block of their moves the int64 masks
+    a = (X\\I) | J and b = (Y\\J) | I have shape (len(rows), len(size));
+    ``size`` holds the |J| of the block's moves and k the |I| of its
+    triples. A triple's blocks come in the order of its moves. Nothing
+    here reads f: the masks depend on the triples alone."""
     xb = xm & ~im
     yb = ym | im
     y0 = ym & ~xm
@@ -159,22 +164,22 @@ def moves(at, xm, ym, im, budget):
                     low[:, r] = y & -y
                     y = y ^ low[:, r]
                 moved = low @ bits
-                yield (sub, at(xb[sub, None] ^ moved), at(yb[sub, None] ^ moved),
-                       size, k[sub])
+                yield sub, xb[sub, None] ^ moved, yb[sub, None] ^ moved, size, k[sub]
 
 
-def multi_best(at, neg, xm, ym, im, budget):
-    """The best move of each triple: ((best, size) bounded, (best, size)
-    unbounded), where best is the maximum of f((X\\I) | J) + f((Y\\J) | I)
-    over J inside Y \\ X (with |J| <= |I| when bounded) and size the
-    smallest |J| attaining it, which is the size ``_best_multi`` reports.
-    One pass of ``moves`` gives both: a block's bounded pick is its
-    unbounded one but in the rows where that has |J| > |I|, picked again
-    from the same sums with the moves past |I| masked. A pick joins its
-    best where it beats it, and moves come by size."""
-    bests = [(np.full(len(xm), neg), np.zeros(len(xm), dtype=np.int64)) for _ in range(2)]
-    for rows, a, b, size, k in moves(at, xm, ym, im, budget):
-        s = a + b
+def multi_best(at, neg, count, blocks):
+    """The best move of each of ``count`` triples, from the blocks of
+    ``moves`` over them: ((best, size) bounded, (best, size) unbounded),
+    where best is the maximum of f((X\\I) | J) + f((Y\\J) | I) over J
+    inside Y \\ X (with |J| <= |I| when bounded) and size the smallest |J|
+    attaining it, which is the size ``_best_multi`` reports. One pass
+    over the blocks gives both: a block's bounded pick is its unbounded one
+    but in the rows where that has |J| > |I|, picked again from the same
+    sums with the moves past |I| masked. A pick joins its best where it
+    beats it, and moves come by size."""
+    bests = [(np.full(count, neg), np.zeros(count, dtype=np.int64)) for _ in range(2)]
+    for rows, a, b, size, k in blocks:
+        s = at(a) + at(b)
         free = bound = _top(s)
         past = np.flatnonzero(size[free[1]] > k)
         if len(past):
@@ -197,9 +202,9 @@ def restriction_sides(at, neg, xm, ym, im, budget):
     domain: (x_side, x_side_sized, y_side), some finite f((X\\I) | J), some
     with |J| <= |I|, and some finite f((Y\\J) | I), over J inside Y \\ X."""
     sides = [np.zeros(len(xm), dtype=bool) for _ in range(3)]
-    for rows, a, b, size, k in moves(at, xm, ym, im, budget):
-        finite = a != neg
-        for side, hit in zip(sides, (finite, finite & (size <= k[:, None]), b != neg)):
+    for rows, a, b, size, k in moves(xm, ym, im, budget):
+        finite = at(a) != neg
+        for side, hit in zip(sides, (finite, finite & (size <= k[:, None]), at(b) != neg)):
             side[rows] |= hit.any(axis=1)
     return sides
 

@@ -26,7 +26,8 @@ def rank_u24():
 
 @pytest.fixture(autouse=True)
 def fresh_exchange_caches():
-    """No test reads a sweep or multiple-exchange reports that an earlier
-    test left in the one-entry caches of ``exchange``."""
+    """No test reads a sweep, multiple-exchange reports or a domain's plan
+    that an earlier test left in the one-entry caches of ``exchange``."""
     exchange._sweeps.cache_clear()
     exchange.exc_multi_reports.cache_clear()
+    exchange._domain_plan.cache_clear()

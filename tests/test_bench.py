@@ -36,7 +36,7 @@ def profile(tmp_path_factory):
 
 def test_one_suite_one_run_writes_the_schema(profile):
     record = json.loads(profile.read_text(encoding="utf-8"))
-    assert set(record) == {"schema", "host", "k", "suites", "commands"}
+    assert set(record) == {"schema", "host", "k", "suites", "passes", "commands"}
     assert record["schema"] == 1 and record["k"] == 1
     host = record["host"]
     assert set(host) == {"cpu_count", "python", "numpy", "machine", "commit", "dirty",
@@ -51,6 +51,9 @@ def test_one_suite_one_run_writes_the_schema(profile):
     assert sum(entry["instances"] for entry in by_n.values()) == 36
     for entry in by_n.values():
         assert_stats(entry)
+    kept = record["passes"]["exchange_caches_kept"]
+    assert_stats(kept)
+    assert kept["suites"] == ["exc_single"] and kept["instances"] == 36
     commands = record["commands"]
     assert set(commands) == {"check", "check_jobs2", "falsify"}
     for entry in commands.values():
@@ -72,7 +75,7 @@ def compared(old, new):
 
 def test_compare_prints_each_suite_and_command(profile, tmp_path):
     """``--compare`` of two one-suite k = 1 runs prints a line per n of the
-    suite, then per command: both medians, their change next to the
+    suite, then for the kept pass and per command: both medians, their change next to the
     larger IQR (0 at k = 1), and "noise" only where the change lies inside
     it; the outputs' sha256 agree, so no line says they differ. A run
     compared with itself is noise throughout."""
@@ -80,6 +83,8 @@ def test_compare_prints_each_suite_and_command(profile, tmp_path):
     old, new = (json.loads(path.read_text(encoding="utf-8")) for path in (profile, second))
     entries = [(f"exc_single n={n}", old["suites"]["exc_single"][str(n)],
                 new["suites"]["exc_single"][str(n)]) for n in range(3, 9)]
+    entries += [("pass exchange_caches_kept", old["passes"]["exchange_caches_kept"],
+                 new["passes"]["exchange_caches_kept"])]
     entries += [(name, old["commands"][name], new["commands"][name])
                 for name in sorted(old["commands"])]
     rows = compared(profile, second)

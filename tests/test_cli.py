@@ -413,6 +413,26 @@ def test_check_real_table_is_exact(tmp_path):
     assert reports[0]["counterexample"] == {"X": [1, 2], "Y": [], "i": 1, "lhs": 1e-9}
 
 
+@pytest.mark.parametrize("literal, code", [("1e-400", 2), ("1e-310", 2), ("1e-300", 1),
+                                           ("2.2250738585072014e-308", 1), ("-0.0e-500", 0)])
+def test_check_refuses_a_real_literal_below_the_normal_floats(tmp_path, capsys, literal, code):
+    """``json`` read f({1, 2}) = 1e-400 as 0.0, and the table PASSed
+    ``exc_single`` with exit 0, though the one it denotes fails. A nonzero
+    literal below 2^-1022 (underflow to 0, or a subnormal such as 1e-310)
+    is one error line and exit 2; 1e-300 and the least normal float still
+    FAIL with exit 1, and a zero literal, whatever its exponent, passes."""
+    path = tmp_path / "t.json"
+    path.write_text('{"n": 2, "mode": "real", "values": [0, 0, 0, %s]}' % literal)
+    assert main(["check", "--suites", "exc_single", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and f"{literal} is nonzero" in captured.err
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["verdict"] == ("PASS" if code == 0 else "FAIL")
+
+
 def test_check_modular_real_table_passes_every_suite(tmp_path):
     """0.1 + 0.2 = 0.3 read as decimals: the modular table passes every
     suite, its grid swept like an int table's, and its Fenchel self-pair
@@ -664,6 +684,7 @@ def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
             assert corollary.verdict == want.verdict
     assert exchange._sweeps.cache_info().currsize <= 1
     assert exchange.exc_multi_reports.cache_info().currsize <= 1
+    assert exchange._domain_plan.cache_info().currsize <= 1
 
 
 @pytest.mark.parametrize("instance_id", ["n4_laminar", "n5_partition", "n8_wbasis_uniform_r4"])

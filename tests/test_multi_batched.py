@@ -261,12 +261,14 @@ def moves_triples(n, count, seed, top=None):
 
 
 def moves_of(at, triples, budget):
-    """Each triple's (a, b, |J|) from ``moves.moves``, in the order its
-    blocks give them, checking each block's k against |I|."""
+    """Each triple's (a, b, |J|) from the masks of ``moves.moves`` read
+    through ``at``, in the order its blocks give them, checking each
+    block's k against |I|."""
     xm, ym, im = triples
     got = [[] for _ in xm]
-    for rows, a, b, size, k in moves.moves(at, xm, ym, im, budget):
+    for rows, a, b, size, k in moves.moves(xm, ym, im, budget):
         assert k.tolist() == np.bitwise_count(im[rows]).tolist()
+        a, b = at(a), at(b)
         for t, row in enumerate(rows.tolist()):
             got[row] += zip(a[t].tolist(), b[t].tolist(), size.tolist())
     return got
@@ -350,7 +352,7 @@ def test_multi_best_matches_the_scalar_search(budget):
         top = max(abs(v) for v in f.exact if v is not NEG_INF)
         dm = np.array(f.dom_masks, dtype=np.int64)
         for xm, ym, im in moves.exhaustive_triples(dm, f.n, budget):
-            got = moves.multi_best(at, neg, xm, ym, im, budget)
+            got = moves.multi_best(at, neg, len(xm), moves.moves(xm, ym, im, budget))
             redone += int((got[1][1] > np.bitwise_count(im)).sum())
             for t, triple in enumerate(zip(xm.tolist(), ym.tolist(), im.tolist())):
                 for (best, size), bounded in zip(got, (True, False)):
@@ -370,18 +372,20 @@ def test_bounded_pick_is_decided_again_only_past_the_bound(by_id, monkeypatch):
     block without such rows: on the corpus there are some, and under a
     tenth of the rows."""
     blocks, tops, negs = [], [], []
-    real_moves, real_top = moves.moves, moves._top
+    real_best, real_top = moves.multi_best, moves._top
 
-    def spy_moves(*args):
-        for block in real_moves(*args):
-            blocks.append((block, len(tops)))  # the block and its first pick
-            yield block
+    def spy_best(at, neg, count, given):
+        def seen():
+            for block in given:
+                blocks.append((block, len(tops)))  # the block and its first pick
+                yield block
+        return real_best(at, neg, count, seen())
 
     def spy_top(s):
         top, pick = real_top(s)
         tops.append((s, pick))
         return top, pick
-    monkeypatch.setattr(moves, "moves", spy_moves)
+    monkeypatch.setattr(exchange, "multi_best", spy_best)
     monkeypatch.setattr(moves, "_top", spy_top)
     for f in by_id.values():
         start = len(blocks)
@@ -704,6 +708,82 @@ def test_value_tiers_match_the_loops(by_id, top, dtype):
         assert got == ref_lemma_facts(f), f
         lemma_fails += got[0] is not None
     assert lemma_fails >= 4
+
+
+# --- one domain's plan, read by every table on it --------------------------------
+
+
+def cold_lines(f):
+    """f's two multiple-exchange report lines with the exchange caches
+    emptied first."""
+    exchange._domain_plan.cache_clear()
+    exchange.exc_multi_reports.cache_clear()
+    return [exc_multi_reports(f)[bounded].to_json_line() for bounded in (True, False)]
+
+
+def test_tables_on_one_domain_share_its_plan(by_id, monkeypatch):
+    """Tables decided back to back: a corpus table, ``mutate`` copies that
+    keep its domain and fail, a real-mode copy, other corpus tables on the
+    domain, and between them tables on other domains of the same n. Each
+    gives the lines of a cold cache and of the scalar loop, and the plan is
+    built once per run of tables on one domain."""
+    base = by_id["n5_partition"]
+    fails = [mutate(base, s, 1 + s) for s in (0, 2)]
+    assert all(g.dom_masks == base.dom_masks for g in fails)
+    tables = [base, *fails, real_copy(base, 0.37), by_id["n5_laminar"],
+              by_id["n5_wbasis_uniform"], by_id["n5_graphic"], by_id["n4_laminar"],
+              by_id["n4_wbasis_cycle"], by_id["n4_assignment"], by_id["n4_graphic_cycle"]]
+    wants = [[ref_line(f, bounded) for bounded in (True, False)] for f in tables]
+    assert [cold_lines(f) for f in tables] == wants
+    assert sum('"FAIL"' in line for want in wants for line in want) == 4
+    builds = []
+    real = exchange.exhaustive_triples
+    monkeypatch.setattr(exchange, "exhaustive_triples",
+                        lambda dm, *a: builds.append(len(dm)) or real(dm, *a))
+    exchange._domain_plan.cache_clear()
+    for f, want in zip(tables, wants):
+        exchange.exc_multi_reports.cache_clear()
+        assert [exc_multi_reports(f)[bounded].to_json_line() for bounded in (True, False)] == want
+        assert "triples" in exchange._domain_plan(f.n, f.dom_masks)
+    assert builds == [32, 10, 32, 16, 4, 16]
+
+
+def test_a_failing_fact_after_a_passing_table_gets_its_own_count(by_id):
+    """The kept restriction scan covers every pair, so only a table whose
+    sweep reports no failing fact reads it: tables that fail a swap or
+    augment fact, decided after a passing table on the same domain, count
+    the facts through their own failure, as the loop does, and so do the
+    one-sided tables, whose first failing fact is a restriction fact."""
+    good = by_id["n4_laminar"]
+    bad = [mutate(good, s, 2) for s in (1, 4)]
+    assert all(g.dom_masks == good.dom_masks and exchange._exchange_sweep(g)[1] for g in bad)
+    one_sided = one_sided_tables()
+    for f in (good, *bad, real_copy(good, 0.5), *one_sided, real_copy(one_sided[0], 0.5)):
+        assert lemma_facts(f) == ref_lemma_facts(f), f
+        assert ("facts" in exchange._domain_plan(4, f.dom_masks)) == (f.dom_masks == good.dom_masks)
+
+
+def test_a_plan_past_the_budget_is_not_kept(by_id):
+    """n6_laminar's plan (1.37 MB) and a full n = 7 table's exceed
+    _BATCH_BYTES: their triples stream as they are built and nothing is
+    kept. The sampled regime (n = 8) builds no plan. The largest kept plan
+    of the corpus, n7_wbasis_uniform_r3's, holds read-only arrays within
+    _BATCH_BYTES."""
+    for f in (by_id["n6_laminar"], random_table(7, 3, neg_inf_prob=0.0)):
+        assert len(f.dom_masks) == 1 << f.n
+        cold_lines(f)
+        assert "triples" not in exchange._domain_plan(f.n, f.dom_masks)
+    cold_lines(by_id["n8_wbasis_partition"])
+    assert exchange._domain_plan.cache_info().currsize == 0
+    f = by_id["n7_wbasis_uniform_r3"]
+    cold_lines(f)
+    arrays = [arr for xm, ym, im, mv in exchange._domain_plan(f.n, f.dom_masks)["triples"]
+              for arr in (xm, ym, im, *(part for block in mv for part in block))]
+    # The rows of a block are views of one array; count each buffer once.
+    owners = {id(a): a for a in (arr if arr.base is None else arr.base for arr in arrays)}
+    assert exchange._BATCH_BYTES // 2 < sum(a.nbytes for a in owners.values()) \
+        <= exchange._BATCH_BYTES
+    assert not any(a.flags.writeable for a in arrays)
 
 
 # --- bounded memory ----------------------------------------------------------------
