@@ -254,6 +254,19 @@ MUTANTS = [
            ".astype(np.int64) >> 30) << 32",
            ("tests/test_falsify_bulk.py::test_words_below_matches_below",
             "tests/test_falsify_bulk.py::test_campaign_runs_no_per_table_checker")),
+    # Mutations of one entry to different values share the first one's verdict.
+    Mutant("mutation_key_without_value", "cli.py",
+           "(keys[:, 1:] != keys[:, :-1]).any(axis=0)",
+           "(keys[:2, 1:] != keys[:2, :-1]).any(axis=0)",
+           ("tests/test_falsify_bulk.py::test_each_batch_decides_one_row_per_distinct_mutation",
+            "tests/test_falsify_bulk.py::test_mutated_trials_take_their_own_rows_verdict",
+            "tests/test_falsify_bulk.py::"
+            "test_a_mutation_drawn_twice_gives_one_counterexample_per_trial")),
+    Mutant("mutation_scattered_into_the_wrong_entry", "cli.py",
+           "vals[np.arange(len(u)), entry[u]] = value[u]",
+           "vals[np.arange(len(u)), entry[u] ^ 1] = value[u]",
+           ("tests/test_falsify_bulk.py::test_mutated_trials_take_their_own_rows_verdict",
+            "tests/test_falsify_bulk.py::test_falsify_bytes_do_not_depend_on_the_chunk")),
 ]
 
 

@@ -2,8 +2,8 @@
 hunt for counterexamples with seeded mutations, whose value rows are
 drawn by ``core._below``'s rule from generators seeded in bulk
 (``core._seed_words``) or one reseeded C generator (``_random.Random``),
-grouped by size as they are drawn, and decided in bulk
-(``exchange._bulk_decide``).
+grouped by size, and decided in bulk (``exchange._bulk_decide``), each
+distinct mutation of a batch once.
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
 (a falsification), 2 on operational errors (bad config, malformed
@@ -364,6 +364,25 @@ def _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg):
     return out, pos > _SEED_WORDS
 
 
+def _mutation_verdicts(keys, padded, width, m):
+    """(passed, holds) of each column of ``keys``, int64 (base, entry,
+    value) mutations of the rows of ``padded`` (row b: 2^width[b] values,
+    then zeros). A verdict depends on a row's values alone, so each
+    distinct mutation is built once (a gather, then a scatter) and decided
+    in slices of at most ``_FALSIFY_VALUES`` values or one row."""
+    keys = keys[:, order := np.lexsort(keys[::-1])]  # np.unique(axis=0) sorts 4x slower
+    new = np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)]
+    (base, entry, value), ok = keys[:, new], np.zeros((2, np.count_nonzero(new)), dtype=bool)
+    for n in set(width.tolist()):
+        at = np.flatnonzero(width[base] == n)
+        for lo in range(0, len(at), step := max(1, _FALSIFY_VALUES >> n)):
+            u = at[lo:lo + step]
+            vals = padded[base[u], :1 << n]
+            vals[np.arange(len(u)), entry[u]] = value[u]
+            ok[:, u] = _bulk_decide([vals], m)[0]
+    return ok[:, (np.cumsum(new) - 1)[np.argsort(order)]]
+
+
 def falsify_campaign(trials, seed, n_range=(2, 5)):
     """``trials`` seeded tables, each gated on the single exchange and then
     checked for the bounded multiple exchange. Trial t draws as
@@ -374,13 +393,15 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     capped below ``_BULK_SAFE`` (bases checked once, ``exchange._bulk_bound``).
     Batches of max(512, ``_FALSIFY_VALUES`` / 8) trials are drawn up to their
     tables in numpy (``_bulk_draws``), every first generator and every mutation's
-    second one seeded at once; a random table is drawn from one C generator
+    second one seeded at once, and their mutations decided in numpy
+    (``_mutation_verdicts``). A random table is drawn from one C generator
     (``_random.Random``, which draws as ``random.Random``; see
     ``core._below``) reseeded with its sub-seed, and a trial whose draws
-    pass ``_SEED_WORDS`` words wholly in C. Rows are packed by size as
-    drawn; each chunk of ``_FALSIFY_VALUES`` values, closed where a batch
-    ends, is decided in one call (``exchange._bulk_decide``), so memory
-    stays flat.
+    pass ``_SEED_WORDS`` words wholly in C; these rows are packed by size
+    as drawn, and each chunk of ``_FALSIFY_VALUES`` values, closed where a
+    batch ends, is decided in one call (``exchange._bulk_decide``), so
+    memory stays flat. Verdicts are read in trial order. ``SuiteConfig``'s
+    ValueErrors refuse a bad count, seed or range before any draw.
 
     ``near_misses`` lists the first ``_NEAR_MISSES`` passing trials as
     (margin, trial, kind). The margin, the least best - f(X) - f(Y) over
@@ -392,7 +413,7 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     different campaigns for one seed; golden hashes and the benchmark's
     reference digests pin both defaults. A range past n = 5 runs as if
     it stopped there."""
-    _require_int("trials", trials, 1)
+    SuiteConfig(trials=trials, seed=seed, n_range=n_range)  # its checks, before any draw
     n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
         raise ValueError(f"empty falsification range {n_range}")
@@ -421,43 +442,53 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
             row = _draw_mutation(rng, *base, magnitude, neg=neg)
         return row
 
-    t = stop = 0
-    while t < trials:
-        if t == stop:  # a batch starts with a chunk, and its last trial closes one
-            # Below about 1,000 seeds _seed_words' fixed ~4 ms outweighs seeding in C;
-            # 512 is the batch that test_campaign_memory_does_not_grow_with_trials runs.
-            first, stop = t, min(trials, t + max(512, _FALSIFY_VALUES >> 3))
-            draws, scalar = _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg)
-        start, left, ns, packed = t, _FALSIFY_VALUES, [], {n: [] for n in range(n_lo, n_hi + 1)}
-        while t < stop and left > 0:
-            j = t - first
-            if scalar[j]:
-                row = scalar_row(t)
-            elif t % 2 == 0 or bases is None:
-                rng.seed(draws.item(1, j))
-                row = _draw_table(rng, draws.item(0, j), neg=neg)
-            else:
-                row = bases[draws.item(0, j)][0].copy()
-                row[draws.item(1, j)] = draws.item(2, j)
-            n = len(row).bit_length() - 1
-            packed[n].extend(row)
-            ns.append(n)
-            left -= len(row)
-            t += 1
-        mats = {n: np.array(buf, dtype).reshape(-1, 1 << n) for n, buf in packed.items() if buf}
-        packed.clear()  # the lists are free before the decision's peak
-        ns = np.array(ns)
-        passed, holds = np.zeros((2, len(ns)), dtype=bool)
-        for n, verdicts in zip(mats, _bulk_decide(mats.values(), m)):
-            passed[ns == n], holds[ns == n] = verdicts
-        out.singles_passed += int(passed.sum())
-        for i in np.flatnonzero(passed & ~holds).tolist():
-            row = mats[ns[i]][np.count_nonzero(ns[:i] == ns[i])].tolist()
-            out.counterexamples.append({"trial": start + i, "kind": kinds[(start + i) % 2],
-                                        "n": int(ns[i]),
-                                        "values": [None if v == neg else v for v in row]})
-        for i in np.flatnonzero(holds)[:_NEAR_MISSES - len(out.near_misses)].tolist():
-            out.near_misses.append((0, start + i, kinds[(start + i) % 2]))
+    rows = [row for row, _ in bases or ()]
+    same = np.array([rows.index(row) for row in rows], np.int64)  # a table's first base
+    width = np.array([len(row).bit_length() - 1 for row in rows], np.int64)
+    padded = np.array([row + [0] * ((1 << n_hi) - len(row)) for row in rows], dtype)
+    # Below about 1,000 seeds _seed_words' fixed ~4 ms outweighs seeding in C;
+    # 512 is the batch that test_campaign_memory_does_not_grow_with_trials runs.
+    batch = max(512, _FALSIFY_VALUES >> 3)
+    for first in range(0, trials, batch):
+        stop = min(trials, first + batch)
+        draws, scalar = _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg)
+        mutated = ~scalar & (np.arange(first, stop) % 2 == 1) & (bases is not None)
+        verdicts, bad = np.zeros((2, stop - first), dtype=bool), {}  # passed, holds; failing rows
+        if (cols := np.flatnonzero(mutated)).size:
+            keys = np.stack([same[draws[0, cols]], draws[1, cols], draws[2, cols]])
+            verdicts[:, cols] = _mutation_verdicts(keys, padded, width, m)
+        rest, i = np.flatnonzero(~mutated), 0  # random tables and the scalar path
+        while i < len(rest):
+            start, left, ns, packed = i, _FALSIFY_VALUES, [], {n: [] for n in range(n_lo, n_hi + 1)}
+            while i < len(rest) and left > 0:
+                j = rest.item(i)
+                if scalar[j]:
+                    row = scalar_row(first + j)
+                else:
+                    rng.seed(draws.item(1, j))
+                    row = _draw_table(rng, draws.item(0, j), neg=neg)
+                n = len(row).bit_length() - 1
+                packed[n].extend(row)
+                ns.append(n)
+                left -= len(row)
+                i += 1
+            mats = {n: np.array(buf, dtype).reshape(-1, 1 << n) for n, buf in packed.items() if buf}
+            packed.clear()  # the lists are free before the decision's peak
+            ns, js = np.array(ns), rest[start:i]
+            for n, decided in zip(mats, _bulk_decide(mats.values(), m)):
+                verdicts[:, js[ns == n]] = decided
+            for k in np.flatnonzero(verdicts[0, js] & ~verdicts[1, js]).tolist():
+                bad[js.item(k)] = mats[ns[k]][np.count_nonzero(ns[:k] == ns[k])].tolist()
+        out.singles_passed += int(verdicts[0].sum())
+        for j in np.flatnonzero(verdicts[0] & ~verdicts[1]).tolist():
+            if mutated[j]:  # the row its (table, entry, value) was decided as
+                bad[j] = bases[draws.item(0, j)][0].copy()
+                bad[j][draws.item(1, j)] = draws.item(2, j)
+            out.counterexamples.append({"trial": first + j, "kind": kinds[(first + j) % 2],
+                                        "n": len(bad[j]).bit_length() - 1,
+                                        "values": [None if v == neg else v for v in bad[j]]})
+        for j in np.flatnonzero(verdicts[1])[:_NEAR_MISSES - len(out.near_misses)].tolist():
+            out.near_misses.append((0, first + j, kinds[(first + j) % 2]))
     return out
 
 

@@ -665,6 +665,30 @@ def test_campaign_counts_that_fake_a_campaign_are_refused():
     assert falsify_campaign(1, 3).to_dict()["trials"] == 1
 
 
+@pytest.mark.parametrize("seed, n_range, message", [
+    (2**64, (3, 5), "seed must be an int in [0, 2^64)"),
+    (-1, (3, 5), "seed must be an int in [0, 2^64)"),
+    (0, (True, 3), "n_range must be a pair of ints"),
+    (0, (2.5, 4), "n_range must be a pair of ints"),
+    (0, (2, 4.0), "n_range must be a pair of ints"),
+])
+def test_campaign_refuses_what_suiteconfig_refuses(monkeypatch, seed, n_range, message):
+    """seed 2^64 ran seed 0's campaign, -1 that of 2^64 - 1, (True, 3) ran
+    as (1, 3), and a float bound stopped in a TypeError among the draws.
+    Each is now SuiteConfig's ValueError, raised before any draw."""
+    def refuse(*args):
+        raise AssertionError("drawn")
+
+    for name in ("_falsify_bases", "_bulk_draws"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(ValueError) as library:
+        falsify_campaign(10, seed, n_range)
+    with pytest.raises(ValueError) as config:
+        SuiteConfig(seed=seed, n_range=n_range)
+    assert str(library.value) == str(config.value)
+    assert str(library.value).startswith(message)
+
+
 def test_suites_reuse_reports_of_one_table_only(corpus_by_id):
     """corollary1 and the lemmas_2_8 gate reuse the exchange reports of the
     instance being run, and never those of another table with the same id

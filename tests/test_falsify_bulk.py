@@ -722,6 +722,88 @@ def test_campaign_reports_counterexamples_in_trial_order(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["counterexamples"]
 
 
+def spy_batches(monkeypatch):
+    """Per batch of the campaign as it runs: its first trial, its trials
+    drawn in C, and the shapes of the matrices it decides."""
+    batches, draw, decide = [], cli._bulk_draws, cli._bulk_decide
+
+    def draws(seed, first, stop, *args):
+        out = draw(seed, first, stop, *args)
+        batches.append((first, set((first + np.flatnonzero(out[1])).tolist()), []))
+        return out
+
+    def decided(mats, m):
+        mats = list(mats)
+        batches[-1][2].extend(vals.shape for vals in mats)
+        return decide(mats, m)
+    monkeypatch.setattr(cli, "_bulk_draws", draws)
+    monkeypatch.setattr(cli, "_bulk_decide", decided)
+    return batches
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+def test_each_batch_decides_one_row_per_distinct_mutation(monkeypatch, chunk):
+    """A batch decides one row for each random table and each trial drawn in
+    C, and one for each distinct (base table, mutated row) among its other
+    mutations, found here from the scalar drawers; no matrix holds a row
+    more than it needs to reach ``_FALSIFY_VALUES`` values."""
+    values = CHUNK_VALUES[chunk]
+    monkeypatch.setattr(cli, "_FALSIFY_VALUES", values)
+    batches = spy_batches(monkeypatch)
+    seed, n_range, trials = 5, (1, 5), 1500
+    falsify_campaign(trials, seed, n_range)
+    bases = campaign_bases(n_range)
+    stops = [first for first, _, _ in batches[1:]] + [trials]
+    for (first, scalar, shapes), stop in zip(batches, stops):
+        plain, distinct = 0, set()
+        for t in range(first, stop):
+            if t % 2 == 0 or t in scalar:
+                plain += 1
+                continue
+            base = bases[random.Random(seed ^ t).randrange(len(bases))]
+            f, _ = trial_table(t, seed, n_range, bases)
+            distinct.add((tuple(base.values), tuple(f.values)))
+        assert sum(rows for rows, _ in shapes) == plain + len(distinct) < stop - first
+        assert all(rows * width - width < values for rows, width in shapes)
+    assert len(batches) == -(-trials // max(512, values >> 3))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+def test_mutated_trials_take_their_own_rows_verdict(monkeypatch, chunk):
+    """With every passing trial kept as a near miss, the campaign lists the
+    per-trial loop's passing trials, mutated ones among them, and no
+    others, at each chunk."""
+    seed, n_range = 2**63 + 3, (1, 5)
+    monkeypatch.setattr(cli, "_NEAR_MISSES", 10**6)
+    want = per_trial_campaign(1100, seed, n_range, 10**6)
+    mutated = [t for _, t, kind in want.near_misses if kind == "mutated"]
+    assert 0 < len(mutated) < 550
+    monkeypatch.setattr(cli, "_FALSIFY_VALUES", CHUNK_VALUES[chunk])
+    assert dump(falsify_campaign(1100, seed, n_range)) == dump(want)
+
+
+def test_a_mutation_drawn_twice_gives_one_counterexample_per_trial(monkeypatch):
+    """On a single all-zero base at n = 2, each of its four toggles is a
+    counterexample under ``sevens`` (finite sum 0) and is drawn many
+    times: every trial that draws it is reported, with its row, in trial
+    order, as the scalar drawers give it."""
+    base = SetFn(2, [0, 0, 0, 0])
+    monkeypatch.setattr(cli, "_falsify_bases", lambda: (base,))
+    monkeypatch.setattr(cli, "_bulk_decide", sevens)
+    seed, n_range = 17, (2, 2)
+    want = []
+    for t in range(600):
+        f, kind = trial_table(t, seed, n_range, [base])
+        values = [None if v is NEG_INF else v for v in f.values]
+        if sum(v for v in values if v is not None) % 7 == 0:
+            want.append({"trial": t, "kind": kind, "n": 2, "values": values})
+    rows = [tuple(c["values"]) for c in want if c["kind"] == "mutated"]
+    assert len(rows) > 4 * len(set(rows)) and None in {v for row in rows for v in row}
+    for chunk in (1, 7, 10**6):
+        monkeypatch.setattr(cli, "_FALSIFY_VALUES", CHUNK_VALUES[chunk])
+        assert falsify_campaign(600, seed, n_range).counterexamples == want
+
+
 def shifted(tables, top, up):
     """Each table's finite values moved by one constant, so that its
     largest value is ``top`` (``up``) or its least is -top: the exchange
