@@ -11,7 +11,9 @@ one table keeps for the next, so one more pass runs the selected
 exchange suites over the whole corpus in its order with the caches kept,
 as ``mconcave check`` runs them, clearing them once per run. The commands are
 ``mconcave check``, ``mconcave check --jobs 2`` and ``mconcave falsify``
-with their defaults; each run records the sha256 of its output. Every
+with their defaults, and ``python -c "import mconcave.cli"``, the start-up
+each of them pays, all in fresh processes of one environment; each run
+records the sha256 of its output. Every
 number is over k runs: median, min, max and interquartile range, in
 seconds. The host (CPU count, Python and numpy versions, commit and
 whether the tree has uncommitted changes) and the load average before
@@ -47,10 +49,12 @@ import numpy as np  # noqa: E402
 
 from mconcave import cli, default_corpus, duality, exchange, moves  # noqa: E402
 
+# The interpreter's arguments of each fresh-process run.
 COMMANDS = {
-    "check": ["check"],
-    "check_jobs2": ["check", "--jobs", "2"],
-    "falsify": ["falsify"],
+    "check": ["-m", "mconcave", "check"],
+    "check_jobs2": ["-m", "mconcave", "check", "--jobs", "2"],
+    "falsify": ["-m", "mconcave", "falsify"],
+    "import_cli": ["-c", "import mconcave.cli"],
 }
 
 
@@ -128,7 +132,7 @@ def command_profile(k):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = {}
     for name, args in COMMANDS.items():
-        argv = [sys.executable, "-m", "mconcave", *args]
+        argv = [sys.executable, *args]
         times, digests = [], set()
         for _ in range(k):
             start = time.perf_counter()

@@ -255,6 +255,7 @@ MUTANTS = [
            ("tests/test_falsify_bulk.py::test_words_below_matches_below",
             "tests/test_falsify_bulk.py::test_campaign_runs_no_per_table_checker")),
     # Mutations of one entry to different values share the first one's verdict.
+    # The one decider of the campaign's (table, entry, value) keys.
     Mutant("mutation_key_without_value", "cli.py",
            "(keys[:, 1:] != keys[:, :-1]).any(axis=0)",
            "(keys[:2, 1:] != keys[:2, :-1]).any(axis=0)",
@@ -266,7 +267,19 @@ MUTANTS = [
            "vals[np.arange(len(u)), entry[u]] = value[u]",
            "vals[np.arange(len(u)), entry[u] ^ 1] = value[u]",
            ("tests/test_falsify_bulk.py::test_mutated_trials_take_their_own_rows_verdict",
+            "tests/test_falsify_bulk.py::test_falsify_bytes_do_not_depend_on_the_chunk",
+            "tests/test_falsify_bulk.py::test_campaign_matches_per_trial_loop",
+            "tests/test_falsify_bulk.py::test_campaign_reports_counterexamples_in_trial_order")),
+    Mutant("random_table_keyed_at_the_wrong_store_row", "cli.py",
+           "itself = np.arange(len(rows), len(store))",
+           "itself = np.arange(len(rows) - 1, len(store) - 1)",
+           ("tests/test_falsify_bulk.py::test_campaign_matches_per_trial_loop",
+            "tests/test_falsify_bulk.py::test_campaign_reports_counterexamples_in_trial_order",
             "tests/test_falsify_bulk.py::test_falsify_bytes_do_not_depend_on_the_chunk")),
+    Mutant("c_path_keeps_an_emptied_domain", "cli.py",
+           "if toggle and doms[b] == (entry,):",
+           "if False:",
+           ("tests/test_falsify_bulk.py::test_trials_past_the_words_take_the_scalar_path",)),
 ]
 
 

@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 # The checkout's package, so the script runs without installing it.
@@ -38,7 +39,7 @@ def main():
         ap.error(str(e))
 
     print(f"writing corpus to {out} ...")
-    cmd_gen(cfg, out)
+    cmd_gen(replace(cfg, out=str(out)))
     instances = load_instances([str(out)])
     print(f"loaded {len(instances)} instances "
           f"(n = {sorted({f.n for _, f in instances})})")

@@ -1,9 +1,9 @@
 """Command-line harness: generate corpora, run verification suites, and
-hunt for counterexamples with seeded mutations, whose value rows are
-drawn by ``core._below``'s rule from generators seeded in bulk
+hunt for counterexamples among seeded random tables and mutations. Each
+trial is drawn by ``core._below``'s rule, from generators seeded in bulk
 (``core._seed_words``) or one reseeded C generator (``_random.Random``),
-grouped by size, and decided in bulk (``exchange._bulk_decide``), each
-distinct mutation of a batch once.
+as a key (table, entry, value) over its batch's store of tables, and one
+decider (``exchange._bulk_decide``) decides each distinct key once.
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
 (a falsification), 2 on operational errors (bad config, malformed
@@ -325,37 +325,45 @@ def _falsify_bases():
     return tuple(inst.fn for inst in default_corpus() for _ in range(weights.get(inst.fn.n, 0)))
 
 
+def _padded(flat, sizes, n_hi, dtype):
+    """Rows of ``sizes[k]`` values, taken in turn from ``flat`` and padded
+    with zeros to 2^n_hi values: one masked scatter, no loop over rows."""
+    keep = np.arange(1 << n_hi) < sizes[:, None]
+    out = np.zeros(keep.shape, dtype)
+    out[keep] = flat
+    return out
+
+
 def _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg):
     """``falsify_campaign``'s trials first..stop - 1 up to their tables, drawn
     by ``core._below``'s rule from the first ``_SEED_WORDS`` words of each
     trial's generators (``core._seed_words``): an int64 (3, trials) array,
-    (n, sub-seed, 0) for a random table and (base, index, value) for a
-    mutation, and a bool array of the trials whose draws run past those words."""
+    (n, sub-seed, 0) for a random table and (base, entry, value) for a
+    mutation, and a bool array of the trials whose draws run past those
+    words. ``bases`` is the campaign's (values, width, dom_at, dom_size):
+    base b's 2^width[b] values and its domain, each row padded."""
+    values, width, dom_at, dom_size = bases
     t = np.arange(first, stop, dtype=np.uint64)
     words = _seed_words(t ^ np.uint64(seed & MASK64), _SEED_WORDS)
     pos, out = np.zeros(len(t), np.int64), np.zeros((3, len(t)), np.int64)
-    mut = (t % 2 == 1) & (bases is not None)
+    mut = (t % 2 == 1) & (len(width) > 0)
     cols = np.flatnonzero(~mut)
     out[0, cols] = n_lo + _words_below(words, cols, pos, n_hi - n_lo + 1)
     out[1, cols] = _words_below(words, cols, pos, 1 << 32)
     if (cols := np.flatnonzero(mut)).size:
-        base, mseed, magnitude = (_words_below(words, cols, pos, m) for m in (len(bases), 1 << 32, 3))
+        base, mseed, magnitude = (_words_below(words, cols, pos, m) for m in (len(width), 1 << 32, 3))
         magnitude += 1
         toggle = _words_random(words, cols, pos) < 0.3
-        rows, doms = zip(*bases)
-        size, dom_size = (np.array([len(x) for x in xs]) for xs in (rows, doms))
-        values, dom_at = (np.array([list(x) + [0] * ((1 << n_hi) - len(x)) for x in xs])
-                          for xs in (rows, doms))
         words, pos2 = _seed_words(mseed, _SEED_WORDS), np.zeros(len(cols), np.int64)
         idx = np.zeros(len(cols), np.int64)
         on = np.flatnonzero(toggle)
-        idx[on] = _words_below(words, on, pos2, size[base[on]])
+        idx[on] = _words_below(words, on, pos2, 1 << width[base[on]])
         redo = on[(dom_size[base[on]] == 1) & (dom_at[base[on], 0] == idx[on])]  # emptied
         pos2[redo], toggle[redo] = 0, False  # drawn again from word 0 without the toggle
         on, plain = np.flatnonzero(toggle), np.flatnonzero(~toggle & (dom_size[base] > 0))
         idx[plain] = dom_at[base[plain], _words_below(words, plain, pos2, dom_size[base[plain]])]
         up = _words_below(words, plain, pos2, 2) == 1
-        value = values[base, idx]
+        value = values[base, idx].astype(np.int64)
         value[on] = np.where(value[on] == neg, 0, neg)
         value[plain] += np.where(up, magnitude[plain], -magnitude[plain])
         out[:, cols] = base, idx, value
@@ -364,23 +372,27 @@ def _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg):
     return out, pos > _SEED_WORDS
 
 
-def _mutation_verdicts(keys, padded, width, m):
-    """(passed, holds) of each column of ``keys``, int64 (base, entry,
-    value) mutations of the rows of ``padded`` (row b: 2^width[b] values,
+def _mutation_verdicts(keys, store, width, m):
+    """(passed, holds) of each column of ``keys``, int64 (table, entry,
+    value) mutations of the rows of ``store`` (row k: 2^width[k] values,
     then zeros). A verdict depends on a row's values alone, so each
     distinct mutation is built once (a gather, then a scatter) and decided
     in slices of at most ``_FALSIFY_VALUES`` values or one row."""
-    keys = keys[:, order := np.lexsort(keys[::-1])]  # np.unique(axis=0) sorts 4x slower
+    # np.unique(axis=0) sorts 4x slower; numpy radix-sorts a column that fits int16.
+    order = np.lexsort([k.astype(np.int16) if abs(k).max() < 1 << 15 else k for k in keys[::-1]])
+    keys = keys[:, order]
     new = np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)]
-    (base, entry, value), ok = keys[:, new], np.zeros((2, np.count_nonzero(new)), dtype=bool)
+    (table, entry, value), ok = keys[:, new], np.zeros((2, np.count_nonzero(new)), dtype=bool)
     for n in set(width.tolist()):
-        at = np.flatnonzero(width[base] == n)
+        at = np.flatnonzero(width[table] == n)
         for lo in range(0, len(at), step := max(1, _FALSIFY_VALUES >> n)):
             u = at[lo:lo + step]
-            vals = padded[base[u], :1 << n]
+            vals = store[table[u], :1 << n]
             vals[np.arange(len(u)), entry[u]] = value[u]
-            ok[:, u] = _bulk_decide([vals], m)[0]
-    return ok[:, (np.cumsum(new) - 1)[np.argsort(order)]]
+            ok[:, u] = _bulk_decide(vals, m)
+    back = np.empty_like(order)  # each column's place among the distinct keys
+    back[order] = np.cumsum(new) - 1
+    return ok[:, back]
 
 
 def falsify_campaign(trials, seed, n_range=(2, 5)):
@@ -391,16 +403,18 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     ``randrange`` or ``choice`` by ``core._below``'s rule, as an int row
     and no ``SetFn``, in ``moves.encoding(m)``, m = max(5, max |base| + 3)
     capped below ``_BULK_SAFE`` (bases checked once, ``exchange._bulk_bound``).
-    Batches of max(512, ``_FALSIFY_VALUES`` / 8) trials are drawn up to their
-    tables in numpy (``_bulk_draws``), every first generator and every mutation's
-    second one seeded at once, and their mutations decided in numpy
-    (``_mutation_verdicts``). A random table is drawn from one C generator
-    (``_random.Random``, which draws as ``random.Random``; see
-    ``core._below``) reseeded with its sub-seed, and a trial whose draws
-    pass ``_SEED_WORDS`` words wholly in C; these rows are packed by size
-    as drawn, and each chunk of ``_FALSIFY_VALUES`` values, closed where a
-    batch ends, is decided in one call (``exchange._bulk_decide``), so
-    memory stays flat. Verdicts are read in trial order. ``SuiteConfig``'s
+    Every trial is a key (table, entry, value) over its batch's store of
+    tables: the mutation bases, built once per campaign, then the batch's
+    random tables, each keyed as itself (row, 0, row[0]). A batch of
+    max(512, ``_FALSIFY_VALUES`` / 8) trials is drawn up to its keys in
+    numpy (``_bulk_draws``), every first generator and every mutation's
+    second one seeded at once; its random tables, and the trials whose
+    draws pass ``_SEED_WORDS`` words, are drawn from one reseeded C
+    generator (``_random.Random``, which draws as ``random.Random``; see
+    ``core._below``). One decider (``_mutation_verdicts``) decides each
+    distinct key once, in slices of at most ``_FALSIFY_VALUES`` values, so
+    memory stays flat; verdicts, counterexamples (the key's row with its
+    entry set) and near misses are read in trial order. ``SuiteConfig``'s
     ValueErrors refuse a bad count, seed or range before any draw.
 
     ``near_misses`` lists the first ``_NEAR_MISSES`` passing trials as
@@ -417,76 +431,63 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     n_lo, n_hi = max(1, n_range[0]), min(5, n_range[1])  # the campaign is defined at n <= 5
     if n_lo > n_hi:
         raise ValueError(f"empty falsification range {n_range}")
-    bases = [(f.values, f.dom_masks) for f in _falsify_bases() if n_lo <= f.n <= n_hi]
-    m = min(max([5] + [_bulk_bound(r, k) + 3 for k, (r, _) in enumerate(bases)]), _BULK_SAFE - 1)
+    tables = [f for f in _falsify_bases() if n_lo <= f.n <= n_hi]
+    m = min(max([5] + [_bulk_bound(f.values, k) + 3 for k, f in enumerate(tables)]), _BULK_SAFE - 1)
     neg, dtype = encoding(m)
-    bases = [([neg if v is NEG_INF else v for v in row], dom) for row, dom in bases] or None
-    kinds = ("random", "random" if bases is None else "mutated")  # by the parity of t
+    rows = [[neg if v is NEG_INF else v for v in f.values] for f in tables]
+    doms = [f.dom_masks for f in tables]
+    kinds = ("random", "mutated" if rows else "random")  # by the parity of t
     out = FalsifyOutcome(trials=trials)
     for p in range(min(trials, 2)):
         out.kinds[kinds[p]] = out.kinds.get(kinds[p], 0) + (trials + 1 - p) // 2
+    # The bases, padded: the store's first rows, and what _bulk_draws draws from.
+    width = np.array([f.n for f in tables], np.int64)
+    dom_size = np.array([len(dom) for dom in doms], np.int64)
+    bases = (_padded([v for row in rows for v in row], 1 << width, n_hi, dtype), width,
+             _padded([x for dom in doms for x in dom], dom_size, n_hi, np.int64), dom_size)
+    same = np.array([rows.index(row) for row in rows], np.int64)  # a table's first base
     rng = _random.Random()  # random.Random's C base: see core._below
 
-    def scalar_row(t):  # trial t drawn from its generators reseeded in C
+    def drawn_in_c(t):  # trial t's draws up to its key, from its generators reseeded in C
         rng.seed((seed ^ t) & MASK64)
-        if t % 2 == 0 or bases is None:
-            n = n_lo + _below(rng, n_hi - n_lo + 1)
-            rng.seed(_below(rng, 1 << 32))
-            return _draw_table(rng, n, neg=neg)
-        base, mseed = bases[_below(rng, len(bases))], _below(rng, 1 << 32)
+        if t % 2 == 0 or not rows:
+            return n_lo + _below(rng, n_hi - n_lo + 1), _below(rng, 1 << 32), 0
+        b, mseed = _below(rng, len(rows)), _below(rng, 1 << 32)
         magnitude, toggle = 1 + _below(rng, 3), rng.random() < 0.3
         rng.seed(mseed)
-        row = _draw_mutation(rng, *base, magnitude, toggle, neg=neg)
-        if row.count(neg) == len(row):  # the toggle emptied the domain
+        entry, value = _draw_mutation(rng, rows[b], doms[b], magnitude, toggle, neg=neg)
+        if toggle and doms[b] == (entry,):  # the toggle emptied the domain
             rng.seed(mseed)
-            row = _draw_mutation(rng, *base, magnitude, neg=neg)
-        return row
+            entry, value = _draw_mutation(rng, rows[b], doms[b], magnitude, neg=neg)
+        return b, entry, value
 
-    rows = [row for row, _ in bases or ()]
-    same = np.array([rows.index(row) for row in rows], np.int64)  # a table's first base
-    width = np.array([len(row).bit_length() - 1 for row in rows], np.int64)
-    padded = np.array([row + [0] * ((1 << n_hi) - len(row)) for row in rows], dtype)
     # Below about 1,000 seeds _seed_words' fixed ~4 ms outweighs seeding in C;
     # 512 is the batch that test_campaign_memory_does_not_grow_with_trials runs.
     batch = max(512, _FALSIFY_VALUES >> 3)
     for first in range(0, trials, batch):
         stop = min(trials, first + batch)
-        draws, scalar = _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg)
-        mutated = ~scalar & (np.arange(first, stop) % 2 == 1) & (bases is not None)
-        verdicts, bad = np.zeros((2, stop - first), dtype=bool), {}  # passed, holds; failing rows
-        if (cols := np.flatnonzero(mutated)).size:
-            keys = np.stack([same[draws[0, cols]], draws[1, cols], draws[2, cols]])
-            verdicts[:, cols] = _mutation_verdicts(keys, padded, width, m)
-        rest, i = np.flatnonzero(~mutated), 0  # random tables and the scalar path
-        while i < len(rest):
-            start, left, ns, packed = i, _FALSIFY_VALUES, [], {n: [] for n in range(n_lo, n_hi + 1)}
-            while i < len(rest) and left > 0:
-                j = rest.item(i)
-                if scalar[j]:
-                    row = scalar_row(first + j)
-                else:
-                    rng.seed(draws.item(1, j))
-                    row = _draw_table(rng, draws.item(0, j), neg=neg)
-                n = len(row).bit_length() - 1
-                packed[n].extend(row)
-                ns.append(n)
-                left -= len(row)
-                i += 1
-            mats = {n: np.array(buf, dtype).reshape(-1, 1 << n) for n, buf in packed.items() if buf}
-            packed.clear()  # the lists are free before the decision's peak
-            ns, js = np.array(ns), rest[start:i]
-            for n, decided in zip(mats, _bulk_decide(mats.values(), m)):
-                verdicts[:, js[ns == n]] = decided
-            for k in np.flatnonzero(verdicts[0, js] & ~verdicts[1, js]).tolist():
-                bad[js.item(k)] = mats[ns[k]][np.count_nonzero(ns[:k] == ns[k])].tolist()
+        keys, scalar = _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg)
+        for j in np.flatnonzero(scalar).tolist():
+            keys[:, j] = drawn_in_c(first + j)
+        drawn, flat = (np.arange(first, stop) % 2 == 0) | (not rows), []
+        for n, sub in keys[:2, drawn].T.tolist():  # the random tables, in C
+            rng.seed(sub)
+            flat += _draw_table(rng, n, neg=neg)
+        widths = np.concatenate((width, keys[0, drawn]))  # each stored table's n
+        flat = np.array(flat, dtype)  # the list is freed before the decision
+        store = np.concatenate((bases[0], _padded(flat, 1 << widths[len(rows):], n_hi, dtype)))
+        keys[0, ~drawn] = same[keys[0, ~drawn]]
+        itself = np.arange(len(rows), len(store))
+        keys[:, drawn] = itself, 0 * itself, store[itself, 0]
+        verdicts = _mutation_verdicts(keys, store, widths, m)
         out.singles_passed += int(verdicts[0].sum())
         for j in np.flatnonzero(verdicts[0] & ~verdicts[1]).tolist():
-            if mutated[j]:  # the row its (table, entry, value) was decided as
-                bad[j] = bases[draws.item(0, j)][0].copy()
-                bad[j][draws.item(1, j)] = draws.item(2, j)
+            k, entry, value = keys[:, j].tolist()
+            row = store[k, :1 << widths[k]].tolist()
+            row[entry] = value
             out.counterexamples.append({"trial": first + j, "kind": kinds[(first + j) % 2],
-                                        "n": len(bad[j]).bit_length() - 1,
-                                        "values": [None if v == neg else v for v in bad[j]]})
+                                        "n": int(widths[k]),
+                                        "values": [None if v == neg else v for v in row]})
         for j in np.flatnonzero(verdicts[1])[:_NEAR_MISSES - len(out.near_misses)].tolist():
             out.near_misses.append((0, first + j, kinds[(first + j) % 2]))
     return out
@@ -506,8 +507,8 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def cmd_gen(cfg, out_dir):
-    out_dir = Path(out_dir or cfg.out or "corpus")
+def cmd_gen(cfg):
+    out_dir = Path(cfg.out or "corpus")
     inst_dir = out_dir / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": cfg.seed, "instances": []}
@@ -580,9 +581,7 @@ def cmd_check(cfg, paths):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_falsify(cfg, trials):
-    if trials is not None:
-        cfg = replace(cfg, trials=trials)
+def cmd_falsify(cfg):
     outcome = falsify_campaign(cfg.trials, cfg.seed, n_range=cfg.n_range)
     _emit([json.dumps(outcome.to_dict(), sort_keys=True, separators=(",", ":"))],
           cfg.out)
@@ -600,7 +599,7 @@ def _add_common_flags(sp):
 
 def _config_from_args(args):
     cfg = load_config(args.config) if args.config else SuiteConfig()
-    overrides = {name: getattr(args, name) for name in ("seed", "suites", "out", "jobs")
+    overrides = {name: getattr(args, name) for name in ("seed", "suites", "out", "jobs", "trials")
                  if getattr(args, name, None) is not None}
     return replace(cfg, **overrides)
 
@@ -631,11 +630,11 @@ def main(argv=None):
     try:
         cfg = _config_from_args(args)
         if args.command == "gen":
-            return cmd_gen(cfg, args.out)
+            return cmd_gen(cfg)
         if args.command == "check":
             return cmd_check(cfg, args.paths)
         if args.command == "falsify":
-            return cmd_falsify(cfg, args.trials)
+            return cmd_falsify(cfg)
         raise AssertionError(f"unhandled command {args.command!r}")
     except (OSError, ValueError, FormatError, KeyError, MemoryError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)

@@ -133,37 +133,28 @@ def elements_of(mask):
     return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-_SUBMASKS_ASC: dict[int, tuple[int, ...]] = {}
-
-
+@functools.lru_cache(maxsize=1 << 12)
 def submasks_ascending(mask):
-    """All submasks of ``mask`` in ascending numeric order (cached)."""
-    cached = _SUBMASKS_ASC.get(mask)
-    if cached is None:
-        subs = [0]
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            subs += [s | bit for s in subs]
-        cached = _SUBMASKS_ASC[mask] = tuple(subs)
-    return cached
+    """All submasks of ``mask`` in ascending numeric order (cached for the
+    last 4,096 masks)."""
+    subs = [0]
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        subs += [s | bit for s in subs]
+    return tuple(subs)
 
 
-_SUBMASKS_SIZED: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
+@functools.lru_cache(maxsize=1 << 12)
 def submasks_by_size(mask):
     """Submasks of ``mask`` as (submask, size), ordered by size then by the
-    lexicographic order of the element tuple (cached)."""
-    cached = _SUBMASKS_SIZED.get(mask)
-    if cached is None:
-        bits = [1 << (e - 1) for e in elements_of(mask)]
-        out = []
-        for size in range(len(bits) + 1):
-            out += [(sum(combo), size) for combo in combinations(bits, size)]
-        cached = _SUBMASKS_SIZED[mask] = tuple(out)
-    return cached
+    lexicographic order of the element tuple (cached for the last 4,096
+    masks)."""
+    bits = [1 << (e - 1) for e in elements_of(mask)]
+    out = []
+    for size in range(len(bits) + 1):
+        out += [(sum(combo), size) for combo in combinations(bits, size)]
+    return tuple(out)
 
 
 def price_sums(entries, n):

@@ -693,44 +693,40 @@ def _bulk_plan(n):
     return plan
 
 
-def _bulk_decide(mats, m):
-    """The campaign's verdicts on matrices of value rows (f's 2^n values,
-    one n per matrix) in ``moves.encoding(m)``: per matrix, bool arrays
-    ``passed`` (``check_exc_single(f).passed``) and ``holds`` (passed and
-    the bounded multiple exchange holds). Only the best move of a triple
-    counts, so no tie order is needed; f(X) + f(Y) < -2m only where X or Y
-    is outside the domain. Raises ValueError, checked on each matrix, for
-    m >= _BULK_SAFE, another dtype, rows not of 2^n values, an empty
-    domain, or a value neither neg nor in [-m, m]."""
+def _bulk_decide(vals, m):
+    """The campaign's verdicts on a matrix of value rows (f's 2^n values, one
+    n) in ``moves.encoding(m)``: an array of two bool rows, ``passed``
+    (``check_exc_single(f).passed``) and ``holds`` (passed and the bounded
+    multiple exchange holds). Only the best move of a triple counts, so no
+    tie order is needed; f(X) + f(Y) < -2m only where X or Y is outside the
+    domain. Raises ValueError for m >= _BULK_SAFE, another dtype, rows not
+    of 2^n values, an empty domain, or a value neither neg nor in [-m, m]."""
     neg, dtype = encoding(m)
-    out = []
-    for vals in mats:
-        w = vals.shape[1]
-        fin = vals != neg
-        if not (m < _BULK_SAFE and vals.dtype == dtype and w and w & (w - 1) == 0
-                and fin.any(axis=1).all() and (~fin | (vals >= -m) & (vals <= m)).all()):
-            raise ValueError("a row is outside the bulk decider")
-        verdicts = np.zeros((2, len(vals)), dtype=bool)
-        # One column per live row, so that a gather copies whole rows.
-        alive, live = np.arange(len(vals)), np.ascontiguousarray(vals.T)
-        # The gate, then the bounded multiple exchange on the rows that pass
-        # it (a triple with |I| = 1 has exactly the single exchange's moves).
-        for verdict, blocks in zip(verdicts, _bulk_plan(w.bit_length() - 1)):
-            for x, y, a, b in blocks:
-                t0 = 0
-                while t0 < len(x) and len(alive):
-                    # About six values a row per move of a piece.
-                    t = slice(t0, t0 + max(1, _BATCH_BYTES // (6 * live[0].nbytes * a.shape[1])))
-                    lhs = live[x[t]] + live[y[t]]
-                    best = live[a[t]]
-                    best += live[b[t]]
-                    ok = ((best.max(axis=1) >= lhs) | (lhs < -2 * m)).all(axis=0)
-                    if not ok.all():
-                        alive, live = alive[ok], live[:, ok]
-                    t0 = t.stop
-            verdict[alive] = True
-        out.append(tuple(verdicts))
-    return out
+    w = vals.shape[1]
+    fin = vals != neg
+    if not (m < _BULK_SAFE and vals.dtype == dtype and w and w & (w - 1) == 0
+            and fin.any(axis=1).all() and (~fin | (vals >= -m) & (vals <= m)).all()):
+        raise ValueError("a row is outside the bulk decider")
+    verdicts = np.zeros((2, len(vals)), dtype=bool)
+    # One column per live row, so that a gather copies whole rows.
+    alive, live = np.arange(len(vals)), np.ascontiguousarray(vals.T)
+    # The gate, then the bounded multiple exchange on the rows that pass
+    # it (a triple with |I| = 1 has exactly the single exchange's moves).
+    for verdict, blocks in zip(verdicts, _bulk_plan(w.bit_length() - 1)):
+        for x, y, a, b in blocks:
+            t0 = 0
+            while t0 < len(x) and len(alive):
+                # About six values a row per move of a piece.
+                t = slice(t0, t0 + max(1, _BATCH_BYTES // (6 * live[0].nbytes * a.shape[1])))
+                lhs = live[x[t]] + live[y[t]]
+                best = live[a[t]]
+                best += live[b[t]]
+                ok = ((best.max(axis=1) >= lhs) | (lhs < -2 * m)).all(axis=0)
+                if not ok.all():
+                    alive, live = alive[ok], live[:, ok]
+                t0 = t.stop
+        verdict[alive] = True
+    return verdicts
 
 
 def _bulk_bound(row, k):

@@ -284,23 +284,23 @@ def mutate(f, seed, magnitude, toggle_neg_inf=False):
     if f.mode != "int":
         raise ValueError("mutation is defined for int-mode functions")
     _require_int("magnitude", magnitude, 0)
-    return SetFn(f.n, _draw_mutation(random.Random(seed), f.values, f.dom_masks, magnitude,
-                                     toggle_neg_inf), "int")
+    vals = list(f.values)
+    entry, vals[entry] = _draw_mutation(random.Random(seed), f.values, f.dom_masks, magnitude,
+                                        toggle_neg_inf)
+    return SetFn(f.n, vals, "int")
 
 
 def _draw_mutation(rng, values, dom, magnitude, toggle_neg_inf=False, neg=NEG_INF):
-    """``mutate``'s values of the table ``values`` with domain ``dom``,
-    drawn from ``rng`` (``core._below``), with ``neg`` for NEG_INF."""
-    vals = list(values)
+    """``mutate``'s change to the table ``values`` with domain ``dom``, as
+    (entry, value), drawn from ``rng`` (``core._below``), with ``neg`` for
+    NEG_INF."""
     if toggle_neg_inf:
-        idx = _below(rng, len(vals))
-        vals[idx] = 0 if vals[idx] == neg else neg
-    else:
-        if not dom:
-            raise ValueError("no finite entry to perturb")
-        idx = dom[_below(rng, len(dom))]
-        vals[idx] += magnitude if _below(rng, 2) else -magnitude
-    return vals
+        idx = _below(rng, len(values))
+        return idx, 0 if values[idx] == neg else neg
+    if not dom:
+        raise ValueError("no finite entry to perturb")
+    idx = dom[_below(rng, len(dom))]
+    return idx, values[idx] + (magnitude if _below(rng, 2) else -magnitude)
 
 
 def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):

@@ -3,6 +3,7 @@ suite and one run, its comparison of two such profiles, and its
 independence from the benchmark's code."""
 
 import ast
+import hashlib
 import json
 import re
 import subprocess
@@ -55,12 +56,14 @@ def test_one_suite_one_run_writes_the_schema(profile):
     assert_stats(kept)
     assert kept["suites"] == ["exc_single"] and kept["instances"] == 36
     commands = record["commands"]
-    assert set(commands) == {"check", "check_jobs2", "falsify"}
+    assert set(commands) == {"check", "check_jobs2", "falsify", "import_cli"}
     for entry in commands.values():
         assert_stats(entry)
         assert len(entry["sha256"]) == 1 and re.fullmatch(r"[0-9a-f]{64}", entry["sha256"][0])
     assert commands["check"]["sha256"] == commands["check_jobs2"]["sha256"]
-    assert commands["check_jobs2"]["args"] == ["check", "--jobs", "2"]
+    assert commands["check_jobs2"]["args"] == ["-m", "mconcave", "check", "--jobs", "2"]
+    assert commands["import_cli"]["args"] == ["-c", "import mconcave.cli"]
+    assert commands["import_cli"]["sha256"] == [hashlib.sha256(b"").hexdigest()]
 
 
 LINE = re.compile(r"(.+?) +(\d+\.\d{6}) -> (\d+\.\d{6}) s  delta ([+-]\d+\.\d{6}) s "

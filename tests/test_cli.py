@@ -533,6 +533,25 @@ def test_config_file_round(tmp_path):
             SuiteConfig.from_dict({field: 1})
 
 
+@pytest.mark.parametrize("command, flag, value, field, want", [
+    ("check", "--seed", "9", "seed", 9),
+    ("gen", "--out", "flag_dir", "out", "flag_dir"),
+    ("falsify", "--out", "flag.json", "out", "flag.json"),
+    ("check", "--suites", "fenchel,exc_single", "suites", ("exc_single", "fenchel")),
+    ("check", "--jobs", "3", "jobs", 3),
+    ("falsify", "--trials", "7", "trials", 7),
+])
+def test_each_flag_overrides_its_config_field(tmp_path, monkeypatch, command, flag, value,
+                                              field, want):
+    """A flag given with ``--config`` sets its one field of the file's
+    config, the one route it takes to the command."""
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg, *paths: seen.append(cfg) or 0)
+    fields = {"seed": 4, "out": "file_out", "suites": "lemmas_2_8", "jobs": 2, "trials": 11}
+    assert main([command, "--config", write_config(tmp_path, **fields), flag, value]) == 0
+    assert seen == [replace(SuiteConfig.from_dict(fields), **{field: want})]
+
+
 def test_counts_that_fake_a_verdict_are_refused(tmp_path, corpus_by_id, capsys):
     """samples 0 made exc_multi_bounded PASS with no triple checked on a
     table that fails, samples -3 reported -3 triples, and negative jobs
@@ -798,7 +817,7 @@ def test_run_verification_falsifies_the_cli_campaign(tmp_path, monkeypatch, caps
     spec = importlib.util.spec_from_file_location("run_verification", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "cmd_gen", lambda cfg, out: None)
+    monkeypatch.setattr(script, "cmd_gen", lambda cfg: None)
     monkeypatch.setattr(script, "load_instances", lambda paths: [])
     monkeypatch.setattr(script, "run_check", lambda instances, cfg: [])
     monkeypatch.setattr(sys, "argv", ["run_verification.py", "--out", str(tmp_path),

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,28 @@ def test_submask_enumerations():
     assert [elements_of(m) for m, _ in sized] == [
         (), (1,), (3,), (4,), (1, 3), (1, 4), (3, 4), (1, 3, 4)]
     assert [s for _, s in sized] == [0, 1, 1, 1, 2, 2, 2, 3]
+
+
+def test_submask_caches_drop_a_large_mask():
+    """The submask caches keep the last masks asked for, not every one: the
+    2^18 submasks of an 18-bit mask (24 MiB by size) are freed once as many
+    small masks as a cache holds have been asked for after it."""
+    big = (1 << 18) - 1
+    small = [sum(1 << b for b in bits) for k in range(4) for bits in combinations(range(30), k)]
+    for walk in (submasks_ascending, submasks_by_size):
+        walk.cache_clear()
+        tracemalloc.start()
+        try:
+            walk(big)
+            held = tracemalloc.get_traced_memory()[0]
+            for mask in small[:walk.cache_info().maxsize]:
+                walk(mask)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            walk.cache_clear()
+        assert len(small) > walk.cache_info().maxsize
+        assert held > 4 << 20 and left < held // 4, (walk.__name__, held, left)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=0, max_size=6))

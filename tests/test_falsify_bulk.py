@@ -131,14 +131,15 @@ def matrices(rows, m):
 
 
 def decide(rows, m=None):
-    """``_bulk_decide`` on value rows of mixed sizes in one call, as
+    """``_bulk_decide`` on value rows of mixed sizes, one call per size, as
     (passed, holds) per row in row order, holds None where the gate fails.
     m defaults to the rows' largest |value| (``_bulk_bound``)."""
     if m is None:
         m = max(exchange._bulk_bound(row, k) for k, row in enumerate(rows))
     mats, groups = matrices(rows, m)
     out = [None] * len(rows)
-    for ks, (passed, holds) in zip(groups, exchange._bulk_decide(mats, m)):
+    for ks, vals in zip(groups, mats):
+        passed, holds = exchange._bulk_decide(vals, m)
         for k, p, h in zip(ks, passed.tolist(), holds.tolist()):
             out[k] = (True, h) if p else (False, None)
     return out
@@ -411,18 +412,17 @@ def test_tables_outside_the_bound_are_refused():
     assert decide(rows_of(inside)) == [oracle(f) for f in inside]
     assert {p for p, _ in map(oracle, inside)} == {True, False}
     neg, dtype = encoding(top)
-    good = matrices(rows_of(inside[:3]), top)[0]
+    good = matrices(rows_of(inside[:3]), top)[0][0]
     for row in outside:
         with pytest.raises(ValueError, match="outside the bulk decider"):
             exchange._bulk_bound(row, 0)
         encoded = [neg if v is NEG_INF else v for v in row]
         if all(type(v) is int and abs(v) < 2**63 for v in encoded):
             with pytest.raises(ValueError, match="outside the bulk decider"):
-                exchange._bulk_decide(good + [np.array([encoded], dtype=dtype)], top)
-    for mats, m in ((good, top + 1), ([good[0].astype(np.int32)], top),
-                    ([good[0].astype(float)], top)):
+                exchange._bulk_decide(np.array([encoded], dtype=dtype), top)
+    for vals, m in ((good, top + 1), (good.astype(np.int32), top), (good.astype(float), top)):
         with pytest.raises(ValueError, match="outside the bulk decider"):
-            exchange._bulk_decide(mats, m)
+            exchange._bulk_decide(vals, m)
 
 
 def drawer_cases():
@@ -491,7 +491,11 @@ def mutation_bases():
 
 def test_mutation_drawer_matches_the_scalar_mutate():
     bases, emptied = mutation_bases(), 0
-    draw = lambda rng, f, *rest: _draw_mutation(rng, f.values, f.dom_masks, *rest)
+
+    def draw(rng, f, *rest):
+        vals = list(f.values)
+        entry, vals[entry] = _draw_mutation(rng, f.values, f.dom_masks, *rest)
+        return vals
     for s in range(600):
         f, magnitude, toggle = bases[s % len(bases)], s % 4, bool(s // 300)
         want = ref_mutate(f, s, magnitude, toggle)
@@ -637,7 +641,7 @@ def test_campaign_refuses_a_mutation_past_the_bound(monkeypatch):
         falsify_campaign(40, 0, (3, 3))
     for row in ([top + 1] + [top] * 7, [NEG_INF] * 8):
         with pytest.raises(ValueError, match="outside the bulk decider"):
-            exchange._bulk_decide(matrices([row], top)[0], top)
+            exchange._bulk_decide(matrices([row], top)[0][0], top)
 
 
 def test_campaign_builds_no_setfn(monkeypatch):
@@ -685,13 +689,12 @@ def test_bases_are_built_once():
     assert isinstance(cli._falsify_bases(), tuple)
 
 
-def sevens(mats, m):
+def sevens(vals, m):
     """A stand-in decider whose verdict depends only on a row's values:
     every row passes the gate, and the multiple exchange fails when the
     sum of its finite values is a multiple of 7."""
     neg = encoding(m)[0]
-    return [(np.ones(len(vals), dtype=bool), np.where(vals == neg, 0, vals).sum(axis=1) % 7 != 0)
-            for vals in mats]
+    return np.ones(len(vals), dtype=bool), np.where(vals == neg, 0, vals).sum(axis=1) % 7 != 0
 
 
 def test_campaign_reports_counterexamples_in_trial_order(monkeypatch, capsys):
@@ -732,10 +735,9 @@ def spy_batches(monkeypatch):
         batches.append((first, set((first + np.flatnonzero(out[1])).tolist()), []))
         return out
 
-    def decided(mats, m):
-        mats = list(mats)
-        batches[-1][2].extend(vals.shape for vals in mats)
-        return decide(mats, m)
+    def decided(vals, m):
+        batches[-1][2].append(vals.shape)
+        return decide(vals, m)
     monkeypatch.setattr(cli, "_bulk_draws", draws)
     monkeypatch.setattr(cli, "_bulk_decide", decided)
     return batches
@@ -834,7 +836,7 @@ def test_decide_matches_the_int64_oracle_on_each_dtype_tier(monkeypatch, bound, 
             with pytest.raises(ValueError, match="outside the bulk decider"):
                 exchange._bulk_bound(rows[0].values, 0)
             with pytest.raises(ValueError, match="outside the bulk decider"):
-                exchange._bulk_decide(matrices(rows_of(rows), top)[0], top)
+                exchange._bulk_decide(matrices(rows_of(rows), top)[0][0], top)
             continue
         assert encoding(top)[1] is dtype
         want = []
@@ -869,10 +871,9 @@ def test_default_campaigns_decide_int16_matrices(monkeypatch, capsys):
     dtypes = []
     real = cli._bulk_decide
 
-    def spy(mats, m):
-        mats = list(mats)
-        dtypes.extend(vals.dtype for vals in mats)
-        return real(mats, m)
+    def spy(vals, m):
+        dtypes.append(vals.dtype)
+        return real(vals, m)
     monkeypatch.setattr(cli, "_bulk_decide", spy)
     assert main(["falsify"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \

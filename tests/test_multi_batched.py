@@ -29,8 +29,6 @@ from mconcave import (
 )
 from mconcave import cli, exchange, moves
 from mconcave.core import (
-    _SUBMASKS_ASC,
-    _SUBMASKS_SIZED,
     elements_of,
     mask_of,
     shown,
@@ -831,9 +829,7 @@ def test_memory_stays_bounded():
             assert reports[bounded].to_json_line() == ref_line(pair, bounded, samples, seed)
         assert facts == ref_lemma_facts(chain)
     finally:
-        for mask in list(_SUBMASKS_ASC) + list(_SUBMASKS_SIZED):
-            if mask.bit_count() > 12:
-                _SUBMASKS_ASC.pop(mask, None)
-                _SUBMASKS_SIZED.pop(mask, None)
+        submasks_ascending.cache_clear()  # the 20-bit masks' entries
+        submasks_by_size.cache_clear()
     assert facts[0]["fact"] == "augment_at_lt_size" and facts[1] > 40
     assert reports[False].triples_checked == 2 and not reports[False].passed

@@ -183,7 +183,8 @@ _REMOVED = {"_bulk_index", "_bulk_holds", "conjugate_sized", "matroid_base_multi
             "attains", "ext_leq", "effective_domain", "_Replay", "_BULK_NEG", "_BULK_FLOOR",
             "_bulk_row", "_FALSIFY_CHUNK", "_needs_facts", "_single_count", "_rule_sweep",
             "_single_sweep", "_lift_rules", "_exchange_rules", "_swap_rules", "_augment_rule",
-            "_best", "add_rank", "add_wbasis", "_laminar", "_single_report", "_multi_reports"}
+            "_best", "add_rank", "add_wbasis", "_laminar", "_single_report", "_multi_reports",
+            "_SUBMASKS_ASC", "_SUBMASKS_SIZED", "scalar_row", "packed"}
 
 # Class members that only their own tests read; by class, as short names
 # such as ``j`` or ``rank`` are also local variables.
@@ -215,7 +216,9 @@ def test_removed_names_are_defined_nowhere():
     decides both bounds in one pass), the default corpus's own helpers
     (its specs go through ``families.build_instance``) and the CLI's
     copies of the exchange checkers (``exchange`` keeps the one-entry
-    caches they held)."""
+    caches they held), the hand-rolled submask caches (``functools``
+    bounds them), and the campaign's per-trial row drawer and packing of
+    rows by size (every trial is a key of one store)."""
     bound = [f"{module}: {name} (line {node.lineno})" for module, tree in MODULES.items()
              for node in ast.walk(tree)
              for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -224,6 +227,15 @@ def test_removed_names_are_defined_nowhere():
                           and isinstance(node.ctx, ast.Store) else [])
              if name in _REMOVED]
     assert not bound, f"removed names defined again: {bound}"
+
+
+def test_cli_decides_falsify_trials_in_one_function():
+    """``cli.py`` names ``_bulk_decide`` in one function, the decider of
+    the campaign's (table, entry, value) keys, so that a second decision
+    path cannot grow back."""
+    naming = [node.name for node in ast.walk(MODULES["cli.py"])
+              if isinstance(node, ast.FunctionDef) and "_bulk_decide" in _loaded(node)]
+    assert naming == ["_mutation_verdicts"], naming
 
 
 def test_removed_members_are_defined_nowhere():
