@@ -9,7 +9,10 @@ suite's time at n is the sum over the corpus instances with that n
 (``fenchel``: the same-n pairs among them). Those caches hide what
 one table keeps for the next, so one more pass runs the selected
 exchange suites over the whole corpus in its order with the caches kept,
-as ``mconcave check`` runs them, clearing them once per run. The commands are
+as ``mconcave check`` runs them, clearing them once per run. Another pass
+runs ``falsify_campaign(5000, s)`` in-process for s = 0..k - 1, the
+campaign without the start-up that is most of the ``falsify`` command's
+time. The commands are
 ``mconcave check``, ``mconcave check --jobs 2`` and ``mconcave falsify``
 with their defaults, and ``python -c "import mconcave.cli"``, the start-up
 each of them pays, all in fresh processes of one environment; each run
@@ -128,6 +131,18 @@ def kept_pass(suites, k):
     return {**spread(times), "suites": list(chosen), "instances": len(tasks)}
 
 
+def campaign_pass(k, trials=5000):
+    """Seconds of ``k`` in-process campaigns of ``trials`` trials, seeds 0
+    to k - 1, after one more that builds the bases and the plans."""
+    cli.falsify_campaign(trials, k)
+    times = []
+    for seed in range(k):
+        start = time.perf_counter()
+        cli.falsify_campaign(trials, seed)
+        times.append(time.perf_counter() - start)
+    return {**spread(times), "trials": trials}
+
+
 def command_profile(k):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = {}
@@ -212,6 +227,7 @@ def main(argv=None):
     kept = kept_pass(suites, args.k)
     if kept is not None:
         record["passes"]["exchange_caches_kept"] = kept
+    record["passes"]["falsify_campaign"] = campaign_pass(args.k)
     load.append(os.getloadavg()[0])
     record["host"]["load_1min"] = load
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",

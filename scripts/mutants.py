@@ -245,8 +245,8 @@ MUTANTS = [
            "bound <= 257 for _, bound, _ in runs",
            ("tests/test_rng_replay.py::test_byte_and_list_paths_match_scalar_draws",)),
     Mutant("seed_kernel_pass_two_multiplier", "core.py",
-           "mult[0], mult[1] = 1664525, 1566083941",
-           "mult[0], mult[1] = 1664525, 1664525",
+           "factor = np.array([1664525, 1566083941], np.uint32)",
+           "factor = np.array([1664525, 1664525], np.uint32)",
            ("tests/test_falsify_bulk.py::test_seed_words_are_the_c_generators_first_words",
             "tests/test_falsify_bulk.py::test_campaign_runs_no_per_table_checker")),
     Mutant("sub_seed_draw_top_bit_shift", "core.py",
@@ -280,6 +280,17 @@ MUTANTS = [
            "if toggle and doms[b] == (entry,):",
            "if False:",
            ("tests/test_falsify_bulk.py::test_trials_past_the_words_take_the_scalar_path",)),
+    # The numpy decoder of the random tables' words.
+    Mutant("table_decoder_accepts_past_the_bound", "families.py",
+           "ok = w[2:] < width << shift",
+           "ok = w[2:] < (width + 1) << shift",
+           ("tests/test_falsify_bulk.py::test_table_decoder_matches_draw_table",
+            "tests/test_falsify_bulk.py::test_campaign_matches_per_trial_loop")),
+    Mutant("table_decoder_reads_a_word_past_the_height", "families.py",
+           "return (pos > height) | ~finite",
+           "return (pos > height + 1) | ~finite",
+           ("tests/test_falsify_bulk.py::test_table_decoder_matches_draw_table",
+            "tests/test_falsify_bulk.py::test_tables_past_their_words_are_drawn_in_c")),
 ]
 
 

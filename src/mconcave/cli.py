@@ -1,9 +1,11 @@
 """Command-line harness: generate corpora, run verification suites, and
 hunt for counterexamples among seeded random tables and mutations. Each
 trial is drawn by ``core._below``'s rule, from generators seeded in bulk
-(``core._seed_words``) or one reseeded C generator (``_random.Random``),
-as a key (table, entry, value) over its batch's store of tables, and one
-decider (``exchange._bulk_decide``) decides each distinct key once.
+(two ``core._seed_words`` calls a batch) and read in numpy, or, when its
+draws run past their words, from one reseeded C generator
+(``_random.Random``), as a key (table, entry, value) over its batch's
+store of tables, and one decider (``exchange._bulk_decide``) decides each
+distinct key once.
 
 Exit codes: 0 when every report passes, 1 when any suite reports FAIL
 (a falsification), 2 on operational errors (bad config, malformed
@@ -48,7 +50,8 @@ from .exchange import (
     check_exc_single,
     exc_multi_reports,
 )
-from .families import MASK64, _draw_mutation, _draw_table, _is_int, build_corpus, default_corpus
+from .families import (MASK64, _draw_mutation, _draw_table, _is_int, _words_tables, build_corpus,
+                       default_corpus)
 from .moves import encoding
 from .reporting import failed_report, passed_report
 
@@ -68,9 +71,18 @@ FENCHEL_PAIR_N_LIMIT = 5
 # Values of the falsification trials drawn and decided together.
 _FALSIFY_VALUES = 1 << 16
 
-# Words of each falsification trial's generators drawn in numpy
+# Words of each falsification trial's first generator drawn in numpy
 # (``core._seed_words``); a trial whose draws run past them is drawn in C.
 _SEED_WORDS = 24
+
+# Words of each trial's second generator drawn in numpy, in one call per
+# batch: a mutation's, which reads one to three words and retries below its
+# domain's size (2 in 10^4 of the corpus mutations read more), and a random
+# table's, by n and at least a mutation's: the fewest that all but one
+# table in 10^4 read (each of its 2^n values reads two words, and a finite
+# one a geometric run of 4-bit draws). A trial that reads more is drawn in C.
+_MUTATION_WORDS = 16
+_TABLE_WORDS = (10, 15, 23, 38, 68, 124)
 
 # Passing trials a campaign lists as near misses.
 _NEAR_MISSES = 5
@@ -335,41 +347,60 @@ def _padded(flat, sizes, n_hi, dtype):
 
 
 def _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg):
-    """``falsify_campaign``'s trials first..stop - 1 up to their tables, drawn
-    by ``core._below``'s rule from the first ``_SEED_WORDS`` words of each
-    trial's generators (``core._seed_words``): an int64 (3, trials) array,
-    (n, sub-seed, 0) for a random table and (base, entry, value) for a
-    mutation, and a bool array of the trials whose draws run past those
-    words. ``bases`` is the campaign's (values, width, dom_at, dom_size):
-    base b's 2^width[b] values and its domain, each row padded."""
+    """``falsify_campaign``'s trials first..stop - 1 up to their keys, drawn
+    by ``core._below``'s rule from the first words of each trial's
+    generators (``core._seed_words``): ``_SEED_WORDS`` of its first one,
+    ``_MUTATION_WORDS`` of a mutation's second and ``_TABLE_WORDS[n]`` of a
+    random table's. Returns an int64 (3, trials) array, (n, sub-seed, 0)
+    for a random table and (base, entry, value) for a mutation; the batch's
+    store, the base rows and then one row per random table in trial order;
+    a bool array of the trials whose draws run past their words, drawn in
+    C; and one of the random tables whose row is left to C, theirs and
+    those past their words or drawn all ``neg``. ``bases`` is the
+    campaign's (values, width, dom_at, dom_size): base b's 2^width[b]
+    values and its domain, each row padded."""
     values, width, dom_at, dom_size = bases
-    t = np.arange(first, stop, dtype=np.uint64)
-    words = _seed_words(t ^ np.uint64(seed & MASK64), _SEED_WORDS)
-    pos, out = np.zeros(len(t), np.int64), np.zeros((3, len(t)), np.int64)
-    mut = (t % 2 == 1) & (len(width) > 0)
-    cols = np.flatnonzero(~mut)
-    out[0, cols] = n_lo + _words_below(words, cols, pos, n_hi - n_lo + 1)
-    out[1, cols] = _words_below(words, cols, pos, 1 << 32)
-    if (cols := np.flatnonzero(mut)).size:
-        base, mseed, magnitude = (_words_below(words, cols, pos, m) for m in (len(width), 1 << 32, 3))
-        magnitude += 1
-        toggle = _words_random(words, cols, pos) < 0.3
-        words, pos2 = _seed_words(mseed, _SEED_WORDS), np.zeros(len(cols), np.int64)
-        idx = np.zeros(len(cols), np.int64)
-        on = np.flatnonzero(toggle)
-        idx[on] = _words_below(words, on, pos2, 1 << width[base[on]])
-        redo = on[(dom_size[base[on]] == 1) & (dom_at[base[on], 0] == idx[on])]  # emptied
-        pos2[redo], toggle[redo] = 0, False  # drawn again from word 0 without the toggle
-        on, plain = np.flatnonzero(toggle), np.flatnonzero(~toggle & (dom_size[base] > 0))
-        idx[plain] = dom_at[base[plain], _words_below(words, plain, pos2, dom_size[base[plain]])]
-        up = _words_below(words, plain, pos2, 2) == 1
-        value = values[base, idx].astype(np.int64)
-        value[on] = np.where(value[on] == neg, 0, neg)
-        value[plain] += np.where(up, magnitude[plain], -magnitude[plain])
-        out[:, cols] = base, idx, value
-        # past the words, or a plain mutation of an empty domain, which the C path refuses
-        pos[cols[(pos2 > _SEED_WORDS) | (~toggle & (dom_size[base] == 0))]] = _SEED_WORDS + 1
-    return out, pos > _SEED_WORDS
+    mut = (np.arange(first, stop) % 2 == 1) & (len(width) > 0)
+    words = _seed_words(np.arange(first, stop, dtype=np.uint64) ^ np.uint64(seed & MASK64),
+                        _SEED_WORDS)
+    pos, tabs, cols = np.zeros(len(mut), np.int64), np.flatnonzero(~mut), np.flatnonzero(mut)
+    n = n_lo + _words_below(words, tabs, pos, n_hi - n_lo + 1)
+    sub = _words_below(words, tabs, pos, 1 << 32)
+    base, mseed, magnitude = (_words_below(words, cols, pos, m) for m in (len(width), 1 << 32, 3))
+    magnitude += 1
+    toggle = _words_random(words, cols, pos) < 0.3
+    scalar = pos > _SEED_WORDS
+    del words, pos  # freed before the second seeding
+    # One seeding for every second generator, its lanes by height: the
+    # tables by n, largest first, then the mutations.
+    left = scalar[tabs]
+    lane = np.flatnonzero(~left)
+    lane = lane[np.argsort(-n[lane], kind="stable")]
+    height = np.maximum(np.take(_TABLE_WORDS, n[lane]), _MUTATION_WORDS)
+    flat, off = _seed_words(np.r_[sub[lane], mseed].view(np.uint64),  # seeds < 2^32
+                            np.r_[height, np.full(len(cols), _MUTATION_WORDS)])
+    store = np.zeros((len(width) + len(tabs), values.shape[1]), values.dtype)
+    store[:len(width)] = values
+    left[lane] = _words_tables(flat, off, height, 1 << n[lane], store[len(width):], lane, neg)
+    lanes = len(lane) + len(cols)  # rows start full: a mutation's words are one array
+    words = flat[:_MUTATION_WORDS * lanes].reshape(_MUTATION_WORDS, lanes)[:, len(lane):]
+    pos, idx = np.zeros(len(cols), np.int64), np.zeros(len(cols), np.int64)
+    on = np.flatnonzero(toggle)
+    idx[on] = _words_below(words, on, pos, 1 << width[base[on]])
+    redo = on[(dom_size[base[on]] == 1) & (dom_at[base[on], 0] == idx[on])]  # emptied
+    pos[redo], toggle[redo] = 0, False  # drawn again from word 0 without the toggle
+    on, plain = np.flatnonzero(toggle), np.flatnonzero(~toggle & (dom_size[base] > 0))
+    idx[plain] = dom_at[base[plain], _words_below(words, plain, pos, dom_size[base[plain]])]
+    up = _words_below(words, plain, pos, 2) == 1
+    value = values[base, idx].astype(np.int64)
+    value[on] = np.where(value[on] == neg, 0, neg)
+    value[plain] += np.where(up, magnitude[plain], -magnitude[plain])
+    # past the words, or a plain mutation of an empty domain, which the C path refuses
+    scalar[cols[(pos > _MUTATION_WORDS) | (~toggle & (dom_size[base] == 0))]] = True
+    del flat, words  # freed before the keys are built
+    out, in_c = np.zeros((3, len(mut)), np.int64), np.zeros(len(mut), bool)
+    out[:2, tabs], out[:, cols], in_c[tabs] = (n, sub), (base, idx, value), left
+    return out, store, scalar, in_c
 
 
 def _mutation_verdicts(keys, store, width, m):
@@ -406,11 +437,13 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     Every trial is a key (table, entry, value) over its batch's store of
     tables: the mutation bases, built once per campaign, then the batch's
     random tables, each keyed as itself (row, 0, row[0]). A batch of
-    max(512, ``_FALSIFY_VALUES`` / 8) trials is drawn up to its keys in
-    numpy (``_bulk_draws``), every first generator and every mutation's
-    second one seeded at once; its random tables, and the trials whose
-    draws pass ``_SEED_WORDS`` words, are drawn from one reseeded C
-    generator (``_random.Random``, which draws as ``random.Random``; see
+    max(512, ``_FALSIFY_VALUES`` / 8) trials is drawn up to its keys and
+    its store in numpy (``_bulk_draws``): one ``_seed_words`` call seeds
+    every first generator, one more every second generator, a mutation's
+    and a random table's, whose values ``families._words_tables`` decodes.
+    The trials whose draws run past their words, and the random tables
+    that do or are drawn all minus infinity, are drawn from one reseeded
+    C generator (``_random.Random``, which draws as ``random.Random``; see
     ``core._below``). One decider (``_mutation_verdicts``) decides each
     distinct key once, in slices of at most ``_FALSIFY_VALUES`` values, so
     memory stays flat; verdicts, counterexamples (the key's row with its
@@ -461,23 +494,23 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
             entry, value = _draw_mutation(rng, rows[b], doms[b], magnitude, neg=neg)
         return b, entry, value
 
-    # Below about 1,000 seeds _seed_words' fixed ~4 ms outweighs seeding in C;
-    # 512 is the batch that test_campaign_memory_does_not_grow_with_trials runs.
+    # A batch's two _seed_words calls cost about 11 ms each whatever their
+    # size, some 1,800 C seeds (6 us each), and a trial drawn in C seeds two
+    # generators and draws in Python: below about 1,500 trials C would be
+    # cheaper. 512 is the batch test_campaign_memory_does_not_grow_with_trials runs.
     batch = max(512, _FALSIFY_VALUES >> 3)
     for first in range(0, trials, batch):
         stop = min(trials, first + batch)
-        keys, scalar = _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg)
+        keys, store, scalar, left = _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg)
         for j in np.flatnonzero(scalar).tolist():
             keys[:, j] = drawn_in_c(first + j)
-        drawn, flat = (np.arange(first, stop) % 2 == 0) | (not rows), []
-        for n, sub in keys[:2, drawn].T.tolist():  # the random tables, in C
-            rng.seed(sub)
-            flat += _draw_table(rng, n, neg=neg)
+        drawn = (np.arange(first, stop) % 2 == 0) | (not rows)
         widths = np.concatenate((width, keys[0, drawn]))  # each stored table's n
-        flat = np.array(flat, dtype)  # the list is freed before the decision
-        store = np.concatenate((bases[0], _padded(flat, 1 << widths[len(rows):], n_hi, dtype)))
-        keys[0, ~drawn] = same[keys[0, ~drawn]]
         itself = np.arange(len(rows), len(store))
+        for k, (n, sub) in zip(itself[left[drawn]].tolist(), keys[:2, left].T.tolist()):
+            rng.seed(sub)  # a random table left to C
+            store[k, :1 << n] = _draw_table(rng, n, neg=neg)
+        keys[0, ~drawn] = same[keys[0, ~drawn]]
         keys[:, drawn] = itself, 0 * itself, store[itself, 0]
         verdicts = _mutation_verdicts(keys, store, widths, m)
         out.singles_passed += int(verdicts[0].sum())
@@ -497,6 +530,14 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
 # Commands.
 
 
+def _refuse_out(path, directory):
+    """An ``out`` of the wrong kind, refused before any work: ``gen``
+    writes a directory there, ``check`` and ``falsify`` a report file."""
+    if path is not None and Path(path).exists() and Path(path).is_dir() != directory:
+        raise ValueError(f"out {str(path)!r} exists and is "
+                         + ("not a directory" if directory else "a directory"))
+
+
 def _emit(lines, out_path):
     text = "".join(line + "\n" for line in lines)
     if out_path:
@@ -509,6 +550,7 @@ def _emit(lines, out_path):
 
 def cmd_gen(cfg):
     out_dir = Path(cfg.out or "corpus")
+    _refuse_out(out_dir, True)
     inst_dir = out_dir / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"seed": cfg.seed, "instances": []}
@@ -571,6 +613,7 @@ def load_instances(paths):
 
 
 def cmd_check(cfg, paths):
+    _refuse_out(cfg.out, False)
     instances = load_instances(paths) if paths else \
         [(inst.instance_id, inst.fn) for inst in resolve_instances(cfg)]
     reports = run_check(instances, cfg)
@@ -582,6 +625,7 @@ def cmd_check(cfg, paths):
 
 
 def cmd_falsify(cfg):
+    _refuse_out(cfg.out, False)
     outcome = falsify_campaign(cfg.trials, cfg.seed, n_range=cfg.n_range)
     _emit([json.dumps(outcome.to_dict(), sort_keys=True, separators=(",", ":"))],
           cfg.out)

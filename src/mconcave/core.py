@@ -200,32 +200,50 @@ def _mt_init():
 
 
 def _seed_words(seeds, k):
-    """The first k words (``getrandbits(32)``) of ``random.Random(s)`` for
-    each seed s in [0, 2^64), as a (k, len(seeds)) uint32 array, 1 <= k <= 227.
+    """The first words (``getrandbits(32)``) of ``random.Random(s)`` for
+    each seed s in [0, 2^64). With k an int, 1 <= k <= 227, the first k of
+    each, as a (k, len(seeds)) uint32 array. With k a non-increasing array
+    of heights in [1, 227], one per seed, the first k[j] words of seed j,
+    as (flat, off): word i of seed j is flat[off[i] + j], row i holding the
+    seeds whose height passes i, a prefix. Rows start full, so the first
+    min(k) rows are flat[:min(k) * len(seeds)] as a (min(k), len(seeds))
+    array.
+
     ``seed(s)`` is MT19937's ``init_by_array`` (Matsumoto & Nishimura, ACM
     TOMACS 8, 1998) on s's little-endian 32-bit words: a serial chain of
     about 1,870 steps, run for all seeds at once in in-place uint32 ufuncs,
     which wrap as the C code does. Pass 1 runs to its wrap, then again in
-    lockstep with pass 2, so only rows 0..k are held: output i >= 2 is
-    twisted and tempered into row i as pass 2 reaches row 397 + i; outputs
-    0 and 1 wait for row 1, which pass 2 writes last."""
+    lockstep with pass 2, so only state rows 0..k are held, row r for the
+    seeds whose output r - 1 reads it: output i >= 2 is twisted and tempered
+    into row i, over the seeds that read it, as pass 2 reaches row 397 + i;
+    outputs 0 and 1 wait for row 1, which pass 2 writes last."""
     init, n = _mt_init(), len(seeds)
+    heights = np.broadcast_to(np.asarray(k, np.int64), (n,))
+    top = int(heights.max(initial=1))
+    reads = n - np.searchsorted(heights[::-1], np.arange(top), side="right")  # of output i
+    off = np.cumsum(np.r_[0, n, reads])  # row r >= 1 holds reads[r - 1] seeds
+    flat = np.empty(off[-1], np.uint32)
+    rows = [flat[off[r]:off[r + 1]] for r in range(top + 1)]
     seeds = np.asarray(seeds, np.uint64)
     lo, hi = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
     terms = (np.where(hi > 0, hi + np.uint32(1), lo), lo)  # key[j] + j at even and odd rows
-    rows, chain, tmp = (np.empty(shape, np.uint32) for shape in ((k + 1, n), (2, n), (2, n)))
+    del hi  # each (n,) row held adds to a falsify batch's peak
+    chain, tmp = np.empty((2, n), np.uint32), np.empty((2, n), np.uint32)
+    factor = np.array([1664525, 1566083941], np.uint32)  # passes 1 and 2
     mult = np.empty((2, n), np.uint32)  # a whole row each: broadcasting costs twice the product
-    mult[0], mult[1] = 1664525, 1566083941  # passes 1 and 2
+    mult[0], mult[1] = factor
     x, q, t, u = *chain, *tmp
 
-    def step(prev, last, term, out, op=np.add, mul=mult[0, 0]):
+    def step(prev, last, term, out, op=np.add, mul=factor[0]):
         np.right_shift(prev, 30, out=out)
         np.bitwise_xor(out, prev, out=out)
         np.multiply(out, mul, out=out)
         op(np.bitwise_xor(out, last, out=out), term, out=out)
 
     def emit(i, lower, far):  # output i from rows i, i + 1 and 397 + i, into row i
-        np.bitwise_or(np.bitwise_and(rows[i], 0x80000000, out=t),
+        c = reads[i]
+        row, lower, far, t, u = rows[i][:c], lower[:c], far[:c], tmp[0, :c], tmp[1, :c]
+        np.bitwise_or(np.bitwise_and(row, 0x80000000, out=t),
                       np.bitwise_and(lower, 0x7FFFFFFF, out=u), out=t)
         np.multiply(np.bitwise_and(t, 1, out=u), 0x9908B0DF, out=u)
         np.bitwise_xor(np.right_shift(t, 1, out=t), u, out=t)
@@ -233,7 +251,7 @@ def _seed_words(seeds, k):
         np.bitwise_xor(t, np.right_shift(t, 11, out=u), out=t)
         np.bitwise_xor(t, np.bitwise_and(np.left_shift(t, 7, out=u), 0x9D2C5680, out=u), out=t)
         np.bitwise_xor(t, np.bitwise_and(np.left_shift(t, 15, out=u), 0xEFC60000, out=u), out=t)
-        np.bitwise_xor(t, np.right_shift(t, 18, out=u), out=rows[i])
+        np.bitwise_xor(t, np.right_shift(t, 18, out=u), out=row)
 
     step(np.full(n, init[0]), init[1], lo, x)
     first = x.copy()
@@ -244,6 +262,7 @@ def _seed_words(seeds, k):
     step(x, first, terms[0], one)  # pass 1 wraps to row 1
     x, t = chain[0], tmp[0]
     x[:], q[:] = first, one
+    del first
     keep = {}  # the rows that outputs 0 and 1 read once row 1 is known
     for r in range(2, 624):
         np.right_shift(chain, 30, out=tmp)
@@ -251,18 +270,20 @@ def _seed_words(seeds, k):
         np.multiply(tmp, mult, out=tmp)
         np.add(np.bitwise_xor(t, init[r], out=x), terms[r & 1], out=x)
         np.subtract(np.bitwise_xor(u, x, out=q), r, out=q)
-        if r <= k:
-            rows[r] = q
+        if r <= top:
+            rows[r][:] = q[:len(rows[r])]
         if r in (2, 397, 398):
             keep[r] = q.copy()
-        elif 399 <= r < 397 + k:
+        elif 399 <= r < 397 + top:
             emit(r - 397, rows[r - 396], q)
-    step(q, one, 1, rows[1], np.subtract, mult[1, 0])  # pass 2 wraps to row 1
-    rows[0] = 0x80000000
+    step(q, one, 1, rows[1], np.subtract, factor[1])  # pass 2 wraps to row 1
+    rows[0][:] = 0x80000000
     emit(0, rows[1], keep[397])
-    if k > 1:
+    if top > 1:
         emit(1, keep[2], keep[398])
-    return rows[:k]
+    if np.ndim(k) == 0:
+        return flat[:k * n].reshape(k, n)
+    return flat, off
 
 
 def _words_below(words, cols, pos, m):

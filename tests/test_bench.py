@@ -52,9 +52,13 @@ def test_one_suite_one_run_writes_the_schema(profile):
     assert sum(entry["instances"] for entry in by_n.values()) == 36
     for entry in by_n.values():
         assert_stats(entry)
+    assert list(record["passes"]) == ["exchange_caches_kept", "falsify_campaign"]
     kept = record["passes"]["exchange_caches_kept"]
     assert_stats(kept)
     assert kept["suites"] == ["exc_single"] and kept["instances"] == 36
+    campaign = record["passes"]["falsify_campaign"]
+    assert_stats(campaign)
+    assert campaign["trials"] == 5000
     commands = record["commands"]
     assert set(commands) == {"check", "check_jobs2", "falsify", "import_cli"}
     for entry in commands.values():
@@ -78,7 +82,7 @@ def compared(old, new):
 
 def test_compare_prints_each_suite_and_command(profile, tmp_path):
     """``--compare`` of two one-suite k = 1 runs prints a line per n of the
-    suite, then for the kept pass and per command: both medians, their change next to the
+    suite, then for each pass and per command: both medians, their change next to the
     larger IQR (0 at k = 1), and "noise" only where the change lies inside
     it; the outputs' sha256 agree, so no line says they differ. A run
     compared with itself is noise throughout."""
@@ -86,8 +90,8 @@ def test_compare_prints_each_suite_and_command(profile, tmp_path):
     old, new = (json.loads(path.read_text(encoding="utf-8")) for path in (profile, second))
     entries = [(f"exc_single n={n}", old["suites"]["exc_single"][str(n)],
                 new["suites"]["exc_single"][str(n)]) for n in range(3, 9)]
-    entries += [("pass exchange_caches_kept", old["passes"]["exchange_caches_kept"],
-                 new["passes"]["exchange_caches_kept"])]
+    entries += [(f"pass {name}", old["passes"][name], new["passes"][name])
+                for name in ("exchange_caches_kept", "falsify_campaign")]
     entries += [(name, old["commands"][name], new["commands"][name])
                 for name in sorted(old["commands"])]
     rows = compared(profile, second)

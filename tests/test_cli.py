@@ -505,6 +505,33 @@ def test_falsify_zero_trials(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: trials must be an int >= 1, got 0"] * 2
 
 
+@pytest.mark.parametrize("command", ["check", "falsify", "gen"])
+def test_out_of_the_wrong_kind_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                         command):
+    """``gen`` writes a corpus directory at ``out``, ``check`` and
+    ``falsify`` a report file, so one config's ``out`` can name the wrong
+    kind for a command. An existing ``out`` of the other kind exits 2 with
+    one ``error:`` line naming it, before an instance is built, a suite
+    run or a trial drawn, and is left as it was."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    for name in ("resolve_instances", "run_check", "falsify_campaign"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "reports.jsonl"
+    if command == "gen":
+        out.write_text("kept\n")
+    else:
+        out.mkdir()
+    config = write_config(tmp_path, out=str(out), suites="exc_single")
+    assert main([command, "--config", config]) == 2
+    captured = capsys.readouterr()
+    kind = "not a directory" if command == "gen" else "a directory"
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: out {str(out)!r} exists and is {kind}"]
+    assert out.read_text() == "kept\n" if command == "gen" else not any(out.iterdir())
+
+
 def test_falsify_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["falsify", "--trials", "300", "--seed", "13", "--out", str(out1)]) == 0

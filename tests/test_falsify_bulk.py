@@ -37,7 +37,7 @@ from mconcave import cli, core, exchange
 from mconcave.cli import MASK64, FalsifyOutcome, falsify_campaign, main
 from mconcave.core import HARD_CAP, _require_int, submasks_ascending, submasks_by_size
 from mconcave.exchange import _best_multi
-from mconcave.families import _draw_mutation, _draw_table
+from mconcave.families import _draw_mutation, _draw_table, _words_tables
 from mconcave.moves import encoding, value_table
 from test_multi_batched import ref_multi_pass
 
@@ -732,7 +732,7 @@ def spy_batches(monkeypatch):
 
     def draws(seed, first, stop, *args):
         out = draw(seed, first, stop, *args)
-        batches.append((first, set((first + np.flatnonzero(out[1])).tolist()), []))
+        batches.append((first, set((first + np.flatnonzero(out[2])).tolist()), []))
         return out
 
     def decided(vals, m):
@@ -932,6 +932,73 @@ def test_seed_words_are_the_c_generators_first_words(k):
         assert words[:, j].tolist() == [rng.getrandbits(32) for _ in range(k)], (s, k)
 
 
+@pytest.mark.parametrize("heights", [(227, 1), (2, 1), (124, 68, 38, 23, 16, 2, 1), (1,)])
+def test_seed_words_by_height_are_the_c_generators_first_words(heights):
+    """Each seed's own number of words, the seeds sorted by height and held
+    ragged: word i of seed j at flat[off[i] + j], one word more per seed
+    than the heights sum, and the first min(heights) rows one array.
+    Heights 1 and 2 read outputs 0 and 1, which the kernel emits last; the
+    edge seeds take the largest heights and then the least."""
+    seeds = kernel_seeds()
+    k = np.array(sorted((heights[j % len(heights)] for j in range(len(seeds))), reverse=True))
+    for order in (seeds, seeds[::-1]):
+        flat, off = core._seed_words(order, k)
+        assert flat.dtype == np.uint32 and len(flat) == len(order) + k.sum()
+        low = int(k[-1])
+        assert (flat[:low * len(order)].reshape(low, -1) == core._seed_words(order, low)).all()
+        for j, s in enumerate(order):
+            rng = _random.Random(s)
+            assert [int(flat[off[i] + j]) for i in range(k[j])] == \
+                [rng.getrandbits(32) for _ in range(k[j])], (s, k[j])
+
+
+def table_reads(s, n, neg):
+    """``_draw_table``'s values on seed s before its redraw of a table all
+    ``neg``, the words they read, and the most 4-bit draws one value took."""
+    rng, vals, most = Counting(s), [], 0
+    for _ in range(1 << n):
+        if rng.random() < 0.2:
+            vals.append(neg)
+            continue
+        before = rng.used
+        vals.append(core._below(rng, 11) - 5)
+        most = max(most, rng.used - before)
+    return vals, rng.used, most
+
+
+@pytest.mark.parametrize("shrink", [1, 3])
+def test_table_decoder_matches_draw_table(shrink):
+    """``families._words_tables`` against ``_draw_table`` on each lane's own
+    generator, n = 1..5 in one call, into shuffled store rows. A lane is
+    left to C exactly when its 2^n values read past its height (the
+    campaign's heights over ``shrink``: at 3, most lanes of n >= 3) or are
+    all minus infinity (one table in 25 at n = 1); every other lane's row
+    is ``_draw_table``'s, value runs of seven draws or more among them, and
+    nothing past a row's 2^n values or outside the rows is written."""
+    pick = random.Random(shrink)
+    n = np.array(sorted((pick.randint(1, 5) for _ in range(1500)), reverse=True))
+    seeds = [pick.getrandbits(32) for _ in n]
+    height = np.array([max(2, cli._TABLE_WORDS[m] // shrink) for m in n])
+    neg = encoding(8)[0]
+    store = np.full((len(n) + 3, 32), 99, np.int16)
+    at = np.array(pick.sample(range(3, len(store)), len(n)))
+    left = _words_tables(*core._seed_words(seeds, height), height, 1 << n, store, at, neg)
+    past = emptied = long_runs = 0
+    for j, s in enumerate(seeds):
+        vals, used, most = table_reads(s, int(n[j]), neg)
+        empty = vals.count(neg) == len(vals)
+        assert left[j] == (used > height[j] or empty), (j, used, height[j])
+        row = store[at[j]].tolist()
+        if not left[j]:
+            assert row[:1 << n[j]] == vals == _draw_table(random.Random(s), int(n[j]), neg=neg)
+            long_runs += most >= 7
+        assert row[1 << n[j]:] == [99] * (32 - (1 << n[j]))
+        past, emptied = past + (used > height[j]), emptied + empty
+    assert (store[:3] == 99).all()
+    assert emptied > 5 and (past > len(n) // 2) == (shrink > 1)
+    assert long_runs > 0 or shrink > 1  # read past the gather's 8 words, at full heights
+
+
 def decode_against_below(seeds, k, draws):
     """``draws`` (a list of bounds, each an int or one per seed) decoded by
     ``_words_below`` from k words a seed, against ``core._below`` on each
@@ -979,15 +1046,17 @@ def test_words_random_matches_random():
 
 
 def spy_scalar(monkeypatch):
-    """The trials that take the scalar path, as the campaign runs."""
-    taken, real = [], cli._bulk_draws
+    """The trials drawn wholly in C, and the random tables whose rows are
+    drawn in C (those trials' tables among them), as the campaign runs."""
+    taken, tables, real = [], [], cli._bulk_draws
 
     def spy(seed, first, stop, *args):
-        draws, scalar = real(seed, first, stop, *args)
+        keys, store, scalar, left = real(seed, first, stop, *args)
         taken.extend((first + np.flatnonzero(scalar)).tolist())
-        return draws, scalar
+        tables.extend((first + np.flatnonzero(left)).tolist())
+        return keys, store, scalar, left
     monkeypatch.setattr(cli, "_bulk_draws", spy)
-    return taken
+    return taken, tables
 
 
 @pytest.mark.parametrize("words", [2, 5, 9])
@@ -996,8 +1065,9 @@ def test_trials_past_the_words_take_the_scalar_path(monkeypatch, words):
     still equals the per-trial loop, over corpus bases and over one-entry
     bases whose toggle empties the domain, and at every chunk."""
     monkeypatch.setattr(cli, "_SEED_WORDS", words)
+    monkeypatch.setattr(cli, "_MUTATION_WORDS", words)
     monkeypatch.setattr(cli, "_NEAR_MISSES", 10**6)
-    taken = spy_scalar(monkeypatch)
+    taken, _ = spy_scalar(monkeypatch)
     for seed, n_range in ((0, (1, 5)), (2**64 - 1, (3, 8))):
         want = dump(per_trial_campaign(500, seed, n_range, 10**6))
         for chunk in (7, 10**6):
@@ -1013,11 +1083,38 @@ def test_trials_past_the_words_take_the_scalar_path(monkeypatch, words):
     assert len(emptied) >= 5
 
 
+def test_tables_past_their_words_are_drawn_in_c(monkeypatch):
+    """With each table height at the mean words its values read, about
+    half the random tables of n >= 3 read past their words, some by one
+    word, and are drawn in C from their sub-seed. A stand-in decider fails
+    every row, so the campaign lists each trial's table, and each is the
+    one the scalar drawers give, at every chunk; the tables left to C are
+    random tables only."""
+    monkeypatch.setattr(cli, "_TABLE_WORDS", (3, 6, 13, 25, 51, 101))
+    monkeypatch.setattr(cli, "_bulk_decide",
+                        lambda vals, m: (np.ones(len(vals), bool), np.zeros(len(vals), bool)))
+    taken, tables = spy_scalar(monkeypatch)
+    seed, n_range, trials = 2**64 - 1, (1, 5), 700
+    bases, want = campaign_bases(n_range), []
+    for t in range(trials):
+        f, kind = trial_table(t, seed, n_range, bases)
+        want.append({"trial": t, "kind": kind, "n": f.n,
+                     "values": [None if v is NEG_INF else v for v in f.values]})
+    for chunk in (7, 10**6):
+        monkeypatch.setattr(cli, "_FALSIFY_VALUES", CHUNK_VALUES[chunk])
+        assert falsify_campaign(trials, seed, n_range).counterexamples == want
+    left = set(tables) - set(taken)
+    assert all(t % 2 == 0 for t in tables)
+    assert trials // 8 < len(left) < trials // 4, len(left)  # of the 350 random tables
+
+
 def test_campaign_reseeds_only_random_tables_and_the_scalar_path(monkeypatch):
-    """In a default campaign of 2,000 trials the C generator is seeded once
-    for each random table (its sub-seed) and two or three times for each
-    trial past the words: at most trials / 2 + 2% seeds, against two or
-    three a trial when every generator was seeded in C."""
+    """In a default campaign of 2,000 trials the C generator is seeded two or
+    three times for each trial past the words and once for each other
+    random table left to C (past its words, or drawn all minus infinity):
+    11 seeds at seed 0 (5 trials past the words, one table left to C),
+    bounded here by 13, against two or three a trial when every generator
+    was seeded in C."""
     seeds = []
 
     class Seeding(_random.Random):
@@ -1025,11 +1122,12 @@ def test_campaign_reseeds_only_random_tables_and_the_scalar_path(monkeypatch):
             seeds.append(s)
             super().seed(s)
     monkeypatch.setattr(cli, "_random", type("C", (), {"Random": Seeding}))
-    taken = spy_scalar(monkeypatch)
+    taken, tables = spy_scalar(monkeypatch)
     trials = 2000
     assert dump(falsify_campaign(trials, 0)) == dump(per_trial_campaign(trials, 0))
     scalar = set(taken)
-    table_trials = sum(t % 2 == 0 and t not in scalar for t in range(trials))
     assert scalar <= set(seeds)  # a trial past the words is seeded t = 0 ^ t first
+    assert scalar & set(range(0, trials, 2)) <= set(tables)
+    table_trials = len(set(tables) - scalar)
     assert 2 * len(scalar) <= len(seeds) - table_trials <= 3 * len(scalar)
-    assert len(seeds) <= trials // 2 + trials // 50
+    assert len(seeds) <= 13
