@@ -287,10 +287,14 @@ MUTANTS = [
            ("tests/test_falsify_bulk.py::test_table_decoder_matches_draw_table",
             "tests/test_falsify_bulk.py::test_campaign_matches_per_trial_loop")),
     Mutant("table_decoder_reads_a_word_past_the_height", "families.py",
-           "return (pos > height) | ~finite",
-           "return (pos > height + 1) | ~finite",
+           "return (pos > height) | missed | ~finite",
+           "return (pos > height + 1) | missed | ~finite",
            ("tests/test_falsify_bulk.py::test_table_decoder_matches_draw_table",
             "tests/test_falsify_bulk.py::test_tables_past_their_words_are_drawn_in_c")),
+    Mutant("table_decoder_keeps_a_value_past_its_gather", "families.py",
+           "missed[:c] |= draw & ~ok[d, lane]",
+           "missed[:c] |= False",
+           ("tests/test_falsify_bulk.py::test_table_decoder_matches_draw_table",)),
 ]
 
 

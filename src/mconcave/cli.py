@@ -78,11 +78,12 @@ _SEED_WORDS = 24
 # Words of each trial's second generator drawn in numpy, in one call per
 # batch: a mutation's, which reads one to three words and retries below its
 # domain's size (2 in 10^4 of the corpus mutations read more), and a random
-# table's, by n and at least a mutation's: the fewest that all but one
-# table in 10^4 read (each of its 2^n values reads two words, and a finite
-# one a geometric run of 4-bit draws). A trial that reads more is drawn in C.
+# table's, for n = 1..5: the fewest that all but one table in 10^4 read
+# (each of its 2^n values reads two words, and a finite one a geometric run
+# of 4-bit draws), and at n = 1 a mutation's 16 rather than 15, as the
+# lanes' rows must start full. A trial that reads more is drawn in C.
 _MUTATION_WORDS = 16
-_TABLE_WORDS = (10, 15, 23, 38, 68, 124)
+_TABLE_WORDS = (16, 23, 38, 68, 124)
 
 # Passing trials a campaign lists as near misses.
 _NEAR_MISSES = 5
@@ -350,19 +351,20 @@ def _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg):
     """``falsify_campaign``'s trials first..stop - 1 up to their keys, drawn
     by ``core._below``'s rule from the first words of each trial's
     generators (``core._seed_words``): ``_SEED_WORDS`` of its first one,
-    ``_MUTATION_WORDS`` of a mutation's second and ``_TABLE_WORDS[n]`` of a
-    random table's. Returns an int64 (3, trials) array, (n, sub-seed, 0)
+    ``_MUTATION_WORDS`` of a mutation's second and ``_TABLE_WORDS[n - 1]``
+    of a random table's. Returns an int64 (3, trials) array, (n, sub-seed, 0)
     for a random table and (base, entry, value) for a mutation; the batch's
     store, the base rows and then one row per random table in trial order;
     a bool array of the trials whose draws run past their words, drawn in
     C; and one of the random tables whose row is left to C, theirs and
-    those past their words or drawn all ``neg``. ``bases`` is the
+    those ``families._words_tables`` leaves. ``bases`` is the
     campaign's (values, width, dom_at, dom_size): base b's 2^width[b]
     values and its domain, each row padded."""
     values, width, dom_at, dom_size = bases
     mut = (np.arange(first, stop) % 2 == 1) & (len(width) > 0)
-    words = _seed_words(np.arange(first, stop, dtype=np.uint64) ^ np.uint64(seed & MASK64),
-                        _SEED_WORDS)
+    words, _ = _seed_words(np.arange(first, stop, dtype=np.uint64) ^ np.uint64(seed & MASK64),
+                           _SEED_WORDS)
+    words = words[:_SEED_WORDS * len(mut)].reshape(_SEED_WORDS, -1)
     pos, tabs, cols = np.zeros(len(mut), np.int64), np.flatnonzero(~mut), np.flatnonzero(mut)
     n = n_lo + _words_below(words, tabs, pos, n_hi - n_lo + 1)
     sub = _words_below(words, tabs, pos, 1 << 32)
@@ -376,13 +378,13 @@ def _bulk_draws(seed, first, stop, n_lo, n_hi, bases, neg):
     left = scalar[tabs]
     lane = np.flatnonzero(~left)
     lane = lane[np.argsort(-n[lane], kind="stable")]
-    height = np.maximum(np.take(_TABLE_WORDS, n[lane]), _MUTATION_WORDS)
+    height = np.take(_TABLE_WORDS, n[lane] - 1)
     flat, off = _seed_words(np.r_[sub[lane], mseed].view(np.uint64),  # seeds < 2^32
                             np.r_[height, np.full(len(cols), _MUTATION_WORDS)])
     store = np.zeros((len(width) + len(tabs), values.shape[1]), values.dtype)
     store[:len(width)] = values
     left[lane] = _words_tables(flat, off, height, 1 << n[lane], store[len(width):], lane, neg)
-    lanes = len(lane) + len(cols)  # rows start full: a mutation's words are one array
+    lanes = len(lane) + len(cols)  # heights >= _MUTATION_WORDS: a mutation's words are one array
     words = flat[:_MUTATION_WORDS * lanes].reshape(_MUTATION_WORDS, lanes)[:, len(lane):]
     pos, idx = np.zeros(len(cols), np.int64), np.zeros(len(cols), np.int64)
     on = np.flatnonzero(toggle)
@@ -442,8 +444,9 @@ def falsify_campaign(trials, seed, n_range=(2, 5)):
     every first generator, one more every second generator, a mutation's
     and a random table's, whose values ``families._words_tables`` decodes.
     The trials whose draws run past their words, and the random tables
-    that do or are drawn all minus infinity, are drawn from one reseeded
-    C generator (``_random.Random``, which draws as ``random.Random``; see
+    that do, have a value past the decoder's gather or are drawn all
+    minus infinity, are drawn from one reseeded C generator
+    (``_random.Random``, which draws as ``random.Random``; see
     ``core._below``). One decider (``_mutation_verdicts``) decides each
     distinct key once, in slices of at most ``_FALSIFY_VALUES`` values, so
     memory stays flat; verdicts, counterexamples (the key's row with its

@@ -200,14 +200,13 @@ def _mt_init():
 
 
 def _seed_words(seeds, k):
-    """The first words (``getrandbits(32)``) of ``random.Random(s)`` for
-    each seed s in [0, 2^64). With k an int, 1 <= k <= 227, the first k of
-    each, as a (k, len(seeds)) uint32 array. With k a non-increasing array
-    of heights in [1, 227], one per seed, the first k[j] words of seed j,
-    as (flat, off): word i of seed j is flat[off[i] + j], row i holding the
-    seeds whose height passes i, a prefix. Rows start full, so the first
-    min(k) rows are flat[:min(k) * len(seeds)] as a (min(k), len(seeds))
-    array.
+    """The first k[j] words (``getrandbits(32)``) of ``random.Random(s)``
+    for each seed s = seeds[j] in [0, 2^64), k a non-increasing array of
+    heights in [1, 227], one per seed, or one int for all: a uint32 array
+    flat and its row offsets off, word i of seed j at flat[off[i] + j], row
+    i holding the seeds whose height passes i, a prefix. Rows start full,
+    so the first min(k) rows are flat[:min(k) * len(seeds)] as a (min(k),
+    len(seeds)) array.
 
     ``seed(s)`` is MT19937's ``init_by_array`` (Matsumoto & Nishimura, ACM
     TOMACS 8, 1998) on s's little-endian 32-bit words: a serial chain of
@@ -281,8 +280,6 @@ def _seed_words(seeds, k):
     emit(0, rows[1], keep[397])
     if top > 1:
         emit(1, keep[2], keep[398])
-    if np.ndim(k) == 0:
-        return flat[:k * n].reshape(k, n)
     return flat, off
 
 

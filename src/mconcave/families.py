@@ -303,7 +303,14 @@ def _draw_mutation(rng, values, dom, magnitude, toggle_neg_inf=False, neg=NEG_IN
     return idx, values[idx] + (magnitude if _below(rng, 2) else -magnitude)
 
 
-def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
+# ``random_table``'s default draw: each value NEG_INF with probability
+# _TABLE_NEG_PROB, otherwise uniform in [_TABLE_LO, _TABLE_HI]. The
+# falsification campaign's random tables are these, drawn in C by
+# ``_draw_table`` or read from numpy-seeded words by ``_words_tables``.
+_TABLE_LO, _TABLE_HI, _TABLE_NEG_PROB = -5, 5, 0.2
+
+
+def random_table(n, seed, lo=_TABLE_LO, hi=_TABLE_HI, neg_inf_prob=_TABLE_NEG_PROB):
     """Arbitrary int-mode table: each entry NEG_INF with the given
     probability, otherwise uniform in [lo, hi], and one entry drawn finite
     when none is. Deterministic per seed."""
@@ -313,7 +320,7 @@ def random_table(n, seed, lo=-5, hi=5, neg_inf_prob=0.2):
     return SetFn(n, _draw_table(random.Random(seed), n, lo, hi, neg_inf_prob), "int")
 
 
-def _draw_table(rng, n, lo=-5, hi=5, neg_inf_prob=0.2, neg=NEG_INF):
+def _draw_table(rng, n, lo=_TABLE_LO, hi=_TABLE_HI, neg_inf_prob=_TABLE_NEG_PROB, neg=NEG_INF):
     """``random_table``'s values, drawn from ``rng`` with ``neg`` for
     NEG_INF, by ``core._below``'s rule run inline: no frame per value."""
     width = hi - lo + 1
@@ -333,39 +340,36 @@ def _draw_table(rng, n, lo=-5, hi=5, neg_inf_prob=0.2, neg=NEG_INF):
     return vals
 
 
-def _words_tables(words, off, height, size, store, at, neg, lo=-5, hi=5, neg_inf_prob=0.2):
-    """``_draw_table``'s values for generators j < len(size), whose words
-    are ``core._seed_words``' ragged rows (words, off), height[j] of them,
-    into store[at[j], :size[j]], size non-increasing: value by value across
-    the generators, each read from up to 8 words in one gather, two for
-    ``random()`` and then ``getrandbits``' top bits, retried. Returns the
-    generators left to C: those whose draws run past their words, and
-    those drawn all ``neg``, which ``_draw_table`` draws on. A word past a
-    generator's height is read as some other word (clipped gathers), and
-    only matters when drawn, which leaves the generator to C."""
-    width = hi - lo + 1
+def _words_tables(words, off, height, size, store, at, neg):
+    """``_draw_table``'s default values for generators j < len(size), whose
+    words are ``core._seed_words``' ragged rows (words, off), height[j] of
+    them, into store[at[j], :size[j]], size non-increasing: value by value
+    across the generators, each read from 8 words in one gather, two for
+    ``random()`` and then up to six for ``getrandbits``' top bits. Returns
+    the generators left to C: those whose draws run past their words or
+    miss six times in one value, and those drawn all ``neg``, which
+    ``_draw_table`` draws on. A word past a generator's height is read as
+    some other word (clipped gathers), and only matters when drawn, which
+    leaves the generator to C."""
+    width = _TABLE_HI - _TABLE_LO + 1
     shift, lanes = 32 - width.bit_length(), np.arange(len(size))
-    pos, finite = np.zeros(len(size), np.int64), np.zeros(len(size), bool)
+    pos, finite, missed = np.zeros(len(size), np.int64), *np.zeros((2, len(size)), bool)
     gather = np.empty((8, len(size)), np.uint32)
     for v in range(int(size.max(initial=0))):
         c = np.count_nonzero(size > v)
         p, lane, w = pos[:c], lanes[:c], gather[:, :c]
         for d in range(8):  # word p + d of each lane, row by row: a (8, c) index is twice w
             words.take(off.take(p + d, mode="clip") + lane, mode="clip", out=w[d])
-        # random() >= neg_inf_prob, both sides times 2^53, which is exact
-        draw = (w[0] >> 5) * 67108864.0 + (w[1] >> 6) >= neg_inf_prob * 9007199254740992.0
+        # random() >= _TABLE_NEG_PROB, both sides times 2^53, which is exact
+        draw = (w[0] >> 5) * 67108864.0 + (w[1] >> 6) >= _TABLE_NEG_PROB * 9007199254740992.0
         ok = w[2:] < width << shift
         d = ok.argmax(axis=0)
-        store[at[:c], v] = np.where(draw, lo + (w[2 + d, lane] >> shift).astype(np.int64), neg)
+        store[at[:c], v] = np.where(draw, _TABLE_LO + (w[2 + d, lane] >> shift).astype(np.int64),
+                                    neg)
         p += np.where(draw, 3 + d, 2)
-        for j in np.flatnonzero(draw & ~ok[d, lane]).tolist():  # six misses: read on
-            i = int(p[j]) + 5  # p[j] counted 3 words; 8 were read
-            while i < height[j] and int(words[off[i] + j]) >> shift >= width:
-                i += 1
-            store[at[j], v] = lo + (int(words[off[min(i, height[j] - 1)] + j]) >> shift)
-            p[j] = i + 1
+        missed[:c] |= draw & ~ok[d, lane]
         finite[:c] |= draw
-    return (pos > height) | ~finite
+    return (pos > height) | missed | ~finite
 
 
 def random_mnat_concave(n, seed, lo=-3, hi=3, neg_inf_prob=0.15):

@@ -921,11 +921,17 @@ def kernel_seeds():
     return seeds + [pick.getrandbits(pick.choice((1, 20, 32, 33, 50, 64))) for _ in range(300)]
 
 
+def seed_words(seeds, k):
+    """``core._seed_words``' first k words of each seed as a (k, seeds) array."""
+    flat, _ = core._seed_words(seeds, k)
+    return flat[:k * len(seeds)].reshape(k, -1)
+
+
 @pytest.mark.parametrize("k", [1, 2, 24, 227])
 def test_seed_words_are_the_c_generators_first_words(k):
     seeds = kernel_seeds()
     assert {(s > MASK64 >> 32) for s in seeds} == {False, True}  # 1- and 2-word keys
-    words = core._seed_words(seeds, k)
+    words = seed_words(seeds, k)
     assert words.shape == (k, len(seeds)) and words.dtype == np.uint32
     for j, s in enumerate(seeds):
         rng = _random.Random(s)
@@ -945,7 +951,7 @@ def test_seed_words_by_height_are_the_c_generators_first_words(heights):
         flat, off = core._seed_words(order, k)
         assert flat.dtype == np.uint32 and len(flat) == len(order) + k.sum()
         low = int(k[-1])
-        assert (flat[:low * len(order)].reshape(low, -1) == core._seed_words(order, low)).all()
+        assert (flat[:low * len(order)].reshape(low, -1) == seed_words(order, low)).all()
         for j, s in enumerate(order):
             rng = _random.Random(s)
             assert [int(flat[off[i] + j]) for i in range(k[j])] == \
@@ -971,14 +977,15 @@ def test_table_decoder_matches_draw_table(shrink):
     """``families._words_tables`` against ``_draw_table`` on each lane's own
     generator, n = 1..5 in one call, into shuffled store rows. A lane is
     left to C exactly when its 2^n values read past its height (the
-    campaign's heights over ``shrink``: at 3, most lanes of n >= 3) or are
-    all minus infinity (one table in 25 at n = 1); every other lane's row
-    is ``_draw_table``'s, value runs of seven draws or more among them, and
-    nothing past a row's 2^n values or outside the rows is written."""
+    campaign's heights over ``shrink``: at 3, most lanes of n >= 3), one
+    value takes seven 4-bit draws or more, past the gather's 8 words (about
+    one lane in 100), or all are minus infinity (one table in 25 at n = 1);
+    every other lane's row is ``_draw_table``'s, and nothing past a row's
+    2^n values or outside the rows is written."""
     pick = random.Random(shrink)
     n = np.array(sorted((pick.randint(1, 5) for _ in range(1500)), reverse=True))
     seeds = [pick.getrandbits(32) for _ in n]
-    height = np.array([max(2, cli._TABLE_WORDS[m] // shrink) for m in n])
+    height = np.array([max(2, cli._TABLE_WORDS[m - 1] // shrink) for m in n])
     neg = encoding(8)[0]
     store = np.full((len(n) + 3, 32), 99, np.int16)
     at = np.array(pick.sample(range(3, len(store)), len(n)))
@@ -987,16 +994,16 @@ def test_table_decoder_matches_draw_table(shrink):
     for j, s in enumerate(seeds):
         vals, used, most = table_reads(s, int(n[j]), neg)
         empty = vals.count(neg) == len(vals)
-        assert left[j] == (used > height[j] or empty), (j, used, height[j])
+        assert left[j] == (used > height[j] or most >= 7 or empty), (j, used, height[j], most)
         row = store[at[j]].tolist()
         if not left[j]:
             assert row[:1 << n[j]] == vals == _draw_table(random.Random(s), int(n[j]), neg=neg)
-            long_runs += most >= 7
         assert row[1 << n[j]:] == [99] * (32 - (1 << n[j]))
         past, emptied = past + (used > height[j]), emptied + empty
+        long_runs += most >= 7 and used <= height[j]
     assert (store[:3] == 99).all()
     assert emptied > 5 and (past > len(n) // 2) == (shrink > 1)
-    assert long_runs > 0 or shrink > 1  # read past the gather's 8 words, at full heights
+    assert long_runs > 5 or shrink > 1  # left to C within their words, at full heights
 
 
 def decode_against_below(seeds, k, draws):
@@ -1004,7 +1011,7 @@ def decode_against_below(seeds, k, draws):
     ``_words_below`` from k words a seed, against ``core._below`` on each
     seed's C generator: the values, the words drawn, and the seeds that
     run out of words, exactly those whose scalar draws need more than k."""
-    words = core._seed_words(seeds, k)
+    words = seed_words(seeds, k)
     cols, pos = np.arange(len(seeds)), np.zeros(len(seeds), np.int64)
     got = [core._words_below(words, cols, pos, m) for m in draws]
     for j, s in enumerate(seeds):
@@ -1036,7 +1043,7 @@ def test_words_below_takes_a_bound_per_seed():
 
 def test_words_random_matches_random():
     seeds = kernel_seeds()
-    words = core._seed_words(seeds, 9)
+    words = seed_words(seeds, 9)
     cols, pos = np.arange(len(seeds)), np.zeros(len(seeds), np.int64)
     got = [core._words_random(words, cols, pos) for _ in range(4)]
     assert (pos == 8).all()
@@ -1084,13 +1091,13 @@ def test_trials_past_the_words_take_the_scalar_path(monkeypatch, words):
 
 
 def test_tables_past_their_words_are_drawn_in_c(monkeypatch):
-    """With each table height at the mean words its values read, about
-    half the random tables of n >= 3 read past their words, some by one
-    word, and are drawn in C from their sub-seed. A stand-in decider fails
-    every row, so the campaign lists each trial's table, and each is the
-    one the scalar drawers give, at every chunk; the tables left to C are
-    random tables only."""
-    monkeypatch.setattr(cli, "_TABLE_WORDS", (3, 6, 13, 25, 51, 101))
+    """With each table height of n >= 3 at the mean words its values read
+    (and a mutation's 16 below), about half the random tables of n >= 3
+    read past their words, some by one word, and are drawn in C from their
+    sub-seed. A stand-in decider fails every row, so the campaign lists
+    each trial's table, and each is the one the scalar drawers give, at
+    every chunk; the tables left to C are random tables only."""
+    monkeypatch.setattr(cli, "_TABLE_WORDS", (16, 16, 25, 51, 101))
     monkeypatch.setattr(cli, "_bulk_decide",
                         lambda vals, m: (np.ones(len(vals), bool), np.zeros(len(vals), bool)))
     taken, tables = spy_scalar(monkeypatch)
@@ -1108,13 +1115,20 @@ def test_tables_past_their_words_are_drawn_in_c(monkeypatch):
     assert trials // 8 < len(left) < trials // 4, len(left)  # of the 350 random tables
 
 
+def test_table_heights_start_at_a_mutations_words():
+    """The second seeding's rows start full: each random table's height, n
+    = 1..5, is at least a mutation's, so the mutations' words are its first
+    ``_MUTATION_WORDS`` rows as one array."""
+    assert len(cli._TABLE_WORDS) == 5 and min(cli._TABLE_WORDS) >= cli._MUTATION_WORDS
+
+
 def test_campaign_reseeds_only_random_tables_and_the_scalar_path(monkeypatch):
     """In a default campaign of 2,000 trials the C generator is seeded two or
     three times for each trial past the words and once for each other
-    random table left to C (past its words, or drawn all minus infinity):
-    11 seeds at seed 0 (5 trials past the words, one table left to C),
-    bounded here by 13, against two or three a trial when every generator
-    was seeded in C."""
+    random table left to C (past its words, a value past the decoder's
+    gather, or drawn all minus infinity): 25 seeds at seed 0 (5 trials
+    past the words, 15 of the 1,000 tables left to C), bounded here by 28,
+    against two or three a trial when every generator was seeded in C."""
     seeds = []
 
     class Seeding(_random.Random):
@@ -1130,4 +1144,4 @@ def test_campaign_reseeds_only_random_tables_and_the_scalar_path(monkeypatch):
     assert scalar & set(range(0, trials, 2)) <= set(tables)
     table_trials = len(set(tables) - scalar)
     assert 2 * len(scalar) <= len(seeds) - table_trials <= 3 * len(scalar)
-    assert len(seeds) <= 13
+    assert len(seeds) <= 28
